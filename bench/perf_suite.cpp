@@ -1,6 +1,6 @@
 // Perf suite: one binary measuring the four hot paths of the codebase
 // and emitting a versioned machine-readable scorecard (BENCH_perf.json,
-// schema `parmis-perf-v1`) so perf regressions show up as a diff at the
+// schema `parmis-perf-v4`) so perf regressions show up as a diff at the
 // repo root rather than anecdata in PR descriptions.
 //
 // Metrics:
@@ -23,12 +23,9 @@
 //  * serve decisions/sec/core and p50/p99 us — the src/serve/ decide
 //                              hot path on one thread (same protocol
 //                              as bench/serve_suite).
-//  * orchestrate cells/sec    — the work-stealing job scheduler
-//                              (src/orchestrate) over the in-process
-//                              chunk backend at 1 and 4 workers, vs
-//                              the raw CampaignRunner on the same
-//                              campaign; the digest is asserted equal
-//                              at both worker counts (schema v3).
+//
+// Orchestration is measured end to end by the repository benchmark
+// (perfbench's campaign-launch workload), not here (schema v4).
 //
 // The JSON carries the budgets that produced each number: `--smoke`
 // runs in seconds for CI, the default sizes for a committed scorecard.
@@ -56,8 +53,6 @@
 #include "exec/campaign.hpp"
 #include "gp/gp.hpp"
 #include "gp/kernel.hpp"
-#include "orchestrate/backend.hpp"
-#include "orchestrate/scheduler.hpp"
 #include "report/merge.hpp"
 #include "scenario/scenario.hpp"
 #include "serve/server.hpp"
@@ -321,58 +316,6 @@ ServeNumbers serve_numbers(bool smoke, json::Value* budget) {
   return numbers;
 }
 
-// ------------------------------------------------------ orchestrate
-/// Cells/sec of the work-stealing job scheduler on the same governor
-/// campaign as the campaign probe, at 1 and 4 workers with the
-/// in-process backend — the delta against the raw runner is pure
-/// orchestration cost (lease traffic + streaming provisional merges).
-/// Digest equality with the raw run is asserted at both worker counts.
-struct OrchestrateNumbers {
-  double cells_per_s_1w = 0.0;
-  double cells_per_s_4w = 0.0;
-  double overhead_1w_pct = 0.0;  ///< slowdown of 1 worker vs raw runner
-  bool digest_match = true;
-};
-
-OrchestrateNumbers orchestrate_numbers(bool smoke, json::Value* budget) {
-  exec::CampaignConfig config;
-  config.scenarios = {scenario::make_scenario("xu3-synthetic-te")};
-  config.scenarios[0].methods = {"performance", "powersave", "ondemand"};
-  config.seeds_per_cell = smoke ? 2 : 8;
-
-  const Stopwatch raw_wall;
-  const exec::CampaignReport raw = exec::CampaignRunner(config).run();
-  const double raw_s = raw_wall.seconds();
-  const std::size_t cells = raw.cells.size();
-  const std::size_t chunks = std::min<std::size_t>(8, cells);
-
-  OrchestrateNumbers numbers;
-  const auto run_at = [&](std::size_t workers) {
-    orchestrate::InprocessBackend backend(config);
-    orchestrate::JobConfig jc;
-    jc.workers = workers;
-    jc.chunks = chunks;
-    orchestrate::JobRunner runner(backend, jc);
-    const Stopwatch wall;
-    const exec::CampaignReport merged = runner.run();
-    const double seconds = wall.seconds();
-    if (merged.objectives_digest() != raw.objectives_digest()) {
-      std::cerr << "orchestrate digest DIVERGED at " << workers
-                << " workers — scheduling must never change results\n";
-      numbers.digest_match = false;
-    }
-    return double(cells) / seconds;
-  };
-  numbers.cells_per_s_1w = run_at(1);
-  numbers.cells_per_s_4w = run_at(4);
-  const double raw_cells_per_s = double(cells) / raw_s;
-  numbers.overhead_1w_pct =
-      (raw_cells_per_s / numbers.cells_per_s_1w - 1.0) * 100.0;
-  budget->set("cells", json::Value::number(double(cells)));
-  budget->set("chunks", json::Value::number(double(chunks)));
-  return numbers;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -382,7 +325,7 @@ int main(int argc, char** argv) {
   const std::string out = args.get("out", "BENCH_perf.json");
 
   json::Value doc = json::Value::object();
-  doc.set("schema", json::Value::string("parmis-perf-v3"));
+  doc.set("schema", json::Value::string("parmis-perf-v4"));
   doc.set("smoke", json::Value::boolean(smoke));
   json::Value budgets = json::Value::object();
   json::Value metrics = json::Value::object();
@@ -412,14 +355,6 @@ int main(int argc, char** argv) {
             << " decisions/s/core, p50 " << serve.p50_us << " us, p99 "
             << serve.p99_us << " us\n";
 
-  json::Value orch_budget = json::Value::object();
-  const OrchestrateNumbers orch = orchestrate_numbers(smoke, &orch_budget);
-  std::cerr << "  orchestrate   " << orch.cells_per_s_1w
-            << " cells/s at 1 worker (" << orch.overhead_1w_pct
-            << "% overhead vs raw), " << orch.cells_per_s_4w
-            << " at 4 workers"
-            << (orch.digest_match ? "" : " — DIGEST DIVERGED") << "\n";
-
   metrics.set("campaign_cells_per_s", json::Value::number(cells_s));
   metrics.set("acquisition_us_per_candidate",
               json::Value::number(acq.batched_us_per_candidate));
@@ -432,17 +367,10 @@ int main(int argc, char** argv) {
               json::Value::number(serve.decisions_per_s_per_core));
   metrics.set("serve_latency_p50_us", json::Value::number(serve.p50_us));
   metrics.set("serve_latency_p99_us", json::Value::number(serve.p99_us));
-  metrics.set("orchestrate_cells_per_s_1w",
-              json::Value::number(orch.cells_per_s_1w));
-  metrics.set("orchestrate_cells_per_s_4w",
-              json::Value::number(orch.cells_per_s_4w));
-  metrics.set("orchestrate_overhead_1w_pct",
-              json::Value::number(orch.overhead_1w_pct));
   budgets.set("campaign", std::move(campaign_budget));
   budgets.set("acquisition", std::move(acq_budget));
   budgets.set("merge", std::move(merge_budget));
   budgets.set("serve", std::move(serve_budget));
-  budgets.set("orchestrate", std::move(orch_budget));
   doc.set("metrics", std::move(metrics));
   doc.set("budgets", std::move(budgets));
 
@@ -454,7 +382,6 @@ int main(int argc, char** argv) {
   }
   std::cerr << "wrote " << out << "\n";
   if (!acq.bit_identical) return 1;
-  if (!orch.digest_match) return 1;
   if (gate && acq.speedup <= 1.0) {
     std::cerr << "--require-batched-faster: batched sweep ("
               << acq.batched_us_per_candidate

@@ -6,7 +6,7 @@ Usage:
     python3 scripts/check_perf_regression.py bench_smoke.json \
         [--baseline=BENCH_perf.json] [--max-ratio=N]
 
-Both files carry the parmis-perf-v3 schema.  The committed baseline is
+Both files carry the parmis-perf-v4 schema.  The committed baseline is
 a full-budget run on a quiet machine; CI produces a --smoke run on a
 noisy shared runner, so magnitudes are not comparable run-to-run.  The
 gate therefore checks per-metric tolerance BANDS, not equality:
@@ -21,9 +21,7 @@ gate therefore checks per-metric tolerance BANDS, not equality:
     catches an accidentally quadratic path or a dropped SIMD flag,
     which regress by further orders of magnitude;
   * speedup ratios are budget-independent, so they get tight absolute
-    floors; the orchestration overhead percentage is budget-SENSITIVE
-    (spawn cost amortized over few smoke cells), so its ceiling is a
-    (full, smoke) pair;
+    floors;
   * a metric present in the baseline but missing from the fresh run
     fails — silently losing a series is itself a regression.
 
@@ -34,7 +32,7 @@ import argparse
 import json
 import sys
 
-SCHEMA = "parmis-perf-v3"
+SCHEMA = "parmis-perf-v4"
 
 # metric -> (direction, kind)
 #   direction: "higher" is better or "lower" is better
@@ -54,13 +52,6 @@ METRICS = {
     "serve_decisions_per_s_per_core": ("higher", "scaled"),
     "serve_latency_p50_us": ("lower", "scaled"),
     "serve_latency_p99_us": ("lower", "scaled"),
-    "orchestrate_cells_per_s_1w": ("higher", "scaled"),
-    "orchestrate_cells_per_s_4w": ("higher", "scaled"),
-    # Process-pool overhead vs the in-process run, in percent.  Smoke
-    # budgets amortize spawn cost over a handful of cells, so ~1000%
-    # is a normal smoke reading; a runaway (respawn storm, lost cache
-    # sharing) blows past even the loose smoke ceiling.
-    "orchestrate_overhead_1w_pct": ("lower", ("floor", 400.0, 3000.0)),
 }
 
 

@@ -1,5 +1,5 @@
 // campaign-daemon — long-running campaign orchestration server
-// speaking parmis-orch-v1 (newline-delimited JSON) over stdio or a
+// speaking parmis-orch-v2 (newline-delimited JSON) over stdio or a
 // local AF_UNIX socket.
 //
 // Examples:
@@ -14,13 +14,13 @@
 // see docs/orchestration.md for the verb table and the version-bump
 // policy.  Each submitted campaign is tiled into chunks and drained by
 // a pool of `campaign --shard-index/--shard-count` worker processes
-// with work-stealing cell leases, crash retries recovered through the
+// taking one chunk at a time, crash retries recovered through the
 // shared cache, and streaming provisional merges; the finished report
 // is bit-identical to an unsharded single-process run (the digest in
 // `status` responses is the proof handle).
 //
-// The pool flags (--workers, --chunks, --lease-chunks, --max-attempts,
-// --threads, --cache-dir, --work-dir, ...) set server-wide defaults;
+// The pool flags (--workers, --chunks, --max-attempts, --threads,
+// --cache-dir, --work-dir, ...) set server-wide defaults;
 // submit requests may override the sizing knobs per job.  Job
 // artifacts live under --work-dir/jobN.  On exit (quit request or
 // client EOF) running jobs are cancelled and joined, then
@@ -37,7 +37,6 @@
 #include "common/json.hpp"
 #include "obs/metrics.hpp"
 #include "orchestrate/protocol.hpp"
-#include "orchestrate/subprocess.hpp"
 #include "serve/socket.hpp"
 
 namespace {
@@ -48,24 +47,25 @@ void print_usage() {
   std::cout
       << "usage: campaign-daemon [--socket=path] [--connect=path]\n"
          "                       [--workers=N] [--chunks=M]\n"
-         "                       [--lease-chunks=K] [--max-attempts=A]\n"
-         "                       [--threads=T] [--cache-dir=dir]\n"
+         "                       [--max-attempts=A] [--threads=T]\n"
+         "                       [--cache-dir=dir]\n"
          "                       [--work-dir=dir] [--campaign-bin=path]\n"
          "                       [--lease-timeout-s=S]\n"
          "                       [--chunk-timeout-s=S]\n"
          "                       [--inject-kill-chunk=I] [--trace]\n"
          "                       [--metrics-out=path] [--metrics-prom=path]\n"
          "\n"
-         "Campaign orchestration server: one parmis-orch-v1 JSON\n"
+         "Campaign orchestration server: one parmis-orch-v2 JSON\n"
          "request per line in, one response per line out\n"
          "(docs/orchestration.md).  Default transport is stdin/stdout;\n"
          "--socket listens on a local stream socket instead, and\n"
          "--connect bridges stdio to a listening daemon.  Submitted\n"
-         "plans run on a work-stealing pool of campaign worker\n"
-         "processes sharing --cache-dir.  --trace turns on distributed\n"
-         "observability for every job (per-submit \"trace\" overrides):\n"
-         "worker trace/metrics shards are stitched into the job dir and\n"
-         "rolled up into the daemon registry (docs/observability.md).\n";
+         "plans run on a pool of campaign worker processes, one\n"
+         "chunk at a time, sharing --cache-dir.  --trace turns on\n"
+         "distributed observability for every job (per-submit\n"
+         "\"trace\" overrides): worker trace/metrics shards are\n"
+         "stitched into the job dir and rolled up into the daemon\n"
+         "registry (docs/observability.md).\n";
 }
 
 void write_metrics_artifacts(const parmis::CliArgs& args) {
@@ -114,31 +114,8 @@ int main(int argc, char** argv) {
       return 0;
     }
 
-    orch::JobManager::Defaults defaults;
-    defaults.workers =
-        static_cast<std::size_t>(args.get_int("workers", 3));
-    defaults.chunks = static_cast<std::size_t>(args.get_int("chunks", 0));
-    defaults.lease_chunks =
-        static_cast<std::size_t>(args.get_int("lease-chunks", 0));
-    defaults.max_attempts =
-        static_cast<std::size_t>(args.get_int("max-attempts", 3));
-    defaults.threads_per_worker =
-        static_cast<std::size_t>(args.get_int("threads", 1));
-    defaults.work_dir = args.get("work-dir", ".parmis-orch");
-    defaults.campaign_bin = args.get(
-        "campaign-bin",
-        orch::sibling_binary(argc > 0 ? argv[0] : "", "campaign"));
-    defaults.cache_dir = args.get("cache-dir", "");
-    defaults.lease_timeout_ms = static_cast<std::uint64_t>(
-        args.get_double("lease-timeout-s", 0.0) * 1000.0);
-    defaults.chunk_timeout_ms = static_cast<std::uint64_t>(
-        args.get_double("chunk-timeout-s", 0.0) * 1000.0);
-    if (args.has("inject-kill-chunk")) {
-      defaults.inject_kill_chunk =
-          static_cast<std::size_t>(args.get_int("inject-kill-chunk", 0));
-    }
-    defaults.trace = args.get_bool("trace", false);
-
+    const orch::JobManager::Defaults defaults = orch::defaults_from_flags(
+        args, argc > 0 ? argv[0] : "", ".parmis-orch");
     orch::JobManager manager(defaults);
     orch::OrchSession session(manager);
     const auto handler = [&session](const std::string& line) {

@@ -11,20 +11,19 @@
 // This is the one-shot front end of the orchestration core the daemon
 // also runs (src/orchestrate): the plan is tiled into `--chunks`
 // micro-shards, each executed as one `campaign --shard-index/--shard-count`
-// child process against the shared cache, scheduled through the lease
-// table (work-stealing, retries, expiry) and folded into a streaming
-// provisional merge.  Because every chunk is an ordinary deterministic
-// shard slice and the merge orders cells by slice index, the final
-// report is bit-identical to a single-process unsharded run for any
-// worker count, chunk count, or crash/retry schedule — the same digest
-// `campaign --plan=plan.json --json=...` would produce.
+// child process against the shared cache, handed out one chunk at a
+// time from the chunk queue (retries, expiry) and folded into a
+// streaming provisional merge.  Because every chunk is an ordinary
+// deterministic shard slice and the merge orders cells by slice index,
+// the final report is bit-identical to a single-process unsharded run
+// for any worker count, chunk count, or crash/retry schedule — the
+// same digest `campaign --plan=plan.json --json=...` would produce.
 //
 // Worker artifacts (per-chunk reports, per-attempt logs, the streaming
 // provisional.json, and final.json) live under `--work-dir/jobN`;
 // --out additionally copies the final report byte-for-byte.  See
 // docs/orchestration.md.
 #include <chrono>
-#include <cstdint>
 #include <cstdio>
 #include <iostream>
 #include <string>
@@ -37,7 +36,6 @@
 #include "common/hash.hpp"
 #include "common/json.hpp"
 #include "orchestrate/protocol.hpp"
-#include "orchestrate/subprocess.hpp"
 #include "report/analytics.hpp"
 #include "report/report_json.hpp"
 #include "serde/plan.hpp"
@@ -50,8 +48,8 @@ namespace orch = parmis::orchestrate;
 void print_usage() {
   std::cout
       << "usage: campaign-launch --plan=plan.json [--workers=N]\n"
-         "                       [--chunks=M] [--lease-chunks=K]\n"
-         "                       [--max-attempts=A] [--threads=T]\n"
+         "                       [--chunks=M] [--max-attempts=A]\n"
+         "                       [--threads=T]\n"
          "                       [--cache-dir=dir] [--work-dir=dir]\n"
          "                       [--campaign-bin=path] [--out=path]\n"
          "                       [--chunk-timeout-s=S]\n"
@@ -61,7 +59,7 @@ void print_usage() {
          "\n"
          "Tiles the plan into M chunks (default 4 per worker), runs\n"
          "them as N local `campaign --shard-index/--shard-count`\n"
-         "worker processes with work-stealing leases and crash\n"
+         "worker processes, one chunk at a time with crash\n"
          "retries, and merges the results.  The merged report is\n"
          "bit-identical to an unsharded single-process run\n"
          "(docs/orchestration.md).  --inject-kill-chunk SIGKILLs the\n"
@@ -79,7 +77,6 @@ void print_progress(const orch::JobManager::JobInfo& info) {
     std::cerr << " (" << p.stats.chunks_running << " running)";
   }
   if (p.stats.retries > 0) std::cerr << ", retries " << p.stats.retries;
-  if (p.stats.steals > 0) std::cerr << ", steals " << p.stats.steals;
   if (p.has_report) {
     std::cerr << ", provisional digest " << parmis::hex64(p.report_digest);
   }
@@ -125,32 +122,8 @@ int main(int argc, char** argv) {
     const parmis::serde::CampaignPlan plan =
         parmis::serde::load_plan(args.get("plan", ""));
 
-    orch::JobManager::Defaults defaults;
-    defaults.workers =
-        static_cast<std::size_t>(args.get_int("workers", 3));
-    defaults.chunks = static_cast<std::size_t>(args.get_int("chunks", 0));
-    defaults.lease_chunks =
-        static_cast<std::size_t>(args.get_int("lease-chunks", 0));
-    defaults.max_attempts =
-        static_cast<std::size_t>(args.get_int("max-attempts", 3));
-    defaults.threads_per_worker =
-        static_cast<std::size_t>(args.get_int("threads", 1));
-    defaults.work_dir = args.get("work-dir", ".parmis-launch");
-    defaults.campaign_bin = args.get(
-        "campaign-bin",
-        orch::sibling_binary(argc > 0 ? argv[0] : "", "campaign"));
-    defaults.cache_dir = args.get("cache-dir", "");
-    defaults.chunk_timeout_ms = static_cast<std::uint64_t>(
-        args.get_double("chunk-timeout-s", 0.0) * 1000.0);
-    defaults.lease_timeout_ms = static_cast<std::uint64_t>(
-        args.get_double("lease-timeout-s", 0.0) * 1000.0);
-    if (args.has("inject-kill-chunk")) {
-      defaults.inject_kill_chunk =
-          static_cast<std::size_t>(args.get_int("inject-kill-chunk", 0));
-    }
-    defaults.trace = args.get_bool("trace", false);
-
-    orch::JobManager manager(defaults);
+    orch::JobManager manager(orch::defaults_from_flags(
+        args, argc > 0 ? argv[0] : "", ".parmis-launch"));
     const orch::JobManager::JobInfo submitted = manager.submit(plan);
     std::cerr << "campaign-launch: plan \"" << plan.name << "\" — "
               << submitted.total_cells << " cells in " << submitted.chunks
@@ -192,8 +165,7 @@ int main(int argc, char** argv) {
     std::cerr << "campaign-launch: done — " << p.report_cells
               << " cells, digest " << parmis::hex64(p.report_digest)
               << ", wall " << p.wall_s << "s (retries " << p.stats.retries
-              << ", steals " << p.stats.steals << ", recovered from cache "
-              << p.chunks_recovered << ")\n";
+              << ", recovered from cache " << p.chunks_recovered << ")\n";
     std::cerr << "campaign-launch: final report: " << info.final_path
               << "\n";
     if (info.trace) {

@@ -1,4 +1,4 @@
-// Chunk execution backends: how a granted lease chunk actually runs.
+// Chunk execution backends: how a granted chunk actually runs.
 //
 // The scheduler (scheduler.hpp) is backend-agnostic; a chunk is "shard
 // {index, count} of the campaign" and a backend turns that into a

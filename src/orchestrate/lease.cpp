@@ -7,66 +7,31 @@
 
 namespace parmis::orchestrate {
 
-using Clock = std::chrono::steady_clock;
-
 LeaseTable::LeaseTable(Config config) : cfg_(config) {
   require(cfg_.chunks >= 1, "lease table: chunk count must be >= 1");
-  require(cfg_.lease_chunks >= 1, "lease table: lease size must be >= 1");
   require(cfg_.max_attempts >= 1, "lease table: max attempts must be >= 1");
   state_.assign(cfg_.chunks, ChunkState::Queued);
   attempts_.assign(cfg_.chunks, 0);
+  deadline_.assign(cfg_.chunks, Clock::time_point::max());
   stats_.chunks_total = cfg_.chunks;
 }
 
-LeaseTable::ActiveLease* LeaseTable::lease_of_locked(
-    const std::string& worker) {
-  for (auto& lease : active_) {
-    if (lease.worker == worker) return &lease;
-  }
-  return nullptr;
-}
-
-LeaseTable::ActiveLease* LeaseTable::lease_by_id_locked(std::uint64_t id) {
-  for (auto& lease : active_) {
-    if (lease.id == id) return &lease;
-  }
-  return nullptr;
-}
-
-Grant LeaseTable::grant_locked(ActiveLease& lease) {
-  const std::size_t chunk = lease.next++;
+Grant LeaseTable::grant_locked(std::size_t chunk) {
   state_[chunk] = ChunkState::Running;
-  lease.inflight = chunk;
+  ++running_;
   if (cfg_.lease_timeout_ms > 0) {
-    lease.deadline =
+    deadline_[chunk] =
         Clock::now() + std::chrono::milliseconds(cfg_.lease_timeout_ms);
   }
-  return Grant{lease.id, chunk, attempts_[chunk]};
-}
-
-void LeaseTable::retire_if_spent_locked(std::uint64_t id) {
-  for (std::size_t i = 0; i < active_.size(); ++i) {
-    if (active_[i].id == id) {
-      if (active_[i].next >= active_[i].end &&
-          !active_[i].inflight.has_value()) {
-        active_.erase(active_.begin() + i);
-      }
-      return;
-    }
-  }
+  return Grant{chunk, attempts_[chunk]};
 }
 
 void LeaseTable::requeue_locked(std::size_t chunk,
                                 const std::string& error) {
-  if (state_[chunk] == ChunkState::Done ||
-      state_[chunk] == ChunkState::Exhausted) {
-    return;  // someone else already settled it
-  }
   attempts_[chunk] += 1;
   if (attempts_[chunk] >= cfg_.max_attempts) {
     state_[chunk] = ChunkState::Exhausted;
     ++exhausted_;
-    ++stats_.chunks_exhausted;
     if (first_error_.empty()) {
       first_error_ = "chunk " + std::to_string(chunk) + " failed " +
                      std::to_string(attempts_[chunk]) + " times: " + error;
@@ -81,113 +46,43 @@ void LeaseTable::requeue_locked(std::size_t chunk,
 
 void LeaseTable::expire_locked(Clock::time_point now) {
   if (cfg_.lease_timeout_ms == 0) return;
-  for (std::size_t i = 0; i < active_.size();) {
-    ActiveLease& lease = active_[i];
-    if (lease.deadline > now) {
-      ++i;
+  bool expired = false;
+  for (std::size_t chunk = 0; chunk < fresh_next_; ++chunk) {
+    if (state_[chunk] != ChunkState::Running || deadline_[chunk] > now) {
       continue;
     }
     ++stats_.expiries;
     PARMIS_COUNTER_ADD("parmis_orch_lease_expiries_total", 1);
-    // The in-flight chunk was actually tried and burns an attempt; the
-    // unstarted tail never ran and returns to the queue untouched.
-    if (lease.inflight.has_value()) {
-      requeue_locked(*lease.inflight, "lease expired");
-    }
-    for (std::size_t c = lease.next; c < lease.end; ++c) {
-      if (state_[c] == ChunkState::Queued) retry_.push_back(c);
-    }
-    active_.erase(active_.begin() + i);
+    --running_;
+    requeue_locked(chunk, "lease expired");
+    expired = true;
   }
+  if (expired) cv_.notify_all();
 }
 
-bool LeaseTable::drained_locked() const {
-  return done_ + exhausted_ >= cfg_.chunks;
-}
-
-std::optional<Grant> LeaseTable::next(const std::string& worker) {
+std::optional<Grant> LeaseTable::next() {
   std::unique_lock<std::mutex> lock(mu_);
   for (;;) {
-    if (cancelled_ || drained_locked()) return std::nullopt;
+    // Expire first: the expiry that exhausts the last chunk drains.
     expire_locked(Clock::now());
+    if (cancelled_ || done_ + exhausted_ >= cfg_.chunks) return std::nullopt;
 
-    // 1. Keep consuming the worker's own lease, front to back.
-    if (ActiveLease* own = lease_of_locked(worker)) {
-      if (own->next < own->end) return grant_locked(*own);
-      // Fully consumed and answered (next() is only legal after the
-      // previous grant was answered): retire it before taking more.
-      retire_if_spent_locked(own->id);
-    }
-
-    // 2. Retries are served one chunk at a time — a chunk that already
-    // failed somewhere gets its own lease so a second failure cannot
-    // take neighbours down with it.
-    if (!retry_.empty()) {
+    while (!retry_.empty()) {
       const std::size_t chunk = retry_.front();
       retry_.pop_front();
-      if (state_[chunk] == ChunkState::Queued) {
-        ActiveLease lease;
-        lease.id = next_lease_id_++;
-        lease.worker = worker;
-        lease.next = chunk;
-        lease.end = chunk + 1;
-        active_.push_back(std::move(lease));
-        ++stats_.leases_issued;
-        PARMIS_COUNTER_ADD("parmis_orch_leases_issued_total", 1);
-        return grant_locked(active_.back());
-      }
-      continue;  // stale queue entry (settled meanwhile); reconsider
+      // Skip entries a stale completion settled meanwhile.
+      if (state_[chunk] == ChunkState::Queued) return grant_locked(chunk);
     }
+    if (fresh_next_ < cfg_.chunks) return grant_locked(fresh_next_++);
 
-    // 3. Carve a fresh lease off the unassigned pool.
-    if (fresh_next_ < cfg_.chunks) {
-      const std::size_t take =
-          std::min(cfg_.lease_chunks, cfg_.chunks - fresh_next_);
-      ActiveLease lease;
-      lease.id = next_lease_id_++;
-      lease.worker = worker;
-      lease.next = fresh_next_;
-      lease.end = fresh_next_ + take;
-      fresh_next_ += take;
-      active_.push_back(std::move(lease));
-      ++stats_.leases_issued;
-      PARMIS_COUNTER_ADD("parmis_orch_leases_issued_total", 1);
-      return grant_locked(active_.back());
-    }
-
-    // 4. Steal the unstarted tail half of the largest outstanding
-    // lease (round up, so a one-chunk tail is still stealable).
-    ActiveLease* victim = nullptr;
-    std::size_t best = 0;
-    for (auto& lease : active_) {
-      const std::size_t avail = lease.end - lease.next;
-      if (lease.worker != worker && avail > best) {
-        victim = &lease;
-        best = avail;
-      }
-    }
-    if (victim != nullptr) {
-      const std::size_t take = (best + 1) / 2;
-      victim->end -= take;
-      ActiveLease lease;
-      lease.id = next_lease_id_++;
-      lease.worker = worker;
-      lease.next = victim->end;
-      lease.end = victim->end + take;
-      active_.push_back(std::move(lease));
-      ++stats_.leases_issued;
-      ++stats_.steals;
-      PARMIS_COUNTER_ADD("parmis_orch_leases_issued_total", 1);
-      PARMIS_COUNTER_ADD("parmis_orch_leases_stolen_total", 1);
-      return grant_locked(active_.back());
-    }
-
-    // 5. Everything undone is in flight elsewhere: wait for an answer
-    // (or a lease expiry, whichever deadline comes first).
-    if (cfg_.lease_timeout_ms > 0 && !active_.empty()) {
-      Clock::time_point soonest = active_.front().deadline;
-      for (const auto& lease : active_) {
-        soonest = std::min(soonest, lease.deadline);
+    // Everything undone is in flight: wait for an answer (or the
+    // soonest deadline, whichever comes first).
+    if (cfg_.lease_timeout_ms > 0 && running_ > 0) {
+      Clock::time_point soonest = Clock::time_point::max();
+      for (std::size_t chunk = 0; chunk < fresh_next_; ++chunk) {
+        if (state_[chunk] == ChunkState::Running) {
+          soonest = std::min(soonest, deadline_[chunk]);
+        }
       }
       cv_.wait_until(lock, soonest);
     } else {
@@ -198,41 +93,26 @@ std::optional<Grant> LeaseTable::next(const std::string& worker) {
 
 void LeaseTable::complete(const Grant& grant) {
   std::lock_guard<std::mutex> lock(mu_);
-  if (state_[grant.chunk] != ChunkState::Done) {
-    // Exhausted-then-completed can happen when a zombie lease finishes
-    // after the retry budget was spent elsewhere; the work is done and
-    // deterministic, so the completion stands and clears the failure
-    // only if no *other* chunk exhausted.
-    if (state_[grant.chunk] == ChunkState::Exhausted) --exhausted_;
+  const ChunkState state = state_[grant.chunk];
+  if (state != ChunkState::Done) {
+    // A stale grant can land after its chunk was requeued, re-issued,
+    // or even exhausted elsewhere; the work is done and deterministic,
+    // so the completion stands (and clears that chunk's exhaustion).
+    if (state == ChunkState::Running) --running_;
+    if (state == ChunkState::Exhausted) --exhausted_;
     state_[grant.chunk] = ChunkState::Done;
     ++done_;
-    ++stats_.chunks_done;
-  }
-  if (ActiveLease* lease = lease_by_id_locked(grant.lease)) {
-    if (lease->inflight == grant.chunk) lease->inflight.reset();
-    if (cfg_.lease_timeout_ms > 0) {
-      lease->deadline = Clock::now() +
-                        std::chrono::milliseconds(cfg_.lease_timeout_ms);
-    }
-    retire_if_spent_locked(grant.lease);
   }
   cv_.notify_all();
 }
 
 void LeaseTable::fail(const Grant& grant, const std::string& error) {
   std::lock_guard<std::mutex> lock(mu_);
-  ActiveLease* lease = lease_by_id_locked(grant.lease);
-  if (lease == nullptr) {
-    // The lease was revoked (expiry already requeued the chunk); this
-    // late answer carries no new information.
-    cv_.notify_all();
-    return;
-  }
-  if (lease->inflight == grant.chunk) lease->inflight.reset();
-  if (state_[grant.chunk] == ChunkState::Running) {
+  if (state_[grant.chunk] == ChunkState::Running &&
+      attempts_[grant.chunk] == grant.attempt) {
+    --running_;
     requeue_locked(grant.chunk, error);
   }
-  retire_if_spent_locked(grant.lease);
   cv_.notify_all();
 }
 
@@ -245,15 +125,10 @@ void LeaseTable::cancel() {
 LeaseTableStats LeaseTable::stats() const {
   std::lock_guard<std::mutex> lock(mu_);
   LeaseTableStats out = stats_;
-  std::size_t running = 0;
-  for (const auto& lease : active_) {
-    if (lease.inflight.has_value()) ++running;
-  }
-  out.chunks_running = running;
+  out.chunks_running = running_;
   out.chunks_done = done_;
   out.chunks_exhausted = exhausted_;
-  out.chunks_queued =
-      cfg_.chunks - done_ - exhausted_ - running;
+  out.chunks_queued = cfg_.chunks - done_ - exhausted_ - running_;
   return out;
 }
 

@@ -1,33 +1,28 @@
-// Dynamic cell-lease table: the scheduling core of src/orchestrate/.
+// Chunk queue: the scheduling core of src/orchestrate/.
 //
-// PR 5's exec::ShardSpec names a *static* contiguous slice of the
-// campaign's ordered cell list, fixed at launch.  The lease table
-// generalizes that to *dynamic* assignment of the same ranges: the
-// campaign is pre-split into `chunks` micro-shards (chunk k is shard
-// {k, chunks}, i.e. exec::shard_range's slice — an exec::CellRange),
-// and workers are handed contiguous chunk ranges ("leases") on demand:
+// The campaign is pre-split into `chunks` micro-shards (chunk k is
+// shard {k, chunks}, i.e. exec::shard_range's slice — an
+// exec::CellRange), and workers take them one at a time:
 //
-//   - a fresh lease carves up to `lease_chunks` consecutive chunks off
-//     the unassigned pool; the owner consumes them front to back, one
-//     grant per next() call;
-//   - an idle worker with nothing fresh to take *steals* the unstarted
-//     tail half of the largest outstanding lease — classic work
-//     stealing, so one slow worker cannot strand a range it has not
-//     started;
+//   - next() grants one chunk: requeued retries first, then fresh
+//     chunks in index order;
 //   - a failed grant is requeued with its attempt count bumped, up to
 //     `max_attempts` total tries per chunk; a chunk that exhausts the
-//     budget marks the whole table failed (first error retained);
-//   - with `lease_timeout_ms` set, a lease whose owner stops making
-//     progress expires: its in-flight chunk is requeued as a retry and
-//     its unstarted chunks return to the pool untouched.
+//     budget marks the whole table failed (first error retained), and
+//     the rest still drain;
+//   - with `lease_timeout_ms` set, a grant that is not answered in
+//     time expires: its chunk is requeued as a retry.
 //
-// Correctness never depends on the assignment: every chunk is an
-// existing `--shard-index/--shard-count` invocation, cells are pure
-// functions of the plan, and cache writes are atomic, so duplicated
-// execution (a zombie worker finishing a chunk that was re-issued) is
-// benign — both runs produce identical bytes, and completion is
-// idempotent here.  The strict merge of all chunk reports therefore
-// equals the unsharded run bit for bit *whatever* this table decided.
+// A grant is identified by (chunk, attempt).  An answer whose attempt
+// no longer matches the chunk's current one comes from a grant that
+// expired and was re-issued: its fail() is ignored, and its complete()
+// is accepted like any other.  Correctness never depends on the
+// assignment: every chunk is an existing `--shard-index/--shard-count`
+// invocation, cells are pure functions of the plan, and cache writes
+// are atomic, so duplicated execution is benign — both runs produce
+// identical bytes, and completion is idempotent here.  The strict
+// merge of all chunk reports therefore equals the unsharded run bit
+// for bit *whatever* order this table granted in.
 //
 // Thread-safe; next() blocks until work is available, the table drains
 // (all chunks done or exhausted), or cancel() is called.
@@ -45,11 +40,10 @@
 
 namespace parmis::orchestrate {
 
-/// One granted unit of work: chunk `chunk` of the job's tiling, held
-/// under lease `lease`, on its `attempt`-th try (0-based).  The worker
-/// must answer every grant with exactly one complete() or fail().
+/// One granted unit of work: chunk `chunk` of the job's tiling on its
+/// `attempt`-th try (0-based).  The worker must answer every grant
+/// with exactly one complete() or fail().
 struct Grant {
-  std::uint64_t lease = 0;
   std::size_t chunk = 0;
   std::size_t attempt = 0;
 };
@@ -61,37 +55,35 @@ struct LeaseTableStats {
   std::size_t chunks_running = 0;   ///< granted, not yet answered
   std::size_t chunks_queued = 0;    ///< everything else still to do
   std::size_t chunks_exhausted = 0; ///< retry budget spent
-  std::uint64_t leases_issued = 0;
-  std::uint64_t steals = 0;         ///< leases carved from another's tail
+  /// Always 0: the queue never steals.  Kept only because the
+  /// repository benchmark (perfbench) reads it.
+  std::uint64_t steals = 0;
   std::uint64_t retries = 0;        ///< failed/expired grants requeued
-  std::uint64_t expiries = 0;       ///< leases revoked by deadline
+  std::uint64_t expiries = 0;       ///< grants revoked by deadline
 };
 
 class LeaseTable {
  public:
   struct Config {
     std::size_t chunks = 1;        ///< total chunks (>= 1)
-    std::size_t lease_chunks = 1;  ///< max chunks per fresh lease (>= 1)
     std::size_t max_attempts = 3;  ///< total tries per chunk (>= 1)
-    std::uint64_t lease_timeout_ms = 0;  ///< 0 = leases never expire
+    std::uint64_t lease_timeout_ms = 0;  ///< 0 = grants never expire
   };
 
   explicit LeaseTable(Config config);
 
-  /// Blocks until a chunk can be granted to `worker` (one logical
-  /// worker per unique name).  Prefers the worker's own outstanding
-  /// lease, then the retry queue, then a fresh lease, then stealing.
-  /// nullopt = the table is drained or cancelled; the worker exits.
-  std::optional<Grant> next(const std::string& worker);
+  /// Blocks until a chunk can be granted.  nullopt = the table is
+  /// drained or cancelled; the worker exits.
+  std::optional<Grant> next();
 
-  /// Marks the grant's chunk done.  Idempotent across duplicate
-  /// completions (a zombie lease finishing work that was re-issued is
-  /// dropped silently — chunk outputs are deterministic, so whichever
-  /// run landed first wrote the same bytes).
+  /// Marks the grant's chunk done.  Idempotent, and accepted from a
+  /// stale grant too: chunk outputs are deterministic, so whichever
+  /// run landed first wrote the same bytes.
   void complete(const Grant& grant);
 
   /// Marks the grant failed: the chunk is requeued with attempt + 1,
-  /// or exhausted once `max_attempts` tries are spent.
+  /// or exhausted once `max_attempts` tries are spent.  Ignored for a
+  /// stale grant (its expiry already requeued the chunk).
   void fail(const Grant& grant, const std::string& error);
 
   /// Unblocks every next() caller with nullopt; in-flight grants may
@@ -107,34 +99,22 @@ class LeaseTable {
   std::string first_error() const;
 
  private:
+  using Clock = std::chrono::steady_clock;
   enum class ChunkState : std::uint8_t { Queued, Running, Done, Exhausted };
 
-  struct ActiveLease {
-    std::uint64_t id = 0;
-    std::string worker;
-    std::size_t next = 0;  ///< next ungranted chunk of the lease
-    std::size_t end = 0;   ///< one past the last owned chunk
-    std::optional<std::size_t> inflight;  ///< granted, unanswered
-    std::chrono::steady_clock::time_point deadline;
-  };
-
-  Grant grant_locked(ActiveLease& lease);
-  ActiveLease* lease_of_locked(const std::string& worker);
-  ActiveLease* lease_by_id_locked(std::uint64_t id);
-  void retire_if_spent_locked(std::uint64_t id);
+  Grant grant_locked(std::size_t chunk);
   void requeue_locked(std::size_t chunk, const std::string& error);
-  void expire_locked(std::chrono::steady_clock::time_point now);
-  bool drained_locked() const;
+  void expire_locked(Clock::time_point now);
 
   mutable std::mutex mu_;
   std::condition_variable cv_;
   Config cfg_;
   std::vector<ChunkState> state_;
-  std::vector<std::size_t> attempts_;
-  std::size_t fresh_next_ = 0;      ///< [fresh_next_, chunks) never leased
+  std::vector<std::size_t> attempts_;      ///< current attempt per chunk
+  std::vector<Clock::time_point> deadline_;  ///< of the running grant
+  std::size_t fresh_next_ = 0;      ///< [fresh_next_, chunks) never granted
   std::deque<std::size_t> retry_;   ///< requeued chunks, FIFO
-  std::vector<ActiveLease> active_;
-  std::uint64_t next_lease_id_ = 1;
+  std::size_t running_ = 0;
   std::size_t done_ = 0;
   std::size_t exhausted_ = 0;
   bool cancelled_ = false;

@@ -10,6 +10,7 @@
 #include "obs/metrics.hpp"
 #include "obs/obs.hpp"
 #include "obs/trace.hpp"
+#include "orchestrate/subprocess.hpp"
 #include "report/report_json.hpp"
 #include "serde/json_util.hpp"
 
@@ -29,6 +30,20 @@ std::optional<std::size_t> optional_size(serde::ObjectReader& reader,
   const json::Value* v = reader.optional_key(key);
   if (v == nullptr) return std::nullopt;
   return static_cast<std::size_t>(reader.as_u64(*v, key));
+}
+
+std::size_t count_flag(const CliArgs& args, const std::string& key,
+                       int fallback) {
+  const int value = args.get_int(key, fallback);
+  require(value >= 0, "--" + key + " must not be negative (got " +
+                          std::to_string(value) + ")");
+  return static_cast<std::size_t>(value);
+}
+
+std::uint64_t millis_flag(const CliArgs& args, const std::string& key) {
+  const double seconds = args.get_double(key, 0.0);
+  require(seconds >= 0.0, "--" + key + " must not be negative");
+  return static_cast<std::uint64_t>(seconds * 1000.0);
 }
 
 /// Paths in `dir` ending in `suffix`, re-sorted lexicographically —
@@ -79,12 +94,15 @@ JobManager::JobInfo JobManager::submit(const serde::CampaignPlan& plan,
       exec::CampaignRunner(config).probe_cache().second;
   require(total_cells >= 1, "orchestrate: plan has no cells");
 
-  const std::size_t workers =
-      options.workers.value_or(defaults_.workers);
+  std::size_t workers = options.workers.value_or(defaults_.workers);
   require(workers >= 1, "orchestrate: workers must be >= 1");
   std::size_t chunks = options.chunks.value_or(defaults_.chunks);
-  if (chunks == 0) chunks = 4 * workers;  // a few steals' worth of slack
+  if (chunks == 0) {
+    // 4 per worker, spelled so a huge pool cannot overflow.
+    chunks = workers <= total_cells / 4 ? 4 * workers : total_cells;
+  }
   chunks = std::min(chunks, total_cells);
+  workers = std::min(workers, chunks);
   const std::size_t max_attempts =
       options.max_attempts.value_or(defaults_.max_attempts);
   require(max_attempts >= 1, "orchestrate: max_attempts must be >= 1");
@@ -114,7 +132,7 @@ JobManager::JobInfo JobManager::submit(const serde::CampaignPlan& plan,
     job->trace_id = wall_now_ns() ^ (job->id * 0x9E3779B97F4A7C15ULL);
     // The orchestrator's own spans ride the process-wide tracer; arm it
     // so a traced job under an otherwise-untraced daemon still records
-    // its lease/merge lane.  Harmless to digests by the neutrality
+    // its chunk/merge lane.  Harmless to digests by the neutrality
     // contract, and never turned back off (other jobs may be traced).
     obs::Tracer::set_enabled(true);
   }
@@ -146,8 +164,6 @@ JobManager::JobInfo JobManager::submit(const serde::CampaignPlan& plan,
   JobConfig jc;
   jc.workers = workers;
   jc.chunks = chunks;
-  jc.lease_chunks =
-      options.lease_chunks.value_or(defaults_.lease_chunks);
   jc.max_attempts = max_attempts;
   jc.lease_timeout_ms = defaults_.lease_timeout_ms;
   jc.provisional_path = job->provisional_path;
@@ -176,7 +192,7 @@ JobManager::JobInfo JobManager::submit(const serde::CampaignPlan& plan,
 
 void JobManager::finalize_observability(Job& job) {
   // Trace stitching.  The orchestrator shard drains this process's
-  // tracer (lease/merge spans, tagged with the job's context) and is
+  // tracer (chunk/merge spans, tagged with the job's context) and is
   // always stitched first; worker shards follow in sorted-path order so
   // equal shard sets stitch to equal bytes.
   try {
@@ -286,6 +302,27 @@ void JobManager::shutdown() {
   }
 }
 
+JobManager::Defaults defaults_from_flags(const CliArgs& args,
+                                         const std::string& argv0,
+                                         const std::string& work_dir) {
+  JobManager::Defaults defaults;
+  defaults.workers = count_flag(args, "workers", 3);
+  defaults.chunks = count_flag(args, "chunks", 0);
+  defaults.max_attempts = count_flag(args, "max-attempts", 3);
+  defaults.threads_per_worker = count_flag(args, "threads", 1);
+  defaults.work_dir = args.get("work-dir", work_dir);
+  defaults.campaign_bin =
+      args.get("campaign-bin", sibling_binary(argv0, "campaign"));
+  defaults.cache_dir = args.get("cache-dir", "");
+  defaults.lease_timeout_ms = millis_flag(args, "lease-timeout-s");
+  defaults.chunk_timeout_ms = millis_flag(args, "chunk-timeout-s");
+  if (args.has("inject-kill-chunk")) {
+    defaults.inject_kill_chunk = count_flag(args, "inject-kill-chunk", 0);
+  }
+  defaults.trace = args.get_bool("trace", false);
+  return defaults;
+}
+
 // ------------------------------------------------------------ OrchSession
 
 OrchSession::OrchSession(JobManager& manager) : manager_(&manager) {}
@@ -304,8 +341,6 @@ json::Value OrchSession::job_body(const JobManager::JobInfo& info) const {
   body.set("chunks_queued", serde::u64_to_json(p.stats.chunks_queued));
   body.set("chunks_exhausted",
            serde::u64_to_json(p.stats.chunks_exhausted));
-  body.set("leases_issued", serde::u64_to_json(p.stats.leases_issued));
-  body.set("steals", serde::u64_to_json(p.stats.steals));
   body.set("retries", serde::u64_to_json(p.stats.retries));
   body.set("expiries", serde::u64_to_json(p.stats.expiries));
   body.set("provisional_merges",
@@ -365,7 +400,6 @@ json::Value OrchSession::dispatch(const json::Value& doc, std::string* op,
     JobManager::SubmitOptions options;
     options.workers = optional_size(reader, "workers");
     options.chunks = optional_size(reader, "chunks");
-    options.lease_chunks = optional_size(reader, "lease_chunks");
     options.max_attempts = optional_size(reader, "max_attempts");
     options.tag = reader.get_string("tag", "");
     if (const json::Value* trace = reader.optional_key("trace")) {
@@ -461,7 +495,6 @@ json::Value OrchSession::dispatch(const json::Value& doc, std::string* op,
     json::Value defaults = json::Value::object();
     defaults.set("workers", serde::u64_to_json(d.workers));
     defaults.set("chunks", serde::u64_to_json(d.chunks));
-    defaults.set("lease_chunks", serde::u64_to_json(d.lease_chunks));
     defaults.set("max_attempts", serde::u64_to_json(d.max_attempts));
     body.set("defaults", std::move(defaults));
   } else if (*op == "metrics") {

@@ -1,4 +1,4 @@
-// parmis-orch-v1: newline-delimited JSON control protocol for the
+// parmis-orch-v2: newline-delimited JSON control protocol for the
 // orchestration daemon, plus the job manager behind it.
 //
 // One request per line in, one response per line out, over the same
@@ -7,8 +7,8 @@
 //
 //   {"op":"submit","plan_path":P,...}   queue a campaign (or inline
 //                                       "plan":{...}; optional workers,
-//                                       chunks, lease_chunks,
-//                                       max_attempts, tag, trace)
+//                                       chunks, max_attempts, tag,
+//                                       trace)
 //   {"op":"status","job":N}             progress counters + digest +
 //                                       live cells_per_s / eta_s
 //   {"op":"results","job":N}            final (or provisional) report
@@ -47,6 +47,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/cli.hpp"
 #include "common/json.hpp"
 #include "common/stopwatch.hpp"
 #include "orchestrate/backend.hpp"
@@ -58,7 +59,7 @@ namespace parmis::orchestrate {
 
 /// Protocol version announced by ping; bumps follow the plan/report
 /// schema policy (docs/orchestration.md).
-inline constexpr const char* kOrchProtocol = "parmis-orch-v1";
+inline constexpr const char* kOrchProtocol = "parmis-orch-v2";
 
 class JobManager {
  public:
@@ -67,7 +68,6 @@ class JobManager {
   struct Defaults {
     std::size_t workers = 3;
     std::size_t chunks = 0;        ///< 0 = 4 per worker (cell-clamped)
-    std::size_t lease_chunks = 0;  ///< 0 = auto (see scheduler.hpp)
     std::size_t max_attempts = 3;
     std::uint64_t lease_timeout_ms = 0;
     std::uint64_t chunk_timeout_ms = 0;
@@ -99,7 +99,6 @@ class JobManager {
   struct SubmitOptions {
     std::optional<std::size_t> workers;
     std::optional<std::size_t> chunks;
-    std::optional<std::size_t> lease_chunks;
     std::optional<std::size_t> max_attempts;
     std::string tag;
     std::optional<bool> trace;  ///< overrides Defaults::trace
@@ -126,7 +125,9 @@ class JobManager {
 
   /// Validates and resolves the plan (throws parmis::Error on a bad
   /// one), snapshots it to <work_dir>/job<id>/plan.json, and starts
-  /// the job.  Returns the newborn job's info.
+  /// the job.  The pool is clamped to the chunk count: a worker past
+  /// the last chunk could never be granted one.  Returns the newborn
+  /// job's info.
   JobInfo submit(const serde::CampaignPlan& plan,
                  const SubmitOptions& options = {});
 
@@ -174,7 +175,17 @@ class JobManager {
   bool shut_down_ = false;
 };
 
-/// One parmis-orch-v1 session over a JobManager (see file comment).
+/// Manager defaults from the pool flags both orchestration CLIs take:
+/// --workers, --chunks, --max-attempts, --threads, --work-dir (default
+/// `work_dir`), --campaign-bin (default: `campaign` next to `argv0`),
+/// --cache-dir, --lease-timeout-s, --chunk-timeout-s,
+/// --inject-kill-chunk and --trace.  Throws parmis::Error on a
+/// negative value.
+JobManager::Defaults defaults_from_flags(const CliArgs& args,
+                                         const std::string& argv0,
+                                         const std::string& work_dir);
+
+/// One parmis-orch-v2 session over a JobManager (see file comment).
 /// Binds to serve::LineHandler; never throws on bad input.
 class OrchSession {
  public:

@@ -1,6 +1,5 @@
 #include "orchestrate/scheduler.hpp"
 
-#include <algorithm>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -13,26 +12,6 @@
 #include "report/report_json.hpp"
 
 namespace parmis::orchestrate {
-
-namespace {
-
-LeaseTable::Config table_config(const JobConfig& cfg) {
-  LeaseTable::Config out;
-  out.chunks = cfg.chunks;
-  // Auto lease size: half of a worker's fair share, so the pool drains
-  // in a couple of lease rounds and late workers still find tails to
-  // steal — the classic chunked self-scheduling compromise.
-  out.lease_chunks =
-      cfg.lease_chunks > 0
-          ? cfg.lease_chunks
-          : std::max<std::size_t>(
-                1, cfg.chunks / (2 * std::max<std::size_t>(1, cfg.workers)));
-  out.max_attempts = cfg.max_attempts;
-  out.lease_timeout_ms = cfg.lease_timeout_ms;
-  return out;
-}
-
-}  // namespace
 
 const char* job_state_name(JobProgress::State state) {
   switch (state) {
@@ -53,7 +32,7 @@ const char* job_state_name(JobProgress::State state) {
 JobRunner::JobRunner(ChunkBackend& backend, JobConfig config)
     : backend_(backend),
       cfg_(std::move(config)),
-      table_(table_config(cfg_)) {
+      table_({cfg_.chunks, cfg_.max_attempts, cfg_.lease_timeout_ms}) {
   require(cfg_.workers >= 1, "orchestrate: workers must be >= 1");
 }
 
@@ -72,8 +51,6 @@ void JobRunner::export_gauges_locked() const {
       .set(static_cast<std::int64_t>(stats.chunks_done));
   registry.gauge(cfg_.obs_prefix + "_retries")
       .set(static_cast<std::int64_t>(stats.retries));
-  registry.gauge(cfg_.obs_prefix + "_steals")
-      .set(static_cast<std::int64_t>(stats.steals));
   registry.gauge(cfg_.obs_prefix + "_provisional_merges")
       .set(static_cast<std::int64_t>(provisional_merges_));
 #endif
@@ -86,7 +63,7 @@ void JobRunner::fold_in(std::size_t chunk, exec::CampaignReport&& report) {
                       static_cast<unsigned long long>(cfg_.job_id),
                       static_cast<unsigned long long>(chunk));
   std::lock_guard<std::mutex> lock(mu_);
-  // A zombie lease can complete a chunk that a retry already merged;
+  // A stale grant can complete a chunk that a retry already merged;
   // merging it twice would (correctly) trip the overlap check, so
   // duplicates are dropped here — the bytes are identical anyway.
   if (!merged_chunks_.insert(chunk).second) return;
@@ -103,12 +80,11 @@ void JobRunner::fold_in(std::size_t chunk, exec::CampaignReport&& report) {
   }
 }
 
-void JobRunner::worker_loop(std::size_t slot) {
-  const std::string name = "worker-" + std::to_string(slot);
-  while (auto grant = table_.next(name)) {
+void JobRunner::worker_loop() {
+  while (auto grant = table_.next()) {
     ChunkOutcome outcome;
     {
-      // Lease-grant-to-completion span; its "job=N;chunk=K;attempt=A"
+      // Grant-to-completion span; its "job=N;chunk=K;attempt=A"
       // detail is the key the stitcher matches worker shards against.
       PARMIS_TRACE_SPAN_D(
           "orch", "chunk", "job=%llu;chunk=%llu;attempt=%llu",
@@ -171,16 +147,30 @@ exec::CampaignReport JobRunner::run() {
   }
   PARMIS_GAUGE_SET("parmis_orch_workers_active",
                    static_cast<std::int64_t>(cfg_.workers));
+  // A pool the OS refuses to grow is cancelled and joined, never left
+  // with joinable threads (std::terminate) or a job stuck Running.
+  std::optional<std::string> spawn_error;
   std::vector<std::thread> pool;
-  pool.reserve(cfg_.workers);
-  for (std::size_t slot = 0; slot < cfg_.workers; ++slot) {
-    pool.emplace_back(&JobRunner::worker_loop, this, slot);
+  try {
+    pool.reserve(cfg_.workers);
+    for (std::size_t slot = 0; slot < cfg_.workers; ++slot) {
+      pool.emplace_back(&JobRunner::worker_loop, this);
+    }
+  } catch (const std::exception& e) {
+    spawn_error = e.what();
+    cancel();
   }
   for (auto& t : pool) t.join();
   PARMIS_GAUGE_SET("parmis_orch_workers_active", 0);
 
   std::lock_guard<std::mutex> lock(mu_);
   wall_s_ = clock.seconds();
+  if (spawn_error.has_value()) {
+    state_ = JobProgress::State::Failed;
+    error_ = "cannot start worker threads: " + *spawn_error;
+    export_gauges_locked();
+    require(false, "orchestrate: job failed: " + error_);
+  }
   if (table_.cancelled()) {
     state_ = JobProgress::State::Cancelled;
     error_ = "job cancelled";

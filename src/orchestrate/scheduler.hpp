@@ -9,7 +9,7 @@
 // re-merge path).  When the tiling completes, the provisional *is* the
 // final report — merge() flips `partial` off and the result is
 // bit-identical to a single-process unsharded run regardless of worker
-// count, lease size, steals, retries, or killed workers (the headline
+// count, grant order, retries, or killed workers (the headline
 // guarantee; see lease.hpp for why the schedule cannot matter).
 //
 // Failure semantics: a chunk that exhausts its retry budget marks the
@@ -37,9 +37,8 @@ namespace parmis::orchestrate {
 struct JobConfig {
   std::size_t workers = 2;
   std::size_t chunks = 1;        ///< tiling size (resolved by caller)
-  std::size_t lease_chunks = 0;  ///< 0 = auto: half a worker's share
   std::size_t max_attempts = 3;
-  std::uint64_t lease_timeout_ms = 0;  ///< 0 = leases never expire
+  std::uint64_t lease_timeout_ms = 0;  ///< 0 = grants never expire
   /// Non-empty: every provisional merge is atomically written here (and
   /// the final report too), so observers can load a digest-verified
   /// snapshot of the campaign-so-far at any time.
@@ -119,7 +118,7 @@ class JobRunner {
   std::optional<exec::CampaignReport> provisional() const;
 
  private:
-  void worker_loop(std::size_t slot);
+  void worker_loop();
   void fold_in(std::size_t chunk, exec::CampaignReport&& report);
   void export_gauges_locked() const;
 

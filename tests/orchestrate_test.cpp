@@ -1,9 +1,9 @@
 // Tests for the campaign orchestration subsystem (src/orchestrate):
-// the cell-lease table (carving, stealing, retry budgets, expiry,
+// the chunk queue (grant order, retry budgets, expiry, stale answers,
 // cancellation), the job scheduler's headline guarantee (any worker
-// count / lease size / injected crash produces the unsharded digest),
+// count / chunk count / injected crash produces the unsharded digest),
 // worker-failure recovery through the process backend, AF_UNIX path
-// hardening, and the parmis-orch-v1 session.
+// hardening, and the parmis-orch-v2 session.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -74,14 +74,13 @@ void expect_bitwise_equal(const exec::CampaignReport& a,
 
 // ----------------------------------------------------------- LeaseTable
 
-TEST(LeaseTable, SingleWorkerDrainsEveryChunkInLeaseSizedBites) {
+TEST(LeaseTable, SingleWorkerDrainsEveryChunkInIndexOrder) {
   LeaseTable::Config cfg;
   cfg.chunks = 6;
-  cfg.lease_chunks = 2;
   LeaseTable table(cfg);
 
   std::vector<std::size_t> order;
-  while (auto grant = table.next("w0")) {
+  while (auto grant = table.next()) {
     order.push_back(grant->chunk);
     EXPECT_EQ(grant->attempt, 0u);
     table.complete(*grant);
@@ -91,71 +90,50 @@ TEST(LeaseTable, SingleWorkerDrainsEveryChunkInLeaseSizedBites) {
   const LeaseTableStats stats = table.stats();
   EXPECT_EQ(stats.chunks_total, 6u);
   EXPECT_EQ(stats.chunks_done, 6u);
-  EXPECT_EQ(stats.leases_issued, 3u);  // ceil(6 / 2)
-  EXPECT_EQ(stats.steals, 0u);
   EXPECT_EQ(stats.retries, 0u);
   EXPECT_FALSE(table.failed());
-  EXPECT_FALSE(table.next("w0").has_value());  // stays drained
+  EXPECT_FALSE(table.next().has_value());  // stays drained
 }
 
-TEST(LeaseTable, IdleWorkerStealsTheUnstartedTailOfTheLargestLease) {
-  // One giant fresh lease covers the whole pool, so the second worker
-  // can only make progress by stealing from the first one's tail.
+TEST(LeaseTable, TwoWorkersGetEachChunkExactlyOnceInIndexOrder) {
   LeaseTable::Config cfg;
   cfg.chunks = 8;
-  cfg.lease_chunks = 8;
   LeaseTable table(cfg);
 
-  const auto first_a = table.next("a");
-  ASSERT_TRUE(first_a.has_value());
-  EXPECT_EQ(first_a->chunk, 0u);
-
-  // b finds the fresh pool empty and steals half of a's unstarted
-  // chunks: a owns [0,8) with 1..7 unstarted, so b takes [4,8).
-  const auto first_b = table.next("b");
-  ASSERT_TRUE(first_b.has_value());
-  EXPECT_EQ(first_b->chunk, 4u);
-  EXPECT_EQ(table.stats().steals, 1u);
-  EXPECT_NE(first_b->lease, first_a->lease);
-
-  // Drive both workers round-robin to the end: every chunk must be
-  // granted exactly once, whatever further stealing happens.
-  std::set<std::size_t> seen{first_a->chunk, first_b->chunk};
-  table.complete(*first_a);
-  table.complete(*first_b);
-  bool more = true;
-  while (more) {
-    more = false;
-    for (const char* worker : {"a", "b"}) {
-      if (auto grant = table.next(worker)) {
-        EXPECT_TRUE(seen.insert(grant->chunk).second)
-            << "chunk " << grant->chunk << " granted twice";
-        table.complete(*grant);
-        more = true;
-      }
+  // Two workers each take a grant, then both answer: the queue hands
+  // out chunks in index order whoever asks, never one twice.
+  std::vector<std::size_t> order;
+  while (const std::optional<Grant> a = table.next()) {
+    const std::optional<Grant> b = table.next();
+    ASSERT_TRUE(b.has_value());
+    EXPECT_EQ(table.stats().chunks_running, 2u);
+    for (const Grant& grant : {*a, *b}) {
+      order.push_back(grant.chunk);
+      EXPECT_EQ(grant.attempt, 0u);
+      table.complete(grant);
     }
   }
-  EXPECT_EQ(seen.size(), 8u);
+  EXPECT_EQ(order, (std::vector<std::size_t>{0, 1, 2, 3, 4, 5, 6, 7}));
   EXPECT_EQ(table.stats().chunks_done, 8u);
+  EXPECT_EQ(table.stats().chunks_running, 0u);
   EXPECT_FALSE(table.failed());
 }
 
 TEST(LeaseTable, RetryBudgetRequeuesThenExhausts) {
   LeaseTable::Config cfg;
   cfg.chunks = 2;
-  cfg.lease_chunks = 1;
   cfg.max_attempts = 2;
   LeaseTable table(cfg);
 
-  auto grant = table.next("w");
+  auto grant = table.next();
   ASSERT_TRUE(grant.has_value());
   EXPECT_EQ(grant->chunk, 0u);
   table.fail(*grant, "flaky once");
   EXPECT_FALSE(table.failed());  // one attempt left
 
-  // The retry queue outranks fresh carving, so chunk 0 comes back
+  // The retry queue outranks fresh chunks, so chunk 0 comes back
   // first, with its attempt count bumped.
-  grant = table.next("w");
+  grant = table.next();
   ASSERT_TRUE(grant.has_value());
   EXPECT_EQ(grant->chunk, 0u);
   EXPECT_EQ(grant->attempt, 1u);
@@ -167,11 +145,11 @@ TEST(LeaseTable, RetryBudgetRequeuesThenExhausts) {
 
   // A failed table still drains the rest, so partial results stay
   // coherent for the provisional merge.
-  grant = table.next("w");
+  grant = table.next();
   ASSERT_TRUE(grant.has_value());
   EXPECT_EQ(grant->chunk, 1u);
   table.complete(*grant);
-  EXPECT_FALSE(table.next("w").has_value());
+  EXPECT_FALSE(table.next().has_value());
 
   const LeaseTableStats stats = table.stats();
   EXPECT_EQ(stats.chunks_done, 1u);
@@ -182,47 +160,66 @@ TEST(LeaseTable, RetryBudgetRequeuesThenExhausts) {
 TEST(LeaseTable, ExpiredLeaseIsReissuedAndZombieCompletionIsBenign) {
   LeaseTable::Config cfg;
   cfg.chunks = 1;
-  cfg.lease_chunks = 1;
+  cfg.max_attempts = 3;
   cfg.lease_timeout_ms = 5;
   LeaseTable table(cfg);
 
-  const auto dead = table.next("dead-worker");
+  const auto dead = table.next();
   ASSERT_TRUE(dead.has_value());
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
 
-  // The replacement worker's next() sweeps expired leases: the chunk
+  // The replacement worker's next() sweeps expired grants: the chunk
   // comes back as a retry with attempt + 1.
-  const auto retry = table.next("live-worker");
+  const auto retry = table.next();
   ASSERT_TRUE(retry.has_value());
   EXPECT_EQ(retry->chunk, 0u);
   EXPECT_EQ(retry->attempt, 1u);
   EXPECT_EQ(table.stats().expiries, 1u);
   EXPECT_EQ(table.stats().retries, 1u);
 
+  // The dead grant's late failure is recognised by its stale attempt:
+  // it neither burns an attempt of the re-issued grant nor requeues a
+  // second copy of the chunk.
+  table.fail(*dead, "late failure from the expired grant");
+  LeaseTableStats stats = table.stats();
+  EXPECT_EQ(stats.retries, 1u);
+  EXPECT_EQ(stats.chunks_running, 1u);
+  EXPECT_EQ(stats.chunks_queued, 0u);
+  EXPECT_FALSE(table.failed());
+
+  // The live grant still owns attempt 1: failing it requeues attempt 2,
+  // the last one the budget allows.
+  table.fail(*retry, "flaky");
+  const auto last = table.next();
+  ASSERT_TRUE(last.has_value());
+  EXPECT_EQ(last->attempt, 2u);
+  EXPECT_FALSE(table.failed());
+
   // The presumed-dead worker finishing anyway is fine — completion is
   // idempotent, and chunk outputs are deterministic so both runs wrote
   // identical bytes.
   table.complete(*dead);
-  table.complete(*retry);
-  EXPECT_EQ(table.stats().chunks_done, 1u);
+  table.complete(*last);
+  stats = table.stats();
+  EXPECT_EQ(stats.chunks_done, 1u);
+  EXPECT_EQ(stats.chunks_running, 0u);
   EXPECT_FALSE(table.failed());
-  EXPECT_FALSE(table.next("live-worker").has_value());
+  EXPECT_FALSE(table.next().has_value());
 }
 
 TEST(LeaseTable, CancelUnblocksBlockedWorkers) {
   LeaseTable::Config cfg;
   cfg.chunks = 1;
-  cfg.lease_chunks = 1;
   LeaseTable table(cfg);
 
-  const auto grant = table.next("holder");
+  const auto grant = table.next();
   ASSERT_TRUE(grant.has_value());
 
-  // Nothing to steal (the only chunk is in flight), so this next()
+  // Nothing queued (the only chunk is in flight), so this next()
   // blocks until cancel() sweeps through.
   std::atomic<bool> unblocked{false};
   std::thread waiter([&] {
-    EXPECT_FALSE(table.next("idle").has_value());
+    EXPECT_FALSE(table.next().has_value());
     unblocked.store(true);
   });
   std::this_thread::sleep_for(std::chrono::milliseconds(10));
@@ -231,7 +228,7 @@ TEST(LeaseTable, CancelUnblocksBlockedWorkers) {
   waiter.join();
   EXPECT_TRUE(unblocked.load());
   EXPECT_TRUE(table.cancelled());
-  EXPECT_FALSE(table.next("holder").has_value());
+  EXPECT_FALSE(table.next().has_value());
 }
 
 // ------------------------------------------------------------ JobRunner
@@ -249,7 +246,6 @@ TEST(JobRunner, AnyWorkerAndChunkCountMatchesTheUnshardedRunBitForBit) {
     JobConfig jc;
     jc.workers = workers;
     jc.chunks = chunks;
-    jc.lease_chunks = 1;
     JobRunner runner(backend, jc);
     const exec::CampaignReport merged = runner.run();
 
@@ -444,7 +440,7 @@ TEST(Orchestrate, OverlongSocketPathsAreRejectedWithTheLimit) {
   EXPECT_THROW(serve::listen_unix("", "orch-test"), Error);
 }
 
-// ----------------------------------------------------- parmis-orch-v1
+// ----------------------------------------------------- parmis-orch-v2
 
 /// Manager whose jobs run in-process (hermetic, no child processes).
 JobManager::Defaults inprocess_defaults(const std::string& work_dir) {
@@ -482,7 +478,7 @@ TEST(Orchestrate, SessionSubmitStatusResultsLifecycle) {
   ping.set("op", json::Value::string("ping"));
   json::Value pong = roundtrip(session, ping);
   serde::ObjectReader pong_r(pong, "pong");
-  EXPECT_EQ(pong_r.get_string("protocol"), "parmis-orch-v1");
+  EXPECT_EQ(pong_r.get_string("protocol"), "parmis-orch-v2");
   EXPECT_EQ(pong_r.get_u64("jobs"), 0u);
 
   json::Value submit = json::Value::object();
@@ -565,6 +561,41 @@ TEST(Orchestrate, SessionRejectsBadRequestsWithoutDying) {
   serde::ObjectReader r2_r(r2, "missing");
   EXPECT_NE(r2_r.get_string("error").find("no such job"),
             std::string::npos);
+
+  // The lease_chunks field was removed in parmis-orch-v2: a submit that
+  // still carries it is rejected, not silently half-honoured.
+  json::Value legacy = json::Value::object();
+  legacy.set("op", json::Value::string("submit"));
+  legacy.set("plan", serde::plan_to_json(small_plan()));
+  legacy.set("lease_chunks", serde::u64_to_json(2));
+  json::Value r3 = roundtrip(session, legacy, /*expect_ok=*/false);
+  serde::ObjectReader r3_r(r3, "legacy");
+  EXPECT_NE(r3_r.get_string("error").find("lease_chunks"),
+            std::string::npos);
+
+  // A hostile pool size is clamped to the chunk count instead of
+  // spawning threads until the OS refuses.
+  json::Value huge = json::Value::object();
+  huge.set("op", json::Value::string("submit"));
+  huge.set("plan", serde::plan_to_json(small_plan()));
+  huge.set("workers", serde::u64_to_json(100000));
+  const json::Value accepted = roundtrip(session, huge);
+  json::Value status = json::Value::object();
+  status.set("op", json::Value::string("status"));
+  status.set("job", serde::u64_to_json(
+                        serde::ObjectReader(accepted, "huge").get_u64("job")));
+  json::Value body;
+  std::string state;
+  for (int i = 0; i < 600 && state != "done"; ++i) {
+    body = roundtrip(session, status);
+    state = serde::ObjectReader(body, "status").get_string("state");
+    ASSERT_NE(state, "failed") << json::dump_compact(body);
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  ASSERT_EQ(state, "done");
+  serde::ObjectReader body_r(body, "status");
+  EXPECT_EQ(body_r.get_u64("workers"), body_r.get_u64("chunks"));
+  EXPECT_LT(body_r.get_u64("workers"), 100000u);
 
   // The session survives all of that and still answers ping.
   json::Value ping = json::Value::object();
