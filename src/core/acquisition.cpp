@@ -33,15 +33,32 @@ InformationGainAcquisition::InformationGainAcquisition(
     }
 
     // 2) Solve the k-objective minimization over the sampled functions
-    //    with NSGA-II to obtain the sampled Pareto front O*_s.
-    moo::MultiObjectiveFn fn = [&draws](const num::Vec& theta) {
-      num::Vec o(draws.size());
-      for (std::size_t j = 0; j < draws.size(); ++j) o[j] = draws[j](theta);
-      return o;
-    };
+    //    with NSGA-II to obtain the sampled Pareto front O*_s.  Each
+    //    generation is transposed once and scored by every draw in one
+    //    blocked pass (bitwise equal to per-point evaluation).
+    const moo::BatchObjectiveFn fn =
+        [&draws](const std::vector<num::Vec>& thetas) {
+          const std::size_t dim = draws.front().input_dim();
+          num::Matrix xt(dim, thetas.size());
+          for (std::size_t q = 0; q < thetas.size(); ++q) {
+            require(thetas[q].size() == dim,
+                    "acquisition: theta dimension mismatch");
+            for (std::size_t c = 0; c < dim; ++c) xt(c, q) = thetas[q][c];
+          }
+          std::vector<num::Vec> objs(thetas.size(), num::Vec(draws.size()));
+          for (std::size_t j = 0; j < draws.size(); ++j) {
+            const num::Vec f = draws[j].eval_many(xt);
+            for (std::size_t q = 0; q < thetas.size(); ++q) objs[q][j] = f[q];
+          }
+          return objs;
+        };
     moo::Nsga2Config nsga = config.front_sampler;
     nsga.seed = rng.next_u64();
-    const moo::Nsga2Result res = moo::nsga2_minimize(fn, lower, upper, nsga);
+    moo::Nsga2Result res;
+    {
+      PARMIS_TRACE_SPAN("acq", "front_sample");
+      res = moo::nsga2_minimize(fn, lower, upper, nsga);
+    }
     ensure(!res.pareto_set.empty(), "acquisition: empty sampled front");
 
     std::vector<num::Vec> front;

@@ -12,6 +12,20 @@
 //      Gaussian posterior over w;
 //   3. drawing one w from that posterior.  The resulting f is a cheap,
 //      deterministic function that can be evaluated millions of times.
+//
+// Bit-equivalence contract: FeatureMap has one projection kernel, and
+// every caller (SampledFunction, the training and query feature
+// matrices) goes through it.  The kernel blocks over queries only (32
+// per block, transposed d x 32): per (feature m, query x) pair it
+// performs exactly the scalar sequence
+//   acc = phase[m];  acc += omega[m][c] * x[c]  for c = 0, 1, ..., d-1
+// followed by the caller's scalar std::cos epilogue.  Blocking changes
+// which queries share a pass, never the operation order within one
+// pair, so a query's result does not depend on how many other queries
+// are evaluated with it or where its block starts — bitwise, including
+// on hostile inputs (huge cos arguments, denormals, NaN).  The golden
+// campaign digests depend on this; tests/gp_test.cpp and
+// tests/moo_test.cpp enforce it.
 #ifndef PARMIS_GP_RFF_HPP
 #define PARMIS_GP_RFF_HPP
 
@@ -22,31 +36,54 @@
 
 namespace parmis::gp {
 
-/// One sampled posterior function f: R^d -> R (original target units).
+/// The Rahimi-Recht cosine feature map phi(x) = scale * cos(omega x +
+/// phase), shared by posterior function draws and RffPredictor.
+struct FeatureMap {
+  num::Matrix omega;   ///< M x d spectral frequencies
+  num::Vec phase;      ///< M phases
+  double scale = 1.0;  ///< sqrt(2 sv / M)
+
+  /// Draws M = `num_features` features for inputs of dimension `dim`.
+  /// RNG order per feature m: kernel spectral frequency, then phase.
+  static FeatureMap draw(const Kernel& kernel, std::size_t dim,
+                         std::size_t num_features, Rng& rng);
+
+  std::size_t num_features() const { return omega.rows(); }
+  std::size_t input_dim() const { return omega.cols(); }
+
+  /// The feature matrix of the rows of X (rows x d): rows x M, entry
+  /// (i, m) = scale * cos(projection of row i onto feature m).
+  num::Matrix features(const num::Matrix& X) const;
+};
+
+/// One sampled posterior function f: R^d -> R (original target units):
+///   f(x) = y_mean + y_scale * sum_m weights[m] * scale * cos(...).
 class SampledFunction {
  public:
+  SampledFunction(FeatureMap features, num::Vec weights, double y_mean,
+                  double y_scale);
+
   /// Evaluates the sampled function at x (dimension must match the GP).
+  /// A one-query eval_many: bitwise identical to it.
   double operator()(const num::Vec& x) const;
 
-  std::size_t input_dim() const { return omega_.cols(); }
-  std::size_t num_features() const { return omega_.rows(); }
+  /// Evaluates f at every column of `xt` (d x q, one query per column).
+  /// out[q] is bitwise identical to (*this)(column q) for any q.
+  num::Vec eval_many(const num::Matrix& xt) const;
+
+  std::size_t input_dim() const { return features_.input_dim(); }
+  std::size_t num_features() const { return features_.num_features(); }
 
  private:
-  friend SampledFunction sample_posterior_function(const GpRegressor& gp,
-                                                   Rng& rng,
-                                                   std::size_t num_features);
-
-  num::Matrix omega_;   // M x d spectral frequencies
-  num::Vec phase_;      // M phases
-  num::Vec weights_;    // M posterior weights
-  double feat_scale_ = 1.0;  // sqrt(2 sv / M)
+  FeatureMap features_;
+  num::Vec weights_;  // M posterior weights
   double y_mean_ = 0.0;
   double y_scale_ = 1.0;
 };
 
-/// Draws one function from the GP posterior (prior if the GP has no data).
-/// `num_features` trades approximation quality for speed; 128-256 is
-/// plenty for acquisition purposes.
+/// Draws one function from the GP posterior.  The GP must be fitted
+/// with data (throws otherwise).  `num_features` trades approximation
+/// quality for speed; 128-256 is plenty for acquisition purposes.
 SampledFunction sample_posterior_function(const GpRegressor& gp, Rng& rng,
                                           std::size_t num_features = 128);
 
@@ -66,8 +103,8 @@ class RffPredictor {
   /// deterministic predictions.
   RffPredictor(const GpRegressor& gp, std::size_t num_features, Rng& rng);
 
-  std::size_t num_features() const { return omega_.rows(); }
-  std::size_t input_dim() const { return omega_.cols(); }
+  std::size_t num_features() const { return features_.num_features(); }
+  std::size_t input_dim() const { return features_.input_dim(); }
 
   /// Approximate posterior moments at every row of Xstar, in original
   /// target units, with the same 1e-12 normalized-variance floor as the
@@ -76,11 +113,9 @@ class RffPredictor {
                     num::Vec& variance) const;
 
  private:
-  num::Matrix omega_;        // M x d spectral frequencies
-  num::Vec phase_;           // M phases
+  FeatureMap features_;
   num::Matrix chol_lower_;   // Cholesky factor of A = Phi^T Phi/sn2 + I
   num::Vec mean_w_;          // posterior weight mean
-  double feat_scale_ = 1.0;  // sqrt(2 sv / M)
   double y_mean_ = 0.0;
   double y_scale_ = 1.0;
 };

@@ -80,7 +80,7 @@ void assign_ranks_and_crowding(std::vector<Individual>& pop) {
 
 }  // namespace
 
-Nsga2Result nsga2_minimize(const MultiObjectiveFn& fn, const Vec& lower,
+Nsga2Result nsga2_minimize(const BatchObjectiveFn& fn, const Vec& lower,
                            const Vec& upper, const Nsga2Config& config,
                            const std::vector<Vec>& initial_points) {
   require(!lower.empty(), "nsga2: empty bounds");
@@ -98,11 +98,19 @@ Nsga2Result nsga2_minimize(const MultiObjectiveFn& fn, const Vec& lower,
   Rng rng(config.seed);
   Nsga2Result result;
 
-  auto evaluate = [&](const Vec& x) {
-    Vec o = fn(x);
-    require(!o.empty(), "nsga2: objective function returned empty vector");
-    ++result.evaluations;
-    return o;
+  std::vector<Vec> xs;
+  auto evaluate = [&](std::vector<Individual>& inds) {
+    xs.clear();
+    for (const auto& ind : inds) xs.push_back(ind.x);
+    std::vector<Vec> objs = fn(xs);
+    require(objs.size() == inds.size(),
+            "nsga2: objective function returned the wrong batch size");
+    for (std::size_t i = 0; i < inds.size(); ++i) {
+      require(!objs[i].empty(),
+              "nsga2: objective function returned empty vector");
+      inds[i].objs = std::move(objs[i]);
+    }
+    result.evaluations += inds.size();
   };
 
   // --- initial population: seeds (clamped) then uniform random fill ---
@@ -116,7 +124,6 @@ Nsga2Result nsga2_minimize(const MultiObjectiveFn& fn, const Vec& lower,
     for (std::size_t i = 0; i < d; ++i) {
       ind.x[i] = clamp(ind.x[i], lower[i], upper[i]);
     }
-    ind.objs = evaluate(ind.x);
     pop.push_back(std::move(ind));
   }
   while (pop.size() < config.population_size) {
@@ -125,9 +132,9 @@ Nsga2Result nsga2_minimize(const MultiObjectiveFn& fn, const Vec& lower,
     for (std::size_t i = 0; i < d; ++i) {
       ind.x[i] = rng.uniform(lower[i], upper[i]);
     }
-    ind.objs = evaluate(ind.x);
     pop.push_back(std::move(ind));
   }
+  evaluate(pop);
   assign_ranks_and_crowding(pop);
 
   // --- generational loop ---
@@ -152,11 +159,11 @@ Nsga2Result nsga2_minimize(const MultiObjectiveFn& fn, const Vec& lower,
                                      config.mutation_eta, rng);
           }
         }
-        child->objs = evaluate(child->x);
         offspring.push_back(std::move(*child));
         if (offspring.size() == config.population_size) break;
       }
     }
+    evaluate(offspring);
 
     // Environmental selection over parents + offspring.
     std::vector<Individual> merged = std::move(pop);
@@ -190,6 +197,18 @@ Nsga2Result nsga2_minimize(const MultiObjectiveFn& fn, const Vec& lower,
     result.pareto_set.push_back({pop[idx].x, pop[idx].objs});
   }
   return result;
+}
+
+Nsga2Result nsga2_minimize(const MultiObjectiveFn& fn, const Vec& lower,
+                           const Vec& upper, const Nsga2Config& config,
+                           const std::vector<Vec>& initial_points) {
+  const BatchObjectiveFn batch = [&fn](const std::vector<Vec>& xs) {
+    std::vector<Vec> objs;
+    objs.reserve(xs.size());
+    for (const Vec& x : xs) objs.push_back(fn(x));
+    return objs;
+  };
+  return nsga2_minimize(batch, lower, upper, config, initial_points);
 }
 
 }  // namespace parmis::moo

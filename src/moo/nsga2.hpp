@@ -22,6 +22,12 @@ using num::Vec;
 /// A vector-valued objective: x in R^d -> objectives in R^k (minimized).
 using MultiObjectiveFn = std::function<Vec(const Vec&)>;
 
+/// The same objective over a whole population: returns the objective
+/// vector of every point, in order.  Lets expensive objectives (RFF
+/// posterior draws) score a generation in one blocked pass.
+using BatchObjectiveFn =
+    std::function<std::vector<Vec>(const std::vector<Vec>&)>;
+
 /// NSGA-II tuning parameters.
 struct Nsga2Config {
   std::size_t population_size = 64;   ///< even, >= 4
@@ -50,6 +56,17 @@ struct Nsga2Result {
 /// `lower`/`upper` must have equal size d >= 1 with lower[i] < upper[i].
 /// Optional `initial_points` seed part of the first population (clamped
 /// to the box); useful for warm-starting from incumbent policies.
+///
+/// `fn` sees 1 + generations batches of population_size points: the
+/// initial population (seeds first), then each generation's offspring
+/// once all of that generation's variation is drawn.  Evaluation never
+/// touches the RNG, so the result does not depend on batching.
+Nsga2Result nsga2_minimize(const BatchObjectiveFn& fn, const Vec& lower,
+                           const Vec& upper, const Nsga2Config& config,
+                           const std::vector<Vec>& initial_points = {});
+
+/// Per-point adapter: scores each batch one point at a time, in order.
+/// Bitwise identical to the batch form over the same objective.
 Nsga2Result nsga2_minimize(const MultiObjectiveFn& fn, const Vec& lower,
                            const Vec& upper, const Nsga2Config& config,
                            const std::vector<Vec>& initial_points = {});

@@ -5,8 +5,12 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <memory>
+#include <numbers>
+#include <span>
 #include <utility>
+#include <vector>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
@@ -573,6 +577,107 @@ TEST(Rff, PredictorApproximatesExactPosterior) {
     const Prediction ref = gp.predict(queries.row(q));
     EXPECT_NEAR(mean[q], ref.mean, 0.35);
     EXPECT_GT(variance[q], 0.0);
+  }
+}
+
+// ------------------------------------------- blocked RFF projection
+//
+// FeatureMap carries the same BIT-EQUIVALENCE contract (src/gp/rff.hpp):
+// every query through the blocked projection must match the scalar
+// loop SampledFunction::operator() ran before blocking, whatever the
+// block count, tail width, or input.
+
+// The pre-blocking scalar loop: f(x) and, through `phi`, the feature
+// row scale * cos(phase[m] + omega[m] . x).
+double scalar_rff(const FeatureMap& map, const Vec& weights, double y_mean,
+                  double y_scale, std::span<const double> x, Vec& phi) {
+  phi.assign(map.num_features(), 0.0);
+  double f = 0.0;
+  for (std::size_t m = 0; m < map.num_features(); ++m) {
+    double dotp = map.phase[m];
+    for (std::size_t c = 0; c < x.size(); ++c) dotp += map.omega(m, c) * x[c];
+    phi[m] = map.scale * std::cos(dotp);
+    f += weights[m] * map.scale * std::cos(dotp);
+  }
+  return y_mean + y_scale * f;
+}
+
+TEST(Rff, EvalManyBitwiseMatchesScalar) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const double denormal = 4.9e-322;
+  const std::size_t m_count = 24;
+  for (const std::size_t d : {std::size_t{1}, std::size_t{445}}) {
+    Rng rng(900 + d);
+    FeatureMap map;
+    map.omega = random_queries(m_count, d, rng);
+    map.phase.resize(m_count);
+    for (auto& p : map.phase) p = rng.uniform(0.0, 6.28);
+    map.scale = 0.37;
+    // Hostile features: denormal and huge frequencies, a huge phase.
+    map.omega(1, 0) = denormal;
+    map.omega(2, d - 1) = 1e200;
+    map.phase[3] = 1e22;
+    Vec weights(m_count);
+    for (auto& w : weights) w = rng.normal();
+    const SampledFunction f(map, weights, 0.7, 1.9);
+
+    for (const std::size_t q_count : {1, 31, 32, 33, 65, 200}) {
+      Matrix X = random_queries(q_count, d, rng);
+      // Hostile queries spread over blocks and tails: a huge cos
+      // argument, denormals, NaN, and inf (inf * denormal frequency).
+      for (std::size_t q = 0; q < q_count; q += 7) {
+        const double hostile[] = {1e300, denormal, nan, inf, -1e-310};
+        X(q, (q / 7) % d) = hostile[(q / 7) % 5];
+      }
+      const Vec many = f.eval_many(X.transposed());
+      const Matrix phi = map.features(X);
+      ASSERT_EQ(many.size(), q_count);
+      ASSERT_EQ(phi.rows(), q_count);
+      ASSERT_EQ(phi.cols(), m_count);
+      Vec ref_phi;
+      for (std::size_t q = 0; q < q_count; ++q) {
+        const double ref =
+            scalar_rff(map, weights, 0.7, 1.9, X.row_view(q), ref_phi);
+        EXPECT_TRUE(same_bits(many[q], ref))
+            << "d=" << d << " q_count=" << q_count << " query " << q;
+        EXPECT_TRUE(same_bits(f(X.row(q)), ref))
+            << "d=" << d << " q_count=" << q_count << " query " << q;
+        for (std::size_t m = 0; m < m_count; ++m) {
+          EXPECT_TRUE(same_bits(phi(q, m), ref_phi[m]))
+              << "d=" << d << " q_count=" << q_count << " query " << q
+              << " feature " << m;
+        }
+      }
+    }
+  }
+}
+
+TEST(Rff, FeatureMapDrawOrderPinned) {
+  // Per feature: the kernel's spectral frequency, then the phase — the
+  // order sample_posterior_function and RffPredictor have always drawn
+  // in, so the same seed yields the same map (and RNG stream) as ever.
+  std::vector<std::unique_ptr<Kernel>> kernels;
+  kernels.push_back(std::make_unique<RbfKernel>(0.8, 1.3));
+  kernels.push_back(std::make_unique<Matern52Kernel>(1.2, 0.6));
+  for (const auto& kernel : kernels) {
+    Rng drawn(77), replay(77);
+    const FeatureMap map = FeatureMap::draw(*kernel, 3, 10, drawn);
+    ASSERT_EQ(map.num_features(), 10u);
+    ASSERT_EQ(map.input_dim(), 3u);
+    EXPECT_TRUE(same_bits(
+        map.scale, std::sqrt(2.0 * kernel->signal_variance() / 10.0)));
+    for (std::size_t m = 0; m < 10; ++m) {
+      const Vec omega = kernel->sample_spectral_frequency(replay, 3);
+      for (std::size_t c = 0; c < 3; ++c) {
+        EXPECT_TRUE(same_bits(map.omega(m, c), omega[c]))
+            << kernel->name() << " feature " << m;
+      }
+      EXPECT_TRUE(same_bits(map.phase[m],
+                            replay.uniform(0.0, 2.0 * std::numbers::pi)))
+          << kernel->name() << " feature " << m;
+    }
+    EXPECT_EQ(drawn.next_u64(), replay.next_u64()) << kernel->name();
   }
 }
 

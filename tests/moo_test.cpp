@@ -3,9 +3,16 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <memory>
+#include <vector>
 
 #include "common/error.hpp"
+#include "common/hash.hpp"
 #include "common/rng.hpp"
+#include "gp/gp.hpp"
+#include "gp/kernel.hpp"
+#include "gp/rff.hpp"
 #include "moo/hypervolume.hpp"
 #include "moo/indicators.hpp"
 #include "moo/nsga2.hpp"
@@ -585,6 +592,132 @@ TEST(Indicators, AgreeWithPhvOnDominationOrdering) {
   EXPECT_LT(igd_plus(better, combined), igd_plus(worse, combined));
   EXPECT_LT(additive_epsilon(better, combined),
             additive_epsilon(worse, combined));
+}
+
+// ------------------------------------------------- batched evaluation
+
+// FNV-1a over the bits of every decision vector and objective vector
+// of both result sets, in order, plus the evaluation count.
+std::uint64_t result_digest(const Nsga2Result& r) {
+  std::uint64_t h = fnv1a64(&r.evaluations, sizeof(r.evaluations));
+  for (const auto* set : {&r.pareto_set, &r.final_population}) {
+    for (const auto& s : *set) {
+      h = fnv1a64(s.x.data(), s.x.size() * sizeof(double), h);
+      h = fnv1a64(s.objectives.data(), s.objectives.size() * sizeof(double),
+                  h);
+    }
+  }
+  return h;
+}
+
+void expect_same_result(const Nsga2Result& a, const Nsga2Result& b) {
+  EXPECT_EQ(a.evaluations, b.evaluations);
+  EXPECT_EQ(a.pareto_set.size(), b.pareto_set.size());
+  EXPECT_EQ(a.final_population.size(), b.final_population.size());
+  EXPECT_EQ(result_digest(a), result_digest(b));
+}
+
+gp::GpRegressor rff_test_gp(std::size_t n, std::size_t d,
+                            std::uint64_t seed) {
+  Rng rng(seed);
+  num::Matrix X(n, d);
+  Vec y(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    double s = 0.0;
+    for (std::size_t c = 0; c < d; ++c) {
+      X(i, c) = rng.uniform(-1.0, 1.0);
+      s += X(i, c);
+    }
+    y[i] = std::sin(s);
+  }
+  gp::GpRegressor g(std::make_unique<gp::RbfKernel>(1.5, 1.0), 1e-3);
+  g.set_data(X, y);
+  return g;
+}
+
+TEST(Nsga2, BatchMatchesPerPointBitwise) {
+  // The pinned digests were produced by the per-point implementation
+  // that predates batch evaluation: batching must not move a front.
+  {
+    Nsga2Config cfg;
+    cfg.population_size = 16;
+    cfg.generations = 12;
+    cfg.seed = 11;
+    const Vec lo(6, 0.0), hi(6, 1.0);
+    const std::vector<Vec> seeds = {Vec(6, 0.25)};
+    const Nsga2Result per_point = nsga2_minimize(
+        [](const Vec& x) { return zdt1(x); }, lo, hi, cfg, seeds);
+    const BatchObjectiveFn batch_fn = [](const std::vector<Vec>& xs) {
+      std::vector<Vec> objs;
+      for (const Vec& x : xs) objs.push_back(zdt1(x));
+      return objs;
+    };
+    const Nsga2Result batch = nsga2_minimize(batch_fn, lo, hi, cfg, seeds);
+    expect_same_result(per_point, batch);
+    EXPECT_EQ(result_digest(batch), 0x30edd154485a8bccULL);
+  }
+  {
+    // Two RFF posterior draws; 36 points per generation exercise one
+    // full projection block plus a narrow tail.
+    const std::size_t d = 37;
+    const gp::GpRegressor g = rff_test_gp(20, d, 3);
+    Rng rng(4);
+    const gp::SampledFunction f0 = gp::sample_posterior_function(g, rng, 48);
+    const gp::SampledFunction f1 = gp::sample_posterior_function(g, rng, 48);
+    Nsga2Config cfg;
+    cfg.population_size = 36;
+    cfg.generations = 6;
+    cfg.seed = 5;
+    const Vec lo(d, -1.0), hi(d, 1.0);
+    const Nsga2Result per_point = nsga2_minimize(
+        [&](const Vec& x) { return Vec{f0(x), f1(x)}; }, lo, hi, cfg);
+    const BatchObjectiveFn batch_fn = [&](const std::vector<Vec>& xs) {
+      num::Matrix xt(d, xs.size());
+      for (std::size_t q = 0; q < xs.size(); ++q) {
+        for (std::size_t c = 0; c < d; ++c) xt(c, q) = xs[q][c];
+      }
+      const Vec y0 = f0.eval_many(xt), y1 = f1.eval_many(xt);
+      std::vector<Vec> objs;
+      for (std::size_t q = 0; q < xs.size(); ++q) {
+        objs.push_back({y0[q], y1[q]});
+      }
+      return objs;
+    };
+    const Nsga2Result batch = nsga2_minimize(batch_fn, lo, hi, cfg);
+    expect_same_result(per_point, batch);
+    EXPECT_EQ(result_digest(batch), 0xd6ec058b6361fe80ULL);
+  }
+}
+
+TEST(Nsga2, BatchCallbackSeesWholeGenerations) {
+  Nsga2Config cfg;
+  cfg.population_size = 12;
+  cfg.generations = 5;
+  cfg.seed = 15;
+  const Vec lo(3, 0.0), hi(3, 1.0);
+  const std::vector<Vec> seeds = {{2.0, 0.5, -1.0}, {0.25, 0.75, 0.5}};
+  std::vector<std::vector<Vec>> batches;
+  const BatchObjectiveFn fn = [&](const std::vector<Vec>& xs) {
+    batches.push_back(xs);
+    std::vector<Vec> objs;
+    for (const Vec& x : xs) objs.push_back(zdt1(x));
+    return objs;
+  };
+  const Nsga2Result res = nsga2_minimize(fn, lo, hi, cfg, seeds);
+  ASSERT_EQ(batches.size(), 1u + cfg.generations);
+  for (const auto& batch : batches) {
+    EXPECT_EQ(batch.size(), cfg.population_size);
+  }
+  EXPECT_EQ(res.evaluations, cfg.population_size * (1 + cfg.generations));
+  // Seeds lead the first batch, clamped to the box.
+  EXPECT_EQ(batches[0][0], (Vec{1.0, 0.5, 0.0}));
+  EXPECT_EQ(batches[0][1], seeds[1]);
+
+  // A callback must answer every point it was given.
+  const BatchObjectiveFn short_fn = [](const std::vector<Vec>& xs) {
+    return std::vector<Vec>(xs.size() - 1, Vec{0.0, 0.0});
+  };
+  EXPECT_THROW(nsga2_minimize(short_fn, lo, hi, cfg), Error);
 }
 
 // Parameterized sweep: PHV of NSGA-II's ZDT1 front improves with budget.
