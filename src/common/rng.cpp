@@ -5,14 +5,6 @@
 
 namespace parmis {
 
-namespace {
-
-constexpr std::uint64_t rotl(std::uint64_t x, int k) {
-  return (x << k) | (x >> (64 - k));
-}
-
-}  // namespace
-
 std::uint64_t splitmix64(std::uint64_t& state) {
   state += 0x9E3779B97F4A7C15ULL;
   std::uint64_t z = state;
@@ -28,32 +20,9 @@ Rng::Rng(std::uint64_t seed) {
   if ((s_[0] | s_[1] | s_[2] | s_[3]) == 0) s_[0] = 1;
 }
 
-std::uint64_t Rng::next_u64() {
-  const std::uint64_t result = rotl(s_[0] + s_[3], 23) + s_[0];
-  const std::uint64_t t = s_[1] << 17;
-  s_[2] ^= s_[0];
-  s_[3] ^= s_[1];
-  s_[1] ^= s_[2];
-  s_[0] ^= s_[3];
-  s_[2] ^= t;
-  s_[3] = rotl(s_[3], 45);
-  return result;
-}
-
-double Rng::uniform() {
-  // 53 high bits -> double in [0, 1).
-  return static_cast<double>(next_u64() >> 11) * 0x1.0p-53;
-}
-
 double Rng::uniform(double lo, double hi) {
   require(lo < hi, "uniform(lo, hi) requires lo < hi");
   return lo + (hi - lo) * uniform();
-}
-
-std::size_t Rng::uniform_index(std::size_t n) {
-  require(n > 0, "uniform_index requires n > 0");
-  // Rejection-free multiply-shift mapping; bias is negligible for n << 2^64.
-  return static_cast<std::size_t>(uniform() * static_cast<double>(n)) % n;
 }
 
 int Rng::uniform_int(int lo, int hi) {
@@ -80,12 +49,6 @@ double Rng::normal() {
 double Rng::normal(double mean, double sd) {
   require(sd >= 0.0, "normal() requires sd >= 0");
   return mean + sd * normal();
-}
-
-bool Rng::bernoulli(double p) {
-  if (p <= 0.0) return false;
-  if (p >= 1.0) return true;
-  return uniform() < p;
 }
 
 std::size_t Rng::categorical(const std::vector<double>& weights) {

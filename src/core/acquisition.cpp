@@ -39,11 +39,17 @@ InformationGainAcquisition::InformationGainAcquisition(
     const moo::BatchObjectiveFn fn =
         [&draws](const std::vector<num::Vec>& thetas) {
           const std::size_t dim = draws.front().input_dim();
-          num::Matrix xt(dim, thetas.size());
-          for (std::size_t q = 0; q < thetas.size(); ++q) {
-            require(thetas[q].size() == dim,
+          for (const num::Vec& theta : thetas) {
+            require(theta.size() == dim,
                     "acquisition: theta dimension mismatch");
-            for (std::size_t c = 0; c < dim; ++c) xt(c, q) = thetas[q][c];
+          }
+          // Row by row, so the writes stream through xt.
+          num::Matrix xt(dim, thetas.size());
+          for (std::size_t c = 0; c < dim; ++c) {
+            double* row = xt.row_view(c).data();
+            for (std::size_t q = 0; q < thetas.size(); ++q) {
+              row[q] = thetas[q][c];
+            }
           }
           std::vector<num::Vec> objs(thetas.size(), num::Vec(draws.size()));
           for (std::size_t j = 0; j < draws.size(); ++j) {

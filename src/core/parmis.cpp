@@ -8,6 +8,7 @@
 #include "exec/thread_pool.hpp"
 #include "moo/hypervolume.hpp"
 #include "moo/pareto.hpp"
+#include "obs/obs.hpp"
 
 namespace parmis::core {
 
@@ -65,7 +66,7 @@ void Parmis::initialize() {
     for (std::size_t c = 0; c < theta_dim_; ++c) {
       theta[c] = std::clamp(theta[c], lower_[c], upper_[c]);
     }
-    record_evaluation(theta, evaluate_(theta));
+    evaluate_and_record(theta);
   }
   const std::size_t design_size =
       std::max(config_.num_initial, config_.initial_thetas.size());
@@ -73,7 +74,7 @@ void Parmis::initialize() {
        ++i) {
     num::Vec theta(theta_dim_);
     for (auto& v : theta) v = rng_.uniform(lower_[0], upper_[0]);
-    record_evaluation(theta, evaluate_(theta));
+    evaluate_and_record(theta);
   }
   initialized_ = true;
   fit_models();
@@ -179,6 +180,7 @@ num::Vec Parmis::maximize_acquisition(
   }
   num::Vec incumbent = pool[best];
   const double refine_sd = 0.25 * sd;
+  PARMIS_TRACE_SPAN("acq", "refine");
   for (std::size_t s = 0; s < config_.acq_refine_steps; ++s) {
     num::Vec cand = incumbent;
     for (std::size_t c = 0; c < theta_dim_; ++c) {
@@ -201,8 +203,17 @@ void Parmis::step() {
   const InformationGainAcquisition acq(models_, lower_, upper_,
                                        config_.acquisition, acq_rng);
   const num::Vec theta = maximize_acquisition(acq);
-  record_evaluation(theta, evaluate_(theta));
+  evaluate_and_record(theta);
   ++iterations_done_;
+}
+
+void Parmis::evaluate_and_record(const num::Vec& theta) {
+  num::Vec objs;
+  {
+    PARMIS_TRACE_SPAN("core", "evaluate");
+    objs = evaluate_(theta);
+  }
+  record_evaluation(theta, objs);
 }
 
 void Parmis::record_evaluation(const num::Vec& theta, const num::Vec& objs) {

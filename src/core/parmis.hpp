@@ -103,6 +103,8 @@ class Parmis {
  private:
   void fit_models();
   num::Vec maximize_acquisition(const InformationGainAcquisition& acq);
+  /// Runs the evaluation (traced as core/evaluate), then records it.
+  void evaluate_and_record(const num::Vec& theta);
   void record_evaluation(const num::Vec& theta, const num::Vec& objs);
   void update_phv();
 

@@ -213,6 +213,7 @@ double GpRegressor::log_marginal_likelihood() const {
 }
 
 void GpRegressor::optimize_hyperparameters(Rng& rng, int n_candidates) {
+  PARMIS_TRACE_SPAN("gp", "hyperopt");
   require(has_data(), "optimize_hyperparameters requires data");
   double best_ll = log_marginal_likelihood();
   double best_l = kernel_->lengthscale();

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
+#include <string>
 
 #include "common/error.hpp"
 #include "moo/pareto.hpp"
@@ -11,74 +11,63 @@ namespace parmis::moo {
 
 namespace {
 
-struct Individual {
-  Vec x;
-  Vec objs;
-  std::size_t rank = 0;
-  double crowding = 0.0;
-};
-
 double clamp(double v, double lo, double hi) {
   return std::min(std::max(v, lo), hi);
 }
 
-/// Simulated binary crossover on one gene pair.
-void sbx_gene(double& c1, double& c2, double lo, double hi, double eta,
-              Rng& rng) {
+/// Simulated binary crossover on one gene pair; `exponent` is
+/// 1 / (eta + 1).
+inline void sbx_gene(double& c1, double& c2, double lo, double hi,
+                     double exponent, Rng& rng) {
   if (std::abs(c1 - c2) < 1e-14) return;
   const double u = rng.uniform();
-  double beta;
-  if (u <= 0.5) {
-    beta = std::pow(2.0 * u, 1.0 / (eta + 1.0));
-  } else {
-    beta = std::pow(1.0 / (2.0 * (1.0 - u)), 1.0 / (eta + 1.0));
-  }
+  const double beta =
+      std::pow(u <= 0.5 ? 2.0 * u : 1.0 / (2.0 * (1.0 - u)), exponent);
   const double mean = 0.5 * (c1 + c2);
   const double diff = 0.5 * std::abs(c1 - c2);
-  double a = mean - beta * diff;
-  double b = mean + beta * diff;
-  if (rng.bernoulli(0.5)) std::swap(a, b);
-  c1 = clamp(a, lo, hi);
-  c2 = clamp(b, lo, hi);
+  const double a = mean - beta * diff;
+  const double b = mean + beta * diff;
+  const bool swap = rng.bernoulli(0.5);
+  c1 = clamp(swap ? b : a, lo, hi);
+  c2 = clamp(swap ? a : b, lo, hi);
 }
 
-/// Polynomial mutation on one gene.
-void polynomial_mutation_gene(double& gene, double lo, double hi, double eta,
-                              Rng& rng) {
-  const double span = hi - lo;
+/// Polynomial mutation on one gene; `exponent` is 1 / (eta + 1).
+inline void polynomial_mutation_gene(double& gene, double lo, double hi,
+                                     double exponent, Rng& rng) {
   const double u = rng.uniform();
-  double delta;
-  if (u < 0.5) {
-    delta = std::pow(2.0 * u, 1.0 / (eta + 1.0)) - 1.0;
-  } else {
-    delta = 1.0 - std::pow(2.0 * (1.0 - u), 1.0 / (eta + 1.0));
-  }
-  gene = clamp(gene + delta * span, lo, hi);
+  const bool low = u < 0.5;
+  const double p = std::pow(low ? 2.0 * u : 2.0 * (1.0 - u), exponent);
+  const double delta = low ? p - 1.0 : 1.0 - p;
+  gene = clamp(gene + delta * (hi - lo), lo, hi);
 }
 
-/// Binary tournament on (rank asc, crowding desc).
-const Individual& tournament(const std::vector<Individual>& pop, Rng& rng) {
-  const Individual& a = pop[rng.uniform_index(pop.size())];
-  const Individual& b = pop[rng.uniform_index(pop.size())];
-  if (a.rank != b.rank) return a.rank < b.rank ? a : b;
-  return a.crowding >= b.crowding ? a : b;
-}
+bool is_probability(double p) { return std::isfinite(p) && p <= 1.0; }
 
-void assign_ranks_and_crowding(std::vector<Individual>& pop) {
-  std::vector<Vec> objs;
-  objs.reserve(pop.size());
-  for (const auto& ind : pop) objs.push_back(ind.objs);
-  const auto fronts = fast_non_dominated_sort(objs);
-  for (std::size_t f = 0; f < fronts.size(); ++f) {
-    const auto cd = crowding_distance(objs, fronts[f]);
-    for (std::size_t i = 0; i < fronts[f].size(); ++i) {
-      pop[fronts[f][i]].rank = f;
-      pop[fronts[f][i]].crowding = cd[i];
-    }
-  }
+bool is_distribution_index(double eta) {
+  return std::isfinite(eta) && eta >= 0.0;
 }
 
 }  // namespace
+
+std::string nsga2_config_error(const Nsga2Config& config) {
+  if (config.population_size < 4 || config.population_size % 2 != 0) {
+    return "population size must be even and >= 4";
+  }
+  if (!is_probability(config.crossover_probability)) {
+    return "crossover probability must be finite and <= 1";
+  }
+  if (!is_probability(config.mutation_probability)) {
+    return "mutation probability must be finite and <= 1";
+  }
+  if (!is_distribution_index(config.sbx_eta)) {
+    return "sbx_eta must be finite and >= 0";
+  }
+  if (!is_distribution_index(config.mutation_eta)) {
+    return "mutation_eta must be finite and >= 0";
+  }
+  return "";
+}
 
 Nsga2Result nsga2_minimize(const BatchObjectiveFn& fn, const Vec& lower,
                            const Vec& upper, const Nsga2Config& config,
@@ -88,113 +77,134 @@ Nsga2Result nsga2_minimize(const BatchObjectiveFn& fn, const Vec& lower,
   for (std::size_t i = 0; i < lower.size(); ++i) {
     require(lower[i] < upper[i], "nsga2: lower bound must be < upper bound");
   }
-  require(config.population_size >= 4 && config.population_size % 2 == 0,
-          "nsga2: population size must be even and >= 4");
+  const std::string config_error = nsga2_config_error(config);
+  require(config_error.empty(), "nsga2: " + config_error);
 
   const std::size_t d = lower.size();
-  const double mut_p = config.mutation_probability > 0.0
-                           ? config.mutation_probability
-                           : 1.0 / static_cast<double>(d);
+  const std::size_t n = config.population_size;
+  const double mut_p = config.mutation_probability < 0.0
+                           ? 1.0 / static_cast<double>(d)
+                           : config.mutation_probability;
+  const double sbx_exponent = 1.0 / (config.sbx_eta + 1.0);
+  const double mutation_exponent = 1.0 / (config.mutation_eta + 1.0);
   Rng rng(config.seed);
   Nsga2Result result;
 
-  std::vector<Vec> xs;
-  auto evaluate = [&](std::vector<Individual>& inds) {
-    xs.clear();
-    for (const auto& ind : inds) xs.push_back(ind.x);
-    std::vector<Vec> objs = fn(xs);
-    require(objs.size() == inds.size(),
+  // The arena: 2N individuals for the whole run, parents at rows [0, N)
+  // and offspring at rows [N, 2N) of the flat objective, rank and
+  // crowding buffers.  Each half's genes are their own vector, so the
+  // offspring half is the batch `fn` scores.  Survivors are swapped into
+  // `next` / `next_objs`, so no generation allocates or moves a gene.
+  std::vector<Vec> parents, offspring(n, Vec(d)), next(n, Vec(d));
+  std::vector<double> objs, next_objs;  // 2N x k once k is known
+  std::size_t k = 0;
+  std::vector<std::size_t> rank(2 * n), order(2 * n);
+  std::vector<double> crowding(2 * n);
+  RankScratch scratch;
+
+  const auto evaluate = [&](const std::vector<Vec>& xs, std::size_t row0) {
+    const std::vector<Vec> ys = fn(xs);
+    require(ys.size() == xs.size(),
             "nsga2: objective function returned the wrong batch size");
-    for (std::size_t i = 0; i < inds.size(); ++i) {
-      require(!objs[i].empty(),
+    for (std::size_t i = 0; i < ys.size(); ++i) {
+      require(!ys[i].empty(),
               "nsga2: objective function returned empty vector");
-      inds[i].objs = std::move(objs[i]);
+      if (k == 0) {
+        k = ys[i].size();
+        objs.resize(2 * n * k);
+        next_objs.resize(2 * n * k);
+      }
+      require(ys[i].size() == k,
+              "nsga2: objective function returned vectors of different "
+              "sizes");
+      std::copy(ys[i].begin(), ys[i].end(), objs.begin() + (row0 + i) * k);
     }
-    result.evaluations += inds.size();
+    result.evaluations += xs.size();
+  };
+
+  // Binary tournament on (rank asc, crowding desc) over the parents.
+  const auto tournament = [&]() -> const Vec& {
+    const std::size_t a = rng.uniform_index(n);
+    const std::size_t b = rng.uniform_index(n);
+    if (rank[a] != rank[b]) return parents[rank[a] < rank[b] ? a : b];
+    return parents[crowding[a] >= crowding[b] ? a : b];
   };
 
   // --- initial population: seeds (clamped) then uniform random fill ---
-  std::vector<Individual> pop;
-  pop.reserve(config.population_size);
+  parents.reserve(n);
   for (const Vec& seed_x : initial_points) {
-    if (pop.size() == config.population_size) break;
+    if (parents.size() == n) break;
     require(seed_x.size() == d, "nsga2: seed point dimension mismatch");
-    Individual ind;
-    ind.x = seed_x;
-    for (std::size_t i = 0; i < d; ++i) {
-      ind.x[i] = clamp(ind.x[i], lower[i], upper[i]);
-    }
-    pop.push_back(std::move(ind));
+    Vec& x = parents.emplace_back(seed_x);
+    for (std::size_t i = 0; i < d; ++i) x[i] = clamp(x[i], lower[i], upper[i]);
   }
-  while (pop.size() < config.population_size) {
-    Individual ind;
-    ind.x.resize(d);
-    for (std::size_t i = 0; i < d; ++i) {
-      ind.x[i] = rng.uniform(lower[i], upper[i]);
-    }
-    pop.push_back(std::move(ind));
+  while (parents.size() < n) {
+    Vec& x = parents.emplace_back(d);
+    for (std::size_t i = 0; i < d; ++i) x[i] = rng.uniform(lower[i], upper[i]);
   }
-  evaluate(pop);
-  assign_ranks_and_crowding(pop);
+  evaluate(parents, 0);
+  rank_and_crowd(objs.data(), n, k, scratch, rank.data(), crowding.data());
 
   // --- generational loop ---
   for (std::size_t gen = 0; gen < config.generations; ++gen) {
-    std::vector<Individual> offspring;
-    offspring.reserve(config.population_size);
-    while (offspring.size() < config.population_size) {
-      Individual c1 = tournament(pop, rng);
-      Individual c2 = tournament(pop, rng);
+    for (std::size_t j = 0; j < n; j += 2) {
+      Vec& c1 = offspring[j];
+      Vec& c2 = offspring[j + 1];
+      const Vec& p1 = tournament();
+      std::copy(p1.begin(), p1.end(), c1.begin());
+      const Vec& p2 = tournament();
+      std::copy(p2.begin(), p2.end(), c2.begin());
       if (rng.bernoulli(config.crossover_probability)) {
         for (std::size_t i = 0; i < d; ++i) {
           if (rng.bernoulli(0.5)) {
-            sbx_gene(c1.x[i], c2.x[i], lower[i], upper[i], config.sbx_eta,
-                     rng);
+            sbx_gene(c1[i], c2[i], lower[i], upper[i], sbx_exponent, rng);
           }
         }
       }
-      for (Individual* child : {&c1, &c2}) {
+      for (Vec* child : {&c1, &c2}) {
         for (std::size_t i = 0; i < d; ++i) {
           if (rng.bernoulli(mut_p)) {
-            polynomial_mutation_gene(child->x[i], lower[i], upper[i],
-                                     config.mutation_eta, rng);
+            polynomial_mutation_gene((*child)[i], lower[i], upper[i],
+                                     mutation_exponent, rng);
           }
         }
-        offspring.push_back(std::move(*child));
-        if (offspring.size() == config.population_size) break;
       }
     }
-    evaluate(offspring);
+    evaluate(offspring, n);
 
-    // Environmental selection over parents + offspring.
-    std::vector<Individual> merged = std::move(pop);
-    for (auto& ind : offspring) merged.push_back(std::move(ind));
-    assign_ranks_and_crowding(merged);
-
-    std::vector<std::size_t> order(merged.size());
-    for (std::size_t i = 0; i < merged.size(); ++i) order[i] = i;
+    // Environmental selection over parents + offspring: the best N rows
+    // by (rank asc, crowding desc) become the next parents, in order.
+    rank_and_crowd(objs.data(), 2 * n, k, scratch, rank.data(),
+                   crowding.data());
+    for (std::size_t i = 0; i < 2 * n; ++i) order[i] = i;
     std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-      if (merged[a].rank != merged[b].rank) {
-        return merged[a].rank < merged[b].rank;
-      }
-      return merged[a].crowding > merged[b].crowding;
+      if (rank[a] != rank[b]) return rank[a] < rank[b];
+      return crowding[a] > crowding[b];
     });
-    pop.clear();
-    pop.reserve(config.population_size);
-    for (std::size_t i = 0; i < config.population_size; ++i) {
-      pop.push_back(std::move(merged[order[i]]));
+    for (std::size_t i = 0; i < n; ++i) {
+      const std::size_t src = order[i];
+      std::swap(next[i], src < n ? parents[src] : offspring[src - n]);
+      std::copy_n(objs.begin() + src * k, k, next_objs.begin() + i * k);
     }
-    assign_ranks_and_crowding(pop);
+    std::swap(parents, next);
+    std::swap(objs, next_objs);
+    // Tournaments read the survivors' own ranks; the last generation
+    // has no more tournaments.
+    if (gen + 1 < config.generations) {
+      rank_and_crowd(objs.data(), n, k, scratch, rank.data(),
+                     crowding.data());
+    }
   }
 
   // --- extract results ---
-  for (const auto& ind : pop) {
-    result.final_population.push_back({ind.x, ind.objs});
+  std::vector<Vec> final_objs;
+  final_objs.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    final_objs.emplace_back(objs.begin() + i * k, objs.begin() + (i + 1) * k);
+    result.final_population.push_back({parents[i], final_objs.back()});
   }
-  std::vector<Vec> objs;
-  objs.reserve(pop.size());
-  for (const auto& ind : pop) objs.push_back(ind.objs);
-  for (std::size_t idx : non_dominated_indices(objs)) {
-    result.pareto_set.push_back({pop[idx].x, pop[idx].objs});
+  for (std::size_t idx : non_dominated_indices(final_objs)) {
+    result.pareto_set.push_back({parents[idx], final_objs[idx]});
   }
   return result;
 }

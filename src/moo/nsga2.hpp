@@ -10,6 +10,7 @@
 #define PARMIS_MOO_NSGA2_HPP
 
 #include <functional>
+#include <string>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -32,12 +33,18 @@ using BatchObjectiveFn =
 struct Nsga2Config {
   std::size_t population_size = 64;   ///< even, >= 4
   std::size_t generations = 50;
-  double crossover_probability = 0.9;
-  double sbx_eta = 15.0;              ///< SBX distribution index
-  double mutation_probability = -1.0; ///< per-gene; -1 means 1/d
-  double mutation_eta = 20.0;         ///< polynomial-mutation index
+  double crossover_probability = 0.9; ///< finite, <= 1
+  double sbx_eta = 15.0;              ///< SBX distribution index, >= 0
+  double mutation_probability = -1.0; ///< per-gene, <= 1; negative means
+                                      ///< 1/d, 0 means no mutation
+  double mutation_eta = 20.0;         ///< polynomial-mutation index, >= 0
   std::uint64_t seed = 1;
 };
+
+/// The first rule `config` breaks (population even and >= 4, finite
+/// probabilities <= 1, finite non-negative etas), or "" if it is valid.
+/// nsga2_minimize rejects exactly these configurations.
+std::string nsga2_config_error(const Nsga2Config& config);
 
 /// One evaluated solution.
 struct Nsga2Solution {

@@ -45,68 +45,135 @@ std::vector<Vec> pareto_front(const std::vector<Vec>& points) {
   return out;
 }
 
+namespace {
+
+/// Crowding distance of the m points objs[members[i]] (k objectives
+/// each) into scratch.distance[0, m).  Each objective re-sorts the
+/// permutation the previous one left, so std::sort always sees the same
+/// sequences for the same input.
+void crowd_front(const double* objs, std::size_t k, const std::size_t* members,
+                 std::size_t m, RankScratch& s) {
+  constexpr double inf = std::numeric_limits<double>::infinity();
+  s.distance.assign(m, m <= 2 ? inf : 0.0);
+  if (m <= 2) return;
+  s.order.resize(m);
+  s.values.resize(m);
+  for (std::size_t i = 0; i < m; ++i) s.order[i] = i;
+  double* dist = s.distance.data();
+  const double* v = s.values.data();
+  for (std::size_t obj = 0; obj < k; ++obj) {
+    for (std::size_t i = 0; i < m; ++i) {
+      s.values[i] = objs[members[i] * k + obj];
+    }
+    std::sort(s.order.begin(), s.order.end(),
+              [v](std::size_t a, std::size_t b) { return v[a] < v[b]; });
+    const double lo = v[s.order.front()];
+    const double hi = v[s.order.back()];
+    dist[s.order.front()] = inf;
+    dist[s.order.back()] = inf;
+    const double span = hi - lo;
+    if (span <= 0.0) continue;  // degenerate objective: no interior credit
+    for (std::size_t i = 1; i + 1 < m; ++i) {
+      dist[s.order[i]] += (v[s.order[i + 1]] - v[s.order[i - 1]]) / span;
+    }
+  }
+}
+
+/// Rows of `points` as one n x k buffer; all rows must have size k.
+std::vector<double> flatten(const std::vector<Vec>& points, std::size_t k) {
+  std::vector<double> flat;
+  flat.reserve(points.size() * k);
+  for (const Vec& p : points) {
+    require(p.size() == k, "pareto: points of different dimension");
+    flat.insert(flat.end(), p.begin(), p.end());
+  }
+  return flat;
+}
+
+}  // namespace
+
+void rank_and_crowd(const double* objs, std::size_t n, std::size_t k,
+                    RankScratch& s, std::size_t* rank, double* crowding) {
+  // Pairwise dominance in one pass per pair: p dominates q iff no
+  // objective of p is greater and one is smaller (NaN compares neither).
+  // Pairs are visited in (min, max) order, so every row of `dominated`
+  // fills in ascending index order.
+  s.dominated.resize(n * n);
+  s.row_size.assign(n, 0);
+  s.dominators.assign(n, 0);
+  for (std::size_t p = 0; p < n; ++p) {
+    const double* a = objs + p * k;
+    for (std::size_t q = p + 1; q < n; ++q) {
+      const double* b = objs + q * k;
+      bool less = false, greater = false;
+      for (std::size_t j = 0; j < k; ++j) {
+        less |= a[j] < b[j];
+        greater |= a[j] > b[j];
+      }
+      if (less && !greater) {
+        s.dominated[p * n + s.row_size[p]++] = q;
+        ++s.dominators[q];
+      } else if (greater && !less) {
+        s.dominated[q * n + s.row_size[q]++] = p;
+        ++s.dominators[p];
+      }
+    }
+  }
+  // Peel fronts: the first in index order, each next one in the order its
+  // members lose their last dominator.
+  s.members.clear();
+  s.front_begin.assign(1, 0);
+  for (std::size_t p = 0; p < n; ++p) {
+    if (s.dominators[p] == 0) s.members.push_back(p);
+  }
+  for (std::size_t begin = 0; begin < s.members.size();) {
+    const std::size_t end = s.members.size();
+    s.front_begin.push_back(end);
+    for (std::size_t i = begin; i < end; ++i) {
+      const std::size_t p = s.members[i];
+      const std::size_t* row = s.dominated.data() + p * n;
+      for (std::size_t t = 0; t < s.row_size[p]; ++t) {
+        if (--s.dominators[row[t]] == 0) s.members.push_back(row[t]);
+      }
+    }
+    begin = end;
+  }
+  for (std::size_t f = 0; f + 1 < s.front_begin.size(); ++f) {
+    const std::size_t* front = s.members.data() + s.front_begin[f];
+    const std::size_t m = s.front_begin[f + 1] - s.front_begin[f];
+    crowd_front(objs, k, front, m, s);
+    for (std::size_t i = 0; i < m; ++i) {
+      rank[front[i]] = f;
+      crowding[front[i]] = s.distance[i];
+    }
+  }
+}
+
 std::vector<std::vector<std::size_t>> fast_non_dominated_sort(
     const std::vector<Vec>& points) {
   const std::size_t n = points.size();
-  std::vector<std::vector<std::size_t>> dominated_by(n);
-  std::vector<int> domination_count(n, 0);
+  const std::size_t k = n == 0 ? 0 : points.front().size();
+  const std::vector<double> flat = flatten(points, k);
+  RankScratch s;
+  std::vector<std::size_t> rank(n);
+  std::vector<double> crowding(n);
+  rank_and_crowd(flat.data(), n, k, s, rank.data(), crowding.data());
   std::vector<std::vector<std::size_t>> fronts;
-
-  std::vector<std::size_t> current;
-  for (std::size_t p = 0; p < n; ++p) {
-    for (std::size_t q = 0; q < n; ++q) {
-      if (p == q) continue;
-      if (dominates(points[p], points[q])) {
-        dominated_by[p].push_back(q);
-      } else if (dominates(points[q], points[p])) {
-        ++domination_count[p];
-      }
-    }
-    if (domination_count[p] == 0) current.push_back(p);
-  }
-  while (!current.empty()) {
-    fronts.push_back(current);
-    std::vector<std::size_t> next;
-    for (std::size_t p : current) {
-      for (std::size_t q : dominated_by[p]) {
-        if (--domination_count[q] == 0) next.push_back(q);
-      }
-    }
-    current = std::move(next);
+  for (std::size_t f = 0; f + 1 < s.front_begin.size(); ++f) {
+    fronts.emplace_back(s.members.begin() + s.front_begin[f],
+                        s.members.begin() + s.front_begin[f + 1]);
   }
   return fronts;
 }
 
 std::vector<double> crowding_distance(
     const std::vector<Vec>& points, const std::vector<std::size_t>& members) {
-  const std::size_t m = members.size();
-  std::vector<double> dist(m, 0.0);
-  if (m == 0) return dist;
+  if (members.empty()) return {};
   const std::size_t k = points[members[0]].size();
-  constexpr double inf = std::numeric_limits<double>::infinity();
-  if (m <= 2) {
-    std::fill(dist.begin(), dist.end(), inf);
-    return dist;
-  }
-  std::vector<std::size_t> order(m);
-  for (std::size_t i = 0; i < m; ++i) order[i] = i;
-  for (std::size_t obj = 0; obj < k; ++obj) {
-    std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-      return points[members[a]][obj] < points[members[b]][obj];
-    });
-    const double lo = points[members[order.front()]][obj];
-    const double hi = points[members[order.back()]][obj];
-    dist[order.front()] = inf;
-    dist[order.back()] = inf;
-    const double span = hi - lo;
-    if (span <= 0.0) continue;  // degenerate objective: no interior credit
-    for (std::size_t i = 1; i + 1 < m; ++i) {
-      const double below = points[members[order[i - 1]]][obj];
-      const double above = points[members[order[i + 1]]][obj];
-      dist[order[i]] += (above - below) / span;
-    }
-  }
-  return dist;
+  const std::vector<double> flat = flatten(points, k);
+  RankScratch s;
+  crowd_front(flat.data(), k, members.data(), members.size(), s);
+  return std::move(s.distance);
 }
 
 Vec componentwise_max(const std::vector<Vec>& points) {

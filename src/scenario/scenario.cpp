@@ -77,6 +77,16 @@ void ScenarioSpec::validate() const {
   }
   require(parmis.num_initial >= 1, who + "parmis.num_initial must be >= 1");
   require(parmis.theta_bound > 0.0, who + "parmis.theta_bound must be > 0");
+  // The front-sampler budget is only read deep inside a PaRMIS cell's
+  // acquisition; check it here so a bad plan fails at load.
+  const core::AcquisitionConfig& acq = parmis.acquisition;
+  require(acq.num_mc_samples >= 1,
+          who + "parmis.acquisition.num_mc_samples must be >= 1");
+  require(acq.rff_features >= 1,
+          who + "parmis.acquisition.rff_features must be >= 1");
+  const std::string sampler_error = moo::nsga2_config_error(acq.front_sampler);
+  require(sampler_error.empty(),
+          who + "parmis.acquisition.front_sampler: " + sampler_error);
 }
 
 namespace {

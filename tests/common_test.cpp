@@ -1,7 +1,9 @@
 // Unit tests for src/common: RNG, CLI parsing, tables, errors, logging.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <numeric>
 #include <fstream>
 #include <sstream>
@@ -45,6 +47,50 @@ TEST(Error, EnsureThrowsInvariantKind) {
 TEST(Rng, DeterministicForSameSeed) {
   Rng a(123), b(123);
   for (int i = 0; i < 100; ++i) EXPECT_EQ(a.next_u64(), b.next_u64());
+}
+
+TEST(Rng, StreamIsPinnedForSeed42) {
+  // Literal streams of the xoshiro256++ implementation: moving the
+  // primitives (e.g. inline into the header) must not move a bit, since
+  // every golden digest and NSGA-II front draws through them.
+  const std::uint64_t u64[] = {
+      0xd0764d4f4476689fULL, 0x519e4174576f3791ULL, 0xfbe07cfb0c24ed8cULL,
+      0xb37d9f600cd835b8ULL, 0xcb231c3874846a73ULL, 0x968d9f004e50de7dULL,
+      0x201718ff221a3556ULL, 0x9ae94e070ed8cb46ULL};
+  const double uniform[] = {
+      0x1.a0ec9a9e88ecdp-1, 0x1.467905d15dbccp-2, 0x1.f7c0f9f61849dp-1,
+      0x1.66fb3ec019b06p-1, 0x1.96463870e908dp-1, 0x1.2d1b3e009ca1bp-1,
+      0x1.00b8c7f910d18p-3, 0x1.35d29c0e1db19p-1};
+  const bool bernoulli[] = {false, false, false, false,
+                            false, false, true,  false};
+  const std::size_t index[] = {5, 2, 6, 4, 5, 4, 0, 4};
+  const double normal[] = {
+      -0x1.89b975220657ep-1, 0x1.aa86bd43707d8p+0, -0x1.bca4f7dbd8ae6p-1,
+      -0x1.5e9c814c307c5p+1, -0x1.82cf41a90fe1ap+0, -0x1.de15cbdecbf52p-1,
+      -0x1.a28480e07fe7bp-2, -0x1.4526cc9b380bdp-2};
+  Rng a(42), b(42), c(42), d(42), e(42);
+  for (int i = 0; i < 8; ++i) {
+    EXPECT_EQ(a.next_u64(), u64[i]) << i;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(b.uniform()),
+              std::bit_cast<std::uint64_t>(uniform[i]))
+        << i;
+    EXPECT_EQ(c.bernoulli(0.3), bernoulli[i]) << i;
+    EXPECT_EQ(d.uniform_index(7), index[i]) << i;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(e.normal()),
+              std::bit_cast<std::uint64_t>(normal[i]))
+        << i;
+  }
+}
+
+TEST(Rng, CertainBernoulliConsumesNoDraw) {
+  // NSGA-II's draw order relies on this: crossover_probability 1 and
+  // mutation probability 0 decide without touching the stream.
+  Rng rng(42);
+  for (double p : {0.0, -1.0, -0.0, 1.0, 2.0}) {
+    const bool expected = p >= 1.0;
+    EXPECT_EQ(rng.bernoulli(p), expected) << p;
+  }
+  EXPECT_EQ(rng.next_u64(), 0xd0764d4f4476689fULL);  // first draw of seed 42
 }
 
 TEST(Rng, DifferentSeedsDiverge) {

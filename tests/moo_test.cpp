@@ -2,8 +2,11 @@
 // crowding, hypervolume (exact + Monte Carlo), NSGA-II on ZDT problems.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -141,6 +144,163 @@ TEST(Pareto, CrowdingPrefersIsolatedPoints) {
   std::vector<std::size_t> members = {0, 1, 2, 3, 4};
   const auto cd = crowding_distance(pts, members);
   EXPECT_GT(cd[1], cd[2]);
+}
+
+// The parent implementation of fast_non_dominated_sort and
+// crowding_distance, kept verbatim as the oracle for the flat
+// rank-and-crowding core: same fronts, same member order, same
+// crowding bits.
+namespace oracle {
+
+std::vector<std::vector<std::size_t>> fast_non_dominated_sort(
+    const std::vector<Vec>& points) {
+  const std::size_t n = points.size();
+  std::vector<std::vector<std::size_t>> dominated_by(n);
+  std::vector<int> domination_count(n, 0);
+  std::vector<std::vector<std::size_t>> fronts;
+
+  std::vector<std::size_t> current;
+  for (std::size_t p = 0; p < n; ++p) {
+    for (std::size_t q = 0; q < n; ++q) {
+      if (p == q) continue;
+      if (dominates(points[p], points[q])) {
+        dominated_by[p].push_back(q);
+      } else if (dominates(points[q], points[p])) {
+        ++domination_count[p];
+      }
+    }
+    if (domination_count[p] == 0) current.push_back(p);
+  }
+  while (!current.empty()) {
+    fronts.push_back(current);
+    std::vector<std::size_t> next;
+    for (std::size_t p : current) {
+      for (std::size_t q : dominated_by[p]) {
+        if (--domination_count[q] == 0) next.push_back(q);
+      }
+    }
+    current = std::move(next);
+  }
+  return fronts;
+}
+
+std::vector<double> crowding_distance(
+    const std::vector<Vec>& points, const std::vector<std::size_t>& members) {
+  const std::size_t m = members.size();
+  std::vector<double> dist(m, 0.0);
+  if (m == 0) return dist;
+  const std::size_t k = points[members[0]].size();
+  constexpr double inf = std::numeric_limits<double>::infinity();
+  if (m <= 2) {
+    std::fill(dist.begin(), dist.end(), inf);
+    return dist;
+  }
+  std::vector<std::size_t> order(m);
+  for (std::size_t i = 0; i < m; ++i) order[i] = i;
+  for (std::size_t obj = 0; obj < k; ++obj) {
+    std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+      return points[members[a]][obj] < points[members[b]][obj];
+    });
+    const double lo = points[members[order.front()]][obj];
+    const double hi = points[members[order.back()]][obj];
+    dist[order.front()] = inf;
+    dist[order.back()] = inf;
+    const double span = hi - lo;
+    if (span <= 0.0) continue;  // degenerate objective: no interior credit
+    for (std::size_t i = 1; i + 1 < m; ++i) {
+      const double below = points[members[order[i - 1]]][obj];
+      const double above = points[members[order[i + 1]]][obj];
+      dist[order[i]] += (above - below) / span;
+    }
+  }
+  return dist;
+}
+
+}  // namespace oracle
+
+/// n seeded points in k objectives with the hostile features the core
+/// must reproduce exactly: coarse ties in objective 0, exact duplicate
+/// rows, and (when `special`) +inf, -inf and NaN coordinates.
+std::vector<Vec> hostile_points(std::size_t n, std::size_t k, bool special,
+                                std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<Vec> pts;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (i > 0 && rng.bernoulli(0.15)) {
+      pts.push_back(pts[rng.uniform_index(i)]);  // duplicate row
+      continue;
+    }
+    Vec p(k);
+    for (auto& v : p) v = rng.uniform(-1.0, 1.0);
+    p[0] = std::round(p[0] * 4.0) / 4.0;  // ties in one objective
+    if (special && rng.bernoulli(0.2)) {
+      constexpr double inf = std::numeric_limits<double>::infinity();
+      const double specials[] = {inf, -inf,
+                                 std::numeric_limits<double>::quiet_NaN()};
+      p[rng.uniform_index(k)] = specials[rng.uniform_index(3)];
+    }
+    pts.push_back(std::move(p));
+  }
+  return pts;
+}
+
+void expect_same_bits(const std::vector<double>& a,
+                      const std::vector<double>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(a[i]),
+              std::bit_cast<std::uint64_t>(b[i]))
+        << "i=" << i << " " << a[i] << " vs " << b[i];
+  }
+}
+
+TEST(Pareto, FlatCoreMatchesOracleFrontsAndCrowdingBits) {
+  std::uint64_t seed = 1;
+  for (std::size_t k : {1, 2, 3}) {
+    for (std::size_t n : {1, 2, 3, 64, 200}) {
+      for (bool special : {false, true}) {
+        SCOPED_TRACE(::testing::Message() << "k=" << k << " n=" << n
+                                          << " special=" << special);
+        const std::vector<Vec> pts = hostile_points(n, k, special, seed++);
+        const auto fronts = oracle::fast_non_dominated_sort(pts);
+        EXPECT_EQ(fast_non_dominated_sort(pts), fronts);
+
+        // The core as NSGA-II drives it: flat rows, reused scratch.
+        std::vector<double> flat;
+        for (const Vec& p : pts) flat.insert(flat.end(), p.begin(), p.end());
+        RankScratch scratch;
+        std::vector<std::size_t> rank(n);
+        std::vector<double> crowding(n);
+        for (int pass = 0; pass < 2; ++pass) {
+          rank_and_crowd(flat.data(), n, k, scratch, rank.data(),
+                         crowding.data());
+        }
+        for (std::size_t f = 0; f < fronts.size(); ++f) {
+          const std::vector<double> want =
+              oracle::crowding_distance(pts, fronts[f]);
+          expect_same_bits(crowding_distance(pts, fronts[f]), want);
+          std::vector<double> got;
+          for (std::size_t i : fronts[f]) {
+            EXPECT_EQ(rank[i], f);
+            got.push_back(crowding[i]);
+          }
+          expect_same_bits(got, want);
+        }
+
+        // Arbitrary member subsets, as the Pareto archive passes them.
+        Rng pick(seed);
+        std::vector<std::size_t> members;
+        for (std::size_t i = 0; i < n; ++i) {
+          if (pick.bernoulli(0.6)) members.push_back(i);
+        }
+        pick.shuffle(members);
+        expect_same_bits(crowding_distance(pts, members),
+                         oracle::crowding_distance(pts, members));
+      }
+    }
+  }
+  EXPECT_TRUE(fast_non_dominated_sort({}).empty());
+  EXPECT_TRUE(crowding_distance({{1.0}}, {}).empty());
 }
 
 TEST(Pareto, ComponentwiseExtremes) {
@@ -507,6 +667,83 @@ TEST(Nsga2, ValidatesConfiguration) {
                Error);
 }
 
+TEST(Nsga2, RejectsHostileOperatorBudgets) {
+  const Vec lo(2, 0.0), hi(2, 1.0);
+  const auto zdt = [](const Vec& x) { return zdt1(x); };
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const std::vector<void (*)(Nsga2Config&, double)> setters = {
+      [](Nsga2Config& c, double v) { c.crossover_probability = v; },
+      [](Nsga2Config& c, double v) { c.mutation_probability = v; },
+  };
+  for (auto set : setters) {
+    for (double bad : {nan, inf, -inf, 1.0 + 1e-12, 7.0}) {
+      Nsga2Config cfg;
+      set(cfg, bad);
+      EXPECT_FALSE(nsga2_config_error(cfg).empty()) << bad;
+      EXPECT_THROW(nsga2_minimize(zdt, lo, hi, cfg), Error) << bad;
+    }
+  }
+  const std::vector<void (*)(Nsga2Config&, double)> eta_setters = {
+      [](Nsga2Config& c, double v) { c.sbx_eta = v; },
+      [](Nsga2Config& c, double v) { c.mutation_eta = v; },
+  };
+  for (auto set : eta_setters) {
+    for (double bad : {nan, inf, -inf, -1e-9, -3.0}) {
+      Nsga2Config cfg;
+      set(cfg, bad);
+      EXPECT_FALSE(nsga2_config_error(cfg).empty()) << bad;
+      EXPECT_THROW(nsga2_minimize(zdt, lo, hi, cfg), Error) << bad;
+    }
+  }
+  for (std::size_t bad : {0, 2, 3, 7}) {
+    Nsga2Config cfg;
+    cfg.population_size = bad;
+    EXPECT_THROW(nsga2_minimize(zdt, lo, hi, cfg), Error) << bad;
+  }
+  Nsga2Config edges;
+  edges.population_size = 4;
+  edges.generations = 2;
+  edges.crossover_probability = 1.0;
+  edges.mutation_probability = 1.0;
+  edges.sbx_eta = 0.0;
+  edges.mutation_eta = 0.0;
+  EXPECT_EQ(nsga2_config_error(edges), "");
+  EXPECT_NO_THROW(nsga2_minimize(zdt, lo, hi, edges));
+}
+
+TEST(Nsga2, ZeroMutationProbabilityMeansNoMutation) {
+  // Without crossover and with mutation 0, offspring are copies of
+  // parents: no point outside the initial population is ever scored.
+  // A negative probability still means 1/d and does mutate.
+  const Vec lo(3, 0.0), hi(3, 1.0);
+  const auto run = [&](double mutation) {
+    Nsga2Config cfg;
+    cfg.population_size = 8;
+    cfg.generations = 6;
+    cfg.crossover_probability = 0.0;
+    cfg.mutation_probability = mutation;
+    std::vector<std::vector<Vec>> batches;
+    const BatchObjectiveFn fn = [&](const std::vector<Vec>& xs) {
+      batches.push_back(xs);
+      std::vector<Vec> objs;
+      for (const Vec& x : xs) objs.push_back(zdt1(x));
+      return objs;
+    };
+    nsga2_minimize(fn, lo, hi, cfg);
+    std::size_t novel = 0;
+    for (std::size_t b = 1; b < batches.size(); ++b) {
+      for (const Vec& x : batches[b]) {
+        novel += std::find(batches[0].begin(), batches[0].end(), x) ==
+                 batches[0].end();
+      }
+    }
+    return novel;
+  };
+  EXPECT_EQ(run(0.0), 0u);
+  EXPECT_GT(run(-1.0), 0u);
+}
+
 // ------------------------------------------- reference-point semantics
 
 TEST(ReferencePoint, PhvIsMonotoneUnderReferenceRelaxation) {
@@ -687,6 +924,22 @@ TEST(Nsga2, BatchMatchesPerPointBitwise) {
     expect_same_result(per_point, batch);
     EXPECT_EQ(result_digest(batch), 0xd6ec058b6361fe80ULL);
   }
+}
+
+TEST(Nsga2, ThreeObjectiveFullBlockFrontPinned) {
+  // A paper-sized population (32, one full projection block) on three
+  // objectives with certain crossover, pinned from the implementation
+  // that predates the population arena and the flat rank core.
+  Nsga2Config cfg;
+  cfg.population_size = 32;
+  cfg.generations = 10;
+  cfg.seed = 21;
+  cfg.crossover_probability = 1.0;
+  const Vec lo(7, 0.0), hi(7, 1.0);
+  const Nsga2Result res = nsga2_minimize(
+      [](const Vec& x) { return dtlz2(x, 3); }, lo, hi, cfg);
+  EXPECT_EQ(res.pareto_set.size(), 32u);
+  EXPECT_EQ(result_digest(res), 0x7018e845924d44beULL);
 }
 
 TEST(Nsga2, BatchCallbackSeesWholeGenerations) {

@@ -790,6 +790,20 @@ TEST(DigestNeutrality, TracingOnOffLeavesCellResultsBitIdentical) {
 
   EXPECT_EQ(cell_digest(off), cell_digest(on));
   EXPECT_GT(Tracer::buffered_events(), 0u);  // tracing did observe
+
+  // Every named phase of a PaRMIS cell shows up in the drained trace.
+  const json::Value doc = Tracer::drain();
+  const json::Value& events = doc.at("traceEvents");
+  std::set<std::string> spans;
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    const json::Value& e = events.at(i);
+    if (e.at("ph").as_string() != "X") continue;
+    spans.insert(e.at("cat").as_string() + "/" + e.at("name").as_string());
+  }
+  for (const char* want : {"acq/front_sample", "gp/rff_draw", "acq/refine",
+                           "gp/hyperopt", "core/evaluate"}) {
+    EXPECT_TRUE(spans.count(want)) << "no " << want << " span";
+  }
 }
 
 TEST(DigestNeutrality, GpFitAndPredictAreBitIdenticalUnderTracing) {

@@ -3,7 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
+#include <limits>
 #include <set>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "apps/benchmarks.hpp"
 #include "common/error.hpp"
@@ -167,6 +172,65 @@ TEST(ScenarioSpecValidation, RejectsInconsistentSpecs) {
   spec.benchmark_apps.clear();
   spec.generated.reset();
   EXPECT_THROW(spec.validate(), Error);
+}
+
+TEST(ScenarioSpecValidation, RejectsHostileFrontSamplerBudgets) {
+  // Each bad value fails validate() with the scenario's name, so a plan
+  // carrying it is refused at load instead of failing inside a cell.
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  using Edit = std::function<void(core::AcquisitionConfig&)>;
+  const std::vector<std::pair<std::string, Edit>> cases = {
+      {"odd population",
+       [](auto& a) { a.front_sampler.population_size = 15; }},
+      {"population 2", [](auto& a) { a.front_sampler.population_size = 2; }},
+      {"population 0", [](auto& a) { a.front_sampler.population_size = 0; }},
+      {"crossover NaN",
+       [&](auto& a) { a.front_sampler.crossover_probability = nan; }},
+      {"crossover inf",
+       [&](auto& a) { a.front_sampler.crossover_probability = inf; }},
+      {"crossover > 1",
+       [](auto& a) { a.front_sampler.crossover_probability = 1.5; }},
+      {"mutation NaN",
+       [&](auto& a) { a.front_sampler.mutation_probability = nan; }},
+      {"mutation -inf",
+       [&](auto& a) { a.front_sampler.mutation_probability = -inf; }},
+      {"mutation > 1",
+       [](auto& a) { a.front_sampler.mutation_probability = 2.0; }},
+      {"sbx_eta NaN", [&](auto& a) { a.front_sampler.sbx_eta = nan; }},
+      {"sbx_eta inf", [&](auto& a) { a.front_sampler.sbx_eta = inf; }},
+      {"sbx_eta < 0", [](auto& a) { a.front_sampler.sbx_eta = -1.0; }},
+      {"mutation_eta NaN",
+       [&](auto& a) { a.front_sampler.mutation_eta = nan; }},
+      {"mutation_eta inf",
+       [&](auto& a) { a.front_sampler.mutation_eta = inf; }},
+      {"mutation_eta < 0",
+       [](auto& a) { a.front_sampler.mutation_eta = -0.5; }},
+      {"num_mc_samples 0", [](auto& a) { a.num_mc_samples = 0; }},
+      {"rff_features 0", [](auto& a) { a.rff_features = 0; }},
+  };
+  for (const auto& [what, edit] : cases) {
+    ScenarioSpec spec = make_scenario("xu3-mibench-te");
+    edit(spec.parmis.acquisition);
+    try {
+      spec.validate();
+      ADD_FAILURE() << what << ": accepted";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("xu3-mibench-te"),
+                std::string::npos)
+          << what << ": " << e.what();
+    }
+  }
+
+  // The edges stay legal: no mutation, certain crossover, eta 0.
+  ScenarioSpec spec = make_scenario("xu3-mibench-te");
+  moo::Nsga2Config& fs = spec.parmis.acquisition.front_sampler;
+  fs.mutation_probability = 0.0;
+  fs.crossover_probability = 1.0;
+  fs.sbx_eta = 0.0;
+  fs.mutation_eta = 0.0;
+  fs.population_size = 4;
+  EXPECT_NO_THROW(spec.validate());
 }
 
 // ------------------------------------------------------ platform variants
