@@ -2,6 +2,8 @@
 
 #include <iostream>
 
+#include "common/error.hpp"
+#include "common/stopwatch.hpp"
 #include "moo/hypervolume.hpp"
 #include "moo/pareto.hpp"
 #include "policy/governors.hpp"
@@ -161,6 +163,20 @@ num::Vec shared_reference(const std::vector<std::vector<num::Vec>>& fronts) {
 
 double phv(const std::vector<num::Vec>& front, const num::Vec& ref) {
   return moo::hypervolume(front, ref);
+}
+
+double min_chunk_seconds(std::size_t chunks,
+                         const std::function<void(std::size_t)>& chunk) {
+  require(chunks > 0, "min_chunk_seconds: need at least one chunk");
+  chunk(0);
+  double best = 0.0;
+  for (std::size_t c = 0; c < chunks; ++c) {
+    const Stopwatch wall;
+    chunk(c);
+    const double s = wall.seconds();
+    if (c == 0 || s < best) best = s;
+  }
+  return best;
 }
 
 void print_header(const std::string& title, const BenchScale& scale,

@@ -1,15 +1,18 @@
-// Shared machinery for the figure/table reproduction benches.
+// Shared machinery for the bench binaries.
 //
-// Every bench binary reproduces one table or figure from the paper's
-// evaluation (see DESIGN.md's experiment index).  They share:
+// Every figure/table bench reproduces one table or figure from the
+// paper's evaluation (README's bench table lists them).  They share:
 //  * scaled-vs-paper budgets (--full or PARMIS_FULL=1 selects the
 //    paper's 500-iteration / dense-lambda-grid settings),
 //  * canonical PaRMIS / RL / IL runs for one application,
 //  * the paper's PHV methodology: one shared reference point per
 //    application across all methods, normalized to PaRMIS's PHV.
+// Every timed probe (perf_suite, table2_overhead) uses the one
+// min-of-chunks timer below.
 #ifndef PARMIS_BENCH_COMMON_HPP
 #define PARMIS_BENCH_COMMON_HPP
 
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -80,6 +83,14 @@ num::Vec shared_reference(const std::vector<std::vector<num::Vec>>& fronts);
 
 /// PHV of a front against a reference (dispatching exact/MC).
 double phv(const std::vector<num::Vec>& front, const num::Vec& ref);
+
+/// Minimum-of-chunks timer (docs/perf.md): runs `chunk(0)` once untimed
+/// as a warmup (caches, page faults), then times `chunk(c)` for every c
+/// in [0, chunks) and returns the fastest chunk's seconds.  External
+/// interference only ever adds time, so the fastest chunk is the
+/// closest observation of the true cost of one chunk's work.
+double min_chunk_seconds(std::size_t chunks,
+                         const std::function<void(std::size_t)>& chunk);
 
 /// Prints the standard bench header (scale, platform, decision count).
 void print_header(const std::string& title, const BenchScale& scale,

@@ -6,14 +6,17 @@
 //     memory per policy        ~1 KB
 //     Pareto set (27 policies) ~27 KB   (0.001 % of 2 GB RAM)
 //
-// Here the MLP forward pass is timed on the host with google-benchmark
-// (absolute numbers differ from the A15; the point is that a decision
-// costs microseconds against a 100 ms epoch) and the storage figures are
-// measured from the real serialized policies.
-#include <benchmark/benchmark.h>
-
+// Here the MLP forward pass is timed on the host with the benches' one
+// min-of-chunks timer (absolute numbers differ from the A15; the point
+// is that a decision costs microseconds against a 100 ms epoch) and the
+// storage figures are measured from the real serialized policies.  A
+// printed checksum over every timed call keeps the compiler from
+// discarding the work.
+#include <cstddef>
 #include <iostream>
+#include <string>
 
+#include "bench_common.hpp"
 #include "common/rng.hpp"
 #include "common/table.hpp"
 #include "ml/softmax.hpp"
@@ -56,39 +59,20 @@ policy::MlpPolicy make_policy() {
   return p;
 }
 
-/// Full 4-knob decision: Table II "Exe. time / Total".
-void BM_FullDecision(benchmark::State& state) {
-  policy::MlpPolicy p = make_policy();
-  const soc::HwCounters c = typical_counters();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(p.decide(c));
-  }
+/// Nanoseconds per call of `call`: the fastest of kChunks chunks of
+/// kCallsPerChunk calls.  Each call's result feeds `checksum`.
+template <class Call>
+double ns_per_call(double& checksum, Call&& call) {
+  constexpr std::size_t kChunks = 20, kCallsPerChunk = 20'000;
+  const double seconds = bench::min_chunk_seconds(kChunks, [&](std::size_t) {
+    for (std::size_t i = 0; i < kCallsPerChunk; ++i) checksum += call();
+  });
+  return seconds / double(kCallsPerChunk) * 1e9;
 }
-BENCHMARK(BM_FullDecision);
-
-/// Single-knob forward pass: Table II "Exe. time / Per Policy(knob)".
-void BM_SingleKnobForward(benchmark::State& state) {
-  policy::MlpPolicy p = make_policy();
-  const num::Vec features = typical_counters().to_features();
-  const auto head = static_cast<std::size_t>(state.range(0));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(ml::argmax(p.head(head).forward(features)));
-  }
-}
-BENCHMARK(BM_SingleKnobForward)->DenseRange(0, 3);
-
-/// Counter squashing (part of the decision path).
-void BM_FeatureExtraction(benchmark::State& state) {
-  const soc::HwCounters c = typical_counters();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(c.to_features());
-  }
-}
-BENCHMARK(BM_FeatureExtraction);
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   // Storage half of Table II (exact, from real serialization).
   using namespace parmis;
   policy::MlpPolicy p = make_policy();
@@ -107,13 +91,38 @@ int main(int argc, char** argv) {
   table.print(std::cout);
   std::cout << "paper: ~1 KB/policy, 27 KB total (0.001 % of 2 GB); ours "
                "uses float64 weights, same order of magnitude.\n\n"
-            << "=== Table II: decision latency (google-benchmark) ===\n"
+            << "=== Table II: decision latency (min of 20 chunks) ===\n"
             << "paper: ~200 us/knob, ~800 us/decision on the A15 "
                "(0.8 % of a 100 ms epoch); host-CPU numbers below are "
                "faster in absolute terms but the epoch-relative overhead "
                "conclusion is identical.\n";
 
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
+  // Latency half: the full 4-knob decision (Table II "Exe. time /
+  // Total"), each knob's forward pass ("Per Policy(knob)") and the
+  // counter squashing that is part of the decision path.
+  const soc::HwCounters counters = typical_counters();
+  const num::Vec features = counters.to_features();
+  double checksum = 0.0;
+  Table latency({"path", "ns_per_call", "epoch_share"});
+  const auto row = [&latency](const std::string& path, double ns) {
+    latency.begin_row()
+        .add(path)
+        .add(ns, 1)
+        .add(format_double(ns / 1e6, 6) + " % of 100 ms");
+  };
+  row("full decision (4 knobs)", ns_per_call(checksum, [&] {
+        return double(p.decide(counters).freq_level.front());
+      }));
+  for (std::size_t head = 0; head < p.num_heads(); ++head) {
+    row("knob " + std::to_string(head) + " forward",
+        ns_per_call(checksum, [&] {
+          return double(ml::argmax(p.head(head).forward(features)));
+        }));
+  }
+  row("feature extraction", ns_per_call(checksum, [&] {
+        return counters.to_features().front();
+      }));
+  latency.print(std::cout);
+  std::cout << "checksum " << format_double(checksum, 3) << "\n";
   return 0;
 }

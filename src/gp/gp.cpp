@@ -3,7 +3,6 @@
 #include <cmath>
 #include <numbers>
 
-#include "gp/rff.hpp"
 #include "numerics/batch.hpp"
 #include "obs/obs.hpp"
 
@@ -126,11 +125,6 @@ Prediction GpRegressor::predict(const num::Vec& x) const {
 }
 
 BatchPrediction GpRegressor::predict_many(const num::Matrix& Xstar) const {
-  return predict_many(Xstar, PredictManyOptions{});
-}
-
-BatchPrediction GpRegressor::predict_many(
-    const num::Matrix& Xstar, const PredictManyOptions& opts) const {
   PARMIS_TRACE_SPAN_D("gp", "predict_many", "n=%zu;q=%zu", X_.rows(),
                       Xstar.rows());
   const std::size_t q_count = Xstar.rows();
@@ -147,16 +141,6 @@ BatchPrediction GpRegressor::predict_many(
   if (q_count == 0) return out;
 
   const std::size_t n = X_.rows();
-  if (n > opts.rff_threshold) {
-    require(opts.rff_features > 0, "GP predict_many: need RFF features");
-    Rng rff_rng(opts.rff_seed);
-    const RffPredictor rff(*this, opts.rff_features, rff_rng);
-    rff.predict_many(Xstar, out.mean, out.variance);
-    out.used_rff = true;
-    PARMIS_COUNTER_ADD("parmis_gp_rff_path_total", 1);
-    return out;
-  }
-
   const std::size_t d = X_.cols();
   // Cross-covariance block, one pass: kstar(i, q) = k(x*_q, x_i).  Each
   // column q is exactly the kstar vector the scalar path builds, laid

@@ -7,7 +7,6 @@
 #ifndef PARMIS_GP_GP_HPP
 #define PARMIS_GP_GP_HPP
 
-#include <cstdint>
 #include <memory>
 #include <optional>
 
@@ -29,27 +28,8 @@ struct Prediction {
 /// Posterior predictions at a block of inputs (row q of the query matrix
 /// maps to mean[q] / variance[q]).
 struct BatchPrediction {
-  num::Vec mean;          ///< posterior means, original target units
-  num::Vec variance;      ///< posterior variances (>= 0), original units^2
-  bool used_rff = false;  ///< true iff the approximate RFF path answered
-};
-
-/// Training-set size above which predict_many() abandons the exact
-/// Cholesky path (O(n^2) per candidate) for the O(M^2)-per-candidate
-/// random-Fourier-feature approximation.  Campaign training sets stay
-/// far below this, so production campaigns always take the exact path.
-inline constexpr std::size_t kDefaultRffThreshold = 2048;
-
-/// Options for GpRegressor::predict_many.
-struct PredictManyOptions {
-  /// Exact-path cutoff: the RFF fallback engages only for training sets
-  /// STRICTLY larger than this.  Below or at it, predict_many is
-  /// bit-identical to predict() (see the contract on predict_many).
-  std::size_t rff_threshold = kDefaultRffThreshold;
-  /// Fourier features for the fallback; more features, better fidelity.
-  std::size_t rff_features = 256;
-  /// Seed for the (deterministic) RFF feature draw.
-  std::uint64_t rff_seed = 0x9e3779b97f4a7c15ULL;
+  num::Vec mean;      ///< posterior means, original target units
+  num::Vec variance;  ///< posterior variances (>= 0), original units^2
 };
 
 /// Exact GP regressor with i.i.d. Gaussian observation noise.
@@ -86,21 +66,16 @@ class GpRegressor {
   /// substitutions collapse into one blocked multi-RHS triangular solve
   /// (num::solve_lower_many).
   ///
-  /// BIT-EQUIVALENCE CONTRACT: while the training set has at most
-  /// opts.rff_threshold points (always, for the one-argument overload's
-  /// default options), mean[q] and variance[q] are bitwise identical to
-  /// predict(row q) — same reduction orders, same clamping, same
-  /// normalization arithmetic.  The contract extends through every
-  /// layer underneath: Kernel::value_row_transposed must reproduce the
-  /// pairwise value() bit for bit, and num::solve_lower_many must match
-  /// per-column solve_lower (both property-tested).  Every golden
-  /// campaign digest pinned in tests/golden_digest_test.cpp runs
-  /// through this path and depends on it.  Above the threshold the
-  /// approximate RFF fast path answers instead (used_rff == true) and
-  /// the contract is relaxed.
+  /// BIT-EQUIVALENCE CONTRACT: mean[q] and variance[q] are bitwise
+  /// identical to predict(row q) — same reduction orders, same
+  /// clamping, same normalization arithmetic.  The contract extends
+  /// through every layer underneath: Kernel::value_row_transposed must
+  /// reproduce the pairwise value() bit for bit, and
+  /// num::solve_lower_many must match per-column solve_lower (both
+  /// property-tested).  Every golden campaign digest pinned in
+  /// tests/golden_digest_test.cpp runs through this path and depends on
+  /// it.
   BatchPrediction predict_many(const num::Matrix& Xstar) const;
-  BatchPrediction predict_many(const num::Matrix& Xstar,
-                               const PredictManyOptions& opts) const;
 
   /// Log marginal likelihood of the (normalized) targets under the
   /// current hyperparameters.  Requires at least one observation.

@@ -188,48 +188,4 @@ SampledFunction sample_posterior_function(const GpRegressor& gp, Rng& rng,
                          gp.target_scale());
 }
 
-RffPredictor::RffPredictor(const GpRegressor& gp, std::size_t num_features,
-                           Rng& rng) {
-  require(num_features > 0, "RffPredictor: need at least one feature");
-  require(gp.has_data(), "RffPredictor requires a fitted GP with data");
-  features_ = FeatureMap::draw(gp.kernel(), gp.input_dim(), num_features, rng);
-  y_mean_ = gp.target_mean();
-  y_scale_ = gp.target_scale();
-
-  WeightPosterior post = weight_posterior(gp, features_);
-  chol_lower_ = post.chol.lower();
-  mean_w_ = std::move(post.mean);
-}
-
-void RffPredictor::predict_many(const num::Matrix& Xstar, num::Vec& mean,
-                                num::Vec& variance) const {
-  require(Xstar.cols() == input_dim(), "RffPredictor: dimension mismatch");
-  const std::size_t q_count = Xstar.rows();
-  const std::size_t m_count = num_features();
-  mean.assign(q_count, 0.0);
-  variance.assign(q_count, 0.0);
-  if (q_count == 0) return;
-
-  const num::Matrix phi_star = features_.features(Xstar);
-
-  // Predictive mean phi(x)^T mean_w; predictive variance via one
-  // multi-RHS triangular solve: z_q = L^{-1} phi(x_q), var = z^T z.
-  const num::Matrix z = num::solve_lower_many(chol_lower_,
-                                              phi_star.transposed());
-  num::AlignedBuffer ztz(q_count);
-  for (std::size_t m = 0; m < m_count; ++m) {
-    const double* zrow = z.row_view(m).data();
-    for (std::size_t q = 0; q < q_count; ++q) ztz[q] += zrow[q] * zrow[q];
-  }
-  for (std::size_t q = 0; q < q_count; ++q) {
-    const double* prow = phi_star.row_view(q).data();
-    double mean_n = 0.0;
-    for (std::size_t m = 0; m < m_count; ++m) mean_n += prow[m] * mean_w_[m];
-    double var_n = ztz[q];
-    if (var_n < 1e-12) var_n = 1e-12;  // same floor as the exact path
-    mean[q] = y_mean_ + y_scale_ * mean_n;
-    variance[q] = y_scale_ * y_scale_ * var_n;
-  }
-}
-
 }  // namespace parmis::gp

@@ -37,7 +37,7 @@
 namespace parmis::gp {
 
 /// The Rahimi-Recht cosine feature map phi(x) = scale * cos(omega x +
-/// phase), shared by posterior function draws and RffPredictor.
+/// phase) behind every posterior function draw.
 struct FeatureMap {
   num::Matrix omega;   ///< M x d spectral frequencies
   num::Vec phase;      ///< M phases
@@ -86,39 +86,6 @@ class SampledFunction {
 /// quality for speed; 128-256 is plenty for acquisition purposes.
 SampledFunction sample_posterior_function(const GpRegressor& gp, Rng& rng,
                                           std::size_t num_features = 128);
-
-/// Approximate posterior *moments* via the same Rahimi-Recht feature
-/// map: the large-training-set fast path behind predict_many.  Where
-/// exact prediction costs O(n^2) per candidate, this costs O(M^2) with
-/// M = num_features, independent of n — a win once n >> M (the
-/// gp::kDefaultRffThreshold crossover).
-///
-/// Built once per sweep from the GP's training data (O(n M^2) via the
-/// blocked matmul), then answers whole candidate blocks: mean via one
-/// feature-matrix product, variance via one multi-RHS triangular solve
-/// against the feature-posterior Cholesky factor.
-class RffPredictor {
- public:
-  /// `rng` drives the spectral-frequency draw; fix its seed for
-  /// deterministic predictions.
-  RffPredictor(const GpRegressor& gp, std::size_t num_features, Rng& rng);
-
-  std::size_t num_features() const { return features_.num_features(); }
-  std::size_t input_dim() const { return features_.input_dim(); }
-
-  /// Approximate posterior moments at every row of Xstar, in original
-  /// target units, with the same 1e-12 normalized-variance floor as the
-  /// exact path.  Resizes the outputs.
-  void predict_many(const num::Matrix& Xstar, num::Vec& mean,
-                    num::Vec& variance) const;
-
- private:
-  FeatureMap features_;
-  num::Matrix chol_lower_;   // Cholesky factor of A = Phi^T Phi/sn2 + I
-  num::Vec mean_w_;          // posterior weight mean
-  double y_mean_ = 0.0;
-  double y_scale_ = 1.0;
-};
 
 }  // namespace parmis::gp
 

@@ -20,7 +20,7 @@
 //    and branch per call; clocks and records only every `every`-th
 //    call — the shape used on the >10M/sec serve decide path, where
 //    even one unconditional clock read would blow the <2% overhead
-//    budget (bench/serve_suite gates this).
+//    budget (`perf_suite serve` gates this).
 //
 // Metric/span names must be string literals.
 #ifndef PARMIS_OBS_OBS_HPP

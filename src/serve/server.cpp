@@ -49,7 +49,7 @@ Decision PolicyServer::decide_on(const Snapshot& snapshot,
                                  const DecideRequest& request) const {
   // Sampled (1/256 per thread): an unconditional clock pair would cost
   // a measurable fraction of the ~tens-of-ns decide path and break the
-  // <2% overhead budget bench/serve_suite enforces.
+  // <2% overhead budget `perf_suite serve` enforces.
   PARMIS_SCOPED_LATENCY_SAMPLED("parmis_serve_decide_ns", 256);
   validate_counter(request.workload.thermal_headroom_c,
                    "thermal_headroom_c");

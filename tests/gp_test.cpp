@@ -427,7 +427,6 @@ GpRegressor fitted_gp(std::unique_ptr<Kernel> kernel, std::size_t n,
 BatchPrediction expect_bitwise_match(const GpRegressor& gp,
                                      const Matrix& queries) {
   const BatchPrediction batch = gp.predict_many(queries);
-  EXPECT_FALSE(batch.used_rff);
   EXPECT_EQ(batch.mean.size(), queries.rows());
   EXPECT_EQ(batch.variance.size(), queries.rows());
   for (std::size_t q = 0; q < queries.rows(); ++q) {
@@ -522,64 +521,6 @@ TEST(PredictMany, ZeroQueriesAndDimensionMismatch) {
   EXPECT_THROW(gp.predict_many(Matrix(4, 2)), Error);
 }
 
-TEST(PredictMany, RffEngagesOnlyStrictlyAboveThreshold) {
-  Rng rng(23);
-  const std::size_t d = 3;
-  const Matrix queries = random_queries(12, d, rng);
-  PredictManyOptions opts;
-  opts.rff_threshold = 9;
-  opts.rff_features = 256;
-
-  // n == threshold: exact path, still bitwise equal to predict().
-  const GpRegressor at = fitted_gp(make_kernel("rbf", 1.5), 9, d, 31);
-  const BatchPrediction exact = at.predict_many(queries, opts);
-  EXPECT_FALSE(exact.used_rff);
-  for (std::size_t q = 0; q < queries.rows(); ++q) {
-    const Prediction ref = at.predict(queries.row(q));
-    EXPECT_TRUE(same_bits(exact.mean[q], ref.mean));
-    EXPECT_TRUE(same_bits(exact.variance[q], ref.variance));
-  }
-
-  // n == threshold + 1: the documented crossover — RFF fallback.
-  const GpRegressor above = fitted_gp(make_kernel("rbf", 1.5), 10, d, 31);
-  const BatchPrediction approx = above.predict_many(queries, opts);
-  EXPECT_TRUE(approx.used_rff);
-  // The approximation must track the exact posterior (not bitwise).
-  for (std::size_t q = 0; q < queries.rows(); ++q) {
-    const Prediction ref = above.predict(queries.row(q));
-    EXPECT_NEAR(approx.mean[q], ref.mean, 0.5);
-    EXPECT_GT(approx.variance[q], 0.0);
-  }
-  // Deterministic: same options -> same draw -> same result.
-  const BatchPrediction again = above.predict_many(queries, opts);
-  for (std::size_t q = 0; q < queries.rows(); ++q) {
-    EXPECT_TRUE(same_bits(approx.mean[q], again.mean[q]));
-    EXPECT_TRUE(same_bits(approx.variance[q], again.variance[q]));
-  }
-}
-
-TEST(PredictMany, DefaultRffThresholdIsPinned) {
-  // The crossover is part of the documented API surface; moving it is a
-  // deliberate decision, not a drive-by.
-  EXPECT_EQ(kDefaultRffThreshold, 2048u);
-  EXPECT_EQ(PredictManyOptions{}.rff_threshold, kDefaultRffThreshold);
-}
-
-TEST(Rff, PredictorApproximatesExactPosterior) {
-  const GpRegressor gp = fitted_gp(make_kernel("rbf", 1.5), 24, 2, 77);
-  Rng rng(5);
-  const RffPredictor rff(gp, 512, rng);
-  Rng qrng(6);
-  const Matrix queries = random_queries(20, 2, qrng);
-  Vec mean, variance;
-  rff.predict_many(queries, mean, variance);
-  for (std::size_t q = 0; q < queries.rows(); ++q) {
-    const Prediction ref = gp.predict(queries.row(q));
-    EXPECT_NEAR(mean[q], ref.mean, 0.35);
-    EXPECT_GT(variance[q], 0.0);
-  }
-}
-
 // ------------------------------------------- blocked RFF projection
 //
 // FeatureMap carries the same BIT-EQUIVALENCE contract (src/gp/rff.hpp):
@@ -655,8 +596,8 @@ TEST(Rff, EvalManyBitwiseMatchesScalar) {
 
 TEST(Rff, FeatureMapDrawOrderPinned) {
   // Per feature: the kernel's spectral frequency, then the phase — the
-  // order sample_posterior_function and RffPredictor have always drawn
-  // in, so the same seed yields the same map (and RNG stream) as ever.
+  // order sample_posterior_function has always drawn in, so the same
+  // seed yields the same map (and RNG stream) as ever.
   std::vector<std::unique_ptr<Kernel>> kernels;
   kernels.push_back(std::make_unique<RbfKernel>(0.8, 1.3));
   kernels.push_back(std::make_unique<Matern52Kernel>(1.2, 0.6));
