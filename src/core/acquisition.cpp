@@ -87,27 +87,30 @@ InformationGainAcquisition::InformationGainAcquisition(
   }
 }
 
-double InformationGainAcquisition::value(const num::Vec& theta) const {
-  const std::vector<gp::GpRegressor>& models = *models_;
-  const std::size_t k = models.size();
-
-  // Posterior moments are sample-independent; compute them once.
-  std::vector<double> mu(k), sigma(k);
-  for (std::size_t j = 0; j < k; ++j) {
-    const gp::Prediction p = models[j].predict(theta);
-    mu[j] = p.mean;
-    sigma[j] = std::max(p.stddev(), 1e-9);
-  }
-
+double InformationGainAcquisition::score(const double* mean,
+                                         const double* variance) const {
   double total = 0.0;
   for (const num::Vec& minima : minima_) {
-    for (std::size_t j = 0; j < k; ++j) {
+    for (std::size_t j = 0; j < minima.size(); ++j) {
       // Lower-truncated Gaussian on [y*, inf): mirrored gamma.
-      const double gamma = (mu[j] - minima[j]) / sigma[j];
+      const double sigma = std::max(std::sqrt(variance[j]), 1e-9);
+      const double gamma = (mean[j] - minima[j]) / sigma;
       total += num::entropy_reduction_term(gamma);
     }
   }
   return total / static_cast<double>(minima_.size());
+}
+
+double InformationGainAcquisition::value(const num::Vec& theta) const {
+  const std::vector<gp::GpRegressor>& models = *models_;
+  const std::size_t k = models.size();
+  std::vector<double> mean(k), variance(k);
+  for (std::size_t j = 0; j < k; ++j) {
+    const gp::Prediction p = models[j].predict(theta);
+    mean[j] = p.mean;
+    variance[j] = p.variance;
+  }
+  return score(mean.data(), variance.data());
 }
 
 std::vector<double> InformationGainAcquisition::values(
@@ -120,8 +123,8 @@ std::vector<double> InformationGainAcquisition::values(
   const std::size_t dim = models.front().input_dim();
 
   // One block = one predict_many sweep per model.  Block b only writes
-  // out[b*kScoreBlock, ...), and per-candidate arithmetic matches
-  // value() exactly, so the scores are identical at any block split or
+  // out[b*kScoreBlock, ...), and each candidate goes through score() as
+  // in value(), so the scores are identical at any block split or
   // thread count.
   const std::size_t num_blocks = (n + kScoreBlock - 1) / kScoreBlock;
   const auto score_block = [&](std::size_t b) {
@@ -142,21 +145,13 @@ std::vector<double> InformationGainAcquisition::values(
     preds.reserve(k);
     for (const auto& m : models) preds.push_back(m.predict_many(queries));
 
-    std::vector<double> mu(k), sigma(k);
+    std::vector<double> mean(k), variance(k);
     for (std::size_t q = 0; q < bn; ++q) {
-      // Identical per-candidate arithmetic (and order) to value().
       for (std::size_t j = 0; j < k; ++j) {
-        mu[j] = preds[j].mean[q];
-        sigma[j] = std::max(std::sqrt(preds[j].variance[q]), 1e-9);
+        mean[j] = preds[j].mean[q];
+        variance[j] = preds[j].variance[q];
       }
-      double total = 0.0;
-      for (const num::Vec& minima : minima_) {
-        for (std::size_t j = 0; j < k; ++j) {
-          const double gamma = (mu[j] - minima[j]) / sigma[j];
-          total += num::entropy_reduction_term(gamma);
-        }
-      }
-      out[lo + q] = total / static_cast<double>(minima_.size());
+      out[lo + q] = score(mean.data(), variance.data());
     }
   };
   if (pool != nullptr && num_blocks > 1) {

@@ -65,11 +65,10 @@ class InformationGainAcquisition {
   /// Batched alpha over a whole candidate sweep: scores every theta in
   /// one pass through GpRegressor::predict_many, reusing each model's
   /// Cholesky factor across the sweep instead of re-solving per
-  /// candidate.  out[i] is bitwise identical to value(thetas[i]) while
-  /// the GPs stay below the RFF crossover (see the contract in
-  /// src/gp/gp.hpp).  When `pool` is non-null the sweep parallelizes
-  /// over fixed-size candidate blocks (results are block- and
-  /// thread-count-invariant since candidate i only writes slot i).
+  /// candidate.  out[i] is bitwise identical to value(thetas[i]) (see
+  /// the contract in src/gp/gp.hpp).  When `pool` is non-null the sweep
+  /// parallelizes over fixed-size candidate blocks (results are block-
+  /// and thread-count-invariant since candidate i only writes slot i).
   std::vector<double> values(const std::vector<num::Vec>& thetas,
                              exec::ThreadPool* pool = nullptr) const;
 
@@ -96,6 +95,10 @@ class InformationGainAcquisition {
   }
 
  private:
+  /// alpha at one candidate (Eq. 9) from its k posterior means and
+  /// variances — the per-candidate scoring value() and values() share.
+  double score(const double* mean, const double* variance) const;
+
   const std::vector<gp::GpRegressor>* models_;  // non-owning
   std::vector<std::vector<num::Vec>> fronts_;   // S fronts
   std::vector<num::Vec> minima_;                // S x k truncation points

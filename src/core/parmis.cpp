@@ -12,6 +12,23 @@
 
 namespace parmis::core {
 
+std::string parmis_config_error(const ParmisConfig& config) {
+  if (!gp::is_kernel_name(config.kernel)) {
+    return "unknown kernel \"" + config.kernel + "\" (known: rbf, matern52)";
+  }
+  if (!std::isfinite(config.noise_variance) || config.noise_variance <= 0.0) {
+    return "noise_variance must be finite and > 0";
+  }
+  if (!std::isfinite(config.theta_bound) || config.theta_bound <= 0.0) {
+    return "theta_bound must be finite and > 0";
+  }
+  if (!std::isfinite(config.perturbation_sd) || config.perturbation_sd < 0.0) {
+    return "perturbation_sd must be finite and >= 0";
+  }
+  if (config.acq_pool_size < 1) return "acq_pool_size must be >= 1";
+  return "";
+}
+
 std::vector<num::Vec> ParmisResult::pareto_front() const {
   std::vector<num::Vec> out;
   out.reserve(pareto_indices.size());
@@ -36,7 +53,8 @@ Parmis::Parmis(EvaluationFn evaluate, std::size_t theta_dim,
   require(evaluate_ != nullptr, "parmis: evaluation function required");
   require(theta_dim_ > 0, "parmis: theta dimension must be positive");
   require(num_objectives_ >= 2, "parmis: need at least two objectives");
-  require(config_.theta_bound > 0.0, "parmis: theta bound must be positive");
+  const std::string config_error = parmis_config_error(config_);
+  require(config_error.empty(), "parmis: " + config_error);
   require(config_.num_initial >= 2, "parmis: need >= 2 initial points");
 
   lower_.assign(theta_dim_, -config_.theta_bound);
@@ -98,8 +116,7 @@ void Parmis::fit_models() {
   if (refit_hypers) {
     for (auto& m : models_) {
       Rng hyper_rng = rng_.split();
-      m.optimize_hyperparameters(hyper_rng,
-                                 static_cast<int>(config_.hyperopt_candidates));
+      m.optimize_hyperparameters(hyper_rng, config_.hyperopt_candidates);
     }
   }
 }

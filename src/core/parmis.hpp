@@ -64,6 +64,12 @@ struct ParmisConfig {
   exec::ThreadPool* pool = nullptr;
 };
 
+/// The first rule `config` breaks (a kernel make_kernel knows, finite
+/// noise_variance > 0, finite theta_bound > 0, finite perturbation_sd
+/// >= 0, acq_pool_size >= 1), or "" if it passes.  The Parmis
+/// constructor rejects exactly these configurations.
+std::string parmis_config_error(const ParmisConfig& config);
+
 /// Everything PaRMIS produces.
 struct ParmisResult {
   std::vector<num::Vec> thetas;       ///< all evaluated policy parameters

@@ -48,33 +48,28 @@ class GpRegressor {
   /// Replaces the training set (rows of X are inputs) and refits.
   void set_data(num::Matrix X, num::Vec y);
 
-  /// Appends one observation and refits (O(n^3); fine for n <= ~1000).
-  void add_observation(const num::Vec& x, double y);
-
   std::size_t size() const { return X_.rows(); }
   std::size_t input_dim() const { return X_.cols(); }
   bool has_data() const { return X_.rows() > 0; }
 
   /// Posterior mean and variance at x.  With no data, returns the prior.
-  /// This is the scalar REFERENCE implementation: the batched path below
-  /// is defined (and tested) as bit-identical to it.
+  /// The q = 1 case of predict_many: one implementation serves both.
   Prediction predict(const num::Vec& x) const;
 
-  /// Batched posterior prediction at every row of Xstar, reusing the one
-  /// Cholesky factorization across the whole sweep: the cross-covariance
-  /// block K* is assembled in a single pass and all N forward
-  /// substitutions collapse into one blocked multi-RHS triangular solve
+  /// Posterior prediction at every row of Xstar, reusing the one
+  /// Cholesky factorization across the whole block: each query is swept
+  /// against the cached transposed training inputs
+  /// (Kernel::cross_covariance) and all N forward substitutions
+  /// collapse into one blocked multi-RHS triangular solve
   /// (num::solve_lower_many).
   ///
-  /// BIT-EQUIVALENCE CONTRACT: mean[q] and variance[q] are bitwise
-  /// identical to predict(row q) — same reduction orders, same
-  /// clamping, same normalization arithmetic.  The contract extends
-  /// through every layer underneath: Kernel::value_row_transposed must
-  /// reproduce the pairwise value() bit for bit, and
-  /// num::solve_lower_many must match per-column solve_lower (both
-  /// property-tested).  Every golden campaign digest pinned in
-  /// tests/golden_digest_test.cpp runs through this path and depends on
-  /// it.
+  /// BIT-EXACTNESS CONTRACT: mean[q] and variance[q] are bitwise equal
+  /// to the textbook scalar loop — kstar[i] = k(x*, x_i) via
+  /// num::squared_distance, mean = dot(kstar, alpha), v = L^-1 kstar,
+  /// var = max(prior - dot(v, v), 1e-12), then de-normalization — and
+  /// so is the Gram matrix behind alpha and L.  gp_test keeps that loop
+  /// as its oracle and pins both kernels against it bit for bit; every
+  /// golden campaign digest in tests/golden_digest_test.cpp rests on it.
   BatchPrediction predict_many(const num::Matrix& Xstar) const;
 
   /// Log marginal likelihood of the (normalized) targets under the
@@ -84,7 +79,7 @@ class GpRegressor {
   /// Multi-start random search over (lengthscale, signal variance, noise
   /// variance) in log space, maximizing the log marginal likelihood.
   /// Keeps the best configuration found (including the incumbent).
-  void optimize_hyperparameters(Rng& rng, int n_candidates = 32);
+  void optimize_hyperparameters(Rng& rng, std::size_t n_candidates = 32);
 
   const Kernel& kernel() const { return *kernel_; }
   double noise_variance() const { return noise_variance_; }
@@ -100,11 +95,15 @@ class GpRegressor {
  private:
   void refit();
   num::Matrix build_gram() const;
+  /// The one prediction body: `q_count` queries, row-major q x dim.
+  BatchPrediction predict_rows(const double* queries, std::size_t q_count,
+                               std::size_t dim) const;
 
   std::unique_ptr<Kernel> kernel_;
   double noise_variance_;
 
   num::Matrix X_;   // n x d training inputs
+  num::Matrix Xt_;  // d x n, X_ transposed for the covariance sweeps
   num::Vec y_;      // raw targets
   num::Vec yn_;     // z-scored targets
   double y_mean_ = 0.0;

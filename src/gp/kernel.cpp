@@ -1,8 +1,15 @@
 #include "gp/kernel.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 namespace parmis::gp {
+
+namespace {
+// Chunk edge of the r^2 sweep: a stack buffer of squared distances that
+// the kernel's tail consumes in one virtual call.
+constexpr std::size_t kChunk = 64;
+}  // namespace
 
 Kernel::Kernel(double lengthscale, double signal_variance)
     : lengthscale_(lengthscale), signal_variance_(signal_variance) {
@@ -17,63 +24,42 @@ void Kernel::set_hyperparameters(double lengthscale, double signal_variance) {
   signal_variance_ = signal_variance;
 }
 
-void Kernel::value_row_transposed(const double* queries_t, std::size_t count,
-                                  const double* x, std::size_t dim,
-                                  double* out) const {
-  // Fallback for kernels without a batched override: gather each query
-  // back into a contiguous row, then evaluate pairwise.
-  std::vector<double> row(dim);
-  for (std::size_t q = 0; q < count; ++q) {
-    for (std::size_t i = 0; i < dim; ++i) row[i] = queries_t[i * count + q];
-    out[q] = value(row.data(), x, dim);
+double Kernel::value(const num::Vec& a, const num::Vec& b) const {
+  const double r2 = num::squared_distance(a, b);
+  double out = 0.0;
+  covariance_from_r2(&r2, 1, &out);
+  return out;
+}
+
+void Kernel::cross_covariance(const double* points_t, std::size_t count,
+                              const double* x, std::size_t dim,
+                              double* out) const {
+  double r2[kChunk];
+  for (std::size_t jb = 0; jb < count; jb += kChunk) {
+    const std::size_t cn = std::min(kChunk, count - jb);
+    std::fill_n(r2, cn, 0.0);
+    for (std::size_t i = 0; i < dim; ++i) {
+      // (p - x)^2 == (x - p)^2 bit for bit, and each j is independent
+      // (no reduction reordering), so the compiler vectorizes freely.
+      const double* row = points_t + i * count + jb;
+      const double xi = x[i];
+      for (std::size_t j = 0; j < cn; ++j) {
+        const double d = row[j] - xi;
+        r2[j] += d * d;
+      }
+    }
+    covariance_from_r2(r2, cn, out + jb);
   }
 }
 
 RbfKernel::RbfKernel(double lengthscale, double signal_variance)
     : Kernel(lengthscale, signal_variance) {}
 
-double RbfKernel::value(const double* a, const double* b,
-                        std::size_t dim) const {
-  const double r2 = num::squared_distance(a, b, dim);
-  return signal_variance_ * std::exp(-0.5 * r2 / (lengthscale_ * lengthscale_));
-}
-
-namespace {
-// Chunk edge for the two-pass value_row_transposed sweeps below.  Pass
-// 1 accumulates the squared distances for a whole chunk of queries —
-// one contiguous, vectorizable q-sweep per input dimension, visiting
-// dimensions in ascending order so every query's accumulation keeps the
-// exact op sequence of num::squared_distance — and pass 2 applies the
-// transcendental tail.  Results are bitwise equal to value() per pair.
-constexpr std::size_t kRowChunk = 64;
-
-// r2[j] += (row[j] - xi)^2 over a chunk; the compiler vectorizes this
-// freely because each j is independent (no reduction reordering).
-inline void accumulate_sq_diff(const double* row, double xi, std::size_t cn,
-                               double* r2) {
-  for (std::size_t j = 0; j < cn; ++j) {
-    const double d = row[j] - xi;
-    r2[j] += d * d;
-  }
-}
-}  // namespace
-
-void RbfKernel::value_row_transposed(const double* queries_t,
-                                     std::size_t count, const double* x,
-                                     std::size_t dim, double* out) const {
-  // lengthscale_ * lengthscale_ is a deterministic product, so hoisting
-  // it keeps each pair bitwise equal to value().
+void RbfKernel::covariance_from_r2(const double* r2, std::size_t n,
+                                   double* out) const {
   const double ll = lengthscale_ * lengthscale_;
-  double r2[kRowChunk];
-  for (std::size_t qb = 0; qb < count; qb += kRowChunk) {
-    const std::size_t cn = std::min(kRowChunk, count - qb);
-    for (std::size_t j = 0; j < cn; ++j) r2[j] = 0.0;
-    for (std::size_t i = 0; i < dim; ++i) {
-      accumulate_sq_diff(queries_t + i * count + qb, x[i], cn, r2);
-    }
-    for (std::size_t j = 0; j < cn; ++j) {
-      out[qb + j] = signal_variance_ * std::exp(-0.5 * r2[j] / ll);
-    }
+  for (std::size_t j = 0; j < n; ++j) {
+    out[j] = signal_variance_ * std::exp(-0.5 * r2[j] / ll);
   }
 }
 
@@ -92,30 +78,12 @@ std::unique_ptr<Kernel> RbfKernel::clone() const {
 Matern52Kernel::Matern52Kernel(double lengthscale, double signal_variance)
     : Kernel(lengthscale, signal_variance) {}
 
-double Matern52Kernel::value(const double* a, const double* b,
-                             std::size_t dim) const {
-  const double r = std::sqrt(num::squared_distance(a, b, dim));
-  const double z = std::sqrt(5.0) * r / lengthscale_;
-  return signal_variance_ * (1.0 + z + z * z / 3.0) * std::exp(-z);
-}
-
-void Matern52Kernel::value_row_transposed(const double* queries_t,
-                                          std::size_t count, const double* x,
-                                          std::size_t dim,
-                                          double* out) const {
-  double r2[kRowChunk];
-  for (std::size_t qb = 0; qb < count; qb += kRowChunk) {
-    const std::size_t cn = std::min(kRowChunk, count - qb);
-    for (std::size_t j = 0; j < cn; ++j) r2[j] = 0.0;
-    for (std::size_t i = 0; i < dim; ++i) {
-      accumulate_sq_diff(queries_t + i * count + qb, x[i], cn, r2);
-    }
-    for (std::size_t j = 0; j < cn; ++j) {
-      // Same per-pair expression sequence as value().
-      const double r = std::sqrt(r2[j]);
-      const double z = std::sqrt(5.0) * r / lengthscale_;
-      out[qb + j] = signal_variance_ * (1.0 + z + z * z / 3.0) * std::exp(-z);
-    }
+void Matern52Kernel::covariance_from_r2(const double* r2, std::size_t n,
+                                        double* out) const {
+  for (std::size_t j = 0; j < n; ++j) {
+    const double r = std::sqrt(r2[j]);
+    const double z = std::sqrt(5.0) * r / lengthscale_;
+    out[j] = signal_variance_ * (1.0 + z + z * z / 3.0) * std::exp(-z);
   }
 }
 
@@ -141,67 +109,8 @@ std::unique_ptr<Kernel> Matern52Kernel::clone() const {
   return std::make_unique<Matern52Kernel>(lengthscale_, signal_variance_);
 }
 
-ArdRbfKernel::ArdRbfKernel(num::Vec lengthscales, double signal_variance)
-    : Kernel(1.0, signal_variance), lengthscales_(std::move(lengthscales)) {
-  require(!lengthscales_.empty(), "ard kernel: need lengthscales");
-  for (double l : lengthscales_) {
-    require(l > 0.0, "ard kernel: lengthscales must be positive");
-  }
-}
-
-double ArdRbfKernel::value(const double* a, const double* b,
-                           std::size_t dim) const {
-  require(dim == lengthscales_.size(), "ard kernel: dimension mismatch");
-  double r2 = 0.0;
-  for (std::size_t i = 0; i < dim; ++i) {
-    // The base-class scalar lengthscale acts as a global multiplier so
-    // hyperparameter optimization can rescale all dimensions at once.
-    const double d = (a[i] - b[i]) / (lengthscales_[i] * lengthscale_);
-    r2 += d * d;
-  }
-  return signal_variance_ * std::exp(-0.5 * r2);
-}
-
-void ArdRbfKernel::value_row_transposed(const double* queries_t,
-                                        std::size_t count, const double* x,
-                                        std::size_t dim, double* out) const {
-  require(dim == lengthscales_.size(), "ard kernel: dimension mismatch");
-  const double* ls = lengthscales_.data();
-  double r2[kRowChunk];
-  for (std::size_t qb = 0; qb < count; qb += kRowChunk) {
-    const std::size_t cn = std::min(kRowChunk, count - qb);
-    for (std::size_t j = 0; j < cn; ++j) r2[j] = 0.0;
-    for (std::size_t i = 0; i < dim; ++i) {
-      // Same per-element ops (and order) as value(): the weighted
-      // difference divides by the identical lengthscale product.
-      const double li = ls[i] * lengthscale_;
-      const double xi = x[i];
-      const double* row = queries_t + i * count + qb;
-      for (std::size_t j = 0; j < cn; ++j) {
-        const double d = (row[j] - xi) / li;
-        r2[j] += d * d;
-      }
-    }
-    for (std::size_t j = 0; j < cn; ++j) {
-      out[qb + j] = signal_variance_ * std::exp(-0.5 * r2[j]);
-    }
-  }
-}
-
-num::Vec ArdRbfKernel::sample_spectral_frequency(Rng& rng,
-                                                 std::size_t dim) const {
-  require(dim == lengthscales_.size(), "ard kernel: dimension mismatch");
-  num::Vec omega(dim);
-  for (std::size_t i = 0; i < dim; ++i) {
-    omega[i] = rng.normal() / (lengthscales_[i] * lengthscale_);
-  }
-  return omega;
-}
-
-std::unique_ptr<Kernel> ArdRbfKernel::clone() const {
-  auto copy = std::make_unique<ArdRbfKernel>(lengthscales_, signal_variance_);
-  copy->set_hyperparameters(lengthscale_, signal_variance_);
-  return copy;
+bool is_kernel_name(const std::string& name) {
+  return name == "rbf" || name == "matern52";
 }
 
 std::unique_ptr<Kernel> make_kernel(const std::string& name,
@@ -210,11 +119,8 @@ std::unique_ptr<Kernel> make_kernel(const std::string& name,
   if (name == "rbf") {
     return std::make_unique<RbfKernel>(lengthscale, signal_variance);
   }
-  if (name == "matern52") {
-    return std::make_unique<Matern52Kernel>(lengthscale, signal_variance);
-  }
-  require(false, "unknown kernel name: " + name);
-  return nullptr;  // unreachable
+  require(name == "matern52", "unknown kernel name: " + name);
+  return std::make_unique<Matern52Kernel>(lengthscale, signal_variance);
 }
 
 }  // namespace parmis::gp

@@ -2,9 +2,14 @@
 //
 // PaRMIS models each design objective as an independent GP over the DRM
 // policy parameter vector theta (paper Sec. IV-A).  The kernels here are
-// stationary; each also exposes its spectral density sampler so that
-// posterior *functions* can be drawn via random Fourier features
-// (Rahimi & Recht), which the acquisition needs to sample Pareto fronts.
+// isotropic and stationary: a covariance is a function of the squared
+// distance r^2 = |a-b|^2 alone.  The base class owns the one r^2 sweep
+// (cross_covariance) and each kernel supplies only its tail r^2 -> k,
+// so every covariance in the GP layer — Gram rows, single and batched
+// predictions — runs through the same code.  Each kernel also exposes
+// its spectral density sampler so that posterior *functions* can be
+// drawn via random Fourier features (Rahimi & Recht), which the
+// acquisition needs to sample Pareto fronts.
 #ifndef PARMIS_GP_KERNEL_HPP
 #define PARMIS_GP_KERNEL_HPP
 
@@ -16,35 +21,28 @@
 
 namespace parmis::gp {
 
-/// Stationary covariance kernel k(a, b) = signal_variance * rho(|a-b|/l).
+/// Isotropic covariance kernel k(a, b) = tail(|a-b|^2).
 class Kernel {
  public:
   virtual ~Kernel() = default;
 
-  /// Covariance between two input points of equal dimension.
-  double value(const num::Vec& a, const num::Vec& b) const {
-    require(a.size() == b.size(), "kernel: dimension mismatch");
-    return value(a.data(), b.data(), a.size());
-  }
+  /// Covariance between two input points of equal dimension: the tail
+  /// of num::squared_distance.  A convenience for callers outside the
+  /// hot path; bitwise equal to the matching cross_covariance entry.
+  double value(const num::Vec& a, const num::Vec& b) const;
 
-  /// Pointer form over `dim`-element raw buffers — the allocation-free
-  /// hot path used by batched prediction and Gram assembly.  Contract:
-  /// bitwise equal to the Vec overload on the same values.
-  virtual double value(const double* a, const double* b,
-                       std::size_t dim) const = 0;
+  /// The r^2 sweep: out[j] = k(x, point j) for `count` points stored
+  /// TRANSPOSED — `points_t` is dim x count, element (i, j) at
+  /// points_t[i*count+j].  Each point's r^2 accumulates over i in
+  /// ascending order (the op sequence of num::squared_distance), one
+  /// contiguous, vectorizable j-sweep per input dimension, in chunks
+  /// that then go through covariance_from_r2.
+  void cross_covariance(const double* points_t, std::size_t count,
+                        const double* x, std::size_t dim, double* out) const;
 
-  /// Whole cross-covariance row in one virtual call: out[q] =
-  /// value(query q, x) for `count` query points stored TRANSPOSED —
-  /// `queries_t` is dim x count, element (i, q) at queries_t[i*count+q].
-  /// The layout lets overrides stream one contiguous q-vector per input
-  /// dimension (SIMD-friendly) while each query's distance accumulation
-  /// still runs over i in ascending order; every override must keep the
-  /// per-pair operation sequence of value(), so the result stays
-  /// bitwise equal to calling value() per pair.  The base default
-  /// gathers each query back into a scratch row and calls value().
-  virtual void value_row_transposed(const double* queries_t,
-                                    std::size_t count, const double* x,
-                                    std::size_t dim, double* out) const;
+  /// The kernel's tail: out[j] = k at squared distance r2[j].
+  virtual void covariance_from_r2(const double* r2, std::size_t n,
+                                  double* out) const = 0;
 
   /// k(x, x) — the prior variance at any point (stationary kernels).
   double prior_variance() const { return signal_variance_; }
@@ -81,12 +79,8 @@ class RbfKernel final : public Kernel {
  public:
   explicit RbfKernel(double lengthscale = 1.0, double signal_variance = 1.0);
 
-  using Kernel::value;
-  double value(const double* a, const double* b,
-               std::size_t dim) const override;
-  void value_row_transposed(const double* queries_t, std::size_t count,
-                            const double* x, std::size_t dim,
-                            double* out) const override;
+  void covariance_from_r2(const double* r2, std::size_t n,
+                          double* out) const override;
   num::Vec sample_spectral_frequency(Rng& rng,
                                      std::size_t dim) const override;
   std::unique_ptr<Kernel> clone() const override;
@@ -100,45 +94,16 @@ class Matern52Kernel final : public Kernel {
   explicit Matern52Kernel(double lengthscale = 1.0,
                           double signal_variance = 1.0);
 
-  using Kernel::value;
-  double value(const double* a, const double* b,
-               std::size_t dim) const override;
-  void value_row_transposed(const double* queries_t, std::size_t count,
-                            const double* x, std::size_t dim,
-                            double* out) const override;
+  void covariance_from_r2(const double* r2, std::size_t n,
+                          double* out) const override;
   num::Vec sample_spectral_frequency(Rng& rng,
                                      std::size_t dim) const override;
   std::unique_ptr<Kernel> clone() const override;
   std::string name() const override { return "matern52"; }
 };
 
-/// Automatic-relevance-determination RBF kernel with per-dimension
-/// lengthscales:
-///   k(a,b) = sv * exp(-0.5 * sum_i ((a_i-b_i)/l_i)^2)
-/// Useful when some policy weights matter far more than others (e.g.
-/// output biases vs deep hidden weights).  The scalar lengthscale of the
-/// base class acts as a global multiplier on the per-dimension scales.
-class ArdRbfKernel final : public Kernel {
- public:
-  /// `lengthscales` must be positive and sized to the input dimension.
-  explicit ArdRbfKernel(num::Vec lengthscales, double signal_variance = 1.0);
-
-  using Kernel::value;
-  double value(const double* a, const double* b,
-               std::size_t dim) const override;
-  void value_row_transposed(const double* queries_t, std::size_t count,
-                            const double* x, std::size_t dim,
-                            double* out) const override;
-  num::Vec sample_spectral_frequency(Rng& rng,
-                                     std::size_t dim) const override;
-  std::unique_ptr<Kernel> clone() const override;
-  std::string name() const override { return "ard_rbf"; }
-
-  const num::Vec& lengthscales() const { return lengthscales_; }
-
- private:
-  num::Vec lengthscales_;
-};
+/// True for the names make_kernel builds ("rbf", "matern52").
+bool is_kernel_name(const std::string& name);
 
 /// Factory by name; throws parmis::Error for unknown names.
 std::unique_ptr<Kernel> make_kernel(const std::string& name,

@@ -55,6 +55,17 @@ void solve_lower_many_inplace(const Matrix& lower, Matrix& rhs) {
   if (n == 0 || m == 0) return;
   const double* ld = lower.data().data();
   double* yd = rhs.data().data();
+  if (m == 1) {
+    // One column (a single GP query): the same op sequence, with the
+    // running difference kept in a register instead of in rhs.
+    for (std::size_t i = 0; i < n; ++i) {
+      const double* lrow = ld + i * n;
+      double s = yd[i];
+      for (std::size_t k = 0; k < i; ++k) s -= lrow[k] * yd[k];
+      yd[i] = s / lrow[i];
+    }
+    return;
+  }
   for (std::size_t cb = 0; cb < m; cb += kBatchBlock) {
     const std::size_t ce = std::min(cb + kBatchBlock, m);
     for (std::size_t i = 0; i < n; ++i) {

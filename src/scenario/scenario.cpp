@@ -76,7 +76,8 @@ void ScenarioSpec::validate() const {
     method->check_decision_space(space_size, who);
   }
   require(parmis.num_initial >= 1, who + "parmis.num_initial must be >= 1");
-  require(parmis.theta_bound > 0.0, who + "parmis.theta_bound must be > 0");
+  const std::string parmis_error = core::parmis_config_error(parmis);
+  require(parmis_error.empty(), who + "parmis: " + parmis_error);
   // The front-sampler budget is only read deep inside a PaRMIS cell's
   // acquisition; check it here so a bad plan fails at load.
   const core::AcquisitionConfig& acq = parmis.acquisition;

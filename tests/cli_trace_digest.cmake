@@ -8,50 +8,17 @@
 # Registered with ctest as cli_trace_digest.  The in-process version of
 # this contract is DigestNeutrality.* in obs_test.cpp; this one covers
 # the CLI's --trace-out plumbing end to end.
-foreach(var CAMPAIGN WORK_DIR)
-  if(NOT DEFINED ${var})
-    message(FATAL_ERROR "cli_trace_digest: -D${var}=... is required")
-  endif()
-endforeach()
-
-file(REMOVE_RECURSE "${WORK_DIR}")
-file(MAKE_DIRECTORY "${WORK_DIR}")
+include(${CMAKE_CURRENT_LIST_DIR}/cli_common.cmake)
 
 set(flags --scenarios=xu3-mibench-te --methods=parmis,performance --seeds=2
           --seed=1 --anchor-limit=3 --threads=2)
 
-function(run_campaign label)
-  execute_process(
-    COMMAND "${CAMPAIGN}" ${flags} --json=${WORK_DIR}/${label}.json ${ARGN}
-    RESULT_VARIABLE rc
-    OUTPUT_VARIABLE out
-    ERROR_VARIABLE err)
-  if(NOT rc EQUAL 0)
-    message(FATAL_ERROR "${label} campaign failed (${rc}):\n${out}\n${err}")
-  endif()
-endfunction()
-
-function(read_digest label out_var)
-  file(READ "${WORK_DIR}/${label}.json" doc)
-  string(REGEX MATCH "\"objectives_digest\": \"[0-9a-f]+\"" digest "${doc}")
-  if(digest STREQUAL "")
-    message(FATAL_ERROR "${label}: no objectives_digest in its report")
-  endif()
-  set(${out_var} "${digest}" PARENT_SCOPE)
-endfunction()
-
-run_campaign(traced --trace-out=${WORK_DIR}/trace.json)
-run_campaign(untraced)
+run_campaign(traced ${flags} --trace-out=${WORK_DIR}/trace.json)
+run_campaign(untraced ${flags})
 
 file(READ "${WORK_DIR}/trace.json" trace)
 if(NOT trace MATCHES "\"traceEvents\"")
   message(FATAL_ERROR "traced run wrote no trace-event document")
 endif()
 
-read_digest(traced traced_digest)
-read_digest(untraced untraced_digest)
-message(STATUS "traced   ${traced_digest}")
-message(STATUS "untraced ${untraced_digest}")
-if(NOT traced_digest STREQUAL untraced_digest)
-  message(FATAL_ERROR "tracing changed the campaign digest")
-endif()
+expect_same_digest(traced untraced)

@@ -4,6 +4,9 @@
 
 #include <cmath>
 #include <cstring>
+#include <limits>
+#include <type_traits>
+#include <vector>
 
 #include "apps/benchmarks.hpp"
 #include "common/error.hpp"
@@ -310,6 +313,45 @@ TEST(Parmis, ValidatesConfigurationAndEvaluations) {
   Parmis opt2([](const Vec&) { return Vec{std::nan(""), 1.0}; }, 3, 2,
               fast_config(16));
   EXPECT_THROW(opt2.initialize(), Error);
+}
+
+TEST(Parmis, RejectsHostileConfigAtConstruction) {
+  // Each rule of parmis_config_error fails the constructor, before any
+  // evaluation (acq_pool_size 0 would index an empty candidate pool).
+  static constexpr double kInf = std::numeric_limits<double>::infinity();
+  using Edit = void (*)(ParmisConfig&);
+  const std::vector<Edit> edits = {
+      [](ParmisConfig& c) { c.kernel = "ard_rbf"; },
+      [](ParmisConfig& c) { c.noise_variance = 0.0; },
+      [](ParmisConfig& c) { c.noise_variance = kInf; },
+      [](ParmisConfig& c) { c.theta_bound = kInf; },
+      [](ParmisConfig& c) { c.perturbation_sd = -1.0; },
+      [](ParmisConfig& c) { c.acq_pool_size = 0; },
+  };
+  for (std::size_t i = 0; i < edits.size(); ++i) {
+    ParmisConfig cfg = fast_config(40 + i);
+    edits[i](cfg);
+    EXPECT_FALSE(parmis_config_error(cfg).empty()) << "edit " << i;
+    EXPECT_THROW(Parmis(two_anchor_problem(3), 3, 2, cfg), Error)
+        << "edit " << i;
+  }
+
+  // A one-candidate pool with no perturbation still runs.
+  ParmisConfig cfg = fast_config(50);
+  cfg.acq_pool_size = 1;
+  cfg.perturbation_sd = 0.0;
+  cfg.max_iterations = 2;
+  EXPECT_EQ(parmis_config_error(cfg), "");
+  Parmis opt(two_anchor_problem(3), 3, 2, cfg);
+  EXPECT_EQ(opt.run().thetas.size(), cfg.num_initial + 2);
+}
+
+TEST(Parmis, HyperoptCandidateCountIsNotNarrowed) {
+  // hyperopt_candidates is a size_t and reaches the GP at that width: a
+  // narrowing to int would wrap counts >= 2^31.
+  static_assert(
+      std::is_same_v<decltype(&gp::GpRegressor::optimize_hyperparameters),
+                     void (gp::GpRegressor::*)(Rng&, std::size_t)>);
 }
 
 TEST(Parmis, Supports3Objectives) {

@@ -119,12 +119,13 @@ TEST(GoldenDigest, ObjectivesMatchPinnedValues) {
     EXPECT_EQ(actual, entry.digest)
         << "numeric drift in scenario " << entry.scenario << ": "
         << hex.str()
-        << "\nFIRST SUSPECT: the batched GP backend.  Campaigns score "
-           "acquisition candidates through GpRegressor::predict_many, "
-           "which promises BITWISE equality with scalar predict() — if "
-           "you touched predict_many, the batched kernels "
-           "(num::matmul_blocked / num::solve_lower_many), "
-           "Kernel::value_row_transposed, or "
+        << "\nFIRST SUSPECT: the GP inference path.  Every GP "
+           "covariance and prediction runs through "
+           "Kernel::cross_covariance and GpRegressor::predict_many, "
+           "which promise BITWISE equality with the scalar oracle in "
+           "gp_test — if you touched them, a kernel's "
+           "covariance_from_r2, the batched solves "
+           "(num::matmul_blocked / num::solve_lower_many), or "
            "InformationGainAcquisition::values, run the equivalence "
            "suites first:\n"
            "  ./build/gp_test --gtest_filter='PredictMany.*'\n"

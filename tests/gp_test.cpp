@@ -8,7 +8,9 @@
 #include <limits>
 #include <memory>
 #include <numbers>
+#include <optional>
 #include <span>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -112,63 +114,6 @@ TEST(Kernel, SpectralFrequencyDimension) {
   EXPECT_EQ(k.sample_spectral_frequency(rng, 5).size(), 5u);
 }
 
-TEST(Kernel, ArdRbfAnisotropy) {
-  // Lengthscale 0.1 in dim 0 and 10 in dim 1: distance along dim 0
-  // decays covariance far faster than along dim 1.
-  ArdRbfKernel k({0.1, 10.0}, 1.0);
-  const double along0 = k.value({0, 0}, {0.5, 0});
-  const double along1 = k.value({0, 0}, {0, 0.5});
-  EXPECT_LT(along0, 1e-4);
-  EXPECT_GT(along1, 0.99);
-  EXPECT_DOUBLE_EQ(k.value({0, 0}, {0, 0}), 1.0);
-}
-
-TEST(Kernel, ArdMatchesIsotropicWhenUniform) {
-  ArdRbfKernel ard({0.7, 0.7, 0.7}, 1.3);
-  RbfKernel iso(0.7, 1.3);
-  Rng rng(21);
-  for (int trial = 0; trial < 50; ++trial) {
-    Vec a = {rng.normal(), rng.normal(), rng.normal()};
-    Vec b = {rng.normal(), rng.normal(), rng.normal()};
-    EXPECT_NEAR(ard.value(a, b), iso.value(a, b), 1e-12);
-  }
-}
-
-TEST(Kernel, ArdSpectralFrequenciesRespectScales) {
-  ArdRbfKernel k({0.5, 5.0}, 1.0);
-  Rng rng(22);
-  double var0 = 0.0, var1 = 0.0;
-  const int n = 20000;
-  for (int i = 0; i < n; ++i) {
-    const Vec w = k.sample_spectral_frequency(rng, 2);
-    var0 += w[0] * w[0];
-    var1 += w[1] * w[1];
-  }
-  EXPECT_NEAR(var0 / n, 1.0 / 0.25, 0.1);   // 1/l^2 = 4
-  EXPECT_NEAR(var1 / n, 1.0 / 25.0, 0.002);
-}
-
-TEST(Kernel, ArdCloneAndGpIntegration) {
-  ArdRbfKernel k({1.0, 2.0}, 1.0);
-  const auto c = k.clone();
-  EXPECT_EQ(c->name(), "ard_rbf");
-  EXPECT_DOUBLE_EQ(c->value({0, 0}, {1, 1}), k.value({0, 0}, {1, 1}));
-  EXPECT_THROW(ArdRbfKernel({1.0, -1.0}), Error);
-  // Full GP round trip with an anisotropic kernel.
-  gp::GpRegressor gp(std::make_unique<ArdRbfKernel>(num::Vec{1.0, 3.0}),
-                     1e-4);
-  num::Matrix X(5, 2);
-  Vec y(5);
-  Rng rng(23);
-  for (int i = 0; i < 5; ++i) {
-    X(i, 0) = rng.uniform(-1, 1);
-    X(i, 1) = rng.uniform(-1, 1);
-    y[i] = X(i, 0);
-  }
-  gp.set_data(X, y);
-  EXPECT_NEAR(gp.predict({X(0, 0), X(0, 1)}).mean, y[0], 0.1);
-}
-
 // -------------------------------------------------------------------- gp
 
 Matrix grid_inputs(const Vec& xs) {
@@ -217,19 +162,22 @@ TEST(Gp, PredictionBetweenPointsIsReasonable) {
   EXPECT_LT(mid, 0.8);
 }
 
-TEST(Gp, AddObservationMatchesBatchFit) {
+TEST(Gp, GrowBySetDataMatchesBatchFit) {
+  // Growing the training set one point at a time through set_data ends
+  // at exactly the batch fit: nothing of an earlier fit leaks through.
   GpRegressor inc(std::make_unique<RbfKernel>(1.0, 1.0), 1e-4);
   GpRegressor batch(std::make_unique<RbfKernel>(1.0, 1.0), 1e-4);
   const Vec xs = {-1.0, 0.2, 0.9, 2.0};
   const Vec ys = {0.5, -0.3, 1.2, 0.1};
-  for (std::size_t i = 0; i < xs.size(); ++i) {
-    inc.add_observation({xs[i]}, ys[i]);
+  for (std::size_t i = 1; i <= xs.size(); ++i) {
+    inc.set_data(grid_inputs(Vec(xs.begin(), xs.begin() + i)),
+                 Vec(ys.begin(), ys.begin() + i));
+    EXPECT_EQ(inc.size(), i);
   }
   batch.set_data(grid_inputs(xs), ys);
   for (double q = -2.0; q <= 3.0; q += 0.5) {
-    EXPECT_NEAR(inc.predict({q}).mean, batch.predict({q}).mean, 1e-10);
-    EXPECT_NEAR(inc.predict({q}).variance, batch.predict({q}).variance,
-                1e-10);
+    EXPECT_EQ(inc.predict({q}).mean, batch.predict({q}).mean);
+    EXPECT_EQ(inc.predict({q}).variance, batch.predict({q}).variance);
   }
 }
 
@@ -284,7 +232,7 @@ TEST(Gp, CopyIsIndependent) {
   GpRegressor a(std::make_unique<RbfKernel>(1.0, 1.0), 1e-4);
   a.set_data(grid_inputs({0.0}), {1.0});
   GpRegressor b = a;
-  b.add_observation({1.0}, 2.0);
+  b.set_data(grid_inputs({0.0, 1.0}), {1.0, 2.0});
   EXPECT_EQ(a.size(), 1u);
   EXPECT_EQ(b.size(), 2u);
   EXPECT_NEAR(a.predict({0.0}).mean, 1.0, 1e-3);
@@ -294,7 +242,8 @@ TEST(Gp, DimensionMismatchThrows) {
   GpRegressor gp(std::make_unique<RbfKernel>());
   gp.set_data(grid_inputs({0.0}), {1.0});
   EXPECT_THROW(gp.predict({0.0, 1.0}), Error);
-  EXPECT_THROW(gp.add_observation({0.0, 1.0}, 0.5), Error);
+  EXPECT_THROW(gp.predict_many(Matrix(2, 2)), Error);
+  EXPECT_THROW(gp.set_data(grid_inputs({0.0, 1.0}), {0.5}), Error);
 }
 
 TEST(Gp, ConstantTargetsHandledGracefully) {
@@ -382,13 +331,17 @@ TEST(Rff, FunctionDimensionsMatchGp) {
   EXPECT_THROW(f({1.0}), Error);
 }
 
-// ----------------------------------------------------- batched prediction
+// ------------------------------------------------------ the scalar oracle
 //
-// GpRegressor::predict_many carries a BIT-EQUIVALENCE contract with the
-// scalar predict() (see src/gp/gp.hpp): below the RFF crossover, batched
-// mean and variance must be bitwise identical to looping predict() over
-// the same queries.  The golden campaign digests rest on this, so the
-// comparisons here are exact bit comparisons, not EXPECT_NEAR.
+// GpRegressor has one inference path: Kernel::cross_covariance builds
+// every Gram row and every query's cross-covariance, and predict() is
+// the q = 1 case of predict_many (see src/gp/gp.hpp).  Its contract is
+// that every bit equals the textbook scalar loops it replaced, kept
+// here as the oracle: a pairwise Gram over num::squared_distance, its
+// own Cholesky, and a per-query predict().  The oracle reads only the
+// regressor's public accessors, and spells out the kernel formulas
+// itself.  The golden campaign digests rest on this, so every
+// comparison is a bit comparison, not EXPECT_NEAR.
 
 bool same_bits(double a, double b) {
   std::uint64_t ua = 0, ub = 0;
@@ -397,6 +350,62 @@ bool same_bits(double a, double b) {
   return ua == ub;
 }
 
+double oracle_kernel(const Kernel& k, const double* a, const double* b,
+                     std::size_t dim) {
+  const double r2 = num::squared_distance(a, b, dim);
+  if (k.name() == "rbf") {
+    return k.signal_variance() *
+           std::exp(-0.5 * r2 / (k.lengthscale() * k.lengthscale()));
+  }
+  const double r = std::sqrt(r2);
+  const double z = std::sqrt(5.0) * r / k.lengthscale();
+  return k.signal_variance() * (1.0 + z + z * z / 3.0) * std::exp(-z);
+}
+
+struct Oracle {
+  Matrix gram;
+  std::optional<num::Cholesky> chol;
+  Vec alpha;
+  double log_ml = 0.0;
+
+  explicit Oracle(const GpRegressor& gp) {
+    const Matrix& X = gp.train_inputs();
+    const std::size_t n = X.rows(), d = X.cols();
+    gram = Matrix(n, n);
+    for (std::size_t i = 0; i < n; ++i) {
+      gram(i, i) = gp.kernel().prior_variance() + gp.noise_variance();
+      for (std::size_t j = i + 1; j < n; ++j) {
+        const double v = oracle_kernel(gp.kernel(), X.row_view(i).data(),
+                                       X.row_view(j).data(), d);
+        gram(i, j) = v;
+        gram(j, i) = v;
+      }
+    }
+    chol.emplace(gram);
+    alpha = chol->solve(gp.normalized_targets());
+    log_ml = -0.5 * num::dot(gp.normalized_targets(), alpha) -
+             0.5 * chol->log_det() -
+             0.5 * double(n) * std::log(2.0 * std::numbers::pi);
+  }
+
+  Prediction predict(const GpRegressor& gp, const Vec& x) const {
+    const Matrix& X = gp.train_inputs();
+    Vec kstar(X.rows());
+    for (std::size_t i = 0; i < X.rows(); ++i) {
+      kstar[i] = oracle_kernel(gp.kernel(), x.data(), X.row_view(i).data(),
+                               x.size());
+    }
+    const double mean_n = num::dot(kstar, alpha);
+    const Vec v = chol->solve_lower(kstar);
+    double var_n = gp.kernel().prior_variance() - num::dot(v, v);
+    if (var_n < 1e-12) var_n = 1e-12;
+    Prediction out;
+    out.mean = gp.target_mean() + gp.target_scale() * mean_n;
+    out.variance = gp.target_scale() * gp.target_scale() * var_n;
+    return out;
+  }
+};
+
 Matrix random_queries(std::size_t count, std::size_t dim, Rng& rng) {
   Matrix q(count, dim);
   for (std::size_t r = 0; r < count; ++r)
@@ -404,58 +413,121 @@ Matrix random_queries(std::size_t count, std::size_t dim, Rng& rng) {
   return q;
 }
 
+Vec smooth_targets(const Matrix& X, Rng& rng) {
+  Vec y(X.rows());
+  for (std::size_t i = 0; i < X.rows(); ++i) {
+    double s = 0.0;
+    for (std::size_t c = 0; c < X.cols(); ++c) s += X(i, c);
+    y[i] = std::sin(s) + 0.05 * rng.normal();
+  }
+  return y;
+}
+
 GpRegressor fitted_gp(std::unique_ptr<Kernel> kernel, std::size_t n,
                       std::size_t d, std::uint64_t seed) {
   Rng rng(seed);
-  Matrix X(n, d);
-  Vec y(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    double s = 0.0;
-    for (std::size_t c = 0; c < d; ++c) {
-      X(i, c) = rng.uniform(-2.0, 2.0);
-      s += X(i, c);
-    }
-    y[i] = std::sin(s) + 0.05 * rng.normal();
-  }
+  Matrix X = random_queries(n, d, rng);
+  const Vec y = smooth_targets(X, rng);
   GpRegressor gp(std::move(kernel), 1e-4);
   gp.set_data(X, y);
   return gp;
 }
 
-// Asserts the contract on one model + query block and returns the
-// batch for further inspection.
-BatchPrediction expect_bitwise_match(const GpRegressor& gp,
-                                     const Matrix& queries) {
+// Pins one fitted model against the oracle: the Gram matrix (each row
+// through the kernel's sweep, the whole through the log marginal
+// likelihood, which reads the regressor's own Cholesky and alpha), and
+// predict() and predict_many() on `queries`.  Returns the batch.
+BatchPrediction expect_matches_oracle(const GpRegressor& gp,
+                                      const Matrix& queries,
+                                      const std::string& label) {
+  const Oracle oracle(gp);
+  const Matrix& X = gp.train_inputs();
+  const std::size_t n = X.rows(), d = X.cols();
+  const Matrix Xt = X.transposed();
+  Vec row(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    gp.kernel().cross_covariance(Xt.data().data(), n, X.row_view(i).data(),
+                                 d, row.data());
+    for (std::size_t j = 0; j < n; ++j) {
+      if (j == i) continue;
+      EXPECT_TRUE(same_bits(row[j], oracle.gram(i, j)))
+          << label << ": Gram (" << i << ", " << j << ")";
+    }
+  }
+  EXPECT_TRUE(same_bits(gp.log_marginal_likelihood(), oracle.log_ml))
+      << label << ": log marginal likelihood";
+
   const BatchPrediction batch = gp.predict_many(queries);
   EXPECT_EQ(batch.mean.size(), queries.rows());
   EXPECT_EQ(batch.variance.size(), queries.rows());
   for (std::size_t q = 0; q < queries.rows(); ++q) {
-    const Prediction ref = gp.predict(queries.row(q));
+    const Prediction ref = oracle.predict(gp, queries.row(q));
+    const Prediction one = gp.predict(queries.row(q));
     EXPECT_TRUE(same_bits(batch.mean[q], ref.mean))
-        << "mean diverged at query " << q;
+        << label << ": predict_many mean at query " << q;
     EXPECT_TRUE(same_bits(batch.variance[q], ref.variance))
-        << "variance diverged at query " << q;
+        << label << ": predict_many variance at query " << q;
+    EXPECT_TRUE(same_bits(one.mean, ref.mean))
+        << label << ": predict mean at query " << q;
+    EXPECT_TRUE(same_bits(one.variance, ref.variance))
+        << label << ": predict variance at query " << q;
   }
   return batch;
 }
 
-TEST(PredictMany, BitwiseMatchesScalarPredictAcrossKernels) {
+TEST(PredictMany, BitwiseMatchesOracleAcrossKernels) {
   Rng rng(301);
-  // 70 queries crosses the internal 64-wide chunk edge.
+  // 70 queries and 70 training points both cross the sweep's 64 chunk.
   const Matrix queries = random_queries(70, 5, rng);
   for (const auto& name : {"rbf", "matern52"}) {
-    const GpRegressor gp = fitted_gp(make_kernel(name, 1.2, 0.8), 25, 5, 42);
-    expect_bitwise_match(gp, queries);
+    for (const std::size_t n : {std::size_t{25}, std::size_t{70}}) {
+      const GpRegressor gp =
+          fitted_gp(make_kernel(name, 1.2, 0.8), n, 5, 42 + n);
+      expect_matches_oracle(gp, queries,
+                            std::string(name) + " n=" + std::to_string(n));
+    }
   }
 }
 
-TEST(PredictMany, BitwiseMatchesScalarPredictArdKernel) {
-  Rng rng(302);
-  const Matrix queries = random_queries(33, 4, rng);
-  Vec scales = {0.5, 1.0, 2.0, 4.0};
-  const GpRegressor gp =
-      fitted_gp(std::make_unique<ArdRbfKernel>(scales, 1.1), 18, 4, 7);
-  expect_bitwise_match(gp, queries);
+TEST(PredictMany, BitwiseMatchesOracleOnHostileInputs) {
+  const double denormal = 4.9e-322;
+  for (const auto& name : {"rbf", "matern52"}) {
+    for (const std::size_t d : {std::size_t{1}, std::size_t{895}}) {
+      for (const std::size_t n : {std::size_t{1}, std::size_t{64},
+                                  std::size_t{65}}) {
+        const std::string label = std::string(name) +
+                                  " d=" + std::to_string(d) +
+                                  " n=" + std::to_string(n);
+        Rng rng(700 + d + n);
+        Matrix X = random_queries(n, d, rng);
+        // Denormal and huge training coordinates, and duplicate points.
+        X(0, 0) = denormal;
+        if (n > 2) {
+          X(1, d - 1) = 1e150;
+          for (std::size_t c = 0; c < d; ++c) X(n - 1, c) = X(0, c);
+          X(n / 2, 0) = -1e-310;
+        }
+        const Vec y = smooth_targets(X, rng);
+        GpRegressor gp(make_kernel(name, 0.5 * std::sqrt(double(d)), 1.3),
+                       1e-4);
+        gp.set_data(X, y);
+
+        for (const std::size_t q_count : {std::size_t{1}, std::size_t{63},
+                                          std::size_t{64}, std::size_t{65},
+                                          std::size_t{130}}) {
+          Matrix queries = random_queries(q_count, d, rng);
+          // Hostile queries: on a training point, denormal, huge.
+          for (std::size_t c = 0; c < d; ++c) queries(0, c) = X(0, c);
+          for (std::size_t q = 1; q < q_count; q += 7) {
+            const double hostile[] = {denormal, 1e150, -1e150, -1e-310};
+            queries(q, (q / 7) % d) = hostile[(q / 7) % 4];
+          }
+          expect_matches_oracle(gp, queries,
+                                label + " q=" + std::to_string(q_count));
+        }
+      }
+    }
+  }
 }
 
 TEST(PredictMany, EmptyModelReturnsPriorExactly) {
@@ -464,9 +536,9 @@ TEST(PredictMany, EmptyModelReturnsPriorExactly) {
   const Matrix queries = random_queries(6, 3, rng);
   const BatchPrediction batch = gp.predict_many(queries);
   for (std::size_t q = 0; q < 6; ++q) {
-    const Prediction ref = gp.predict(queries.row(q));
-    EXPECT_TRUE(same_bits(batch.mean[q], ref.mean));
-    EXPECT_TRUE(same_bits(batch.variance[q], ref.variance));
+    const Prediction one = gp.predict(queries.row(q));
+    EXPECT_TRUE(same_bits(batch.mean[q], one.mean));
+    EXPECT_TRUE(same_bits(batch.variance[q], one.variance));
     EXPECT_DOUBLE_EQ(batch.mean[q], 0.0);
     EXPECT_DOUBLE_EQ(batch.variance[q], 1.7);
   }
@@ -476,14 +548,13 @@ TEST(PredictMany, SingleTrainingPoint) {
   Rng rng(9);
   const GpRegressor gp = fitted_gp(make_kernel("rbf", 1.0), 1, 2, 11);
   const Matrix queries = random_queries(5, 2, rng);
-  expect_bitwise_match(gp, queries);
+  expect_matches_oracle(gp, queries, "n=1");
 }
 
 TEST(PredictMany, ClampedVarianceAtTrainingPoints) {
   // Queries sitting exactly on training inputs with tiny noise drive
-  // the posterior variance into the 1e-12 clamp; the batched path must
-  // clamp identically.
-  Rng rng(13);
+  // the posterior variance into the 1e-12 clamp; the one path must
+  // clamp as the oracle does.
   Matrix X(4, 2);
   Vec y(4);
   for (std::size_t i = 0; i < 4; ++i) {
@@ -493,7 +564,7 @@ TEST(PredictMany, ClampedVarianceAtTrainingPoints) {
   }
   GpRegressor gp(make_kernel("rbf", 2.0), 1e-9);
   gp.set_data(X, y);
-  const BatchPrediction batch = expect_bitwise_match(gp, X);
+  const BatchPrediction batch = expect_matches_oracle(gp, X, "clamp");
   // Sanity: the clamp actually engaged (normalized var floor 1e-12,
   // scaled by y_scale^2 < 1), i.e. variance is tiny but positive.
   for (double v : batch.variance) {
@@ -503,14 +574,14 @@ TEST(PredictMany, ClampedVarianceAtTrainingPoints) {
 }
 
 TEST(PredictMany, ConstantTargetsDegenerateZScore) {
-  // Constant y makes stddev 0; the z-score falls back to scale 1.  The
-  // batched path must reproduce the same degenerate arithmetic.
+  // Constant y makes stddev 0; the z-score falls back to scale 1, in
+  // the regressor and the oracle alike.
   Rng rng(15);
   Matrix X = random_queries(6, 3, rng);
   GpRegressor gp(make_kernel("matern52", 1.0), 1e-4);
   gp.set_data(X, Vec(6, 3.25));
   const Matrix queries = random_queries(10, 3, rng);
-  expect_bitwise_match(gp, queries);
+  expect_matches_oracle(gp, queries, "constant targets");
 }
 
 TEST(PredictMany, ZeroQueriesAndDimensionMismatch) {
@@ -622,64 +693,30 @@ TEST(Rff, FeatureMapDrawOrderPinned) {
   }
 }
 
-// ------------------------------------------------ batched kernel rows
+// ------------------------------------------------------ the r^2 sweep
 
-TEST(Kernel, ValueRowTransposedMatchesPairwise) {
+TEST(Kernel, CrossCovarianceMatchesPairwise) {
   Rng rng(71);
   const std::size_t dim = 6, count = 70;  // crosses the 64-chunk edge
-  const Matrix queries = random_queries(count, dim, rng);
-  const Matrix qt = queries.transposed();
+  const Matrix points = random_queries(count, dim, rng);
+  const Matrix pt = points.transposed();
   Vec x(dim);
   for (auto& v : x) v = rng.uniform(-2.0, 2.0);
 
   std::vector<std::unique_ptr<Kernel>> kernels;
   kernels.push_back(std::make_unique<RbfKernel>(0.9, 1.3));
   kernels.push_back(std::make_unique<Matern52Kernel>(1.1, 0.7));
-  kernels.push_back(std::make_unique<ArdRbfKernel>(
-      Vec{0.5, 1.0, 1.5, 2.0, 2.5, 3.0}, 1.2));
   for (const auto& k : kernels) {
     Vec out(count);
-    k->value_row_transposed(qt.data().data(), count, x.data(), dim,
-                            out.data());
-    for (std::size_t q = 0; q < count; ++q) {
-      EXPECT_TRUE(same_bits(out[q], k->value(queries.row(q), x)))
-          << k->name() << " diverged at query " << q;
+    k->cross_covariance(pt.data().data(), count, x.data(), dim, out.data());
+    for (std::size_t j = 0; j < count; ++j) {
+      EXPECT_TRUE(same_bits(out[j], k->value(x, points.row(j))))
+          << k->name() << " diverged at point " << j;
+      EXPECT_TRUE(same_bits(out[j], oracle_kernel(*k, x.data(),
+                                                  points.row_view(j).data(),
+                                                  dim)))
+          << k->name() << " diverged from the oracle at point " << j;
     }
-  }
-}
-
-TEST(Kernel, ValueRowTransposedDefaultFallback) {
-  // A custom kernel that only overrides the pairwise form exercises the
-  // base-class gather fallback.
-  class PairwiseOnlyKernel final : public Kernel {
-   public:
-    PairwiseOnlyKernel() : Kernel(1.0, 1.0) {}
-    using Kernel::value;
-    double value(const double* a, const double* b,
-                 std::size_t dim) const override {
-      double s = 0.0;
-      for (std::size_t i = 0; i < dim; ++i) s += a[i] * b[i];
-      return 1.0 / (1.0 + std::abs(s));
-    }
-    num::Vec sample_spectral_frequency(Rng&, std::size_t dim) const override {
-      return num::Vec(dim, 0.0);
-    }
-    std::unique_ptr<Kernel> clone() const override {
-      return std::make_unique<PairwiseOnlyKernel>();
-    }
-    std::string name() const override { return "pairwise_only"; }
-  };
-
-  Rng rng(81);
-  const std::size_t dim = 4, count = 9;
-  const Matrix queries = random_queries(count, dim, rng);
-  const Matrix qt = queries.transposed();
-  Vec x(dim, 0.5);
-  const PairwiseOnlyKernel k;
-  Vec out(count);
-  k.value_row_transposed(qt.data().data(), count, x.data(), dim, out.data());
-  for (std::size_t q = 0; q < count; ++q) {
-    EXPECT_TRUE(same_bits(out[q], k.value(queries.row(q), x)));
   }
 }
 

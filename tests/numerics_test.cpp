@@ -540,8 +540,13 @@ TEST(Batch, SolveLowerManyHostileRhs) {
     Vec col(n);
     for (std::size_t r = 0; r < n; ++r) col[r] = rhs(r, c);
     const Vec ref = chol.solve_lower(col);
+    // The one-column form too: a single GP query takes that path.
+    Matrix one(n, 1);
+    for (std::size_t r = 0; r < n; ++r) one(r, 0) = col[r];
+    chol.solve_lower_many_inplace(one);
     for (std::size_t r = 0; r < n; ++r) {
       EXPECT_TRUE(same_bits(y(r, c), ref[r]));
+      EXPECT_TRUE(same_bits(one(r, 0), ref[r]));
     }
   }
 }

@@ -810,9 +810,13 @@ TEST(DigestNeutrality, GpFitAndPredictAreBitIdenticalUnderTracing) {
   TracerGuard guard;
   const auto fit_and_predict = [] {
     gp::GpRegressor gp(std::make_unique<gp::RbfKernel>(1.0, 1.0), 1e-4);
+    num::Matrix X(8, 1);
+    num::Vec y(8);
     for (int i = 0; i < 8; ++i) {
-      gp.add_observation({0.37 * i}, std::sin(0.9 * i));
+      X(i, 0) = 0.37 * i;
+      y[i] = std::sin(0.9 * i);
     }
+    gp.set_data(std::move(X), std::move(y));
     num::Matrix queries(5, 1);
     for (std::size_t q = 0; q < 5; ++q) queries(q, 0) = 0.21 * double(q);
     return gp.predict_many(queries);

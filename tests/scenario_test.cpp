@@ -233,6 +233,51 @@ TEST(ScenarioSpecValidation, RejectsHostileFrontSamplerBudgets) {
   EXPECT_NO_THROW(spec.validate());
 }
 
+TEST(ScenarioSpecValidation, RejectsHostileParmisFields) {
+  // Fields a PaRMIS cell reads only after it starts (the GP kernel and
+  // noise, the theta box, the candidate pool) fail validate() with the
+  // scenario's name instead of failing mid-campaign.
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  using Edit = std::function<void(core::ParmisConfig&)>;
+  const std::vector<std::pair<std::string, Edit>> cases = {
+      {"kernel ard_rbf", [](auto& p) { p.kernel = "ard_rbf"; }},
+      {"kernel empty", [](auto& p) { p.kernel = ""; }},
+      {"noise 0", [](auto& p) { p.noise_variance = 0.0; }},
+      {"noise < 0", [](auto& p) { p.noise_variance = -1e-4; }},
+      {"noise inf", [&](auto& p) { p.noise_variance = inf; }},
+      {"noise NaN", [&](auto& p) { p.noise_variance = nan; }},
+      {"theta_bound 0", [](auto& p) { p.theta_bound = 0.0; }},
+      {"theta_bound inf", [&](auto& p) { p.theta_bound = inf; }},
+      {"theta_bound NaN", [&](auto& p) { p.theta_bound = nan; }},
+      {"perturbation_sd < 0", [](auto& p) { p.perturbation_sd = -1.0; }},
+      {"perturbation_sd inf", [&](auto& p) { p.perturbation_sd = inf; }},
+      {"perturbation_sd NaN", [&](auto& p) { p.perturbation_sd = nan; }},
+      {"acq_pool_size 0", [](auto& p) { p.acq_pool_size = 0; }},
+  };
+  for (const auto& [what, edit] : cases) {
+    ScenarioSpec spec = make_scenario("xu3-mibench-te");
+    edit(spec.parmis);
+    EXPECT_FALSE(core::parmis_config_error(spec.parmis).empty()) << what;
+    try {
+      spec.validate();
+      ADD_FAILURE() << what << ": accepted";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("xu3-mibench-te"),
+                std::string::npos)
+          << what << ": " << e.what();
+    }
+  }
+
+  // The edges stay legal: both kernels, no perturbation, a one-point pool.
+  ScenarioSpec spec = make_scenario("xu3-mibench-te");
+  spec.parmis.kernel = "matern52";
+  spec.parmis.perturbation_sd = 0.0;
+  spec.parmis.acq_pool_size = 1;
+  EXPECT_EQ(core::parmis_config_error(spec.parmis), "");
+  EXPECT_NO_THROW(spec.validate());
+}
+
 // ------------------------------------------------------ platform variants
 
 TEST(PlatformVariants, Mobile3IsAValidThreeClusterSpec) {
