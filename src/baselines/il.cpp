@@ -8,6 +8,7 @@
 #include "ml/optimizer.hpp"
 #include "ml/softmax.hpp"
 #include "moo/pareto.hpp"
+#include "obs/obs.hpp"
 #include "runtime/evaluator.hpp"
 
 namespace parmis::baselines {
@@ -34,6 +35,8 @@ OracleTable::OracleTable(soc::Platform& platform,
   app.validate();
   const soc::DecisionSpace& space = platform.decision_space();
   num_decisions_ = space.size();
+  PARMIS_TRACE_SPAN_D("baselines", "oracle_table", "decisions=%zu;epochs=%zu",
+                      num_decisions_, app.epochs.size());
   const soc::DrmDecision ref = space.default_decision();
 
   // FirstOrder: the characterization model the IL literature builds its
@@ -48,17 +51,24 @@ OracleTable::OracleTable(soc::Platform& platform,
   }
   const soc::PerfModel oracle_model(platform.spec(), oracle_params);
 
-  costs_.reserve(app.epochs.size());
+  std::vector<soc::EpochResult> ref_results;
+  ref_results.reserve(app.epochs.size());
   for (const auto& epoch : app.epochs) {
-    const soc::EpochResult ref_result = oracle_model.run_epoch(epoch, ref);
-    std::vector<std::array<double, 2>> row(num_decisions_);
-    for (std::size_t d = 0; d < num_decisions_; ++d) {
+    ref_results.push_back(oracle_model.run_epoch(epoch, ref));
+  }
+  costs_.assign(app.epochs.size(),
+                std::vector<std::array<double, 2>>(num_decisions_));
+  // Decision-major: each decision is decoded once for every epoch.
+  // Every (epoch, decision) cost is the same pure run_epoch ratio in any
+  // visiting order.
+  for (std::size_t d = 0; d < num_decisions_; ++d) {
+    const soc::DrmDecision decision = space.decision(d);
+    for (std::size_t e = 0; e < app.epochs.size(); ++e) {
       const soc::EpochResult r =
-          oracle_model.run_epoch(epoch, space.decision(d));
-      row[d] = {r.time_s / ref_result.time_s,
-                r.energy_j / ref_result.energy_j};
+          oracle_model.run_epoch(app.epochs[e], decision);
+      costs_[e][d] = {r.time_s / ref_results[e].time_s,
+                      r.energy_j / ref_results[e].energy_j};
     }
-    costs_.push_back(std::move(row));
   }
 }
 

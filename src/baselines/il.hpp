@@ -6,7 +6,9 @@
 //     for every epoch, sweep all decisions (4940 on the Exynos spec) and
 //     pick the one minimizing w . (time_norm, energy_norm) for that
 //     epoch.  (An OracleTable caches the per-epoch per-decision costs so
-//     a lambda sweep and DAgger rounds reuse one exhaustive pass.)
+//     a lambda sweep and DAgger rounds reuse one exhaustive pass; in a
+//     campaign run, every IL and DyPO cell of a scenario shares one
+//     through methods::OracleTableMemo.)
 //  2. Roll the oracle out, record (previous-epoch counters -> oracle
 //     knob choices), and train the 4-head MLP by cross-entropy.
 //  3. DAgger rounds: roll out the *learned* policy, query the oracle on

@@ -17,6 +17,7 @@
 #include "common/stopwatch.hpp"
 #include "common/table.hpp"
 #include "exec/thread_pool.hpp"
+#include "methods/oracle_memo.hpp"
 #include "methods/registry.hpp"
 #include "obs/obs.hpp"
 #include "report/merge.hpp"
@@ -132,7 +133,8 @@ CellResult CampaignRunner::run_cell(const scenario::ScenarioSpec& spec,
                                     const std::string& method_name,
                                     std::uint64_t seed,
                                     std::size_t anchor_limit,
-                                    const methods::MethodConfigSet& configs) {
+                                    const methods::MethodConfigSet& configs,
+                                    methods::OracleTableMemo* oracle_tables) {
   // Observation only: the span and counters below never feed back into
   // the cell computation (digest neutrality, docs/observability.md).
   PARMIS_TRACE_SPAN_D("campaign", "cell", "scenario=%s;method=%s;seed=%llu",
@@ -177,8 +179,11 @@ CellResult CampaignRunner::run_cell(const scenario::ScenarioSpec& spec,
     cell.num_apps = apps.size();
     for (const auto& o : objectives) cell.objective_names.push_back(o.name());
 
-    const methods::CellContext ctx{spec,        platform, apps, objectives,
-                                   eval_config, seed,     anchor_limit};
+    methods::OracleTableMemo own_tables;
+    const methods::CellContext ctx{
+        spec,        platform, apps,         objectives,
+        eval_config, seed,     anchor_limit,
+        oracle_tables != nullptr ? *oracle_tables : own_tables};
     methods::MethodOutput out = method.run(ctx, configs.find(method_name));
     cell.front = std::move(out.front);
     cell.pareto_thetas = std::move(out.pareto_thetas);
@@ -297,6 +302,7 @@ CampaignReport CampaignRunner::run() {
   const std::size_t anchor_limit = config_.anchor_limit;
   std::vector<CellResult>& results = report.cells;
   std::atomic<std::size_t> hits{0}, misses{0};
+  methods::OracleTableMemo oracle_tables;
   pool.parallel_for(cells.size(), [&](std::size_t i) {
     if (cache != nullptr) {
       if (std::optional<CellResult> cached = cache->lookup(keys[i])) {
@@ -310,7 +316,8 @@ CampaignReport CampaignRunner::run() {
       PARMIS_COUNTER_ADD("parmis_campaign_cache_misses_total", 1);
     }
     results[i] = run_cell(*cells[i].scenario, cells[i].method, cells[i].seed,
-                          anchor_limit, config_.method_configs);
+                          anchor_limit, config_.method_configs,
+                          &oracle_tables);
     if (cache != nullptr) cache->store(keys[i], results[i]);
   });
   report.cache_hits = hits.load();

@@ -4,15 +4,20 @@
 // seed.  Cells are fully self-contained: each builds its own SocSpec,
 // Platform (with a cell-derived sensor seed), applications, evaluator,
 // and Rng from the declarative ScenarioSpec, and runs single-threaded
-// inside.  Method dispatch goes through methods::MethodRegistry — the
-// runner holds no method names of its own; any registered method
-// (PaRMIS, the scalarization/RL/IL/DyPO baselines, governors, or an
-// out-of-tree registration) is a campaign method.  The runner fans cells across a ThreadPool; because cell i
-// writes only results slot i and shares no mutable state, the per-cell
-// objective vectors are bitwise-identical at every thread count — the
-// property the campaign tests and the campaign CLI's determinism check
-// assert.  Wall-clock fields (cell and campaign timings, decision
-// overhead) are measured and therefore excluded from the digest.
+// inside.  The one thing cells share is the run's memo of IL/DyPO
+// oracle tables (methods/oracle_memo.hpp): a table is a pure function
+// of the scenario and the oracle fidelity, so sharing it changes how
+// often it is built, never a result.  Method dispatch goes through
+// methods::MethodRegistry — the runner holds no method names of its
+// own; any registered method (PaRMIS, the scalarization/RL/IL/DyPO
+// baselines, governors, or an out-of-tree registration) is a campaign
+// method.  The runner fans cells across a ThreadPool; because cell i
+// writes only results slot i and reads the memo only through immutable
+// tables, the per-cell objective vectors are bitwise-identical at every
+// thread count — the property the campaign tests and the campaign
+// CLI's determinism check assert.  Wall-clock fields (cell and campaign
+// timings, decision overhead) are measured and therefore excluded from
+// the digest.
 //
 // PHV is assigned at (serial) aggregation time with one shared
 // reference point per scenario across all its cells — the paper's
@@ -197,15 +202,22 @@ class CampaignRunner {
 
   /// Runs every cell and returns the aggregated report.  A throwing
   /// cell is reported via CellResult::error, not by aborting the run.
+  /// The run's cells share one memo of IL/DyPO oracle tables, so each
+  /// (scenario, fidelity) table is built at most once per run.
   CampaignReport run();
 
   /// Runs one cell in isolation (also the unit-test entry point).  The
   /// method is resolved through methods::MethodRegistry; `configs` may
   /// carry a typed config for it (absent entry = method defaults).
+  /// `oracle_tables` is the memo of IL/DyPO oracle tables the cell
+  /// shares with other cells (run() passes its run's memo); nullptr
+  /// gives the cell a private one.  Results do not depend on it.
   static CellResult run_cell(const scenario::ScenarioSpec& spec,
                              const std::string& method, std::uint64_t seed,
                              std::size_t anchor_limit,
-                             const methods::MethodConfigSet& configs = {});
+                             const methods::MethodConfigSet& configs = {},
+                             methods::OracleTableMemo* oracle_tables =
+                                 nullptr);
 
   /// With a cache configured: (cells already cached, total cells) —
   /// what a resumed run would replay vs execute.  (0, total) otherwise.

@@ -12,6 +12,7 @@
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "core/policy_search.hpp"
+#include "methods/oracle_memo.hpp"
 #include "methods/registry.hpp"
 #include "moo/pareto.hpp"
 #include "policy/governors.hpp"
@@ -105,6 +106,19 @@ const MethodCapabilities& exhaustive_oracle_caps() {
       {runtime::ObjectiveKind::ExecutionTime, runtime::ObjectiveKind::Energy},
       /*max_decision_space=*/200000};
   return caps;
+}
+
+/// The cell's oracle table at `fidelity` from the run's memo.  The
+/// first cell asking for its (scenario, fidelity) builds it from its own
+/// platform and first application; both are pure functions of the
+/// scenario, so every later cell would have built the same table.
+std::shared_ptr<const baselines::OracleTable> oracle_table(
+    const CellContext& ctx, baselines::OracleFidelity fidelity) {
+  return ctx.oracle_tables.get(
+      OracleTableMemo::key(ctx.spec, fidelity), [&] {
+        return std::make_shared<const baselines::OracleTable>(
+            ctx.platform, ctx.apps.front(), fidelity);
+      });
 }
 
 // -------------------------------------------------------------- parmis
@@ -474,13 +488,13 @@ class IlMethod final : public Method {
                          : baselines::OracleFidelity::FirstOrder;
 
     const soc::Application& train_app = ctx.apps.front();
-    const baselines::OracleTable table(ctx.platform, train_app, fidelity);
+    const auto table = oracle_table(ctx, fidelity);
     runtime::GlobalEvaluator global(ctx.platform, ctx.apps, ctx.objectives,
                                     ctx.eval_config);
     baselines::BaselineFrontResult res;
     // Charge the exhaustive oracle pass in app-run equivalents.
     res.total_evaluations +=
-        table.build_evaluations() / train_app.num_epochs();
+        table->build_evaluations() / train_app.num_epochs();
     const auto grid = baselines::scalarization_grid(ctx.objectives.size(),
                                                     cfg.grid_divisions);
     for (std::size_t w = 0; w < grid.size(); ++w) {
@@ -488,7 +502,7 @@ class IlMethod final : public Method {
       baselines::IlConfig c = il;
       c.seed = sweep_seed(ctx.seed, w);
       baselines::IlTrainer trainer(ctx.platform, train_app, ctx.objectives,
-                                   table, c);
+                                   *table, c);
       const num::Vec theta = trainer.train(weights);
       res.total_evaluations += trainer.evaluations_used();
       policy::MlpPolicy policy(ctx.platform.decision_space(), c.policy);
@@ -566,18 +580,19 @@ class DypoMethod final : public Method {
     const DypoMethodConfig cfg =
         resolve_config<DypoMethodConfig>(*this, config);
     const soc::Application& train_app = ctx.apps.front();
-    const baselines::OracleTable table(ctx.platform, train_app);
+    const auto table =
+        oracle_table(ctx, baselines::OracleFidelity::FirstOrder);
     runtime::GlobalEvaluator global(ctx.platform, ctx.apps, ctx.objectives,
                                     ctx.eval_config);
     baselines::BaselineFrontResult res;
     res.total_evaluations +=
-        table.build_evaluations() / train_app.num_epochs();
+        table->build_evaluations() / train_app.num_epochs();
     std::vector<baselines::DypoPolicy> policies;
     const auto grid = baselines::scalarization_grid(ctx.objectives.size(),
                                                     cfg.grid_divisions);
     for (std::size_t w = 0; w < grid.size(); ++w) {
       policies.push_back(baselines::dypo_train(
-          ctx.platform, train_app, ctx.objectives, table, grid[w],
+          ctx.platform, train_app, ctx.objectives, *table, grid[w],
           cfg.num_clusters, sweep_seed(ctx.seed, w)));
       res.objectives.push_back(global.evaluate(policies.back()));
       ++res.total_evaluations;

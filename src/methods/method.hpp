@@ -11,7 +11,8 @@
 //
 // Methods are shared, immutable singletons: `run` is const and must be
 // thread-safe (cells run concurrently on the campaign ThreadPool; all
-// mutable state lives in the cell-local context or on the stack).
+// mutable state lives in the cell-local context, on the stack, or in
+// the run's thread-safe oracle-table memo).
 //
 // Capabilities are structural, not advisory.  RL and IL cannot express
 // a per-epoch reward / oracle for PPW (paper Sec. V-E), and DyPO's
@@ -62,10 +63,14 @@ class MethodConfig {
   virtual std::unique_ptr<MethodConfig> clone() const = 0;
 };
 
+class OracleTableMemo;
+
 /// Everything one campaign cell hands a method.  All referenced objects
-/// are cell-local (built by run_cell for this cell alone) and outlive
-/// the `run` call; the platform is mutable because evaluation advances
-/// its sensor-noise stream.
+/// except `oracle_tables` are cell-local (built by run_cell for this
+/// cell alone) and outlive the `run` call; the platform is mutable
+/// because evaluation advances its sensor-noise stream.  `oracle_tables`
+/// is the run's shared memo of IL/DyPO oracle tables
+/// (methods/oracle_memo.hpp).
 struct CellContext {
   const scenario::ScenarioSpec& spec;
   soc::Platform& platform;
@@ -74,6 +79,7 @@ struct CellContext {
   const runtime::EvaluatorConfig& eval_config;
   std::uint64_t seed = 0;
   std::size_t anchor_limit = 0;
+  OracleTableMemo& oracle_tables;
 };
 
 /// What a method hands back to the runner.
@@ -94,9 +100,11 @@ struct MethodCapabilities {
   std::vector<runtime::ObjectiveKind> objectives;
   /// Largest platform decision space the method can handle; 0 = any.
   /// IL and DyPO build exhaustive per-epoch oracles — O(epochs x
-  /// decisions) — which is tractable on the Exynos (4 940) and mobile3
-  /// (50 336) spaces but not on manycore16's 30.5M, so they declare a
-  /// bound and incompatible scenarios are rejected at validation time.
+  /// decisions), once per campaign run for each (scenario, fidelity)
+  /// through the run's OracleTableMemo — which is tractable on the
+  /// Exynos (4 940) and mobile3 (50 336) spaces but not on manycore16's
+  /// 30.5M, so they declare a bound and incompatible scenarios are
+  /// rejected at validation time.
   std::size_t max_decision_space = 0;
 
   bool supports(runtime::ObjectiveKind kind) const;

@@ -1,6 +1,7 @@
 #include "moo/pareto.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 
 #include "common/error.hpp"
@@ -50,7 +51,9 @@ namespace {
 /// Crowding distance of the m points objs[members[i]] (k objectives
 /// each) into scratch.distance[0, m).  Each objective re-sorts the
 /// permutation the previous one left, so std::sort always sees the same
-/// sequences for the same input.
+/// sequences for the same input.  A NaN distance is written as the one
+/// canonical quiet NaN: when both operands of a sum are NaN, IEEE 754
+/// leaves the result's sign to the operand order the compiler picks.
 void crowd_front(const double* objs, std::size_t k, const std::size_t* members,
                  std::size_t m, RankScratch& s) {
   constexpr double inf = std::numeric_limits<double>::infinity();
@@ -75,6 +78,11 @@ void crowd_front(const double* objs, std::size_t k, const std::size_t* members,
     if (span <= 0.0) continue;  // degenerate objective: no interior credit
     for (std::size_t i = 1; i + 1 < m; ++i) {
       dist[s.order[i]] += (v[s.order[i + 1]] - v[s.order[i - 1]]) / span;
+    }
+  }
+  for (std::size_t i = 0; i < m; ++i) {
+    if (std::isnan(dist[i])) {
+      dist[i] = std::numeric_limits<double>::quiet_NaN();
     }
   }
 }

@@ -14,18 +14,24 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <bit>
+#include <chrono>
 #include <cmath>
 #include <cstdlib>
 #include <memory>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "cache/result_cache.hpp"
 #include "common/error.hpp"
 #include "exec/campaign.hpp"
 #include "methods/builtin.hpp"
+#include "methods/oracle_memo.hpp"
 #include "methods/registry.hpp"
+#include "obs/metrics.hpp"
 #include "scenario/scenario.hpp"
 #include "serde/plan.hpp"
 
@@ -259,6 +265,198 @@ TEST(Methods, FullMatrixCampaignIsThreadCountInvariant) {
     EXPECT_FALSE(cell.front.empty()) << cell.method;
   }
   EXPECT_EQ(serial.objectives_digest(), parallel.objectives_digest());
+}
+
+// -------------------------------------------------------- oracle memo
+
+/// Bitwise equality of everything a cell's digest and serving read.
+void expect_same_cell(const exec::CellResult& got,
+                      const exec::CellResult& want) {
+  EXPECT_EQ(got.error, want.error);
+  EXPECT_EQ(got.evaluations, want.evaluations);
+  const auto same_bits = [](const std::vector<num::Vec>& a,
+                            const std::vector<num::Vec>& b) {
+    if (a.size() != b.size()) return false;
+    for (std::size_t i = 0; i < a.size(); ++i) {
+      if (a[i].size() != b[i].size()) return false;
+      for (std::size_t j = 0; j < a[i].size(); ++j) {
+        if (std::bit_cast<std::uint64_t>(a[i][j]) !=
+            std::bit_cast<std::uint64_t>(b[i][j])) {
+          return false;
+        }
+      }
+    }
+    return true;
+  };
+  EXPECT_TRUE(same_bits(got.front, want.front));
+  EXPECT_TRUE(same_bits(got.pareto_thetas, want.pareto_thetas));
+}
+
+/// Process-wide value of an obs counter (0 when compiled out).
+std::uint64_t counter_value(const char* name) {
+  const obs::Counter* c = obs::Registry::instance().find_counter(name);
+  return c != nullptr ? c->value() : 0;
+}
+
+TEST(OracleMemo, SharedTablesLeaveEveryCellBitIdentical) {
+  // IL and DyPO on one scenario, three seeds, through the runner at 1
+  // and 4 threads: every cell equals the same cell run alone with a
+  // fresh memo, and the run builds its one FirstOrder table once.
+  exec::CampaignConfig config;
+  config.scenarios = {scenario::make_scenario("xu3-synthetic-te")};
+  config.scenarios[0].methods = {"il", "dypo"};
+  config.seeds_per_cell = 3;
+  config.anchor_limit = 3;
+  for (std::size_t threads : {1u, 4u}) {
+    SCOPED_TRACE(threads);
+    config.num_threads = threads;
+    const std::uint64_t built_before =
+        counter_value("parmis_oracle_tables_built_total");
+    const std::uint64_t reused_before =
+        counter_value("parmis_oracle_table_reuses_total");
+    const exec::CampaignReport report = exec::CampaignRunner(config).run();
+#ifdef PARMIS_OBS_ENABLED
+    EXPECT_EQ(counter_value("parmis_oracle_tables_built_total") -
+                  built_before, 1u);
+    EXPECT_EQ(counter_value("parmis_oracle_table_reuses_total") -
+                  reused_before, 5u);
+#else
+    (void)built_before;
+    (void)reused_before;
+#endif
+    ASSERT_EQ(report.cells.size(), 6u);
+    for (const auto& cell : report.cells) {
+      SCOPED_TRACE(cell.method + " seed " + std::to_string(cell.seed));
+      EXPECT_TRUE(cell.error.empty()) << cell.error;
+      OracleTableMemo fresh;
+      expect_same_cell(cell, exec::CampaignRunner::run_cell(
+                                 config.scenarios[0], cell.method, cell.seed,
+                                 config.anchor_limit, {}, &fresh));
+      EXPECT_EQ(fresh.tables_built(), 1u);
+    }
+  }
+}
+
+TEST(OracleMemo, OneTablePerScenarioAndFidelity) {
+  const scenario::ScenarioSpec spec = tiny_te_scenario();
+  MethodConfigSet exact = tiny_budgets();
+  auto il = std::make_shared<IlMethodConfig>(
+      *dynamic_cast<const IlMethodConfig*>(exact.find("il")));
+  il->exact_oracle = true;
+  exact.set("il", il);
+
+  OracleTableMemo memo;
+  for (std::uint64_t seed : {1, 2, 3}) {
+    for (const char* name : {"il", "dypo"}) {
+      const exec::CellResult cell = exec::CampaignRunner::run_cell(
+          spec, name, seed, 1, tiny_budgets(), &memo);
+      EXPECT_TRUE(cell.error.empty()) << cell.error;
+    }
+  }
+  EXPECT_EQ(memo.tables_built(), 1u);  // il and dypo share FirstOrder
+  for (std::uint64_t seed : {1, 2, 3}) {
+    const exec::CellResult cell =
+        exec::CampaignRunner::run_cell(spec, "il", seed, 1, exact, &memo);
+    EXPECT_TRUE(cell.error.empty()) << cell.error;
+  }
+  EXPECT_EQ(memo.tables_built(), 2u);  // Exact is a table of its own
+
+  using baselines::OracleFidelity;
+  const std::string first_key =
+      OracleTableMemo::key(spec, OracleFidelity::FirstOrder);
+  const std::string exact_key =
+      OracleTableMemo::key(spec, OracleFidelity::Exact);
+  EXPECT_NE(first_key, exact_key);
+  const auto no_build = []() -> OracleTableMemo::Table {
+    throw Error("the memo should not build again");
+  };
+  const OracleTableMemo::Table first = memo.get(first_key, no_build);
+  const OracleTableMemo::Table precise = memo.get(exact_key, no_build);
+  ASSERT_NE(first, nullptr);
+  ASSERT_NE(precise, nullptr);
+  EXPECT_NE(first, precise);
+  ASSERT_EQ(first->num_decisions(), precise->num_decisions());
+  const std::vector<runtime::Objective> objectives =
+      scenario::make_objectives(spec);
+  const num::Vec time_only = {1.0, 0.0};
+  bool differ = false;
+  for (std::size_t d = 0; d < first->num_decisions() && !differ; ++d) {
+    differ = first->scalarized_cost(0, d, time_only, objectives) !=
+             precise->scalarized_cost(0, d, time_only, objectives);
+  }
+  EXPECT_TRUE(differ) << "FirstOrder and Exact tables hold the same costs";
+}
+
+TEST(OracleMemo, FailedBuildReachesEveryRequestingCell) {
+  // A memo whose FirstOrder build failed hands the same error to every
+  // IL and DyPO cell that asks for the table afterwards.
+  const scenario::ScenarioSpec spec = tiny_te_scenario();
+  OracleTableMemo memo;
+  std::string message;
+  try {
+    memo.get(OracleTableMemo::key(spec, baselines::OracleFidelity::FirstOrder),
+             []() -> OracleTableMemo::Table {
+               throw Error("oracle table build failed");
+             });
+    FAIL() << "the failing build did not throw";
+  } catch (const Error& e) {
+    message = e.what();
+  }
+  for (std::uint64_t seed : {1, 2, 3}) {
+    for (const char* name : {"il", "dypo"}) {
+      const exec::CellResult cell = exec::CampaignRunner::run_cell(
+          spec, name, seed, 1, tiny_budgets(), &memo);
+      EXPECT_EQ(cell.error, message) << name << " seed " << seed;
+      EXPECT_TRUE(cell.front.empty());
+    }
+  }
+  EXPECT_EQ(memo.tables_built(), 0u);
+}
+
+TEST(OracleMemo, ConcurrentRequestersWaitForOneBuild) {
+  // Eight threads ask for one key at once: one builds (slowly), the
+  // rest wait for it and get the same table — or the same error.
+  for (bool fail : {false, true}) {
+    SCOPED_TRACE(fail ? "failing build" : "good build");
+    OracleTableMemo memo;
+    std::atomic<int> builds{0};
+    const auto build = [&]() -> OracleTableMemo::Table {
+      builds.fetch_add(1);
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+      if (fail) throw Error("oracle table build failed");
+      const soc::SocSpec spec = soc::SocSpec::exynos5422();
+      soc::Platform platform(spec);
+      const soc::Application app = scenario::make_applications(
+          scenario::make_scenario("xu3-synthetic-te")).front();
+      return std::make_shared<const baselines::OracleTable>(platform, app);
+    };
+    std::vector<OracleTableMemo::Table> tables(8);
+    std::vector<std::string> errors(8);
+    std::vector<std::thread> threads;
+    for (std::size_t t = 0; t < tables.size(); ++t) {
+      threads.emplace_back([&, t] {
+        try {
+          tables[t] = memo.get("key", build);
+        } catch (const Error& e) {
+          errors[t] = e.what();
+        }
+      });
+    }
+    for (auto& thread : threads) thread.join();
+    EXPECT_EQ(builds.load(), 1);
+    EXPECT_EQ(memo.tables_built(), fail ? 0u : 1u);
+    for (std::size_t t = 0; t < tables.size(); ++t) {
+      if (fail) {
+        EXPECT_EQ(tables[t], nullptr);
+        EXPECT_EQ(errors[t], errors[0]);
+        EXPECT_FALSE(errors[t].empty());
+      } else {
+        EXPECT_TRUE(errors[t].empty()) << errors[t];
+        EXPECT_EQ(tables[t], tables[0]);
+        EXPECT_NE(tables[t], nullptr);
+      }
+    }
+  }
 }
 
 // ------------------------------------------------------- config plumbing

@@ -806,6 +806,43 @@ TEST(DigestNeutrality, TracingOnOffLeavesCellResultsBitIdentical) {
   }
 }
 
+TEST(DigestNeutrality, TracedIlDypoCampaignMatchesUntraced) {
+  // IL and DyPO cells share their run's oracle table; tracing the run
+  // (the table's build span and the memo's counters included) must not
+  // move a bit.
+  TracerGuard guard;
+  exec::CampaignConfig config;
+  config.scenarios = {scenario::make_scenario("xu3-synthetic-te")};
+  config.scenarios[0].methods = {"il", "dypo"};
+  config.seeds_per_cell = 2;
+  config.num_threads = 2;
+  const exec::CampaignReport off = exec::CampaignRunner(config).run();
+  Tracer::set_enabled(true);
+  const exec::CampaignReport on = exec::CampaignRunner(config).run();
+  Tracer::set_enabled(false);
+  for (const auto& cell : on.cells) {
+    EXPECT_TRUE(cell.error.empty()) << cell.method << ": " << cell.error;
+  }
+  EXPECT_EQ(off.objectives_digest(), on.objectives_digest());
+
+#ifdef PARMIS_OBS_ENABLED
+  // One build for the run's one (scenario, fidelity), with its size.
+  const json::Value doc = Tracer::drain();
+  const json::Value& events = doc.at("traceEvents");
+  std::vector<std::string> builds;
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    const json::Value& e = events.at(i);
+    if (e.at("ph").as_string() == "X" &&
+        e.at("cat").as_string() == "baselines" &&
+        e.at("name").as_string() == "oracle_table") {
+      builds.push_back(e.at("args").at("detail").as_string());
+    }
+  }
+  ASSERT_EQ(builds.size(), 1u);
+  EXPECT_EQ(builds[0].rfind("decisions=4940;epochs=", 0), 0u) << builds[0];
+#endif
+}
+
 TEST(DigestNeutrality, GpFitAndPredictAreBitIdenticalUnderTracing) {
   TracerGuard guard;
   const auto fit_and_predict = [] {
