@@ -8,23 +8,35 @@
 //                (i.e., the acquisition's front sampler without the
 //                entropy scoring).
 // This isolates the contribution of the entropy term that DESIGN.md
-// calls out as the paper's key algorithmic ingredient.
+// calls out as the paper's key algorithmic ingredient.  parmis and
+// thompson are ParmisConfig variants of one scenario run as campaign
+// cells, so both start from the same constant-decision anchors; random
+// search measures through the same per-app GlobalEvaluator.
 //
 // Usage: ablation_acquisition [--full] [--iterations N]
 #include <iostream>
 
-#include "apps/benchmarks.hpp"
 #include "bench_common.hpp"
+#include "common/rng.hpp"
 #include "common/table.hpp"
+#include "core/policy_search.hpp"
 #include "moo/pareto.hpp"
 
 namespace {
 
 using namespace parmis;
 
-/// Random-search baseline at the same budget.
-std::vector<num::Vec> random_search(core::DrmPolicyProblem& problem,
+constexpr std::uint64_t kSeed = 101;
+
+/// Random-search baseline at the same budget: the front of `budget`
+/// uniform random thetas, measured as `spec`'s cells measure.
+std::vector<num::Vec> random_search(const scenario::ScenarioSpec& spec,
                                     std::size_t budget, std::uint64_t seed) {
+  const soc::SocSpec soc_spec = scenario::make_platform_spec(spec);
+  soc::Platform platform(soc_spec, spec.platform_config);
+  core::DrmPolicyProblem problem(platform, scenario::make_applications(spec),
+                                 scenario::make_objectives(spec), {},
+                                 scenario::make_evaluator_config(spec));
   Rng rng(seed);
   auto fn = problem.evaluation_fn();
   std::vector<num::Vec> objs;
@@ -33,58 +45,43 @@ std::vector<num::Vec> random_search(core::DrmPolicyProblem& problem,
     for (auto& v : theta) v = rng.uniform(-2.0, 2.0);
     objs.push_back(fn(theta));
   }
-  return objs;
+  return moo::pareto_front(objs);
 }
 
-/// Thompson-style baseline: PaRMIS loop with the acquisition pool scoring
-/// disabled (pool candidate 0 = first NSGA-II survivor is taken).  We
-/// emulate it by running PaRMIS with a pool of size 1 drawn from the
-/// sampled-front survivors: acq argmax degenerates to "take a sampled
-/// front point".
-std::vector<num::Vec> thompson_like(core::DrmPolicyProblem& problem,
-                                    const bench::BenchScale& scale,
-                                    std::uint64_t seed) {
-  core::ParmisConfig cfg = scale.parmis;
-  cfg.seed = seed;
-  cfg.acq_pool_size = 4;      // tiny pool: scoring barely matters
-  cfg.acq_refine_steps = 0;
-  core::Parmis opt(problem.evaluation_fn(), problem.theta_dim(),
-                   problem.num_objectives(), cfg);
-  return opt.run().objectives;
-}
-
-}  // namespace
-
-int main(int argc, char** argv) {
-  const CliArgs args = CliArgs::parse(argc, argv);
+int run(const CliArgs& args) {
   const bench::BenchScale scale = bench::scale_from_cli(args);
   const soc::SocSpec spec = soc::SocSpec::exynos5422();
   bench::print_header("Ablation A1: acquisition strategy", scale, spec);
-  const auto objectives = runtime::time_energy_objectives();
 
   Table table({"app", "parmis", "thompson", "random"});
   for (const std::string name : {"qsort", "spectral", "sha"}) {
-    soc::Platform platform(spec);
-    const soc::Application app = apps::make_benchmark(name);
-    core::DrmPolicyProblem problem(platform, app, objectives);
+    const scenario::ScenarioSpec full =
+        bench::app_scenario("a1-" + name, name, {"parmis"}, scale);
+    // Thompson-style: a tiny unrefined acquisition pool, so the entropy
+    // scoring barely matters and the pick degenerates to "take a
+    // sampled-front survivor".
+    scenario::ScenarioSpec thompson = full;
+    thompson.parmis.acq_pool_size = 4;
+    thompson.parmis.acq_refine_steps = 0;
 
-    const bench::MethodRun full =
-        bench::run_parmis(platform, app, objectives, scale, 101);
-    const auto thompson = thompson_like(problem, scale, 102);
-    const auto random = random_search(problem, full.evaluations, 103);
-
-    const num::Vec ref = bench::shared_reference(
-        {full.objectives, thompson, random});
-    const double p = bench::phv(moo::pareto_front(full.objectives), ref);
-    table.begin_row()
-        .add(name)
-        .add(1.0, 3)
-        .add(bench::phv(moo::pareto_front(thompson), ref) / p, 3)
-        .add(bench::phv(moo::pareto_front(random), ref) / p, 3);
+    const exec::CellResult full_cell =
+        bench::run_cell(full, "parmis", scale, kSeed);
+    const std::vector<double> norm = bench::normalized_phv(
+        {full_cell.front,
+         bench::run_cell(thompson, "parmis", scale, kSeed).front,
+         random_search(full, full_cell.evaluations, kSeed)});
+    table.begin_row().add(name).add(norm[0], 3).add(norm[1], 3).add(norm[2],
+                                                                      3);
     std::cerr << "[A1] " << name << " done\n";
   }
   table.print(std::cout);
   std::cout << "\nexpected: random < 1.0 consistently; thompson close to "
                "but typically below the full acquisition.\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return bench::guarded_main(argc, argv, run);
 }

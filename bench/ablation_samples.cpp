@@ -6,54 +6,52 @@
 // equal evaluation budgets (larger S costs proportionally more
 // acquisition time, also reported here).
 //
+// Each S is a ParmisConfig variant of one scenario, run as a campaign
+// cell; PHV is normalized to S = 1 against one shared reference.
+//
 // Usage: ablation_samples [--full]
 #include <iostream>
 
-#include "apps/benchmarks.hpp"
 #include "bench_common.hpp"
-#include "common/stopwatch.hpp"
 #include "common/table.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(const parmis::CliArgs& args) {
   using namespace parmis;
-  const CliArgs args = CliArgs::parse(argc, argv);
   const bench::BenchScale scale = bench::scale_from_cli(args);
   const soc::SocSpec spec = soc::SocSpec::exynos5422();
   bench::print_header("Ablation A2: acquisition MC samples S", scale, spec);
-  const auto objectives = runtime::time_energy_objectives();
-  const soc::Application app = apps::make_benchmark("fft");
 
-  Table table({"S", "phv", "final_front_size", "wall_s"});
-  std::vector<std::vector<num::Vec>> fronts;
-  std::vector<double> phvs;
-  for (const std::size_t s_count : {1u, 4u, 8u}) {
-    soc::Platform platform(spec);
-    bench::BenchScale variant = scale;
-    variant.parmis.acquisition.num_mc_samples = s_count;
-    Stopwatch sw;
-    const bench::MethodRun run =
-        bench::run_parmis(platform, app, objectives, variant, 111);
-    const double wall = sw.seconds();
-    fronts.push_back(run.front);
-    table.begin_row()
-        .add_int(static_cast<long long>(s_count))
-        .add(0.0, 3)  // filled after the shared reference is known
-        .add_int(static_cast<long long>(run.front.size()))
-        .add(wall, 2);
-    std::cerr << "[A2] S=" << s_count << " done in " << wall << "s\n";
-  }
-  // Re-render with the shared reference point.
-  const num::Vec ref = bench::shared_reference(fronts);
-  Table final_table({"S", "phv", "front_size"});
   const std::size_t s_values[] = {1, 4, 8};
-  for (std::size_t i = 0; i < fronts.size(); ++i) {
-    final_table.begin_row()
-        .add_int(static_cast<long long>(s_values[i]))
-        .add(bench::phv(fronts[i], ref), 4)
-        .add_int(static_cast<long long>(fronts[i].size()));
+  std::vector<exec::CellResult> cells;
+  std::vector<std::vector<num::Vec>> fronts;
+  for (const std::size_t s_count : s_values) {
+    scenario::ScenarioSpec variant =
+        bench::app_scenario("a2-fft", "fft", {"parmis"}, scale);
+    variant.parmis.acquisition.num_mc_samples = s_count;
+    cells.push_back(bench::run_cell(variant, "parmis", scale, 111));
+    fronts.push_back(cells.back().front);
+    std::cerr << "[A2] S=" << s_count << " done in " << cells.back().wall_s
+              << "s\n";
   }
-  final_table.print(std::cout);
+  const std::vector<double> norm = bench::normalized_phv(fronts);
+  Table table({"S", "phv_vs_s1", "front_size", "wall_s"});
+  for (std::size_t i = 0; i < cells.size(); ++i) {
+    table.begin_row()
+        .add_int(static_cast<long long>(s_values[i]))
+        .add(norm[i], 4)
+        .add_int(static_cast<long long>(fronts[i].size()))
+        .add(cells[i].wall_s, 2);
+  }
+  table.print(std::cout);
   std::cout << "\nexpected: PHV varies by a few percent across S — the "
                "paper's 'no critical hyper-parameters, S=1' claim.\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return parmis::bench::guarded_main(argc, argv, run);
 }

@@ -14,12 +14,14 @@
 #include "bench_common.hpp"
 #include "common/table.hpp"
 #include "policy/governors.hpp"
+#include "policy/mlp_policy.hpp"
 #include "runtime/evaluator.hpp"
 #include "runtime/selector.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(const parmis::CliArgs& args) {
   using namespace parmis;
-  const CliArgs args = CliArgs::parse(argc, argv);
   const bench::BenchScale scale = bench::scale_from_cli(args);
   const soc::SocSpec spec = soc::SocSpec::exynos5422();
   bench::print_header("Ablation A6: thermal throttling (extension)", scale,
@@ -62,15 +64,14 @@ int main(int argc, char** argv) {
   report(schedutil);
   report(powersave);
 
-  // A PaRMIS policy trained WITHOUT thermal awareness, for context, and
-  // one trained with peak power as a third objective (thermal-friendly).
-  const auto te = runtime::time_energy_objectives();
-  const bench::MethodRun run = bench::run_parmis(platform, app, te, scale,
-                                                 151);
-  core::DrmPolicyProblem problem(platform, app, te);
-  runtime::PolicySelector selector(run.front);
-  policy::MlpPolicy balanced =
-      problem.make_policy(run.thetas[selector.knee_point()]);
+  // The knee of a PaRMIS front trained WITHOUT thermal awareness, for
+  // context.
+  const exec::CellResult cell = bench::run_cell(
+      bench::app_scenario("a6-motionest", "motionest", {"parmis"}, scale),
+      "parmis", scale, 151);
+  runtime::PolicySelector selector(cell.front);
+  policy::MlpPolicy balanced(space);
+  balanced.set_parameters(cell.pareto_thetas[selector.knee_point()]);
   report(balanced);
 
   table.print(std::cout);
@@ -78,4 +79,10 @@ int main(int argc, char** argv) {
                "throttling slowdown (it runs hottest); lower-power "
                "policies degrade gracefully; powersave is unaffected.\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return parmis::bench::guarded_main(argc, argv, run);
 }

@@ -1,15 +1,27 @@
 #include "bench_common.hpp"
 
+#include <algorithm>
+#include <filesystem>
 #include <iostream>
+#include <memory>
+#include <sstream>
 
+#include "apps/benchmarks.hpp"
 #include "common/error.hpp"
 #include "common/stopwatch.hpp"
 #include "moo/hypervolume.hpp"
 #include "moo/pareto.hpp"
-#include "policy/governors.hpp"
+#include "policy/mlp_policy.hpp"
 #include "runtime/evaluator.hpp"
 
 namespace parmis::bench {
+
+methods::MethodConfigSet BenchScale::method_configs() const {
+  methods::MethodConfigSet configs;
+  configs.set("rl", std::make_shared<methods::RlMethodConfig>(rl));
+  configs.set("il", std::make_shared<methods::IlMethodConfig>(il));
+  return configs;
+}
 
 BenchScale make_scale(bool full) {
   BenchScale s;
@@ -29,7 +41,7 @@ BenchScale make_scale(bool full) {
     s.rl.episodes = 400;
     s.il.training_passes = 120;
     s.il.dagger_rounds = 3;
-    s.lambda_grid = 11;
+    s.rl.grid_divisions = s.il.grid_divisions = 11;
   } else {
     // Scaled defaults: the full bench suite finishes in minutes while
     // preserving every qualitative shape.
@@ -45,124 +57,173 @@ BenchScale make_scale(bool full) {
     s.rl.episodes = 150;
     s.il.training_passes = 40;
     s.il.dagger_rounds = 2;
-    s.lambda_grid = 6;
+    s.rl.grid_divisions = s.il.grid_divisions = 6;
   }
   return s;
 }
 
-BenchScale scale_from_cli(const CliArgs& args) {
+BenchScale scale_from_cli(const CliArgs& args,
+                          const std::vector<std::string>& extra_flags) {
+  std::vector<std::string> known = {"full", "iterations", "rl-episodes",
+                                    "grid"};
+  known.insert(known.end(), extra_flags.begin(), extra_flags.end());
+  require_known_flags(args, known);
   BenchScale s = make_scale(full_scale_requested(args));
   // Per-run overrides for experimentation.
-  s.parmis.max_iterations = static_cast<std::size_t>(args.get_int(
-      "iterations", static_cast<int>(s.parmis.max_iterations)));
-  s.rl.episodes = static_cast<std::size_t>(
-      args.get_int("rl-episodes", static_cast<int>(s.rl.episodes)));
-  s.lambda_grid = static_cast<std::size_t>(
-      args.get_int("grid", static_cast<int>(s.lambda_grid)));
+  s.parmis.max_iterations =
+      size_flag(args, "iterations", s.parmis.max_iterations);
+  s.rl.episodes = size_flag(args, "rl-episodes", s.rl.episodes);
+  s.rl.grid_divisions = s.il.grid_divisions =
+      size_flag(args, "grid", s.rl.grid_divisions);
+  require(s.rl.grid_divisions >= 2, "--grid expects at least 2 weights");
   return s;
 }
 
-MethodRun run_parmis(soc::Platform& platform, const soc::Application& app,
-                     const std::vector<runtime::Objective>& objectives,
-                     const BenchScale& scale, std::uint64_t seed) {
-  core::DrmPolicyProblem problem(platform, app, objectives);
-  core::ParmisConfig cfg = scale.parmis;
-  cfg.seed = seed;
-  cfg.initial_thetas = problem.anchor_thetas();
-  core::Parmis optimizer(problem.evaluation_fn(), problem.theta_dim(),
-                         problem.num_objectives(), cfg);
-  const core::ParmisResult res = optimizer.run();
+void require_known_flags(const CliArgs& args,
+                         const std::vector<std::string>& known) {
+  for (const std::string& key : args.keys()) {
+    require(std::find(known.begin(), known.end(), key) != known.end(),
+            "unknown flag --" + key);
+  }
+  for (const std::string& arg : args.positional()) {
+    require(false, "unexpected argument '" + arg + "'");
+  }
+}
 
-  MethodRun out;
-  out.method = "parmis";
-  out.objectives = res.objectives;
-  out.front = res.pareto_front();
-  out.thetas = res.pareto_thetas();
-  out.phv_history = res.phv_history;
-  out.evaluations = res.objectives.size();
+std::size_t size_flag(const CliArgs& args, const std::string& key,
+                      std::size_t fallback) {
+  if (!args.has(key)) return fallback;
+  const std::string v = args.get(key, "");
+  require(!v.empty() && v.size() <= 18 &&
+              v.find_first_not_of("0123456789") == std::string::npos &&
+              std::stoull(v) > 0,
+          "--" + key + " expects a positive integer, got '" + v + "'");
+  return std::stoull(v);
+}
+
+std::vector<std::string> apps_flag(const CliArgs& args) {
+  const std::vector<std::string> names = apps::benchmark_names();
+  if (!args.has("apps")) return names;
+  std::vector<std::string> out;
+  std::stringstream ss(args.get("apps", ""));
+  std::string item;
+  while (std::getline(ss, item, ',')) {
+    require(std::find(names.begin(), names.end(), item) != names.end(),
+            "--apps: unknown benchmark '" + item + "'");
+    require(std::find(out.begin(), out.end(), item) == out.end(),
+            "--apps: '" + item + "' listed twice");
+    out.push_back(item);
+  }
+  require(!out.empty(), "--apps expects a comma-separated benchmark list");
   return out;
 }
 
-MethodRun run_rl(soc::Platform& platform, const soc::Application& app,
-                 const std::vector<runtime::Objective>& objectives,
-                 const BenchScale& scale, std::uint64_t seed) {
-  baselines::RlConfig cfg = scale.rl;
-  cfg.seed = seed;
-  const baselines::BaselineFrontResult res = baselines::rl_pareto_front(
-      platform, app, objectives, scale.lambda_grid, cfg);
-  MethodRun out;
-  out.method = "rl";
-  out.objectives = res.objectives;
-  out.front = res.pareto_front();
-  for (std::size_t i : res.pareto_indices) out.thetas.push_back(res.thetas[i]);
-  out.evaluations = res.total_evaluations;
-  return out;
+int guarded_main(int argc, char** argv,
+                 const std::function<int(const CliArgs&)>& body) {
+  try {
+    return body(CliArgs::parse(argc, argv));
+  } catch (const Error& e) {
+    std::cerr << std::filesystem::path(argv[0]).filename().string() << ": "
+              << e.what() << "\n";
+    return 2;
+  }
 }
 
-MethodRun run_il(soc::Platform& platform, const soc::Application& app,
-                 const std::vector<runtime::Objective>& objectives,
-                 const BenchScale& scale, std::uint64_t seed) {
-  baselines::IlConfig cfg = scale.il;
-  cfg.seed = seed;
-  const baselines::BaselineFrontResult res = baselines::il_pareto_front(
-      platform, app, objectives, scale.lambda_grid, cfg);
-  MethodRun out;
-  out.method = "il";
-  out.objectives = res.objectives;
-  out.front = res.pareto_front();
-  for (std::size_t i : res.pareto_indices) out.thetas.push_back(res.thetas[i]);
-  out.evaluations = res.total_evaluations;
-  return out;
+scenario::ScenarioSpec app_scenario(const std::string& name,
+                                    const std::string& app,
+                                    std::vector<std::string> methods,
+                                    const BenchScale& scale) {
+  scenario::ScenarioSpec spec;
+  spec.name = name;
+  spec.benchmark_apps = {app};
+  spec.methods = std::move(methods);
+  spec.parmis = scale.parmis;
+  return spec;
 }
 
-MethodRun reevaluate(const MethodRun& run, soc::Platform& platform,
-                     const soc::Application& app,
-                     const std::vector<runtime::Objective>& objectives) {
-  MethodRun out;
-  out.method = run.method;
-  runtime::Evaluator evaluator(platform);
+exec::CampaignReport run_campaign(std::vector<scenario::ScenarioSpec> scenarios,
+                                  const BenchScale& scale, std::uint64_t seed) {
+  exec::CampaignConfig config;
+  config.scenarios = std::move(scenarios);
+  config.num_threads = 0;  // all cores; results do not depend on it
+  config.base_seed = seed;
+  config.anchor_limit = 0;  // every anchor, as the paper's runs use
+  config.method_configs = scale.method_configs();
+  exec::CampaignReport report = exec::CampaignRunner(config).run();
+  for (const auto& cell : report.cells) {
+    require(cell.error.empty(), "cell " + cell.scenario + "/" + cell.method +
+                                    " failed: " + cell.error);
+  }
+  return report;
+}
+
+exec::CellResult run_cell(const scenario::ScenarioSpec& spec,
+                          const std::string& method, const BenchScale& scale,
+                          std::uint64_t seed) {
+  exec::CellResult cell = exec::CampaignRunner::run_cell(
+      spec, method, seed, /*anchor_limit=*/0, scale.method_configs());
+  require(cell.error.empty(), "cell " + spec.name + "/" + method +
+                                  " failed: " + cell.error);
+  return cell;
+}
+
+const exec::CellResult& find_cell(const exec::CampaignReport& report,
+                                  const std::string& scenario,
+                                  const std::string& method) {
+  for (const auto& cell : report.cells) {
+    if (cell.scenario == scenario && cell.method == method) return cell;
+  }
+  throw Error("no cell " + scenario + "/" + method + " in the report");
+}
+
+const std::vector<std::string>& paper_governors() {
+  static const std::vector<std::string> names = {"ondemand", "performance",
+                                                 "interactive", "powersave"};
+  return names;
+}
+
+int governors_dominated(const exec::CampaignReport& report,
+                        const std::string& scenario,
+                        const std::vector<num::Vec>& front) {
+  int dominated = 0;
+  for (const auto& name : paper_governors()) {
+    const num::Vec& point = find_cell(report, scenario, name).front.front();
+    dominated += std::any_of(front.begin(), front.end(),
+                             [&](const num::Vec& p) {
+                               return moo::dominates(p, point);
+                             });
+  }
+  return dominated;
+}
+
+std::vector<num::Vec> reevaluate(const scenario::ScenarioSpec& spec,
+                                 const std::vector<num::Vec>& thetas) {
+  const soc::SocSpec soc_spec = scenario::make_platform_spec(spec);
+  soc::Platform platform(soc_spec, spec.platform_config);
+  runtime::GlobalEvaluator evaluator(
+      platform, scenario::make_applications(spec),
+      scenario::make_objectives(spec), scenario::make_evaluator_config(spec));
   policy::MlpPolicy policy(platform.decision_space());
-  for (const auto& theta : run.thetas) {
+  std::vector<num::Vec> points;
+  for (const auto& theta : thetas) {
     policy.set_parameters(theta);
-    out.objectives.push_back(evaluator.evaluate(policy, app, objectives));
-    out.thetas.push_back(theta);
-    ++out.evaluations;
+    points.push_back(evaluator.evaluate(policy));
   }
-  out.front = moo::pareto_front(out.objectives);
-  return out;
+  return moo::pareto_front(points);
 }
 
-std::vector<std::pair<std::string, num::Vec>> governor_points(
-    soc::Platform& platform, const soc::Application& app,
-    const std::vector<runtime::Objective>& objectives) {
-  const soc::DecisionSpace& space = platform.decision_space();
-  runtime::Evaluator evaluator(platform);
-  policy::OndemandGovernor ondemand(space);
-  policy::PerformanceGovernor performance(space);
-  policy::InteractiveGovernor interactive(space);
-  policy::PowersaveGovernor powersave(space);
-  std::vector<std::pair<std::string, num::Vec>> out;
-  for (policy::Policy* gov :
-       {static_cast<policy::Policy*>(&ondemand),
-        static_cast<policy::Policy*>(&performance),
-        static_cast<policy::Policy*>(&interactive),
-        static_cast<policy::Policy*>(&powersave)}) {
-    out.emplace_back(gov->name(),
-                     evaluator.evaluate(*gov, app, objectives));
-  }
-  return out;
-}
-
-num::Vec shared_reference(const std::vector<std::vector<num::Vec>>& fronts) {
+std::vector<double> normalized_phv(
+    const std::vector<std::vector<num::Vec>>& fronts) {
   std::vector<num::Vec> all;
   for (const auto& front : fronts) {
     all.insert(all.end(), front.begin(), front.end());
   }
-  return moo::default_reference_point(all, 0.1);
-}
-
-double phv(const std::vector<num::Vec>& front, const num::Vec& ref) {
-  return moo::hypervolume(front, ref);
+  const num::Vec ref = moo::default_reference_point(all, 0.1);
+  std::vector<double> out;
+  for (const auto& front : fronts) out.push_back(moo::hypervolume(front, ref));
+  const double base = out.front();
+  for (double& v : out) v /= base;
+  return out;
 }
 
 double min_chunk_seconds(std::size_t chunks,
@@ -186,7 +247,7 @@ void print_header(const std::string& title, const BenchScale& scale,
             << spec.decision_space_size() << " decisions/epoch)  scale: "
             << (scale.full ? "FULL (paper)" : "default (scaled)")
             << "  [parmis " << scale.parmis.max_iterations
-            << " iters, baselines " << scale.lambda_grid
+            << " iters, baselines " << scale.rl.grid_divisions
             << "-point lambda grid]\n\n";
 }
 

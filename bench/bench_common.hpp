@@ -4,24 +4,30 @@
 // paper's evaluation (README's bench table lists them).  They share:
 //  * scaled-vs-paper budgets (--full or PARMIS_FULL=1 selects the
 //    paper's 500-iteration / dense-lambda-grid settings),
-//  * canonical PaRMIS / RL / IL runs for one application,
+//  * one way to run a method: single-app scenarios executed as
+//    campaign cells through the method registry (exec::CampaignRunner),
+//    on all cores, every cell with all constant-decision anchors,
 //  * the paper's PHV methodology: one shared reference point per
 //    application across all methods, normalized to PaRMIS's PHV.
+// Campaign cells measure objectives as ratios to the default-decision
+// policy (runtime::GlobalEvaluator), so every front a bench compares
+// is measured that way — including the few sweeps no registry method
+// runs (re-measured policies, random search, tabular Q-learning).
 // Every timed probe (perf_suite, table2_overhead) uses the one
 // min-of-chunks timer below.
 #ifndef PARMIS_BENCH_COMMON_HPP
 #define PARMIS_BENCH_COMMON_HPP
 
+#include <cstdint>
 #include <functional>
 #include <string>
 #include <vector>
 
-#include "baselines/il.hpp"
-#include "baselines/rl.hpp"
 #include "common/cli.hpp"
 #include "core/parmis.hpp"
-#include "core/policy_search.hpp"
-#include "runtime/objectives.hpp"
+#include "exec/campaign.hpp"
+#include "methods/builtin.hpp"
+#include "scenario/scenario.hpp"
 #include "soc/platform.hpp"
 
 namespace parmis::bench {
@@ -29,60 +35,85 @@ namespace parmis::bench {
 /// Budgets for one experiment run.
 struct BenchScale {
   bool full = false;
-  core::ParmisConfig parmis;       ///< PaRMIS loop budget
-  baselines::RlConfig rl;          ///< per-lambda REINFORCE budget
-  baselines::IlConfig il;          ///< per-lambda oracle/DAgger budget
-  std::size_t lambda_grid = 6;     ///< scalarizations per baseline sweep
+  core::ParmisConfig parmis;     ///< PaRMIS loop budget
+  methods::RlMethodConfig rl;    ///< REINFORCE sweep (grid = lambda grid)
+  methods::IlMethodConfig il;    ///< oracle/DAgger sweep (same grid)
+
+  /// The RL and IL entries every bench campaign runs with.
+  methods::MethodConfigSet method_configs() const;
 };
 
 /// Scaled default (minutes for the whole suite) or paper-scale budgets.
 BenchScale make_scale(bool full);
 
-/// Convenience: parse CLI + environment into a BenchScale.
-BenchScale scale_from_cli(const CliArgs& args);
+/// Parses CLI + environment into a BenchScale: --full, and the
+/// per-run overrides --iterations, --rl-episodes and --grid (>= 2).
+/// Rejects every flag outside those and `extra_flags`.
+BenchScale scale_from_cli(const CliArgs& args,
+                          const std::vector<std::string>& extra_flags = {});
 
-/// One method's result on one application.
-struct MethodRun {
-  std::string method;                    ///< "parmis" / "rl" / "il"
-  std::vector<num::Vec> objectives;      ///< all evaluated points (min)
-  std::vector<num::Vec> front;           ///< non-dominated subset
-  std::vector<num::Vec> thetas;          ///< matching policy parameters
-  std::vector<double> phv_history;       ///< PaRMIS only
-  std::size_t evaluations = 0;
-};
+/// Rejects every flag outside `known`, so a typo fails loudly instead
+/// of being ignored, and any stray positional argument.
+void require_known_flags(const CliArgs& args,
+                         const std::vector<std::string>& known);
 
-/// Runs PaRMIS on one application for the given objective pair.
-MethodRun run_parmis(soc::Platform& platform, const soc::Application& app,
-                     const std::vector<runtime::Objective>& objectives,
-                     const BenchScale& scale, std::uint64_t seed);
+/// A size budget: a positive decimal integer, or `fallback` if absent.
+std::size_t size_flag(const CliArgs& args, const std::string& key,
+                      std::size_t fallback);
 
-/// Runs the scalarized RL baseline sweep (time/energy objectives only).
-MethodRun run_rl(soc::Platform& platform, const soc::Application& app,
-                 const std::vector<runtime::Objective>& objectives,
-                 const BenchScale& scale, std::uint64_t seed);
+/// --apps a,b,c: benchmark names, each known and listed once; all of
+/// apps::benchmark_names() when absent.
+std::vector<std::string> apps_flag(const CliArgs& args);
 
-/// Runs the scalarized IL baseline sweep (time/energy objectives only).
-MethodRun run_il(soc::Platform& platform, const soc::Application& app,
-                 const std::vector<runtime::Objective>& objectives,
-                 const BenchScale& scale, std::uint64_t seed);
+/// Runs a bench body and maps any parmis::Error (a bad flag, a failed
+/// cell) to exit 2 with one line on stderr.
+int guarded_main(int argc, char** argv,
+                 const std::function<int(const CliArgs&)>& body);
 
-/// Re-evaluates a run's policies under different objectives (the paper's
-/// Fig. 6 protocol: RL/IL reuse their time/energy policies for PPW).
-MethodRun reevaluate(const MethodRun& run, soc::Platform& platform,
-                     const soc::Application& app,
-                     const std::vector<runtime::Objective>& objectives);
+/// Single-app scenario `name`: `app` on the Exynos 5422 under (time,
+/// energy), running `methods` with the scale's PaRMIS budget.
+scenario::ScenarioSpec app_scenario(const std::string& name,
+                                    const std::string& app,
+                                    std::vector<std::string> methods,
+                                    const BenchScale& scale);
 
-/// The four stock governors as labelled single points.
-std::vector<std::pair<std::string, num::Vec>> governor_points(
-    soc::Platform& platform, const soc::Application& app,
-    const std::vector<runtime::Objective>& objectives);
+/// Runs every (scenario, method) cell once at `seed` on all cores with
+/// the scale's budgets; throws naming the first failed cell.
+exec::CampaignReport run_campaign(std::vector<scenario::ScenarioSpec> scenarios,
+                                  const BenchScale& scale, std::uint64_t seed);
 
-/// Reference point covering every front in `fronts` with 10 % margin
-/// (the paper's "same reference point for all DRM approaches").
-num::Vec shared_reference(const std::vector<std::vector<num::Vec>>& fronts);
+/// One cell with the scale's budgets and all anchors; throws if it
+/// failed.  For variants of one scenario that differ in `spec.parmis`.
+exec::CellResult run_cell(const scenario::ScenarioSpec& spec,
+                          const std::string& method, const BenchScale& scale,
+                          std::uint64_t seed);
 
-/// PHV of a front against a reference (dispatching exact/MC).
-double phv(const std::vector<num::Vec>& front, const num::Vec& ref);
+/// The cell of `report` for (scenario, method); throws if absent.
+const exec::CellResult& find_cell(const exec::CampaignReport& report,
+                                  const std::string& scenario,
+                                  const std::string& method);
+
+/// The four stock governors the paper plots next to the fronts.
+const std::vector<std::string>& paper_governors();
+
+/// How many paper_governors() points of `scenario` in `report` some
+/// point of `front` dominates.
+int governors_dominated(const exec::CampaignReport& report,
+                        const std::string& scenario,
+                        const std::vector<num::Vec>& front);
+
+/// Re-measures MLP policies under `spec`'s apps and objectives, the way
+/// a cell of `spec` measures them; returns the non-dominated points.
+/// The paper's Fig. 6 protocol: RL/IL reuse their time/energy policies
+/// for PPW.
+std::vector<num::Vec> reevaluate(const scenario::ScenarioSpec& spec,
+                                 const std::vector<num::Vec>& thetas);
+
+/// PHV of each front over PHV of fronts[0], all against one reference
+/// point covering every front with 10 % margin (the paper's "same
+/// reference point for all DRM approaches").
+std::vector<double> normalized_phv(
+    const std::vector<std::vector<num::Vec>>& fronts);
 
 /// Minimum-of-chunks timer (docs/perf.md): runs `chunk(0)` once untimed
 /// as a warmup (caches, page faults), then times `chunk(c)` for every c

@@ -7,51 +7,53 @@
 //  2. PaRMIS spans a wider trade-off range (lower min time than both),
 //  3. PaRMIS dominates all four governors, including `performance`.
 //
+// Fronts are ratios to the default-decision policy on the same app
+// (campaign cells measure through runtime::GlobalEvaluator).
+//
 // Usage: fig3_pareto_fronts [--full] [--csv PREFIX]
 #include <algorithm>
 #include <iostream>
 
-#include "apps/benchmarks.hpp"
 #include "bench_common.hpp"
 #include "common/table.hpp"
-#include "moo/pareto.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(const parmis::CliArgs& args) {
   using namespace parmis;
-  const CliArgs args = CliArgs::parse(argc, argv);
-  const bench::BenchScale scale = bench::scale_from_cli(args);
+  const bench::BenchScale scale = bench::scale_from_cli(args, {"csv"});
   const soc::SocSpec spec = soc::SocSpec::exynos5422();
   bench::print_header(
       "Fig. 3: application-specific Pareto fronts (time vs energy)", scale,
       spec);
-  const auto objectives = runtime::time_energy_objectives();
+  std::vector<std::string> methods = {"parmis", "rl", "il"};
+  for (const auto& name : bench::paper_governors()) methods.push_back(name);
+  std::vector<scenario::ScenarioSpec> scenarios;
+  for (const std::string app : {"qsort", "pca"}) {
+    scenarios.push_back(
+        bench::app_scenario("fig3-" + app, app, methods, scale));
+  }
+  const exec::CampaignReport report =
+      bench::run_campaign(scenarios, scale, 31);
 
-  for (const std::string app_name : {"qsort", "pca"}) {
-    soc::Platform platform(spec);
-    const soc::Application app = apps::make_benchmark(app_name);
-
-    const bench::MethodRun parmis_run =
-        bench::run_parmis(platform, app, objectives, scale, 31);
-    const bench::MethodRun rl_run =
-        bench::run_rl(platform, app, objectives, scale, 32);
-    const bench::MethodRun il_run =
-        bench::run_il(platform, app, objectives, scale, 33);
-    const auto governors = bench::governor_points(platform, app, objectives);
+  for (const auto& scenario : scenarios) {
+    const std::string& app_name = scenario.benchmark_apps.front();
+    auto front_of =
+        [&](const std::string& method) -> const std::vector<num::Vec>& {
+      return bench::find_cell(report, scenario.name, method).front;
+    };
+    const std::vector<num::Vec>& parmis_front = front_of("parmis");
+    const std::vector<num::Vec>& rl_front = front_of("rl");
+    const std::vector<num::Vec>& il_front = front_of("il");
 
     std::cout << "--- " << app_name << " ---\n";
-    Table table({"method", "time_s", "energy_j"});
-    auto add_front = [&table](const std::string& name,
-                              std::vector<num::Vec> front) {
+    Table table({"method", "time_ratio", "energy_ratio"});
+    for (const auto& method : methods) {
+      std::vector<num::Vec> front = front_of(method);
       std::sort(front.begin(), front.end());
       for (const auto& p : front) {
-        table.begin_row().add(name).add(p[0], 3).add(p[1], 3);
+        table.begin_row().add(method).add(p[0], 3).add(p[1], 3);
       }
-    };
-    add_front("parmis", parmis_run.front);
-    add_front("rl", rl_run.front);
-    add_front("il", il_run.front);
-    for (const auto& [name, point] : governors) {
-      table.begin_row().add(name).add(point[0], 3).add(point[1], 3);
     }
     table.print(std::cout);
     if (args.has("csv")) {
@@ -64,24 +66,21 @@ int main(int argc, char** argv) {
       for (const auto& p : front) best = std::min(best, p[0]);
       return best;
     };
-    std::cout << "\nlowest time: parmis " << format_double(
-                     min_time(parmis_run.front), 3)
-              << " s, rl " << format_double(min_time(rl_run.front), 3)
-              << " s, il " << format_double(min_time(il_run.front), 3)
-              << " s  (paper: parmis < rl < il for qsort)\n";
-
-    int dominated_governors = 0;
-    for (const auto& [name, point] : governors) {
-      for (const auto& p : parmis_run.front) {
-        if (moo::dominates(p, point)) {
-          ++dominated_governors;
-          break;
-        }
-      }
-    }
-    std::cout << "governors dominated by the PaRMIS front: "
-              << dominated_governors
+    std::cout << "\nlowest time ratio: parmis "
+              << format_double(min_time(parmis_front), 3) << ", rl "
+              << format_double(min_time(rl_front), 3) << ", il "
+              << format_double(min_time(il_front), 3)
+              << "  (paper: parmis < rl < il for qsort)\n"
+              << "governors dominated by the PaRMIS front: "
+              << bench::governors_dominated(report, scenario.name,
+                                            parmis_front)
               << "/4  (paper: 4/4 including `performance`)\n\n";
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return parmis::bench::guarded_main(argc, argv, run);
 }

@@ -6,65 +6,52 @@
 // 23 % higher than IL (i.e., normalized RL ~ 0.88, IL ~ 0.81); both
 // baselines stay below 1.0 on every application.
 //
+// One campaign: a single-app scenario per benchmark running parmis, rl
+// and il; report::analyze normalizes each method's PHV by PaRMIS's
+// against the scenario's shared reference point (paper Sec. V-C).
+//
 // Usage: fig4_phv_comparison [--full] [--apps a,b,c] [--csv FILE]
 #include <iostream>
-#include <sstream>
 
-#include "apps/benchmarks.hpp"
 #include "bench_common.hpp"
 #include "common/table.hpp"
+#include "report/analytics.hpp"
 
 namespace {
 
-std::vector<std::string> parse_apps(const std::string& csv) {
-  std::vector<std::string> out;
-  std::stringstream ss(csv);
-  std::string item;
-  while (std::getline(ss, item, ',')) {
-    if (!item.empty()) out.push_back(item);
-  }
-  return out;
-}
-
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(const parmis::CliArgs& args) {
   using namespace parmis;
-  const CliArgs args = CliArgs::parse(argc, argv);
-  const bench::BenchScale scale = bench::scale_from_cli(args);
+  const bench::BenchScale scale =
+      bench::scale_from_cli(args, {"apps", "csv"});
+  const std::vector<std::string> app_names = bench::apps_flag(args);
   const soc::SocSpec spec = soc::SocSpec::exynos5422();
   bench::print_header(
       "Fig. 4: normalized PHV vs PaRMIS (time/energy, app-specific)",
       scale, spec);
 
-  std::vector<std::string> app_names = apps::benchmark_names();
-  if (args.has("apps")) app_names = parse_apps(args.get("apps", ""));
-  const auto objectives = runtime::time_energy_objectives();
+  std::vector<scenario::ScenarioSpec> scenarios;
+  for (const auto& name : app_names) {
+    scenarios.push_back(bench::app_scenario("fig4-" + name, name,
+                                            {"parmis", "rl", "il"}, scale));
+  }
+  const std::vector<report::ScenarioAnalytics> analytics =
+      report::analyze(bench::run_campaign(scenarios, scale, 41));
 
   Table table({"app", "parmis", "rl", "il"});
   double sum_rl = 0.0, sum_il = 0.0;
-  std::uint64_t seed = 41;
-  for (const auto& name : app_names) {
-    soc::Platform platform(spec);
-    const soc::Application app = apps::make_benchmark(name);
-    const bench::MethodRun parmis_run =
-        bench::run_parmis(platform, app, objectives, scale, seed++);
-    const bench::MethodRun rl_run =
-        bench::run_rl(platform, app, objectives, scale, seed++);
-    const bench::MethodRun il_run =
-        bench::run_il(platform, app, objectives, scale, seed++);
-
-    // Same reference point for all methods (paper Sec. V-C).
-    const num::Vec ref = bench::shared_reference(
-        {parmis_run.front, rl_run.front, il_run.front});
-    const double phv_parmis = bench::phv(parmis_run.front, ref);
-    const double rl_norm = bench::phv(rl_run.front, ref) / phv_parmis;
-    const double il_norm = bench::phv(il_run.front, ref) / phv_parmis;
+  for (std::size_t i = 0; i < app_names.size(); ++i) {
+    auto norm = [&](const std::string& method) {
+      for (const auto& score : analytics[i].ranking) {
+        if (score.method == method) return score.norm_phv;
+      }
+      throw Error("fig4: no " + method + " score");
+    };
+    const double rl_norm = norm("rl");
+    const double il_norm = norm("il");
     sum_rl += rl_norm;
     sum_il += il_norm;
-    table.begin_row().add(name).add(1.0, 3).add(rl_norm, 3).add(il_norm, 3);
-    std::cerr << "[fig4] " << name << " done: rl " << rl_norm << ", il "
-              << il_norm << "\n";
+    table.begin_row().add(app_names[i]).add(norm("parmis"), 3).add(rl_norm, 3)
+        .add(il_norm, 3);
   }
   const double n = static_cast<double>(app_names.size());
   table.begin_row().add("average").add(1.0, 3).add(sum_rl / n, 3).add(
@@ -76,4 +63,10 @@ int main(int argc, char** argv) {
                "IL (PaRMIS +13% / +23%); expected shape: both < 1.0 on "
                "average, IL <= RL.\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return parmis::bench::guarded_main(argc, argv, run);
 }

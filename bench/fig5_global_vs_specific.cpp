@@ -7,89 +7,55 @@
 // Paper shape: global policies stay within ~2 % of app-specific PHV on
 // average (>= 1.0 for a few apps), i.e. global training generalizes.
 //
+// One campaign runs the global scenario and every app-specific one;
+// the global Pareto policies are then re-measured on each app the way
+// that app's cells measure (ratios to its default-decision policy).
+//
 // Usage: fig5_global_vs_specific [--full] [--apps a,b,c] [--csv FILE]
 #include <iostream>
-#include <sstream>
 
-#include "apps/benchmarks.hpp"
 #include "bench_common.hpp"
 #include "common/table.hpp"
-#include "moo/pareto.hpp"
-#include "runtime/evaluator.hpp"
 
 namespace {
 
-std::vector<std::string> parse_apps(const std::string& csv) {
-  std::vector<std::string> out;
-  std::stringstream ss(csv);
-  std::string item;
-  while (std::getline(ss, item, ',')) {
-    if (!item.empty()) out.push_back(item);
-  }
-  return out;
-}
-
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(const parmis::CliArgs& args) {
   using namespace parmis;
-  const CliArgs args = CliArgs::parse(argc, argv);
-  const bench::BenchScale scale = bench::scale_from_cli(args);
+  const bench::BenchScale scale =
+      bench::scale_from_cli(args, {"apps", "csv"});
+  const std::vector<std::string> app_names = bench::apps_flag(args);
   const soc::SocSpec spec = soc::SocSpec::exynos5422();
   bench::print_header(
       "Fig. 5: global vs application-specific Pareto-frontier policies",
       scale, spec);
 
-  std::vector<std::string> app_names = apps::benchmark_names();
-  if (args.has("apps")) app_names = parse_apps(args.get("apps", ""));
-  const auto objectives = runtime::time_energy_objectives();
-
-  // --- global training over all applications ---
-  soc::Platform platform(spec);
-  std::vector<soc::Application> all_apps;
+  // Global training over all applications, plus one app-specific
+  // scenario per application.
+  scenario::ScenarioSpec global =
+      bench::app_scenario("fig5-global", app_names.front(), {"parmis"}, scale);
+  global.benchmark_apps = app_names;
+  std::vector<scenario::ScenarioSpec> scenarios = {global};
   for (const auto& name : app_names) {
-    all_apps.push_back(apps::make_benchmark(name));
+    scenarios.push_back(
+        bench::app_scenario("fig5-" + name, name, {"parmis"}, scale));
   }
-  core::DrmPolicyProblem global_problem(platform, all_apps, objectives);
-  core::ParmisConfig cfg = scale.parmis;
-  cfg.seed = 71;
-  cfg.initial_thetas = global_problem.anchor_thetas();
-  core::Parmis global_opt(global_problem.evaluation_fn(),
-                          global_problem.theta_dim(), objectives.size(),
-                          cfg);
-  const core::ParmisResult global_res = global_opt.run();
-  const std::vector<num::Vec> global_thetas = global_res.pareto_thetas();
-  std::cerr << "[fig5] global training done: " << global_thetas.size()
+  const exec::CampaignReport report =
+      bench::run_campaign(scenarios, scale, 61);
+  const std::vector<num::Vec>& global_thetas =
+      bench::find_cell(report, global.name, "parmis").pareto_thetas;
+  std::cerr << "[fig5] global front: " << global_thetas.size()
             << " Pareto policies\n";
 
   // --- per-app comparison ---
   Table table({"app", "app_specific", "global"});
-  runtime::Evaluator evaluator(platform);
-  policy::MlpPolicy policy(platform.decision_space());
   double sum_norm = 0.0;
-  std::uint64_t seed = 61;
-  for (const auto& name : app_names) {
-    const soc::Application app = apps::make_benchmark(name);
-    // App-specific PaRMIS front.
-    const bench::MethodRun specific =
-        bench::run_parmis(platform, app, objectives, scale, seed++);
-    // Global policies evaluated on this app.
-    std::vector<num::Vec> global_points;
-    for (const auto& theta : global_thetas) {
-      policy.set_parameters(theta);
-      global_points.push_back(evaluator.evaluate(policy, app, objectives));
-    }
-    const std::vector<num::Vec> global_front =
-        moo::pareto_front(global_points);
-
-    const num::Vec ref =
-        bench::shared_reference({specific.front, global_front});
-    const double phv_specific = bench::phv(specific.front, ref);
-    const double normalized = bench::phv(global_front, ref) / phv_specific;
+  for (std::size_t i = 0; i < app_names.size(); ++i) {
+    const scenario::ScenarioSpec& specific = scenarios[i + 1];
+    const double normalized = bench::normalized_phv(
+        {bench::find_cell(report, specific.name, "parmis").front,
+         bench::reevaluate(specific, global_thetas)})[1];
     sum_norm += normalized;
-    table.begin_row().add(name).add(1.0, 3).add(normalized, 3);
-    std::cerr << "[fig5] " << name << ": global/specific = " << normalized
-              << "\n";
+    table.begin_row().add(app_names[i]).add(1.0, 3).add(normalized, 3);
   }
   const double n = static_cast<double>(app_names.size());
   table.begin_row().add("average").add(1.0, 3).add(sum_norm / n, 3);
@@ -99,4 +65,10 @@ int main(int argc, char** argv) {
   std::cout << "\npaper: global policies within ~2% of app-specific PHV on "
                "average (some apps above 1.0).\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return parmis::bench::guarded_main(argc, argv, run);
 }

@@ -6,65 +6,57 @@
 // improvements of 16 % over RL and 21 % over IL (normalized RL ~ 0.86,
 // IL ~ 0.83).
 //
+// One campaign: per app, a (time, PPW) scenario running parmis and a
+// (time, energy) one running rl and il, whose Pareto policies are then
+// re-measured under (time, PPW).
+//
 // Usage: fig7_ppw_phv [--full] [--apps a,b,c] [--csv FILE]
 #include <iostream>
-#include <sstream>
 
-#include "apps/benchmarks.hpp"
 #include "bench_common.hpp"
 #include "common/table.hpp"
 
 namespace {
 
-std::vector<std::string> parse_apps(const std::string& csv) {
-  std::vector<std::string> out;
-  std::stringstream ss(csv);
-  std::string item;
-  while (std::getline(ss, item, ',')) {
-    if (!item.empty()) out.push_back(item);
-  }
-  return out;
-}
-
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(const parmis::CliArgs& args) {
   using namespace parmis;
-  const CliArgs args = CliArgs::parse(argc, argv);
-  const bench::BenchScale scale = bench::scale_from_cli(args);
+  const bench::BenchScale scale =
+      bench::scale_from_cli(args, {"apps", "csv"});
+  const std::vector<std::string> app_names = bench::apps_flag(args);
   const soc::SocSpec spec = soc::SocSpec::exynos5422();
   bench::print_header(
       "Fig. 7: normalized PHV vs PaRMIS (PPW/time, app-specific)", scale,
       spec);
 
-  std::vector<std::string> app_names = apps::benchmark_names();
-  if (args.has("apps")) app_names = parse_apps(args.get("apps", ""));
-  const auto te = runtime::time_energy_objectives();
-  const auto tp = runtime::time_ppw_objectives();
+  std::vector<scenario::ScenarioSpec> scenarios;
+  for (const auto& name : app_names) {
+    scenario::ScenarioSpec tp =
+        bench::app_scenario("fig7-" + name + "-ppw", name, {"parmis"}, scale);
+    tp.objectives = {runtime::ObjectiveKind::ExecutionTime,
+                     runtime::ObjectiveKind::PPW};
+    scenarios.push_back(tp);
+    scenarios.push_back(bench::app_scenario("fig7-" + name + "-te", name,
+                                            {"rl", "il"}, scale));
+  }
+  const exec::CampaignReport report =
+      bench::run_campaign(scenarios, scale, 91);
 
   Table table({"app", "parmis", "rl", "il"});
   double sum_rl = 0.0, sum_il = 0.0;
-  std::uint64_t seed = 91;
-  for (const auto& name : app_names) {
-    soc::Platform platform(spec);
-    const soc::Application app = apps::make_benchmark(name);
-    const bench::MethodRun parmis_run =
-        bench::run_parmis(platform, app, tp, scale, seed++);
-    const bench::MethodRun rl_run = bench::reevaluate(
-        bench::run_rl(platform, app, te, scale, seed++), platform, app, tp);
-    const bench::MethodRun il_run = bench::reevaluate(
-        bench::run_il(platform, app, te, scale, seed++), platform, app, tp);
-
-    const num::Vec ref = bench::shared_reference(
-        {parmis_run.front, rl_run.front, il_run.front});
-    const double phv_parmis = bench::phv(parmis_run.front, ref);
-    const double rl_norm = bench::phv(rl_run.front, ref) / phv_parmis;
-    const double il_norm = bench::phv(il_run.front, ref) / phv_parmis;
-    sum_rl += rl_norm;
-    sum_il += il_norm;
-    table.begin_row().add(name).add(1.0, 3).add(rl_norm, 3).add(il_norm, 3);
-    std::cerr << "[fig7] " << name << " done: rl " << rl_norm << ", il "
-              << il_norm << "\n";
+  for (std::size_t a = 0; a < app_names.size(); ++a) {
+    const scenario::ScenarioSpec& tp = scenarios[2 * a];
+    const scenario::ScenarioSpec& te = scenarios[2 * a + 1];
+    auto reused = [&](const std::string& method) {
+      return bench::reevaluate(
+          tp, bench::find_cell(report, te.name, method).pareto_thetas);
+    };
+    const std::vector<double> norm = bench::normalized_phv(
+        {bench::find_cell(report, tp.name, "parmis").front, reused("rl"),
+         reused("il")});
+    sum_rl += norm[1];
+    sum_il += norm[2];
+    table.begin_row().add(app_names[a]).add(norm[0], 3).add(norm[1], 3).add(
+        norm[2], 3);
   }
   const double n = static_cast<double>(app_names.size());
   table.begin_row().add("average").add(1.0, 3).add(sum_rl / n, 3).add(
@@ -75,4 +67,10 @@ int main(int argc, char** argv) {
   std::cout << "\npaper: PaRMIS higher on all apps; average normalized PHV "
                "~0.86 (RL) and ~0.83 (IL).\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return parmis::bench::guarded_main(argc, argv, run);
 }

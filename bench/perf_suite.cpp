@@ -38,7 +38,6 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <initializer_list>
 #include <iostream>
 #include <memory>
 #include <string>
@@ -83,33 +82,6 @@ constexpr std::size_t kServeFront = 12;
 constexpr std::size_t kMergeCells = 10'000;
 constexpr std::size_t kMergeShards = 16;
 constexpr double kMaxServeOverheadPct = 2.0;
-
-// ------------------------------------------------------------ flags
-
-/// Rejects every flag outside `known`, so a removed flag fails loudly
-/// instead of being ignored, and any stray positional argument.
-void require_known_flags(const CliArgs& args,
-                         std::initializer_list<const char*> known) {
-  for (const std::string& key : args.keys()) {
-    require(std::find(known.begin(), known.end(), key) != known.end(),
-            "unknown flag --" + key);
-  }
-  for (const std::string& arg : args.positional()) {
-    require(false, "unexpected argument '" + arg + "'");
-  }
-}
-
-/// A size budget: a positive decimal integer, or `fallback` if absent.
-std::size_t size_flag(const CliArgs& args, const std::string& key,
-                      std::size_t fallback) {
-  if (!args.has(key)) return fallback;
-  const std::string v = args.get(key, "");
-  require(!v.empty() && v.size() <= 18 &&
-              v.find_first_not_of("0123456789") == std::string::npos &&
-              std::stoull(v) > 0,
-          "--" + key + " expects a positive integer, got '" + v + "'");
-  return std::stoull(v);
-}
 
 // --------------------------------------------------- synthetic report
 
@@ -404,7 +376,8 @@ AcquisitionNumbers acquisition_us_per_candidate(bool smoke,
 }
 
 int run_scorecard(const CliArgs& args) {
-  require_known_flags(args, {"smoke", "out", "require-batched-faster"});
+  bench::require_known_flags(args,
+                             {"smoke", "out", "require-batched-faster"});
   const bool smoke = args.get_bool("smoke", false);
   const bool gate = args.get_bool("require-batched-faster", false);
   const std::string out = args.get("out", "BENCH_perf.json");
@@ -495,14 +468,14 @@ int run_scorecard(const CliArgs& args) {
 // ---------------------------------------------------------------- serve
 
 int run_serve(const CliArgs& args) {
-  require_known_flags(args, {"smoke", "decisions", "chunk-decisions",
-                             "latency-samples", "baseline", "csv"});
+  bench::require_known_flags(args, {"smoke", "decisions", "chunk-decisions",
+                                    "latency-samples", "baseline", "csv"});
   ServeBudget budget = serve_budget(args.get_bool("smoke", false));
-  budget.decisions = size_flag(args, "decisions", budget.decisions);
+  budget.decisions = bench::size_flag(args, "decisions", budget.decisions);
   budget.chunk_decisions =
-      size_flag(args, "chunk-decisions", budget.chunk_decisions);
+      bench::size_flag(args, "chunk-decisions", budget.chunk_decisions);
   budget.latency_samples =
-      size_flag(args, "latency-samples", budget.latency_samples);
+      bench::size_flag(args, "latency-samples", budget.latency_samples);
   require(budget.chunk_decisions <= budget.decisions,
           "--chunk-decisions must not exceed --decisions");
   const double baseline = args.get_double("baseline", 0.0);
@@ -678,9 +651,10 @@ double peak_rss_mib() {
 }
 
 int run_campaign(const CliArgs& args) {
-  require_known_flags(args, {"threads", "seeds", "full", "csv", "cache-dir"});
+  bench::require_known_flags(args,
+                             {"threads", "seeds", "full", "csv", "cache-dir"});
   const std::size_t threads =
-      size_flag(args, "threads", exec::default_num_threads());
+      bench::size_flag(args, "threads", exec::default_num_threads());
   exec::CampaignConfig config;
   config.scenarios = scenario::all_scenarios();
   if (full_scale_requested(args)) {
@@ -688,7 +662,7 @@ int run_campaign(const CliArgs& args) {
       s.parmis = scenario::campaign_parmis_budget(true);
     }
   }
-  config.seeds_per_cell = size_flag(args, "seeds", 1);
+  config.seeds_per_cell = bench::size_flag(args, "seeds", 1);
 
   std::cout << "campaign: " << config.scenarios.size() << " scenarios, "
             << config.seeds_per_cell << " seed(s) per cell\n\n";

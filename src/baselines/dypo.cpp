@@ -4,8 +4,6 @@
 #include <limits>
 
 #include "common/error.hpp"
-#include "moo/pareto.hpp"
-#include "runtime/evaluator.hpp"
 
 namespace parmis::baselines {
 
@@ -135,27 +133,6 @@ DypoPolicy dypo_train(soc::Platform& platform, const soc::Application& app,
     decisions.push_back(space.decision(best_d));
   }
   return DypoPolicy(std::move(centroids), std::move(decisions));
-}
-
-BaselineFrontResult dypo_pareto_front(
-    soc::Platform& platform, const soc::Application& app,
-    const std::vector<runtime::Objective>& objectives, std::size_t grid_size,
-    std::size_t num_clusters, std::uint64_t seed) {
-  BaselineFrontResult out;
-  runtime::Evaluator evaluator(platform);
-  const OracleTable table(platform, app);
-  out.total_evaluations += table.build_evaluations() / app.num_epochs();
-
-  const auto grid = scalarization_grid(objectives.size(), grid_size);
-  for (const num::Vec& weights : grid) {
-    DypoPolicy policy =
-        dypo_train(platform, app, objectives, table, weights, num_clusters,
-                   seed++);
-    out.objectives.push_back(evaluator.evaluate(policy, app, objectives));
-    ++out.total_evaluations;
-  }
-  out.pareto_indices = moo::non_dominated_indices(out.objectives);
-  return out;
 }
 
 }  // namespace parmis::baselines

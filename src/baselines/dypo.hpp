@@ -43,13 +43,6 @@ DypoPolicy dypo_train(soc::Platform& platform, const soc::Application& app,
                       const OracleTable& table, const num::Vec& weights,
                       std::size_t num_clusters, std::uint64_t seed);
 
-/// Lambda sweep producing the DyPO front (thetas left empty: the policy
-/// is a lookup table, not a parameter vector).
-BaselineFrontResult dypo_pareto_front(
-    soc::Platform& platform, const soc::Application& app,
-    const std::vector<runtime::Objective>& objectives, std::size_t grid_size,
-    std::size_t num_clusters = 3, std::uint64_t seed = 17);
-
 }  // namespace parmis::baselines
 
 #endif  // PARMIS_BASELINES_DYPO_HPP

@@ -7,9 +7,7 @@
 #include "common/error.hpp"
 #include "ml/optimizer.hpp"
 #include "ml/softmax.hpp"
-#include "moo/pareto.hpp"
 #include "obs/obs.hpp"
-#include "runtime/evaluator.hpp"
 
 namespace parmis::baselines {
 
@@ -215,35 +213,6 @@ num::Vec IlTrainer::train(const num::Vec& weights) {
     fit();
   }
   return params;
-}
-
-BaselineFrontResult il_pareto_front(
-    soc::Platform& platform, const soc::Application& app,
-    const std::vector<runtime::Objective>& objectives, std::size_t grid_size,
-    IlConfig config, OracleFidelity fidelity) {
-  BaselineFrontResult out;
-  runtime::Evaluator evaluator(platform);
-  const OracleTable table(platform, app, fidelity);
-  // Charge the exhaustive pass in app-run equivalents.
-  out.total_evaluations += table.build_evaluations() / app.num_epochs();
-
-  const auto grid = scalarization_grid(objectives.size(), grid_size);
-  std::uint64_t seed = config.seed;
-  for (const num::Vec& weights : grid) {
-    IlConfig cfg = config;
-    cfg.seed = seed++;
-    IlTrainer trainer(platform, app, objectives, table, cfg);
-    const num::Vec theta = trainer.train(weights);
-    out.total_evaluations += trainer.evaluations_used();
-
-    policy::MlpPolicy policy(platform.decision_space(), config.policy);
-    policy.set_parameters(theta);
-    out.thetas.push_back(theta);
-    out.objectives.push_back(evaluator.evaluate(policy, app, objectives));
-    ++out.total_evaluations;
-  }
-  out.pareto_indices = moo::non_dominated_indices(out.objectives);
-  return out;
 }
 
 }  // namespace parmis::baselines

@@ -113,15 +113,6 @@ class IlTrainer {
   std::size_t evaluations_ = 0;
 };
 
-/// Full baseline: lambda sweep -> aggregate measured front.  The oracle
-/// is built at the given fidelity; the trained policies are always
-/// *measured* on the real platform.
-BaselineFrontResult il_pareto_front(
-    soc::Platform& platform, const soc::Application& app,
-    const std::vector<runtime::Objective>& objectives,
-    std::size_t grid_size, IlConfig config = {},
-    OracleFidelity fidelity = OracleFidelity::FirstOrder);
-
 }  // namespace parmis::baselines
 
 #endif  // PARMIS_BASELINES_IL_HPP

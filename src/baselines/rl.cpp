@@ -5,8 +5,6 @@
 #include "common/error.hpp"
 #include "ml/optimizer.hpp"
 #include "ml/softmax.hpp"
-#include "moo/pareto.hpp"
-#include "runtime/evaluator.hpp"
 
 namespace parmis::baselines {
 
@@ -176,31 +174,6 @@ num::Vec RlTrainer::train(const num::Vec& weights) {
     adam.step(params, grad);
   }
   return params;
-}
-
-BaselineFrontResult rl_pareto_front(
-    soc::Platform& platform, const soc::Application& app,
-    const std::vector<runtime::Objective>& objectives, std::size_t grid_size,
-    RlConfig config) {
-  BaselineFrontResult out;
-  runtime::Evaluator evaluator(platform);
-  const auto grid = scalarization_grid(objectives.size(), grid_size);
-  std::uint64_t seed = config.seed;
-  for (const num::Vec& weights : grid) {
-    RlConfig cfg = config;
-    cfg.seed = seed++;
-    RlTrainer trainer(platform, app, objectives, cfg);
-    const num::Vec theta = trainer.train(weights);
-    out.total_evaluations += trainer.evaluations_used();
-
-    policy::MlpPolicy policy(platform.decision_space(), config.policy);
-    policy.set_parameters(theta);
-    out.thetas.push_back(theta);
-    out.objectives.push_back(evaluator.evaluate(policy, app, objectives));
-    ++out.total_evaluations;
-  }
-  out.pareto_indices = moo::non_dominated_indices(out.objectives);
-  return out;
 }
 
 }  // namespace parmis::baselines

@@ -7,8 +7,9 @@
 // terms are unit-free), optimized with REINFORCE (policy-gradient with a
 // moving-average baseline, entropy bonus, and gradient clipping) on the
 // same 4-head MLP policy PaRMIS uses ("we use the same function
-// approximator to implement both RL and IL", Sec. V-F).  A lambda sweep
-// over reward weights traces the RL Pareto front.
+// approximator to implement both RL and IL", Sec. V-F).  The "rl"
+// campaign method (methods/builtin.cpp) sweeps the reward weights to
+// trace the RL Pareto front.
 //
 // The PPW restriction is structural, exactly as the paper argues: the
 // trainer only accepts objectives with per-epoch decomposable rewards
@@ -65,15 +66,6 @@ class RlTrainer {
   std::vector<num::Vec> epoch_reference_;  ///< per-epoch (time, energy) refs
   std::size_t evaluations_ = 0;
 };
-
-/// Full baseline: sweep `grid_size` scalarizations, evaluate each trained
-/// policy deterministically, and return the aggregate front.
-BaselineFrontResult rl_pareto_front(soc::Platform& platform,
-                                    const soc::Application& app,
-                                    const std::vector<runtime::Objective>&
-                                        objectives,
-                                    std::size_t grid_size,
-                                    RlConfig config = {});
 
 }  // namespace parmis::baselines
 

@@ -200,7 +200,7 @@ BaselineFrontResult tabular_q_pareto_front(
     const std::vector<runtime::Objective>& objectives, std::size_t grid_size,
     TabularQConfig config) {
   BaselineFrontResult out;
-  runtime::Evaluator evaluator(platform);
+  runtime::GlobalEvaluator evaluator(platform, {app}, objectives);
   const auto grid = scalarization_grid(objectives.size(), grid_size);
   std::uint64_t seed = config.seed;
   for (const num::Vec& weights : grid) {
@@ -209,7 +209,7 @@ BaselineFrontResult tabular_q_pareto_front(
     TabularQTrainer trainer(platform, app, objectives, cfg);
     TabularQPolicy policy = trainer.train(weights);
     out.total_evaluations += trainer.evaluations_used();
-    out.objectives.push_back(evaluator.evaluate(policy, app, objectives));
+    out.objectives.push_back(evaluator.evaluate(policy));
     ++out.total_evaluations;
   }
   out.pareto_indices = moo::non_dominated_indices(out.objectives);

@@ -99,8 +99,10 @@ class TabularQTrainer {
   std::size_t evaluations_ = 0;
 };
 
-/// Lambda sweep -> measured front (mirrors rl_pareto_front; thetas empty
-/// because LUT policies have no parameter vector).
+/// Lambda sweep -> measured front, in the units of the "rl" campaign
+/// method: each trained policy is measured by a GlobalEvaluator over
+/// `app` (ratios to the default-decision policy).  Thetas stay empty
+/// because LUT policies have no parameter vector.
 BaselineFrontResult tabular_q_pareto_front(
     soc::Platform& platform, const soc::Application& app,
     const std::vector<runtime::Objective>& objectives, std::size_t grid_size,

@@ -72,15 +72,6 @@ double deployed_overhead(const CellContext& ctx, policy::Policy& deployed) {
   return evaluator.run(deployed, ctx.apps.front()).decision_overhead_us;
 }
 
-double deployed_mlp_overhead(const CellContext& ctx,
-                             const policy::MlpPolicyConfig& policy_config,
-                             const std::vector<num::Vec>& pareto_thetas) {
-  if (pareto_thetas.empty()) return 0.0;
-  policy::MlpPolicy deployed(ctx.platform.decision_space(), policy_config);
-  deployed.set_parameters(pareto_thetas.front());
-  return deployed_overhead(ctx, deployed);
-}
-
 /// Trainer seed for sweep element `index` of a cell: a splitmix64 mix
 /// of (cell seed, index), NOT cell_seed + index — consecutive cell
 /// seeds must not share all-but-one trainer RNG stream, or multi-seed
@@ -88,6 +79,46 @@ double deployed_mlp_overhead(const CellContext& ctx,
 std::uint64_t sweep_seed(std::uint64_t cell_seed, std::uint64_t index) {
   std::uint64_t state = cell_seed ^ (0x9E3779B97F4A7C15ULL * (index + 1));
   return splitmix64(state);
+}
+
+/// The RL/IL lambda sweep.  Each scalarization trains one MLP policy
+/// on the cell's first application (the paper's per-app protocol) with
+/// a trainer from `make_trainer(sweep_seed(cell seed, index))`; every
+/// trained policy is then measured globally, so the front shares the
+/// objective space — and the PHV reference — of every other method on
+/// the cell.  `evaluations` is what the method spent before the sweep.
+template <typename MakeTrainer>
+MethodOutput mlp_sweep(const CellContext& ctx, std::size_t grid_divisions,
+                       const policy::MlpPolicyConfig& policy_config,
+                       std::size_t evaluations, MakeTrainer make_trainer) {
+  runtime::GlobalEvaluator global(ctx.platform, ctx.apps, ctx.objectives,
+                                  ctx.eval_config);
+  baselines::BaselineFrontResult res;
+  res.total_evaluations = evaluations;
+  const auto grid = baselines::scalarization_grid(ctx.objectives.size(),
+                                                  grid_divisions);
+  for (std::size_t w = 0; w < grid.size(); ++w) {
+    auto trainer = make_trainer(sweep_seed(ctx.seed, w));
+    const num::Vec theta = trainer.train(grid[w]);
+    res.total_evaluations += trainer.evaluations_used();
+    policy::MlpPolicy policy(ctx.platform.decision_space(), policy_config);
+    policy.set_parameters(theta);
+    res.thetas.push_back(theta);
+    res.objectives.push_back(global.evaluate(policy));
+    ++res.total_evaluations;
+  }
+  res.pareto_indices = moo::non_dominated_indices(res.objectives);
+
+  MethodOutput out;
+  out.front = res.pareto_front();
+  out.evaluations = res.total_evaluations;
+  out.pareto_thetas = res.pareto_thetas();
+  if (!out.pareto_thetas.empty()) {
+    policy::MlpPolicy deployed(ctx.platform.decision_space(), policy_config);
+    deployed.set_parameters(out.pareto_thetas.front());
+    out.decision_overhead_us = deployed_overhead(ctx, deployed);
+  }
+  return out;
 }
 
 const MethodCapabilities& time_energy_only() {
@@ -377,38 +408,13 @@ class RlMethod final : public Method {
     rl.entropy_bonus = cfg.entropy_bonus;
     rl.gradient_clip = cfg.gradient_clip;
 
-    // Lambda sweep: each scalarization trains on the cell's first
-    // application (the paper's per-app protocol); every trained policy
-    // is then measured globally so RL fronts share the objective space
-    // — and the PHV reference — of every other method on the cell.
-    runtime::GlobalEvaluator global(ctx.platform, ctx.apps, ctx.objectives,
-                                    ctx.eval_config);
-    baselines::BaselineFrontResult res;
-    const auto grid = baselines::scalarization_grid(ctx.objectives.size(),
-                                                    cfg.grid_divisions);
-    for (std::size_t w = 0; w < grid.size(); ++w) {
-      const num::Vec& weights = grid[w];
-      baselines::RlConfig c = rl;
-      c.seed = sweep_seed(ctx.seed, w);
-      baselines::RlTrainer trainer(ctx.platform, ctx.apps.front(),
-                                   ctx.objectives, c);
-      const num::Vec theta = trainer.train(weights);
-      res.total_evaluations += trainer.evaluations_used();
-      policy::MlpPolicy policy(ctx.platform.decision_space(), c.policy);
-      policy.set_parameters(theta);
-      res.thetas.push_back(theta);
-      res.objectives.push_back(global.evaluate(policy));
-      ++res.total_evaluations;
-    }
-    res.pareto_indices = moo::non_dominated_indices(res.objectives);
-
-    MethodOutput out;
-    out.front = res.pareto_front();
-    out.evaluations = res.total_evaluations;
-    out.pareto_thetas = res.pareto_thetas();
-    out.decision_overhead_us =
-        deployed_mlp_overhead(ctx, rl.policy, out.pareto_thetas);
-    return out;
+    return mlp_sweep(ctx, cfg.grid_divisions, rl.policy, 0,
+                     [&](std::uint64_t seed) {
+                       baselines::RlConfig c = rl;
+                       c.seed = seed;
+                       return baselines::RlTrainer(
+                           ctx.platform, ctx.apps.front(), ctx.objectives, c);
+                     });
   }
 };
 
@@ -489,37 +495,15 @@ class IlMethod final : public Method {
 
     const soc::Application& train_app = ctx.apps.front();
     const auto table = oracle_table(ctx, fidelity);
-    runtime::GlobalEvaluator global(ctx.platform, ctx.apps, ctx.objectives,
-                                    ctx.eval_config);
-    baselines::BaselineFrontResult res;
     // Charge the exhaustive oracle pass in app-run equivalents.
-    res.total_evaluations +=
-        table->build_evaluations() / train_app.num_epochs();
-    const auto grid = baselines::scalarization_grid(ctx.objectives.size(),
-                                                    cfg.grid_divisions);
-    for (std::size_t w = 0; w < grid.size(); ++w) {
-      const num::Vec& weights = grid[w];
-      baselines::IlConfig c = il;
-      c.seed = sweep_seed(ctx.seed, w);
-      baselines::IlTrainer trainer(ctx.platform, train_app, ctx.objectives,
-                                   *table, c);
-      const num::Vec theta = trainer.train(weights);
-      res.total_evaluations += trainer.evaluations_used();
-      policy::MlpPolicy policy(ctx.platform.decision_space(), c.policy);
-      policy.set_parameters(theta);
-      res.thetas.push_back(theta);
-      res.objectives.push_back(global.evaluate(policy));
-      ++res.total_evaluations;
-    }
-    res.pareto_indices = moo::non_dominated_indices(res.objectives);
-
-    MethodOutput out;
-    out.front = res.pareto_front();
-    out.evaluations = res.total_evaluations;
-    out.pareto_thetas = res.pareto_thetas();
-    out.decision_overhead_us =
-        deployed_mlp_overhead(ctx, il.policy, out.pareto_thetas);
-    return out;
+    return mlp_sweep(ctx, cfg.grid_divisions, il.policy,
+                     table->build_evaluations() / train_app.num_epochs(),
+                     [&](std::uint64_t seed) {
+                       baselines::IlConfig c = il;
+                       c.seed = seed;
+                       return baselines::IlTrainer(ctx.platform, train_app,
+                                                   ctx.objectives, *table, c);
+                     });
   }
 };
 

@@ -182,22 +182,6 @@ TEST(Rl, WeightsSteerTheTradeoff) {
   EXPECT_LE(o_energy[1], o_time[1] * 1.10);
 }
 
-TEST(Rl, SweepProducesFront) {
-  const soc::SocSpec spec = soc::SocSpec::exynos5422();
-  soc::Platform platform(spec);
-  RlConfig cfg;
-  cfg.episodes = 30;
-  const BaselineFrontResult r = rl_pareto_front(
-      platform, small_app(), runtime::time_energy_objectives(), 3, cfg);
-  EXPECT_EQ(r.objectives.size(), 3u);
-  EXPECT_FALSE(r.pareto_indices.empty());
-  EXPECT_GE(r.total_evaluations, 3u * 30u);
-  for (const auto& o : r.objectives) {
-    EXPECT_TRUE(std::isfinite(o[0]));
-    EXPECT_TRUE(std::isfinite(o[1]));
-  }
-}
-
 // --------------------------------------------------------------------- il
 
 TEST(Il, OracleTableCoversDecisionSpace) {
@@ -280,19 +264,6 @@ TEST(Il, TrainedPolicyApproachesOracleCost) {
   const double cost_trained = 0.5 * o_trained[0] + 0.5 * o_trained[1];
   const double cost_fresh = 0.5 * o_fresh[0] + 0.5 * o_fresh[1];
   EXPECT_LT(cost_trained, cost_fresh);
-}
-
-TEST(Il, SweepProducesFront) {
-  const soc::SocSpec spec = soc::SocSpec::exynos5422();
-  soc::Platform platform(spec);
-  IlConfig cfg;
-  cfg.training_passes = 15;
-  cfg.dagger_rounds = 1;
-  const BaselineFrontResult r = il_pareto_front(
-      platform, small_app(), runtime::time_energy_objectives(), 3, cfg);
-  EXPECT_EQ(r.objectives.size(), 3u);
-  EXPECT_FALSE(r.pareto_indices.empty());
-  EXPECT_GT(r.total_evaluations, 4000u);  // includes the exhaustive pass
 }
 
 TEST(Il, TableApplicationMismatchThrows) {
@@ -453,15 +424,6 @@ TEST(Dypo, PolicyIsValidNearestCentroidLookup) {
   soc::HwCounters c;
   c.max_core_utilization = 0.9;
   EXPECT_TRUE(platform.decision_space().is_valid(policy.decide(c)));
-}
-
-TEST(Dypo, FrontIsCoarserThanOracle) {
-  const soc::SocSpec spec = soc::SocSpec::exynos5422();
-  soc::Platform platform(spec);
-  const BaselineFrontResult r = dypo_pareto_front(
-      platform, small_app(), runtime::time_energy_objectives(), 4, 2);
-  EXPECT_EQ(r.objectives.size(), 4u);
-  EXPECT_FALSE(r.pareto_indices.empty());
 }
 
 }  // namespace

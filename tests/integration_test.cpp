@@ -6,12 +6,10 @@
 #include <cmath>
 
 #include "apps/benchmarks.hpp"
-#include "baselines/il.hpp"
 #include "baselines/rl.hpp"
 #include "common/rng.hpp"
 #include "core/parmis.hpp"
 #include "core/policy_search.hpp"
-#include "moo/hypervolume.hpp"
 #include "moo/pareto.hpp"
 #include "policy/governors.hpp"
 #include "runtime/evaluator.hpp"
@@ -126,31 +124,6 @@ TEST(Integration, PpwObjectivePipelineWorksEndToEnd) {
   EXPECT_THROW(baselines::RlTrainer(platform, app,
                                     runtime::time_ppw_objectives()),
                Error);
-}
-
-TEST(Integration, RlAndIlFrontsAreComparableUnits) {
-  const soc::SocSpec spec = soc::SocSpec::exynos5422();
-  soc::Platform platform(spec);
-  const soc::Application app = mini_app("qsort", 10);
-  const auto objectives = runtime::time_energy_objectives();
-
-  baselines::RlConfig rl_cfg;
-  rl_cfg.episodes = 25;
-  const auto rl = baselines::rl_pareto_front(platform, app, objectives, 3,
-                                             rl_cfg);
-  baselines::IlConfig il_cfg;
-  il_cfg.training_passes = 10;
-  il_cfg.dagger_rounds = 1;
-  const auto il = baselines::il_pareto_front(platform, app, objectives, 3,
-                                             il_cfg);
-  // Shared reference point over both fronts -> comparable PHVs.
-  std::vector<Vec> all = rl.objectives;
-  all.insert(all.end(), il.objectives.begin(), il.objectives.end());
-  const Vec ref = moo::default_reference_point(all, 0.1);
-  const double phv_rl = moo::hypervolume(rl.pareto_front(), ref);
-  const double phv_il = moo::hypervolume(il.pareto_front(), ref);
-  EXPECT_GT(phv_rl, 0.0);
-  EXPECT_GT(phv_il, 0.0);
 }
 
 TEST(Integration, GlobalPoliciesGeneralizeAcrossApps) {

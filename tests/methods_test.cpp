@@ -23,6 +23,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "cache/result_cache.hpp"
@@ -31,6 +32,7 @@
 #include "methods/builtin.hpp"
 #include "methods/oracle_memo.hpp"
 #include "methods/registry.hpp"
+#include "moo/hypervolume.hpp"
 #include "obs/metrics.hpp"
 #include "scenario/scenario.hpp"
 #include "serde/plan.hpp"
@@ -171,13 +173,26 @@ TEST(MethodCapabilities, ValidationNamesScenarioAndMethod) {
 TEST(Methods, RlIlDypoRunAsCampaignCells) {
   const scenario::ScenarioSpec spec = tiny_te_scenario();
   const MethodConfigSet configs = tiny_budgets();
-  for (const char* name : {"rl", "il", "dypo"}) {
+  // tiny_budgets(): a 2-point lambda grid for every method, 3 REINFORCE
+  // episodes per weight; IL and DyPO charge their exhaustive oracle
+  // pass as one app run per decision.
+  const std::size_t grid_points = 2;
+  const std::size_t oracle_pass =
+      scenario::make_platform_spec(spec).decision_space_size();
+  const std::vector<std::pair<const char*, std::size_t>> min_evaluations = {
+      {"rl", grid_points * 3 + grid_points},
+      {"il", oracle_pass + grid_points},
+      {"dypo", oracle_pass + grid_points}};
+  std::vector<std::vector<num::Vec>> learned_fronts;  // rl, il
+  for (const auto& [name, floor] : min_evaluations) {
     SCOPED_TRACE(name);
     const exec::CellResult a =
         exec::CampaignRunner::run_cell(spec, name, 3, 1, configs);
     EXPECT_TRUE(a.error.empty()) << a.error;
     ASSERT_FALSE(a.front.empty());
-    EXPECT_GT(a.evaluations, 1u);
+    // One measured policy per scalarization, at most.
+    EXPECT_LE(a.front.size(), grid_points);
+    EXPECT_GE(a.evaluations, floor);
     EXPECT_EQ(a.objective_names.size(), 2u);
     // Objective vectors live in the same global normalized space as
     // every other method: finite, positive-normalized magnitudes.
@@ -185,6 +200,7 @@ TEST(Methods, RlIlDypoRunAsCampaignCells) {
       ASSERT_EQ(point.size(), 2u);
       for (double v : point) EXPECT_TRUE(std::isfinite(v));
     }
+    if (std::string(name) != "dypo") learned_fronts.push_back(a.front);
 
     // Bitwise deterministic per (spec, method, seed, config)...
     const exec::CellResult b =
@@ -202,6 +218,17 @@ TEST(Methods, RlIlDypoRunAsCampaignCells) {
     ra.cells = {a};
     rc.cells = {c};
     EXPECT_NE(ra.objectives_digest(), rc.objectives_digest());
+  }
+
+  // RL and IL fronts are comparable units: both have positive PHV
+  // against one shared reference point.
+  std::vector<num::Vec> all;
+  for (const auto& front : learned_fronts) {
+    all.insert(all.end(), front.begin(), front.end());
+  }
+  const num::Vec ref = moo::default_reference_point(all, 0.1);
+  for (const auto& front : learned_fronts) {
+    EXPECT_GT(moo::hypervolume(front, ref), 0.0);
   }
 }
 

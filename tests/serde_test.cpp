@@ -616,7 +616,7 @@ TEST(PlanCampaign, PlanDrivenRunFromCacheIsAllHits) {
   EXPECT_EQ(second.objectives_digest(), first.objectives_digest());
 }
 
-TEST(PlanCampaign, ScalarizationMethodRunsDeterministically) {
+TEST(PlanCampaign, ScalarizationRunsDeterministically) {
   const scenario::ScenarioSpec spec =
       scenario::make_scenario("xu3-mibench-te");
   const exec::CellResult a =
