@@ -3,7 +3,7 @@
 //
 //   perf_suite [--smoke] [--out=path] [--require-batched-faster]
 //     writes the versioned scorecard (BENCH_perf.json, schema
-//     `parmis-perf-v5`) so perf regressions show up as a diff at the
+//     `parmis-perf-v6`) so perf regressions show up as a diff at the
 //     repo root: campaign cells/s, batched vs scalar acquisition
 //     us/candidate (bit-identity asserted while timing), merge cells/s
 //     and serve decisions/s/core with p50/p99.
@@ -291,9 +291,10 @@ double campaign_cells_per_s(bool smoke, json::Value* budget) {
 
 /// Microseconds per candidate theta for one iteration's acquisition
 /// object (built once, evaluated many times — the PaRMIS inner loop),
-/// measured through the batched predict_many sweep AND the scalar
-/// per-candidate loop on the same queries, with bit-equivalence checked
-/// between the two while we are at it.
+/// measured through the batched values() sweep AND the scalar
+/// per-candidate value() loop on the same queries, with bit-equivalence
+/// checked between the two while we are at it.  The GP size is a late
+/// xu3 PaRMIS iteration: 112 evaluated thetas of dimension 445.
 struct AcquisitionNumbers {
   double batched_us_per_candidate = 0.0;
   double scalar_us_per_candidate = 0.0;
@@ -303,7 +304,7 @@ struct AcquisitionNumbers {
 
 AcquisitionNumbers acquisition_us_per_candidate(bool smoke,
                                                 json::Value* budget) {
-  const std::size_t n = 60, d = 16;
+  const std::size_t n = 112, d = 445;
   const std::size_t block = 256;  // candidates per batched sweep
   const std::size_t chunks = smoke ? 2 : 20;
   const std::size_t candidates = chunks * block;
@@ -366,7 +367,7 @@ AcquisitionNumbers acquisition_us_per_candidate(bool smoke,
                   candidates * sizeof(double)) == 0;
   if (!numbers.bit_identical) {
     std::cerr << "acquisition batched/scalar scores DIVERGED — "
-                 "predict_many broke the bit-equivalence contract\n";
+                 "the GP layer broke the bit-equivalence contract\n";
   }
   budget->set("candidates", json::Value::number(double(candidates)));
   budget->set("candidates_per_block", json::Value::number(double(block)));
@@ -443,7 +444,7 @@ int run_scorecard(const CliArgs& args) {
   budgets.set("serve", std::move(serve_budget_json));
 
   json::Value doc = json::Value::object();
-  doc.set("schema", json::Value::string("parmis-perf-v5"));
+  doc.set("schema", json::Value::string("parmis-perf-v6"));
   doc.set("smoke", json::Value::boolean(smoke));
   doc.set("metrics", std::move(metrics));
   doc.set("budgets", std::move(budgets));

@@ -6,7 +6,7 @@ Usage:
     python3 scripts/check_perf_regression.py bench_smoke.json \
         [--baseline=BENCH_perf.json] [--max-ratio=N]
 
-Both files carry the parmis-perf-v5 schema.  The committed baseline is
+Both files carry the parmis-perf-v6 schema.  The committed baseline is
 a full-budget run on a quiet machine; CI produces a --smoke run on a
 noisy shared runner, so magnitudes are not comparable run-to-run.  The
 gate therefore checks per-metric tolerance BANDS, not equality:
@@ -32,7 +32,7 @@ import argparse
 import json
 import sys
 
-SCHEMA = "parmis-perf-v5"
+SCHEMA = "parmis-perf-v6"
 
 # metric -> (direction, kind)
 #   direction: "higher" is better or "lower" is better

@@ -18,9 +18,10 @@
 // and hot-swaps the snapshot without disturbing in-flight batches.
 //
 // --replay runs a canned request file and prints the decision digest
-// to stderr; CI replays the same requests against a sharded-then-
-// merged report and its unsharded twin and requires equal digests —
-// the serving layer's end-to-end bit-for-bit check.
+// to stderr; the cli_merge_serve_contracts ctest replays the same
+// requests against a sharded-then-merged report and its unsharded twin
+// and requires equal digests — the serving layer's end-to-end
+// bit-for-bit check.
 #include <fstream>
 #include <iostream>
 #include <string>

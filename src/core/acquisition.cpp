@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 
 #include "common/error.hpp"
 #include "exec/thread_pool.hpp"
@@ -21,6 +22,26 @@ InformationGainAcquisition::InformationGainAcquisition(
     require(m.has_data(), "acquisition: all GP models need data");
   }
   require(config.num_mc_samples >= 1, "acquisition: S must be >= 1");
+
+  // Models whose training inputs are bitwise equal share each block's
+  // r^2 sweep; in PaRMIS every objective's GP is fitted on the same
+  // thetas, so there is one group.
+  for (std::size_t j = 0; j < models.size(); ++j) {
+    const num::Matrix& X = models[j].train_inputs();
+    const auto same_inputs = [&](const std::vector<std::size_t>& group) {
+      const num::Matrix& G = models[group.front()].train_inputs();
+      return G.rows() == X.rows() && G.cols() == X.cols() &&
+             std::memcmp(G.data().data(), X.data().data(),
+                         X.data().size() * sizeof(double)) == 0;
+    };
+    const auto group =
+        std::find_if(input_groups_.begin(), input_groups_.end(), same_inputs);
+    if (group == input_groups_.end()) {
+      input_groups_.push_back({j});
+    } else {
+      group->push_back(j);
+    }
+  }
 
   const std::size_t k = models.size();
   for (std::size_t s = 0; s < config.num_mc_samples; ++s) {
@@ -101,31 +122,46 @@ double InformationGainAcquisition::score(const double* mean,
   return total / static_cast<double>(minima_.size());
 }
 
-double InformationGainAcquisition::value(const num::Vec& theta) const {
+void InformationGainAcquisition::score_rows(const double* queries,
+                                            std::size_t count,
+                                            double* out) const {
   const std::vector<gp::GpRegressor>& models = *models_;
   const std::size_t k = models.size();
-  std::vector<double> mean(k), variance(k);
-  for (std::size_t j = 0; j < k; ++j) {
-    const gp::Prediction p = models[j].predict(theta);
-    mean[j] = p.mean;
-    variance[j] = p.variance;
+  const std::size_t dim = models.front().input_dim();
+  std::vector<gp::BatchPrediction> preds(k);
+  for (const std::vector<std::size_t>& group : input_groups_) {
+    const num::Matrix r2 =
+        models[group.front()].query_r2(queries, count, dim);
+    for (std::size_t j : group) preds[j] = models[j].predict_from_r2(r2);
   }
-  return score(mean.data(), variance.data());
+  std::vector<double> mean(k), variance(k);
+  for (std::size_t q = 0; q < count; ++q) {
+    for (std::size_t j = 0; j < k; ++j) {
+      mean[j] = preds[j].mean[q];
+      variance[j] = preds[j].variance[q];
+    }
+    out[q] = score(mean.data(), variance.data());
+  }
+}
+
+double InformationGainAcquisition::value(const num::Vec& theta) const {
+  require(theta.size() == models_->front().input_dim(),
+          "acquisition: theta dimension mismatch");
+  double out = 0.0;
+  score_rows(theta.data(), 1, &out);
+  return out;
 }
 
 std::vector<double> InformationGainAcquisition::values(
     const std::vector<num::Vec>& thetas, exec::ThreadPool* pool) const {
-  const std::vector<gp::GpRegressor>& models = *models_;
-  const std::size_t k = models.size();
   const std::size_t n = thetas.size();
   std::vector<double> out(n);
   if (n == 0) return out;
-  const std::size_t dim = models.front().input_dim();
+  const std::size_t dim = models_->front().input_dim();
 
-  // One block = one predict_many sweep per model.  Block b only writes
-  // out[b*kScoreBlock, ...), and each candidate goes through score() as
-  // in value(), so the scores are identical at any block split or
-  // thread count.
+  // Block b only writes out[b*kScoreBlock, ...), and each candidate's
+  // score depends on its own r^2 row alone, so the scores are identical
+  // at any block split or thread count.
   const std::size_t num_blocks = (n + kScoreBlock - 1) / kScoreBlock;
   const auto score_block = [&](std::size_t b) {
     const std::size_t lo = b * kScoreBlock;
@@ -141,18 +177,7 @@ std::vector<double> InformationGainAcquisition::values(
       double* row = queries.row_view(q).data();
       for (std::size_t c = 0; c < dim; ++c) row[c] = theta[c];
     }
-    std::vector<gp::BatchPrediction> preds;
-    preds.reserve(k);
-    for (const auto& m : models) preds.push_back(m.predict_many(queries));
-
-    std::vector<double> mean(k), variance(k);
-    for (std::size_t q = 0; q < bn; ++q) {
-      for (std::size_t j = 0; j < k; ++j) {
-        mean[j] = preds[j].mean[q];
-        variance[j] = preds[j].variance[q];
-      }
-      out[lo + q] = score(mean.data(), variance.data());
-    }
+    score_rows(queries.data().data(), bn, out.data() + lo);
   };
   if (pool != nullptr && num_blocks > 1) {
     pool->parallel_for(num_blocks, score_block);

@@ -59,24 +59,26 @@ class InformationGainAcquisition {
                              const num::Vec& lower, const num::Vec& upper,
                              const AcquisitionConfig& config, Rng& rng);
 
-  /// alpha(theta) per Eq. 9 (>= 0; larger = more informative).
+  /// alpha(theta) per Eq. 9 (>= 0; larger = more informative): the
+  /// one-candidate block of values().
   double value(const num::Vec& theta) const;
 
-  /// Batched alpha over a whole candidate sweep: scores every theta in
-  /// one pass through GpRegressor::predict_many, reusing each model's
-  /// Cholesky factor across the sweep instead of re-solving per
-  /// candidate.  out[i] is bitwise identical to value(thetas[i]) (see
-  /// the contract in src/gp/gp.hpp).  When `pool` is non-null the sweep
-  /// parallelizes over fixed-size candidate blocks (results are block-
-  /// and thread-count-invariant since candidate i only writes slot i).
+  /// Batched alpha over a whole candidate sweep, block by block.  Each
+  /// block is swept to r^2 (GpRegressor::query_r2) once per distinct
+  /// training set — in PaRMIS every objective's GP shares one — and
+  /// each model then applies its own tail and reuses its Cholesky
+  /// factor across the block (GpRegressor::predict_from_r2).  out[i] is
+  /// bitwise identical to the score built from each model's own
+  /// predict_many (see the contract in src/gp/gp.hpp), and to
+  /// value(thetas[i]).  When `pool` is non-null the sweep parallelizes
+  /// over fixed-size candidate blocks (results are block- and
+  /// thread-count-invariant since candidate i only writes slot i).
   std::vector<double> values(const std::vector<num::Vec>& thetas,
                              exec::ThreadPool* pool = nullptr) const;
 
-  /// Candidates per block in the batched sweep (one predict_many call
-  /// per model per block).  64 keeps each model's cross-covariance
-  /// slice L1d-resident (n x 64 doubles = 30 KiB at n = 60); wider
-  /// blocks measurably lose more to cache misses than they save in
-  /// per-call setup.  Scores are invariant to this value (see values()).
+  /// Candidates per block in the batched sweep (one r^2 sweep per
+  /// training set and one predict_from_r2 per model per block).  Scores
+  /// are invariant to this value (see values()).
   static constexpr std::size_t kScoreBlock = 64;
 
   /// Per-sample truncation points y_s^j* : the component-wise best
@@ -96,10 +98,17 @@ class InformationGainAcquisition {
 
  private:
   /// alpha at one candidate (Eq. 9) from its k posterior means and
-  /// variances — the per-candidate scoring value() and values() share.
+  /// variances.
   double score(const double* mean, const double* variance) const;
 
+  /// Scores `count` candidates (row-major count x dim) into out[0..count):
+  /// the block body value() and values() share.
+  void score_rows(const double* queries, std::size_t count, double* out) const;
+
   const std::vector<gp::GpRegressor>* models_;  // non-owning
+  // Models grouped by bitwise-equal training inputs, recorded once at
+  // construction: each block is swept to r^2 once per group.
+  std::vector<std::vector<std::size_t>> input_groups_;
   std::vector<std::vector<num::Vec>> fronts_;   // S fronts
   std::vector<num::Vec> minima_;                // S x k truncation points
   std::vector<num::Vec> frontier_thetas_;

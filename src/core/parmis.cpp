@@ -13,6 +13,7 @@
 namespace parmis::core {
 
 std::string parmis_config_error(const ParmisConfig& config) {
+  if (config.num_initial < 2) return "num_initial must be >= 2";
   if (!gp::is_kernel_name(config.kernel)) {
     return "unknown kernel \"" + config.kernel + "\" (known: rbf, matern52)";
   }
@@ -55,7 +56,6 @@ Parmis::Parmis(EvaluationFn evaluate, std::size_t theta_dim,
   require(num_objectives_ >= 2, "parmis: need at least two objectives");
   const std::string config_error = parmis_config_error(config_);
   require(config_error.empty(), "parmis: " + config_error);
-  require(config_.num_initial >= 2, "parmis: need >= 2 initial points");
 
   lower_.assign(theta_dim_, -config_.theta_bound);
   upper_.assign(theta_dim_, config_.theta_bound);
@@ -181,11 +181,11 @@ num::Vec Parmis::maximize_acquisition(
 
   // --- pick argmax, then a short stochastic local refinement ---
   // The whole candidate pool is scored through the batched GP backend
-  // (one predict_many sweep per model per block; the worker pool fans
-  // out over blocks).  Batched scores are bit-identical to per-candidate
-  // acq.value() calls, and the argmax scan below is index-ordered with a
-  // strict comparison, so the winner is the same at every block split
-  // and thread count.
+  // (one r^2 sweep per block shared by every model, then each model's
+  // tail and solve; the worker pool fans out over blocks).  Batched
+  // scores are bit-identical to per-candidate acq.value() calls, and the
+  // argmax scan below is index-ordered with a strict comparison, so the
+  // winner is the same at every block split and thread count.
   const std::vector<double> scores = acq.values(pool, config_.pool);
   std::size_t best = 0;
   double best_val = -1.0;

@@ -64,10 +64,11 @@ struct ParmisConfig {
   exec::ThreadPool* pool = nullptr;
 };
 
-/// The first rule `config` breaks (a kernel make_kernel knows, finite
-/// noise_variance > 0, finite theta_bound > 0, finite perturbation_sd
-/// >= 0, acq_pool_size >= 1), or "" if it passes.  The Parmis
-/// constructor rejects exactly these configurations.
+/// The first rule `config` breaks (num_initial >= 2, a kernel
+/// make_kernel knows, finite noise_variance > 0, finite theta_bound > 0,
+/// finite perturbation_sd >= 0, acq_pool_size >= 1), or "" if it
+/// passes.  The Parmis constructor rejects exactly these
+/// configurations, and scenario validation rejects them at plan load.
 std::string parmis_config_error(const ParmisConfig& config);
 
 /// Everything PaRMIS produces.

@@ -1,6 +1,8 @@
 #include "gp/gp.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <numbers>
 
 #include "numerics/batch.hpp"
@@ -21,6 +23,7 @@ GpRegressor::GpRegressor(const GpRegressor& other)
       noise_variance_(other.noise_variance_),
       X_(other.X_),
       Xt_(other.Xt_),
+      r2_(other.r2_),
       y_(other.y_),
       yn_(other.yn_),
       y_mean_(other.y_mean_),
@@ -34,6 +37,7 @@ GpRegressor& GpRegressor::operator=(const GpRegressor& other) {
   noise_variance_ = other.noise_variance_;
   X_ = other.X_;
   Xt_ = other.Xt_;
+  r2_ = other.r2_;
   y_ = other.y_;
   yn_ = other.yn_;
   y_mean_ = other.y_mean_;
@@ -45,28 +49,53 @@ GpRegressor& GpRegressor::operator=(const GpRegressor& other) {
 
 void GpRegressor::set_data(num::Matrix X, num::Vec y) {
   require(X.rows() == y.size(), "GP set_data: X rows must match y size");
+  // The cached r^2 rows stay current while the old inputs are, bit for
+  // bit, the leading rows of the new ones.
+  const std::size_t old_n = X_.rows();
+  const bool grows =
+      old_n > 0 && X.cols() == X_.cols() && X.rows() >= old_n &&
+      std::memcmp(X.data().data(), X_.data().data(),
+                  old_n * X_.cols() * sizeof(double)) == 0;
   X_ = std::move(X);
   Xt_ = X_.transposed();
   y_ = std::move(y);
-  refit();
+  refit(grows ? old_n : 0);
 }
 
 num::Matrix GpRegressor::build_gram() const {
+  // K = tail(r^2) above the diagonal, mirrored below: r2_ is symmetric
+  // bit for bit, so each pair costs one tail evaluation.
   const std::size_t n = X_.rows();
-  const std::size_t d = X_.cols();
   num::Matrix K(n, n);
   for (std::size_t i = 0; i < n; ++i) {
-    kernel_->cross_covariance(Xt_.data().data(), n, X_.row_view(i).data(), d,
-                              K.row_view(i).data());
+    kernel_->covariance_from_r2(r2_.row_view(i).data() + i + 1, n - i - 1,
+                                K.row_view(i).data() + i + 1);
     K(i, i) = kernel_->prior_variance() + noise_variance_;
+    for (std::size_t j = i + 1; j < n; ++j) K(j, i) = K(i, j);
   }
   return K;
 }
 
-void GpRegressor::refit() {
-  PARMIS_TRACE_SPAN_D("gp", "fit", "n=%zu", X_.rows());
+void GpRegressor::refit(std::size_t kept) {
   const std::size_t n = X_.rows();
+  PARMIS_TRACE_SPAN_D("gp", "fit", "n=%zu;swept=%zu", n, n - kept);
+  if (kept < n) {
+    // Keep the first `kept` rows' block, sweep each new row against
+    // every point, and mirror it into the kept rows' columns:
+    // (a - b)^2 == (b - a)^2 bit for bit.
+    num::Matrix r2(n, n);
+    for (std::size_t i = 0; i < kept; ++i) {
+      std::copy_n(r2_.row_view(i).data(), kept, r2.row_view(i).data());
+    }
+    for (std::size_t i = kept; i < n; ++i) {
+      squared_distances(Xt_.data().data(), n, X_.row_view(i).data(),
+                        X_.cols(), r2.row_view(i).data());
+      for (std::size_t j = 0; j < kept; ++j) r2(j, i) = r2(i, j);
+    }
+    r2_ = std::move(r2);
+  }
   if (n == 0) {
+    r2_ = num::Matrix();
     chol_.reset();
     alpha_.clear();
     return;
@@ -83,35 +112,46 @@ void GpRegressor::refit() {
 }
 
 Prediction GpRegressor::predict(const num::Vec& x) const {
-  const BatchPrediction p = predict_rows(x.data(), 1, x.size());
+  const BatchPrediction p = predict_from_r2(query_r2(x.data(), 1, x.size()));
   return {p.mean[0], p.variance[0]};
 }
 
 BatchPrediction GpRegressor::predict_many(const num::Matrix& Xstar) const {
   PARMIS_TRACE_SPAN_D("gp", "predict_many", "n=%zu;q=%zu", X_.rows(),
                       Xstar.rows());
-  return predict_rows(Xstar.data().data(), Xstar.rows(), Xstar.cols());
+  return predict_from_r2(
+      query_r2(Xstar.data().data(), Xstar.rows(), Xstar.cols()));
 }
 
-BatchPrediction GpRegressor::predict_rows(const double* queries,
-                                          std::size_t q_count,
-                                          std::size_t dim) const {
+num::Matrix GpRegressor::query_r2(const double* queries, std::size_t q_count,
+                                  std::size_t dim) const {
+  const std::size_t n = X_.rows();
+  num::Matrix r2(q_count, n);
+  if (!has_data()) return r2;
+  require(dim == X_.cols(), "GP predict: dimension mismatch");
+  for (std::size_t q = 0; q < q_count; ++q) {
+    squared_distances(Xt_.data().data(), n, queries + q * dim, dim,
+                      r2.row_view(q).data());
+  }
+  return r2;
+}
+
+BatchPrediction GpRegressor::predict_from_r2(const num::Matrix& r2) const {
   // Without data: the prior.  Otherwise every entry is overwritten below.
+  const std::size_t q_count = r2.rows();
   BatchPrediction out{num::Vec(q_count, 0.0),
                       num::Vec(q_count, kernel_->prior_variance())};
-  if (!has_data()) return out;
-  require(dim == X_.cols(), "GP predict: dimension mismatch");
-  if (q_count == 0) return out;
-
+  if (!has_data() || q_count == 0) return out;
   const std::size_t n = X_.rows();
-  // Cross-covariance block kstar(i, q) = k(x*_q, x_i): each query is one
-  // sweep against the cached Xt_, scattered into column q so the
-  // multi-RHS solve streams rows contiguously.
+  require(r2.cols() == n, "GP predict: r^2 block width must equal size()");
+
+  // Cross-covariance block kstar(i, q) = k(x*_q, x_i): the tail of each
+  // query's r^2 row, scattered into column q so the multi-RHS solve
+  // streams rows contiguously.
   num::Matrix kstar(n, q_count);
   num::AlignedBuffer row(n);
   for (std::size_t q = 0; q < q_count; ++q) {
-    kernel_->cross_covariance(Xt_.data().data(), n, queries + q * dim, dim,
-                              row.data());
+    kernel_->covariance_from_r2(r2.row_view(q).data(), n, row.data());
     for (std::size_t i = 0; i < n; ++i) kstar(i, q) = row[i];
   }
 
@@ -172,7 +212,7 @@ void GpRegressor::optimize_hyperparameters(Rng& rng,
     const double noise = std::exp(rng.uniform(std::log(1e-6), std::log(1e-1)));
     kernel_->set_hyperparameters(l, sv);
     noise_variance_ = noise;
-    refit();
+    refit(X_.rows());
     const double ll = log_marginal_likelihood();
     if (ll > best_ll) {
       best_ll = ll;
@@ -183,7 +223,7 @@ void GpRegressor::optimize_hyperparameters(Rng& rng,
   }
   kernel_->set_hyperparameters(best_l, best_sv);
   noise_variance_ = best_noise;
-  refit();
+  refit(X_.rows());
 }
 
 }  // namespace parmis::gp

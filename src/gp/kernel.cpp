@@ -6,10 +6,30 @@
 namespace parmis::gp {
 
 namespace {
-// Chunk edge of the r^2 sweep: a stack buffer of squared distances that
-// the kernel's tail consumes in one virtual call.
+// Chunk edge of the r^2 sweep: a stack buffer of accumulators that
+// stays in L1 across all `dim` passes and aliases no input.
 constexpr std::size_t kChunk = 64;
 }  // namespace
+
+void squared_distances(const double* points_t, std::size_t count,
+                       const double* x, std::size_t dim, double* out) {
+  double r2[kChunk];
+  for (std::size_t jb = 0; jb < count; jb += kChunk) {
+    const std::size_t cn = std::min(kChunk, count - jb);
+    std::fill_n(r2, cn, 0.0);
+    for (std::size_t i = 0; i < dim; ++i) {
+      // Each j is independent (no reduction reordering), so the
+      // compiler vectorizes freely.
+      const double* row = points_t + i * count + jb;
+      const double xi = x[i];
+      for (std::size_t j = 0; j < cn; ++j) {
+        const double d = row[j] - xi;
+        r2[j] += d * d;
+      }
+    }
+    std::copy_n(r2, cn, out + jb);
+  }
+}
 
 Kernel::Kernel(double lengthscale, double signal_variance)
     : lengthscale_(lengthscale), signal_variance_(signal_variance) {
@@ -29,27 +49,6 @@ double Kernel::value(const num::Vec& a, const num::Vec& b) const {
   double out = 0.0;
   covariance_from_r2(&r2, 1, &out);
   return out;
-}
-
-void Kernel::cross_covariance(const double* points_t, std::size_t count,
-                              const double* x, std::size_t dim,
-                              double* out) const {
-  double r2[kChunk];
-  for (std::size_t jb = 0; jb < count; jb += kChunk) {
-    const std::size_t cn = std::min(kChunk, count - jb);
-    std::fill_n(r2, cn, 0.0);
-    for (std::size_t i = 0; i < dim; ++i) {
-      // (p - x)^2 == (x - p)^2 bit for bit, and each j is independent
-      // (no reduction reordering), so the compiler vectorizes freely.
-      const double* row = points_t + i * count + jb;
-      const double xi = x[i];
-      for (std::size_t j = 0; j < cn; ++j) {
-        const double d = row[j] - xi;
-        r2[j] += d * d;
-      }
-    }
-    covariance_from_r2(r2, cn, out + jb);
-  }
 }
 
 RbfKernel::RbfKernel(double lengthscale, double signal_variance)

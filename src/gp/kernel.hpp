@@ -3,12 +3,15 @@
 // PaRMIS models each design objective as an independent GP over the DRM
 // policy parameter vector theta (paper Sec. IV-A).  The kernels here are
 // isotropic and stationary: a covariance is a function of the squared
-// distance r^2 = |a-b|^2 alone.  The base class owns the one r^2 sweep
-// (cross_covariance) and each kernel supplies only its tail r^2 -> k,
-// so every covariance in the GP layer — Gram rows, single and batched
-// predictions — runs through the same code.  Each kernel also exposes
-// its spectral density sampler so that posterior *functions* can be
-// drawn via random Fourier features (Rahimi & Recht), which the
+// distance r^2 = |a-b|^2 alone.  squared_distances is the one r^2 sweep
+// and each kernel supplies only its tail r^2 -> k, so every covariance
+// in the GP layer — Gram rows, single and batched predictions — is the
+// same sweep followed by the same tail.  The sweep does not depend on
+// the hyperparameters, so its output is kept and reused: GpRegressor
+// caches its training r^2, and the acquisition sweeps each query once
+// for every model that shares the training inputs.  Each kernel also
+// exposes its spectral density sampler so that posterior *functions*
+// can be drawn via random Fourier features (Rahimi & Recht), which the
 // acquisition needs to sample Pareto fronts.
 #ifndef PARMIS_GP_KERNEL_HPP
 #define PARMIS_GP_KERNEL_HPP
@@ -21,6 +24,15 @@
 
 namespace parmis::gp {
 
+/// The r^2 sweep: out[j] = |x - point j|^2 for `count` points stored
+/// TRANSPOSED — `points_t` is dim x count, element (i, j) at
+/// points_t[i*count+j].  Each r^2 accumulates (p_i - x_i)^2 over i in
+/// ascending order from 0.0 (the op sequence of num::squared_distance,
+/// bit for bit, as (p - x)^2 == (x - p)^2), one contiguous, vectorizable
+/// j-sweep per input dimension.
+void squared_distances(const double* points_t, std::size_t count,
+                       const double* x, std::size_t dim, double* out);
+
 /// Isotropic covariance kernel k(a, b) = tail(|a-b|^2).
 class Kernel {
  public:
@@ -28,19 +40,13 @@ class Kernel {
 
   /// Covariance between two input points of equal dimension: the tail
   /// of num::squared_distance.  A convenience for callers outside the
-  /// hot path; bitwise equal to the matching cross_covariance entry.
+  /// hot path; bitwise equal to the tail of the matching
+  /// squared_distances entry.
   double value(const num::Vec& a, const num::Vec& b) const;
 
-  /// The r^2 sweep: out[j] = k(x, point j) for `count` points stored
-  /// TRANSPOSED — `points_t` is dim x count, element (i, j) at
-  /// points_t[i*count+j].  Each point's r^2 accumulates over i in
-  /// ascending order (the op sequence of num::squared_distance), one
-  /// contiguous, vectorizable j-sweep per input dimension, in chunks
-  /// that then go through covariance_from_r2.
-  void cross_covariance(const double* points_t, std::size_t count,
-                        const double* x, std::size_t dim, double* out) const;
-
-  /// The kernel's tail: out[j] = k at squared distance r2[j].
+  /// The kernel's tail: out[j] = k at squared distance r2[j].  Each entry
+  /// depends on r2[j] alone, so the result does not depend on how a
+  /// caller blocks its calls.
   virtual void covariance_from_r2(const double* r2, std::size_t n,
                                   double* out) const = 0;
 

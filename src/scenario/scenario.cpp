@@ -75,7 +75,6 @@ void ScenarioSpec::validate() const {
     method->check_objectives(objectives, who);
     method->check_decision_space(space_size, who);
   }
-  require(parmis.num_initial >= 1, who + "parmis.num_initial must be >= 1");
   const std::string parmis_error = core::parmis_config_error(parmis);
   require(parmis_error.empty(), who + "parmis: " + parmis_error);
   // The front-sampler budget is only read deep inside a PaRMIS cell's

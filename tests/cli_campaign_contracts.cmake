@@ -80,7 +80,9 @@ set(hostile_fields
     "\"noise_variance\": 1e999"
     "\"theta_bound\": 1e999"
     "\"perturbation_sd\": -1"
-    "\"acq_pool_size\": 0")
+    "\"acq_pool_size\": 0"
+    "\"num_initial\": 1"
+    "\"num_initial\": 0")
 foreach(field IN LISTS hostile_fields)
   file(WRITE "${WORK_DIR}/hostile.json"
        "{\"schema\": \"parmis-plan-v1\", \"name\": \"hostile\", "

@@ -1,0 +1,88 @@
+# Shard-merge and serve-replay contracts, end to end through the
+# campaign, campaign-merge, policy-serve and plugin_method binaries:
+#
+#   * merge: the sharded example plan runs as 3 shard processes over one
+#     cache dir; campaign-merge joins the shard reports out of order
+#     (strict tiling), and the merged digest equals the unsharded run's,
+#     which is --require-cached (the shards computed every cell exactly
+#     once); one complete report re-merges as a no-op; the merge's
+#     analytics carry their schema;
+#   * plugin: the out-of-tree method example runs its plan end to end;
+#   * serve: one canned request file replayed against the merged report
+#     and against its unsharded twin gives byte-identical responses (but
+#     for ping's wall-clock uptime_s) and equal decision digests.
+#
+#   cmake -DCAMPAIGN=path/to/campaign -DMERGE=path/to/campaign-merge \
+#         -DSERVE=path/to/policy-serve -DPLUGIN=path/to/plugin_method \
+#         -DEXAMPLES_DIR=examples -DWORK_DIR=work/dir \
+#         -P tests/cli_merge_serve_contracts.cmake
+#
+# Registered with ctest as cli_merge_serve_contracts.
+foreach(var MERGE SERVE PLUGIN EXAMPLES_DIR)
+  if(NOT DEFINED ${var})
+    message(FATAL_ERROR "cli_merge_serve_contracts: -D${var}=... is required")
+  endif()
+endforeach()
+include(${CMAKE_CURRENT_LIST_DIR}/cli_common.cmake)
+
+# run_tool(<label> <binary> <arg>...): runs <binary> in ${WORK_DIR},
+# its output to <label>.out and <label>.err; a non-zero exit is fatal.
+function(run_tool label binary)
+  execute_process(
+    COMMAND "${binary}" ${ARGN}
+    WORKING_DIRECTORY "${WORK_DIR}"
+    RESULT_VARIABLE rc
+    OUTPUT_FILE "${WORK_DIR}/${label}.out"
+    ERROR_FILE "${WORK_DIR}/${label}.err")
+  if(NOT rc EQUAL 0)
+    file(READ "${WORK_DIR}/${label}.err" err)
+    message(FATAL_ERROR "${label} failed (${rc}):\n${err}")
+  endif()
+endfunction()
+
+# ---------------------------------------------------------------- merge
+set(sharded ${EXAMPLES_DIR}/plans/manycore_sharded.json)
+foreach(i 0 1 2)
+  run_campaign(shard_${i} --plan ${sharded} --shard-index=${i}
+               --shard-count=3 --threads=4 --cache-dir=merge-cache)
+endforeach()
+run_tool(merge "${MERGE}" shard_2.json shard_0.json shard_1.json --strict
+         --tables -o merged.json --analytics=ranking.json)
+run_campaign(full --plan ${sharded} --shard-index=0 --shard-count=1
+             --threads=4 --cache-dir=merge-cache --require-cached)
+run_tool(remerge "${MERGE}" full.json --strict -o remerged.json)
+expect_same_digest(full merged remerged)
+file(READ "${WORK_DIR}/ranking.json" ranking)
+if(NOT ranking MATCHES "\"schema\": \"parmis-analytics-v1\"")
+  message(FATAL_ERROR "ranking.json: not a parmis-analytics-v1 document")
+endif()
+
+# --------------------------------------------------------------- plugin
+run_tool(plugin "${PLUGIN}" ${EXAMPLES_DIR}/plugin_method/toy_plan.json)
+
+# ---------------------------------------------------------------- serve
+set(modes --modes=${EXAMPLES_DIR}/serve/modes.json)
+run_tool(list_modes "${SERVE}" --list-modes ${modes})
+foreach(report merged full)
+  run_tool(replay_${report} "${SERVE}" ${report}.json ${modes}
+           --replay=${EXAMPLES_DIR}/serve/requests.jsonl)
+  file(READ "${WORK_DIR}/replay_${report}.err" err)
+  string(REGEX MATCH "digest [0-9a-f]+" digest_${report} "${err}")
+  if(digest_${report} STREQUAL "")
+    message(FATAL_ERROR "replay of ${report}.json printed no digest:\n${err}")
+  endif()
+  message(STATUS "replay ${report}: ${digest_${report}}")
+endforeach()
+set(uptime "\"uptime_s\":[-+.0-9e]+")
+file(READ "${WORK_DIR}/replay_merged.out" merged_out)
+file(READ "${WORK_DIR}/replay_full.out" full_out)
+string(REGEX REPLACE "${uptime}" "\"uptime_s\":_" merged_out "${merged_out}")
+string(REGEX REPLACE "${uptime}" "\"uptime_s\":_" full_out "${full_out}")
+if(merged_out STREQUAL "" OR NOT merged_out STREQUAL full_out)
+  message(FATAL_ERROR "replay responses differ between merged.json and "
+                      "full.json (or are empty)")
+endif()
+if(NOT digest_merged STREQUAL digest_full)
+  message(FATAL_ERROR "replay digests differ: merged ${digest_merged}, "
+                      "full ${digest_full}")
+endif()

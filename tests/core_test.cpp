@@ -2,6 +2,7 @@
 // PaRMIS loop (Algorithm 1) on cheap synthetic problems.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <limits>
@@ -16,6 +17,7 @@
 #include "core/policy_search.hpp"
 #include "moo/hypervolume.hpp"
 #include "moo/pareto.hpp"
+#include "numerics/distributions.hpp"
 
 namespace parmis::core {
 namespace {
@@ -146,8 +148,9 @@ TEST(Acquisition, PrefersUnexploredRegions) {
 }
 
 TEST(Acquisition, BatchedValuesBitwiseMatchScalarValue) {
-  // values() scores the sweep through GpRegressor::predict_many; the
-  // contract is bit-identical scores to per-candidate value() calls —
+  // values() scores the sweep block by block, one r^2 sweep shared by
+  // both models; the contract is bit-identical scores to per-candidate
+  // value() calls —
   // at any block split and any thread count.  150 candidates spans
   // multiple kScoreBlock blocks plus a ragged tail.
   Rng rng(17);
@@ -180,6 +183,79 @@ TEST(Acquisition, BatchedValuesBitwiseMatchScalarValue) {
 
   EXPECT_TRUE(acq.values({}).empty());
   EXPECT_THROW(acq.values({Vec(d + 1, 0.0)}), Error);
+}
+
+TEST(Acquisition, SharedSweepMatchesPerModelPredict) {
+  // values() and value() sweep each candidate's r^2 once per distinct
+  // training set and hand it to every model fitted on that set.  The
+  // scores must be bitwise the ones built from each model's own
+  // predict_many, both when every model shares its inputs (PaRMIS) and
+  // when they do not.  Kernels and hyperparameters differ across models,
+  // so a model that read another model's tail would be caught too.
+  const std::size_t d = 5, n = 30;
+  const auto fn = two_anchor_problem(d);
+  const auto fit = [&](const num::Matrix& X, const char* kernel,
+                       double lengthscale, std::size_t objective) {
+    Vec y(X.rows());
+    for (std::size_t i = 0; i < X.rows(); ++i) {
+      y[i] = fn(X.row(i))[objective % 2] + 0.1 * double(objective);
+    }
+    gp::GpRegressor m(gp::make_kernel(kernel, lengthscale), 1e-4);
+    m.set_data(X, y);
+    return m;
+  };
+  Rng rng(23);
+  num::Matrix X(n, d);
+  for (auto& v : X.data()) v = rng.uniform(-2.0, 2.0);
+  num::Matrix other = X;  // one coordinate of the last point moved
+  other(n - 1, 0) += 0.5;
+
+  std::vector<std::vector<gp::GpRegressor>> cases(2);
+  cases[0].push_back(fit(X, "rbf", 2.0, 0));
+  cases[0].push_back(fit(X, "matern52", 3.0, 1));
+  cases[0].push_back(fit(X, "rbf", 1.5, 2));
+  cases[1].push_back(fit(X, "rbf", 2.0, 0));
+  cases[1].push_back(fit(other, "matern52", 3.0, 1));
+  cases[1].push_back(fit(X, "matern52", 2.5, 2));
+
+  const Vec lo(d, -2.0), hi(d, 2.0);
+  AcquisitionConfig cfg;
+  cfg.num_mc_samples = 2;
+  cfg.front_sampler.population_size = 16;
+  cfg.front_sampler.generations = 6;
+  for (std::size_t c = 0; c < cases.size(); ++c) {
+    const std::vector<gp::GpRegressor>& models = cases[c];
+    const InformationGainAcquisition acq(models, lo, hi, cfg, rng);
+    // 70 candidates: a full score block plus a ragged one.
+    num::Matrix queries(70, d);
+    for (auto& v : queries.data()) v = rng.uniform(-2.0, 2.0);
+    std::vector<Vec> thetas;
+    for (std::size_t q = 0; q < queries.rows(); ++q) {
+      thetas.push_back(queries.row(q));
+    }
+    std::vector<gp::BatchPrediction> preds;
+    for (const auto& m : models) preds.push_back(m.predict_many(queries));
+
+    const std::vector<double> batched = acq.values(thetas);
+    for (std::size_t q = 0; q < thetas.size(); ++q) {
+      // Eq. 9 from each model's own prediction, as score() spells it.
+      double want = 0.0;
+      for (const Vec& minima : acq.front_minima()) {
+        for (std::size_t j = 0; j < models.size(); ++j) {
+          const double sigma =
+              std::max(std::sqrt(preds[j].variance[q]), 1e-9);
+          want += num::entropy_reduction_term((preds[j].mean[q] - minima[j]) /
+                                              sigma);
+        }
+      }
+      want /= double(acq.front_minima().size());
+      const double one = acq.value(thetas[q]);
+      EXPECT_EQ(std::memcmp(&batched[q], &want, sizeof(double)), 0)
+          << "case " << c << ": values() diverged at candidate " << q;
+      EXPECT_EQ(std::memcmp(&one, &want, sizeof(double)), 0)
+          << "case " << c << ": value() diverged at candidate " << q;
+    }
+  }
 }
 
 TEST(Acquisition, RequiresFittedModels) {
@@ -327,6 +403,7 @@ TEST(Parmis, RejectsHostileConfigAtConstruction) {
       [](ParmisConfig& c) { c.theta_bound = kInf; },
       [](ParmisConfig& c) { c.perturbation_sd = -1.0; },
       [](ParmisConfig& c) { c.acq_pool_size = 0; },
+      [](ParmisConfig& c) { c.num_initial = 1; },
   };
   for (std::size_t i = 0; i < edits.size(); ++i) {
     ParmisConfig cfg = fast_config(40 + i);

@@ -121,9 +121,10 @@ TEST(GoldenDigest, ObjectivesMatchPinnedValues) {
         << hex.str()
         << "\nFIRST SUSPECT: the GP inference path.  Every GP "
            "covariance and prediction runs through "
-           "Kernel::cross_covariance and GpRegressor::predict_many, "
-           "which promise BITWISE equality with the scalar oracle in "
-           "gp_test — if you touched them, a kernel's "
+           "gp::squared_distances (and GpRegressor's r^2 cache) and "
+           "GpRegressor::predict_from_r2, which promise BITWISE "
+           "equality with the scalar oracle in gp_test — if you "
+           "touched them, a kernel's "
            "covariance_from_r2, the batched solves "
            "(num::matmul_blocked / num::solve_lower_many), or "
            "InformationGainAcquisition::values, run the equivalence "

@@ -2,7 +2,9 @@
 // random-Fourier-feature posterior function sampling.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstddef>
 #include <cstdint>
 #include <cstring>
 #include <limits>
@@ -333,14 +335,14 @@ TEST(Rff, FunctionDimensionsMatchGp) {
 
 // ------------------------------------------------------ the scalar oracle
 //
-// GpRegressor has one inference path: Kernel::cross_covariance builds
-// every Gram row and every query's cross-covariance, and predict() is
-// the q = 1 case of predict_many (see src/gp/gp.hpp).  Its contract is
-// that every bit equals the textbook scalar loops it replaced, kept
-// here as the oracle: a pairwise Gram over num::squared_distance, its
-// own Cholesky, and a per-query predict().  The oracle reads only the
-// regressor's public accessors, and spells out the kernel formulas
-// itself.  The golden campaign digests rest on this, so every
+// GpRegressor has one inference path: gp::squared_distances sweeps
+// every training and query r^2, the kernel's tail turns each into a
+// covariance, and predict() is the q = 1 case of predict_many (see
+// src/gp/gp.hpp).  Its contract is that every bit equals the textbook
+// scalar loops it replaced, kept here as the oracle: a pairwise Gram
+// over num::squared_distance, its own Cholesky, and a per-query
+// predict().  The oracle reads only the regressor's public accessors,
+// and spells out the kernel formulas itself.  The golden campaign digests rest on this, so every
 // comparison is a bit comparison, not EXPECT_NEAR.
 
 bool same_bits(double a, double b) {
@@ -433,8 +435,18 @@ GpRegressor fitted_gp(std::unique_ptr<Kernel> kernel, std::size_t n,
   return gp;
 }
 
+// The sweep and the tail: out[j] = k(x, point j) over transposed points.
+Vec swept_covariance(const Kernel& k, const Matrix& points_t, const double* x) {
+  const std::size_t count = points_t.cols();
+  Vec r2(count), out(count);
+  squared_distances(points_t.data().data(), count, x, points_t.rows(),
+                    r2.data());
+  k.covariance_from_r2(r2.data(), count, out.data());
+  return out;
+}
+
 // Pins one fitted model against the oracle: the Gram matrix (each row
-// through the kernel's sweep, the whole through the log marginal
+// through the sweep and the tail, the whole through the log marginal
 // likelihood, which reads the regressor's own Cholesky and alpha), and
 // predict() and predict_many() on `queries`.  Returns the batch.
 BatchPrediction expect_matches_oracle(const GpRegressor& gp,
@@ -442,12 +454,10 @@ BatchPrediction expect_matches_oracle(const GpRegressor& gp,
                                       const std::string& label) {
   const Oracle oracle(gp);
   const Matrix& X = gp.train_inputs();
-  const std::size_t n = X.rows(), d = X.cols();
+  const std::size_t n = X.rows();
   const Matrix Xt = X.transposed();
-  Vec row(n);
   for (std::size_t i = 0; i < n; ++i) {
-    gp.kernel().cross_covariance(Xt.data().data(), n, X.row_view(i).data(),
-                                 d, row.data());
+    const Vec row = swept_covariance(gp.kernel(), Xt, X.row_view(i).data());
     for (std::size_t j = 0; j < n; ++j) {
       if (j == i) continue;
       EXPECT_TRUE(same_bits(row[j], oracle.gram(i, j)))
@@ -592,6 +602,152 @@ TEST(PredictMany, ZeroQueriesAndDimensionMismatch) {
   EXPECT_THROW(gp.predict_many(Matrix(4, 2)), Error);
 }
 
+// ------------------------------------------------------ the r^2 cache
+//
+// set_data keeps the cached r^2 of a training set the new one extends
+// bit for bit and sweeps only the new rows; anything else sweeps all of
+// them.  Whichever way a fit went through the cache, it must be bitwise
+// the fresh fit of the same data at the same hyperparameters.
+
+void expect_same_as_fresh_fit(const GpRegressor& gp, const Matrix& X,
+                              const Vec& y, const Matrix& queries,
+                              const std::string& label) {
+  GpRegressor fresh(gp.kernel().clone(), gp.noise_variance());
+  fresh.set_data(X, y);
+  ASSERT_EQ(gp.size(), X.rows()) << label;
+  EXPECT_TRUE(same_bits(gp.log_marginal_likelihood(),
+                        fresh.log_marginal_likelihood()))
+      << label << ": log marginal likelihood";
+  const BatchPrediction got = gp.predict_many(queries);
+  const BatchPrediction want = fresh.predict_many(queries);
+  for (std::size_t q = 0; q < queries.rows(); ++q) {
+    EXPECT_TRUE(same_bits(got.mean[q], want.mean[q]))
+        << label << ": mean at query " << q;
+    EXPECT_TRUE(same_bits(got.variance[q], want.variance[q]))
+        << label << ": variance at query " << q;
+  }
+}
+
+Matrix leading_rows(const Matrix& X, std::size_t n) {
+  Matrix out(n, X.cols());
+  std::copy_n(X.data().begin(), n * X.cols(), out.data().begin());
+  return out;
+}
+
+Vec leading(const Vec& y, std::size_t n) {
+  return Vec(y.begin(), y.begin() + static_cast<std::ptrdiff_t>(n));
+}
+
+double flip_bit(double v, int bit) {
+  std::uint64_t u = 0;
+  std::memcpy(&u, &v, sizeof(double));
+  u ^= std::uint64_t{1} << bit;
+  std::memcpy(&v, &u, sizeof(double));
+  return v;
+}
+
+TEST(Gp, R2CacheGrowthMatchesFreshFit) {
+  // PaRMIS's pattern at xu3 width: one row more per set_data, with
+  // hyperparameter refits (which reuse the cache whole) along the way.
+  const std::size_t d = 445, max_n = 112;
+  for (const auto& name : {"rbf", "matern52"}) {
+    Rng rng(900);
+    const Matrix X = random_queries(max_n, d, rng);
+    const Vec y = smooth_targets(X, rng);
+    const Matrix queries = random_queries(5, d, rng);
+    GpRegressor gp(make_kernel(name, 0.5 * std::sqrt(double(d))), 1e-4);
+    Rng hyper_rng(901);
+    for (std::size_t n = 2; n <= max_n; ++n) {
+      gp.set_data(leading_rows(X, n), leading(y, n));
+      if (n % 25 == 0) gp.optimize_hyperparameters(hyper_rng, 8);
+      expect_same_as_fresh_fit(gp, leading_rows(X, n), leading(y, n),
+                               queries,
+                               std::string(name) + " n=" + std::to_string(n));
+    }
+  }
+}
+
+TEST(Gp, R2CacheHostileUpdatesMatchFreshFit) {
+  const std::size_t d = 7, n = 70;  // crosses the sweep's 64 chunk
+  for (const auto& name : {"rbf", "matern52"}) {
+    Rng rng(910);
+    Matrix X = random_queries(n, d, rng);
+    X(2, 3) = 0.0;
+    const Vec y = smooth_targets(X, rng);
+    const Matrix queries = random_queries(6, d, rng);
+    GpRegressor gp(make_kernel(name, 1.5), 1e-3);
+    const auto step = [&](const Matrix& Xs, const Vec& ys,
+                          const std::string& what) {
+      gp.set_data(Xs, ys);
+      expect_same_as_fresh_fit(gp, Xs, ys, queries,
+                               std::string(name) + ": " + what);
+    };
+
+    // n -> 0 -> n, then grow by one.
+    step(leading_rows(X, 10), leading(y, 10), "first fit");
+    gp.set_data(Matrix(0, d), Vec{});
+    EXPECT_FALSE(gp.has_data()) << name;
+    step(leading_rows(X, 40), leading(y, 40), "0 -> 40");
+    step(leading_rows(X, 41), leading(y, 41), "grow to 41");
+
+    // One flipped bit in an old row: every row is swept again.
+    Matrix flipped = leading_rows(X, 42);
+    flipped(5, 1) = flip_bit(flipped(5, 1), 51);
+    step(flipped, leading(y, 42), "flipped bit in row 5");
+    step(leading_rows(X, 43), leading(y, 43), "flip undone, grow to 43");
+
+    // -0.0 for 0.0: a changed bit, though no r^2 changes.
+    Matrix negzero = leading_rows(X, 44);
+    negzero(2, 3) = -0.0;
+    step(negzero, leading(y, 44), "-0.0 in row 2");
+    step(leading_rows(X, 45), leading(y, 45), "+0.0 back, grow to 45");
+
+    // A shrink, then growth from the shorter set.
+    step(leading_rows(X, 30), leading(y, 30), "shrink to 30");
+    step(leading_rows(X, 31), leading(y, 31), "grow to 31");
+
+    // A NaN row fails the factorization in both fits; the regressor then
+    // recovers on the next set_data.
+    Matrix with_nan = leading_rows(X, 32);
+    with_nan(31, 4) = std::numeric_limits<double>::quiet_NaN();
+    EXPECT_THROW(gp.set_data(with_nan, leading(y, 32)), Error) << name;
+    GpRegressor fresh(gp.kernel().clone(), gp.noise_variance());
+    EXPECT_THROW(fresh.set_data(with_nan, leading(y, 32)), Error) << name;
+    step(leading_rows(X, 32), leading(y, 32), "NaN row replaced");
+
+    // A width change: one more input column.
+    Matrix wider(33, d + 1);
+    for (std::size_t r = 0; r < 33; ++r) {
+      for (std::size_t c = 0; c < d; ++c) wider(r, c) = X(r, c);
+      wider(r, d) = 0.25 * double(r);
+    }
+    const Matrix wider_queries = random_queries(6, d + 1, rng);
+    gp.set_data(leading_rows(wider, 32), leading(y, 32));
+    expect_same_as_fresh_fit(gp, leading_rows(wider, 32), leading(y, 32),
+                             wider_queries, std::string(name) + ": wider");
+    gp.set_data(wider, leading(y, 33));
+    expect_same_as_fresh_fit(gp, wider, leading(y, 33), wider_queries,
+                             std::string(name) + ": wider, grown");
+
+    // Back to width d, then a copy and an assigned regressor carry the
+    // cache and keep growing on their own.
+    step(leading_rows(X, 60), leading(y, 60), "width d again");
+    GpRegressor copy = gp;
+    GpRegressor assigned(make_kernel("rbf", 9.0), 0.5);
+    assigned = gp;
+    for (std::size_t m = 61; m <= n; ++m) {
+      copy.set_data(leading_rows(X, m), leading(y, m));
+      assigned.set_data(leading_rows(X, m), leading(y, m));
+      expect_same_as_fresh_fit(copy, leading_rows(X, m), leading(y, m),
+                               queries, std::string(name) + ": copy");
+      expect_same_as_fresh_fit(assigned, leading_rows(X, m), leading(y, m),
+                               queries, std::string(name) + ": assigned");
+    }
+    expect_same_as_fresh_fit(gp, leading_rows(X, 60), leading(y, 60),
+                             queries, std::string(name) + ": original");
+  }
+}
+
 // ------------------------------------------- blocked RFF projection
 //
 // FeatureMap carries the same BIT-EQUIVALENCE contract (src/gp/rff.hpp):
@@ -707,8 +863,7 @@ TEST(Kernel, CrossCovarianceMatchesPairwise) {
   kernels.push_back(std::make_unique<RbfKernel>(0.9, 1.3));
   kernels.push_back(std::make_unique<Matern52Kernel>(1.1, 0.7));
   for (const auto& k : kernels) {
-    Vec out(count);
-    k->cross_covariance(pt.data().data(), count, x.data(), dim, out.data());
+    const Vec out = swept_covariance(*k, pt, x.data());
     for (std::size_t j = 0; j < count; ++j) {
       EXPECT_TRUE(same_bits(out[j], k->value(x, points.row(j))))
           << k->name() << " diverged at point " << j;
