@@ -3,7 +3,6 @@
 #include <bit>
 #include <charconv>
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
 
 #include "common/error.hpp"
@@ -147,10 +146,9 @@ const std::vector<std::pair<std::string, Value>>& Value::members() const {
 
 std::string format_double(double v) {
   require(std::isfinite(v), "json: format_double requires a finite value");
-  char buf[32];
-  const auto result = std::to_chars(buf, buf + sizeof(buf), v);
-  ensure(result.ec == std::errc(), "json: to_chars failed");
-  return std::string(buf, result.ptr);
+  std::string out;
+  append_number(out, v);
+  return out;
 }
 
 std::string hex_bits_string(double v) {
@@ -167,8 +165,9 @@ bool is_hex_bits_string(const std::string& s) {
 }
 
 double parse_hex_bits(const std::string& s) {
-  require(is_hex_bits_string(s),
-          "json: malformed hex-bits double literal: " + s);
+  if (!is_hex_bits_string(s)) {
+    require(false, "json: malformed hex-bits double literal: " + s);
+  }
   std::uint64_t bits = 0;
   for (std::size_t i = 4; i < s.size(); ++i) {
     const char c = s[i];
@@ -448,30 +447,6 @@ Value parse(const std::string& text) { return Parser(text).parse_document(); }
 
 namespace {
 
-void append_escaped(std::string& out, const std::string& s) {
-  out += '"';
-  for (unsigned char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\b': out += "\\b"; break;
-      case '\f': out += "\\f"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (c < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += static_cast<char>(c);
-        }
-    }
-  }
-  out += '"';
-}
-
 void append_indent(std::string& out, std::size_t depth) {
   out.append(2 * depth, ' ');
 }
@@ -484,17 +459,11 @@ void dump_value(std::string& out, const Value& v, std::size_t depth) {
     case Type::Bool:
       out += v.as_bool() ? "true" : "false";
       return;
-    case Type::Number: {
-      const double d = v.as_number();
-      if (std::isfinite(d)) {
-        out += format_double(d);
-      } else {
-        append_escaped(out, hex_bits_string(d));
-      }
+    case Type::Number:
+      append_number(out, v.as_number());
       return;
-    }
     case Type::String:
-      append_escaped(out, v.as_string());
+      append_string(out, v.as_string());
       return;
     case Type::Array: {
       const auto& items = v.items();
@@ -534,7 +503,7 @@ void dump_value(std::string& out, const Value& v, std::size_t depth) {
       for (std::size_t i = 0; i < members.size(); ++i) {
         out += i > 0 ? ",\n" : "\n";
         append_indent(out, depth + 1);
-        append_escaped(out, members[i].first);
+        append_string(out, members[i].first);
         out += ": ";
         dump_value(out, members[i].second, depth + 1);
       }
@@ -546,7 +515,49 @@ void dump_value(std::string& out, const Value& v, std::size_t depth) {
   }
 }
 
-void dump_value_compact(std::string& out, const Value& v) {
+}  // namespace
+
+void append_number(std::string& out, double v) {
+  if (!std::isfinite(v)) {
+    append_string(out, hex_bits_string(v));
+    return;
+  }
+  char buf[32];
+  const auto result = std::to_chars(buf, buf + sizeof(buf), v);
+  ensure(result.ec == std::errc(), "json: to_chars failed");
+  out.append(buf, result.ptr);
+}
+
+void append_string(std::string& out, std::string_view s) {
+  static constexpr char kHex[] = "0123456789abcdef";
+  out += '"';
+  // Bytes that need no escape are copied a run at a time; UTF-8
+  // passes through verbatim.
+  std::size_t run = 0;
+  for (std::size_t i = 0; i < s.size(); ++i) {
+    const unsigned char c = static_cast<unsigned char>(s[i]);
+    if (c >= 0x20 && c != '"' && c != '\\') continue;
+    out.append(s.data() + run, i - run);
+    run = i + 1;
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\b': out += "\\b"; break;
+      case '\f': out += "\\f"; break;
+      case '\n': out += "\\n"; break;
+      case '\r': out += "\\r"; break;
+      case '\t': out += "\\t"; break;
+      default:
+        out += "\\u00";
+        out += kHex[c >> 4];
+        out += kHex[c & 0xF];
+    }
+  }
+  out.append(s.data() + run, s.size() - run);
+  out += '"';
+}
+
+void append_compact(std::string& out, const Value& v) {
   switch (v.type()) {
     case Type::Null:
     case Type::Bool:
@@ -559,7 +570,7 @@ void dump_value_compact(std::string& out, const Value& v) {
       const auto& items = v.items();
       for (std::size_t i = 0; i < items.size(); ++i) {
         if (i > 0) out += ',';
-        dump_value_compact(out, items[i]);
+        append_compact(out, items[i]);
       }
       out += ']';
       return;
@@ -569,17 +580,15 @@ void dump_value_compact(std::string& out, const Value& v) {
       const auto& members = v.members();
       for (std::size_t i = 0; i < members.size(); ++i) {
         if (i > 0) out += ',';
-        append_escaped(out, members[i].first);
+        append_string(out, members[i].first);
         out += ':';
-        dump_value_compact(out, members[i].second);
+        append_compact(out, members[i].second);
       }
       out += '}';
       return;
     }
   }
 }
-
-}  // namespace
 
 std::string dump(const Value& value) {
   std::string out;
@@ -599,7 +608,7 @@ std::string dump_at_depth(const Value& value, std::size_t depth) {
 std::string dump_compact(const Value& value) {
   std::string out;
   out.reserve(128);
-  dump_value_compact(out, value);
+  append_compact(out, value);
   return out;
 }
 

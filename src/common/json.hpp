@@ -22,6 +22,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -118,6 +119,21 @@ std::string dump_compact(const Value& value);
 /// Shortest decimal string that parses back to exactly `v`'s bits
 /// (std::to_chars).  `v` must be finite.
 std::string format_double(double v);
+
+// The emitter's own pieces, for writers that stream a document into a
+// buffer instead of building a Value tree first (policy-serve writes
+// each response this way).  dump(), dump_at_depth() and dump_compact()
+// are built from these, so there is one number encoder and one string
+// escaper: bytes appended here equal what the tree emitters write.
+
+/// Appends `v` as dump() writes a Number: the shortest round-trip
+/// decimal (std::to_chars into a stack buffer), or the quoted hex-bits
+/// string when `v` is not finite.
+void append_number(std::string& out, double v);
+/// Appends `s` as a quoted, escaped JSON string.
+void append_string(std::string& out, std::string_view s);
+/// Appends dump_compact(v).
+void append_compact(std::string& out, const Value& v);
 
 /// "f64:" + 16 lowercase hex chars of the IEEE-754 bit pattern — the
 /// emitter's fallback for non-finite doubles (valid for any double).

@@ -13,17 +13,11 @@
 #include "orchestrate/subprocess.hpp"
 #include "report/report_json.hpp"
 #include "serde/json_util.hpp"
+#include "serve/envelope.hpp"
 
 namespace parmis::orchestrate {
 
 namespace {
-
-bool blank(const std::string& line) {
-  for (char c : line) {
-    if (c != ' ' && c != '\t' && c != '\r') return false;
-  }
-  return true;
-}
 
 std::optional<std::size_t> optional_size(serde::ObjectReader& reader,
                                          const std::string& key) {
@@ -369,16 +363,8 @@ json::Value OrchSession::job_body(const JobManager::JobInfo& info) const {
   return body;
 }
 
-json::Value OrchSession::dispatch(const json::Value& doc, std::string* op,
-                                  json::Value* id, bool* quit) {
-  serde::ObjectReader reader(doc, "request");
-  *op = reader.get_string("op");
-  if (const json::Value* given = reader.optional_key("id")) {
-    require(given->is_string() || given->is_number(),
-            "request: \"id\" must be a string or number");
-    *id = *given;
-  }
-
+void OrchSession::dispatch(serde::ObjectReader& reader, const std::string& op,
+                           std::string& out, bool* quit) {
   const auto job_or_throw = [&](std::uint64_t job_id) {
     std::optional<JobManager::JobInfo> info = manager_->info(job_id);
     require(info.has_value(),
@@ -387,7 +373,7 @@ json::Value OrchSession::dispatch(const json::Value& doc, std::string* op,
   };
 
   json::Value body = json::Value::object();
-  if (*op == "submit") {
+  if (op == "submit") {
     PARMIS_COUNTER_ADD("parmis_orch_op_submit_total", 1);
     serde::CampaignPlan plan;
     if (const json::Value* inline_plan = reader.optional_key("plan")) {
@@ -408,12 +394,12 @@ json::Value OrchSession::dispatch(const json::Value& doc, std::string* op,
     }
     reader.finish();
     body = job_body(manager_->submit(plan, options));
-  } else if (*op == "status") {
+  } else if (op == "status") {
     PARMIS_COUNTER_ADD("parmis_orch_op_status_total", 1);
     const std::uint64_t job_id = reader.get_u64("job");
     reader.finish();
     body = job_body(job_or_throw(job_id));
-  } else if (*op == "results") {
+  } else if (op == "results") {
     PARMIS_COUNTER_ADD("parmis_orch_op_results_total", 1);
     const std::uint64_t job_id = reader.get_u64("job");
     reader.finish();
@@ -465,7 +451,7 @@ json::Value OrchSession::dispatch(const json::Value& doc, std::string* op,
       body.set("metrics_rollup",
                json::Value::string(info.metrics_rollup_path));
     }
-  } else if (*op == "cancel") {
+  } else if (op == "cancel") {
     PARMIS_COUNTER_ADD("parmis_orch_op_cancel_total", 1);
     const std::uint64_t job_id = reader.get_u64("job");
     reader.finish();
@@ -477,7 +463,7 @@ json::Value OrchSession::dispatch(const json::Value& doc, std::string* op,
       body.set("state", json::Value::string(
                             job_state_name(info.progress.state)));
     }
-  } else if (*op == "jobs") {
+  } else if (op == "jobs") {
     PARMIS_COUNTER_ADD("parmis_orch_op_jobs_total", 1);
     reader.finish();
     json::Value list = json::Value::array();
@@ -485,7 +471,7 @@ json::Value OrchSession::dispatch(const json::Value& doc, std::string* op,
       list.push_back(job_body(info));
     }
     body.set("jobs", std::move(list));
-  } else if (*op == "ping") {
+  } else if (op == "ping") {
     PARMIS_COUNTER_ADD("parmis_orch_op_ping_total", 1);
     reader.finish();
     body.set("protocol", json::Value::string(kOrchProtocol));
@@ -497,7 +483,7 @@ json::Value OrchSession::dispatch(const json::Value& doc, std::string* op,
     defaults.set("chunks", serde::u64_to_json(d.chunks));
     defaults.set("max_attempts", serde::u64_to_json(d.max_attempts));
     body.set("defaults", std::move(defaults));
-  } else if (*op == "metrics") {
+  } else if (op == "metrics") {
     PARMIS_COUNTER_ADD("parmis_orch_op_metrics_total", 1);
     const std::string format = reader.get_string("format", "json");
     const json::Value* job_key = reader.optional_key("job");
@@ -529,45 +515,27 @@ json::Value OrchSession::dispatch(const json::Value& doc, std::string* op,
               "\"prometheus\"");
       body.set("metrics", obs::Registry::instance().to_json());
     }
-  } else if (*op == "quit") {
+  } else if (op == "quit") {
     PARMIS_COUNTER_ADD("parmis_orch_op_quit_total", 1);
     reader.finish();
     *quit = true;
   } else {
     require(false,
-            "request: unknown op \"" + *op +
+            "request: unknown op \"" + op +
                 "\" (known: cancel, jobs, metrics, ping, quit, results, "
                 "status, submit)");
   }
-  return body;
+  serve::append_members(out, body);
 }
 
 serve::LineOutcome OrchSession::handle_line(const std::string& line) {
-  if (blank(line)) return {};
+  if (serve::blank_line(line)) return {};
   PARMIS_SCOPED_LATENCY("parmis_orch_request_ns");
-
-  std::string op;
-  json::Value id;
-  json::Value envelope = json::Value::object();
-  bool quit = false;
-  try {
-    const json::Value doc = json::parse(line);
-    json::Value body = dispatch(doc, &op, &id, &quit);
-    envelope.set("ok", json::Value::boolean(true));
-    envelope.set("op", json::Value::string(op));
-    if (!id.is_null()) envelope.set("id", id);
-    for (auto& [key, value] : body.members()) {
-      envelope.set(key, value);
-    }
-  } catch (const std::exception& e) {
-    envelope = json::Value::object();
-    envelope.set("ok", json::Value::boolean(false));
-    if (!op.empty()) envelope.set("op", json::Value::string(op));
-    if (!id.is_null()) envelope.set("id", id);
-    envelope.set("error", json::Value::string(e.what()));
-    quit = false;
-  }
-  return {json::dump_compact(envelope), quit};
+  return serve::respond(
+      line, [this](serde::ObjectReader& reader, const std::string& op,
+                   std::string& out, bool* quit) {
+        dispatch(reader, op, out, quit);
+      });
 }
 
 }  // namespace parmis::orchestrate

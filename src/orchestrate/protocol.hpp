@@ -22,9 +22,10 @@
 //                                       "job":N, that job's rollup
 //   {"op":"quit"}                       shut the daemon down
 //
-// Same envelope rules as parmis-serve-v1: every response carries
-// ok/op and echoes the request's "id"; a malformed line or failed
-// request answers {"ok":false,"error":...} and the session continues.
+// Same envelope as parmis-serve-v1, written by the same code
+// (serve/envelope.hpp): every response carries ok/op and echoes the
+// request's "id"; a malformed line or failed request answers
+// {"ok":false,"error":...} and the session continues.
 // Version bumps follow the plan/report schema policy
 // (docs/orchestration.md).
 //
@@ -52,6 +53,7 @@
 #include "common/stopwatch.hpp"
 #include "orchestrate/backend.hpp"
 #include "orchestrate/scheduler.hpp"
+#include "serde/json_util.hpp"
 #include "serde/plan.hpp"
 #include "serve/socket.hpp"
 
@@ -194,8 +196,9 @@ class OrchSession {
   serve::LineOutcome handle_line(const std::string& line);
 
  private:
-  json::Value dispatch(const json::Value& doc, std::string* op,
-                       json::Value* id, bool* quit);
+  /// Appends one op's body members to `out` (serve/envelope.hpp).
+  void dispatch(serde::ObjectReader& reader, const std::string& op,
+                std::string& out, bool* quit);
   json::Value job_body(const JobManager::JobInfo& info) const;
 
   JobManager* manager_;

@@ -73,36 +73,42 @@ exec::CellResult cell_from_json(const Value& doc,
   cell.decision_overhead_us = r.get_f64("decision_overhead_us");
   cell.from_cache = r.get_bool("from_cache", false);
   const Value& objectives = r.require_key("objectives");
-  require(objectives.is_array(),
-          context + ": key \"objectives\": expected array of strings");
+  if (!objectives.is_array()) {
+    r.fail(context + ": key \"objectives\": expected array of strings");
+  }
   for (const auto& name : objectives.items()) {
     cell.objective_names.push_back(r.as_string(name, "objectives"));
   }
   const Value& best = r.require_key("best_raw");
-  require(best.is_array(),
-          context + ": key \"best_raw\": expected array of numbers");
+  if (!best.is_array()) {
+    r.fail(context + ": key \"best_raw\": expected array of numbers");
+  }
   for (const auto& v : best.items()) {
     cell.best_raw.push_back(r.as_f64(v, "best_raw"));
   }
   const Value& front = r.require_key("front");
-  require(front.is_array(),
-          context + ": key \"front\": expected array of points");
+  if (!front.is_array()) {
+    r.fail(context + ": key \"front\": expected array of points");
+  }
   for (const auto& point : front.items()) {
-    require(point.is_array(),
-            context + ": key \"front\": expected array of number arrays");
+    if (!point.is_array()) {
+      r.fail(context + ": key \"front\": expected array of number arrays");
+    }
     num::Vec p;
     p.reserve(point.size());
     for (const auto& v : point.items()) p.push_back(r.as_f64(v, "front"));
     cell.front.push_back(std::move(p));
   }
   if (const Value* thetas = r.optional_key("pareto_thetas")) {
-    require(thetas->is_array(),
-            context + ": key \"pareto_thetas\": expected array of number "
-                      "arrays");
+    if (!thetas->is_array()) {
+      r.fail(context +
+             ": key \"pareto_thetas\": expected array of number arrays");
+    }
     for (const auto& theta : thetas->items()) {
-      require(theta.is_array(),
-              context +
-                  ": key \"pareto_thetas\": expected array of number arrays");
+      if (!theta.is_array()) {
+        r.fail(context +
+               ": key \"pareto_thetas\": expected array of number arrays");
+      }
       num::Vec t;
       t.reserve(theta.size());
       for (const auto& v : theta.items()) {
@@ -110,12 +116,12 @@ exec::CellResult cell_from_json(const Value& doc,
       }
       cell.pareto_thetas.push_back(std::move(t));
     }
-    require(cell.pareto_thetas.size() == cell.front.size(),
-            context + ": pareto_thetas carries " +
-                std::to_string(cell.pareto_thetas.size()) +
-                " vectors for a front of " +
-                std::to_string(cell.front.size()) +
-                " points (must align one-to-one when present)");
+    if (cell.pareto_thetas.size() != cell.front.size()) {
+      r.fail(context + ": pareto_thetas carries " +
+             std::to_string(cell.pareto_thetas.size()) +
+             " vectors for a front of " + std::to_string(cell.front.size()) +
+             " points (must align one-to-one when present)");
+    }
   }
   cell.error = r.get_string("error", "");
   r.finish();

@@ -17,6 +17,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <cstdlib>
 #include <set>
 #include <string>
 
@@ -52,8 +53,10 @@ class ObjectReader {
  public:
   ObjectReader(const json::Value& value, std::string context)
       : value_(value), context_(std::move(context)) {
-    require(value.is_object(), context_ + ": expected a JSON object, got " +
-                                   json::type_name(value.type()));
+    if (!value.is_object()) {
+      fail(context_ + ": expected a JSON object, got " +
+           json::type_name(value.type()));
+    }
   }
 
   const std::string& context() const { return context_; }
@@ -66,8 +69,9 @@ class ObjectReader {
   /// absent.
   const json::Value& require_key(const std::string& key) {
     const json::Value* v = value_.find(key);
-    require(v != nullptr, context_ + ": missing required key \"" + key +
-                              "\"");
+    if (v == nullptr) {
+      fail(context_ + ": missing required key \"" + key + "\"");
+    }
     consumed_.insert(key);
     return *v;
   }
@@ -92,7 +96,7 @@ class ObjectReader {
   bool get_bool(const std::string& key, bool fallback) {
     const json::Value* v = optional_key(key);
     if (v == nullptr) return fallback;
-    require(v->is_bool(), type_message(key, "bool", *v));
+    if (!v->is_bool()) fail(type_message(key, "bool", *v));
     return v->as_bool();
   }
 
@@ -129,30 +133,33 @@ class ObjectReader {
   /// Throws if any member of the object was never consumed.
   void finish() const {
     for (const auto& [key, v] : value_.members()) {
-      require(consumed_.count(key) != 0,
-              context_ + ": unknown key \"" + key + "\"");
+      if (consumed_.count(key) == 0) {
+        fail(context_ + ": unknown key \"" + key + "\"");
+      }
     }
   }
 
   // ------------------------------------------- contextual conversions
   std::string as_string(const json::Value& v, const std::string& key) const {
-    require(v.is_string(), type_message(key, "string", v));
+    if (!v.is_string()) fail(type_message(key, "string", v));
     return v.as_string();
   }
 
   double as_f64(const json::Value& v, const std::string& key) const {
-    require(v.is_number() || (v.is_string() &&
-                              json::is_hex_bits_string(v.as_string())),
-            type_message(key, "number", v));
+    if (v.is_number()) return v.as_number();
+    if (!v.is_string() || !json::is_hex_bits_string(v.as_string())) {
+      fail(type_message(key, "number", v));
+    }
     return v.as_number();
   }
 
   std::uint64_t as_hex64(const json::Value& v, const std::string& key) const {
-    require(v.is_string(), type_message(key, "16-hex-char string", v));
+    if (!v.is_string() || v.as_string().size() != 16 ||
+        v.as_string().find_first_not_of("0123456789abcdef") !=
+            std::string::npos) {
+      fail(type_message(key, "16-hex-char string", v));
+    }
     const std::string& s = v.as_string();
-    require(s.size() == 16 &&
-                s.find_first_not_of("0123456789abcdef") == std::string::npos,
-            type_message(key, "16-hex-char string", v));
     std::uint64_t out = 0;
     for (char c : s) {
       out = (out << 4) |
@@ -164,26 +171,38 @@ class ObjectReader {
   std::uint64_t as_u64(const json::Value& v, const std::string& key) const {
     if (v.is_string()) {
       const std::string& s = v.as_string();
-      require(!s.empty() && s.find_first_not_of("0123456789") ==
-                                std::string::npos && s.size() <= 20,
-              type_message(key, "unsigned integer", v));
+      if (s.empty() || s.size() > 20 ||
+          s.find_first_not_of("0123456789") != std::string::npos) {
+        fail(type_message(key, "unsigned integer", v));
+      }
       std::uint64_t out = 0;
       for (char c : s) {
         const std::uint64_t digit = static_cast<std::uint64_t>(c - '0');
-        require(out <= (UINT64_MAX - digit) / 10,
-                context_ + ": key \"" + key + "\": integer overflow");
+        if (out > (UINT64_MAX - digit) / 10) {
+          fail(context_ + ": key \"" + key + "\": integer overflow");
+        }
         out = out * 10 + digit;
       }
       return out;
     }
-    require(v.is_number(), type_message(key, "unsigned integer", v));
+    if (!v.is_number()) fail(type_message(key, "unsigned integer", v));
     const double d = v.as_number();
-    require(std::isfinite(d) && d >= 0.0 &&
-                d < static_cast<double>(kMaxExactU64) && std::floor(d) == d,
-            context_ + ": key \"" + key +
-                "\": expected an exact unsigned integer below 2^53 (use a "
-                "decimal string for larger values)");
+    if (!(std::isfinite(d) && d >= 0.0 &&
+          d < static_cast<double>(kMaxExactU64) && std::floor(d) == d)) {
+      fail(context_ + ": key \"" + key +
+           "\": expected an exact unsigned integer below 2^53 (use a "
+           "decimal string for larger values)");
+    }
     return static_cast<std::uint64_t>(d);
+  }
+
+  /// Throws parmis::Error carrying `message`.  Every check here, and in
+  /// the decoders built on this reader, builds its message only on this
+  /// failing branch, never as an argument evaluated on each call:
+  /// as_f64 runs once per number of a report.
+  [[noreturn]] static void fail(const std::string& message) {
+    require(false, message);
+    std::abort();  // unreachable
   }
 
  private:

@@ -6,6 +6,7 @@
 #include "common/hash.hpp"
 #include "obs/metrics.hpp"
 #include "obs/obs.hpp"
+#include "serve/envelope.hpp"
 
 namespace parmis::serve {
 
@@ -13,18 +14,22 @@ namespace {
 
 constexpr std::uint64_t kDigestSeed = 0xCBF29CE484222325ULL;
 
-bool blank(const std::string& line) {
-  for (char c : line) {
-    if (c != ' ' && c != '\t' && c != '\r') return false;
-  }
-  return true;
-}
-
 std::optional<double> optional_counter(serde::ObjectReader& reader,
                                        const std::string& key) {
   const json::Value* v = reader.optional_key(key);
   if (v == nullptr) return std::nullopt;
   return reader.as_f64(*v, key);
+}
+
+void append_u64(std::string& out, std::uint64_t v) {
+  json::append_compact(out, serde::u64_to_json(v));
+}
+
+/// Turns the object `{...}` that starts at `start` in `out` into its
+/// members (`,...`), ready to be followed by more members.
+void splice_members(std::string& out, std::size_t start) {
+  out[start] = ',';
+  out.pop_back();
 }
 
 json::Value mode_to_json(const OperatingMode& mode) {
@@ -82,51 +87,56 @@ ServeSession::ServeSession(PolicyStore& store,
       report_paths_(std::move(report_paths)),
       digest_(kDigestSeed) {}
 
-json::Value ServeSession::decision_body(const Decision& decision) {
+void ServeSession::decision_body(const Decision& decision, std::string& out) {
   const PolicyEntry& entry = *decision.entry;
-  json::Value body = json::Value::object();
-  body.set("scenario", json::Value::string(entry.scenario));
-  body.set("method", json::Value::string(entry.method));
-  body.set("mode", json::Value::string(decision.mode));
-  body.set("index", serde::u64_to_json(decision.index));
+  const std::size_t start = out.size();
+  out += "{\"scenario\":";
+  json::append_string(out, entry.scenario);
+  out += ",\"method\":";
+  json::append_string(out, entry.method);
+  out += ",\"mode\":";
+  json::append_string(out, decision.mode);
+  out += ",\"index\":";
+  append_u64(out, decision.index);
+  out += ",\"objectives\":{";
   const num::Vec raw = entry.raw_objectives(decision.index);
-  json::Value objectives = json::Value::object();
   for (std::size_t j = 0; j < raw.size(); ++j) {
-    objectives.set(entry.objective_names[j], json::Value::number(raw[j]));
+    if (j > 0) out += ',';
+    json::append_string(out, entry.objective_names[j]);
+    out += ':';
+    json::append_number(out, raw[j]);
   }
-  body.set("objectives", std::move(objectives));
+  out += '}';
   if (!entry.thetas.empty()) {
-    json::Value theta = json::Value::array();
-    for (double v : entry.thetas[decision.index]) {
-      theta.push_back(json::Value::number(v));
+    out += ",\"theta\":[";
+    const num::Vec& theta = entry.thetas[decision.index];
+    for (std::size_t j = 0; j < theta.size(); ++j) {
+      if (j > 0) out += ',';
+      json::append_number(out, theta[j]);
     }
-    body.set("theta", std::move(theta));
+    out += ']';
   }
-  digest_ = fnv1a64(json::dump_compact(body), digest_);
+  out += '}';
+  digest_ = fnv1a64(out.data() + start, out.size() - start, digest_);
   ++decisions_;
   PARMIS_COUNTER_ADD("parmis_serve_decisions_total", 1);
-  return body;
 }
 
-json::Value ServeSession::dispatch(const json::Value& doc, std::string* op,
-                                   json::Value* id, bool* quit) {
-  serde::ObjectReader reader(doc, "request");
-  *op = reader.get_string("op");
-  if (const json::Value* given = reader.optional_key("id")) {
-    require(given->is_string() || given->is_number(),
-            "request: \"id\" must be a string or number");
-    *id = *given;
-  }
-
-  json::Value body = json::Value::object();
-  if (*op == "decide") {
+void ServeSession::dispatch(serde::ObjectReader& reader, const std::string& op,
+                            std::string& out, bool* quit) {
+  if (op == "decide") {
     PARMIS_COUNTER_ADD("parmis_serve_op_decide_total", 1);
     DecideRequest request = parse_decide_body(reader);
     reader.finish();
     auto [decision, snapshot] = server_.decide(request);
-    body = decision_body(decision);
-    body.set("generation", serde::u64_to_json(snapshot->generation));
-  } else if (*op == "batch") {
+    const std::size_t start = out.size();
+    decision_body(decision, out);
+    splice_members(out, start);
+    append_key(out, "generation");
+    append_u64(out, snapshot->generation);
+    return;
+  }
+  if (op == "batch") {
     PARMIS_COUNTER_ADD("parmis_serve_op_batch_total", 1);
     const json::Value& list = reader.require_key("requests");
     require(list.is_array(), "request: \"requests\" must be an array");
@@ -134,26 +144,34 @@ json::Value ServeSession::dispatch(const json::Value& doc, std::string* op,
     // ONE snapshot answers the whole batch: a concurrent hot-swap
     // cannot split it across generations.
     std::shared_ptr<const Snapshot> snapshot = store_->require_snapshot();
-    json::Value results = json::Value::array();
+    append_key(out, "results");
+    out += '[';
     for (std::size_t i = 0; i < list.size(); ++i) {
-      json::Value item = json::Value::object();
+      if (i > 0) out += ',';
+      const std::size_t start = out.size();
       try {
-        serde::ObjectReader r(list.at(i),
-                              "request #" + std::to_string(i));
+        serde::ObjectReader r(list.at(i), "request #" + std::to_string(i));
         DecideRequest request = parse_decide_body(r);
         r.finish();
-        item = decision_body(server_.decide_on(*snapshot, request));
-        item.set("ok", json::Value::boolean(true));
+        decision_body(server_.decide_on(*snapshot, request), out);
+        out.pop_back();
+        out += ",\"ok\":true}";
       } catch (const std::exception& e) {
-        item = json::Value::object();
-        item.set("ok", json::Value::boolean(false));
-        item.set("error", json::Value::string(e.what()));
+        out.resize(start);
+        out += "{\"ok\":false,\"error\":";
+        json::append_string(out, e.what());
+        out += '}';
       }
-      results.push_back(std::move(item));
     }
-    body.set("results", std::move(results));
-    body.set("generation", serde::u64_to_json(snapshot->generation));
-  } else if (*op == "modes") {
+    out += ']';
+    append_key(out, "generation");
+    append_u64(out, snapshot->generation);
+    return;
+  }
+
+  // The cold ops build a small tree and append its members.
+  json::Value body = json::Value::object();
+  if (op == "modes") {
     PARMIS_COUNTER_ADD("parmis_serve_op_modes_total", 1);
     reader.finish();
     json::Value modes = json::Value::array();
@@ -161,7 +179,7 @@ json::Value ServeSession::dispatch(const json::Value& doc, std::string* op,
       modes.push_back(mode_to_json(mode));
     }
     body.set("modes", std::move(modes));
-  } else if (*op == "scenarios") {
+  } else if (op == "scenarios") {
     PARMIS_COUNTER_ADD("parmis_serve_op_scenarios_total", 1);
     reader.finish();
     std::shared_ptr<const Snapshot> snapshot = store_->require_snapshot();
@@ -193,7 +211,7 @@ json::Value ServeSession::dispatch(const json::Value& doc, std::string* op,
     }
     body.set("scenarios", std::move(scenarios));
     body.set("generation", serde::u64_to_json(snapshot->generation));
-  } else if (*op == "reload") {
+  } else if (op == "reload") {
     PARMIS_COUNTER_ADD("parmis_serve_op_reload_total", 1);
     reader.finish();
     require(!report_paths_.empty(),
@@ -203,7 +221,7 @@ json::Value ServeSession::dispatch(const json::Value& doc, std::string* op,
         store_->load_and_install(report_paths_);
     body.set("entries", serde::u64_to_json(snapshot->entries.size()));
     body.set("generation", serde::u64_to_json(snapshot->generation));
-  } else if (*op == "ping") {
+  } else if (op == "ping") {
     PARMIS_COUNTER_ADD("parmis_serve_op_ping_total", 1);
     reader.finish();
     body.set("protocol", json::Value::string(kServeProtocol));
@@ -211,7 +229,7 @@ json::Value ServeSession::dispatch(const json::Value& doc, std::string* op,
     body.set("uptime_s", json::Value::number(uptime_.seconds()));
     body.set("reports", serde::u64_to_json(report_paths_.size()));
     body.set("decisions", serde::u64_to_json(decisions_));
-  } else if (*op == "metrics") {
+  } else if (op == "metrics") {
     PARMIS_COUNTER_ADD("parmis_serve_op_metrics_total", 1);
     const std::string format = reader.get_string("format", "json");
     reader.finish();
@@ -228,53 +246,33 @@ json::Value ServeSession::dispatch(const json::Value& doc, std::string* op,
       // --metrics-out writes.
       body.set("metrics", obs::Registry::instance().to_json());
     }
-  } else if (*op == "digest") {
+  } else if (op == "digest") {
     PARMIS_COUNTER_ADD("parmis_serve_op_digest_total", 1);
     reader.finish();
     body.set("decisions", serde::u64_to_json(decisions_));
     body.set("digest", json::Value::string(hex64(digest_)));
-  } else if (*op == "quit") {
+  } else if (op == "quit") {
     PARMIS_COUNTER_ADD("parmis_serve_op_quit_total", 1);
     reader.finish();
     *quit = true;
   } else {
     require(false,
-            "request: unknown op \"" + *op +
+            "request: unknown op \"" + op +
                 "\" (known: batch, decide, digest, metrics, modes, ping, "
                 "quit, reload, scenarios)");
   }
-  return body;
+  append_members(out, body);
 }
 
 ServeSession::Outcome ServeSession::handle_line(const std::string& line) {
-  if (blank(line)) return {};
+  if (blank_line(line)) return {};
   // Whole-request latency (parse + dispatch + serialize); µs-scale per
   // line, so an unconditional clock pair is noise here — unlike the raw
   // decide path, which samples (see server.cpp).
   PARMIS_SCOPED_LATENCY("parmis_serve_request_ns");
-
-  std::string op;
-  json::Value id;
-  json::Value envelope = json::Value::object();
-  bool quit = false;
-  try {
-    const json::Value doc = json::parse(line);
-    json::Value body = dispatch(doc, &op, &id, &quit);
-    envelope.set("ok", json::Value::boolean(true));
-    envelope.set("op", json::Value::string(op));
-    if (!id.is_null()) envelope.set("id", id);
-    for (auto& [key, value] : body.members()) {
-      envelope.set(key, value);
-    }
-  } catch (const std::exception& e) {
-    envelope = json::Value::object();
-    envelope.set("ok", json::Value::boolean(false));
-    if (!op.empty()) envelope.set("op", json::Value::string(op));
-    if (!id.is_null()) envelope.set("id", id);
-    envelope.set("error", json::Value::string(e.what()));
-    quit = false;
-  }
-  return {json::dump_compact(envelope), quit};
+  return respond(line, [this](serde::ObjectReader& reader,
+                              const std::string& op, std::string& out,
+                              bool* quit) { dispatch(reader, op, out, quit); });
 }
 
 }  // namespace parmis::serve

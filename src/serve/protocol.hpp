@@ -23,14 +23,19 @@
 // A malformed line or failed request answers {"ok":false,"error":...}
 // on its own line and the session continues — one bad request must
 // not kill a shared server.  Every response echoes the request's "id"
-// when given, and snapshot-backed responses carry the answering
-// snapshot's "generation".
+// when it is a string or number (serve/envelope.hpp), and
+// snapshot-backed responses carry the answering snapshot's
+// "generation".
 //
-// The session folds every successful decision's canonical form into a
-// running FNV-1a digest.  Decisions are a pure function of (snapshot,
-// request) and dump_compact is deterministic, so replaying one request
-// file against snapshots built from a sharded-then-merged report and
-// from its unsharded twin must produce equal digests — the end-to-end
+// Each response is written once, straight into its line buffer: a
+// decision's canonical object {scenario, method, mode, index,
+// objectives, theta?} is appended in place and its members become the
+// response's.  The session folds exactly those canonical bytes — what
+// json::dump_compact writes for the same object — into a running
+// FNV-1a digest.  Decisions are a pure function of (snapshot, request)
+// and the encoding is deterministic, so replaying one request file
+// against snapshots built from a sharded-then-merged report and from
+// its unsharded twin must produce equal digests — the end-to-end
 // bit-for-bit serving check CI pins.
 #ifndef PARMIS_SERVE_PROTOCOL_HPP
 #define PARMIS_SERVE_PROTOCOL_HPP
@@ -75,11 +80,13 @@ class ServeSession {
   std::uint64_t decisions() const { return decisions_; }
 
  private:
-  json::Value dispatch(const json::Value& doc, std::string* op,
-                       json::Value* id, bool* quit);
-  /// Decision -> canonical object {scenario, method, mode, index,
-  /// objectives, theta?}; folds it into the digest.
-  json::Value decision_body(const Decision& decision);
+  /// Appends one op's body members to `out` (serve/envelope.hpp).
+  void dispatch(serde::ObjectReader& reader, const std::string& op,
+                std::string& out, bool* quit);
+  /// Appends the decision's canonical object {scenario, method, mode,
+  /// index, objectives, theta?} to `out` and folds those bytes into the
+  /// digest.
+  void decision_body(const Decision& decision, std::string& out);
 
   PolicyStore* store_;
   PolicyServer server_;

@@ -118,9 +118,16 @@ Snapshot build_snapshot(const std::vector<exec::CampaignReport>& reports,
       require(cell.pareto_thetas.empty() ||
                   cell.pareto_thetas.size() == cell.front.size(),
               where + ": pareto_thetas misaligned with front");
-      // Every name must map to a known kind (throws listing them).
-      for (const std::string& name : cell.objective_names) {
+      // Every name must map to a known kind (throws listing them), and
+      // once: a decision's objectives are one JSON object keyed by name.
+      for (std::size_t j = 0; j < k; ++j) {
+        const std::string& name = cell.objective_names[j];
         (void)runtime::objective_kind_from_name(name);
+        for (std::size_t i = 0; i < j; ++i) {
+          if (cell.objective_names[i] == name) {
+            require(false, where + ": duplicate objective \"" + name + "\"");
+          }
+        }
       }
       auto [so, inserted] = scenario_objectives.try_emplace(
           cell.scenario, cell.objective_names, source);

@@ -5,8 +5,8 @@
 // fallible work up front so the decide path does none of it:
 //  * every report is digest-verified by the report serde at load and
 //    structurally validated here (no partial merges, rectangular
-//    fronts, objective names that map to known kinds and agree across
-//    every report for a scenario);
+//    fronts, objective names that map to known kinds, each once, and
+//    agree across every report for a scenario);
 //  * per (scenario, method), the fronts of all contributing cells are
 //    unioned and re-filtered to the non-dominated subset — first
 //    occurrence wins among duplicates, and cells arrive in the

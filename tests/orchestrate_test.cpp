@@ -603,6 +603,36 @@ TEST(Orchestrate, SessionRejectsBadRequestsWithoutDying) {
   roundtrip(session, ping);
 }
 
+TEST(Orchestrate, SessionEchoesAValidIdWhenOpIsMissingOrMistyped) {
+  JobManager manager(inprocess_defaults(temp_dir("session_id")));
+  OrchSession session(manager);
+  const auto answer = [&](const std::string& line) {
+    const serve::LineOutcome outcome = session.handle_line(line);
+    EXPECT_FALSE(outcome.quit);
+    const json::Value response = json::parse(outcome.response);
+    EXPECT_FALSE(response.at("ok").as_bool()) << outcome.response;
+    return response;
+  };
+
+  const json::Value no_op = answer("{\"id\":\"r9\"}");
+  EXPECT_EQ(no_op.at("id").as_string(), "r9");
+  EXPECT_EQ(no_op.find("op"), nullptr);
+  const json::Value bad_op = answer("{\"op\":5,\"id\":\"r10\"}");
+  EXPECT_EQ(bad_op.at("id").as_string(), "r10");
+  const json::Value numeric = answer("{\"id\":-0.0}");
+  EXPECT_EQ(numeric.at("id").as_number(), 0.0);
+
+  for (const char* line : {"{\"op\":\"jobs\",\"id\":null}",
+                           "{\"op\":\"jobs\",\"id\":{}}"}) {
+    const json::Value bad_id = answer(line);
+    EXPECT_EQ(bad_id.find("id"), nullptr) << line;
+    EXPECT_EQ(bad_id.at("op").as_string(), "jobs") << line;
+  }
+  // Success responses are the same envelope: ok, op, id, then the body.
+  EXPECT_EQ(session.handle_line("{\"op\":\"jobs\",\"id\":1e300}").response,
+            "{\"ok\":true,\"op\":\"jobs\",\"id\":1e+300,\"jobs\":[]}");
+}
+
 TEST(Orchestrate, SubmittedPlansShedTheirShardSlice) {
   // A plan carrying shard {0,4} orchestrates the FULL campaign: chunking
   // supersedes static sharding, and the digest contract is against the

@@ -12,8 +12,10 @@
 #include <atomic>
 #include <bit>
 #include <cstdint>
+#include <cstdlib>
 #include <filesystem>
 #include <limits>
+#include <new>
 #include <set>
 #include <sstream>
 #include <string>
@@ -27,9 +29,38 @@
 #include "exec/campaign.hpp"
 #include "methods/builtin.hpp"
 #include "methods/registry.hpp"
+#include "report/report_json.hpp"
 #include "scenario/scenario.hpp"
+#include "serde/json_util.hpp"
 #include "serde/plan.hpp"
 #include "serde/scenario_json.hpp"
+
+// Counting replacement of the global allocation functions, local to
+// this test executable: the decoder tests below assert how many heap
+// allocations a decode makes.  Counted per thread, so a pool thread
+// left over from another test cannot disturb a measurement.  Out of
+// line, so GCC does not pair an inlined std::free with its built-in
+// operator new and warn (-Wmismatched-new-delete).
+namespace {
+thread_local std::size_t t_allocations = 0;
+}  // namespace
+
+[[gnu::noinline]] void* operator new(std::size_t size) {
+  ++t_allocations;
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+[[gnu::noinline]] void* operator new[](std::size_t size) {
+  return ::operator new(size);
+}
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete[](void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 namespace parmis::serde {
 namespace {
@@ -639,6 +670,131 @@ TEST(PlanCampaign, ScalarizationRunsDeterministically) {
   ra.cells = {a};
   rc.cells = {c};
   EXPECT_NE(ra.objectives_digest(), rc.objectives_digest());
+}
+
+// ------------------------------------------------------ ObjectReader
+
+/// The what() of the parmis::Error `f` throws, without the
+/// " [file:line in function]" source-location suffix.
+template <typename F>
+std::string failure_text(F&& f) {
+  try {
+    f();
+  } catch (const Error& e) {
+    const std::string what = e.what();
+    return what.substr(0, what.rfind(" ["));
+  }
+  return "<no error>";
+}
+
+TEST(ObjectReader, EveryAccessorFailsWithItsPinnedMessage) {
+  const json::Value doc = json::parse(
+      R"({"n":1.5,"s":"x","b":true,"neg":-1,"big":9007199254740992,)"
+      R"("ovf":"18446744073709551616","long":"123456789012345678901",)"
+      R"("hexu":"0123456789ABCDEF","hexs":"0123","nul":null,"arr":[]})");
+  const std::string p = "parmis precondition failure: ctx: ";
+  const auto reader = [&] { return ObjectReader(doc, "ctx"); };
+  const auto text = [&](auto&& read) {
+    return failure_text([&] {
+      ObjectReader r = reader();
+      read(r);
+    });
+  };
+
+  EXPECT_EQ(failure_text([&] { ObjectReader(doc.at("arr"), "ctx"); }),
+            p + "expected a JSON object, got array");
+  EXPECT_EQ(text([](ObjectReader& r) { r.require_key("zz"); }),
+            p + "missing required key \"zz\"");
+  EXPECT_EQ(text([](ObjectReader& r) { r.get_string("n"); }),
+            p + "key \"n\": expected string, got number");
+  EXPECT_EQ(text([](ObjectReader& r) { r.get_bool("s", false); }),
+            p + "key \"s\": expected bool, got string");
+  EXPECT_EQ(text([](ObjectReader& r) { r.get_f64("s"); }),
+            p + "key \"s\": expected number, got string");
+  EXPECT_EQ(text([](ObjectReader& r) { r.get_f64("nul"); }),
+            p + "key \"nul\": expected number, got null");
+  EXPECT_EQ(text([](ObjectReader& r) { r.get_f64("b", 0.0); }),
+            p + "key \"b\": expected number, got bool");
+  const std::string not_hex = "expected 16-hex-char string, got ";
+  EXPECT_EQ(text([](ObjectReader& r) { r.get_hex64("n"); }),
+            p + "key \"n\": " + not_hex + "number");
+  EXPECT_EQ(text([](ObjectReader& r) { r.get_hex64("hexs"); }),
+            p + "key \"hexs\": " + not_hex + "string");
+  EXPECT_EQ(text([](ObjectReader& r) { r.get_hex64("hexu", 0); }),
+            p + "key \"hexu\": " + not_hex + "string");
+  EXPECT_EQ(text([](ObjectReader& r) { r.get_u64("s"); }),
+            p + "key \"s\": expected unsigned integer, got string");
+  EXPECT_EQ(text([](ObjectReader& r) { r.get_u64("long"); }),
+            p + "key \"long\": expected unsigned integer, got string");
+  EXPECT_EQ(text([](ObjectReader& r) { r.get_u64("b"); }),
+            p + "key \"b\": expected unsigned integer, got bool");
+  EXPECT_EQ(text([](ObjectReader& r) { r.get_u64("ovf"); }),
+            p + "key \"ovf\": integer overflow");
+  const std::string inexact =
+      "expected an exact unsigned integer below 2^53 (use a decimal "
+      "string for larger values)";
+  EXPECT_EQ(text([](ObjectReader& r) { r.get_u64("n"); }),
+            p + "key \"n\": " + inexact);
+  EXPECT_EQ(text([](ObjectReader& r) { r.get_u64("neg"); }),
+            p + "key \"neg\": " + inexact);
+  EXPECT_EQ(text([](ObjectReader& r) { r.get_size("big", 0); }),
+            p + "key \"big\": " + inexact);
+  EXPECT_EQ(text([](ObjectReader& r) {
+              r.get_f64("n");
+              r.finish();
+            }),
+            p + "unknown key \"s\"");
+}
+
+TEST(ObjectReader, AsF64AllocatesNothingPerNumber) {
+  std::string text = "{\"xs\":[";
+  for (int i = 0; i < 10000; ++i) {
+    if (i > 0) text += ',';
+    text += i % 100 == 0 ? "\"f64:7ff8000000000000\""
+                         : json::format_double(i * 0.37 - 1e3);
+  }
+  text += "]}";
+  const json::Value doc = json::parse(text);
+  ObjectReader reader(doc, "a context long enough to need the heap");
+  const json::Value& xs = reader.require_key("xs");
+  const std::string key = "xs";
+  double sum = 0.0;
+  const std::size_t before = t_allocations;
+  for (const json::Value& v : xs.items()) {
+    const double d = reader.as_f64(v, key);
+    if (d == d) sum += d;
+  }
+  EXPECT_EQ(t_allocations - before, 0u);
+  EXPECT_NE(sum, 0.0);
+}
+
+TEST(ObjectReader, ReportDecodeAllocationsDoNotGrowWithThetaLength) {
+  const auto decode_allocations = [](std::size_t theta_dim) {
+    exec::CampaignReport report;
+    report.num_threads = 1;
+    report.shard = exec::ShardSpec{0, 1};
+    report.total_cells = 1;
+    exec::CellResult cell;
+    cell.scenario = "a scenario name past the small-string buffer";
+    cell.platform = "synthetic";
+    cell.method = "parmis";
+    cell.objective_names = {"time_s", "energy_j"};
+    for (std::size_t i = 0; i < 3; ++i) {
+      cell.front.push_back({1.0 + i, 3.0 - i});
+      num::Vec theta(theta_dim);
+      for (std::size_t j = 0; j < theta_dim; ++j) theta[j] = 0.001 * j - i;
+      cell.pareto_thetas.push_back(std::move(theta));
+    }
+    report.cells.push_back(std::move(cell));
+    const json::Value doc = report::report_to_json(report);
+    const std::size_t before = t_allocations;
+    const exec::CampaignReport back =
+        report::report_from_json(doc, "a context long enough for the heap");
+    const std::size_t count = t_allocations - before;
+    EXPECT_EQ(back.cells[0].pareto_thetas[2].size(), theta_dim);
+    return count;
+  };
+  EXPECT_EQ(decode_allocations(895), decode_allocations(4));
 }
 
 }  // namespace

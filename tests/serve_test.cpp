@@ -9,6 +9,7 @@
 #include <filesystem>
 #include <fstream>
 #include <limits>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -16,11 +17,14 @@
 #include "common/error.hpp"
 #include "common/hash.hpp"
 #include "common/json.hpp"
+#include "common/rng.hpp"
 #include "exec/campaign.hpp"
 #include "exec/thread_pool.hpp"
 #include "report/merge.hpp"
 #include "report/report_json.hpp"
 #include "scenario/scenario.hpp"
+#include "serde/json_util.hpp"
+#include "serve/envelope.hpp"
 #include "serve/modes.hpp"
 #include "serve/protocol.hpp"
 #include "serve/server.hpp"
@@ -250,6 +254,14 @@ TEST(SnapshotBuild, RejectsPartialMismatchedAndUnknownObjectives) {
   exec::CampaignReport unknown = make_report();
   unknown.cells[0].objective_names = {"time_s", "joules"};
   EXPECT_THROW(store.build_and_install({unknown}, {"u"}), Error);
+
+  // An objective named twice: a decision's objectives could not be one
+  // JSON object.
+  exec::CampaignReport twice = make_report();
+  for (auto& cell : twice.cells) {
+    if (cell.scenario == "alpha") cell.objective_names = {"time_s", "time_s"};
+  }
+  EXPECT_THROW(store.build_and_install({twice}, {"t"}), Error);
 
   // Nothing servable at all.
   exec::CampaignReport empty = make_report();
@@ -624,6 +636,38 @@ TEST(Protocol, MalformedLinesAnswerErrorsAndTheSessionContinues) {
   EXPECT_TRUE(json::parse(quit.response).at("ok").as_bool());
 }
 
+TEST(Protocol, AValidIdIsEchoedEvenWhenOpIsMissingOrMistyped) {
+  PolicyStore store;
+  install(store);
+  ServeSession session(store, {});
+
+  const json::Value no_op = json::parse(one_line(session, "{\"id\":\"r9\"}"));
+  EXPECT_FALSE(no_op.at("ok").as_bool());
+  EXPECT_EQ(no_op.at("id").as_string(), "r9");
+  EXPECT_EQ(no_op.find("op"), nullptr);
+  EXPECT_NE(no_op.at("error").as_string().find("missing required key \"op\""),
+            std::string::npos);
+
+  const json::Value bad_op =
+      json::parse(one_line(session, "{\"op\":5,\"id\":\"r10\"}"));
+  EXPECT_FALSE(bad_op.at("ok").as_bool());
+  EXPECT_EQ(bad_op.at("id").as_string(), "r10");
+  EXPECT_EQ(bad_op.find("op"), nullptr);
+
+  // An id that is neither a string nor a number is rejected and never
+  // echoed; a valid op still is.
+  for (const char* line : {"{\"op\":\"decide\",\"id\":null}",
+                           "{\"op\":\"decide\",\"id\":{}}"}) {
+    const json::Value bad_id = json::parse(one_line(session, line));
+    EXPECT_FALSE(bad_id.at("ok").as_bool()) << line;
+    EXPECT_EQ(bad_id.find("id"), nullptr) << line;
+    EXPECT_EQ(bad_id.at("op").as_string(), "decide") << line;
+    EXPECT_NE(bad_id.at("error").as_string().find(
+                  "\"id\" must be a string or number"),
+              std::string::npos);
+  }
+}
+
 TEST(Protocol, ReloadHotSwapsFromDiskAndTamperedFilesAreRejected) {
   const std::string path = temp_path("reload");
   report::save_report(path, make_report(5.0));
@@ -742,6 +786,429 @@ TEST(DecisionDigest, ShardedThenMergedServesBitIdenticalToUnsharded) {
   EXPECT_EQ(session_full.decision_digest(),
             session_merged.decision_digest());
   EXPECT_EQ(session_full.decisions(), 4u);
+}
+
+// ------------------------------------------------- streamed == tree
+
+/// The tree-building response path the streamed writer replaced, kept
+/// here as the byte oracle: every decision is built as a json::Value,
+/// its members are copied into an envelope tree, and the envelope is
+/// finished with json::dump_compact.  The digest folds
+/// dump_compact(decision object), the definition the pins were taken
+/// with.
+class TreeOracle {
+ public:
+  explicit TreeOracle(PolicyStore& store) : store_(store), server_(store) {}
+
+  /// The response the tree path writes for `line`.  Values that change
+  /// between two answers to the same line (ping's uptime_s, the metrics
+  /// registry) are taken from `streamed`, the parsed response under
+  /// test; reload's result is read back from the store.
+  std::string respond(const std::string& line, const json::Value& streamed) {
+    std::string op;
+    json::Value id;
+    json::Value envelope = json::Value::object();
+    try {
+      const json::Value doc = json::parse(line);
+      serde::ObjectReader reader(doc, "request");
+      op = reader.get_string("op");
+      if (const json::Value* given = reader.optional_key("id")) {
+        require(given->is_string() || given->is_number(), "bad id");
+        id = *given;
+      }
+      json::Value body = dispatch(reader, op, streamed);
+      envelope.set("ok", json::Value::boolean(true));
+      envelope.set("op", json::Value::string(op));
+      if (!id.is_null()) envelope.set("id", id);
+      for (const auto& [key, value] : body.members()) {
+        envelope.set(key, value);
+      }
+    } catch (const std::exception& e) {
+      envelope = json::Value::object();
+      envelope.set("ok", json::Value::boolean(false));
+      if (!op.empty()) envelope.set("op", json::Value::string(op));
+      if (!id.is_null()) envelope.set("id", id);
+      envelope.set("error", json::Value::string(e.what()));
+    }
+    return json::dump_compact(envelope);
+  }
+
+  std::uint64_t digest() const { return digest_; }
+  std::uint64_t decisions() const { return decisions_; }
+
+ private:
+  json::Value decision_body(const Decision& decision) {
+    const PolicyEntry& entry = *decision.entry;
+    json::Value body = json::Value::object();
+    body.set("scenario", json::Value::string(entry.scenario));
+    body.set("method", json::Value::string(entry.method));
+    body.set("mode", json::Value::string(decision.mode));
+    body.set("index", serde::u64_to_json(decision.index));
+    const num::Vec raw = entry.raw_objectives(decision.index);
+    json::Value objectives = json::Value::object();
+    for (std::size_t j = 0; j < raw.size(); ++j) {
+      objectives.set(entry.objective_names[j], json::Value::number(raw[j]));
+    }
+    body.set("objectives", std::move(objectives));
+    if (!entry.thetas.empty()) {
+      json::Value theta = json::Value::array();
+      for (double v : entry.thetas[decision.index]) {
+        theta.push_back(json::Value::number(v));
+      }
+      body.set("theta", std::move(theta));
+    }
+    digest_ = fnv1a64(json::dump_compact(body), digest_);
+    ++decisions_;
+    return body;
+  }
+
+  static json::Value mode_to_json(const OperatingMode& mode) {
+    json::Value out = json::Value::object();
+    out.set("name", json::Value::string(mode.name));
+    out.set("description", json::Value::string(mode.description));
+    out.set("source", json::Value::string(mode.source));
+    out.set("rule", json::Value::string(mode_rule_name(mode.rule)));
+    if (mode.rule == ModeRule::BestFor) {
+      out.set("objective", json::Value::string(runtime::objective_kind_name(
+                               mode.best_for)));
+    } else if (mode.rule == ModeRule::Weights) {
+      json::Value weights = json::Value::object();
+      for (const auto& [kind, w] : mode.weights) {
+        weights.set(runtime::objective_kind_name(kind),
+                    json::Value::number(w));
+      }
+      out.set("weights", std::move(weights));
+    }
+    return out;
+  }
+
+  json::Value dispatch(serde::ObjectReader& reader, const std::string& op,
+                       const json::Value& streamed) {
+    json::Value body = json::Value::object();
+    if (op == "decide") {
+      DecideRequest request = parse_decide_body(reader);
+      reader.finish();
+      auto [decision, snapshot] = server_.decide(request);
+      body = decision_body(decision);
+      body.set("generation", serde::u64_to_json(snapshot->generation));
+    } else if (op == "batch") {
+      const json::Value& list = reader.require_key("requests");
+      reader.finish();
+      std::shared_ptr<const Snapshot> snapshot = store_.require_snapshot();
+      json::Value results = json::Value::array();
+      for (std::size_t i = 0; i < list.size(); ++i) {
+        json::Value item = json::Value::object();
+        try {
+          serde::ObjectReader r(list.at(i), "request #" + std::to_string(i));
+          DecideRequest request = parse_decide_body(r);
+          r.finish();
+          item = decision_body(server_.decide_on(*snapshot, request));
+          item.set("ok", json::Value::boolean(true));
+        } catch (const std::exception& e) {
+          item = json::Value::object();
+          item.set("ok", json::Value::boolean(false));
+          item.set("error", json::Value::string(e.what()));
+        }
+        results.push_back(std::move(item));
+      }
+      body.set("results", std::move(results));
+      body.set("generation", serde::u64_to_json(snapshot->generation));
+    } else if (op == "modes") {
+      reader.finish();
+      json::Value modes = json::Value::array();
+      for (const OperatingMode& mode : store_.modes().modes()) {
+        modes.push_back(mode_to_json(mode));
+      }
+      body.set("modes", std::move(modes));
+    } else if (op == "scenarios") {
+      reader.finish();
+      std::shared_ptr<const Snapshot> snapshot = store_.require_snapshot();
+      json::Value scenarios = json::Value::array();
+      for (const auto& [name, sc_entry] : snapshot->scenarios) {
+        const PolicyEntry& fallback = snapshot->entries[sc_entry.default_entry];
+        json::Value sc = json::Value::object();
+        sc.set("name", json::Value::string(name));
+        json::Value objectives = json::Value::array();
+        for (const auto& obj : fallback.objective_names) {
+          objectives.push_back(json::Value::string(obj));
+        }
+        sc.set("objectives", std::move(objectives));
+        sc.set("default_method", json::Value::string(fallback.method));
+        json::Value methods = json::Value::array();
+        for (const auto& [method, idx] : sc_entry.methods) {
+          const PolicyEntry& entry = snapshot->entries[idx];
+          json::Value m = json::Value::object();
+          m.set("name", json::Value::string(method));
+          m.set("policies", serde::u64_to_json(entry.front.size()));
+          m.set("cells", serde::u64_to_json(entry.cells));
+          m.set("phv", json::Value::number(entry.phv));
+          m.set("has_thetas", json::Value::boolean(!entry.thetas.empty()));
+          methods.push_back(std::move(m));
+        }
+        sc.set("methods", std::move(methods));
+        scenarios.push_back(std::move(sc));
+      }
+      body.set("scenarios", std::move(scenarios));
+      body.set("generation", serde::u64_to_json(snapshot->generation));
+    } else if (op == "reload") {
+      reader.finish();
+      std::shared_ptr<const Snapshot> snapshot = store_.require_snapshot();
+      body.set("entries", serde::u64_to_json(snapshot->entries.size()));
+      body.set("generation", serde::u64_to_json(snapshot->generation));
+    } else if (op == "ping") {
+      reader.finish();
+      body.set("protocol", json::Value::string(kServeProtocol));
+      body.set("generation", serde::u64_to_json(store_.generation()));
+      body.set("uptime_s", streamed.at("uptime_s"));
+      body.set("reports", serde::u64_to_json(1));  // one backing file
+      body.set("decisions", serde::u64_to_json(decisions_));
+    } else if (op == "metrics") {
+      const std::string format = reader.get_string("format", "json");
+      reader.finish();
+      if (format == "prometheus") {
+        body.set("format", json::Value::string("prometheus"));
+        body.set("text", streamed.at("text"));
+      } else {
+        body.set("metrics", streamed.at("metrics"));
+      }
+    } else if (op == "digest") {
+      reader.finish();
+      body.set("decisions", serde::u64_to_json(decisions_));
+      body.set("digest", json::Value::string(hex64(digest_)));
+    } else {
+      require(false, "the oracle covers every op but quit");
+    }
+    return body;
+  }
+
+  PolicyStore& store_;
+  PolicyServer server_;
+  std::uint64_t digest_ = 0xCBF29CE484222325ULL;
+  std::uint64_t decisions_ = 0;
+};
+
+/// make_report() plus a scenario and method whose names need every
+/// escape (a quote, a backslash, a control byte) and carry non-ASCII
+/// UTF-8, with non-finite objective and theta values — what the
+/// snapshot admits.
+exec::CampaignReport hostile_report() {
+  exec::CampaignReport report = make_report();
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  report.cells.push_back(make_cell(
+      "g\"a\\m\x01ma-\xc3\xa9\xe2\x82\xac", "p\"l\\u\x1fg-\xf0\x9f\x9a\x80", 1,
+      {"time_s", "ppw_gips_per_w"},
+      {{1.0, -inf}, {inf, -7.0}, {0.5, 2.0}, {4.9e-324, 1e300}},
+      {{nan, -0.0, 0.1}, {inf, -inf, 5e-324}, {1e300, nan, -1.0},
+       {-inf, 1.0, 2.0}},
+      7.0));
+  report.total_cells = report.cells.size();
+  return report;
+}
+
+TEST(Protocol, StreamedResponsesMatchTreeOracle) {
+  const std::string path = temp_path("oracle");
+  const exec::CampaignReport hostile_doc = hostile_report();
+  report::save_report(path, hostile_doc);
+  PolicyStore store;
+  store.load_and_install({path});
+  ServeSession session(store, {path});
+  TreeOracle oracle(store);
+
+  const exec::CellResult& hostile = hostile_doc.cells.back();
+  const std::string hostile_scenario =
+      json::dump_compact(json::Value::string(hostile.scenario));
+  const std::string hostile_method =
+      json::dump_compact(json::Value::string(hostile.method));
+  std::vector<std::string> lines = {
+      "{\"op\":\"ping\",\"id\":\"a\\\"b\"}",
+      "{\"op\":\"modes\",\"id\":0}",
+      "{\"op\":\"scenarios\",\"id\":-0.0}",
+      "{\"op\":\"metrics\",\"id\":1e300}",
+      "{\"op\":\"metrics\",\"format\":\"prometheus\",\"id\":9007199254740993}",
+      "{\"op\":\"batch\",\"requests\":[]}",
+      "{\"op\":\"batch\",\"requests\":[{\"scenario\":\"nope\"},"
+      "{\"scenario\":\"alpha\",\"mode\":\"nope\"},5]}",
+      "{\"op\":\"batch\",\"id\":\"b\",\"requests\":[{\"scenario\":\"alpha\"},"
+      "{\"scenario\":\"gamma\"},{\"scenario\":" + hostile_scenario +
+          ",\"method\":" + hostile_method + ",\"mode\":\"balanced\"},"
+          "{\"scenario\":\"beta\",\"mode\":\"auto\",\"workload\":"
+          "{\"battery_pct\":9}}]}",
+      "{\"op\":\"decide\",\"scenario\":\"nope\",\"id\":7}",
+      "{\"op\":\"decide\",\"scenario\":\"alpha\",\"weights\":{\"x\":1}}",
+  };
+  const std::vector<std::string> modes = {"performance", "balanced",
+                                          "powersave", "thermal-critical"};
+  struct Target {
+    std::string scenario;
+    std::vector<std::string> methods;
+    std::string weights;
+  };
+  const std::vector<Target> targets = {
+      {"\"alpha\"", {"\"parmis\"", "\"governor\""},
+       "{\"time_s\":1,\"energy_j\":2}"},
+      {"\"beta\"", {"\"parmis\""}, "{\"energy_j\":1,\"ppw_gips_per_w\":3}"},
+      {hostile_scenario, {hostile_method},
+       "{\"time_s\":1,\"ppw_gips_per_w\":1e-300}"}};
+  for (const auto& [scenario, methods, weights] : targets) {
+    lines.push_back("{\"op\":\"decide\",\"scenario\":" + scenario + "}");
+    for (const std::string& method : methods) {
+      const std::string head = "{\"op\":\"decide\",\"scenario\":" + scenario +
+                               ",\"method\":" + method;
+      for (const std::string& mode : modes) {
+        lines.push_back(head + ",\"mode\":\"" + mode + "\",\"id\":\"" + mode +
+                        "\"}");
+      }
+      lines.push_back(head + ",\"weights\":" + weights + "}");
+      lines.push_back(head + ",\"mode\":\"auto\",\"workload\":"
+                             "{\"thermal_headroom_c\":1.5,\"load\":0.9}}");
+    }
+  }
+  lines.push_back("{\"op\":\"digest\",\"id\":\"d\"}");
+  lines.push_back("{\"op\":\"reload\",\"id\":\"r\"}");
+  lines.push_back("{\"op\":\"scenarios\"}");
+  lines.push_back("{\"op\":\"decide\",\"scenario\":\"alpha\"}");
+  lines.push_back("{\"op\":\"digest\"}");
+
+  std::size_t non_finite = 0;
+  for (const std::string& line : lines) {
+    const std::string response = one_line(session, line);
+    const json::Value streamed = json::parse(response);
+    EXPECT_EQ(response, oracle.respond(line, streamed)) << line;
+    if (response.find("\"f64:") != std::string::npos) ++non_finite;
+  }
+  EXPECT_GT(non_finite, 0u);  // the hostile entry's values were served
+  EXPECT_EQ(session.decisions(), oracle.decisions());
+  EXPECT_EQ(session.decision_digest(), oracle.digest());
+  EXPECT_EQ(store.generation(), 2u);  // the reload was answered, not refused
+  std::filesystem::remove(path);
+}
+
+// ------------------------------------------------------ hostile input
+
+/// Deterministic hostile variants of one document: every truncation,
+/// `flips` single-bit flips, the first member duplicated, 201-deep
+/// nesting (one past json::kMaxDepth) around the document and inside
+/// it, and every number literal replaced by overflowing, underflowing,
+/// signed-zero and overlong ones.
+std::vector<std::string> mutations(const std::string& text, Rng& rng,
+                                   std::size_t flips) {
+  std::vector<std::string> out;
+  for (std::size_t n = 0; n < text.size(); ++n) {
+    out.push_back(text.substr(0, n));
+  }
+  for (std::size_t i = 0; i < flips; ++i) {
+    std::string m = text;
+    m[rng.uniform_index(m.size())] ^=
+        static_cast<char>(1u << rng.uniform_index(8));
+    out.push_back(std::move(m));
+  }
+  const std::size_t open = text.find('{');
+  const std::size_t comma = text.find(',', open);
+  if (open != std::string::npos && comma != std::string::npos) {
+    std::string m = text;
+    m.insert(open + 1, text.substr(open + 1, comma - open));
+    out.push_back(std::move(m));
+  }
+  const std::string deep_open(json::kMaxDepth + 1, '[');
+  const std::string deep_close(json::kMaxDepth + 1, ']');
+  out.push_back(deep_open + text + deep_close);
+  if (open != std::string::npos) {
+    std::string m = text;
+    m.insert(open + 1, "\"z\":" + deep_open + deep_close + ",");
+    out.push_back(std::move(m));
+  }
+  const char* const numbers[] = {"1e400", "-1e-400", "-0",
+                                 "123456789012345678901234567890e-5"};
+  for (std::size_t i = 1; i < text.size(); ++i) {
+    const char c = text[i];
+    const char before = text[i - 1];
+    if (!((c >= '0' && c <= '9') || c == '-') ||
+        (before != ':' && before != ',' && before != '[' && before != ' ')) {
+      continue;
+    }
+    const std::size_t end = text.find_first_not_of("0123456789.eE+-", i);
+    for (const char* number : numbers) {
+      std::string m = text;
+      m.replace(i, end - i, number);
+      out.push_back(std::move(m));
+    }
+  }
+  return out;
+}
+
+TEST(Protocol, HostileLinesAlwaysGetOneWellFormedResponse) {
+  PolicyStore store;
+  install(store);
+  ServeSession session(store, {});  // reload refuses: generations stay put
+  const std::string known = "{\"op\":\"decide\",\"scenario\":\"alpha\","
+                            "\"mode\":\"powersave\",\"id\":\"k\"}";
+  const std::string before = one_line(session, known);
+
+  const char* const seeds[] = {
+      "{\"op\":\"decide\",\"scenario\":\"alpha\",\"id\":\"r1\"}",
+      "{\"op\":\"decide\",\"scenario\":\"alpha\",\"method\":\"parmis\","
+      "\"mode\":\"powersave\",\"id\":7}",
+      "{\"op\":\"decide\",\"scenario\":\"beta\",\"weights\":"
+      "{\"energy_j\":1,\"ppw_gips_per_w\":3}}",
+      "{\"op\":\"decide\",\"scenario\":\"beta\",\"mode\":\"auto\","
+      "\"workload\":{\"thermal_headroom_c\":1.5,\"battery_pct\":40,"
+      "\"load\":0.5}}",
+      "{\"op\":\"batch\",\"requests\":[{\"scenario\":\"alpha\"},"
+      "{\"scenario\":\"beta\",\"mode\":\"balanced\"}],\"id\":\"b\"}",
+      "{\"op\":\"modes\",\"id\":-2.5e-3}",
+      "{\"op\":\"scenarios\",\"id\":3}",
+      "{\"op\":\"ping\",\"id\":\"p\"}",
+      "{\"op\":\"digest\",\"id\":4}",
+      "{\"op\":\"reload\",\"id\":5}",
+      "{\"op\":\"metrics\",\"format\":\"prometheus\",\"id\":6}",
+  };
+  Rng rng(0x5EEDF022);
+  std::size_t lines = 0;
+  std::size_t answered_ok = 0;
+  for (const char* seed : seeds) {
+    for (const std::string& line : mutations(seed, rng, 125)) {
+      ++lines;
+      ServeSession::Outcome outcome;
+      ASSERT_NO_THROW(outcome = session.handle_line(line)) << line;
+      if (blank_line(line)) {
+        EXPECT_TRUE(outcome.response.empty()) << line;
+        continue;
+      }
+      ASSERT_EQ(outcome.response.find('\n'), std::string::npos) << line;
+      json::Value response;
+      ASSERT_NO_THROW(response = json::parse(outcome.response)) << line;
+      ASSERT_TRUE(response.is_object()) << outcome.response;
+      const json::Value* ok = response.find("ok");
+      ASSERT_TRUE(ok != nullptr && ok->is_bool()) << outcome.response;
+      if (ok->as_bool()) ++answered_ok;
+    }
+  }
+  EXPECT_GE(lines, 1900u);
+  EXPECT_GT(answered_ok, 0u);
+  EXPECT_EQ(one_line(session, known), before);
+}
+
+TEST(ReportSerdeFuzz, MutatedReportsLoadOrFailWithACleanError) {
+  std::ostringstream os;
+  report::write_report(os, make_report());
+  const std::string path = temp_path("fuzz_report");
+  Rng rng(0x5EEDF023);
+  std::size_t rejected = 0;
+  std::size_t loaded = 0;
+  for (const std::string& text : mutations(os.str(), rng, 400)) {
+    std::ofstream(path, std::ios::binary | std::ios::trunc) << text;
+    try {
+      (void)report::load_report(path);
+      ++loaded;
+    } catch (const Error&) {
+      ++rejected;
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "not a parmis::Error: " << e.what();
+    }
+  }
+  EXPECT_GT(rejected, 10 * loaded);
+  std::filesystem::remove(path);
 }
 
 }  // namespace
