@@ -83,5 +83,5 @@ int run(const CliArgs& args) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  return bench::guarded_main(argc, argv, run);
+  return guarded_main(argc, argv, run);
 }

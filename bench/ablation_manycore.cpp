@@ -67,5 +67,5 @@ int run(const parmis::CliArgs& args) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  return parmis::bench::guarded_main(argc, argv, run);
+  return parmis::guarded_main(argc, argv, run);
 }

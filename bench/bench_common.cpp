@@ -1,7 +1,6 @@
 #include "bench_common.hpp"
 
 #include <algorithm>
-#include <filesystem>
 #include <iostream>
 #include <memory>
 #include <sstream>
@@ -71,34 +70,11 @@ BenchScale scale_from_cli(const CliArgs& args,
   BenchScale s = make_scale(full_scale_requested(args));
   // Per-run overrides for experimentation.
   s.parmis.max_iterations =
-      size_flag(args, "iterations", s.parmis.max_iterations);
-  s.rl.episodes = size_flag(args, "rl-episodes", s.rl.episodes);
+      args.get_count("iterations", s.parmis.max_iterations, 1);
+  s.rl.episodes = args.get_count("rl-episodes", s.rl.episodes, 1);
   s.rl.grid_divisions = s.il.grid_divisions =
-      size_flag(args, "grid", s.rl.grid_divisions);
-  require(s.rl.grid_divisions >= 2, "--grid expects at least 2 weights");
+      args.get_count("grid", s.rl.grid_divisions, 2);
   return s;
-}
-
-void require_known_flags(const CliArgs& args,
-                         const std::vector<std::string>& known) {
-  for (const std::string& key : args.keys()) {
-    require(std::find(known.begin(), known.end(), key) != known.end(),
-            "unknown flag --" + key);
-  }
-  for (const std::string& arg : args.positional()) {
-    require(false, "unexpected argument '" + arg + "'");
-  }
-}
-
-std::size_t size_flag(const CliArgs& args, const std::string& key,
-                      std::size_t fallback) {
-  if (!args.has(key)) return fallback;
-  const std::string v = args.get(key, "");
-  require(!v.empty() && v.size() <= 18 &&
-              v.find_first_not_of("0123456789") == std::string::npos &&
-              std::stoull(v) > 0,
-          "--" + key + " expects a positive integer, got '" + v + "'");
-  return std::stoull(v);
 }
 
 std::vector<std::string> apps_flag(const CliArgs& args) {
@@ -116,17 +92,6 @@ std::vector<std::string> apps_flag(const CliArgs& args) {
   }
   require(!out.empty(), "--apps expects a comma-separated benchmark list");
   return out;
-}
-
-int guarded_main(int argc, char** argv,
-                 const std::function<int(const CliArgs&)>& body) {
-  try {
-    return body(CliArgs::parse(argc, argv));
-  } catch (const Error& e) {
-    std::cerr << std::filesystem::path(argv[0]).filename().string() << ": "
-              << e.what() << "\n";
-    return 2;
-  }
 }
 
 scenario::ScenarioSpec app_scenario(const std::string& name,

@@ -52,23 +52,9 @@ BenchScale make_scale(bool full);
 BenchScale scale_from_cli(const CliArgs& args,
                           const std::vector<std::string>& extra_flags = {});
 
-/// Rejects every flag outside `known`, so a typo fails loudly instead
-/// of being ignored, and any stray positional argument.
-void require_known_flags(const CliArgs& args,
-                         const std::vector<std::string>& known);
-
-/// A size budget: a positive decimal integer, or `fallback` if absent.
-std::size_t size_flag(const CliArgs& args, const std::string& key,
-                      std::size_t fallback);
-
 /// --apps a,b,c: benchmark names, each known and listed once; all of
 /// apps::benchmark_names() when absent.
 std::vector<std::string> apps_flag(const CliArgs& args);
-
-/// Runs a bench body and maps any parmis::Error (a bad flag, a failed
-/// cell) to exit 2 with one line on stderr.
-int guarded_main(int argc, char** argv,
-                 const std::function<int(const CliArgs&)>& body);
 
 /// Single-app scenario `name`: `app` on the Exynos 5422 under (time,
 /// energy), running `methods` with the scale's PaRMIS budget.

@@ -377,8 +377,7 @@ AcquisitionNumbers acquisition_us_per_candidate(bool smoke,
 }
 
 int run_scorecard(const CliArgs& args) {
-  bench::require_known_flags(args,
-                             {"smoke", "out", "require-batched-faster"});
+  require_known_flags(args, {"smoke", "out", "require-batched-faster"});
   const bool smoke = args.get_bool("smoke", false);
   const bool gate = args.get_bool("require-batched-faster", false);
   const std::string out = args.get("out", "BENCH_perf.json");
@@ -469,14 +468,14 @@ int run_scorecard(const CliArgs& args) {
 // ---------------------------------------------------------------- serve
 
 int run_serve(const CliArgs& args) {
-  bench::require_known_flags(args, {"smoke", "decisions", "chunk-decisions",
-                                    "latency-samples", "baseline", "csv"});
+  require_known_flags(args, {"smoke", "decisions", "chunk-decisions",
+                             "latency-samples", "baseline", "csv"});
   ServeBudget budget = serve_budget(args.get_bool("smoke", false));
-  budget.decisions = bench::size_flag(args, "decisions", budget.decisions);
+  budget.decisions = args.get_count("decisions", budget.decisions, 1);
   budget.chunk_decisions =
-      bench::size_flag(args, "chunk-decisions", budget.chunk_decisions);
+      args.get_count("chunk-decisions", budget.chunk_decisions, 1);
   budget.latency_samples =
-      bench::size_flag(args, "latency-samples", budget.latency_samples);
+      args.get_count("latency-samples", budget.latency_samples, 1);
   require(budget.chunk_decisions <= budget.decisions,
           "--chunk-decisions must not exceed --decisions");
   const double baseline = args.get_double("baseline", 0.0);
@@ -652,10 +651,9 @@ double peak_rss_mib() {
 }
 
 int run_campaign(const CliArgs& args) {
-  bench::require_known_flags(args,
-                             {"threads", "seeds", "full", "csv", "cache-dir"});
+  require_known_flags(args, {"threads", "seeds", "full", "csv", "cache-dir"});
   const std::size_t threads =
-      bench::size_flag(args, "threads", exec::default_num_threads());
+      args.get_count("threads", exec::default_num_threads(), 1);
   exec::CampaignConfig config;
   config.scenarios = scenario::all_scenarios();
   if (full_scale_requested(args)) {
@@ -663,7 +661,7 @@ int run_campaign(const CliArgs& args) {
       s.parmis = scenario::campaign_parmis_budget(true);
     }
   }
-  config.seeds_per_cell = bench::size_flag(args, "seeds", 1);
+  config.seeds_per_cell = args.get_count("seeds", 1, 1);
 
   std::cout << "campaign: " << config.scenarios.size() << " scenarios, "
             << config.seeds_per_cell << " seed(s) per cell\n\n";

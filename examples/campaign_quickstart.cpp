@@ -9,12 +9,16 @@
 // Build and run:  cmake --build build && ./build/campaign_quickstart
 #include <iostream>
 
+#include "common/cli.hpp"
 #include "exec/campaign.hpp"
 #include "exec/thread_pool.hpp"
 #include "scenario/scenario.hpp"
 
-int main() {
+namespace {
+
+int run(const parmis::CliArgs& args) {
   using namespace parmis;
+  require_known_flags(args, {});
 
   // 1. Declare the scenario.  Unlike the built-in catalogue
   //    (scenario::all_scenarios()), this one is assembled from scratch:
@@ -60,4 +64,10 @@ int main() {
             << report.num_threads << " threads, "
             << report.wall_s << " s)\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return parmis::guarded_main(argc, argv, run);
 }

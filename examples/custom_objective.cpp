@@ -18,11 +18,13 @@
 #include "core/policy_search.hpp"
 #include "runtime/evaluator.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(const parmis::CliArgs& args) {
   using namespace parmis;
-  const CliArgs args = CliArgs::parse(argc, argv);
+  require_known_flags(args, {"app", "iterations"});
   const std::string app_name = args.get("app", "dijkstra");
-  const int iterations = args.get_int("iterations", 60);
+  const std::size_t iterations = args.get_count("iterations", 60, 1);
 
   const soc::SocSpec spec = soc::SocSpec::exynos5422();
   soc::Platform platform(spec);
@@ -35,7 +37,7 @@ int main(int argc, char** argv) {
     core::DrmPolicyProblem problem(platform, app,
                                    runtime::time_ppw_objectives());
     core::ParmisConfig config;
-    config.max_iterations = static_cast<std::size_t>(iterations);
+    config.max_iterations = iterations;
     config.initial_thetas = problem.anchor_thetas();
     config.seed = 11;
     core::Parmis optimizer(problem.evaluation_fn(), problem.theta_dim(), 2,
@@ -73,7 +75,7 @@ int main(int argc, char** argv) {
         runtime::Objective(runtime::ObjectiveKind::PeakPower)};
     core::DrmPolicyProblem problem(platform, app, objectives);
     core::ParmisConfig config;
-    config.max_iterations = static_cast<std::size_t>(iterations / 2);
+    config.max_iterations = iterations / 2;
     config.initial_thetas = problem.anchor_thetas();
     config.seed = 12;
     core::Parmis optimizer(problem.evaluation_fn(), problem.theta_dim(), 3,
@@ -95,4 +97,10 @@ int main(int argc, char** argv) {
                  "acquisition are objective-agnostic.\n";
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return parmis::guarded_main(argc, argv, run);
 }

@@ -19,11 +19,14 @@
 #include "runtime/evaluator.hpp"
 #include "runtime/selector.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(const parmis::CliArgs& args) {
   using namespace parmis;
-  const CliArgs args = CliArgs::parse(argc, argv);
-  const int iterations = args.get_int("iterations", 60);
+  require_known_flags(args, {"iterations", "holdout"});
+  const std::size_t iterations = args.get_count("iterations", 60, 1);
   const std::string holdout = args.get("holdout", "strsearch");
+  const soc::Application unseen = apps::make_benchmark(holdout);
 
   const soc::SocSpec spec = soc::SocSpec::exynos5422();
   soc::Platform platform(spec);
@@ -39,7 +42,7 @@ int main(int argc, char** argv) {
   core::DrmPolicyProblem problem(platform, train_apps,
                                  runtime::time_energy_objectives());
   core::ParmisConfig config;
-  config.max_iterations = static_cast<std::size_t>(iterations);
+  config.max_iterations = iterations;
   config.initial_thetas = problem.anchor_thetas();
   config.seed = 43;
   core::Parmis optimizer(problem.evaluation_fn(), problem.theta_dim(), 2,
@@ -60,7 +63,6 @@ int main(int argc, char** argv) {
   global_table.print(std::cout);
 
   // --- deploy on the held-out application ---
-  const soc::Application unseen = apps::make_benchmark(holdout);
   runtime::Evaluator evaluator(platform);
   std::vector<num::Vec> points;
   for (const auto& theta : result.pareto_thetas()) {
@@ -95,4 +97,10 @@ int main(int argc, char** argv) {
                "(and often beyond) the two governor extremes, without "
                "ever training on this app.\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return parmis::guarded_main(argc, argv, run);
 }

@@ -19,10 +19,12 @@
 #include "runtime/evaluator.hpp"
 #include "runtime/selector.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(const parmis::CliArgs& args) {
   using namespace parmis;
-  const CliArgs args = CliArgs::parse(argc, argv);
-  const int iterations = args.get_int("policy-iterations", 50);
+  require_known_flags(args, {"policy-iterations"});
+  const std::size_t iterations = args.get_count("policy-iterations", 50, 1);
 
   const soc::SocSpec spec = soc::SocSpec::exynos5422();
   soc::Platform platform(spec);
@@ -62,7 +64,7 @@ int main(int argc, char** argv) {
   core::DrmPolicyProblem problem(platform, app,
                                  runtime::time_energy_objectives());
   core::ParmisConfig config;
-  config.max_iterations = static_cast<std::size_t>(iterations);
+  config.max_iterations = iterations;
   config.initial_thetas = problem.anchor_thetas();
   config.seed = 33;
   core::Parmis optimizer(problem.evaluation_fn(), problem.theta_dim(), 2,
@@ -94,4 +96,10 @@ int main(int argc, char** argv) {
   }
   counters.print(std::cout);
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return parmis::guarded_main(argc, argv, run);
 }

@@ -24,6 +24,7 @@
 #include <memory>
 #include <utility>
 
+#include "common/cli.hpp"
 #include "common/error.hpp"
 #include "common/hash.hpp"
 #include "common/rng.hpp"
@@ -89,41 +90,41 @@ class RandomProbeMethod final : public methods::Method {
 const methods::MethodRegistrar kRandomProbe{
     std::make_unique<RandomProbeMethod>()};
 
+int run(const CliArgs& args) {
+  require_known_flags(args, {}, /*allow_positional=*/true);
+  const std::string plan_path =
+      args.positional().empty() ? "examples/plugin_method/toy_plan.json"
+                                : args.positional().front();
+  const serde::CampaignPlan plan = serde::load_plan(plan_path);
+  const serde::ScenarioCatalogue catalogue;
+  exec::CampaignConfig config = serde::to_campaign_config(plan, catalogue);
+  config.num_threads = 2;
+  const exec::CampaignReport report = exec::CampaignRunner(config).run();
+
+  Table table({"scenario", "method", "seed", "front", "phv", "status"});
+  bool plugin_ran = false, any_failed = false;
+  for (const auto& cell : report.cells) {
+    plugin_ran = plugin_ran ||
+                 (cell.method == "random-probe" && cell.error.empty() &&
+                  !cell.front.empty());
+    any_failed = any_failed || !cell.error.empty();
+    table.begin_row()
+        .add(cell.scenario)
+        .add(cell.method)
+        .add_int(static_cast<long long>(cell.seed))
+        .add_int(static_cast<long long>(cell.front.size()))
+        .add(cell.phv, 4)
+        .add(cell.error.empty() ? "ok" : "FAILED: " + cell.error);
+  }
+  table.print(std::cout);
+  std::cout << "\nplugin method \"random-probe\" "
+            << (plugin_ran ? "ran through the registry" : "DID NOT RUN")
+            << "; digest " << hex64(report.objectives_digest()) << "\n";
+  return plugin_ran && !any_failed ? 0 : 1;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
-  try {
-    const std::string plan_path =
-        argc > 1 ? argv[1] : "examples/plugin_method/toy_plan.json";
-    const serde::CampaignPlan plan = serde::load_plan(plan_path);
-    const serde::ScenarioCatalogue catalogue;
-    exec::CampaignConfig config =
-        serde::to_campaign_config(plan, catalogue);
-    config.num_threads = 2;
-    const exec::CampaignReport report = exec::CampaignRunner(config).run();
-
-    Table table({"scenario", "method", "seed", "front", "phv", "status"});
-    bool plugin_ran = false, any_failed = false;
-    for (const auto& cell : report.cells) {
-      plugin_ran = plugin_ran ||
-                   (cell.method == "random-probe" && cell.error.empty() &&
-                    !cell.front.empty());
-      any_failed = any_failed || !cell.error.empty();
-      table.begin_row()
-          .add(cell.scenario)
-          .add(cell.method)
-          .add_int(static_cast<long long>(cell.seed))
-          .add_int(static_cast<long long>(cell.front.size()))
-          .add(cell.phv, 4)
-          .add(cell.error.empty() ? "ok" : "FAILED: " + cell.error);
-    }
-    table.print(std::cout);
-    std::cout << "\nplugin method \"random-probe\" "
-              << (plugin_ran ? "ran through the registry" : "DID NOT RUN")
-              << "; digest " << hex64(report.objectives_digest()) << "\n";
-    return plugin_ran && !any_failed ? 0 : 1;
-  } catch (const std::exception& e) {
-    std::cerr << "plugin_method: " << e.what() << "\n";
-    return 1;
-  }
+  return parmis::guarded_main(argc, argv, run);
 }

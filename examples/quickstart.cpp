@@ -21,12 +21,14 @@
 #include "runtime/evaluator.hpp"
 #include "runtime/selector.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(const parmis::CliArgs& args) {
   using namespace parmis;
-  const CliArgs args = CliArgs::parse(argc, argv);
+  require_known_flags(args, {"app", "iterations", "seed"});
   const std::string app_name = args.get("app", "qsort");
-  const int iterations = args.get_int("iterations", 60);
-  const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 7));
+  const std::size_t iterations = args.get_count("iterations", 60, 1);
+  const std::uint64_t seed = args.get_count("seed", 7);
 
   // 1. Platform: the simulated Odroid-XU3.
   const soc::SocSpec spec = soc::SocSpec::exynos5422();
@@ -45,7 +47,7 @@ int main(int argc, char** argv) {
 
   // 3. PaRMIS search.
   core::ParmisConfig config;
-  config.max_iterations = static_cast<std::size_t>(iterations);
+  config.max_iterations = iterations;
   config.seed = seed;
   config.initial_thetas = problem.anchor_thetas();
   core::Parmis optimizer(problem.evaluation_fn(), problem.theta_dim(),
@@ -95,4 +97,10 @@ int main(int argc, char** argv) {
   const std::size_t knee = selector.knee_point();
   std::cout << "Knee-point (no preference) selects parmis-" << knee << "\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return parmis::guarded_main(argc, argv, run);
 }

@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "common/error.hpp"
+#include "common/rng.hpp"
 
 namespace parmis::apps {
 
@@ -196,34 +197,6 @@ Application make_benchmark(const std::string& name) {
   }
   require(false, "unknown benchmark: " + name);
   return {};  // unreachable
-}
-
-std::vector<Application> all_benchmarks() {
-  std::vector<Application> apps;
-  apps.reserve(benchmark_names().size());
-  for (const auto& name : benchmark_names()) {
-    apps.push_back(make_benchmark(name));
-  }
-  return apps;
-}
-
-Application random_application(parmis::Rng& rng, std::size_t num_epochs) {
-  require(num_epochs > 0, "random_application: need at least one epoch");
-  Application app;
-  app.name = "random";
-  for (std::size_t i = 0; i < num_epochs; ++i) {
-    EpochWorkload e;
-    e.instructions_g = rng.uniform(0.05, 2.0);
-    e.parallel_fraction = rng.uniform(0.0, 1.0);
-    e.mem_bytes_per_instr = rng.uniform(0.02, 2.0);
-    e.branch_miss_rate = rng.uniform(0.0, 0.05);
-    e.ilp = rng.uniform(0.2, 1.0);
-    e.big_affinity = rng.uniform(0.0, 1.0);
-    e.duty = rng.uniform(0.6, 1.0);
-    app.epochs.push_back(e);
-  }
-  app.validate();
-  return app;
 }
 
 }  // namespace parmis::apps

@@ -16,7 +16,6 @@
 #include <string>
 #include <vector>
 
-#include "common/rng.hpp"
 #include "soc/workload.hpp"
 
 namespace parmis::apps {
@@ -26,13 +25,6 @@ const std::vector<std::string>& benchmark_names();
 
 /// Builds one benchmark by name; throws parmis::Error for unknown names.
 soc::Application make_benchmark(const std::string& name);
-
-/// All 12 benchmarks.
-std::vector<soc::Application> all_benchmarks();
-
-/// Random phase-structured application for property tests and fuzzing:
-/// `num_epochs` epochs with fields drawn from their valid ranges.
-soc::Application random_application(parmis::Rng& rng, std::size_t num_epochs);
 
 }  // namespace parmis::apps
 

@@ -75,25 +75,6 @@ using parmis::serde::CampaignPlan;
 using parmis::serde::ScenarioCatalogue;
 using parmis::serde::ScenarioRef;
 
-/// u64 flag accessor: plan fields like base_seed span the full uint64
-/// range (the serde layer string-encodes values above 2^53), so their
-/// flag overrides must not squeeze through 32-bit get_int.
-std::uint64_t get_u64_flag(const parmis::CliArgs& args,
-                           const std::string& key, std::uint64_t fallback) {
-  if (!args.has(key)) return fallback;
-  const std::string v = args.get(key, "");
-  parmis::require(!v.empty() && v.find_first_not_of("0123456789") ==
-                                    std::string::npos,
-                  "flag --" + key + " expects an unsigned integer, got '" +
-                      v + "'");
-  try {
-    return std::stoull(v);
-  } catch (const std::exception&) {
-    parmis::require(false, "flag --" + key + " value out of range: " + v);
-  }
-  return fallback;  // unreachable
-}
-
 std::vector<std::string> split_csv(const std::string& list) {
   std::vector<std::string> out;
   std::stringstream ss(list);
@@ -201,6 +182,19 @@ void emit_text(const std::string& path, const std::string& text) {
 int main(int argc, char** argv) {
   try {
     const parmis::CliArgs args = parmis::CliArgs::parse(argc, argv);
+    // Flag preconditions are checked before any cell runs: a campaign
+    // can be hours of compute, and a typo must fail in milliseconds.
+    parmis::require_known_flags(
+        args, {"help",          "list",           "list-methods",
+               "scenarios",     "threads",        "plan",
+               "dump-plan",     "dump-scenarios", "scenario-dir",
+               "methods",       "seeds",          "seed",
+               "anchor-limit",  "shard-index",    "shard-count",
+               "csv",           "json",           "compare-threads",
+               "full",          "cache-dir",      "no-cache",
+               "resume",        "cache-stats",    "require-cached",
+               "cache-gc",      "cache-max-mb",   "trace-out",
+               "metrics-out",   "metrics-prom"});
     if (args.has("help")) {
       std::cout
           << "usage: campaign [--list] [--list-methods]\n"
@@ -286,23 +280,15 @@ int main(int argc, char** argv) {
     if (args.has("methods")) {
       plan.methods = split_csv(args.get("methods", ""));
     }
-    if (args.has("seeds")) {
-      plan.seeds_per_cell =
-          static_cast<std::size_t>(get_u64_flag(args, "seeds", 1));
-    }
-    plan.base_seed = get_u64_flag(args, "seed", plan.base_seed);
-    if (args.has("anchor-limit")) {
-      plan.anchor_limit =
-          static_cast<std::size_t>(get_u64_flag(args, "anchor-limit", 3));
-    }
+    plan.seeds_per_cell = args.get_count("seeds", plan.seeds_per_cell);
+    plan.base_seed = args.get_count("seed", plan.base_seed);
+    plan.anchor_limit = args.get_count("anchor-limit", plan.anchor_limit);
     if (parmis::full_scale_requested(args)) plan.full_budget = true;
     if (args.has("shard-index") || args.has("shard-count")) {
       parmis::exec::ShardSpec shard = plan.shard.value_or(
           parmis::exec::ShardSpec{});
-      shard.index = static_cast<std::size_t>(
-          get_u64_flag(args, "shard-index", shard.index));
-      shard.count = static_cast<std::size_t>(
-          get_u64_flag(args, "shard-count", shard.count));
+      shard.index = args.get_count("shard-index", shard.index);
+      shard.count = args.get_count("shard-count", shard.count);
       plan.shard = shard;
     }
     if (args.has("cache-dir")) {
@@ -335,8 +321,8 @@ int main(int argc, char** argv) {
 
     CampaignConfig config = parmis::serde::to_campaign_config(plan,
                                                               catalogue);
-    config.num_threads = static_cast<std::size_t>(args.get_int(
-        "threads", static_cast<int>(parmis::exec::default_num_threads())));
+    config.num_threads =
+        args.get_count("threads", parmis::exec::default_num_threads());
 
     // ------------------------------------------------------ result cache
     const std::string cache_dir =
@@ -355,8 +341,6 @@ int main(int argc, char** argv) {
                     "campaign: --resume is incompatible with "
                     "--compare-threads (the determinism check executes "
                     "every cell; nothing is replayed)");
-    // Flag preconditions are checked before any cell runs: a campaign
-    // can be hours of compute, and a typo must fail in milliseconds.
     parmis::require(!require_cached || !cache_dir.empty(),
                     "campaign: --require-cached requires a cache "
                     "(--cache-dir or the plan's cache.dir, and no "
@@ -374,10 +358,10 @@ int main(int argc, char** argv) {
       parmis::require(!plan.cache.dir.empty(),
                       "campaign: --cache-gc requires a cache dir "
                       "(--cache-dir or the plan's cache.dir)");
-      const int max_mb = args.get_int("cache-max-mb", 256);
-      parmis::require(max_mb >= 0, "campaign: --cache-max-mb must be >= 0");
-      const std::uintmax_t max_bytes =
-          static_cast<std::uintmax_t>(max_mb) * 1024u * 1024u;
+      const std::uint64_t max_mb = args.get_count("cache-max-mb", 256);
+      parmis::require(max_mb <= (UINT64_MAX >> 20),
+                      "campaign: --cache-max-mb is too large");
+      const std::uintmax_t max_bytes = max_mb * 1024u * 1024u;
       parmis::cache::ResultCache gc_cache(plan.cache.dir);
       const std::size_t removed = gc_cache.gc(max_bytes);
       std::cout << "cache-gc: removed " << removed << " entries; "

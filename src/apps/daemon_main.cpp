@@ -85,22 +85,12 @@ void write_metrics_artifacts(const parmis::CliArgs& args) {
 
 int main(int argc, char** argv) {
   try {
-    std::vector<const char*> rest;
-    rest.push_back(argc > 0 ? argv[0] : "campaign-daemon");
-    std::vector<std::string> tokens;
-    for (int i = 1; i < argc; ++i) {
-      const std::string arg = argv[i];
-      // Pin boolean flags to explicit values (shared-parser quirk: a
-      // bare flag would swallow the next token).
-      if (arg == "--help" || arg == "--trace") {
-        tokens.push_back(arg + "=1");
-      } else {
-        tokens.push_back(arg);
-      }
-    }
-    for (const auto& t : tokens) rest.push_back(t.c_str());
     const parmis::CliArgs args =
-        parmis::CliArgs::parse(static_cast<int>(rest.size()), rest.data());
+        parmis::CliArgs::parse(argc, argv, {"help", "trace"});
+    std::vector<std::string> known = orch::kPoolFlags;
+    known.insert(known.end(), {"help", "socket", "connect", "metrics-out",
+                               "metrics-prom"});
+    parmis::require_known_flags(args, known);
     if (args.has("help")) {
       print_usage();
       return 0;

@@ -97,22 +97,12 @@ void print_progress(const orch::JobManager::JobInfo& info) {
 
 int main(int argc, char** argv) {
   try {
-    std::vector<const char*> rest;
-    rest.push_back(argc > 0 ? argv[0] : "campaign-launch");
-    std::vector<std::string> tokens;
-    for (int i = 1; i < argc; ++i) {
-      const std::string arg = argv[i];
-      // Pin boolean flags to explicit values (shared-parser quirk: a
-      // bare flag would swallow the next token).
-      if (arg == "--tables" || arg == "--help" || arg == "--trace") {
-        tokens.push_back(arg + "=1");
-      } else {
-        tokens.push_back(arg);
-      }
-    }
-    for (const auto& t : tokens) rest.push_back(t.c_str());
     const parmis::CliArgs args =
-        parmis::CliArgs::parse(static_cast<int>(rest.size()), rest.data());
+        parmis::CliArgs::parse(argc, argv, {"tables", "help", "trace"});
+    std::vector<std::string> known = orch::kPoolFlags;
+    known.insert(known.end(),
+                 {"help", "plan", "out", "tables", "analytics", "csv"});
+    parmis::require_known_flags(args, known);
     if (args.has("help") || argc <= 1) {
       print_usage();
       return args.has("help") ? 0 : 1;

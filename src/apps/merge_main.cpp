@@ -59,33 +59,26 @@ void print_usage() {
 
 int main(int argc, char** argv) {
   try {
-    // `-o <path>` is extracted from raw argv up front: the shared flag
-    // parser treats any non-`--` token after a bare flag as that
-    // flag's value, so `--tables -o out.json` would otherwise swallow
-    // the `-o`.
+    // `-o <path>` is the one short option: it is taken out of argv
+    // before the shared flag parser sees it.  The switches never take
+    // the next token, so `--strict shard_0.json` keeps its input file.
     std::string output;
-    std::vector<std::string> tokens;
     std::vector<const char*> rest;
-    rest.push_back(argc > 0 ? argv[0] : "campaign-merge");
-    for (int i = 1; i < argc; ++i) {
-      const std::string arg = argv[i];
-      if (arg == "-o") {
+    for (int i = 0; i < argc; ++i) {
+      if (i > 0 && std::string(argv[i]) == "-o") {
         parmis::require(i + 1 < argc,
                         "campaign-merge: -o expects an output path");
         output = argv[++i];
-        continue;
-      }
-      // Pin the boolean flags to explicit values for the same reason:
-      // `--strict shard_0.json` must not consume an input file.
-      if (arg == "--strict" || arg == "--tables" || arg == "--help") {
-        tokens.push_back(arg + "=1");
       } else {
-        tokens.push_back(arg);
+        rest.push_back(argv[i]);
       }
     }
-    for (const auto& t : tokens) rest.push_back(t.c_str());
     const parmis::CliArgs args =
-        parmis::CliArgs::parse(static_cast<int>(rest.size()), rest.data());
+        parmis::CliArgs::parse(static_cast<int>(rest.size()), rest.data(),
+                               {"strict", "tables", "help"});
+    parmis::require_known_flags(
+        args, {"help", "output", "strict", "tables", "analytics", "csv"},
+        /*allow_positional=*/true);
     if (args.has("help") || argc <= 1) {
       print_usage();
       return args.has("help") ? 0 : 1;

@@ -144,22 +144,13 @@ void write_metrics_artifacts(const parmis::CliArgs& args) {
 
 int main(int argc, char** argv) {
   try {
-    std::vector<const char*> rest;
-    rest.push_back(argc > 0 ? argv[0] : "policy-serve");
-    std::vector<std::string> tokens;
-    for (int i = 1; i < argc; ++i) {
-      const std::string arg = argv[i];
-      // Pin boolean flags to explicit values so they never swallow a
-      // following report path (same quirk handling as campaign-merge).
-      if (arg == "--list-modes" || arg == "--help") {
-        tokens.push_back(arg + "=1");
-      } else {
-        tokens.push_back(arg);
-      }
-    }
-    for (const auto& t : tokens) rest.push_back(t.c_str());
     const parmis::CliArgs args =
-        parmis::CliArgs::parse(static_cast<int>(rest.size()), rest.data());
+        parmis::CliArgs::parse(argc, argv, {"list-modes", "help"});
+    parmis::require_known_flags(
+        args,
+        {"help", "modes", "replay", "socket", "connect", "list-modes",
+         "metrics-out", "metrics-prom"},
+        /*allow_positional=*/true);
     if (args.has("help") || argc <= 1) {
       print_usage();
       return args.has("help") ? 0 : 1;

@@ -46,20 +46,9 @@ void print_usage() {
 
 int main(int argc, char** argv) {
   try {
-    std::vector<const char*> rest;
-    rest.push_back(argc > 0 ? argv[0] : "campaign-trace-merge");
-    std::vector<std::string> tokens;
-    for (int i = 1; i < argc; ++i) {
-      const std::string arg = argv[i];
-      if (arg == "--help") {
-        tokens.push_back(arg + "=1");
-      } else {
-        tokens.push_back(arg);
-      }
-    }
-    for (const auto& t : tokens) rest.push_back(t.c_str());
-    const parmis::CliArgs args =
-        parmis::CliArgs::parse(static_cast<int>(rest.size()), rest.data());
+    const parmis::CliArgs args = parmis::CliArgs::parse(argc, argv, {"help"});
+    parmis::require_known_flags(args, {"help", "dir", "out"},
+                                /*allow_positional=*/true);
     if (args.has("help") || argc <= 1) {
       print_usage();
       return args.has("help") ? 0 : 1;

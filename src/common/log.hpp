@@ -2,8 +2,8 @@
 //
 // The logger writes to stderr so that bench binaries can keep stdout clean
 // for machine-readable tables.  Verbosity is a process-wide setting that
-// defaults to Info and can be raised/lowered by CLI flags (--verbose,
-// --quiet) or the PARMIS_LOG environment variable.
+// defaults to Info; the PARMIS_LOG environment variable or
+// set_log_level() raise or lower it.
 #ifndef PARMIS_COMMON_LOG_HPP
 #define PARMIS_COMMON_LOG_HPP
 
@@ -50,10 +50,7 @@ class Log {
   std::ostringstream stream_;
 };
 
-inline Log log_debug() { return Log(LogLevel::Debug); }
 inline Log log_info() { return Log(LogLevel::Info); }
-inline Log log_warn() { return Log(LogLevel::Warn); }
-inline Log log_error() { return Log(LogLevel::Error); }
 
 }  // namespace parmis
 

@@ -1,13 +1,12 @@
 // Monotonic stopwatch for overhead measurements (Table II), bench
 // timing, and the observability layer's timestamps.
 //
-// Monotonicity guarantee: every clock in this header is
-// std::chrono::steady_clock (or CLOCK_THREAD_CPUTIME_ID for CPU time)
-// — never the wall clock.  steady_clock is immune to NTP slews and
-// manual clock changes, so elapsed times are never negative and never
-// jump; bench timing paths and the span tracer MUST use these helpers
-// rather than system_clock, whose adjustments would corrupt durations
-// and trace timestamps mid-run.
+// Monotonicity guarantee: every clock in this header but wall_now_ns
+// is std::chrono::steady_clock.  steady_clock is immune to NTP slews
+// and manual clock changes, so elapsed times are never negative and
+// never jump; bench timing paths and the span tracer MUST use these
+// helpers rather than system_clock, whose adjustments would corrupt
+// durations and trace timestamps mid-run.
 #ifndef PARMIS_COMMON_STOPWATCH_HPP
 #define PARMIS_COMMON_STOPWATCH_HPP
 
@@ -44,18 +43,6 @@ inline std::uint64_t wall_now_ns() {
          static_cast<std::uint64_t>(ts.tv_nsec);
 }
 
-/// Nanoseconds of CPU time consumed by the calling thread
-/// (CLOCK_THREAD_CPUTIME_ID).  Unlike the steady clock this excludes
-/// time spent blocked or descheduled, so wall-vs-CPU comparisons expose
-/// lock contention and oversubscription.  Returns 0 when the clock is
-/// unavailable.
-inline std::uint64_t thread_cpu_ns() {
-  timespec ts{};
-  if (clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts) != 0) return 0;
-  return static_cast<std::uint64_t>(ts.tv_sec) * 1000000000ULL +
-         static_cast<std::uint64_t>(ts.tv_nsec);
-}
-
 /// Monotonic stopwatch; starts on construction.
 class Stopwatch {
  public:
@@ -68,16 +55,6 @@ class Stopwatch {
 
   /// Microseconds elapsed since construction or the last reset().
   double micros() const { return seconds() * 1e6; }
-
-  /// Integer nanoseconds elapsed since construction or the last
-  /// reset() — the exact-arithmetic form bench chunk timing and metric
-  /// histograms record (no double rounding on long runs).
-  std::uint64_t elapsed_ns() const {
-    return static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() -
-                                                             start_)
-            .count());
-  }
 
   void reset() { start_ = Clock::now(); }
 

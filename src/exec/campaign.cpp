@@ -388,7 +388,7 @@ void CampaignReport::save_csv(const std::string& path) const {
 void CampaignReport::write_json(std::ostream& os) const {
   // One writer: the versioned report serde (src/report/), so the JSON
   // `campaign --json` emits is exactly what campaign-merge and
-  // load_json read back.  Streamed cell by cell — a large campaign's
+  // report::load_report read back.  Streamed cell by cell — a large campaign's
   // report never exists as one in-memory document here.
   report::write_report(os, *this);
 }
@@ -398,10 +398,6 @@ void CampaignReport::save_json(const std::string& path) const {
   require(os.good(), "campaign: cannot open for writing: " + path);
   write_json(os);
   require(os.good(), "campaign: write failed: " + path);
-}
-
-CampaignReport CampaignReport::load_json(const std::string& path) {
-  return report::load_report(path);
 }
 
 }  // namespace parmis::exec

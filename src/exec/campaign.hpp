@@ -185,14 +185,9 @@ struct CampaignReport {
   /// Full report as a `parmis-report-v3` document (src/report/): every
   /// cell including its front and pareto_thetas, exact round-trip
   /// doubles, shard block, cache counters, and the objectives digest.
-  /// load_json() reads the same format back bit for bit.
+  /// report::load_report() reads the same format back bit for bit.
   void write_json(std::ostream& os) const;
   void save_json(const std::string& path) const;
-
-  /// Load hook for the report subsystem: strict `parmis-report-v3`
-  /// decode (v1/v2 files still load; delegates to report::load_report),
-  /// verifying the stored digest against the reloaded cells.
-  static CampaignReport load_json(const std::string& path);
 };
 
 /// Fans campaign cells across a thread pool and aggregates the report.

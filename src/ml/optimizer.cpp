@@ -21,11 +21,6 @@ void Sgd::step(Vec& params, const Vec& grad) {
   }
 }
 
-void Sgd::set_learning_rate(double lr) {
-  require(lr > 0.0, "sgd: learning rate must be positive");
-  lr_ = lr;
-}
-
 Adam::Adam(std::size_t num_params, double learning_rate, double beta1,
            double beta2, double epsilon)
     : lr_(learning_rate),
@@ -53,11 +48,6 @@ void Adam::step(Vec& params, const Vec& grad) {
     const double vhat = v_[i] / bc2;
     params[i] -= lr_ * mhat / (std::sqrt(vhat) + eps_);
   }
-}
-
-void Adam::set_learning_rate(double lr) {
-  require(lr > 0.0, "adam: learning rate must be positive");
-  lr_ = lr;
 }
 
 void Adam::reset() {

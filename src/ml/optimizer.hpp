@@ -20,7 +20,6 @@ class Sgd {
   void step(Vec& params, const Vec& grad);
 
   double learning_rate() const { return lr_; }
-  void set_learning_rate(double lr);
 
  private:
   double lr_;
@@ -39,7 +38,6 @@ class Adam {
   void step(Vec& params, const Vec& grad);
 
   double learning_rate() const { return lr_; }
-  void set_learning_rate(double lr);
 
   /// Resets the moment estimates (e.g. between DAgger rounds).
   void reset();

@@ -93,10 +93,4 @@ void Matrix::add_diagonal(double value) {
   for (std::size_t i = 0; i < rows_; ++i) (*this)(i, i) += value;
 }
 
-double Matrix::frobenius_norm() const {
-  double s = 0.0;
-  for (double v : data_) s += v * v;
-  return std::sqrt(s);
-}
-
 }  // namespace parmis::num

@@ -69,9 +69,6 @@ class Matrix {
   /// In-place scalar addition to the diagonal (used for GP jitter).
   void add_diagonal(double value);
 
-  /// Frobenius norm.
-  double frobenius_norm() const;
-
  private:
   std::size_t rows_ = 0;
   std::size_t cols_ = 0;

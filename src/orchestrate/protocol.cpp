@@ -26,14 +26,6 @@ std::optional<std::size_t> optional_size(serde::ObjectReader& reader,
   return static_cast<std::size_t>(reader.as_u64(*v, key));
 }
 
-std::size_t count_flag(const CliArgs& args, const std::string& key,
-                       int fallback) {
-  const int value = args.get_int(key, fallback);
-  require(value >= 0, "--" + key + " must not be negative (got " +
-                          std::to_string(value) + ")");
-  return static_cast<std::size_t>(value);
-}
-
 std::uint64_t millis_flag(const CliArgs& args, const std::string& key) {
   const double seconds = args.get_double(key, 0.0);
   require(seconds >= 0.0, "--" + key + " must not be negative");
@@ -296,14 +288,20 @@ void JobManager::shutdown() {
   }
 }
 
+const std::vector<std::string> kPoolFlags = {
+    "workers",         "chunks",          "max-attempts",
+    "threads",         "work-dir",        "campaign-bin",
+    "cache-dir",       "lease-timeout-s", "chunk-timeout-s",
+    "inject-kill-chunk", "trace"};
+
 JobManager::Defaults defaults_from_flags(const CliArgs& args,
                                          const std::string& argv0,
                                          const std::string& work_dir) {
   JobManager::Defaults defaults;
-  defaults.workers = count_flag(args, "workers", 3);
-  defaults.chunks = count_flag(args, "chunks", 0);
-  defaults.max_attempts = count_flag(args, "max-attempts", 3);
-  defaults.threads_per_worker = count_flag(args, "threads", 1);
+  defaults.workers = args.get_count("workers", 3);
+  defaults.chunks = args.get_count("chunks", 0);
+  defaults.max_attempts = args.get_count("max-attempts", 3);
+  defaults.threads_per_worker = args.get_count("threads", 1);
   defaults.work_dir = args.get("work-dir", work_dir);
   defaults.campaign_bin =
       args.get("campaign-bin", sibling_binary(argv0, "campaign"));
@@ -311,7 +309,7 @@ JobManager::Defaults defaults_from_flags(const CliArgs& args,
   defaults.lease_timeout_ms = millis_flag(args, "lease-timeout-s");
   defaults.chunk_timeout_ms = millis_flag(args, "chunk-timeout-s");
   if (args.has("inject-kill-chunk")) {
-    defaults.inject_kill_chunk = count_flag(args, "inject-kill-chunk", 0);
+    defaults.inject_kill_chunk = args.get_count("inject-kill-chunk", 0);
   }
   defaults.trace = args.get_bool("trace", false);
   return defaults;

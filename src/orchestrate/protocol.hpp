@@ -182,10 +182,13 @@ class JobManager {
 /// `work_dir`), --campaign-bin (default: `campaign` next to `argv0`),
 /// --cache-dir, --lease-timeout-s, --chunk-timeout-s,
 /// --inject-kill-chunk and --trace.  Throws parmis::Error on a
-/// negative value.
+/// negative or malformed value.
 JobManager::Defaults defaults_from_flags(const CliArgs& args,
                                          const std::string& argv0,
                                          const std::string& work_dir);
+
+/// Every flag defaults_from_flags reads, for require_known_flags.
+extern const std::vector<std::string> kPoolFlags;
 
 /// One parmis-orch-v2 session over a JobManager (see file comment).
 /// Binds to serve::LineHandler; never throws on bad input.

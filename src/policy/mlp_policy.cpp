@@ -75,13 +75,6 @@ soc::DrmDecision MlpPolicy::decide_stochastic(
   return space_->from_knobs(knobs);
 }
 
-std::vector<num::Vec> MlpPolicy::head_logits(const num::Vec& features) const {
-  std::vector<num::Vec> out;
-  out.reserve(heads_.size());
-  for (const auto& head : heads_) out.push_back(head.forward(features));
-  return out;
-}
-
 ml::Mlp& MlpPolicy::head(std::size_t i) {
   require(i < heads_.size(), "mlp policy: head index out of range");
   return heads_[i];

@@ -55,9 +55,6 @@ class MlpPolicy final : public Policy {
                                      Rng& rng,
                                      std::vector<std::size_t>* actions_out);
 
-  /// Per-head logits for a feature vector (training paths).
-  std::vector<num::Vec> head_logits(const num::Vec& features) const;
-
   std::size_t num_heads() const { return heads_.size(); }
   ml::Mlp& head(std::size_t i);
   const ml::Mlp& head(std::size_t i) const;

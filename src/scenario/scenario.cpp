@@ -11,14 +11,6 @@
 
 namespace parmis::scenario {
 
-std::vector<std::string> campaign_method_names() {
-  return methods::MethodRegistry::instance().names();
-}
-
-bool is_campaign_method(const std::string& method) {
-  return methods::MethodRegistry::instance().contains(method);
-}
-
 void ScenarioSpec::validate() const {
   // Every message leads with the offending scenario's name: a failing
   // spec inside a multi-scenario campaign or plan file must identify

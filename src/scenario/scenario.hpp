@@ -52,7 +52,7 @@ struct ScenarioSpec {
 
   // --- methods + budgets ---
   /// Methods the campaign runs on this scenario: any name registered
-  /// with methods::MethodRegistry (see campaign_method_names()).
+  /// with methods::MethodRegistry.
   /// validate() also checks each method's declared objective support.
   std::vector<std::string> methods = {"parmis", "performance", "powersave",
                                       "ondemand"};
@@ -65,14 +65,6 @@ struct ScenarioSpec {
   /// scenario campaign or plan file identifies itself.
   void validate() const;
 };
-
-/// Methods the campaign runner can execute on a cell, sorted — a live
-/// view of methods::MethodRegistry (parmis, the scalarization/RL/IL/
-/// DyPO baselines, every governor, plus anything registered at
-/// runtime).  One source of truth serves validate(), plan validation,
-/// and CLIs.
-std::vector<std::string> campaign_method_names();
-bool is_campaign_method(const std::string& method);
 
 /// Versioned canonical byte serialization of every ScenarioSpec field
 /// that can influence cell results.  Two specs serialize identically

@@ -10,6 +10,8 @@
 #     equivalent flag-driven run and replays from its cache; shards over
 #     one cache dir cover the campaign exactly once; a plan with a
 #     hostile parmis field fails at load, exit 1, naming the scenario;
+#   * flags: an unknown flag, a malformed count or a stray argument is
+#     refused before any cell runs;
 #   * method registry: rl/il/dypo through their plan, its cached replay
 #     and the equivalent flags agree, and the full method matrix (every
 #     method on all three SoC variants) replays from cache.
@@ -101,6 +103,15 @@ foreach(field IN LISTS hostile_fields)
             "${rc}:\n${out}\n${err}")
   endif()
 endforeach()
+
+# ---------------------------------------------------------------- flags
+set(one_cell --scenarios=xu3-mibench-te --methods=performance --seeds=1
+             --no-cache)
+expect_rejected("${CAMPAIGN}" ${one_cell} --thredas=2)
+expect_rejected("${CAMPAIGN}" ${one_cell} --require-cachd)
+expect_rejected("${CAMPAIGN}" ${one_cell} --threads=-1)
+expect_rejected("${CAMPAIGN}" --scenarios=xu3-mibench-te --seeds=3x)
+expect_rejected("${CAMPAIGN}" stray-argument ${one_cell})
 
 # ------------------------------------------------------ method registry
 run_cli(list-methods --list-methods)

@@ -55,3 +55,27 @@ function(expect_same_digest first)
     endif()
   endforeach()
 endfunction()
+
+# expect_rejected(<binary> <arg>...): the binary refuses the arguments
+# before doing any work: a non-zero exit, nothing on stdout and one
+# line on stderr.  Stdin is empty, so a server that failed to refuse
+# ends at once instead of waiting for requests.
+function(expect_rejected binary)
+  execute_process(
+    COMMAND "${binary}" ${ARGN}
+    WORKING_DIRECTORY "${WORK_DIR}"
+    INPUT_FILE /dev/null
+    TIMEOUT 20
+    RESULT_VARIABLE rc
+    OUTPUT_VARIABLE out
+    ERROR_VARIABLE err)
+  string(STRIP "${err}" err)
+  string(FIND "${err}" "\n" newline)
+  if(rc STREQUAL "0" OR NOT out STREQUAL "" OR err STREQUAL "" OR
+     NOT newline EQUAL -1)
+    message(FATAL_ERROR "${binary} ${ARGN}: want a non-zero exit, no "
+                        "stdout and one stderr line, got '${rc}'\n"
+                        "stdout:\n${out}\nstderr:\n${err}")
+  endif()
+  message(STATUS "${ARGN} -> ${err}")
+endfunction()

@@ -10,13 +10,20 @@
 #   * a --threads=4 --compare-threads run (1 vs 4 threads in one process),
 #   * a --require-cached replay against the launcher's cache.
 #
+# campaign-launch, campaign-daemon and campaign-trace-merge each refuse
+# an unknown flag before doing any work.
+#
 #   cmake -DCAMPAIGN=path/to/campaign -DLAUNCH=path/to/campaign-launch \
+#         -DDAEMON=path/to/campaign-daemon \
+#         -DTRACE_MERGE=path/to/campaign-trace-merge \
 #         -DWORK_DIR=scratch/dir -P tests/cli_launch_contracts.cmake
 #
 # Registered with ctest as cli_launch_contracts.
-if(NOT DEFINED LAUNCH)
-  message(FATAL_ERROR "cli_launch_contracts: -DLAUNCH=... is required")
-endif()
+foreach(var LAUNCH DAEMON TRACE_MERGE)
+  if(NOT DEFINED ${var})
+    message(FATAL_ERROR "cli_launch_contracts: -D${var}=... is required")
+  endif()
+endforeach()
 include(${CMAKE_CURRENT_LIST_DIR}/cli_common.cmake)
 
 file(WRITE "${WORK_DIR}/learned.json"
@@ -54,3 +61,11 @@ if(NOT doc MATCHES "\"cache_misses\": 0[,\n}]")
   message(FATAL_ERROR "replay: not served entirely from the launch cache")
 endif()
 expect_same_digest(launched serial compare replay)
+
+expect_rejected("${LAUNCH}" ${plan} --workerz=2 --work-dir=typo-work)
+if(EXISTS "${WORK_DIR}/typo-work")
+  message(FATAL_ERROR "campaign-launch made a work dir despite a bad flag")
+endif()
+expect_rejected("${LAUNCH}" ${plan} --workers=-1)
+expect_rejected("${DAEMON}" --workerz=2)
+expect_rejected("${TRACE_MERGE}" --dirr=launch-work --out=stitched.json)

@@ -10,7 +10,9 @@
 #   * plugin: the out-of-tree method example runs its plan end to end;
 #   * serve: one canned request file replayed against the merged report
 #     and against its unsharded twin gives byte-identical responses (but
-#     for ping's wall-clock uptime_s) and equal decision digests.
+#     for ping's wall-clock uptime_s) and equal decision digests;
+#   * flags: campaign-merge and policy-serve refuse an unknown flag
+#     before doing any work.
 #
 #   cmake -DCAMPAIGN=path/to/campaign -DMERGE=path/to/campaign-merge \
 #         -DSERVE=path/to/policy-serve -DPLUGIN=path/to/plugin_method \
@@ -86,3 +88,7 @@ if(NOT digest_merged STREQUAL digest_full)
   message(FATAL_ERROR "replay digests differ: merged ${digest_merged}, "
                       "full ${digest_full}")
 endif()
+
+# ---------------------------------------------------------------- flags
+expect_rejected("${MERGE}" full.json --stirct -o typo.json)
+expect_rejected("${SERVE}" merged.json --replya=requests.jsonl)

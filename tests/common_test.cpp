@@ -254,7 +254,7 @@ TEST(Cli, ParsesKeyEqualsValue) {
 TEST(Cli, ParsesKeySpaceValue) {
   const char* argv[] = {"prog", "--iters", "42"};
   const CliArgs args = CliArgs::parse(3, argv);
-  EXPECT_EQ(args.get_int("iters", 0), 42);
+  EXPECT_EQ(args.get_count("iters", 0), 42u);
 }
 
 TEST(Cli, BareFlagIsBooleanTrue) {
@@ -267,7 +267,7 @@ TEST(Cli, BareFlagIsBooleanTrue) {
 TEST(Cli, MissingFlagYieldsFallback) {
   const char* argv[] = {"prog"};
   const CliArgs args = CliArgs::parse(1, argv);
-  EXPECT_EQ(args.get_int("iters", 99), 99);
+  EXPECT_EQ(args.get_count("iters", 99), 99u);
   EXPECT_FALSE(args.has("iters"));
 }
 
@@ -277,6 +277,15 @@ TEST(Cli, PositionalArgumentsCollected) {
   ASSERT_EQ(args.positional().size(), 2u);
   EXPECT_EQ(args.positional()[0], "appname");
   EXPECT_EQ(args.positional()[1], "other");
+}
+
+TEST(Cli, SwitchesNeverTakeTheNextToken) {
+  const char* argv[] = {"prog", "--strict", "in.json", "--out", "x.json"};
+  const CliArgs args = CliArgs::parse(5, argv, {"strict"});
+  EXPECT_TRUE(args.get_bool("strict", false));
+  ASSERT_EQ(args.positional().size(), 1u);
+  EXPECT_EQ(args.positional()[0], "in.json");
+  EXPECT_EQ(args.get("out", ""), "x.json");
 }
 
 TEST(Cli, BooleanValueParsing) {
@@ -291,8 +300,35 @@ TEST(Cli, BooleanValueParsing) {
 TEST(Cli, MalformedNumberThrows) {
   const char* argv[] = {"prog", "--n=abc"};
   const CliArgs args = CliArgs::parse(2, argv);
-  EXPECT_THROW(args.get_int("n", 0), Error);
+  EXPECT_THROW(args.get_count("n", 0), Error);
   EXPECT_THROW(args.get_double("n", 0.0), Error);
+}
+
+TEST(Cli, CountIsDigitsOnlyInRangeAndAtLeastMin) {
+  const char* argv[] = {"prog",
+                        "--max=18446744073709551615",
+                        "--one=1",
+                        "--neg=-1",
+                        "--tail=3x",
+                        "--plus=+3",
+                        "--space= 3",
+                        "--over=18446744073709551616",
+                        "--bare"};
+  const CliArgs args = CliArgs::parse(9, argv);
+  EXPECT_EQ(args.get_count("max", 0), UINT64_MAX);
+  EXPECT_EQ(args.get_count("one", 0, 1), 1u);
+  EXPECT_THROW(args.get_count("one", 0, 2), Error);
+  for (const char* bad : {"neg", "tail", "plus", "space", "over", "bare"}) {
+    EXPECT_THROW(args.get_count(bad, 7), Error) << bad;
+  }
+}
+
+TEST(Cli, UnknownFlagsAndStrayArgumentsAreRejected) {
+  const char* argv[] = {"prog", "--threads=2", "input.json"};
+  const CliArgs args = CliArgs::parse(3, argv);
+  EXPECT_NO_THROW(require_known_flags(args, {"threads"}, true));
+  EXPECT_THROW(require_known_flags(args, {"threads"}), Error);
+  EXPECT_THROW(require_known_flags(args, {"thread"}, true), Error);
 }
 
 TEST(Cli, EmptyFlagNameThrows) {
@@ -304,7 +340,7 @@ TEST(Cli, NextFlagNotConsumedAsValue) {
   const char* argv[] = {"prog", "--a", "--b=2"};
   const CliArgs args = CliArgs::parse(3, argv);
   EXPECT_TRUE(args.get_bool("a", false));
-  EXPECT_EQ(args.get_int("b", 0), 2);
+  EXPECT_EQ(args.get_count("b", 0), 2u);
 }
 
 // ----------------------------------------------------------------- table

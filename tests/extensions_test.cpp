@@ -1,11 +1,13 @@
 // Cross-cutting tests for the extension features and deeper property
 // sweeps: 3-objective NSGA-II + hypervolume, GP posterior contraction,
 // straggler/duty model properties, noisy-platform PaRMIS, EDP/peak-power
-// objectives, and the deployment path (archive + trace round trips).
+// objectives, and the deployment path (campaign report -> served
+// policy -> re-measured objectives).
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <sstream>
+#include <cstring>
+#include <set>
 
 #include "apps/benchmarks.hpp"
 #include "baselines/rl_tabular.hpp"
@@ -19,15 +21,17 @@
 #include "moo/hypervolume.hpp"
 #include "moo/nsga2.hpp"
 #include "moo/pareto.hpp"
-#include "moo/test_problems.hpp"
 #include "policy/governors.hpp"
+#include "policy/mlp_policy.hpp"
+#include "report/report_json.hpp"
 #include "runtime/evaluator.hpp"
-#include "runtime/pareto_archive.hpp"
 #include "scenario/scenario.hpp"
 #include "serde/plan.hpp"
+#include "serve/server.hpp"
+#include "serve/store.hpp"
 #include "soc/perf_model.hpp"
 #include "soc/platform.hpp"
-#include "soc/trace_io.hpp"
+#include "test_problems.hpp"
 
 namespace parmis {
 namespace {
@@ -247,51 +251,53 @@ TEST(NoisyPlatform, ParmisToleratesSensorNoise) {
 
 // ------------------------------------------------- deployment pipeline
 
-TEST(Deployment, ArchiveTraceAndPolicyRoundTripTogether) {
-  // Export a benchmark as a trace, reload it, learn a tiny policy set,
-  // archive it, reload the archive, deploy the knee policy: the whole
-  // path a user would script.
-  const soc::SocSpec spec = soc::SocSpec::exynos5422();
-  soc::Platform platform(spec);
-  soc::Application app = apps::make_benchmark("aes");
-  app.epochs.resize(8);
+TEST(Deployment, ServedPolicyReproducesItsFrontPointBitForBit) {
+  // The shipped deployment path: a PaRMIS cell's report survives a JSON
+  // round trip, is installed in a PolicyStore, and each mode's served
+  // theta, loaded into an MLP policy and re-measured the way the cell
+  // measured it, lands exactly on the served front point.
+  exec::CampaignConfig config;
+  config.scenarios = {scenario::make_scenario("xu3-mibench-te")};
+  scenario::ScenarioSpec& spec = config.scenarios[0];
+  spec.methods = {"parmis"};
+  spec.parmis.num_initial = 6;
+  spec.parmis.max_iterations = 3;
+  const exec::CampaignReport run = exec::CampaignRunner(config).run();
+  ASSERT_EQ(run.cells.size(), 1u);
+  ASSERT_TRUE(run.cells[0].error.empty()) << run.cells[0].error;
+  const exec::CampaignReport report = report::report_from_json(
+      report::report_to_json(run), "deployment-test");
 
-  std::stringstream trace;
-  soc::write_trace(trace, app);
-  const soc::Application reloaded = soc::read_trace(trace, "aes-reloaded");
-  ASSERT_EQ(reloaded.num_epochs(), app.num_epochs());
+  serve::PolicyStore store;
+  store.build_and_install({report}, {"deployment-test"});
+  const serve::PolicyServer server(store);
+  const auto snapshot = store.require_snapshot();
 
-  core::DrmPolicyProblem problem(platform, reloaded,
-                                 runtime::time_energy_objectives());
-  core::ParmisConfig cfg;
-  cfg.num_initial = 8;
-  cfg.max_iterations = 5;
-  cfg.acq_pool_size = 32;
-  cfg.acq_refine_steps = 2;
-  cfg.acquisition.rff_features = 32;
-  cfg.acquisition.front_sampler.population_size = 16;
-  cfg.acquisition.front_sampler.generations = 6;
-  cfg.initial_thetas = problem.anchor_thetas();
-  core::Parmis opt(problem.evaluation_fn(), problem.theta_dim(), 2, cfg);
-  const auto res = opt.run();
-
-  std::vector<runtime::ArchiveEntry> entries;
-  const auto thetas = res.pareto_thetas();
-  const auto front = res.pareto_front();
-  for (std::size_t i = 0; i < thetas.size(); ++i) {
-    entries.push_back({thetas[i], front[i]});
+  const soc::SocSpec soc_spec = scenario::make_platform_spec(spec);
+  soc::Platform platform(soc_spec, spec.platform_config);
+  runtime::GlobalEvaluator evaluator(
+      platform, scenario::make_applications(spec),
+      scenario::make_objectives(spec), scenario::make_evaluator_config(spec));
+  policy::MlpPolicy policy(platform.decision_space());
+  std::set<std::size_t> picked;
+  for (const char* mode : {"performance", "balanced", "powersave"}) {
+    serve::DecideRequest request;
+    request.scenario = spec.name;
+    request.mode = mode;
+    const serve::Decision d = server.decide_on(*snapshot, request);
+    picked.insert(d.index);
+    ASSERT_EQ(d.entry->method, "parmis");
+    ASSERT_EQ(d.entry->thetas.size(), d.entry->front.size());
+    policy.set_parameters(d.entry->thetas[d.index]);
+    const Vec measured = evaluator.evaluate(policy);
+    const Vec& served = d.entry->front[d.index];
+    ASSERT_EQ(measured.size(), served.size()) << mode;
+    EXPECT_EQ(std::memcmp(measured.data(), served.data(),
+                          served.size() * sizeof(double)),
+              0)
+        << mode << " index " << d.index;
   }
-  auto archive = runtime::ParetoArchive::build(std::move(entries), 8);
-  std::stringstream blob;
-  archive.save(blob);
-  const auto deployed = runtime::ParetoArchive::load(blob);
-  ASSERT_FALSE(deployed.empty());
-
-  policy::MlpPolicy policy =
-      problem.make_policy(deployed.entries().front().theta);
-  runtime::Evaluator eval(platform);
-  const auto metrics = eval.run(policy, reloaded);
-  EXPECT_GT(metrics.time_s, 0.0);
+  EXPECT_GT(picked.size(), 1u) << "the modes should pick different members";
 }
 
 // ------------------------------------- out-of-tree method plugin path
@@ -336,7 +342,6 @@ TEST(MethodPlugin, RegistersAndRunsEndToEndThroughAPlanFile) {
   const methods::MethodRegistry& registry =
       methods::MethodRegistry::instance();
   ASSERT_TRUE(registry.contains("test-plugin-extremes"));
-  EXPECT_TRUE(scenario::is_campaign_method("test-plugin-extremes"));
 
   // A plan file can name it like any built-in; validation, resolution,
   // and the campaign runner all dispatch through the registry.

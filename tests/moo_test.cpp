@@ -20,7 +20,7 @@
 #include "moo/indicators.hpp"
 #include "moo/nsga2.hpp"
 #include "moo/pareto.hpp"
-#include "moo/test_problems.hpp"
+#include "test_problems.hpp"
 
 namespace parmis::moo {
 namespace {

@@ -1,5 +1,5 @@
 // Unit + property tests for src/numerics: linear algebra, Cholesky,
-// Gaussian distribution functions, truncated entropy, statistics.
+// Gaussian distribution functions, truncated entropy.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -15,7 +15,6 @@
 #include "numerics/cholesky.hpp"
 #include "numerics/distributions.hpp"
 #include "numerics/matrix.hpp"
-#include "numerics/stats.hpp"
 #include "numerics/vec.hpp"
 
 namespace parmis::num {
@@ -120,11 +119,6 @@ TEST(Matrix, TransposeRoundTrip) {
   EXPECT_EQ(mt.rows(), 7u);
   const Matrix mtt = mt.transposed();
   EXPECT_EQ(mtt.data(), m.data());
-}
-
-TEST(Matrix, FrobeniusNorm) {
-  const Matrix m = Matrix::from_rows({{3, 0}, {0, 4}});
-  EXPECT_DOUBLE_EQ(m.frobenius_norm(), 5.0);
 }
 
 // -------------------------------------------------------------- cholesky
@@ -319,60 +313,6 @@ TEST(Distributions, EntropyIdentityLinksReductionAndTruncation) {
   const double gamma = (upper - mu) / sigma;
   EXPECT_NEAR(upper_truncated_gaussian_entropy(mu, sigma, upper),
               gaussian_entropy(sigma) - entropy_reduction_term(gamma), 1e-12);
-}
-
-// ----------------------------------------------------------------- stats
-
-TEST(Stats, RunningStatsMatchesBatch) {
-  Rng rng(3);
-  RunningStats rs;
-  Vec all;
-  for (int i = 0; i < 1000; ++i) {
-    const double x = rng.normal(5.0, 2.0);
-    rs.add(x);
-    all.push_back(x);
-  }
-  EXPECT_EQ(rs.count(), 1000u);
-  EXPECT_NEAR(rs.mean(), mean(all), 1e-10);
-  EXPECT_NEAR(rs.variance(), variance(all), 1e-8);
-  EXPECT_DOUBLE_EQ(rs.min(), min_element(all));
-  EXPECT_DOUBLE_EQ(rs.max(), max_element(all));
-}
-
-TEST(Stats, MergeEqualsSinglePass) {
-  Rng rng(4);
-  RunningStats a, b, whole;
-  for (int i = 0; i < 500; ++i) {
-    const double x = rng.uniform(-1, 1);
-    (i < 250 ? a : b).add(x);
-    whole.add(x);
-  }
-  a.merge(b);
-  EXPECT_EQ(a.count(), whole.count());
-  EXPECT_NEAR(a.mean(), whole.mean(), 1e-12);
-  EXPECT_NEAR(a.variance(), whole.variance(), 1e-10);
-}
-
-TEST(Stats, MergeWithEmptyIsIdentity) {
-  RunningStats a, empty;
-  a.add(1.0);
-  a.add(3.0);
-  a.merge(empty);
-  EXPECT_EQ(a.count(), 2u);
-  EXPECT_DOUBLE_EQ(a.mean(), 2.0);
-  RunningStats c;
-  c.merge(a);
-  EXPECT_DOUBLE_EQ(c.mean(), 2.0);
-}
-
-TEST(Stats, QuantileInterpolation) {
-  const std::vector<double> v = {1, 2, 3, 4, 5};
-  EXPECT_DOUBLE_EQ(quantile(v, 0.0), 1.0);
-  EXPECT_DOUBLE_EQ(quantile(v, 1.0), 5.0);
-  EXPECT_DOUBLE_EQ(quantile(v, 0.5), 3.0);
-  EXPECT_DOUBLE_EQ(quantile(v, 0.25), 2.0);
-  EXPECT_THROW(quantile({}, 0.5), Error);
-  EXPECT_THROW(quantile({1.0}, 1.5), Error);
 }
 
 // ----------------------------------------------------------------- batch

@@ -153,10 +153,10 @@ TEST_F(PolicyTest, SaveLoadRoundTrip) {
 
 TEST_F(PolicyTest, HeadLogitsShapes) {
   MlpPolicy p(space_);
-  const auto logits = p.head_logits(counters_with_load(0.5).to_features());
-  ASSERT_EQ(logits.size(), 4u);
-  EXPECT_EQ(logits[0].size(), 5u);
-  EXPECT_EQ(logits[1].size(), 19u);
+  const num::Vec features = counters_with_load(0.5).to_features();
+  ASSERT_EQ(p.num_heads(), 4u);
+  EXPECT_EQ(p.head(0).forward(features).size(), 5u);
+  EXPECT_EQ(p.head(1).forward(features).size(), 19u);
   EXPECT_THROW(p.head(4), Error);
 }
 

@@ -158,7 +158,6 @@ TEST(ReportSerde, SaveLoadThroughDiskAndLoadHook) {
   const std::string path = temp_path("roundtrip");
   save_report(path, report);
   expect_reports_equal(report, load_report(path));
-  expect_reports_equal(report, exec::CampaignReport::load_json(path));
 }
 
 TEST(ReportSerde, WriteJsonIsTheSerdeFormat) {

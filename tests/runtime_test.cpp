@@ -11,10 +11,7 @@
 #include "policy/mlp_policy.hpp"
 #include "runtime/evaluator.hpp"
 #include "runtime/objectives.hpp"
-#include "runtime/pareto_archive.hpp"
 #include "runtime/selector.hpp"
-
-#include <sstream>
 
 namespace parmis::runtime {
 namespace {
@@ -256,78 +253,6 @@ TEST(Selector, SingletonFront) {
   PolicySelector sel({{3.0, 4.0}});
   EXPECT_EQ(sel.select({1.0, 1.0}), 0u);
   EXPECT_EQ(sel.knee_point(), 0u);
-}
-
-// ----------------------------------------------------------- archive
-
-ArchiveEntry entry(double t, double e) {
-  return {{t, e}, {t, e}};  // theta mirrors objectives for easy checking
-}
-
-TEST(ParetoArchive, BuildKeepsOnlyNonDominated) {
-  const auto archive = ParetoArchive::build(
-      {entry(1, 9), entry(5, 5), entry(9, 1), entry(6, 6), entry(9, 9)}, 0);
-  EXPECT_EQ(archive.size(), 3u);
-  for (const auto& e : archive.entries()) {
-    EXPECT_NE(e.objectives, (num::Vec{6, 6}));
-    EXPECT_NE(e.objectives, (num::Vec{9, 9}));
-  }
-}
-
-TEST(ParetoArchive, PruneKeepsExtremesAndSpreads) {
-  std::vector<ArchiveEntry> candidates;
-  for (int i = 0; i <= 20; ++i) {
-    candidates.push_back(entry(i, 20 - i));  // straight-line front
-  }
-  const auto archive = ParetoArchive::build(candidates, 5);
-  EXPECT_EQ(archive.size(), 5u);
-  // Extremes survive crowding-based pruning.
-  bool has_left = false, has_right = false;
-  for (const auto& e : archive.entries()) {
-    has_left |= (e.objectives == num::Vec{0, 20});
-    has_right |= (e.objectives == num::Vec{20, 0});
-  }
-  EXPECT_TRUE(has_left);
-  EXPECT_TRUE(has_right);
-}
-
-TEST(ParetoArchive, InsertRejectsDominatedAcceptsImprovement) {
-  auto archive = ParetoArchive::build({entry(2, 8), entry(8, 2)}, 0);
-  EXPECT_FALSE(archive.insert(entry(9, 9)));   // dominated
-  EXPECT_FALSE(archive.insert(entry(2, 8)));   // duplicate
-  EXPECT_TRUE(archive.insert(entry(5, 5)));    // new trade-off
-  EXPECT_EQ(archive.size(), 3u);
-  EXPECT_TRUE(archive.insert(entry(1, 1)));    // dominates everything
-  EXPECT_EQ(archive.size(), 1u);
-}
-
-TEST(ParetoArchive, SerializationRoundTrip) {
-  auto archive = ParetoArchive::build(
-      {entry(1.5, 8.25), entry(4.0, 4.0), entry(8.5, 1.125)}, 0);
-  std::stringstream buffer;
-  archive.save(buffer);
-  EXPECT_EQ(static_cast<std::size_t>(buffer.str().size()),
-            archive.serialized_bytes());
-  const auto loaded = ParetoArchive::load(buffer);
-  ASSERT_EQ(loaded.size(), archive.size());
-  for (std::size_t i = 0; i < loaded.size(); ++i) {
-    EXPECT_EQ(loaded.entries()[i].theta, archive.entries()[i].theta);
-    EXPECT_EQ(loaded.entries()[i].objectives,
-              archive.entries()[i].objectives);
-  }
-}
-
-TEST(ParetoArchive, LoadRejectsGarbage) {
-  std::stringstream buffer("this is not an archive at all........");
-  EXPECT_THROW(ParetoArchive::load(buffer), Error);
-}
-
-TEST(ParetoArchive, WorksWithPolicySelector) {
-  const auto archive = ParetoArchive::build(
-      {entry(1, 9), entry(5, 5), entry(9, 1)}, 0);
-  PolicySelector selector(archive.objectives());
-  const std::size_t fast = selector.select({1.0, 0.0});
-  EXPECT_EQ(archive.entries()[fast].objectives[0], 1.0);
 }
 
 }  // namespace

@@ -6,17 +6,14 @@
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
+#include "numerics/vec.hpp"
 #include "soc/decision.hpp"
 #include "soc/dvfs.hpp"
 #include "soc/perf_model.hpp"
 #include "soc/platform.hpp"
 #include "soc/spec.hpp"
 #include "soc/thermal.hpp"
-#include "numerics/stats.hpp"
-#include "soc/trace_io.hpp"
 #include "soc/workload.hpp"
-
-#include <sstream>
 
 namespace parmis::soc {
 namespace {
@@ -436,12 +433,12 @@ TEST(Platform, SensorNoiseIsSeededAndBounded) {
   const EpochWorkload w = compute_bound_epoch();
   const DrmDecision d = space.default_decision();
   const double clean_e = clean.run_epoch(w, d).energy_j;
-  num::RunningStats stats;
+  num::Vec ratios;
   for (int i = 0; i < 200; ++i) {
-    stats.add(noisy.run_epoch(w, d).energy_j / clean_e);
+    ratios.push_back(noisy.run_epoch(w, d).energy_j / clean_e);
   }
-  EXPECT_NEAR(stats.mean(), 1.0, 0.01);
-  EXPECT_NEAR(stats.stddev(), 0.02, 0.008);
+  EXPECT_NEAR(num::mean(ratios), 1.0, 0.01);
+  EXPECT_NEAR(num::stddev(ratios), 0.02, 0.008);
   // Same seed -> same noise stream.
   noisy.reseed_sensors(99);
   Platform noisy2(spec, cfg);
@@ -546,65 +543,6 @@ TEST(Thermal, ValidatesParameters) {
   q.trip_point_c = 50.0;
   q.release_point_c = 60.0;
   EXPECT_THROW(ThermalModel{q}, Error);
-}
-
-// ---------------------------------------------------------------- traces
-
-TEST(TraceIo, RoundTripPreservesEveryField) {
-  Application app;
-  app.name = "roundtrip";
-  app.epochs = {compute_bound_epoch(), memory_bound_epoch()};
-  std::stringstream buffer;
-  write_trace(buffer, app);
-  const Application loaded = read_trace(buffer, "roundtrip");
-  ASSERT_EQ(loaded.num_epochs(), 2u);
-  for (std::size_t e = 0; e < 2; ++e) {
-    EXPECT_DOUBLE_EQ(loaded.epochs[e].instructions_g,
-                     app.epochs[e].instructions_g);
-    EXPECT_DOUBLE_EQ(loaded.epochs[e].parallel_fraction,
-                     app.epochs[e].parallel_fraction);
-    EXPECT_DOUBLE_EQ(loaded.epochs[e].mem_bytes_per_instr,
-                     app.epochs[e].mem_bytes_per_instr);
-    EXPECT_DOUBLE_EQ(loaded.epochs[e].branch_miss_rate,
-                     app.epochs[e].branch_miss_rate);
-    EXPECT_DOUBLE_EQ(loaded.epochs[e].ilp, app.epochs[e].ilp);
-    EXPECT_DOUBLE_EQ(loaded.epochs[e].big_affinity,
-                     app.epochs[e].big_affinity);
-    EXPECT_DOUBLE_EQ(loaded.epochs[e].duty, app.epochs[e].duty);
-  }
-}
-
-TEST(TraceIo, RejectsBadHeaderAndBadRows) {
-  std::stringstream bad_header("wrong,header\n1,2\n");
-  EXPECT_THROW(read_trace(bad_header, "x"), Error);
-
-  std::stringstream short_row(
-      "instructions_g,parallel_fraction,mem_bytes_per_instr,"
-      "branch_miss_rate,ilp,big_affinity,duty\n"
-      "1,0.5,0.3\n");
-  EXPECT_THROW(read_trace(short_row, "x"), Error);
-
-  std::stringstream bad_number(
-      "instructions_g,parallel_fraction,mem_bytes_per_instr,"
-      "branch_miss_rate,ilp,big_affinity,duty\n"
-      "1,0.5,abc,0.01,0.8,0.5,0.9\n");
-  EXPECT_THROW(read_trace(bad_number, "x"), Error);
-
-  std::stringstream invalid_epoch(
-      "instructions_g,parallel_fraction,mem_bytes_per_instr,"
-      "branch_miss_rate,ilp,big_affinity,duty\n"
-      "1,1.5,0.3,0.01,0.8,0.5,0.9\n");
-  EXPECT_THROW(read_trace(invalid_epoch, "x"), Error);
-}
-
-TEST(TraceIo, ToleratesCrlfAndBlankLines) {
-  std::stringstream crlf(
-      "instructions_g,parallel_fraction,mem_bytes_per_instr,"
-      "branch_miss_rate,ilp,big_affinity,duty\r\n"
-      "1,0.5,0.3,0.01,0.8,0.5,0.9\r\n"
-      "\r\n");
-  const Application app = read_trace(crlf, "crlf");
-  EXPECT_EQ(app.num_epochs(), 1u);
 }
 
 }  // namespace
