@@ -1,9 +1,12 @@
 #include "common/fs.hpp"
 
+#include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
+#include <cerrno>
 #include <chrono>
 #include <filesystem>
 #include <fstream>
@@ -24,12 +27,33 @@ void make_directories(const std::string& dir) {
 }
 
 std::optional<std::string> read_file(const std::string& path) {
-  std::ifstream is(path, std::ios::binary);
-  if (!is.good()) return std::nullopt;
-  std::ostringstream buffer;
-  buffer << is.rdbuf();
-  if (is.bad()) return std::nullopt;
-  return buffer.str();
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) return std::nullopt;
+  struct stat st {};
+  std::optional<std::string> out;
+  if (::fstat(fd, &st) == 0) {
+    // A regular file is read into one buffer of its stat size; anything
+    // else (a pipe, a character device) has no size, so it is read in
+    // chunks until end of file.
+    const bool sized = S_ISREG(st.st_mode);
+    std::string text(sized ? static_cast<std::size_t>(st.st_size) : 0, '\0');
+    std::size_t got = 0;
+    for (;;) {
+      if (!sized && got == text.size()) text.resize(got + 65536);
+      if (got == text.size()) break;
+      const ssize_t n = ::read(fd, text.data() + got, text.size() - got);
+      if (n < 0 && errno == EINTR) continue;
+      if (n < 0) break;
+      if (n == 0) {
+        if (!sized) text.resize(got);
+        break;
+      }
+      got += static_cast<std::size_t>(n);
+    }
+    if (got == text.size()) out = std::move(text);  // else a short read
+  }
+  ::close(fd);
+  return out;
 }
 
 void atomic_write_file(const std::string& path,

@@ -19,7 +19,9 @@ namespace parmis {
 /// mkdir -p.  Throws parmis::Error if the directory cannot be created.
 void make_directories(const std::string& dir);
 
-/// Whole file -> string; std::nullopt if the file cannot be opened.
+/// Whole file -> string, byte for byte; std::nullopt if the file cannot
+/// be opened or read, or yields fewer bytes than its size (it shrank
+/// under the read).
 std::optional<std::string> read_file(const std::string& path);
 
 /// Writes `contents` to a unique temporary file in the target's

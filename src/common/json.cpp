@@ -4,6 +4,7 @@
 #include <charconv>
 #include <cmath>
 #include <cstdlib>
+#include <cstring>
 
 #include "common/error.hpp"
 #include "common/hash.hpp"
@@ -155,8 +156,8 @@ std::string hex_bits_string(double v) {
   return "f64:" + hex64(std::bit_cast<std::uint64_t>(v));
 }
 
-bool is_hex_bits_string(const std::string& s) {
-  if (s.size() != 4 + 16 || s.compare(0, 4, "f64:") != 0) return false;
+bool is_hex_bits_string(std::string_view s) {
+  if (s.size() != 4 + 16 || s.substr(0, 4) != "f64:") return false;
   for (std::size_t i = 4; i < s.size(); ++i) {
     const char c = s[i];
     if (!((c >= '0' && c <= '9') || (c >= 'a' && c <= 'f'))) return false;
@@ -164,9 +165,10 @@ bool is_hex_bits_string(const std::string& s) {
   return true;
 }
 
-double parse_hex_bits(const std::string& s) {
+double parse_hex_bits(std::string_view s) {
   if (!is_hex_bits_string(s)) {
-    require(false, "json: malformed hex-bits double literal: " + s);
+    require(false,
+            "json: malformed hex-bits double literal: " + std::string(s));
   }
   std::uint64_t bits = 0;
   for (std::size_t i = 4; i < s.size(); ++i) {
@@ -177,271 +179,345 @@ double parse_hex_bits(const std::string& s) {
   return std::bit_cast<double>(bits);
 }
 
-// ---------------------------------------------------------------- parser
+// ---------------------------------------------------------------- reader
+
+Reader::Reader(std::string_view text, std::string_view context)
+    : text_(text), context_(context) {}
+
+void Reader::fail(std::string_view message) const { fail_at(pos_, message); }
+
+void Reader::duplicate_key(std::string_view key) const {
+  fail_at(key_end_,
+          "duplicate object key \"" + std::string(key) + "\"");
+}
+
+void Reader::fail_at(std::size_t offset, std::string_view message) const {
+  std::size_t line = 1;
+  std::size_t line_start = 0;
+  for (std::size_t i = 0; i < offset; ++i) {
+    if (text_[i] == '\n') {
+      ++line;
+      line_start = i + 1;
+    }
+  }
+  std::string out(context_);
+  if (!out.empty()) out += ": ";
+  out += "json: line " + std::to_string(line) + ", col " +
+         std::to_string(offset - line_start + 1) + ": ";
+  out += message;
+  require(false, out);
+  std::abort();  // unreachable
+}
+
+void Reader::expect(char c, const char* what) {
+  if (pos_ >= text_.size() || text_[pos_] != c) {
+    fail(std::string("expected ") + what +
+         (pos_ >= text_.size() ? ", got end of input"
+                               : std::string(", got '") + text_[pos_] + "'"));
+  }
+  ++pos_;
+}
+
+void Reader::begin_object() {
+  start_value();
+  expect('{', "'{'");
+  ++depth_;
+  first_ = true;
+}
+
+bool Reader::next_key(std::string_view& key) {
+  skip_whitespace();
+  const bool first = first_;
+  first_ = false;
+  if (pos_ < text_.size() && text_[pos_] == '}' && first) {
+    ++pos_;
+    --depth_;
+    return false;
+  }
+  if (!first) {
+    if (pos_ >= text_.size()) fail("unterminated object");
+    if (text_[pos_] != ',') {
+      expect('}', "',' or '}'");
+      --depth_;
+      return false;
+    }
+    ++pos_;
+    skip_whitespace();
+  }
+  if (pos_ >= text_.size() || text_[pos_] != '"') {
+    fail("expected string object key");
+  }
+  key = scan_string(key_scratch_);
+  key_end_ = pos_;
+  skip_whitespace();
+  expect(':', "':'");
+  return true;
+}
+
+void Reader::begin_array() {
+  start_value();
+  expect('[', "'['");
+  ++depth_;
+  first_ = true;
+}
+
+std::size_t Reader::count_items() const {
+  std::string_view rest = text_.substr(pos_);
+  rest = rest.substr(0, rest.find(']'));
+  if (rest.find_first_not_of(" \t\n\r") == std::string_view::npos) return 0;
+  // Commas counted eight bytes at a time: after the xor a byte is zero
+  // exactly where the text holds a ',', and the mask turns each such
+  // byte into a 1 in its lane.  Lanes are summed every 255 words,
+  // before any can overflow.
+  constexpr std::uint64_t kCommas = 0x2c2c2c2c2c2c2c2cULL;
+  constexpr std::uint64_t kLow7 = 0x7f7f7f7f7f7f7f7fULL;
+  constexpr std::uint64_t kEvenBytes = 0x00ff00ff00ff00ffULL;
+  std::size_t commas = 0;
+  std::size_t i = 0;
+  while (i + 8 <= rest.size()) {
+    std::uint64_t lanes = 0;
+    for (int k = 0; k < 255 && i + 8 <= rest.size(); ++k, i += 8) {
+      std::uint64_t x;
+      std::memcpy(&x, rest.data() + i, 8);
+      x ^= kCommas;
+      lanes += ~(((x & kLow7) + kLow7) | x | kLow7) >> 7;
+    }
+    lanes = (lanes & kEvenBytes) + ((lanes >> 8) & kEvenBytes);
+    commas += static_cast<std::size_t>((lanes * 0x0001000100010001ULL) >> 48);
+  }
+  for (; i < rest.size(); ++i) commas += rest[i] == ',' ? 1 : 0;
+  return commas + 1;
+}
 
 namespace {
 
-class Parser {
- public:
-  explicit Parser(const std::string& text) : text_(text) {}
-
-  Value parse_document() {
-    skip_whitespace();
-    Value v = parse_value(0);
-    skip_whitespace();
-    if (pos_ != text_.size()) fail("trailing content after JSON document");
-    return v;
+/// Offset past the run of decimal digits of `text` starting at `i`.
+/// Eight bytes are tested at a time while all of them are digits: a
+/// byte is one iff its high nibble is 3 and adding 6 keeps it 3 (a
+/// carry out of a byte only happens from a byte that fails anyway).
+std::size_t skip_digits(std::string_view text, std::size_t i) {
+  constexpr std::uint64_t kHigh = 0xf0f0f0f0f0f0f0f0ULL;
+  constexpr std::uint64_t kThrees = 0x3030303030303030ULL;
+  constexpr std::uint64_t kSixes = 0x0606060606060606ULL;
+  for (; i + 8 <= text.size(); i += 8) {
+    std::uint64_t x;
+    std::memcpy(&x, text.data() + i, 8);
+    if ((x & kHigh) != kThrees || ((x + kSixes) & kHigh) != kThrees) break;
   }
-
- private:
-  [[noreturn]] void fail(const std::string& message) const {
-    require(false, "json: line " + std::to_string(line_) + ", col " +
-                       std::to_string(col_) + ": " + message);
-    std::abort();  // unreachable
-  }
-
-  bool at_end() const { return pos_ >= text_.size(); }
-
-  char peek() const {
-    if (at_end()) fail("unexpected end of input");
-    return text_[pos_];
-  }
-
-  char advance() {
-    const char c = peek();
-    ++pos_;
-    if (c == '\n') {
-      ++line_;
-      col_ = 1;
-    } else {
-      ++col_;
-    }
-    return c;
-  }
-
-  void expect(char c, const char* what) {
-    if (at_end() || peek() != c) {
-      fail(std::string("expected ") + what +
-           (at_end() ? ", got end of input"
-                     : std::string(", got '") + peek() + "'"));
-    }
-    advance();
-  }
-
-  void skip_whitespace() {
-    while (!at_end()) {
-      const char c = text_[pos_];
-      if (c != ' ' && c != '\t' && c != '\n' && c != '\r') break;
-      advance();
-    }
-  }
-
-  Value parse_value(std::size_t depth) {
-    if (depth > kMaxDepth) fail("nesting depth limit exceeded");
-    if (at_end()) fail("unexpected end of input, expected a value");
-    switch (peek()) {
-      case '{': return parse_object(depth);
-      case '[': return parse_array(depth);
-      case '"': return Value::string(parse_string());
-      case 't': return parse_literal("true", Value::boolean(true));
-      case 'f': return parse_literal("false", Value::boolean(false));
-      case 'n': return parse_literal("null", Value::null());
-      default: return parse_number();
-    }
-  }
-
-  Value parse_literal(const char* literal, Value value) {
-    for (const char* p = literal; *p != '\0'; ++p) {
-      if (at_end() || peek() != *p) {
-        fail(std::string("invalid literal, expected \"") + literal + "\"");
-      }
-      advance();
-    }
-    return value;
-  }
-
-  Value parse_number() {
-    const std::size_t start = pos_;
-    if (!at_end() && peek() == '-') advance();
-    if (at_end() || peek() < '0' || peek() > '9') fail("invalid number");
-    if (peek() == '0') {
-      advance();  // leading zeros are not allowed
-    } else {
-      while (!at_end() && peek() >= '0' && peek() <= '9') advance();
-    }
-    if (!at_end() && peek() == '.') {
-      advance();
-      if (at_end() || peek() < '0' || peek() > '9') {
-        fail("digit required after decimal point");
-      }
-      while (!at_end() && peek() >= '0' && peek() <= '9') advance();
-    }
-    if (!at_end() && (peek() == 'e' || peek() == 'E')) {
-      advance();
-      if (!at_end() && (peek() == '+' || peek() == '-')) advance();
-      if (at_end() || peek() < '0' || peek() > '9') {
-        fail("digit required in exponent");
-      }
-      while (!at_end() && peek() >= '0' && peek() <= '9') advance();
-    }
-    double v = 0.0;
-    const char* first = text_.data() + start;
-    const char* last = text_.data() + pos_;
-    const auto result = std::from_chars(first, last, v);
-    if (result.ec == std::errc::result_out_of_range) {
-      // Grammar-valid literal beyond double range: strtod gives the
-      // IEEE-correct saturation (signed infinity on overflow, a signed
-      // zero/denormal on underflow), which from_chars does not report.
-      v = std::strtod(std::string(first, last).c_str(), nullptr);
-    } else if (result.ec != std::errc() || result.ptr != last) {
-      fail("invalid number");
-    }
-    return Value::number(v);
-  }
-
-  /// One hex digit of a \u escape.
-  unsigned hex_digit() {
-    const char c = advance();
-    if (c >= '0' && c <= '9') return static_cast<unsigned>(c - '0');
-    if (c >= 'a' && c <= 'f') return static_cast<unsigned>(c - 'a' + 10);
-    if (c >= 'A' && c <= 'F') return static_cast<unsigned>(c - 'A' + 10);
-    fail("invalid \\u escape: expected hex digit");
-  }
-
-  unsigned parse_u16() {
-    unsigned v = 0;
-    for (int i = 0; i < 4; ++i) v = (v << 4) | hex_digit();
-    return v;
-  }
-
-  void append_utf8(std::string& out, std::uint32_t cp) {
-    if (cp < 0x80) {
-      out += static_cast<char>(cp);
-    } else if (cp < 0x800) {
-      out += static_cast<char>(0xC0 | (cp >> 6));
-      out += static_cast<char>(0x80 | (cp & 0x3F));
-    } else if (cp < 0x10000) {
-      out += static_cast<char>(0xE0 | (cp >> 12));
-      out += static_cast<char>(0x80 | ((cp >> 6) & 0x3F));
-      out += static_cast<char>(0x80 | (cp & 0x3F));
-    } else {
-      out += static_cast<char>(0xF0 | (cp >> 18));
-      out += static_cast<char>(0x80 | ((cp >> 12) & 0x3F));
-      out += static_cast<char>(0x80 | ((cp >> 6) & 0x3F));
-      out += static_cast<char>(0x80 | (cp & 0x3F));
-    }
-  }
-
-  std::string parse_string() {
-    expect('"', "'\"'");
-    std::string out;
-    for (;;) {
-      if (at_end()) fail("unterminated string");
-      const char c = advance();
-      if (c == '"') return out;
-      if (static_cast<unsigned char>(c) < 0x20) {
-        fail("unescaped control character in string");
-      }
-      if (c != '\\') {
-        out += c;  // UTF-8 bytes pass through verbatim
-        continue;
-      }
-      if (at_end()) fail("unterminated escape sequence");
-      const char e = advance();
-      switch (e) {
-        case '"': out += '"'; break;
-        case '\\': out += '\\'; break;
-        case '/': out += '/'; break;
-        case 'b': out += '\b'; break;
-        case 'f': out += '\f'; break;
-        case 'n': out += '\n'; break;
-        case 'r': out += '\r'; break;
-        case 't': out += '\t'; break;
-        case 'u': {
-          std::uint32_t cp = parse_u16();
-          if (cp >= 0xD800 && cp <= 0xDBFF) {
-            // High surrogate: a low surrogate escape must follow.
-            if (at_end() || peek() != '\\') fail("unpaired high surrogate");
-            advance();
-            if (at_end() || peek() != 'u') fail("unpaired high surrogate");
-            advance();
-            const std::uint32_t low = parse_u16();
-            if (low < 0xDC00 || low > 0xDFFF) {
-              fail("invalid low surrogate in \\u escape pair");
-            }
-            cp = 0x10000 + ((cp - 0xD800) << 10) + (low - 0xDC00);
-          } else if (cp >= 0xDC00 && cp <= 0xDFFF) {
-            fail("unpaired low surrogate");
-          }
-          append_utf8(out, cp);
-          break;
-        }
-        default: fail("invalid escape sequence");
-      }
-    }
-  }
-
-  Value parse_array(std::size_t depth) {
-    expect('[', "'['");
-    Value out = Value::array();
-    skip_whitespace();
-    if (!at_end() && peek() == ']') {
-      advance();
-      return out;
-    }
-    for (;;) {
-      skip_whitespace();
-      out.push_back(parse_value(depth + 1));
-      skip_whitespace();
-      if (at_end()) fail("unterminated array");
-      if (peek() == ',') {
-        advance();
-        continue;
-      }
-      expect(']', "',' or ']'");
-      return out;
-    }
-  }
-
-  Value parse_object(std::size_t depth) {
-    expect('{', "'{'");
-    Value out = Value::object();
-    skip_whitespace();
-    if (!at_end() && peek() == '}') {
-      advance();
-      return out;
-    }
-    for (;;) {
-      skip_whitespace();
-      if (at_end() || peek() != '"') fail("expected string object key");
-      const std::string key = parse_string();
-      if (out.find(key) != nullptr) {
-        fail("duplicate object key \"" + key + "\"");
-      }
-      skip_whitespace();
-      expect(':', "':'");
-      skip_whitespace();
-      out.set(key, parse_value(depth + 1));
-      skip_whitespace();
-      if (at_end()) fail("unterminated object");
-      if (peek() == ',') {
-        advance();
-        continue;
-      }
-      expect('}', "',' or '}'");
-      return out;
-    }
-  }
-
-  const std::string& text_;
-  std::size_t pos_ = 0;
-  std::size_t line_ = 1;
-  std::size_t col_ = 1;
-};
+  while (i < text.size() && text[i] >= '0' && text[i] <= '9') ++i;
+  return i;
+}
 
 }  // namespace
 
-Value parse(const std::string& text) { return Parser(text).parse_document(); }
+double Reader::number() {
+  start_value();
+  const auto digit = [this](std::size_t i) {
+    return i < text_.size() && text_[i] >= '0' && text_[i] <= '9';
+  };
+  const std::size_t start = pos_;
+  std::size_t i = pos_;
+  if (text_[i] == '-') ++i;
+  if (!digit(i)) {
+    pos_ = i;
+    fail("invalid number");
+  }
+  // Leading zeros are not allowed: a 0 is the whole integer part.
+  i = text_[i] == '0' ? i + 1 : skip_digits(text_, i);
+  if (i < text_.size() && text_[i] == '.') {
+    ++i;
+    if (!digit(i)) {
+      pos_ = i;
+      fail("digit required after decimal point");
+    }
+    i = skip_digits(text_, i);
+  }
+  if (i < text_.size() && (text_[i] == 'e' || text_[i] == 'E')) {
+    ++i;
+    if (i < text_.size() && (text_[i] == '+' || text_[i] == '-')) ++i;
+    if (!digit(i)) {
+      pos_ = i;
+      fail("digit required in exponent");
+    }
+    i = skip_digits(text_, i);
+  }
+  pos_ = i;
+  double v = 0.0;
+  const char* first = text_.data() + start;
+  const char* last = text_.data() + i;
+  const auto result = std::from_chars(first, last, v);
+  if (result.ec == std::errc::result_out_of_range) {
+    // Grammar-valid literal beyond double range: strtod gives the
+    // IEEE-correct saturation (signed infinity on overflow, a signed
+    // zero/denormal on underflow), which from_chars does not report.
+    v = std::strtod(std::string(first, last).c_str(), nullptr);
+  } else if (result.ec != std::errc() || result.ptr != last) {
+    fail("invalid number");
+  }
+  return v;
+}
+
+void Reader::literal(std::string_view word) {
+  for (const char c : word) {
+    if (pos_ >= text_.size() || text_[pos_] != c) {
+      fail("invalid literal, expected \"" + std::string(word) + "\"");
+    }
+    ++pos_;
+  }
+}
+
+bool Reader::boolean() {
+  start_value();
+  const bool value = text_[pos_] == 't';
+  literal(value ? "true" : "false");
+  return value;
+}
+
+void Reader::null() {
+  start_value();
+  literal("null");
+}
+
+void Reader::end() {
+  skip_whitespace();
+  if (pos_ != text_.size()) fail("trailing content after JSON document");
+}
+
+std::string_view Reader::string() {
+  start_value();
+  return scan_string(string_scratch_);
+}
+
+unsigned Reader::hex_digit() {
+  if (pos_ >= text_.size()) fail("unexpected end of input");
+  const char c = text_[pos_++];
+  if (c >= '0' && c <= '9') return static_cast<unsigned>(c - '0');
+  if (c >= 'a' && c <= 'f') return static_cast<unsigned>(c - 'a' + 10);
+  if (c >= 'A' && c <= 'F') return static_cast<unsigned>(c - 'A' + 10);
+  fail("invalid \\u escape: expected hex digit");
+}
+
+unsigned Reader::u16_escape() {
+  unsigned v = 0;
+  for (int i = 0; i < 4; ++i) v = (v << 4) | hex_digit();
+  return v;
+}
+
+namespace {
+
+void append_utf8(std::string& out, std::uint32_t cp) {
+  if (cp < 0x80) {
+    out += static_cast<char>(cp);
+  } else if (cp < 0x800) {
+    out += static_cast<char>(0xC0 | (cp >> 6));
+    out += static_cast<char>(0x80 | (cp & 0x3F));
+  } else if (cp < 0x10000) {
+    out += static_cast<char>(0xE0 | (cp >> 12));
+    out += static_cast<char>(0x80 | ((cp >> 6) & 0x3F));
+    out += static_cast<char>(0x80 | (cp & 0x3F));
+  } else {
+    out += static_cast<char>(0xF0 | (cp >> 18));
+    out += static_cast<char>(0x80 | ((cp >> 12) & 0x3F));
+    out += static_cast<char>(0x80 | ((cp >> 6) & 0x3F));
+    out += static_cast<char>(0x80 | (cp & 0x3F));
+  }
+}
+
+}  // namespace
+
+std::string_view Reader::scan_string(std::string& scratch) {
+  expect('"', "'\"'");
+  // A string without escapes is a view into the text; the first escape
+  // or control character switches to unescaping into `scratch`.
+  const std::size_t begin = pos_;
+  while (pos_ < text_.size()) {
+    const unsigned char c = static_cast<unsigned char>(text_[pos_]);
+    if (c == '"') return text_.substr(begin, pos_++ - begin);
+    if (c == '\\' || c < 0x20) break;
+    ++pos_;
+  }
+  scratch.assign(text_.substr(begin, pos_ - begin));
+  for (;;) {
+    if (pos_ >= text_.size()) fail("unterminated string");
+    const char c = text_[pos_++];
+    if (c == '"') return scratch;
+    if (static_cast<unsigned char>(c) < 0x20) {
+      fail("unescaped control character in string");
+    }
+    if (c != '\\') {
+      scratch += c;  // UTF-8 bytes pass through verbatim
+      continue;
+    }
+    if (pos_ >= text_.size()) fail("unterminated escape sequence");
+    switch (text_[pos_++]) {
+      case '"': scratch += '"'; break;
+      case '\\': scratch += '\\'; break;
+      case '/': scratch += '/'; break;
+      case 'b': scratch += '\b'; break;
+      case 'f': scratch += '\f'; break;
+      case 'n': scratch += '\n'; break;
+      case 'r': scratch += '\r'; break;
+      case 't': scratch += '\t'; break;
+      case 'u': {
+        std::uint32_t cp = u16_escape();
+        if (cp >= 0xD800 && cp <= 0xDBFF) {
+          // High surrogate: a low surrogate escape must follow.
+          if (pos_ >= text_.size() || text_[pos_] != '\\') {
+            fail("unpaired high surrogate");
+          }
+          ++pos_;
+          if (pos_ >= text_.size() || text_[pos_] != 'u') {
+            fail("unpaired high surrogate");
+          }
+          ++pos_;
+          const std::uint32_t low = u16_escape();
+          if (low < 0xDC00 || low > 0xDFFF) {
+            fail("invalid low surrogate in \\u escape pair");
+          }
+          cp = 0x10000 + ((cp - 0xD800) << 10) + (low - 0xDC00);
+        } else if (cp >= 0xDC00 && cp <= 0xDFFF) {
+          fail("unpaired low surrogate");
+        }
+        append_utf8(scratch, cp);
+        break;
+      }
+      default: fail("invalid escape sequence");
+    }
+  }
+}
+
+Value read_value(Reader& in) {
+  switch (in.peek()) {
+    case Type::Object: {
+      Value out = Value::object();
+      in.begin_object();
+      for (std::string_view key; in.next_key(key);) {
+        const std::string name(key);
+        if (out.find(name) != nullptr) in.duplicate_key(name);
+        out.set(name, read_value(in));
+      }
+      return out;
+    }
+    case Type::Array: {
+      Value out = Value::array();
+      in.begin_array();
+      while (in.next_item()) out.push_back(read_value(in));
+      return out;
+    }
+    case Type::String: return Value::string(std::string(in.string()));
+    case Type::Bool: return Value::boolean(in.boolean());
+    case Type::Null: in.null(); return Value::null();
+    case Type::Number: return Value::number(in.number());
+  }
+  std::abort();  // unreachable
+}
+
+Value parse(std::string_view text) {
+  Reader in(text);
+  Value out = read_value(in);
+  in.end();
+  return out;
+}
 
 // --------------------------------------------------------------- emitter
 

@@ -1,10 +1,16 @@
-// Dependency-free JSON (RFC 8259) value model, parser, and emitter.
+// Dependency-free JSON (RFC 8259) value model, pull reader, and emitter.
 //
-// This is the wire format for declarative campaign plans and scenario
-// files, so two properties matter more than speed:
-//  * Error locality: the parser tracks line/column and every rejection
-//    names the position ("json: line 7, col 12: ...") — a typo in a
-//    500-line plan file must not cost a binary search.
+// This is the wire format for declarative campaign plans, scenario
+// files, campaign reports and the serve protocol, so three properties
+// matter:
+//  * One grammar: json::Reader is a pull cursor over the text, and
+//    everything that reads JSON reads it through it.  parse() builds a
+//    Value tree on the Reader; report::parse_report decodes a campaign
+//    report straight from it, with no tree in between.
+//  * Error locality: every rejection names the position ("json: line 7,
+//    col 12: ...") — a typo in a 500-line plan file must not cost a
+//    binary search.  The Reader keeps only a byte offset and computes
+//    line and column from it when a check fails.
 //  * Exact double round-trip: finite numbers are emitted via
 //    std::to_chars, the shortest decimal that parses back to the
 //    identical IEEE-754 bits.  NaN and infinities have no JSON number
@@ -90,12 +96,142 @@ class Value {
   std::vector<std::pair<std::string, Value>> object_;
 };
 
-/// Parses one UTF-8 JSON document (trailing garbage rejected).  Throws
-/// parmis::Error with "line L, col C" on malformed input.  Nesting depth
-/// is bounded (kMaxDepth) so hostile inputs cannot overflow the stack.
-Value parse(const std::string& text);
-
+/// Deepest nesting a document may have: a value inside more than
+/// kMaxDepth arrays and objects is rejected, so hostile inputs cannot
+/// overflow the stack of a recursive reader.
 inline constexpr std::size_t kMaxDepth = 200;
+
+/// Pull cursor over one UTF-8 JSON document: the one grammar.
+///
+///   json::Reader in(text);
+///   in.begin_object();
+///   for (std::string_view key; in.next_key(key);) {
+///     if (key == "n") n = in.number(); else ...  // one value per key
+///   }
+///   in.end();
+///
+/// Each value read skips leading whitespace and fails at the end of
+/// input or past kMaxDepth.  Numbers follow RFC 8259 and parse through
+/// std::from_chars; a literal beyond double range saturates as strtod
+/// does.  Every failure throws parmis::Error "json: line L, col C: ..."
+/// (prefixed by the reader's context when it has one).
+class Reader {
+ public:
+  /// Reads `text`, which must outlive the reader.  `context` (e.g. a
+  /// file path), when not empty, prefixes every error.
+  explicit Reader(std::string_view text, std::string_view context = {});
+
+  /// Kind of the next value, without consuming it.  Any character that
+  /// starts no other kind reads as Number (and number() rejects it).
+  Type peek();
+
+  /// Consumes the '{' of the next value.
+  void begin_object();
+  /// Steps to the next member of the innermost open object: true with
+  /// its key (the ':' consumed, the value next), or false once the
+  /// closing '}' is consumed.  `key` stays valid until the next
+  /// next_key() call.
+  bool next_key(std::string_view& key);
+  /// Consumes the '[' of the next value.
+  void begin_array();
+  /// Steps to the next item of the innermost open array: true when a
+  /// value is next, false once the closing ']' is consumed.
+  bool next_item();
+  /// Items of the array just begun, counted up to the next ']' — exact
+  /// for an array of numbers, a capacity hint for anything else.
+  std::size_t count_items() const;
+
+  double number();
+  /// The next string, unescaped.  Valid until the next string() call.
+  std::string_view string();
+  bool boolean();
+  void null();
+
+  /// Fails unless only whitespace is left: one document per text.
+  void end();
+
+  /// Throws the positioned error at the current offset.
+  [[noreturn]] void fail(std::string_view message) const;
+  /// Throws "duplicate object key" at the end of the key last read.
+  [[noreturn]] void duplicate_key(std::string_view key) const;
+
+ private:
+  [[noreturn]] void fail_at(std::size_t offset,
+                            std::string_view message) const;
+  inline void skip_whitespace();
+  inline void start_value();
+  void expect(char c, const char* what);
+  void literal(std::string_view word);
+  std::string_view scan_string(std::string& scratch);
+  unsigned hex_digit();
+  unsigned u16_escape();
+
+  std::string_view text_;
+  std::string_view context_;
+  std::size_t pos_ = 0;
+  std::size_t depth_ = 0;     ///< open arrays and objects
+  std::size_t key_end_ = 0;   ///< offset just past the last key
+  bool first_ = false;        ///< no item read yet in the innermost one
+  std::string string_scratch_;  ///< unescaped string() values
+  std::string key_scratch_;     ///< unescaped next_key() keys
+};
+
+// The per-value steps are inline: a report decode takes them once per
+// number.
+
+inline void Reader::skip_whitespace() {
+  while (pos_ < text_.size()) {
+    const char c = text_[pos_];
+    if (c != ' ' && c != '\t' && c != '\n' && c != '\r') break;
+    ++pos_;
+  }
+}
+
+inline void Reader::start_value() {
+  skip_whitespace();
+  if (depth_ > kMaxDepth) fail("nesting depth limit exceeded");
+  if (pos_ >= text_.size()) fail("unexpected end of input, expected a value");
+}
+
+inline Type Reader::peek() {
+  start_value();
+  switch (text_[pos_]) {
+    case '{': return Type::Object;
+    case '[': return Type::Array;
+    case '"': return Type::String;
+    case 't':
+    case 'f': return Type::Bool;
+    case 'n': return Type::Null;
+    default: return Type::Number;
+  }
+}
+
+inline bool Reader::next_item() {
+  skip_whitespace();
+  if (first_) {
+    first_ = false;
+    if (pos_ < text_.size() && text_[pos_] == ']') {
+      ++pos_;
+      --depth_;
+      return false;
+    }
+    return true;
+  }
+  if (pos_ >= text_.size()) fail("unterminated array");
+  if (text_[pos_] == ',') {
+    ++pos_;
+    return true;
+  }
+  expect(']', "',' or ']'");
+  --depth_;
+  return false;
+}
+
+/// Reads the next value of `in` as a tree.
+Value read_value(Reader& in);
+
+/// Parses one JSON document (trailing content rejected) into a tree.
+Value parse(std::string_view text);
 
 /// Serializes with two-space indentation, "\n" line ends, and members in
 /// insertion order; output always ends with a newline.  Deterministic:
@@ -139,9 +275,9 @@ void append_compact(std::string& out, const Value& v);
 /// emitter's fallback for non-finite doubles (valid for any double).
 std::string hex_bits_string(double v);
 /// True iff `s` is a well-formed hex-bits string.
-bool is_hex_bits_string(const std::string& s);
+bool is_hex_bits_string(std::string_view s);
 /// Decodes a hex-bits string; throws parmis::Error if malformed.
-double parse_hex_bits(const std::string& s);
+double parse_hex_bits(std::string_view s);
 
 }  // namespace parmis::json
 

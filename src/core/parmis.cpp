@@ -99,16 +99,19 @@ void Parmis::initialize() {
 }
 
 void Parmis::fit_models() {
-  num::Matrix X(thetas_.size(), theta_dim_);
-  for (std::size_t r = 0; r < thetas_.size(); ++r) {
-    for (std::size_t c = 0; c < theta_dim_; ++c) X(r, c) = thetas_[r][c];
-  }
-  for (std::size_t j = 0; j < num_objectives_; ++j) {
-    num::Vec y(thetas_.size());
+  {
+    PARMIS_TRACE_SPAN("gp", "fit_data");
+    num::Matrix X(thetas_.size(), theta_dim_);
     for (std::size_t r = 0; r < thetas_.size(); ++r) {
-      y[r] = objectives_[r][j];
+      for (std::size_t c = 0; c < theta_dim_; ++c) X(r, c) = thetas_[r][c];
     }
-    models_[j].set_data(X, std::move(y));
+    for (std::size_t j = 0; j < num_objectives_; ++j) {
+      num::Vec y(thetas_.size());
+      for (std::size_t r = 0; r < thetas_.size(); ++r) {
+        y[r] = objectives_[r][j];
+      }
+      models_[j].set_data(X, std::move(y));
+    }
   }
   const bool refit_hypers =
       iterations_done_ % std::max<std::size_t>(config_.hyperopt_interval, 1) ==
@@ -126,57 +129,59 @@ num::Vec Parmis::maximize_acquisition(
   // --- candidate pool ---
   std::vector<num::Vec> pool;
   pool.reserve(config_.acq_pool_size + config_.acq_refine_steps);
-
-  // (a) sampled-front survivors: decision-space points NSGA-II found to
-  //     be Pareto-optimal under the sampled posterior functions.
-  const auto& frontier = acq.frontier_thetas();
-  const std::size_t quota_frontier =
-      std::min(frontier.size(), config_.acq_pool_size / 4);
-  for (std::size_t i = 0; i < quota_frontier; ++i) {
-    pool.push_back(frontier[i * frontier.size() / quota_frontier]);
-  }
-
-  // (b) Gaussian perturbations of the incumbent Pareto-optimal thetas.
-  const auto pareto_idx = moo::non_dominated_indices(objectives_);
   const double sd = config_.perturbation_sd * config_.theta_bound;
-  const std::size_t quota_local = config_.acq_pool_size / 4;
-  for (std::size_t i = 0; i < quota_local && !pareto_idx.empty(); ++i) {
-    const num::Vec& base =
-        thetas_[pareto_idx[rng_.uniform_index(pareto_idx.size())]];
-    num::Vec cand(theta_dim_);
-    for (std::size_t c = 0; c < theta_dim_; ++c) {
-      cand[c] = std::clamp(base[c] + rng_.normal(0.0, sd), lower_[c],
-                           upper_[c]);
+  {
+    PARMIS_TRACE_SPAN("acq", "pool");
+    // (a) sampled-front survivors: decision-space points NSGA-II found to
+    //     be Pareto-optimal under the sampled posterior functions.
+    const auto& frontier = acq.frontier_thetas();
+    const std::size_t quota_frontier =
+        std::min(frontier.size(), config_.acq_pool_size / 4);
+    for (std::size_t i = 0; i < quota_frontier; ++i) {
+      pool.push_back(frontier[i * frontier.size() / quota_frontier]);
     }
-    pool.push_back(std::move(cand));
-  }
 
-  // (b') Tight perturbations of the per-objective best incumbents: local
-  // refinement pressure at the front's extremes, where the paper's
-  // fronts visibly extend past the baselines' range.
-  if (!pareto_idx.empty()) {
-    const double tight_sd = 0.25 * sd;
-    const std::size_t quota_exploit = config_.acq_pool_size / 8;
-    for (std::size_t i = 0; i < quota_exploit; ++i) {
-      const std::size_t obj = i % num_objectives_;
-      std::size_t best = pareto_idx.front();
-      for (std::size_t idx : pareto_idx) {
-        if (objectives_[idx][obj] < objectives_[best][obj]) best = idx;
-      }
+    // (b) Gaussian perturbations of the incumbent Pareto-optimal thetas.
+    const auto pareto_idx = moo::non_dominated_indices(objectives_);
+    const std::size_t quota_local = config_.acq_pool_size / 4;
+    for (std::size_t i = 0; i < quota_local && !pareto_idx.empty(); ++i) {
+      const num::Vec& base =
+          thetas_[pareto_idx[rng_.uniform_index(pareto_idx.size())]];
       num::Vec cand(theta_dim_);
       for (std::size_t c = 0; c < theta_dim_; ++c) {
-        cand[c] = std::clamp(thetas_[best][c] + rng_.normal(0.0, tight_sd),
-                             lower_[c], upper_[c]);
+        cand[c] = std::clamp(base[c] + rng_.normal(0.0, sd), lower_[c],
+                             upper_[c]);
       }
       pool.push_back(std::move(cand));
     }
-  }
 
-  // (c) uniform exploration fills the rest.
-  while (pool.size() < config_.acq_pool_size) {
-    num::Vec cand(theta_dim_);
-    for (auto& v : cand) v = rng_.uniform(lower_[0], upper_[0]);
-    pool.push_back(std::move(cand));
+    // (b') Tight perturbations of the per-objective best incumbents:
+    // local refinement pressure at the front's extremes, where the
+    // paper's fronts visibly extend past the baselines' range.
+    if (!pareto_idx.empty()) {
+      const double tight_sd = 0.25 * sd;
+      const std::size_t quota_exploit = config_.acq_pool_size / 8;
+      for (std::size_t i = 0; i < quota_exploit; ++i) {
+        const std::size_t obj = i % num_objectives_;
+        std::size_t best = pareto_idx.front();
+        for (std::size_t idx : pareto_idx) {
+          if (objectives_[idx][obj] < objectives_[best][obj]) best = idx;
+        }
+        num::Vec cand(theta_dim_);
+        for (std::size_t c = 0; c < theta_dim_; ++c) {
+          cand[c] = std::clamp(thetas_[best][c] + rng_.normal(0.0, tight_sd),
+                               lower_[c], upper_[c]);
+        }
+        pool.push_back(std::move(cand));
+      }
+    }
+
+    // (c) uniform exploration fills the rest.
+    while (pool.size() < config_.acq_pool_size) {
+      num::Vec cand(theta_dim_);
+      for (auto& v : cand) v = rng_.uniform(lower_[0], upper_[0]);
+      pool.push_back(std::move(cand));
+    }
   }
 
   // --- pick argmax, then a short stochastic local refinement ---

@@ -3,16 +3,18 @@
 // Before this subsystem, CampaignReport was write-only — per-shard JSON
 // files could be produced but never reloaded, so sharded campaigns
 // stopped at "N processes share a cache dir".  This serde makes reports
-// first-class data: report_from_json(report_to_json(r)) reproduces
-// every field of r bit for bit (the same contract plan serde gives
+// first-class data: parse_report(json::dump(report_to_json(r)))
+// reproduces every field of r bit for bit (the same contract plan serde gives
 // ScenarioSpec), which is what lets campaign-merge join shard files and
 // recompute paper-faithful global-reference PHV (see merge.hpp).
 //
 // Byte-exactness rides the common/json layer: doubles are emitted as
 // shortest round-trip decimals (hex-bits fallback for non-finite), u64
 // fields above 2^53 as decimal strings, and the cell list in campaign
-// order.  Decoding is strict — unknown keys, wrong types, and schema
-// mismatches are rejected with the file context named — and the
+// order.  Decoding reads the text once through a json::Reader, straight
+// into the report's vectors with no value tree in between.  It is
+// strict — unknown keys, wrong types, and schema mismatches are
+// rejected with the file context named — and the
 // document's stored `objectives_digest` is re-verified against the
 // reloaded cells, so a hand-edited or truncated shard file fails loudly
 // instead of silently merging wrong numbers.
@@ -21,6 +23,7 @@
 
 #include <iosfwd>
 #include <string>
+#include <string_view>
 
 #include "common/json.hpp"
 #include "exec/campaign.hpp"
@@ -57,11 +60,13 @@ json::Value report_to_json(const exec::CampaignReport& report);
 /// to hit the disk.
 void write_report(std::ostream& os, const exec::CampaignReport& report);
 
-/// Strict decode; `context` (e.g. the file path) prefixes every error.
-/// Verifies the stored objectives digest against the reloaded cells.
-exec::CampaignReport report_from_json(const json::Value& doc,
-                                      const std::string& context);
+/// Strict decode of a report document's text; `context` (e.g. the file
+/// path) prefixes every error, then "cell #i" and the key.  Verifies the
+/// stored objectives digest against the reloaded cells.
+exec::CampaignReport parse_report(std::string_view text,
+                                  const std::string& context);
 
+/// read_file + parse_report, with the path as the context.
 exec::CampaignReport load_report(const std::string& path);
 void save_report(const std::string& path,
                  const exec::CampaignReport& report);

@@ -20,6 +20,7 @@
 #include <cstdlib>
 #include <set>
 #include <string>
+#include <string_view>
 
 #include "common/error.hpp"
 #include "common/hash.hpp"
@@ -46,6 +47,85 @@ inline json::Value u64_to_json(std::uint64_t v) {
 /// written the way every CLI and log line prints them.
 inline json::Value hex64_to_json(std::uint64_t v) {
   return json::Value::string(hex64(v));
+}
+
+/// Throws parmis::Error carrying `message`.  Every check here, and in
+/// the decoders built on these helpers, builds its message only on this
+/// failing branch, never as an argument evaluated on each call: the
+/// report decoder runs once per number of a report.
+[[noreturn]] inline void fail(const std::string& message) {
+  require(false, message);
+  std::abort();  // unreachable
+}
+
+/// "<context>: key \"<key>\": expected <want>, got <type>" — the one
+/// wording of a field's type error.
+inline std::string type_message(const std::string& context,
+                                std::string_view key, const char* want,
+                                json::Type got) {
+  std::string out = context;
+  out += ": key \"";
+  out += key;
+  out += "\": expected ";
+  out += want;
+  out += ", got ";
+  out += json::type_name(got);
+  return out;
+}
+
+// The u64 and hex64 rules behind ObjectReader's getters, shared with
+// decoders that read a document one value at a time
+// (report::parse_report).  `context()` returns the field owner's
+// context string; it is called only when a check fails, so a caller
+// can build that string lazily.
+
+template <typename Context>
+std::uint64_t hex64_value(const json::Value& v, const Context& context,
+                          std::string_view key) {
+  if (!v.is_string() || v.as_string().size() != 16 ||
+      v.as_string().find_first_not_of("0123456789abcdef") !=
+          std::string::npos) {
+    fail(type_message(context(), key, "16-hex-char string", v.type()));
+  }
+  std::uint64_t out = 0;
+  for (char c : v.as_string()) {
+    out = (out << 4) |
+          static_cast<std::uint64_t>(c <= '9' ? c - '0' : c - 'a' + 10);
+  }
+  return out;
+}
+
+template <typename Context>
+std::uint64_t u64_value(const json::Value& v, const Context& context,
+                        std::string_view key) {
+  if (v.is_string()) {
+    const std::string& s = v.as_string();
+    if (s.empty() || s.size() > 20 ||
+        s.find_first_not_of("0123456789") != std::string::npos) {
+      fail(type_message(context(), key, "unsigned integer", v.type()));
+    }
+    std::uint64_t out = 0;
+    for (char c : s) {
+      const std::uint64_t digit = static_cast<std::uint64_t>(c - '0');
+      if (out > (UINT64_MAX - digit) / 10) {
+        fail(context() + ": key \"" + std::string(key) +
+             "\": integer overflow");
+      }
+      out = out * 10 + digit;
+    }
+    return out;
+  }
+  if (!v.is_number()) {
+    fail(type_message(context(), key, "unsigned integer", v.type()));
+  }
+  const double d = v.as_number();
+  if (!(std::isfinite(d) && d >= 0.0 &&
+        d < static_cast<double>(kMaxExactU64) && std::floor(d) == d)) {
+    fail(context() + ": key \"" + std::string(key) +
+         "\": expected an exact unsigned integer below 2^53 (use a decimal "
+         "string for larger values)");
+  }
+  return static_cast<std::uint64_t>(d);
 }
 
 /// Strict member-wise reader for one JSON object.
@@ -154,62 +234,17 @@ class ObjectReader {
   }
 
   std::uint64_t as_hex64(const json::Value& v, const std::string& key) const {
-    if (!v.is_string() || v.as_string().size() != 16 ||
-        v.as_string().find_first_not_of("0123456789abcdef") !=
-            std::string::npos) {
-      fail(type_message(key, "16-hex-char string", v));
-    }
-    const std::string& s = v.as_string();
-    std::uint64_t out = 0;
-    for (char c : s) {
-      out = (out << 4) |
-            static_cast<std::uint64_t>(c <= '9' ? c - '0' : c - 'a' + 10);
-    }
-    return out;
+    return hex64_value(v, [this] { return context_; }, key);
   }
 
   std::uint64_t as_u64(const json::Value& v, const std::string& key) const {
-    if (v.is_string()) {
-      const std::string& s = v.as_string();
-      if (s.empty() || s.size() > 20 ||
-          s.find_first_not_of("0123456789") != std::string::npos) {
-        fail(type_message(key, "unsigned integer", v));
-      }
-      std::uint64_t out = 0;
-      for (char c : s) {
-        const std::uint64_t digit = static_cast<std::uint64_t>(c - '0');
-        if (out > (UINT64_MAX - digit) / 10) {
-          fail(context_ + ": key \"" + key + "\": integer overflow");
-        }
-        out = out * 10 + digit;
-      }
-      return out;
-    }
-    if (!v.is_number()) fail(type_message(key, "unsigned integer", v));
-    const double d = v.as_number();
-    if (!(std::isfinite(d) && d >= 0.0 &&
-          d < static_cast<double>(kMaxExactU64) && std::floor(d) == d)) {
-      fail(context_ + ": key \"" + key +
-           "\": expected an exact unsigned integer below 2^53 (use a "
-           "decimal string for larger values)");
-    }
-    return static_cast<std::uint64_t>(d);
-  }
-
-  /// Throws parmis::Error carrying `message`.  Every check here, and in
-  /// the decoders built on this reader, builds its message only on this
-  /// failing branch, never as an argument evaluated on each call:
-  /// as_f64 runs once per number of a report.
-  [[noreturn]] static void fail(const std::string& message) {
-    require(false, message);
-    std::abort();  // unreachable
+    return u64_value(v, [this] { return context_; }, key);
   }
 
  private:
   std::string type_message(const std::string& key, const char* want,
                            const json::Value& v) const {
-    return context_ + ": key \"" + key + "\": expected " + want + ", got " +
-           json::type_name(v.type());
+    return serde::type_message(context_, key, want, v.type());
   }
 
   const json::Value& value_;

@@ -58,8 +58,9 @@ endfunction()
 
 # expect_rejected(<binary> <arg>...): the binary refuses the arguments
 # before doing any work: a non-zero exit, nothing on stdout and one
-# line on stderr.  Stdin is empty, so a server that failed to refuse
-# ends at once instead of waiting for requests.
+# line on stderr, which is left in ${rejected_err}.  Stdin is empty, so
+# a server that failed to refuse ends at once instead of waiting for
+# requests.
 function(expect_rejected binary)
   execute_process(
     COMMAND "${binary}" ${ARGN}
@@ -78,4 +79,5 @@ function(expect_rejected binary)
                         "stdout:\n${out}\nstderr:\n${err}")
   endif()
   message(STATUS "${ARGN} -> ${err}")
+  set(rejected_err "${err}" PARENT_SCOPE)
 endfunction()

@@ -1,15 +1,18 @@
-// Unit tests for src/common: RNG, CLI parsing, tables, errors, logging.
+// Unit tests for src/common: RNG, CLI parsing, tables, errors, logging,
+// file reads.
 #include <gtest/gtest.h>
 
 #include <bit>
 #include <cmath>
 #include <cstdint>
-#include <numeric>
 #include <fstream>
+#include <numeric>
+#include <optional>
 #include <sstream>
 
 #include "common/cli.hpp"
 #include "common/error.hpp"
+#include "common/fs.hpp"
 #include "common/log.hpp"
 #include "common/rng.hpp"
 #include "common/stopwatch.hpp"
@@ -405,6 +408,35 @@ TEST(Table, SaveCsvWritesFile) {
   ASSERT_TRUE(std::getline(in, line));
   EXPECT_EQ(line, "1,2");
   EXPECT_THROW(t.save_csv("/nonexistent-dir/x.csv"), Error);
+}
+
+TEST(Fs, ReadFileIsByteExactAndNulloptWhenUnreadable) {
+  const std::string dir = ::testing::TempDir();
+  EXPECT_FALSE(read_file(dir + "parmis_fs_test_missing.bin").has_value());
+  EXPECT_FALSE(read_file(dir).has_value());  // a directory
+
+  const std::string empty = dir + "parmis_fs_test_empty.bin";
+  std::ofstream(empty, std::ios::binary | std::ios::trunc).close();
+  const std::optional<std::string> none = read_file(empty);
+  ASSERT_TRUE(none.has_value());
+  EXPECT_TRUE(none->empty());
+
+  // Over 1 MiB with embedded NULs, CRLFs and every byte value.
+  std::string bytes;
+  Rng rng(7);
+  while (bytes.size() < (1u << 20) + 4097) {
+    bytes += "line\r\n";
+    bytes += '\0';
+    bytes += static_cast<char>(rng.uniform_index(256));
+  }
+  const std::string big = dir + "parmis_fs_test_big.bin";
+  atomic_write_file(big, bytes);
+  const std::optional<std::string> back = read_file(big);
+  ASSERT_TRUE(back.has_value());
+  EXPECT_EQ(back->size(), bytes.size());
+  EXPECT_TRUE(*back == bytes);
+  remove_file(empty);
+  remove_file(big);
 }
 
 TEST(Cli, FullScaleRequestedViaFlag) {

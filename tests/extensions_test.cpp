@@ -265,8 +265,8 @@ TEST(Deployment, ServedPolicyReproducesItsFrontPointBitForBit) {
   const exec::CampaignReport run = exec::CampaignRunner(config).run();
   ASSERT_EQ(run.cells.size(), 1u);
   ASSERT_TRUE(run.cells[0].error.empty()) << run.cells[0].error;
-  const exec::CampaignReport report = report::report_from_json(
-      report::report_to_json(run), "deployment-test");
+  const exec::CampaignReport report = report::parse_report(
+      json::dump(report::report_to_json(run)), "deployment-test");
 
   serve::PolicyStore store;
   store.build_and_install({report}, {"deployment-test"});

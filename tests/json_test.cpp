@@ -6,6 +6,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <cstdlib>
 #include <limits>
 #include <string>
 
@@ -190,6 +191,32 @@ TEST(JsonDouble, FuzzRandomBitPatternsRoundTrip) {
         std::bit_cast<std::uint64_t>(parsed.as_number());
     // NaN payloads must survive too: compare raw bit patterns.
     EXPECT_EQ(back, bits);
+  }
+}
+
+TEST(JsonDouble, DigitRunsOfEveryLengthParseExactly) {
+  // Digit runs are skipped eight bytes at a time; every run length and
+  // every byte that may follow one (':' and '/' border the digits, 0xfa
+  // carries when 6 is added) must read as strtod reads the literal.
+  Rng rng(20261017);
+  for (std::size_t length = 1; length <= 40; ++length) {
+    std::string digits(length, '0');
+    for (char& c : digits) c = static_cast<char>('0' + rng.uniform_index(10));
+    if (length > 1 && digits[0] == '0') digits[0] = '7';
+    const std::string exponent = digits.substr(0, 2);
+    for (const std::string& literal :
+         {digits, "-" + digits, "0." + digits, digits + "e-" + exponent,
+          "1." + digits + "E+3"}) {
+      const double want = std::strtod(literal.c_str(), nullptr);
+      const Value got = parse("[" + literal + "]").at(std::size_t{0});
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(got.as_number()),
+                std::bit_cast<std::uint64_t>(want))
+          << literal;
+      for (const char* tail : {":", "/", "\xfa", "a"}) {
+        EXPECT_THROW(parse("[" + literal + tail + "]"), Error)
+            << literal << tail;
+      }
+    }
   }
 }
 

@@ -800,8 +800,9 @@ TEST(DigestNeutrality, TracingOnOffLeavesCellResultsBitIdentical) {
     if (e.at("ph").as_string() != "X") continue;
     spans.insert(e.at("cat").as_string() + "/" + e.at("name").as_string());
   }
-  for (const char* want : {"acq/front_sample", "gp/rff_draw", "acq/refine",
-                           "gp/hyperopt", "core/evaluate"}) {
+  for (const char* want :
+       {"acq/pool", "acq/front_sample", "gp/rff_draw", "acq/refine",
+        "gp/fit_data", "gp/hyperopt", "core/evaluate"}) {
     EXPECT_TRUE(spans.count(want)) << "no " << want << " span";
   }
 }

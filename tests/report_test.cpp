@@ -22,6 +22,7 @@
 #include "report/analytics.hpp"
 #include "report/merge.hpp"
 #include "report/report_json.hpp"
+#include "report_oracle.hpp"
 #include "scenario/scenario.hpp"
 
 namespace parmis::report {
@@ -149,7 +150,7 @@ void expect_reports_equal(const exec::CampaignReport& a,
 TEST(ReportSerde, RoundTripReproducesEveryFieldBitForBit) {
   const exec::CampaignReport report = synthetic_report();
   const exec::CampaignReport back =
-      report_from_json(report_to_json(report), "test");
+      parse_report(json::dump(report_to_json(report)), "test");
   expect_reports_equal(report, back);
 }
 
@@ -165,7 +166,7 @@ TEST(ReportSerde, WriteJsonIsTheSerdeFormat) {
   std::ostringstream os;
   report.write_json(os);
   const exec::CampaignReport back =
-      report_from_json(json::parse(os.str()), "test");
+      parse_report(os.str(), "test");
   expect_reports_equal(report, back);
 }
 
@@ -192,22 +193,22 @@ TEST(ReportSerde, TamperedCellFieldFailsTheDigestCheck) {
   const std::size_t pos = tampered.find("\"evaluations\": 7");
   ASSERT_NE(pos, std::string::npos);
   tampered.replace(pos, 16, "\"evaluations\": 8");
-  EXPECT_THROW(report_from_json(json::parse(tampered), "test"), Error);
+  EXPECT_THROW(parse_report(tampered, "test"), Error);
 }
 
 TEST(ReportSerde, RejectsWrongSchemaUnknownKeysAndBadSlices) {
   json::Value doc = report_to_json(synthetic_report());
   doc.set("schema", json::Value::string("parmis-report-v999"));
-  EXPECT_THROW(report_from_json(doc, "test"), Error);
+  EXPECT_THROW(parse_report(json::dump(doc), "test"), Error);
 
   json::Value doc2 = report_to_json(synthetic_report());
   doc2.set("surprise", json::Value::boolean(true));
-  EXPECT_THROW(report_from_json(doc2, "test"), Error);
+  EXPECT_THROW(parse_report(json::dump(doc2), "test"), Error);
 
   // A report claiming more pre-slice cells than its shard slice holds.
   json::Value doc3 = report_to_json(synthetic_report());
   doc3.set("total_cells", json::Value::number(7));
-  EXPECT_THROW(report_from_json(doc3, "test"), Error);
+  EXPECT_THROW(parse_report(json::dump(doc3), "test"), Error);
 }
 
 TEST(ReportSerde, V1SchemaStillLoads) {
@@ -217,7 +218,7 @@ TEST(ReportSerde, V1SchemaStillLoads) {
   for (auto& cell : report.cells) cell.pareto_thetas.clear();
   json::Value doc = report_to_json(report);
   doc.set("schema", json::Value::string(kReportSchemaV1));
-  expect_reports_equal(report, report_from_json(doc, "test"));
+  expect_reports_equal(report, parse_report(json::dump(doc), "test"));
 }
 
 TEST(ReportSerde, ThetasAreDigestNeutralButAlignmentChecked) {
@@ -232,7 +233,62 @@ TEST(ReportSerde, ThetasAreDigestNeutralButAlignmentChecked) {
   // rejected at decode (a wrong pairing would deploy the wrong policy).
   exec::CampaignReport bad = synthetic_report();
   bad.cells[0].pareto_thetas = {{1.0}};  // front has two members
-  EXPECT_THROW(report_from_json(report_to_json(bad), "test"), Error);
+  EXPECT_THROW(parse_report(json::dump(report_to_json(bad)), "test"),
+               Error);
+}
+
+TEST(ReportSerde, ParseReportAgreesWithTheTreeDecoder) {
+  // Every field kind (hostile doubles, a u64 above 2^53, escapes, an
+  // error cell), in the emitted layout, in compact form, with members
+  // reordered and with escaped keys, and every truncation of it.
+  const json::Value doc = report_to_json(synthetic_report());
+  const std::string text = json::dump(doc);
+  EXPECT_TRUE(oracle::expect_decoders_agree(text));
+  EXPECT_TRUE(oracle::expect_decoders_agree(json::dump_compact(doc)));
+  json::Value reordered = json::Value::object();
+  const auto& members = doc.members();
+  for (auto it = members.rbegin(); it != members.rend(); ++it) {
+    reordered.set(it->first, it->second);
+  }
+  EXPECT_TRUE(oracle::expect_decoders_agree(json::dump(reordered)));
+  std::string escaped = text;
+  const std::size_t key = escaped.find("\"scenario\"");
+  ASSERT_NE(key, std::string::npos);
+  escaped.replace(key, 10, "\"sc\\u0065nario\"");
+  EXPECT_TRUE(oracle::expect_decoders_agree(escaped));
+  for (std::size_t n = 0; n + 1 < text.size(); ++n) {  // all but the '\n'
+    EXPECT_FALSE(oracle::expect_decoders_agree(text.substr(0, n)));
+  }
+}
+
+TEST(ReportSerde, ErrorsNameTheFileTheCellAndTheKey) {
+  const std::string text = json::dump(report_to_json(synthetic_report()));
+  const auto error = [](const std::string& doc) {
+    try {
+      (void)parse_report(doc, "shard.json");
+    } catch (const Error& e) {
+      return std::string(e.what());
+    }
+    return std::string("<no error>");
+  };
+  std::string bad_type = text;
+  const std::size_t seed = bad_type.find("\"seed\": 2");
+  ASSERT_NE(seed, std::string::npos);
+  bad_type.replace(seed, 9, "\"seed\": true");
+  EXPECT_NE(error(bad_type).find(
+                "shard.json: cell #1: key \"seed\": expected unsigned "
+                "integer, got bool"),
+            std::string::npos)
+      << error(bad_type);
+  const std::string truncated = text.substr(0, text.find("6.5") + 2);
+  EXPECT_NE(error(truncated).find("shard.json: json: line "),
+            std::string::npos)
+      << error(truncated);
+  std::string repeated = text;
+  repeated.insert(repeated.find("\"method\""), "\"method\": \"x\", ");
+  EXPECT_NE(error(repeated).find("duplicate object key \"method\""),
+            std::string::npos)
+      << error(repeated);
 }
 
 // ------------------------------------------------------------- merge

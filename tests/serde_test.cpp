@@ -786,10 +786,10 @@ TEST(ObjectReader, ReportDecodeAllocationsDoNotGrowWithThetaLength) {
       cell.pareto_thetas.push_back(std::move(theta));
     }
     report.cells.push_back(std::move(cell));
-    const json::Value doc = report::report_to_json(report);
+    const std::string text = json::dump(report::report_to_json(report));
+    const std::string context = "a context long enough for the heap";
     const std::size_t before = t_allocations;
-    const exec::CampaignReport back =
-        report::report_from_json(doc, "a context long enough for the heap");
+    const exec::CampaignReport back = report::parse_report(text, context);
     const std::size_t count = t_allocations - before;
     EXPECT_EQ(back.cells[0].pareto_thetas[2].size(), theta_dim);
     return count;

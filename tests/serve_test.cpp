@@ -24,12 +24,14 @@
 #include "report/report_json.hpp"
 #include "scenario/scenario.hpp"
 #include "serde/json_util.hpp"
+#include "serde/plan.hpp"
 #include "serve/envelope.hpp"
 #include "serve/modes.hpp"
 #include "serve/protocol.hpp"
 #include "serve/server.hpp"
 #include "serve/snapshot.hpp"
 #include "serve/store.hpp"
+#include "report_oracle.hpp"
 
 namespace parmis::serve {
 namespace {
@@ -1209,6 +1211,51 @@ TEST(ReportSerdeFuzz, MutatedReportsLoadOrFailWithACleanError) {
   }
   EXPECT_GT(rejected, 10 * loaded);
   std::filesystem::remove(path);
+}
+
+TEST(ReportSerdeFuzz, ParseReportAgreesWithTheTreeDecoderOnEveryMutation) {
+  std::ostringstream os;
+  report::write_report(os, make_report());
+  EXPECT_TRUE(report::oracle::expect_decoders_agree(os.str()));
+  Rng rng(0x5EEDF023);
+  std::size_t inputs = 0;
+  for (const std::string& text : mutations(os.str(), rng, 400)) {
+    ++inputs;
+    report::oracle::expect_decoders_agree(text);
+  }
+  EXPECT_GE(inputs, os.str().size() + 400);
+}
+
+TEST(ReportSerdeFuzz, ParseReportAgreesWithTheTreeDecoderOnTheServeMixReport) {
+  // The report the serve-mix benchmark reloads: the method-matrix plan
+  // at 12 seeds from base seed 1 (408 cells, ~3.75 MB).
+  serde::CampaignPlan plan =
+      serde::load_plan(PARMIS_EXAMPLES_DIR "/plans/method_matrix.json");
+  plan.seeds_per_cell = 12;
+  plan.base_seed = 1;
+  plan.cache.dir.clear();
+  exec::CampaignConfig config =
+      serde::to_campaign_config(plan, serde::ScenarioCatalogue());
+  config.num_threads = 4;
+  const exec::CampaignReport run = exec::CampaignRunner(config).run();
+  ASSERT_EQ(run.cells.size(), 408u);
+  std::ostringstream os;
+  report::write_report(os, run);
+  const std::string text = os.str();
+  EXPECT_GT(text.size(), 3u << 20);
+  EXPECT_TRUE(report::oracle::expect_decoders_agree(text));
+  EXPECT_TRUE(report::oracle::same_report(report::parse_report(text, "mm"),
+                                          run));
+  // A few hostile edits of the full-size text as well.
+  Rng rng(0x5EEDF024);
+  for (int i = 0; i < 8; ++i) {
+    std::string flipped = text;
+    flipped[rng.uniform_index(flipped.size())] ^=
+        static_cast<char>(1u << rng.uniform_index(8));
+    report::oracle::expect_decoders_agree(flipped);
+    report::oracle::expect_decoders_agree(
+        text.substr(0, rng.uniform_index(text.size())));
+  }
 }
 
 }  // namespace
