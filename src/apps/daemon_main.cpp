@@ -1,5 +1,5 @@
 // campaign-daemon — long-running campaign orchestration server
-// speaking parmis-orch-v2 (newline-delimited JSON) over stdio or a
+// speaking parmis-orch-v3 (newline-delimited JSON) over stdio or a
 // local AF_UNIX socket.
 //
 // Examples:
@@ -50,22 +50,23 @@ void print_usage() {
          "                       [--max-attempts=A] [--threads=T]\n"
          "                       [--cache-dir=dir]\n"
          "                       [--work-dir=dir] [--campaign-bin=path]\n"
-         "                       [--lease-timeout-s=S]\n"
          "                       [--chunk-timeout-s=S]\n"
          "                       [--inject-kill-chunk=I] [--trace]\n"
          "                       [--metrics-out=path] [--metrics-prom=path]\n"
          "\n"
-         "Campaign orchestration server: one parmis-orch-v2 JSON\n"
+         "Campaign orchestration server: one parmis-orch-v3 JSON\n"
          "request per line in, one response per line out\n"
          "(docs/orchestration.md).  Default transport is stdin/stdout;\n"
          "--socket listens on a local stream socket instead, and\n"
          "--connect bridges stdio to a listening daemon.  Submitted\n"
          "plans run on a pool of campaign worker processes, one\n"
-         "chunk at a time, sharing --cache-dir.  --trace turns on\n"
-         "distributed observability for every job (per-submit\n"
-         "\"trace\" overrides): worker trace/metrics shards are\n"
-         "stitched into the job dir and rolled up into the daemon\n"
-         "registry (docs/observability.md).\n";
+         "chunk at a time, sharing --cache-dir; --chunk-timeout-s\n"
+         "kills a worker still running after S seconds and retries\n"
+         "its chunk.  --trace turns on distributed observability\n"
+         "for every job (per-submit \"trace\" overrides): worker\n"
+         "trace/metrics shards are stitched into the job dir and\n"
+         "rolled up into the daemon registry\n"
+         "(docs/observability.md).\n";
 }
 
 void write_metrics_artifacts(const parmis::CliArgs& args) {

@@ -12,7 +12,7 @@
 // also runs (src/orchestrate): the plan is tiled into `--chunks`
 // micro-shards, each executed as one `campaign --shard-index/--shard-count`
 // child process against the shared cache, handed out one chunk at a
-// time from the chunk queue (retries, expiry) and folded into a
+// time from the chunk queue (retries) and folded into a
 // streaming provisional merge.  Because every chunk is an ordinary
 // deterministic shard slice and the merge orders cells by slice index,
 // the final report is bit-identical to a single-process unsharded run
@@ -52,8 +52,7 @@ void print_usage() {
          "                       [--threads=T]\n"
          "                       [--cache-dir=dir] [--work-dir=dir]\n"
          "                       [--campaign-bin=path] [--out=path]\n"
-         "                       [--chunk-timeout-s=S]\n"
-         "                       [--lease-timeout-s=S] [--tables]\n"
+         "                       [--chunk-timeout-s=S] [--tables]\n"
          "                       [--analytics=path] [--csv=path]\n"
          "                       [--inject-kill-chunk=I] [--trace]\n"
          "\n"
@@ -62,10 +61,13 @@ void print_usage() {
          "worker processes, one chunk at a time with crash\n"
          "retries, and merges the results.  The merged report is\n"
          "bit-identical to an unsharded single-process run\n"
-         "(docs/orchestration.md).  --inject-kill-chunk SIGKILLs the\n"
-         "first attempt of one chunk to exercise the recovery path.\n"
-         "--trace collects per-worker trace and metrics shards and\n"
-         "stitches them into <job_dir>/stitched_trace.json and\n"
+         "(docs/orchestration.md).  --chunk-timeout-s kills a worker\n"
+         "still running after S seconds and retries its chunk: the\n"
+         "way a hung worker is recovered (default: no timeout).\n"
+         "--inject-kill-chunk SIGKILLs the first attempt of one\n"
+         "chunk to exercise the recovery path.  --trace collects\n"
+         "per-worker trace and metrics shards and stitches them into\n"
+         "<job_dir>/stitched_trace.json and\n"
          "<job_dir>/metrics_rollup.json (docs/observability.md).\n";
 }
 

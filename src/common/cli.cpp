@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <charconv>
+#include <cmath>
 #include <cstdlib>
 #include <filesystem>
 #include <iostream>
-#include <stdexcept>
 
 #include "common/error.hpp"
 
@@ -51,14 +51,16 @@ std::string CliArgs::get(const std::string& key,
 
 double CliArgs::get_double(const std::string& key, double fallback) const {
   const auto it = flags_.find(key);
-  if (it == flags_.end() || !it->second.has_value()) return fallback;
-  try {
-    return std::stod(*it->second);
-  } catch (const std::exception&) {
-    require(false, "flag --" + key + " expects a number, got '" +
-                       *it->second + "'");
-  }
-  return fallback;  // unreachable
+  if (it == flags_.end()) return fallback;
+  const std::string v = it->second.value_or("");
+  double value = 0.0;
+  const char* end = v.data() + v.size();
+  const auto [ptr, ec] = std::from_chars(v.data(), end, value);
+  // from_chars takes no leading '+' or space; "inf" and "nan" parse,
+  // so finiteness is checked separately.
+  require(ec == std::errc() && ptr == end && std::isfinite(value),
+          "flag --" + key + " expects a finite number, got '" + v + "'");
+  return value;
 }
 
 bool CliArgs::get_bool(const std::string& key, bool fallback) const {

@@ -33,9 +33,13 @@ class CliArgs {
   /// Returns the string value of a flag, or `fallback` if absent.
   std::string get(const std::string& key, const std::string& fallback) const;
 
-  /// Returns the flag parsed as double/bool, or `fallback` if absent.
-  /// Throws parmis::Error if the value is present but unparsable.
+  /// Returns the flag as a finite decimal number, or `fallback` if
+  /// absent.  Throws parmis::Error unless the whole value parses and is
+  /// finite: `2s`, `inf`, `1e400` and a bare `--key` are refused.
   double get_double(const std::string& key, double fallback) const;
+
+  /// Returns the flag as a boolean (a bare `--key` is true), or
+  /// `fallback` if absent.  Throws parmis::Error on any other word.
   bool get_bool(const std::string& key, bool fallback) const;
 
   /// Returns the flag as a decimal count, or `fallback` if absent.

@@ -54,14 +54,6 @@ CrossEntropyResult cross_entropy(const Vec& logits, std::size_t label) {
   return out;
 }
 
-Vec log_prob_gradient(const Vec& logits, std::size_t action) {
-  require(action < logits.size(), "log_prob_gradient: action out of range");
-  Vec grad = softmax(logits);
-  for (double& v : grad) v = -v;
-  grad[action] += 1.0;
-  return grad;
-}
-
 double softmax_entropy(const Vec& logits) {
   const Vec logp = log_softmax(logits);
   double h = 0.0;

@@ -35,10 +35,6 @@ struct CrossEntropyResult {
 };
 CrossEntropyResult cross_entropy(const Vec& logits, std::size_t label);
 
-/// Gradient of log pi(action) w.r.t. logits: onehot - softmax.  Used by
-/// REINFORCE (ascending log-likelihood scaled by advantage).
-Vec log_prob_gradient(const Vec& logits, std::size_t action);
-
 /// Entropy of softmax(logits) in nats (exploration bonus for RL).
 double softmax_entropy(const Vec& logits);
 

@@ -61,25 +61,9 @@ double variance(const Vec& a) {
 
 double stddev(const Vec& a) { return std::sqrt(variance(a)); }
 
-double min_element(const Vec& a) {
-  require(!a.empty(), "min_element: empty vector");
-  return *std::min_element(a.begin(), a.end());
-}
-
 double max_element(const Vec& a) {
   require(!a.empty(), "max_element: empty vector");
   return *std::max_element(a.begin(), a.end());
-}
-
-Vec linspace(double lo, double hi, std::size_t n) {
-  require(n >= 2, "linspace: need at least two points");
-  Vec out(n);
-  const double step = (hi - lo) / static_cast<double>(n - 1);
-  for (std::size_t i = 0; i < n; ++i) {
-    out[i] = lo + step * static_cast<double>(i);
-  }
-  out.back() = hi;  // avoid accumulated rounding at the endpoint
-  return out;
 }
 
 }  // namespace parmis::num

@@ -64,12 +64,8 @@ double variance(const Vec& a);
 /// Sample standard deviation.
 double stddev(const Vec& a);
 
-/// Minimum / maximum element; require non-empty input.
-double min_element(const Vec& a);
+/// Maximum element; requires non-empty input.
 double max_element(const Vec& a);
-
-/// Linearly spaced grid of `n >= 2` points covering [lo, hi] inclusive.
-Vec linspace(double lo, double hi, std::size_t n);
 
 }  // namespace parmis::num
 

@@ -211,6 +211,72 @@ struct MetricAcc {
   std::array<std::uint64_t, Histogram::kBuckets> buckets{};
 };
 
+/// Decoded metrics, in first-seen registration order.
+struct MetricAccs {
+  std::vector<std::string> order;
+  std::map<std::string, MetricAcc> by_name;
+};
+
+/// The one `parmis-metrics-v1` decoder: adds `doc`'s metrics into
+/// `accs` (counters sum, gauges max, histograms bucketwise).  `who`
+/// names the caller in metric-level errors and `context` the document
+/// in document-level ones.
+void decode_metrics(const json::Value& doc, const std::string& who,
+                    const std::string& context, MetricAccs& accs) {
+  serde::ObjectReader r(doc, context);
+  const std::string schema = r.get_string("schema");
+  require(schema == kMetricsSchema,
+          context + ": schema \"" + schema + "\" != \"" + kMetricsSchema +
+              "\"");
+  const json::Value& metrics = r.require_key("metrics");
+  require(metrics.is_object(), context + ": \"metrics\" not an object");
+  r.finish();
+
+  for (const auto& [name, body] : metrics.members()) {
+    serde::ObjectReader b(body, who + ": metric \"" + name + "\"");
+    const std::string type = b.get_string("type");
+    const std::string help = b.get_string("help", "");
+    const auto [it, first_seen] = accs.by_name.try_emplace(name);
+    MetricAcc& acc = it->second;
+    if (first_seen) {
+      accs.order.push_back(name);
+      acc.type = type;
+    } else {
+      require(acc.type == type,
+              who + ": \"" + name + "\" is a " + acc.type +
+                  " in one shard and a " + type + " in another");
+    }
+    if (acc.help.empty()) acc.help = help;
+    if (type == "counter") {
+      acc.counter += b.get_u64("value");
+    } else if (type == "gauge") {
+      const std::int64_t g =
+          i64_from_json(b.require_key("value"), b.context());
+      // Max, not last: a fleet has no single "latest" level, and max
+      // is the one aggregate independent of worker exit order.
+      acc.gauge = acc.gauge_seen ? std::max(acc.gauge, g) : g;
+      acc.gauge_seen = true;
+    } else if (type == "histogram") {
+      b.get_u64("count");  // recomputed from the buckets
+      acc.hist_sum += b.get_u64("sum");
+      const json::Value& buckets = b.require_key("buckets");
+      require(buckets.is_array(),
+              b.context() + ": \"buckets\" not an array");
+      for (const json::Value& bucket : buckets.items()) {
+        serde::ObjectReader br(bucket, b.context() + ": bucket");
+        const std::uint64_t le = br.get_u64("le");
+        const std::uint64_t n = br.get_u64("count");
+        br.finish();
+        acc.buckets[bucket_index_of_bound(le, b.context())] += n;
+      }
+    } else {
+      throw Error(who + ": \"" + name + "\" has unknown type \"" + type +
+                  "\"");
+    }
+    b.finish();
+  }
+}
+
 }  // namespace
 
 // ---------------------------------------------------------- TraceContext
@@ -475,70 +541,17 @@ json::Value stitch_traces(const std::vector<json::Value>& shards) {
 // --------------------------------------------------------- merge_metrics
 
 json::Value merge_metrics(const std::vector<json::Value>& shards) {
-  std::vector<std::string> order;
-  std::map<std::string, MetricAcc> accs;
-
+  MetricAccs accs;
   for (std::size_t i = 0; i < shards.size(); ++i) {
-    serde::ObjectReader r(shards[i],
-                          "metrics rollup: shard " + std::to_string(i));
-    const std::string schema = r.get_string("schema");
-    require(schema == kMetricsSchema,
-            r.context() + ": schema \"" + schema + "\" != \"" +
-                kMetricsSchema + "\"");
-    const json::Value& metrics = r.require_key("metrics");
-    require(metrics.is_object(), r.context() + ": \"metrics\" not an object");
-    r.finish();
-
-    for (const auto& [name, body] : metrics.members()) {
-      serde::ObjectReader b(body, "metrics rollup: metric \"" + name + "\"");
-      const std::string type = b.get_string("type");
-      const std::string help = b.get_string("help", "");
-      const auto [it, first_seen] = accs.try_emplace(name);
-      MetricAcc& acc = it->second;
-      if (first_seen) {
-        order.push_back(name);
-        acc.type = type;
-      } else {
-        require(acc.type == type,
-                "metrics rollup: \"" + name + "\" is a " + acc.type +
-                    " in one shard and a " + type + " in another");
-      }
-      if (acc.help.empty()) acc.help = help;
-      if (type == "counter") {
-        acc.counter += b.get_u64("value");
-      } else if (type == "gauge") {
-        const std::int64_t g =
-            i64_from_json(b.require_key("value"), b.context());
-        // Max, not last: a fleet has no single "latest" level, and max
-        // is the one aggregate independent of worker exit order.
-        acc.gauge = acc.gauge_seen ? std::max(acc.gauge, g) : g;
-        acc.gauge_seen = true;
-      } else if (type == "histogram") {
-        b.get_u64("count");  // recomputed from buckets below
-        acc.hist_sum += b.get_u64("sum");
-        const json::Value& buckets = b.require_key("buckets");
-        require(buckets.is_array(),
-                b.context() + ": \"buckets\" not an array");
-        for (const json::Value& bucket : buckets.items()) {
-          serde::ObjectReader br(bucket, b.context() + ": bucket");
-          const std::uint64_t le = br.get_u64("le");
-          const std::uint64_t n = br.get_u64("count");
-          br.finish();
-          acc.buckets[bucket_index_of_bound(le, b.context())] += n;
-        }
-      } else {
-        throw Error("metrics rollup: \"" + name + "\" has unknown type \"" +
-                    type + "\"");
-      }
-      b.finish();
-    }
+    decode_metrics(shards[i], "metrics rollup",
+                   "metrics rollup: shard " + std::to_string(i), accs);
   }
 
   json::Value doc = json::Value::object();
   doc.set("schema", json::Value::string(kMetricsSchema));
   json::Value metrics = json::Value::object();
-  for (const std::string& name : order) {
-    const MetricAcc& acc = accs[name];
+  for (const std::string& name : accs.order) {
+    const MetricAcc& acc = accs.by_name.at(name);
     json::Value m = json::Value::object();
     m.set("type", json::Value::string(acc.type));
     if (!acc.help.empty()) m.set("help", json::Value::string(acc.help));
@@ -570,44 +583,22 @@ json::Value merge_metrics(const std::vector<json::Value>& shards) {
 // ---------------------------------------- fold_metrics_into_registry
 
 void fold_metrics_into_registry(const json::Value& doc, Registry& registry) {
-  serde::ObjectReader r(doc, "metrics fold");
-  const std::string schema = r.get_string("schema");
-  require(schema == kMetricsSchema,
-          "metrics fold: schema \"" + schema + "\" != \"" + kMetricsSchema +
-              "\"");
-  const json::Value& metrics = r.require_key("metrics");
-  require(metrics.is_object(), "metrics fold: \"metrics\" not an object");
-  r.finish();
-
-  for (const auto& [name, body] : metrics.members()) {
-    serde::ObjectReader b(body, "metrics fold: metric \"" + name + "\"");
-    const std::string type = b.get_string("type");
-    const std::string help = b.get_string("help", "");
-    if (type == "counter") {
-      registry.counter(name, help).add(b.get_u64("value"));
-    } else if (type == "gauge") {
-      // Skipped by design: a finished worker's level is history, not a
-      // live reading — folding it would freeze stale levels into the
-      // daemon's gauges.  Consume the key so finish() stays strict.
-      i64_from_json(b.require_key("value"), b.context());
-    } else if (type == "histogram") {
-      Histogram& h = registry.histogram(name, help);
-      b.get_u64("count");  // implied by the buckets
-      h.add_sum(b.get_u64("sum"));
-      const json::Value& buckets = b.require_key("buckets");
-      require(buckets.is_array(), b.context() + ": \"buckets\" not an array");
-      for (const json::Value& bucket : buckets.items()) {
-        serde::ObjectReader br(bucket, b.context() + ": bucket");
-        const std::uint64_t le = br.get_u64("le");
-        const std::uint64_t n = br.get_u64("count");
-        br.finish();
-        h.add_bucket_count(bucket_index_of_bound(le, b.context()), n);
+  MetricAccs accs;
+  decode_metrics(doc, "metrics fold", "metrics fold", accs);
+  for (const std::string& name : accs.order) {
+    const MetricAcc& acc = accs.by_name.at(name);
+    if (acc.type == "counter") {
+      registry.counter(name, acc.help).add(acc.counter);
+    } else if (acc.type == "histogram") {
+      Histogram& h = registry.histogram(name, acc.help);
+      h.add_sum(acc.hist_sum);
+      for (std::size_t k = 0; k < Histogram::kBuckets; ++k) {
+        if (acc.buckets[k] != 0) h.add_bucket_count(k, acc.buckets[k]);
       }
-    } else {
-      throw Error("metrics fold: \"" + name + "\" has unknown type \"" +
-                  type + "\"");
     }
-    b.finish();
+    // Gauges are skipped by design: a finished worker's level is
+    // history, not a live reading — folding it would freeze stale
+    // levels into the daemon's gauges.
   }
 }
 

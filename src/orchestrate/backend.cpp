@@ -110,8 +110,8 @@ ChunkOutcome ProcessBackend::run_chunk(std::size_t index,
 
   if (attempt > 0 && !cfg_.cache_dir.empty()) {
     // Failed-worker detection: replay the chunk purely from the shared
-    // cache.  Success means the dead worker (or a concurrent
-    // duplicate) already computed every cell — the probe regenerated
+    // cache.  Success means the dead worker (or another job sharing
+    // the cache) already computed every cell — the probe regenerated
     // the digest-verified report without re-running anything.
     if (run_child(index, count, attempt, /*require_cached=*/true,
                   report_path, abort) == 0) {

@@ -10,8 +10,8 @@
 //     so workers are crash-isolated processes and every result goes
 //     through the digest-verified report serde on the way back in.  On
 //     a retry it first runs a `--require-cached` probe: if the failed
-//     worker (or a concurrent duplicate) had already computed the
-//     cells into the shared cache, the probe regenerates the chunk
+//     worker (or another job sharing the cache) had already computed
+//     the cells into the shared cache, the probe regenerates the chunk
 //     report from cache without recomputing anything — the
 //     failed-worker detection the lease table's retry path relies on.
 //

@@ -9,27 +9,23 @@
 //   - a failed grant is requeued with its attempt count bumped, up to
 //     `max_attempts` total tries per chunk; a chunk that exhausts the
 //     budget marks the whole table failed (first error retained), and
-//     the rest still drain;
-//   - with `lease_timeout_ms` set, a grant that is not answered in
-//     time expires: its chunk is requeued as a retry.
+//     the rest still drain.
 //
-// A grant is identified by (chunk, attempt).  An answer whose attempt
-// no longer matches the chunk's current one comes from a grant that
-// expired and was re-issued: its fail() is ignored, and its complete()
-// is accepted like any other.  Correctness never depends on the
-// assignment: every chunk is an existing `--shard-index/--shard-count`
-// invocation, cells are pure functions of the plan, and cache writes
-// are atomic, so duplicated execution is benign — both runs produce
-// identical bytes, and completion is idempotent here.  The strict
-// merge of all chunk reports therefore equals the unsharded run bit
-// for bit *whatever* order this table granted in.
+// A grant is identified by (chunk, attempt) and is answered exactly
+// once, by the worker that holds it: the queue never revokes a grant.
+// A hung worker is recovered by its backend instead (ProcessBackend's
+// `chunk_timeout_ms` kills the child, and the grant fails).
+// Correctness never depends on the assignment: every chunk is an
+// existing `--shard-index/--shard-count` invocation and cells are pure
+// functions of the plan, so the strict merge of all chunk reports
+// equals the unsharded run bit for bit *whatever* order this table
+// granted in.
 //
 // Thread-safe; next() blocks until work is available, the table drains
 // (all chunks done or exhausted), or cancel() is called.
 #ifndef PARMIS_ORCHESTRATE_LEASE_HPP
 #define PARMIS_ORCHESTRATE_LEASE_HPP
 
-#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
@@ -58,8 +54,7 @@ struct LeaseTableStats {
   /// Always 0: the queue never steals.  Kept only because the
   /// repository benchmark (perfbench) reads it.
   std::uint64_t steals = 0;
-  std::uint64_t retries = 0;        ///< failed/expired grants requeued
-  std::uint64_t expiries = 0;       ///< grants revoked by deadline
+  std::uint64_t retries = 0;        ///< failed grants requeued
 };
 
 class LeaseTable {
@@ -67,7 +62,6 @@ class LeaseTable {
   struct Config {
     std::size_t chunks = 1;        ///< total chunks (>= 1)
     std::size_t max_attempts = 3;  ///< total tries per chunk (>= 1)
-    std::uint64_t lease_timeout_ms = 0;  ///< 0 = grants never expire
   };
 
   explicit LeaseTable(Config config);
@@ -76,18 +70,16 @@ class LeaseTable {
   /// drained or cancelled; the worker exits.
   std::optional<Grant> next();
 
-  /// Marks the grant's chunk done.  Idempotent, and accepted from a
-  /// stale grant too: chunk outputs are deterministic, so whichever
-  /// run landed first wrote the same bytes.
+  /// Marks the grant's chunk done.  Like fail(), throws parmis::Error
+  /// unless `grant` is one next() made and nobody answered yet.
   void complete(const Grant& grant);
 
   /// Marks the grant failed: the chunk is requeued with attempt + 1,
-  /// or exhausted once `max_attempts` tries are spent.  Ignored for a
-  /// stale grant (its expiry already requeued the chunk).
+  /// or exhausted once `max_attempts` tries are spent.
   void fail(const Grant& grant, const std::string& error);
 
-  /// Unblocks every next() caller with nullopt; in-flight grants may
-  /// still be answered (answers are ignored where moot).
+  /// Unblocks every next() caller with nullopt; in-flight grants are
+  /// still answered.
   void cancel();
 
   LeaseTableStats stats() const;
@@ -99,19 +91,18 @@ class LeaseTable {
   std::string first_error() const;
 
  private:
-  using Clock = std::chrono::steady_clock;
   enum class ChunkState : std::uint8_t { Queued, Running, Done, Exhausted };
 
   Grant grant_locked(std::size_t chunk);
-  void requeue_locked(std::size_t chunk, const std::string& error);
-  void expire_locked(Clock::time_point now);
+  /// Ends `grant`'s run; throws parmis::Error unless it is the chunk's
+  /// unanswered grant.
+  void answer_locked(const Grant& grant);
 
   mutable std::mutex mu_;
   std::condition_variable cv_;
   Config cfg_;
   std::vector<ChunkState> state_;
-  std::vector<std::size_t> attempts_;      ///< current attempt per chunk
-  std::vector<Clock::time_point> deadline_;  ///< of the running grant
+  std::vector<std::size_t> attempts_;  ///< current attempt per chunk
   std::size_t fresh_next_ = 0;      ///< [fresh_next_, chunks) never granted
   std::deque<std::size_t> retry_;   ///< requeued chunks, FIFO
   std::size_t running_ = 0;

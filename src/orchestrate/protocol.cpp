@@ -27,9 +27,12 @@ std::optional<std::size_t> optional_size(serde::ObjectReader& reader,
 }
 
 std::uint64_t millis_flag(const CliArgs& args, const std::string& key) {
-  const double seconds = args.get_double(key, 0.0);
-  require(seconds >= 0.0, "--" + key + " must not be negative");
-  return static_cast<std::uint64_t>(seconds * 1000.0);
+  const double millis = args.get_double(key, 0.0) * 1000.0;
+  // 2^64 is the first double past the uint64 range; the cast below is
+  // only defined under it.
+  require(millis >= 0.0 && millis < 18446744073709551616.0,
+          "--" + key + " must be at least 0 and under 2^64 ms");
+  return static_cast<std::uint64_t>(millis);
 }
 
 /// Paths in `dir` ending in `suffix`, re-sorted lexicographically —
@@ -151,7 +154,6 @@ JobManager::JobInfo JobManager::submit(const serde::CampaignPlan& plan,
   jc.workers = workers;
   jc.chunks = chunks;
   jc.max_attempts = max_attempts;
-  jc.lease_timeout_ms = defaults_.lease_timeout_ms;
   jc.provisional_path = job->provisional_path;
   jc.obs_prefix = "parmis_orch_job" + std::to_string(job->id);
   jc.job_id = job->id;
@@ -289,10 +291,9 @@ void JobManager::shutdown() {
 }
 
 const std::vector<std::string> kPoolFlags = {
-    "workers",         "chunks",          "max-attempts",
-    "threads",         "work-dir",        "campaign-bin",
-    "cache-dir",       "lease-timeout-s", "chunk-timeout-s",
-    "inject-kill-chunk", "trace"};
+    "workers", "chunks", "max-attempts", "threads", "work-dir",
+    "campaign-bin", "cache-dir", "chunk-timeout-s", "inject-kill-chunk",
+    "trace"};
 
 JobManager::Defaults defaults_from_flags(const CliArgs& args,
                                          const std::string& argv0,
@@ -306,7 +307,6 @@ JobManager::Defaults defaults_from_flags(const CliArgs& args,
   defaults.campaign_bin =
       args.get("campaign-bin", sibling_binary(argv0, "campaign"));
   defaults.cache_dir = args.get("cache-dir", "");
-  defaults.lease_timeout_ms = millis_flag(args, "lease-timeout-s");
   defaults.chunk_timeout_ms = millis_flag(args, "chunk-timeout-s");
   if (args.has("inject-kill-chunk")) {
     defaults.inject_kill_chunk = args.get_count("inject-kill-chunk", 0);
@@ -334,7 +334,6 @@ json::Value OrchSession::job_body(const JobManager::JobInfo& info) const {
   body.set("chunks_exhausted",
            serde::u64_to_json(p.stats.chunks_exhausted));
   body.set("retries", serde::u64_to_json(p.stats.retries));
-  body.set("expiries", serde::u64_to_json(p.stats.expiries));
   body.set("provisional_merges",
            serde::u64_to_json(p.provisional_merges));
   body.set("chunks_recovered", serde::u64_to_json(p.chunks_recovered));

@@ -1,4 +1,4 @@
-// parmis-orch-v2: newline-delimited JSON control protocol for the
+// parmis-orch-v3: newline-delimited JSON control protocol for the
 // orchestration daemon, plus the job manager behind it.
 //
 // One request per line in, one response per line out, over the same
@@ -61,7 +61,7 @@ namespace parmis::orchestrate {
 
 /// Protocol version announced by ping; bumps follow the plan/report
 /// schema policy (docs/orchestration.md).
-inline constexpr const char* kOrchProtocol = "parmis-orch-v2";
+inline constexpr const char* kOrchProtocol = "parmis-orch-v3";
 
 class JobManager {
  public:
@@ -71,7 +71,8 @@ class JobManager {
     std::size_t workers = 3;
     std::size_t chunks = 0;        ///< 0 = 4 per worker (cell-clamped)
     std::size_t max_attempts = 3;
-    std::uint64_t lease_timeout_ms = 0;
+    /// ProcessBackend's per-chunk timeout: a worker still running
+    /// after this many ms is killed and its grant fails (0 = none).
     std::uint64_t chunk_timeout_ms = 0;
     std::size_t threads_per_worker = 1;
     std::string work_dir = ".parmis-orch";
@@ -180,9 +181,8 @@ class JobManager {
 /// Manager defaults from the pool flags both orchestration CLIs take:
 /// --workers, --chunks, --max-attempts, --threads, --work-dir (default
 /// `work_dir`), --campaign-bin (default: `campaign` next to `argv0`),
-/// --cache-dir, --lease-timeout-s, --chunk-timeout-s,
-/// --inject-kill-chunk and --trace.  Throws parmis::Error on a
-/// negative or malformed value.
+/// --cache-dir, --chunk-timeout-s, --inject-kill-chunk and --trace.
+/// Throws parmis::Error on a negative or malformed value.
 JobManager::Defaults defaults_from_flags(const CliArgs& args,
                                          const std::string& argv0,
                                          const std::string& work_dir);
@@ -190,7 +190,7 @@ JobManager::Defaults defaults_from_flags(const CliArgs& args,
 /// Every flag defaults_from_flags reads, for require_known_flags.
 extern const std::vector<std::string> kPoolFlags;
 
-/// One parmis-orch-v2 session over a JobManager (see file comment).
+/// One parmis-orch-v3 session over a JobManager (see file comment).
 /// Binds to serve::LineHandler; never throws on bad input.
 class OrchSession {
  public:

@@ -32,7 +32,7 @@ const char* job_state_name(JobProgress::State state) {
 JobRunner::JobRunner(ChunkBackend& backend, JobConfig config)
     : backend_(backend),
       cfg_(std::move(config)),
-      table_({cfg_.chunks, cfg_.max_attempts, cfg_.lease_timeout_ms}) {
+      table_({cfg_.chunks, cfg_.max_attempts}) {
   require(cfg_.workers >= 1, "orchestrate: workers must be >= 1");
 }
 
@@ -63,21 +63,21 @@ void JobRunner::fold_in(std::size_t chunk, exec::CampaignReport&& report) {
                       static_cast<unsigned long long>(cfg_.job_id),
                       static_cast<unsigned long long>(chunk));
   std::lock_guard<std::mutex> lock(mu_);
-  // A stale grant can complete a chunk that a retry already merged;
-  // merging it twice would (correctly) trip the overlap check, so
-  // duplicates are dropped here — the bytes are identical anyway.
-  if (!merged_chunks_.insert(chunk).second) return;
   report::MergeOptions lax;
   lax.strict = false;
+  // The provisional goes in as a copy and is replaced only once the
+  // merge and its save succeed: a rejected chunk fails its attempt and
+  // leaves the provisional as it was, so the retry merges cleanly.
   std::vector<exec::CampaignReport> inputs;
-  if (provisional_.has_value()) inputs.push_back(std::move(*provisional_));
+  if (provisional_.has_value()) inputs.push_back(*provisional_);
   inputs.push_back(std::move(report));
-  provisional_ = report::merge(std::move(inputs), lax);
+  exec::CampaignReport merged = report::merge(std::move(inputs), lax);
+  if (!cfg_.provisional_path.empty()) {
+    report::save_report(cfg_.provisional_path, merged);
+  }
+  provisional_ = std::move(merged);
   ++provisional_merges_;
   PARMIS_COUNTER_ADD("parmis_orch_provisional_merges_total", 1);
-  if (!cfg_.provisional_path.empty()) {
-    report::save_report(cfg_.provisional_path, *provisional_);
-  }
 }
 
 void JobRunner::worker_loop() {
@@ -94,6 +94,18 @@ void JobRunner::worker_loop() {
       outcome = backend_.run_chunk(grant->chunk, cfg_.chunks,
                                    grant->attempt, abort_);
     }
+    if (outcome.ok) {
+      try {
+        fold_in(grant->chunk, std::move(outcome.report));
+      } catch (const std::exception& e) {
+        // A chunk report the merge rejects (wrong campaign hash after
+        // a plan edit race, bad tiling, a chunk merged twice) or a
+        // provisional file that cannot be written is a failed
+        // attempt, not a scheduler crash.
+        outcome.ok = false;
+        outcome.error = std::string("cannot merge chunk: ") + e.what();
+      }
+    }
     {
       std::lock_guard<std::mutex> lock(mu_);
       AttemptRecord rec;
@@ -106,22 +118,9 @@ void JobRunner::worker_loop() {
       rec.trace_path = outcome.trace_path;
       rec.metrics_path = outcome.metrics_path;
       attempts_.push_back(std::move(rec));
+      if (outcome.ok && outcome.recovered_from_cache) ++chunks_recovered_;
     }
     if (outcome.ok) {
-      try {
-        fold_in(grant->chunk, std::move(outcome.report));
-      } catch (const std::exception& e) {
-        // A chunk report the merge rejects (wrong campaign hash after
-        // a plan edit race, bad tiling) is a failed attempt, not a
-        // scheduler crash.
-        table_.fail(*grant, std::string("merge rejected chunk: ") +
-                                e.what());
-        continue;
-      }
-      if (outcome.recovered_from_cache) {
-        std::lock_guard<std::mutex> lock(mu_);
-        ++chunks_recovered_;
-      }
       table_.complete(*grant);
       PARMIS_COUNTER_ADD("parmis_orch_chunks_completed_total", 1);
     } else {

@@ -1,7 +1,7 @@
 // Job scheduler: a worker pool draining a LeaseTable through a
 // ChunkBackend, streaming provisional merges as chunks land.
 //
-// One JobRunner is one campaign: it owns the lease table, spawns
+// One JobRunner is one campaign: it owns the chunk queue, spawns
 // `workers` supervisor threads (each thread drives one worker slot —
 // for the process backend that means one child campaign process at a
 // time), and folds every completed chunk report into a running
@@ -11,6 +11,12 @@
 // bit-identical to a single-process unsharded run regardless of worker
 // count, grant order, retries, or killed workers (the headline
 // guarantee; see lease.hpp for why the schedule cannot matter).
+//
+// Each grant is answered once, by the slot that holds it: a chunk
+// report the merge rejects (a wrong campaign, a chunk merged twice),
+// or a provisional file that cannot be written, fails that attempt and
+// leaves the provisional as it was.  A hung worker is the backend's to
+// end (ProcessBackend's chunk timeout).
 //
 // Failure semantics: a chunk that exhausts its retry budget marks the
 // job failed, but the pool still drains the remaining chunks, so the
@@ -24,7 +30,6 @@
 #include <cstdint>
 #include <mutex>
 #include <optional>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -38,7 +43,6 @@ struct JobConfig {
   std::size_t workers = 2;
   std::size_t chunks = 1;        ///< tiling size (resolved by caller)
   std::size_t max_attempts = 3;
-  std::uint64_t lease_timeout_ms = 0;  ///< 0 = grants never expire
   /// Non-empty: every provisional merge is atomically written here (and
   /// the final report too), so observers can load a digest-verified
   /// snapshot of the campaign-so-far at any time.
@@ -130,7 +134,6 @@ class JobRunner {
   mutable std::mutex mu_;
   JobProgress::State state_ = JobProgress::State::Pending;
   std::optional<exec::CampaignReport> provisional_;
-  std::set<std::size_t> merged_chunks_;  ///< dedups zombie completions
   std::uint64_t provisional_merges_ = 0;
   std::uint64_t chunks_recovered_ = 0;
   double wall_s_ = 0.0;

@@ -65,9 +65,17 @@ void ChildProcess::spawn(const SpawnSpec& spec) {
 int ChildProcess::wait(std::uint64_t timeout_ms,
                        const std::atomic<bool>* abort) {
   require(pid_ > 0 && !reaped_, "subprocess: nothing to wait for");
-  const auto deadline =
-      std::chrono::steady_clock::now() +
-      std::chrono::milliseconds(timeout_ms > 0 ? timeout_ms : 0);
+  // Elapsed time is compared against the timeout rather than a
+  // deadline computed up front, which would overflow the clock for a
+  // timeout of centuries.
+  const auto start = std::chrono::steady_clock::now();
+  const auto timed_out = [&] {
+    using std::chrono::milliseconds;
+    const auto elapsed = std::chrono::duration_cast<milliseconds>(
+        std::chrono::steady_clock::now() - start);
+    return timeout_ms > 0 &&
+           static_cast<std::uint64_t>(elapsed.count()) >= timeout_ms;
+  };
   bool killed = false;
   for (;;) {
     int status = 0;
@@ -80,8 +88,7 @@ int ChildProcess::wait(std::uint64_t timeout_ms,
       return 128;
     }
     if (!killed &&
-        ((abort != nullptr && abort->load()) ||
-         (timeout_ms > 0 && std::chrono::steady_clock::now() >= deadline))) {
+        ((abort != nullptr && abort->load()) || timed_out())) {
       ::kill(pid_, SIGKILL);
       killed = true;  // keep polling; the SIGKILL resolves the wait
     }

@@ -1,5 +1,5 @@
 // The NDJSON response envelope of the line protocols (parmis-serve-v1
-// and parmis-orch-v2).
+// and parmis-orch-v3).
 //
 // Every response line is one compact JSON object:
 //

@@ -32,16 +32,25 @@ std::shared_ptr<const Snapshot> PolicyStore::build_and_install(
 
 void PolicyStore::install(std::shared_ptr<Snapshot> snapshot) {
   require(snapshot != nullptr, "serve: cannot install a null snapshot");
-  // fetch_add orders concurrent installers: each gets a distinct
-  // generation, and the slot always holds some fully built snapshot.
-  snapshot->generation = installs_.fetch_add(1) + 1;
-  PARMIS_GAUGE_SET("parmis_serve_snapshot_generation", snapshot->generation);
-  current_.store(std::shared_ptr<const Snapshot>(std::move(snapshot)));
+  // One lock orders concurrent installers: each gets a distinct
+  // generation, and the slot always holds the newest one.  The
+  // replaced snapshot is released after the lock, so a reader never
+  // waits for its destruction.
+  std::shared_ptr<const Snapshot> replaced;
+  std::uint64_t generation = 0;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    generation = ++installs_;
+    snapshot->generation = generation;
+    replaced = std::exchange(current_, std::move(snapshot));
+  }
+  PARMIS_GAUGE_SET("parmis_serve_snapshot_generation", generation);
   PARMIS_COUNTER_ADD("parmis_serve_hot_swaps_total", 1);
 }
 
 std::shared_ptr<const Snapshot> PolicyStore::acquire() const {
-  return current_.load();
+  std::lock_guard<std::mutex> lock(mu_);
+  return current_;
 }
 
 std::shared_ptr<const Snapshot> PolicyStore::require_snapshot() const {
@@ -50,6 +59,9 @@ std::shared_ptr<const Snapshot> PolicyStore::require_snapshot() const {
   return snap;
 }
 
-std::uint64_t PolicyStore::generation() const { return installs_.load(); }
+std::uint64_t PolicyStore::generation() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return installs_;
+}
 
 }  // namespace parmis::serve

@@ -1,21 +1,22 @@
 // Hot-swappable snapshot holder: the serving layer's one mutable cell.
 //
 // All serving state lives in immutable Snapshots (snapshot.hpp); the
-// store owns a single atomic std::shared_ptr<const Snapshot> slot.
-// Readers acquire() the current snapshot once per batch and then work
-// entirely on their private pointer; install() publishes a replacement
-// with one atomic exchange.  A swap therefore never blocks an
-// in-flight batch and never changes its results — readers keep (and
-// keep alive, via shared ownership) the exact snapshot they started
-// with, and the old snapshot is destroyed only when its last batch
-// drops it.  This is the classic read-copy-update shape: rebuild cost
-// on the (rare) writer, a pointer load on the (hot) reader.
+// store owns a single std::shared_ptr<const Snapshot> slot behind a
+// mutex.  Readers acquire() the current snapshot once per batch (one
+// lock, one pointer copy) and then work entirely on their private
+// pointer; install() publishes a replacement under the same lock.  A
+// swap therefore never waits for an in-flight batch and never changes
+// its results — readers keep (and keep alive, via shared ownership)
+// the exact snapshot they started with, and the old snapshot is
+// destroyed only when its last batch drops it.  This is the classic
+// read-copy-update shape: rebuild cost on the (rare) writer, a
+// pointer copy on the (hot) reader.
 #ifndef PARMIS_SERVE_STORE_HPP
 #define PARMIS_SERVE_STORE_HPP
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -45,12 +46,12 @@ class PolicyStore {
       const std::vector<exec::CampaignReport>& reports,
       const std::vector<std::string>& source_names);
 
-  /// Publishes `snapshot` (stamping the next generation) with one
-  /// atomic exchange; in-flight readers are unaffected.
+  /// Publishes `snapshot`, stamping the next generation; in-flight
+  /// readers are unaffected.
   void install(std::shared_ptr<Snapshot> snapshot);
 
   /// Current snapshot, or nullptr before the first install.  One
-  /// atomic load; hold the result for the whole batch.
+  /// lock; hold the result for the whole batch.
   std::shared_ptr<const Snapshot> acquire() const;
 
   /// acquire() that throws parmis::Error when nothing is installed.
@@ -61,8 +62,9 @@ class PolicyStore {
 
  private:
   ModeRegistry modes_;
-  std::atomic<std::shared_ptr<const Snapshot>> current_;
-  std::atomic<std::uint64_t> installs_{0};
+  mutable std::mutex mu_;
+  std::shared_ptr<const Snapshot> current_;  ///< guarded by mu_
+  std::uint64_t installs_ = 0;               ///< guarded by mu_
 };
 
 }  // namespace parmis::serve

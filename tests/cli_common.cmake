@@ -58,7 +58,8 @@ endfunction()
 
 # expect_rejected(<binary> <arg>...): the binary refuses the arguments
 # before doing any work: a non-zero exit, nothing on stdout and one
-# line on stderr, which is left in ${rejected_err}.  Stdin is empty, so
+# line on stderr, which is left in ${rejected_err} (the exit status in
+# ${rejected_rc}).  Stdin is empty, so
 # a server that failed to refuse ends at once instead of waiting for
 # requests.
 function(expect_rejected binary)
@@ -80,4 +81,5 @@ function(expect_rejected binary)
   endif()
   message(STATUS "${ARGN} -> ${err}")
   set(rejected_err "${err}" PARENT_SCOPE)
+  set(rejected_rc "${rc}" PARENT_SCOPE)
 endfunction()

@@ -8,10 +8,17 @@
 #
 #   * a single-process run at --threads=1,
 #   * a --threads=4 --compare-threads run (1 vs 4 threads in one process),
-#   * a --require-cached replay against the launcher's cache.
+#   * a --require-cached replay against the launcher's cache,
+#   * the results of a traced campaign-daemon job over --socket, driven
+#     through campaign-daemon --connect: ping answers parmis-orch-v3,
+#     and the same plan, submitted with chunk 0's first attempt killed
+#     against the warm launch cache, settles "done" with a retry.
+#     `quit` then ends the daemon.
 #
 # campaign-launch, campaign-daemon and campaign-trace-merge each refuse
-# an unknown flag before doing any work.
+# an unknown flag before doing any work, and both orchestration CLIs
+# refuse a --chunk-timeout-s that is not a finite number of seconds
+# under 2^64 ms, and the removed --lease-timeout-s, with exit 1.
 #
 #   cmake -DCAMPAIGN=path/to/campaign -DLAUNCH=path/to/campaign-launch \
 #         -DDAEMON=path/to/campaign-daemon \
@@ -69,3 +76,90 @@ endif()
 expect_rejected("${LAUNCH}" ${plan} --workers=-1)
 expect_rejected("${DAEMON}" --workerz=2)
 expect_rejected("${TRACE_MERGE}" --dirr=launch-work --out=stitched.json)
+
+# Timeouts are one finite number of seconds: a unit, a bare flag, a
+# non-finite value, a negative one or one past 2^64 ms is refused, and
+# so is the removed --lease-timeout-s.
+foreach(bad --chunk-timeout-s=2s --chunk-timeout-s --chunk-timeout-s=inf
+        --chunk-timeout-s=nan --chunk-timeout-s=-1 --chunk-timeout-s=1e300
+        --lease-timeout-s=1)
+  expect_rejected("${LAUNCH}" ${plan} --work-dir=timeout-work ${bad})
+  set(launch_rc "${rejected_rc}")
+  expect_rejected("${DAEMON}" --work-dir=timeout-work ${bad})
+  if(NOT launch_rc EQUAL 1 OR NOT rejected_rc EQUAL 1)
+    message(FATAL_ERROR "${bad}: want exit 1 from both CLIs, got "
+                        "${launch_rc} and ${rejected_rc}")
+  endif()
+endforeach()
+if(EXISTS "${WORK_DIR}/timeout-work")
+  message(FATAL_ERROR "a work dir was made despite a bad timeout flag")
+endif()
+
+# ---------------------------------------------------------------- daemon
+# The daemon runs in the background of one shell; the client waits for
+# its socket file, pings, submits, polls the job until it settles, asks
+# for its results, and quit shuts the daemon down.
+execute_process(
+  COMMAND sh -c [=[
+    "$1" --socket=orch.sock --workers=2 --chunks=4 --inject-kill-chunk=0 \
+      --campaign-bin="$2" --cache-dir=launch-cache --work-dir=daemon-work \
+      --trace 2> daemon_server.err &
+    server=$!
+    i=0
+    while [ ! -S orch.sock ] && [ $i -lt 400 ]; do
+      sleep 0.05
+      i=$((i + 1))
+    done
+    ask() { printf '%s\n' "$1" | "$2" --connect=orch.sock; }
+    client=0
+    { ask '{"op":"ping"}' "$1" &&
+      ask '{"op":"submit","plan_path":"learned.json","id":"smoke"}' "$1"
+    } > daemon_client.out || client=1
+    i=0
+    while [ $client -eq 0 ] && [ $i -lt 1200 ]; do
+      ask '{"op":"status","job":1}' "$1" > daemon_status.out || client=1
+      grep -q '"state":"\(done\|failed\|cancelled\)"' daemon_status.out \
+        && break
+      sleep 0.1
+      i=$((i + 1))
+    done
+    ask '{"op":"results","job":1}' "$1" > daemon_results.out || client=1
+    ask '{"op":"quit"}' "$1" > /dev/null || client=1
+    [ $client -eq 0 ] || kill $server 2> /dev/null
+    wait $server
+    server=$?
+    exit $((client + server))
+  ]=] sh "${DAEMON}" "${CAMPAIGN}"
+  WORKING_DIRECTORY "${WORK_DIR}"
+  TIMEOUT 300
+  RESULT_VARIABLE rc)
+foreach(part server.err client.out status.out results.out)
+  string(REPLACE "." "_" var "${part}")
+  set(${var} "")
+  if(EXISTS "${WORK_DIR}/daemon_${part}")
+    file(READ "${WORK_DIR}/daemon_${part}" ${var})
+  endif()
+endforeach()
+set(transcript "${server_err}\n${client_out}\n${status_out}\n${results_out}")
+if(NOT rc EQUAL 0)
+  message(FATAL_ERROR "daemon smoke failed (${rc}):\n${transcript}")
+endif()
+if(NOT client_out MATCHES "\"protocol\":\"parmis-orch-v3\"")
+  message(FATAL_ERROR "ping did not answer parmis-orch-v3:\n${client_out}")
+endif()
+string(REGEX MATCH "\"retries\":([0-9]+)" retries "${status_out}")
+set(retries "${CMAKE_MATCH_1}")
+if(NOT status_out MATCHES "\"state\":\"done\"" OR retries STREQUAL "" OR
+   retries LESS 1)
+  message(FATAL_ERROR "want a done job with a retry:\n${transcript}")
+endif()
+read_digest(launched launched_digest)
+string(REGEX MATCH "\"([0-9a-f]+)\"$" launched_digest "${launched_digest}")
+set(want "${CMAKE_MATCH_1}")
+string(REGEX MATCH "\"digest\":\"([0-9a-f]+)\"" got "${results_out}")
+set(got "${CMAKE_MATCH_1}")
+if(NOT results_out MATCHES "\"final\":true" OR NOT got STREQUAL want)
+  message(FATAL_ERROR "daemon results ${got} differ from the launched "
+                      "${want}:\n${results_out}")
+endif()
+message(STATUS "daemon: done with ${retries} retries, digest ${got}")

@@ -326,6 +326,22 @@ TEST(Cli, CountIsDigitsOnlyInRangeAndAtLeastMin) {
   }
 }
 
+TEST(Cli, DoubleIsOneFiniteNumberWithNothingAfterIt) {
+  const char* argv[] = {"prog",          "--half=0.5",   "--neg=-2",
+                        "--exp=1e300",   "--unit=2s",    "--space= 2",
+                        "--plus=+2",     "--inf=inf",    "--nan=nan",
+                        "--huge=1e400",  "--empty=",     "--bare"};
+  const CliArgs args = CliArgs::parse(12, argv);
+  EXPECT_DOUBLE_EQ(args.get_double("half", 0.0), 0.5);
+  EXPECT_DOUBLE_EQ(args.get_double("neg", 0.0), -2.0);
+  EXPECT_DOUBLE_EQ(args.get_double("exp", 0.0), 1e300);
+  EXPECT_DOUBLE_EQ(args.get_double("absent", 7.0), 7.0);
+  for (const char* bad :
+       {"unit", "space", "plus", "inf", "nan", "huge", "empty", "bare"}) {
+    EXPECT_THROW(args.get_double(bad, 7.0), Error) << bad;
+  }
+}
+
 TEST(Cli, UnknownFlagsAndStrayArgumentsAreRejected) {
   const char* argv[] = {"prog", "--threads=2", "input.json"};
   const CliArgs args = CliArgs::parse(3, argv);

@@ -246,14 +246,6 @@ TEST(Softmax, CrossEntropyLossAndGradient) {
   EXPECT_THROW(cross_entropy(logits, 3), Error);
 }
 
-TEST(Softmax, LogProbGradientIsOnehotMinusSoftmax) {
-  const Vec logits = {0.5, -0.5};
-  const Vec g = log_prob_gradient(logits, 0);
-  const Vec p = softmax(logits);
-  EXPECT_NEAR(g[0], 1.0 - p[0], 1e-12);
-  EXPECT_NEAR(g[1], -p[1], 1e-12);
-}
-
 TEST(Softmax, EntropyExtremes) {
   EXPECT_NEAR(softmax_entropy({0.0, 0.0, 0.0, 0.0}), std::log(4.0), 1e-12);
   EXPECT_NEAR(softmax_entropy({100.0, 0.0}), 0.0, 1e-6);

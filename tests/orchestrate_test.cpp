@@ -1,9 +1,9 @@
 // Tests for the campaign orchestration subsystem (src/orchestrate):
-// the chunk queue (grant order, retry budgets, expiry, stale answers,
+// the chunk queue (grant order, retry budgets, one answer per grant,
 // cancellation), the job scheduler's headline guarantee (any worker
 // count / chunk count / injected crash produces the unsharded digest),
 // worker-failure recovery through the process backend, AF_UNIX path
-// hardening, and the parmis-orch-v2 session.
+// hardening, and the parmis-orch-v3 session.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -11,6 +11,7 @@
 #include <bit>
 #include <chrono>
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <set>
 #include <string>
@@ -157,52 +158,35 @@ TEST(LeaseTable, RetryBudgetRequeuesThenExhausts) {
   EXPECT_EQ(stats.retries, 1u);  // the exhausting failure is not requeued
 }
 
-TEST(LeaseTable, ExpiredLeaseIsReissuedAndZombieCompletionIsBenign) {
+TEST(LeaseTable, EachGrantIsAnsweredOnceByItsHolder) {
   LeaseTable::Config cfg;
   cfg.chunks = 1;
   cfg.max_attempts = 3;
-  cfg.lease_timeout_ms = 5;
   LeaseTable table(cfg);
 
-  const auto dead = table.next();
-  ASSERT_TRUE(dead.has_value());
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  const auto first = table.next();
+  ASSERT_TRUE(first.has_value());
+  table.fail(*first, "flaky");
+  // The failed grant is settled: a second answer to it is refused, and
+  // so is an answer to a grant the table never made.
+  EXPECT_THROW(table.fail(*first, "again"), Error);
+  EXPECT_THROW(table.complete(*first), Error);
+  EXPECT_THROW(table.complete(Grant{1, 0}), Error);
 
-  // The replacement worker's next() sweeps expired grants: the chunk
-  // comes back as a retry with attempt + 1.
   const auto retry = table.next();
   ASSERT_TRUE(retry.has_value());
   EXPECT_EQ(retry->chunk, 0u);
   EXPECT_EQ(retry->attempt, 1u);
-  EXPECT_EQ(table.stats().expiries, 1u);
-  EXPECT_EQ(table.stats().retries, 1u);
+  // Only the current attempt answers for the chunk.
+  EXPECT_THROW(table.complete(*first), Error);
+  table.complete(*retry);
+  EXPECT_THROW(table.complete(*retry), Error);
 
-  // The dead grant's late failure is recognised by its stale attempt:
-  // it neither burns an attempt of the re-issued grant nor requeues a
-  // second copy of the chunk.
-  table.fail(*dead, "late failure from the expired grant");
-  LeaseTableStats stats = table.stats();
-  EXPECT_EQ(stats.retries, 1u);
-  EXPECT_EQ(stats.chunks_running, 1u);
-  EXPECT_EQ(stats.chunks_queued, 0u);
-  EXPECT_FALSE(table.failed());
-
-  // The live grant still owns attempt 1: failing it requeues attempt 2,
-  // the last one the budget allows.
-  table.fail(*retry, "flaky");
-  const auto last = table.next();
-  ASSERT_TRUE(last.has_value());
-  EXPECT_EQ(last->attempt, 2u);
-  EXPECT_FALSE(table.failed());
-
-  // The presumed-dead worker finishing anyway is fine — completion is
-  // idempotent, and chunk outputs are deterministic so both runs wrote
-  // identical bytes.
-  table.complete(*dead);
-  table.complete(*last);
-  stats = table.stats();
+  const LeaseTableStats stats = table.stats();
   EXPECT_EQ(stats.chunks_done, 1u);
   EXPECT_EQ(stats.chunks_running, 0u);
+  EXPECT_EQ(stats.chunks_queued, 0u);
+  EXPECT_EQ(stats.retries, 1u);
   EXPECT_FALSE(table.failed());
   EXPECT_FALSE(table.next().has_value());
 }
@@ -299,6 +283,50 @@ TEST(JobRunner, RetriedChunkStillProducesTheUnshardedDigest) {
   const JobProgress progress = runner.progress();
   EXPECT_EQ(progress.state, JobProgress::State::Done);
   EXPECT_GE(progress.stats.retries, 1u);
+}
+
+TEST(JobRunner, RejectedChunkReportFailsTheAttemptAndKeepsTheProvisional) {
+  const serde::CampaignPlan plan = small_plan();
+  const exec::CampaignConfig config = plan_config(plan);
+  const exec::CampaignReport unsharded =
+      exec::CampaignRunner(config).run();
+
+  /// Answers the first attempt at chunk 1 with chunk 0's report, which
+  /// the merge must refuse as an overlap once chunk 0 is in.
+  class DuplicateReportBackend : public ChunkBackend {
+   public:
+    explicit DuplicateReportBackend(exec::CampaignConfig base)
+        : inner_(std::move(base)) {}
+    ChunkOutcome run_chunk(std::size_t index, std::size_t count,
+                           std::size_t attempt,
+                           const std::atomic<bool>& abort) override {
+      const bool duplicate = index == 1 && attempt == 0;
+      return inner_.run_chunk(duplicate ? 0 : index, count, attempt, abort);
+    }
+
+   private:
+    InprocessBackend inner_;
+  };
+
+  // One worker takes the chunks in index order, so chunk 0 is merged
+  // before chunk 1's duplicate arrives.
+  DuplicateReportBackend backend(config);
+  JobConfig jc;
+  jc.workers = 1;
+  jc.chunks = 3;
+  JobRunner runner(backend, jc);
+  expect_bitwise_equal(runner.run(), unsharded);
+
+  const JobProgress progress = runner.progress();
+  EXPECT_EQ(progress.state, JobProgress::State::Done);
+  EXPECT_EQ(progress.stats.retries, 1u);
+  EXPECT_EQ(progress.provisional_merges, 3u);
+  ASSERT_EQ(progress.attempts.size(), 4u);
+  const AttemptRecord& rejected = progress.attempts[1];
+  EXPECT_EQ(rejected.chunk, 1u);
+  EXPECT_FALSE(rejected.ok);
+  EXPECT_NE(rejected.error.find("cannot merge chunk"), std::string::npos)
+      << rejected.error;
 }
 
 TEST(JobRunner, ExhaustedRetryBudgetFailsTheJobButKeepsTheProvisional) {
@@ -440,7 +468,7 @@ TEST(Orchestrate, OverlongSocketPathsAreRejectedWithTheLimit) {
   EXPECT_THROW(serve::listen_unix("", "orch-test"), Error);
 }
 
-// ----------------------------------------------------- parmis-orch-v2
+// ----------------------------------------------------- parmis-orch-v3
 
 /// Manager whose jobs run in-process (hermetic, no child processes).
 JobManager::Defaults inprocess_defaults(const std::string& work_dir) {
@@ -478,7 +506,7 @@ TEST(Orchestrate, SessionSubmitStatusResultsLifecycle) {
   ping.set("op", json::Value::string("ping"));
   json::Value pong = roundtrip(session, ping);
   serde::ObjectReader pong_r(pong, "pong");
-  EXPECT_EQ(pong_r.get_string("protocol"), "parmis-orch-v2");
+  EXPECT_EQ(pong_r.get_string("protocol"), "parmis-orch-v3");
   EXPECT_EQ(pong_r.get_u64("jobs"), 0u);
 
   json::Value submit = json::Value::object();
@@ -713,25 +741,48 @@ TEST(Orchestrate, TracedJobStitchesShardsAndRollsUpMetrics) {
   ASSERT_TRUE(stitched_text.has_value()) << info.stitched_trace_path;
   const json::Value stitched = json::parse(*stitched_text);
   const json::Value& events = stitched.at("traceEvents");
-  std::size_t lanes = 0, flow_starts = 0, flow_finishes = 0;
-  std::set<double> lane_pids;
+  std::size_t lanes = 0;
+  std::set<double> orchestrator_pids, worker_pids;
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    const json::Value& e = events.at(i);
+    if (e.at("ph").as_string() != "M" ||
+        e.at("name").as_string() != "process_name") {
+      continue;
+    }
+    ++lanes;
+    const std::string name = e.at("args").at("name").as_string();
+    const double pid = e.at("pid").as_number();
+    if (name.rfind("orchestrator ", 0) == 0) orchestrator_pids.insert(pid);
+    if (name.rfind("worker ", 0) == 0) worker_pids.insert(pid);
+  }
+  EXPECT_EQ(lanes, 4u);  // orchestrator + 3 chunk-attempt workers
+  EXPECT_EQ(orchestrator_pids.size(), 1u);
+  EXPECT_EQ(worker_pids.size(), 3u);
+  // Each flow starts at an orchestrator chunk span, steps through the
+  // worker lane that ran the chunk and finishes at the merge.
+  std::size_t flow_finishes = 0;
+  std::set<double> start_ids, step_ids;
   for (std::size_t i = 0; i < events.size(); ++i) {
     const json::Value& e = events.at(i);
     const std::string ph = e.at("ph").as_string();
-    if (ph == "M" && e.at("name").as_string() == "process_name") {
-      ++lanes;
-      lane_pids.insert(e.at("pid").as_number());
+    if (ph == "s") {
+      EXPECT_EQ(orchestrator_pids.count(e.at("pid").as_number()), 1u);
+      start_ids.insert(e.at("id").as_number());
+    } else if (ph == "t") {
+      EXPECT_EQ(worker_pids.count(e.at("pid").as_number()), 1u);
+      step_ids.insert(e.at("id").as_number());
+    } else if (ph == "f") {
+      ++flow_finishes;
     }
-    if (ph == "s") ++flow_starts;
-    if (ph == "f") ++flow_finishes;
   }
-  EXPECT_EQ(lanes, 4u);  // orchestrator + 3 chunk-attempt workers
-  EXPECT_EQ(lane_pids.size(), 4u);
+  std::size_t linked = 0;
+  for (double id : start_ids) linked += step_ids.count(id);
 #ifdef PARMIS_OBS_ENABLED
-  // Flow chains need the orchestrator's lease/merge spans, which the
+  // Flow chains need the orchestrator's chunk/merge spans, which the
   // instrumentation macros record; an OBS=OFF build stitches lanes
   // but has no spans to link.
-  EXPECT_EQ(flow_starts, 3u);
+  EXPECT_EQ(start_ids.size(), 3u);
+  EXPECT_EQ(linked, 3u);
   EXPECT_EQ(flow_finishes, 3u);
 #endif
 
@@ -751,6 +802,52 @@ TEST(Orchestrate, TracedJobStitchesShardsAndRollsUpMetrics) {
     shards.push_back(json::parse(*read_file(path)));
   }
   EXPECT_EQ(*rollup_text, json::dump(obs::merge_metrics(shards)));
+
+  // The same rollup against sums taken straight from the shards, not
+  // through the metrics decoder: each counter is the sum of its shard
+  // values, each histogram bucket the sum of its shard buckets.
+  std::map<std::string, std::uint64_t> counter_sums;
+  std::map<std::string, std::map<std::uint64_t, std::uint64_t>> bucket_sums;
+  for (const json::Value& shard : shards) {
+    for (const auto& [name, body] : shard.at("metrics").members()) {
+      serde::ObjectReader m(body, name);
+      const std::string type = m.get_string("type");
+      if (type == "counter") counter_sums[name] += m.get_u64("value");
+      if (type != "histogram") continue;
+      std::map<std::uint64_t, std::uint64_t>& sums = bucket_sums[name];
+      for (const json::Value& bucket : body.at("buckets").items()) {
+        serde::ObjectReader b(bucket, name);
+        sums[b.get_u64("le")] += b.get_u64("count");
+      }
+    }
+  }
+  std::size_t counters = 0, histograms = 0;
+  const json::Value rollup = json::parse(*rollup_text);
+  for (const auto& [name, body] : rollup.at("metrics").members()) {
+    serde::ObjectReader m(body, name);
+    const std::string type = m.get_string("type");
+    if (type == "counter") {
+      EXPECT_EQ(m.get_u64("value"), counter_sums[name]) << name;
+      ++counters;
+    } else if (type == "histogram") {
+      std::map<std::uint64_t, std::uint64_t> got;
+      for (const json::Value& bucket : body.at("buckets").items()) {
+        serde::ObjectReader b(bucket, name);
+        got[b.get_u64("le")] = b.get_u64("count");
+      }
+      std::uint64_t total = 0;
+      for (const auto& [le, n] : bucket_sums[name]) total += n;
+      EXPECT_EQ(got, bucket_sums[name]) << name;
+      EXPECT_EQ(m.get_u64("count"), total) << name;
+      ++histograms;
+    }
+  }
+  EXPECT_EQ(counters, counter_sums.size());
+  EXPECT_EQ(histograms, bucket_sums.size());
+#ifdef PARMIS_OBS_ENABLED
+  EXPECT_GT(counters, 0u);
+  EXPECT_GT(histograms, 0u);
+#endif
 
   // (d) The session surfaces all of it: results carries the attempt
   // audit trail and artifact paths; metrics with "job" serves the
