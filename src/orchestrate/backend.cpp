@@ -1,6 +1,7 @@
 #include "orchestrate/backend.hpp"
 
 #include <chrono>
+#include <csignal>
 #include <thread>
 #include <utility>
 
@@ -78,11 +79,15 @@ int ProcessBackend::run_child(std::size_t index, std::size_t count,
   child.spawn(spec);
   if (!require_cached && attempt == 0 &&
       cfg_.inject_kill_chunk == index) {
-    // Simulated worker crash: SIGKILL the child right after spawn, so
-    // the first attempt reliably dies even when the chunk would finish
-    // in milliseconds.  Only attempt 0 is killed — the retry path
-    // (cache probe + rerun) is what recovers the chunk.
+    // Simulated worker crash: SIGKILL the child right after spawn.
+    // Only attempt 0 is killed — the retry path (cache probe + rerun)
+    // is what recovers the chunk.  A warm chunk can finish in 2 ms, so
+    // a parent thread preempted between fork and kill may lose the
+    // race; the attempt reports the kill either way, so the crash is
+    // deterministic.
     child.kill_now();
+    (void)child.wait();
+    return 128 + SIGKILL;
   }
   return child.wait(cfg_.chunk_timeout_ms, &abort);
 }
@@ -108,31 +113,40 @@ ChunkOutcome ProcessBackend::run_chunk(std::size_t index,
     }
   };
 
-  if (attempt > 0 && !cfg_.cache_dir.empty()) {
-    // Failed-worker detection: replay the chunk purely from the shared
-    // cache.  Success means the dead worker (or another job sharing
-    // the cache) already computed every cell — the probe regenerated
-    // the digest-verified report without re-running anything.
-    if (run_child(index, count, attempt, /*require_cached=*/true,
-                  report_path, abort) == 0) {
-      finish(/*recovered=*/true);
-      if (outcome.ok) {
-        outcome.log_path =
-            cfg_.work_dir + "/" + attempt_tag + "_probe.log";
-        PARMIS_COUNTER_ADD("parmis_orch_chunks_recovered_total", 1);
+  int status = 0;
+  try {
+    if (attempt > 0 && !cfg_.cache_dir.empty()) {
+      // Failed-worker detection: replay the chunk purely from the
+      // shared cache.  Success means the dead worker (or another job
+      // sharing the cache) already computed every cell — the probe
+      // regenerated the digest-verified report without re-running
+      // anything.
+      if (run_child(index, count, attempt, /*require_cached=*/true,
+                    report_path, abort) == 0) {
+        finish(/*recovered=*/true);
+        if (outcome.ok) {
+          outcome.log_path =
+              cfg_.work_dir + "/" + attempt_tag + "_probe.log";
+          PARMIS_COUNTER_ADD("parmis_orch_chunks_recovered_total", 1);
+          return outcome;
+        }
+      }
+      if (abort.load()) {
+        outcome.ok = false;
+        outcome.error = "aborted";
         return outcome;
       }
     }
-    if (abort.load()) {
-      outcome.ok = false;
-      outcome.error = "aborted";
-      return outcome;
-    }
+    status = run_child(index, count, attempt, /*require_cached=*/false,
+                       report_path, abort);
+  } catch (const std::exception& e) {
+    // A worker that could not start (a log that cannot be opened, as
+    // in a missing work dir, or a fork the OS refused) is a failed
+    // attempt like any other: the retry budget decides what it means.
+    outcome.ok = false;
+    outcome.error = std::string("cannot run campaign worker: ") + e.what();
+    return outcome;
   }
-
-  const int status = run_child(index, count, attempt,
-                               /*require_cached=*/false, report_path,
-                               abort);
   outcome.log_path = cfg_.work_dir + "/" + attempt_tag + ".log";
   outcome.trace_path = attempt_artifact(cfg_.trace_dir, index, attempt);
   outcome.metrics_path = attempt_artifact(cfg_.metrics_dir, index, attempt);

@@ -5,10 +5,18 @@
 // a log file, wait with a timeout and an abort flag (both resolve to
 // SIGKILL — campaign runs are idempotent against the shared cache, so
 // killing a worker mid-cell never corrupts anything), and a SIGKILL
-// escape hatch for fault injection.  Wait is a WNOHANG poll loop
-// rather than signal-driven reaping: the daemon runs one supervisor
-// thread per worker slot, and polling every 10 ms is invisible next to
-// multi-second campaign chunks.
+// escape hatch for fault injection.
+//
+// spawn does everything that can fail or allocate in the parent: it
+// opens the logs, builds argv and the environment, forks, and the child
+// only dup2s and execs.  It also opens a pidfd for the child.  wait
+// reaps with waitpid(WNOHANG) and between misses poll()s the pidfd, so
+// it returns as soon as the child exits; a warm campaign chunk takes a
+// few ms, and a fixed sleep would round every chunk up to it.  The poll
+// never sleeps longer than 10 ms (or past the timeout), so abort and
+// the timeout still resolve to SIGKILL within 10 ms.  Where no pidfd
+// can be opened (a kernel before 5.3, a seccomp filter) the same poll
+// runs on no fds, which is a plain 10 ms sleep.
 #ifndef PARMIS_ORCHESTRATE_SUBPROCESS_HPP
 #define PARMIS_ORCHESTRATE_SUBPROCESS_HPP
 
@@ -23,10 +31,11 @@
 namespace parmis::orchestrate {
 
 /// One child invocation: argv[0] is the binary (resolved via PATH).
-/// Empty redirect paths mean /dev/null.  `env` entries are setenv'd in
-/// the child between fork and exec (parent environment otherwise
-/// inherited unchanged) — how the orchestrator hands each worker its
-/// PARMIS_TRACE_PARENT context without touching the worker CLI surface.
+/// Redirect paths are opened for append (created 0644); empty means
+/// /dev/null.  `env` entries override the inherited environment of the
+/// child (the parent environment is otherwise passed on unchanged) —
+/// how the orchestrator hands each worker its PARMIS_TRACE_PARENT
+/// context without touching the worker CLI surface.
 struct SpawnSpec {
   std::vector<std::string> argv;
   std::string stdout_path;
@@ -41,17 +50,19 @@ class ChildProcess {
   ChildProcess(const ChildProcess&) = delete;
   ChildProcess& operator=(const ChildProcess&) = delete;
 
-  /// Forks and execs.  Throws parmis::Error if the fork fails; an exec
-  /// failure surfaces as exit status 127 from wait().
+  /// Forks and execs.  Throws parmis::Error naming the path if a log
+  /// cannot be opened, and if the fork fails; either way no child runs.
+  /// An exec failure surfaces as exit status 127 from wait().
   void spawn(const SpawnSpec& spec);
 
   pid_t pid() const { return pid_; }
 
-  /// Waits for exit (EINTR-safe WNOHANG poll, 10 ms period).  Returns
+  /// Waits for exit, waking on the pidfd (see file comment).  Returns
   /// the exit code for a normal exit and 128 + signal for a signal
   /// death.  A positive `timeout_ms` elapsing, or `abort` (optional)
   /// becoming true, SIGKILLs the child first — the result then reports
-  /// the SIGKILL.
+  /// the SIGKILL.  Throws parmis::Error if the child was reaped
+  /// elsewhere.
   int wait(std::uint64_t timeout_ms = 0,
            const std::atomic<bool>* abort = nullptr);
 
@@ -61,6 +72,7 @@ class ChildProcess {
 
  private:
   pid_t pid_ = -1;
+  int pidfd_ = -1;  ///< -1 when pidfd_open is unavailable
   bool reaped_ = false;
 };
 

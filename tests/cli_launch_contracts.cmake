@@ -12,8 +12,9 @@
 #   * the results of a traced campaign-daemon job over --socket, driven
 #     through campaign-daemon --connect: ping answers parmis-orch-v3,
 #     and the same plan, submitted with chunk 0's first attempt killed
-#     against the warm launch cache, settles "done" with a retry.
-#     `quit` then ends the daemon.
+#     against the warm launch cache, settles "done" with a retry, and
+#     every attempt's log named in its results exists, the killed
+#     attempt's included.  `quit` then ends the daemon.
 #
 # campaign-launch, campaign-daemon and campaign-trace-merge each refuse
 # an unknown flag before doing any work, and both orchestration CLIs
@@ -162,4 +163,19 @@ if(NOT results_out MATCHES "\"final\":true" OR NOT got STREQUAL want)
   message(FATAL_ERROR "daemon results ${got} differ from the launched "
                       "${want}:\n${results_out}")
 endif()
+# Every attempt's log exists, the killed first attempt of chunk 0
+# included: the supervisor opens a log before its child runs.
+string(REGEX MATCHALL "\"log\":\"[^\"]+\"" logs "${results_out}")
+if(NOT logs MATCHES "chunk_0_attempt_0\\.log")
+  message(FATAL_ERROR "no log for the killed attempt:\n${results_out}")
+endif()
+foreach(entry ${logs})
+  string(REGEX REPLACE "^\"log\":\"(.*)\"$" "\\1" log "${entry}")
+  if(NOT IS_ABSOLUTE "${log}")
+    set(log "${WORK_DIR}/${log}")
+  endif()
+  if(NOT EXISTS "${log}")
+    message(FATAL_ERROR "results name a log that does not exist: ${log}")
+  endif()
+endforeach()
 message(STATUS "daemon: done with ${retries} retries, digest ${got}")

@@ -1,15 +1,19 @@
 // Tests for the campaign orchestration subsystem (src/orchestrate):
-// the chunk queue (grant order, retry budgets, one answer per grant,
-// cancellation), the job scheduler's headline guarantee (any worker
-// count / chunk count / injected crash produces the unsharded digest),
-// worker-failure recovery through the process backend, AF_UNIX path
-// hardening, and the parmis-orch-v3 session.
+// child-process supervision (exit codes, timeout and abort kills, reap
+// latency, spawn failures as failed attempts), the chunk queue (grant
+// order, retry budgets, one answer per grant, cancellation), the job
+// scheduler's headline guarantee (any worker count / chunk count /
+// injected crash produces the unsharded digest), worker-failure
+// recovery through the process backend, AF_UNIX path hardening, and
+// the parmis-orch-v3 session.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
 #include <bit>
 #include <chrono>
+#include <csignal>
+#include <cstdlib>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -71,6 +75,128 @@ void expect_bitwise_equal(const exec::CampaignReport& a,
               std::bit_cast<std::uint64_t>(b.cells[i].phv))
         << "cell " << i;
   }
+}
+
+// --------------------------------------------------------- ChildProcess
+
+using Clock = std::chrono::steady_clock;
+
+std::int64_t ms_since(Clock::time_point start) {
+  return std::chrono::duration_cast<std::chrono::milliseconds>(
+             Clock::now() - start)
+      .count();
+}
+
+int run_to_exit(std::vector<std::string> argv) {
+  ChildProcess child;
+  child.spawn(SpawnSpec{std::move(argv), "", "", {}});
+  return child.wait();
+}
+
+TEST(ChildProcess, WaitReportsTheExitStatus) {
+  EXPECT_EQ(run_to_exit({"/bin/sh", "-c", "exit 0"}), 0);
+  EXPECT_EQ(run_to_exit({"/bin/sh", "-c", "exit 7"}), 7);
+}
+
+TEST(ChildProcess, DeathBySignalReports128PlusTheSignal) {
+  EXPECT_EQ(run_to_exit({"/bin/sh", "-c", "kill -TERM $$"}), 128 + SIGTERM);
+}
+
+TEST(ChildProcess, ExecFailureReports127) {
+  EXPECT_EQ(run_to_exit({"/nonexistent/parmis-no-such-binary"}), 127);
+  EXPECT_EQ(run_to_exit({"parmis-no-such-binary-on-path"}), 127);
+}
+
+TEST(ChildProcess, LogsAndEnvironmentAreSetUpBeforeExec) {
+  const std::string dir = temp_dir("child_env");
+  const std::string log = dir + "/child.log";
+  remove_file(log);  // logs are appended to; a rerun starts clean
+  ChildProcess child;
+  child.spawn(SpawnSpec{{"/bin/sh", "-c", "echo \"$PARMIS_CHILD_TEST\"; "
+                                           "echo \"${HOME:+home}\" >&2"},
+                        log,
+                        log,
+                        {{"PARMIS_CHILD_TEST", "from-parent"}}});
+  ASSERT_EQ(child.wait(), 0);
+  // The override reaches the child; the rest of the environment (HOME
+  // when the test runner has one) is inherited.
+  const std::string want =
+      std::string("from-parent\n") + (std::getenv("HOME") ? "home\n" : "\n");
+  EXPECT_EQ(read_file(log).value_or("<missing>"), want);
+}
+
+TEST(ChildProcess, AnUnopenableLogThrowsNamingItAndStartsNoChild) {
+  const std::string log = temp_dir("child_nolog") + "/missing/child.log";
+  ChildProcess child;
+  try {
+    child.spawn(SpawnSpec{{"/bin/true"}, log, log, {}});
+    FAIL() << "spawn with an unopenable log succeeded";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find(log), std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(child.pid(), -1);
+}
+
+TEST(ChildProcess, TimeoutKillsTheChildWithinTheTimeout) {
+  ChildProcess child;
+  child.spawn(SpawnSpec{{"sleep", "30"}, "", "", {}});
+  const auto start = Clock::now();
+  EXPECT_EQ(child.wait(/*timeout_ms=*/200), 128 + SIGKILL);
+  const std::int64_t took = ms_since(start);
+  EXPECT_GE(took, 200);
+  EXPECT_LT(took, 300);
+}
+
+TEST(ChildProcess, AbortFromAnotherThreadKillsTheChild) {
+  ChildProcess child;
+  child.spawn(SpawnSpec{{"sleep", "30"}, "", "", {}});
+  std::atomic<bool> abort{false};
+  const auto start = Clock::now();
+  std::thread aborter([&abort] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(200));
+    abort.store(true);
+  });
+  EXPECT_EQ(child.wait(/*timeout_ms=*/0, &abort), 128 + SIGKILL);
+  const std::int64_t took = ms_since(start);
+  aborter.join();
+  EXPECT_GE(took, 200);
+  EXPECT_LT(took, 300);
+}
+
+TEST(ChildProcess, WaitReturnsWhenTheChildExitsNotOnATimerTick) {
+  // 20 short-lived children in sequence, timing wait() alone.  A wait
+  // that slept in 10 ms steps would spend at least 200 ms there, as no
+  // child has exited by its first poll; one woken by the exit spends
+  // the child's exec and exit time.  That time, like fork's, grows with
+  // the size of this process, which is why these tests come before the
+  // in-process campaigns below.
+  Clock::duration waiting{};
+  for (int i = 0; i < 20; ++i) {
+    ChildProcess child;
+    child.spawn(SpawnSpec{{"/bin/true"}, "", "", {}});
+    const auto start = Clock::now();
+    ASSERT_EQ(child.wait(), 0);
+    waiting += Clock::now() - start;
+  }
+  EXPECT_LT(std::chrono::duration_cast<std::chrono::milliseconds>(waiting)
+                .count(),
+            150);
+}
+
+TEST(ChildProcess, ProcessBackendTurnsASpawnFailureIntoAFailedAttempt) {
+  ProcessBackend::Config config;
+  config.campaign_bin = sibling_binary("", "campaign");
+  config.plan_path = "unused.json";
+  config.work_dir = temp_dir("child_backend") + "/missing";
+  ProcessBackend backend(config);
+  const std::atomic<bool> abort{false};
+  const ChunkOutcome outcome = backend.run_chunk(0, 1, 0, abort);
+  EXPECT_FALSE(outcome.ok);
+  EXPECT_NE(outcome.error.find(config.work_dir + "/chunk_0_attempt_0.log"),
+            std::string::npos)
+      << outcome.error;
+  EXPECT_TRUE(outcome.log_path.empty());
 }
 
 // ----------------------------------------------------------- LeaseTable
