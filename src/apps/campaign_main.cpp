@@ -38,8 +38,9 @@
 // replayed before running; --no-cache bypasses a configured cache
 // (flag or plan); --cache-stats reports entry counts and hit/miss
 // totals; --cache-gc prunes oldest entries down to --cache-max-mb and
-// exits; --require-cached exits non-zero unless every cell was a cache
-// hit (CI effectiveness check).
+// exits; --require-cached replays the campaign from the cache alone and
+// exits non-zero at the first cell it does not hold, having computed,
+// stored and written nothing (CI effectiveness check).
 #include <cstdint>
 #include <cstdio>
 #include <iostream>
@@ -47,6 +48,7 @@
 #include <optional>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cache/result_cache.hpp"
@@ -414,6 +416,19 @@ int main(int argc, char** argv) {
                 << (deterministic ? "bitwise-identical objectives"
                                   : "DIGEST MISMATCH")
                 << "\n";
+    } else if (require_cached) {
+      // A pure cache read: the first miss ends the run with nothing
+      // computed, stored or written.
+      std::string missing;
+      std::optional<CampaignReport> replayed =
+          CampaignRunner(config).replay_cached(&missing);
+      if (!replayed.has_value()) {
+        std::cerr << "campaign: --require-cached: cell " << missing
+                  << " is not in the cache\n";
+        return 1;
+      }
+      report = std::move(*replayed);
+      print_report(report);
     } else {
       report = CampaignRunner(config).run();
       print_report(report);
@@ -479,13 +494,6 @@ int main(int argc, char** argv) {
     bool any_failed = false;
     for (const auto& cell : report.cells) {
       any_failed = any_failed || !cell.error.empty();
-    }
-    if (require_cached &&
-        (report.cache_misses > 0 ||
-         report.cache_hits != report.cells.size())) {
-      std::cerr << "campaign: --require-cached: " << report.cache_misses
-                << " cells were not served from the cache\n";
-      return 1;
     }
     return (any_failed || !deterministic) ? 1 : 0;
   } catch (const std::exception& e) {

@@ -1,8 +1,10 @@
 #include "cache/result_cache.hpp"
 
+#include <array>
 #include <bit>
 #include <chrono>
 #include <filesystem>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -62,26 +64,43 @@ std::string serialize_payload(const CellKey& key,
 }
 
 // --------------------------------------------------------------- parsing
-// Strict cursor parser over the payload.  Any deviation (wrong tag,
-// malformed number, short read) fails the whole entry, which the cache
-// then treats as corruption.
+// Strict cursor parser over a view of the entry: no copies but the
+// decoded strings themselves.  Any deviation (wrong tag, malformed or
+// non-canonical number, short read) fails the whole entry, which the
+// cache then treats as corruption — so an entry that decodes is
+// exactly the bytes serialize_entry writes for its cell.
+
+/// Value of each lowercase hex digit (what hex64 writes); 16 for any
+/// other byte.
+constexpr std::array<std::uint8_t, 256> kHexDigit = [] {
+  std::array<std::uint8_t, 256> table{};
+  table.fill(16);
+  for (std::uint8_t d = 0; d < 10; ++d) table['0' + d] = d;
+  for (std::uint8_t d = 0; d < 6; ++d) table['a' + d] = 10 + d;
+  return table;
+}();
 
 struct Cursor {
-  const std::string& text;
+  std::string_view text;
   std::size_t pos = 0;
 
-  bool expect(const std::string& literal) {
-    if (text.compare(pos, literal.size(), literal) != 0) return false;
+  bool expect(std::string_view literal) {
+    if (text.substr(pos, literal.size()) != literal) return false;
     pos += literal.size();
     return true;
   }
 
+  bool expect_tag(std::string_view tag) { return expect(tag) && expect("="); }
+
   bool read_decimal(std::uint64_t& out) {
-    if (pos >= text.size() || text[pos] < '0' || text[pos] > '9') {
-      return false;
-    }
+    const auto digit_at = [&](std::size_t i) {
+      return i < text.size() && text[i] >= '0' && text[i] <= '9';
+    };
+    if (!digit_at(pos)) return false;
+    // std::to_string writes no leading zero: "01" is not an entry's.
+    if (text[pos] == '0' && digit_at(pos + 1)) return false;
     out = 0;
-    while (pos < text.size() && text[pos] >= '0' && text[pos] <= '9') {
+    while (digit_at(pos)) {
       const std::uint64_t digit =
           static_cast<std::uint64_t>(text[pos] - '0');
       // Reject values that cannot fit instead of silently wrapping —
@@ -97,52 +116,55 @@ struct Cursor {
     return true;
   }
 
-  bool read_u64(const char* tag, std::uint64_t& out) {
-    return expect(std::string(tag) + "=") && read_decimal(out) &&
-           expect("\n");
+  bool read_u64(std::string_view tag, std::uint64_t& out) {
+    return expect_tag(tag) && read_decimal(out) && expect("\n");
   }
 
-  bool read_str(const char* tag, std::string& out) {
+  bool read_view(std::string_view tag, std::string_view& out) {
     std::uint64_t len = 0;
-    if (!expect(std::string(tag) + "=") || !read_decimal(len) ||
-        !expect(":")) {
+    if (!expect_tag(tag) || !read_decimal(len) || !expect(":")) {
       return false;
     }
     if (len > text.size() - pos) return false;
-    out.assign(text, pos, len);
+    out = text.substr(pos, len);
     pos += len;
     return expect("\n");
   }
 
-  bool read_f64(const char* tag, double& out) {
-    if (!expect(std::string(tag) + "=")) return false;
+  bool read_str(std::string_view tag, std::string& out) {
+    std::string_view view;
+    if (!read_view(tag, view)) return false;
+    out.assign(view);
+    return true;
+  }
+
+  bool read_f64(std::string_view tag, double& out) {
+    if (!expect_tag(tag)) return false;
     if (text.size() - pos < 17) return false;  // 16 hex digits + newline
+    // Table lookups, no branch per digit: the digits of a double's bit
+    // pattern are random, so a digit-or-letter branch mispredicts about
+    // every other time, and entries are mostly doubles.
     std::uint64_t bits = 0;
-    for (int i = 0; i < 16; ++i) {
-      const char c = text[pos + static_cast<std::size_t>(i)];
-      std::uint64_t digit = 0;
-      if (c >= '0' && c <= '9') {
-        digit = static_cast<std::uint64_t>(c - '0');
-      } else if (c >= 'a' && c <= 'f') {
-        digit = static_cast<std::uint64_t>(c - 'a') + 10;
-      } else {
-        return false;
-      }
-      bits = (bits << 4) | digit;
+    std::uint8_t invalid = 0;
+    for (std::size_t i = pos; i < pos + 16; ++i) {
+      const std::uint8_t digit = kHexDigit[static_cast<unsigned char>(text[i])];
+      invalid |= digit;
+      bits = (bits << 4) | (digit & 15u);
     }
+    if ((invalid & 16u) != 0) return false;
     pos += 16;
     out = std::bit_cast<double>(bits);
     return expect("\n");
   }
 };
 
-std::optional<exec::CellResult> parse_payload(const std::string& payload,
+std::optional<exec::CellResult> parse_payload(std::string_view payload,
                                               const CellKey& key) {
   Cursor cur{payload};
   exec::CellResult cell;
-  std::string stored_key;
+  std::string_view stored_key;
   std::uint64_t seed = 0, apps = 0, evaluations = 0, count = 0;
-  if (!cur.read_str("key", stored_key) || stored_key != key.hex()) {
+  if (!cur.read_view("key", stored_key) || stored_key != key.hex()) {
     return std::nullopt;
   }
   if (!cur.read_str("scenario", cell.scenario) ||
@@ -205,7 +227,8 @@ std::optional<exec::CellResult> parse_payload(const std::string& payload,
   return cell;
 }
 
-/// Entry = magic line, digest line over the payload, payload.
+}  // namespace
+
 std::string serialize_entry(const CellKey& key,
                             const exec::CellResult& cell) {
   const std::string payload = serialize_payload(key, cell);
@@ -215,22 +238,22 @@ std::string serialize_entry(const CellKey& key,
   return out;
 }
 
-std::optional<exec::CellResult> parse_entry(const std::string& entry,
+std::optional<exec::CellResult> parse_entry(std::string_view entry,
                                             const CellKey& key) {
   Cursor cur{entry};
-  std::string digest_hex;
-  if (!cur.expect(kEntryMagic)) return std::nullopt;
-  if (!cur.expect("digest=")) return std::nullopt;
+  if (!cur.expect(kEntryMagic) || !cur.expect("digest=")) {
+    return std::nullopt;
+  }
   if (entry.size() - cur.pos < 17) return std::nullopt;
-  digest_hex = entry.substr(cur.pos, 16);
+  const std::string_view digest_hex = entry.substr(cur.pos, 16);
   cur.pos += 16;
   if (!cur.expect("\n")) return std::nullopt;
-  const std::string payload = entry.substr(cur.pos);
-  if (hex64(fnv1a64(payload)) != digest_hex) return std::nullopt;
+  const std::string_view payload = entry.substr(cur.pos);
+  if (hex64(fnv1a64(payload.data(), payload.size())) != digest_hex) {
+    return std::nullopt;
+  }
   return parse_payload(payload, key);
 }
-
-}  // namespace
 
 CellKey cell_key(const scenario::ScenarioSpec& spec,
                  const std::string& method, std::uint64_t seed,

@@ -27,6 +27,7 @@
 #include <mutex>
 #include <optional>
 #include <string>
+#include <string_view>
 
 #include "common/hash.hpp"
 #include "exec/campaign.hpp"
@@ -64,6 +65,17 @@ CellKey cell_key(const scenario::ScenarioSpec& spec,
                  const std::string& method, std::uint64_t seed,
                  std::size_t anchor_limit,
                  const std::string& method_config = {});
+
+/// The bytes of `cell`'s entry under `key`: magic line, FNV-1a digest
+/// of the payload, payload.  What store() writes.
+std::string serialize_entry(const CellKey& key, const exec::CellResult& cell);
+
+/// Decodes an entry for `key`; nullopt on any deviation from the bytes
+/// serialize_entry would write for the decoded cell (bad magic, digest
+/// or key, a malformed or non-canonical field, trailing bytes).  What
+/// lookup() reads.
+std::optional<exec::CellResult> parse_entry(std::string_view entry,
+                                            const CellKey& key);
 
 /// In-process counters (one ResultCache instance's view, not the dir's).
 struct CacheStats {

@@ -248,19 +248,59 @@ std::vector<CampaignRunner::CellSpec> CampaignRunner::build_cells() const {
   return cells;
 }
 
+cache::CellKey CampaignRunner::key_of(const CellSpec& cell) const {
+  return cache::cell_key(
+      *cell.scenario, cell.method, cell.seed, config_.anchor_limit,
+      methods::canonical_method_config(cell.method, config_.method_configs));
+}
+
+CampaignReport CampaignRunner::empty_report(std::size_t cells) const {
+  CampaignReport report;
+  report.cells.resize(cells);
+  report.shard = config_.shard;
+  report.total_cells = total_cells_;
+  report.campaign_hash = campaign_identity(config_);
+  return report;
+}
+
 std::pair<std::size_t, std::size_t> CampaignRunner::probe_cache() const {
   const std::vector<CellSpec> cells = build_cells();
   if (config_.cache == nullptr) return {0, cells.size()};
   std::size_t cached = 0;
   for (const auto& cell : cells) {
-    if (config_.cache->contains(cache::cell_key(
-            *cell.scenario, cell.method, cell.seed, config_.anchor_limit,
-            methods::canonical_method_config(cell.method,
-                                             config_.method_configs)))) {
-      ++cached;
-    }
+    if (config_.cache->contains(key_of(cell))) ++cached;
   }
   return {cached, cells.size()};
+}
+
+std::optional<CampaignReport> CampaignRunner::replay_cached(
+    std::string* missing) const {
+  cache::ResultCache* cache = config_.cache;
+  require(cache != nullptr, "campaign: a cache replay needs a cache");
+  const Stopwatch wall;
+  const std::vector<CellSpec> cells = build_cells();
+  CampaignReport report = empty_report(cells.size());
+  // What ThreadPool(num_threads).num_threads() records, without
+  // starting the pool: a replay runs no cell.
+  report.num_threads = config_.num_threads == 0 ? default_num_threads()
+                                                : config_.num_threads;
+  for (std::size_t i = 0; i < cells.size(); ++i) {
+    std::optional<CellResult> cached = cache->lookup(key_of(cells[i]));
+    if (!cached.has_value()) {
+      if (missing != nullptr) {
+        *missing = cells[i].scenario->name + "/" + cells[i].method +
+                   " seed " + std::to_string(cells[i].seed);
+      }
+      return std::nullopt;
+    }
+    report.cells[i] = std::move(*cached);
+    report.cells[i].from_cache = true;
+  }
+  report.cache_hits = cells.size();
+  PARMIS_COUNTER_ADD("parmis_campaign_cache_hits_total", cells.size());
+  report.wall_s = wall.seconds();
+  report::assign_global_phv(report);
+  return report;
 }
 
 CampaignReport CampaignRunner::run() {
@@ -273,19 +313,10 @@ CampaignReport CampaignRunner::run() {
   std::vector<cache::CellKey> keys;
   if (cache != nullptr) {
     keys.reserve(cells.size());
-    for (const auto& cell : cells) {
-      keys.push_back(cache::cell_key(
-          *cell.scenario, cell.method, cell.seed, config_.anchor_limit,
-          methods::canonical_method_config(cell.method,
-                                           config_.method_configs)));
-    }
+    for (const auto& cell : cells) keys.push_back(key_of(cell));
   }
 
-  CampaignReport report;
-  report.cells.resize(cells.size());
-  report.shard = config_.shard;
-  report.total_cells = total_cells_;
-  report.campaign_hash = campaign_identity(config_);
+  CampaignReport report = empty_report(cells.size());
   ThreadPool pool(config_.num_threads);
   report.num_threads = pool.num_threads();
   log_info() << "campaign: " << cells.size() << " cells"
@@ -332,10 +363,14 @@ CampaignReport CampaignRunner::run() {
   return report;
 }
 
-std::uint64_t CampaignReport::objectives_digest() const {
-  std::uint64_t state = 0x5CEA11ABCDE5EEDULL;
+std::uint64_t digest_cells(std::uint64_t state,
+                           const std::vector<CellResult>& cells) {
   for (const auto& cell : cells) state = mix_cell_digest(state, cell);
   return state;
+}
+
+std::uint64_t CampaignReport::objectives_digest() const {
+  return digest_cells(kObjectivesDigestSeed, cells);
 }
 
 void CampaignReport::write_csv(std::ostream& os) const {

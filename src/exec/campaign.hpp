@@ -33,6 +33,7 @@
 
 #include <cstdint>
 #include <iosfwd>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -43,6 +44,7 @@
 
 namespace parmis::cache {
 class ResultCache;
+struct CellKey;
 }
 
 namespace parmis::exec {
@@ -139,6 +141,16 @@ struct CampaignConfig {
 /// report::merge() refuse to join shards of different campaigns.
 std::uint64_t campaign_identity(const CampaignConfig& config);
 
+/// Initial state of CampaignReport::objectives_digest().
+inline constexpr std::uint64_t kObjectivesDigestSeed = 0x5CEA11ABCDE5EEDULL;
+
+/// Folds `cells` into a running objectives digest.  objectives_digest()
+/// is digest_cells(kObjectivesDigestSeed, cells), so chaining the shard
+/// slices of a campaign in index order gives the digest of their
+/// concatenation without building it.
+std::uint64_t digest_cells(std::uint64_t state,
+                           const std::vector<CellResult>& cells);
+
 /// Everything one campaign run produces.
 struct CampaignReport {
   std::vector<CellResult> cells;  ///< scenario-major deterministic order
@@ -218,6 +230,17 @@ class CampaignRunner {
   /// what a resumed run would replay vs execute.  (0, total) otherwise.
   std::pair<std::size_t, std::size_t> probe_cache() const;
 
+  /// The report run() would return if every cell of this shard is in
+  /// the cache, read with ResultCache::lookup and nothing else: same
+  /// cells (from_cache set), counters, parmis_campaign_cache_hits_total
+  /// and global PHV pass, and num_threads as the pool would record it.
+  /// Returns nullopt at the first miss (naming the cell in `*missing`
+  /// when given) — it never computes or stores a cell.  Requires a
+  /// configured cache.  This is `campaign --require-cached` and the
+  /// orchestrator's in-process replay of a warm chunk.
+  std::optional<CampaignReport> replay_cached(
+      std::string* missing = nullptr) const;
+
   const CampaignConfig& config() const { return config_; }
 
  private:
@@ -229,6 +252,10 @@ class CampaignRunner {
   /// Ordered cells of this runner's shard; records the pre-slice count
   /// in total_cells_.
   std::vector<CellSpec> build_cells() const;
+  /// Cache content address of one cell under this config.
+  cache::CellKey key_of(const CellSpec& cell) const;
+  /// Report header (shard, total, campaign hash) with `cells` slots.
+  CampaignReport empty_report(std::size_t cells) const;
 
   CampaignConfig config_;
   mutable std::size_t total_cells_ = 0;

@@ -1,16 +1,16 @@
 #include "orchestrate/backend.hpp"
 
-#include <chrono>
 #include <csignal>
-#include <thread>
 #include <utility>
 
+#include "cache/result_cache.hpp"
 #include "common/error.hpp"
 #include "common/stopwatch.hpp"
 #include "obs/distributed.hpp"
 #include "obs/obs.hpp"
 #include "orchestrate/subprocess.hpp"
 #include "report/report_json.hpp"
+#include "serde/plan.hpp"
 
 namespace parmis::orchestrate {
 
@@ -32,8 +32,42 @@ ProcessBackend::ProcessBackend(Config config) : cfg_(std::move(config)) {
   require(!cfg_.work_dir.empty(), "orchestrate: no work dir");
 }
 
+ProcessBackend::~ProcessBackend() = default;
+
+void ProcessBackend::resolve_replay() {
+  // The worker's view of the plan, as the campaign CLI builds it from
+  // `--plan --cache-dir`: inline specs join the catalogue and the
+  // backend's cache dir overrides the plan's.  Anything that does not
+  // resolve here fails in the worker too, where it belongs: with
+  // replay off every chunk runs as a process.
+  try {
+    serde::CampaignPlan plan = serde::load_plan(cfg_.plan_path);
+    serde::ScenarioCatalogue catalogue;
+    for (const serde::ScenarioRef& ref : plan.scenarios) {
+      if (ref.inline_spec.has_value()) catalogue.add(*ref.inline_spec);
+    }
+    if (!cfg_.cache_dir.empty()) plan.cache.dir = cfg_.cache_dir;
+    if (plan.cache.dir.empty()) return;
+    plan.validate();
+    exec::CampaignConfig config = serde::to_campaign_config(plan, catalogue);
+    config.num_threads = cfg_.threads;
+    replay_cache_ = std::make_unique<cache::ResultCache>(plan.cache.dir);
+    config.cache = replay_cache_.get();
+    replay_config_ = std::move(config);
+  } catch (const std::exception&) {
+    replay_cache_.reset();
+  }
+}
+
+std::optional<exec::CampaignReport> ProcessBackend::replay_chunk(
+    std::size_t index, std::size_t count) const {
+  exec::CampaignConfig config = *replay_config_;
+  config.shard = exec::ShardSpec{index, count};
+  return exec::CampaignRunner(std::move(config)).replay_cached();
+}
+
 int ProcessBackend::run_child(std::size_t index, std::size_t count,
-                              std::size_t attempt, bool require_cached,
+                              std::size_t attempt,
                               const std::string& report_path,
                               const std::atomic<bool>& abort) const {
   SpawnSpec spec;
@@ -46,45 +80,38 @@ int ProcessBackend::run_child(std::size_t index, std::size_t count,
   if (!cfg_.cache_dir.empty()) {
     spec.argv.push_back("--cache-dir=" + cfg_.cache_dir);
   }
-  if (require_cached) spec.argv.push_back("--require-cached=1");
-  if (!require_cached) {
-    // Cache probes stay unobserved: they are recovery machinery, and a
-    // probe's shard would clobber the real attempt's artifact.
-    if (!cfg_.trace_dir.empty()) {
-      spec.argv.push_back(
-          "--trace-out=" + attempt_artifact(cfg_.trace_dir, index, attempt));
-      obs::TraceContext ctx;
-      ctx.trace_id = cfg_.trace_id;
-      ctx.job = cfg_.job_id;
-      ctx.chunk = index;
-      ctx.attempt = attempt;
-      ctx.spawn_wall_ns = wall_now_ns();
-      spec.env.emplace_back(obs::kTraceParentEnv, ctx.encode());
-    }
-    if (!cfg_.metrics_dir.empty()) {
-      spec.argv.push_back("--metrics-out=" +
-                          attempt_artifact(cfg_.metrics_dir, index, attempt));
-    }
+  if (!cfg_.trace_dir.empty()) {
+    spec.argv.push_back(
+        "--trace-out=" + attempt_artifact(cfg_.trace_dir, index, attempt));
+    obs::TraceContext ctx;
+    ctx.trace_id = cfg_.trace_id;
+    ctx.job = cfg_.job_id;
+    ctx.chunk = index;
+    ctx.attempt = attempt;
+    ctx.spawn_wall_ns = wall_now_ns();
+    spec.env.emplace_back(obs::kTraceParentEnv, ctx.encode());
+  }
+  if (!cfg_.metrics_dir.empty()) {
+    spec.argv.push_back("--metrics-out=" +
+                        attempt_artifact(cfg_.metrics_dir, index, attempt));
   }
   // One log per attempt (stdout and stderr interleaved), kept for
   // post-mortems — a retried chunk's failure output is evidence.
   const std::string log = cfg_.work_dir + "/chunk_" +
                           std::to_string(index) + "_attempt_" +
-                          std::to_string(attempt) +
-                          (require_cached ? "_probe" : "") + ".log";
+                          std::to_string(attempt) + ".log";
   spec.stdout_path = log;
   spec.stderr_path = log;
 
   ChildProcess child;
   child.spawn(spec);
-  if (!require_cached && attempt == 0 &&
-      cfg_.inject_kill_chunk == index) {
+  if (attempt == 0 && cfg_.inject_kill_chunk == index) {
     // Simulated worker crash: SIGKILL the child right after spawn.
-    // Only attempt 0 is killed — the retry path (cache probe + rerun)
-    // is what recovers the chunk.  A warm chunk can finish in 2 ms, so
-    // a parent thread preempted between fork and kill may lose the
-    // race; the attempt reports the kill either way, so the crash is
-    // deterministic.
+    // Only attempt 0 is killed — the retry (a cache replay, or a
+    // rerun) is what recovers the chunk.  A warm chunk can finish in
+    // 2 ms, so a parent thread preempted between fork and kill may
+    // lose the race; the attempt reports the kill either way, so the
+    // crash is deterministic.
     child.kill_now();
     (void)child.wait();
     return 128 + SIGKILL;
@@ -96,62 +123,52 @@ ChunkOutcome ProcessBackend::run_chunk(std::size_t index,
                                        std::size_t count,
                                        std::size_t attempt,
                                        const std::atomic<bool>& abort) {
+  std::call_once(resolve_once_, [this] { resolve_replay(); });
   ChunkOutcome outcome;
-  const std::string report_path =
-      cfg_.work_dir + "/chunk_" + std::to_string(index) + ".json";
-  const std::string attempt_tag =
-      "chunk_" + std::to_string(index) + "_attempt_" +
-      std::to_string(attempt);
-  const auto finish = [&](bool recovered) {
+  if (abort.load()) {
+    outcome.error = "aborted";
+    return outcome;
+  }
+  // A chunk whose cells are all cached costs only the reads: no
+  // process, on any attempt.  The injected crash still needs its
+  // process, so that attempt always spawns.
+  const bool injected = attempt == 0 && cfg_.inject_kill_chunk == index;
+  if (replay_config_.has_value() && !injected) {
+    PARMIS_TRACE_SPAN_D("orch", "replay", "job=%llu;chunk=%llu;attempt=%llu",
+                        static_cast<unsigned long long>(cfg_.job_id),
+                        static_cast<unsigned long long>(index),
+                        static_cast<unsigned long long>(attempt));
     try {
-      outcome.report = report::load_report(report_path);
-      outcome.ok = true;
-      outcome.recovered_from_cache = recovered;
-    } catch (const std::exception& e) {
-      outcome.ok = false;
-      outcome.error = e.what();
-    }
-  };
-
-  int status = 0;
-  try {
-    if (attempt > 0 && !cfg_.cache_dir.empty()) {
-      // Failed-worker detection: replay the chunk purely from the
-      // shared cache.  Success means the dead worker (or another job
-      // sharing the cache) already computed every cell — the probe
-      // regenerated the digest-verified report without re-running
-      // anything.
-      if (run_child(index, count, attempt, /*require_cached=*/true,
-                    report_path, abort) == 0) {
-        finish(/*recovered=*/true);
-        if (outcome.ok) {
-          outcome.log_path =
-              cfg_.work_dir + "/" + attempt_tag + "_probe.log";
-          PARMIS_COUNTER_ADD("parmis_orch_chunks_recovered_total", 1);
-          return outcome;
-        }
-      }
-      if (abort.load()) {
-        outcome.ok = false;
-        outcome.error = "aborted";
+      if (std::optional<exec::CampaignReport> replayed =
+              replay_chunk(index, count)) {
+        outcome.ok = true;
+        outcome.recovered_from_cache = true;
+        outcome.report = std::move(*replayed);
+        PARMIS_COUNTER_ADD("parmis_orch_chunks_recovered_total", 1);
         return outcome;
       }
+    } catch (const std::exception&) {
+      // The worker gets the chunk and reports whatever is wrong.
     }
-    status = run_child(index, count, attempt, /*require_cached=*/false,
-                       report_path, abort);
+  }
+
+  const std::string report_path =
+      cfg_.work_dir + "/chunk_" + std::to_string(index) + ".json";
+  int status = 0;
+  try {
+    status = run_child(index, count, attempt, report_path, abort);
   } catch (const std::exception& e) {
     // A worker that could not start (a log that cannot be opened, as
     // in a missing work dir, or a fork the OS refused) is a failed
     // attempt like any other: the retry budget decides what it means.
-    outcome.ok = false;
     outcome.error = std::string("cannot run campaign worker: ") + e.what();
     return outcome;
   }
-  outcome.log_path = cfg_.work_dir + "/" + attempt_tag + ".log";
+  outcome.log_path = cfg_.work_dir + "/chunk_" + std::to_string(index) +
+                     "_attempt_" + std::to_string(attempt) + ".log";
   outcome.trace_path = attempt_artifact(cfg_.trace_dir, index, attempt);
   outcome.metrics_path = attempt_artifact(cfg_.metrics_dir, index, attempt);
   if (status != 0) {
-    outcome.ok = false;
     outcome.error =
         status >= 128
             ? "campaign worker killed by signal " +
@@ -160,7 +177,12 @@ ChunkOutcome ProcessBackend::run_chunk(std::size_t index,
                   std::to_string(status);
     return outcome;
   }
-  finish(/*recovered=*/false);
+  try {
+    outcome.report = report::load_report(report_path);
+    outcome.ok = true;
+  } catch (const std::exception& e) {
+    outcome.error = e.what();
+  }
   return outcome;
 }
 

@@ -4,28 +4,34 @@
 // {index, count} of the campaign" and a backend turns that into a
 // CampaignReport.  Two implementations:
 //
-//   - ProcessBackend: the production path.  Each chunk is one child
-//     invocation of the existing campaign CLI with
-//     `--shard-index/--shard-count --json` against a shared cache dir,
-//     so workers are crash-isolated processes and every result goes
-//     through the digest-verified report serde on the way back in.  On
-//     a retry it first runs a `--require-cached` probe: if the failed
-//     worker (or another job sharing the cache) had already computed
-//     the cells into the shared cache, the probe regenerates the chunk
-//     report from cache without recomputing anything — the
-//     failed-worker detection the lease table's retry path relies on.
+//   - ProcessBackend: the production path.  A chunk whose cells are
+//     all in the shared cache is replayed in the supervisor by
+//     CampaignRunner::replay_cached — the function behind `campaign
+//     --require-cached` — with no process started; that holds on every
+//     attempt, so a retry after a crashed worker that had already
+//     stored its cells costs only the cache reads.  Any other chunk is
+//     one child invocation of the campaign CLI with
+//     `--shard-index/--shard-count --json` against the same cache, so
+//     workers are crash-isolated processes and every result comes back
+//     through the digest-verified report serde.  The plan is resolved
+//     for replay once, on the first chunk, the way the campaign CLI
+//     resolves it; a plan that does not resolve, or no cache, leaves
+//     every chunk to a worker.
 //
 //   - InprocessBackend: CampaignRunner in this process — hermetic unit
 //     tests and scheduling-overhead benchmarks, no fork/exec noise.
 //
-// Both produce bit-identical chunk reports for the same plan (that is
-// PR 5's sharding contract), so the scheduler's merged result never
-// depends on which backend — or which worker — ran a chunk.
+// All three paths produce bit-identical chunk reports for the same plan
+// (cells, keys and order do not depend on the shard, and a cached cell
+// is a bitwise replay), so the scheduler's merged result never depends
+// on which backend — or which worker, or the cache — ran a chunk.
 #ifndef PARMIS_ORCHESTRATE_BACKEND_HPP
 #define PARMIS_ORCHESTRATE_BACKEND_HPP
 
 #include <atomic>
 #include <cstdint>
+#include <memory>
+#include <mutex>
 #include <optional>
 #include <string>
 
@@ -37,7 +43,7 @@ namespace parmis::orchestrate {
 /// the lease table's retry path with `error`.
 struct ChunkOutcome {
   bool ok = false;
-  /// Retry satisfied by the --require-cached probe (no recompute).
+  /// Served from the cache with no worker (ProcessBackend's replay).
   bool recovered_from_cache = false;
   std::string error;
   exec::CampaignReport report;
@@ -72,9 +78,9 @@ class ProcessBackend : public ChunkBackend {
     std::string campaign_bin;  ///< path to the campaign executable
     std::string plan_path;     ///< plan file every worker loads
     std::string work_dir;      ///< chunk reports + per-attempt logs
-    /// Shared result cache passed to every worker (--cache-dir); empty
-    /// leaves caching to the plan's own cache block.  Required for the
-    /// retry probe path.
+    /// Shared result cache passed to every worker (--cache-dir) and
+    /// read by the in-process replay; empty leaves caching to the
+    /// plan's own cache block.
     std::string cache_dir;
     std::size_t threads = 1;   ///< --threads per worker process
     std::uint64_t chunk_timeout_ms = 0;  ///< 0 = no per-chunk timeout
@@ -82,7 +88,7 @@ class ProcessBackend : public ChunkBackend {
     /// this chunk shortly after spawn — a simulated worker crash.
     std::optional<std::size_t> inject_kill_chunk;
     /// Distributed observability (obs/distributed).  Non-empty
-    /// `trace_dir`: every real (non-probe) attempt runs with
+    /// `trace_dir`: every worker attempt runs with
     /// --trace-out into it and inherits a PARMIS_TRACE_PARENT context
     /// minted from `trace_id`/`job_id` at spawn time.  Non-empty
     /// `metrics_dir`: attempts dump --metrics-out shards into it.
@@ -94,20 +100,33 @@ class ProcessBackend : public ChunkBackend {
     std::uint64_t job_id = 0;
   };
 
+  /// Checks the config only; the plan is resolved on the first chunk.
   explicit ProcessBackend(Config config);
+  ~ProcessBackend() override;
 
   ChunkOutcome run_chunk(std::size_t index, std::size_t count,
                          std::size_t attempt,
                          const std::atomic<bool>& abort) override;
 
  private:
-  /// Exit status of one child run; `require_cached` turns it into the
-  /// cache probe.  `report_path` receives --json output either way.
+  /// Resolves the plan and cache for replay (once; failures leave
+  /// replay off).
+  void resolve_replay();
+  /// The chunk's report from the cache alone, or nullopt.  Requires
+  /// replay_config_.
+  std::optional<exec::CampaignReport> replay_chunk(std::size_t index,
+                                                   std::size_t count) const;
+  /// Exit status of the chunk's worker process; `report_path` receives
+  /// its --json output.
   int run_child(std::size_t index, std::size_t count, std::size_t attempt,
-                bool require_cached, const std::string& report_path,
+                const std::string& report_path,
                 const std::atomic<bool>& abort) const;
 
   Config cfg_;
+  std::once_flag resolve_once_;
+  /// Set by resolve_replay when chunks can be replayed in process.
+  std::optional<exec::CampaignConfig> replay_config_;
+  std::unique_ptr<cache::ResultCache> replay_cache_;
 };
 
 /// CampaignRunner-per-chunk backend for tests and benchmarks.

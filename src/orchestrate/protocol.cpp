@@ -170,6 +170,7 @@ JobManager::JobInfo JobManager::submit(const serde::CampaignPlan& plan,
     // Shard collection runs however the job settled: a failed job's
     // trace is exactly the one worth looking at.
     if (raw->trace) finalize_observability(*raw);
+    raw->finished.store(true);
   });
   PARMIS_COUNTER_ADD("parmis_orch_jobs_submitted_total", 1);
 
@@ -235,6 +236,13 @@ JobManager::JobInfo JobManager::info_locked(const Job& job) const {
   info.id = job.id;
   info.tag = job.tag;
   info.progress = job.runner->progress();
+  // The runner settles before the job thread writes final.json and the
+  // observability artifacts.  Until it has, the job reads as running,
+  // so a settled job's status and results only name files that exist.
+  if (!job.finished.load() &&
+      info.progress.state != JobProgress::State::Pending) {
+    info.progress.state = JobProgress::State::Running;
+  }
   info.chunks = job.chunks;
   info.total_cells = job.total_cells;
   info.job_dir = job.job_dir;

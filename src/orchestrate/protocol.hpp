@@ -38,6 +38,7 @@
 #ifndef PARMIS_ORCHESTRATE_PROTOCOL_HPP
 #define PARMIS_ORCHESTRATE_PROTOCOL_HPP
 
+#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -163,6 +164,9 @@ class JobManager {
     std::unique_ptr<ChunkBackend> backend;
     std::unique_ptr<JobRunner> runner;
     std::thread thread;
+    /// Set by `thread` once final.json and the observability artifacts
+    /// are written.
+    std::atomic<bool> finished{false};
   };
 
   JobInfo info_locked(const Job& job) const;

@@ -32,7 +32,8 @@ const char* job_state_name(JobProgress::State state) {
 JobRunner::JobRunner(ChunkBackend& backend, JobConfig config)
     : backend_(backend),
       cfg_(std::move(config)),
-      table_({cfg_.chunks, cfg_.max_attempts}) {
+      table_({cfg_.chunks, cfg_.max_attempts}),
+      slots_(cfg_.chunks) {
   require(cfg_.workers >= 1, "orchestrate: workers must be >= 1");
 }
 
@@ -63,21 +64,46 @@ void JobRunner::fold_in(std::size_t chunk, exec::CampaignReport&& report) {
                       static_cast<unsigned long long>(cfg_.job_id),
                       static_cast<unsigned long long>(chunk));
   std::lock_guard<std::mutex> lock(mu_);
-  report::MergeOptions lax;
-  lax.strict = false;
-  // The provisional goes in as a copy and is replaced only once the
-  // merge and its save succeed: a rejected chunk fails its attempt and
-  // leaves the provisional as it was, so the retry merges cleanly.
-  std::vector<exec::CampaignReport> inputs;
-  if (provisional_.has_value()) inputs.push_back(*provisional_);
-  inputs.push_back(std::move(report));
-  exec::CampaignReport merged = report::merge(std::move(inputs), lax);
-  if (!cfg_.provisional_path.empty()) {
-    report::save_report(cfg_.provisional_path, merged);
+  // The checks report::merge would make, against any stored chunk: a
+  // report that passes here is one the final strict merge accepts.
+  const std::string who = "merge: chunk " + std::to_string(chunk) + ": ";
+  const exec::CampaignReport* first = &report;
+  for (const auto& slot : slots_) {
+    if (slot.has_value()) {
+      first = &*slot;
+      break;
+    }
   }
-  provisional_ = std::move(merged);
+  report::check_shard_report(report, first->campaign_hash,
+                             first->total_cells, cfg_.chunks, who);
+  const std::size_t index = report.shard.index;
+  require(!slots_[index].has_value(),
+          "merge: shard " + std::to_string(index) +
+              " appears more than once (overlap)");
+  require(index == chunk, who + "carries shard " + std::to_string(index) +
+                              ", not the chunk it was granted");
+  slots_[index] = std::move(report);
+  if (!cfg_.provisional_path.empty()) {
+    try {
+      report::save_report(cfg_.provisional_path,
+                          merge_slots_locked(/*strict=*/false));
+    } catch (...) {
+      slots_[index].reset();
+      throw;
+    }
+  }
   ++provisional_merges_;
   PARMIS_COUNTER_ADD("parmis_orch_provisional_merges_total", 1);
+}
+
+exec::CampaignReport JobRunner::merge_slots_locked(bool strict) const {
+  std::vector<exec::CampaignReport> inputs;
+  for (const auto& slot : slots_) {
+    if (slot.has_value()) inputs.push_back(*slot);
+  }
+  report::MergeOptions options;
+  options.strict = strict;
+  return report::merge(std::move(inputs), options);
 }
 
 void JobRunner::worker_loop() {
@@ -98,9 +124,9 @@ void JobRunner::worker_loop() {
       try {
         fold_in(grant->chunk, std::move(outcome.report));
       } catch (const std::exception& e) {
-        // A chunk report the merge rejects (wrong campaign hash after
-        // a plan edit race, bad tiling, a chunk merged twice) or a
-        // provisional file that cannot be written is a failed
+        // A chunk report the tiling checks reject (wrong campaign hash
+        // after a plan edit race, bad tiling, a chunk stored twice) or
+        // a provisional file that cannot be written is a failed
         // attempt, not a scheduler crash.
         outcome.ok = false;
         outcome.error = std::string("cannot merge chunk: ") + e.what();
@@ -182,12 +208,15 @@ exec::CampaignReport JobRunner::run() {
     export_gauges_locked();
     require(false, "orchestrate: job failed: " + error_);
   }
-  require(provisional_.has_value() && !provisional_->partial,
-          "orchestrate: internal error: job drained without a complete "
-          "merge");
+  for (const auto& slot : slots_) {
+    require(slot.has_value(),
+            "orchestrate: internal error: job drained without a complete "
+            "tiling");
+  }
+  exec::CampaignReport merged = merge_slots_locked(/*strict=*/true);
   state_ = JobProgress::State::Done;
   export_gauges_locked();
-  return *provisional_;
+  return merged;
 }
 
 void JobRunner::cancel() {
@@ -203,16 +232,25 @@ JobProgress JobRunner::progress() const {
   out.workers = cfg_.workers;
   out.provisional_merges = provisional_merges_;
   out.chunks_recovered = chunks_recovered_;
-  if (provisional_.has_value()) {
+  // A merge concatenates the slots in index order, so chaining their
+  // digests gives the merged digest without the merge.
+  std::uint64_t digest = exec::kObjectivesDigestSeed;
+  std::size_t stored = 0;
+  for (const auto& slot : slots_) {
+    if (!slot.has_value()) continue;
+    digest = exec::digest_cells(digest, slot->cells);
+    out.report_cells += slot->cells.size();
+    out.total_cells = slot->total_cells;
+    ++stored;
+  }
+  if (stored > 0) {
     out.has_report = true;
-    out.report_digest = provisional_->objectives_digest();
-    out.report_cells = provisional_->cells.size();
-    out.report_partial = provisional_->partial;
-    out.cells_done = provisional_->cells.size();
-    out.total_cells = provisional_->total_cells;
+    out.report_digest = digest;
+    out.report_partial = stored < slots_.size();
+    out.cells_done = out.report_cells;
   }
   out.wall_s = wall_s_;
-  // Throughput and ETA, from the provisional merge stream.  While the
+  // Throughput and ETA, from the stored chunks.  While the
   // job runs, the clock is "now - start"; afterwards it is the final
   // wall time, so cells_per_s settles to the job's true average.
   const double elapsed_s =
@@ -234,7 +272,10 @@ JobProgress JobRunner::progress() const {
 
 std::optional<exec::CampaignReport> JobRunner::provisional() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return provisional_;
+  for (const auto& slot : slots_) {
+    if (slot.has_value()) return merge_slots_locked(/*strict=*/false);
+  }
+  return std::nullopt;
 }
 
 }  // namespace parmis::orchestrate

@@ -1,28 +1,34 @@
 // Job scheduler: a worker pool draining a LeaseTable through a
-// ChunkBackend, streaming provisional merges as chunks land.
+// ChunkBackend, one stored report per chunk and one merge at the end.
 //
 // One JobRunner is one campaign: it owns the chunk queue, spawns
 // `workers` supervisor threads (each thread drives one worker slot —
-// for the process backend that means one child campaign process at a
-// time), and folds every completed chunk report into a running
-// provisional merge (report::merge non-strict, the incremental
-// re-merge path).  When the tiling completes, the provisional *is* the
-// final report — merge() flips `partial` off and the result is
-// bit-identical to a single-process unsharded run regardless of worker
-// count, grant order, retries, or killed workers (the headline
-// guarantee; see lease.hpp for why the schedule cannot matter).
+// for the process backend that means one child campaign process or
+// one in-process cache replay at a time), and moves every completed
+// chunk report into that chunk's slot after checking it against the
+// tiling with report::merge's rules (campaign hash, total_cells, shard
+// count, slice size, a slot not already filled).  Nothing is merged
+// while chunks land: progress() reads the digest, cell count and
+// `partial` straight off the slots (the objectives digest excludes
+// PHV), and a merged report is built from the slots only when one is
+// needed — each write of `provisional_path`, provisional(), and run()'s
+// result, which is one strict report::merge of every slot.  That
+// result is bit-identical to a single-process unsharded run regardless
+// of worker count, grant order, retries, or killed workers (the
+// headline guarantee; see lease.hpp for why the schedule cannot
+// matter).
 //
 // Each grant is answered once, by the slot that holds it: a chunk
-// report the merge rejects (a wrong campaign, a chunk merged twice),
+// report the checks reject (a wrong campaign, a chunk stored twice),
 // or a provisional file that cannot be written, fails that attempt and
-// leaves the provisional as it was.  A hung worker is the backend's to
+// leaves the slots as they were.  A hung worker is the backend's to
 // end (ProcessBackend's chunk timeout).
 //
 // Failure semantics: a chunk that exhausts its retry budget marks the
 // job failed, but the pool still drains the remaining chunks, so the
-// last provisional report covers everything that *did* succeed.
-// cancel() stops new grants and aborts in-flight chunk runs (the
-// process backend SIGKILLs its child).
+// provisional report covers everything that *did* succeed.  cancel()
+// stops new grants and aborts in-flight chunk runs (the process
+// backend SIGKILLs its child).
 #ifndef PARMIS_ORCHESTRATE_SCHEDULER_HPP
 #define PARMIS_ORCHESTRATE_SCHEDULER_HPP
 
@@ -43,9 +49,9 @@ struct JobConfig {
   std::size_t workers = 2;
   std::size_t chunks = 1;        ///< tiling size (resolved by caller)
   std::size_t max_attempts = 3;
-  /// Non-empty: every provisional merge is atomically written here (and
-  /// the final report too), so observers can load a digest-verified
-  /// snapshot of the campaign-so-far at any time.
+  /// Non-empty: after every stored chunk the merge of the slots so far
+  /// is atomically written here, so observers can load a
+  /// digest-verified snapshot of the campaign-so-far at any time.
   std::string provisional_path;
   /// Non-empty: per-job registry gauges are exported under this prefix
   /// (e.g. "parmis_orch_job7" -> parmis_orch_job7_chunks_done).  Must
@@ -76,21 +82,21 @@ struct JobProgress {
   State state = State::Pending;
   LeaseTableStats stats;
   std::size_t workers = 0;
-  std::uint64_t provisional_merges = 0;
-  std::uint64_t chunks_recovered = 0;  ///< retries satisfied from cache
-  /// Digest of the latest provisional (or final) merge; meaningful
-  /// only when has_report.
+  std::uint64_t provisional_merges = 0;  ///< chunk reports stored
+  std::uint64_t chunks_recovered = 0;  ///< chunks served from the cache
+  /// Objectives digest of the stored chunks in index order (what their
+  /// merge would carry); meaningful only when has_report.
   bool has_report = false;
   std::uint64_t report_digest = 0;
   std::size_t report_cells = 0;
   bool report_partial = false;
   double wall_s = 0.0;
   std::string error;
-  /// Live throughput from the provisional merge stream: cells merged
-  /// so far, the campaign's full cell count (a parmis-report-v3
-  /// partial keeps the ORIGINAL total_cells — that is what makes the
-  /// ETA computable mid-run), merged cells per wall second, and the
-  /// naive remaining/rate estimate (0 when unknown or finished).
+  /// Live throughput from the stored chunks: cells stored so far, the
+  /// campaign's full cell count (every chunk report carries the
+  /// ORIGINAL total_cells — that is what makes the ETA computable
+  /// mid-run), stored cells per wall second, and the naive
+  /// remaining/rate estimate (0 when unknown or finished).
   std::size_t cells_done = 0;
   std::size_t total_cells = 0;
   double cells_per_s = 0.0;
@@ -117,13 +123,18 @@ class JobRunner {
 
   JobProgress progress() const;
 
-  /// Copy of the latest provisional/final merge (nullopt before the
-  /// first chunk lands).
+  /// Non-strict merge of the chunks stored so far (nullopt before the
+  /// first chunk lands); partial until every chunk is in.
   std::optional<exec::CampaignReport> provisional() const;
 
  private:
   void worker_loop();
+  /// Checks `report` against the tiling and moves it into its slot
+  /// (and rewrites provisional_path); throws, storing nothing, if
+  /// either fails.
   void fold_in(std::size_t chunk, exec::CampaignReport&& report);
+  /// report::merge over copies of the filled slots.
+  exec::CampaignReport merge_slots_locked(bool strict) const;
   void export_gauges_locked() const;
 
   ChunkBackend& backend_;
@@ -133,7 +144,8 @@ class JobRunner {
 
   mutable std::mutex mu_;
   JobProgress::State state_ = JobProgress::State::Pending;
-  std::optional<exec::CampaignReport> provisional_;
+  /// One per chunk, filled by fold_in with that chunk's report.
+  std::vector<std::optional<exec::CampaignReport>> slots_;
   std::uint64_t provisional_merges_ = 0;
   std::uint64_t chunks_recovered_ = 0;
   double wall_s_ = 0.0;

@@ -26,7 +26,38 @@ std::size_t tiling_count(const exec::CampaignReport& r) {
   return r.partial ? r.source_shard_count : r.shard.count;
 }
 
+/// The checks every merge input passes: one campaign, one tiling.
+void check_campaign(const exec::CampaignReport& r,
+                    std::uint64_t campaign_hash, std::size_t total_cells,
+                    std::size_t count, const std::string& who) {
+  require(r.campaign_hash == campaign_hash,
+          who + "campaign hash mismatch (shards of different campaigns "
+                "cannot be merged)");
+  require(r.total_cells == total_cells,
+          who + "total_cells " + std::to_string(r.total_cells) +
+              " disagrees with " + std::to_string(total_cells));
+  require(tiling_count(r) == count,
+          who + "shard count " + std::to_string(tiling_count(r)) +
+              " disagrees with " + std::to_string(count));
+}
+
 }  // namespace
+
+void check_shard_report(const exec::CampaignReport& r,
+                        std::uint64_t campaign_hash, std::size_t total_cells,
+                        std::size_t count, const std::string& who) {
+  require(!r.partial, who + "a partial merge result is not a shard report");
+  check_campaign(r, campaign_hash, total_cells, count, who);
+  require(r.shard.index < r.shard.count,
+          who + "shard index " + std::to_string(r.shard.index) +
+              " out of range (count " + std::to_string(r.shard.count) + ")");
+  const auto [begin, end] = exec::shard_range(r.total_cells, r.shard);
+  require(r.cells.size() == end - begin,
+          who + "carries " + std::to_string(r.cells.size()) +
+              " cells but shard " + std::to_string(r.shard.index) + "/" +
+              std::to_string(r.shard.count) + " spans " +
+              std::to_string(end - begin));
+}
 
 void assign_global_phv(exec::CampaignReport& report,
                        double reference_margin) {
@@ -105,28 +136,12 @@ exec::CampaignReport merge(std::vector<exec::CampaignReport> reports,
   for (std::size_t i = 0; i < reports.size(); ++i) {
     exec::CampaignReport& r = reports[i];
     const std::string who = "merge: report #" + std::to_string(i) + ": ";
-    require(r.campaign_hash == first.campaign_hash,
-            who + "campaign hash mismatch (shards of different campaigns "
-                  "cannot be merged)");
-    require(r.total_cells == first.total_cells,
-            who + "total_cells " + std::to_string(r.total_cells) +
-                " disagrees with " + std::to_string(first.total_cells));
-    require(tiling_count(r) == count,
-            who + "shard count " + std::to_string(tiling_count(r)) +
-                " disagrees with " + std::to_string(count));
     if (!r.partial) {
-      require(r.shard.index < r.shard.count,
-              who + "shard index " + std::to_string(r.shard.index) +
-                  " out of range (count " + std::to_string(r.shard.count) +
-                  ")");
-      const auto [begin, end] = exec::shard_range(r.total_cells, r.shard);
-      require(r.cells.size() == end - begin,
-              who + "carries " + std::to_string(r.cells.size()) +
-                  " cells but shard " + std::to_string(r.shard.index) +
-                  "/" + std::to_string(r.shard.count) + " spans " +
-                  std::to_string(end - begin));
+      check_shard_report(r, first.campaign_hash, first.total_cells, count,
+                         who);
       pieces.push_back(Piece{r.shard.index, std::move(r.cells)});
     } else {
+      check_campaign(r, first.campaign_hash, first.total_cells, count, who);
       // A pre-v3 partial re-headed total_cells to its own cell count
       // and recorded no source tiling; it cannot be exploded and stays
       // terminal.

@@ -35,6 +35,8 @@
 #ifndef PARMIS_REPORT_MERGE_HPP
 #define PARMIS_REPORT_MERGE_HPP
 
+#include <cstdint>
+#include <string>
 #include <vector>
 
 #include "exec/campaign.hpp"
@@ -68,6 +70,14 @@ std::size_t missing_shards(const std::vector<exec::CampaignReport>& reports);
 /// reference recomputation — bitwise-identical PHV.
 exec::CampaignReport merge(std::vector<exec::CampaignReport> reports,
                            const MergeOptions& options = {});
+
+/// merge()'s checks of one plain (non-partial) shard report against
+/// the campaign it joins: equal campaign hash and total_cells, shard
+/// count `count`, an index in range and the slice's cell count.
+/// Throws parmis::Error with merge()'s wording, prefixed by `who`.
+void check_shard_report(const exec::CampaignReport& report,
+                        std::uint64_t campaign_hash, std::size_t total_cells,
+                        std::size_t count, const std::string& who);
 
 /// The runner's serial aggregation step, exposed for merge and tests:
 /// one shared reference point per scenario over all its cells' fronts,

@@ -9,6 +9,8 @@
 #include <filesystem>
 #include <fstream>
 #include <limits>
+#include <optional>
+#include <random>
 #include <string>
 #include <thread>
 
@@ -358,6 +360,68 @@ TEST(ResultCache, TruncatedAndGarbageEntriesAreMisses) {
   }
   EXPECT_FALSE(cache.lookup(key).has_value());
   EXPECT_EQ(cache.stats().corrupt, 2u);
+}
+
+TEST(ResultCache, EveryMutatedEntryIsRejectedOrReencodesToItsBytes) {
+  // Mutation oracle for the entry decoder: each truncation of a real
+  // entry's payload and 400 seeded byte flips, each re-stamped with a
+  // valid digest so the decoder itself must judge it.  An entry it
+  // accepts must be exactly what serialize_entry writes for the cell it
+  // decoded to — no lenient parse of a non-canonical field.
+  // An RL cell: a front point and its policy theta in ~9 KB, so every
+  // truncation stays affordable (each one is digested whole).
+  const scenario::ScenarioSpec spec =
+      scenario::make_scenario("xu3-synthetic-te");
+  const CellKey key = cell_key(spec, "rl", 1, 3);
+  const exec::CellResult cell =
+      exec::CampaignRunner::run_cell(spec, "rl", 1, 3);
+  ASSERT_TRUE(cell.error.empty()) << cell.error;
+  ASSERT_FALSE(cell.pareto_thetas.empty());
+  const std::string entry = serialize_entry(key, cell);
+  const std::size_t digest_at = entry.find("digest=");
+  ASSERT_NE(digest_at, std::string::npos);
+  const std::string magic = entry.substr(0, digest_at);
+  const std::string payload = entry.substr(entry.find('\n', digest_at) + 1);
+  const auto stamped = [&](const std::string& p) {
+    return magic + "digest=" + hex64(fnv1a64(p)) + "\n" + p;
+  };
+  ASSERT_EQ(stamped(payload), entry);
+  ASSERT_TRUE(parse_entry(entry, key).has_value());
+
+  std::size_t accepted = 0, rejected = 0;
+  const auto judge = [&](const std::string& mutated, const std::string& what) {
+    const std::string bytes = stamped(mutated);
+    const std::optional<exec::CellResult> decoded = parse_entry(bytes, key);
+    if (!decoded.has_value()) {
+      ++rejected;
+      return;
+    }
+    ++accepted;
+    EXPECT_EQ(serialize_entry(key, *decoded), bytes) << what;
+  };
+  for (std::size_t n = 0; n < payload.size(); ++n) {
+    judge(payload.substr(0, n), "truncated to " + std::to_string(n));
+  }
+  std::mt19937_64 rng(20211);
+  for (int i = 0; i < 400; ++i) {
+    std::string mutated = payload;
+    const std::size_t at = rng() % mutated.size();
+    mutated[at] = static_cast<char>(mutated[at] ^ (1 + rng() % 255));
+    judge(mutated, "byte " + std::to_string(at) + " flipped");
+  }
+  // And the flip a reader most easily forgives: a leading zero on every
+  // field value that starts with a digit.
+  for (std::size_t at = 1; at + 1 < payload.size(); ++at) {
+    if (payload[at - 1] != '=' || payload[at] < '1' || payload[at] > '9') {
+      continue;
+    }
+    std::string mutated = payload;
+    mutated[at] = '0';
+    judge(mutated, "leading digit at " + std::to_string(at) + " zeroed");
+  }
+  // Truncations all fail; flips inside strings and doubles decode.
+  EXPECT_GE(rejected, payload.size());
+  EXPECT_GT(accepted, 0u);
 }
 
 // -------------------------------------------------------------------- gc

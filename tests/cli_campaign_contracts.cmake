@@ -5,7 +5,9 @@
 #     two digests match;
 #   * cache: a re-run against the same cache dir is served entirely
 #     from cache (--require-cached exits non-zero otherwise; the report
-#     says cache_misses 0) and reproduces the digest;
+#     says cache_misses 0) and reproduces the digest; against an empty
+#     cache --require-cached exits 1 naming the missing cell and leaves
+#     no entry and no report behind;
 #   * plans: every shipped plan loads; a plan-driven run reproduces the
 #     equivalent flag-driven run and replays from its cache; shards over
 #     one cache dir cover the campaign exactly once; a plan with a
@@ -60,6 +62,24 @@ run_campaign(plan_smoke --plan ${smoke} --threads=2)
 run_campaign(flag_smoke --scenarios=xu3-mibench-te --methods=performance
              --seeds=1 --seed=1 --anchor-limit=3 --threads=2)
 expect_same_digest(plan_smoke flag_smoke)
+# --require-cached is a pure cache read: against an empty cache it
+# exits 1 naming the first missing cell, and computes, stores and
+# writes nothing.
+execute_process(
+  COMMAND "${CAMPAIGN}" --plan ${smoke} --cache-dir=empty-cache
+          --require-cached --json=${WORK_DIR}/never.json
+  WORKING_DIRECTORY "${WORK_DIR}"
+  RESULT_VARIABLE rc
+  OUTPUT_VARIABLE out
+  ERROR_VARIABLE err)
+file(GLOB left "${WORK_DIR}/empty-cache/*")
+if(NOT rc EQUAL 1 OR
+   NOT err MATCHES "cell xu3-mibench-te/performance seed 1 is not in" OR
+   EXISTS "${WORK_DIR}/never.json" OR left)
+  message(FATAL_ERROR "--require-cached on an empty cache: want exit 1 "
+                      "naming the cell, no report and no entry, got "
+                      "${rc}:\n${out}\n${err}\nleft: ${left}")
+endif()
 run_campaign(plan_cold --plan ${smoke} --cache-dir=plan-cache)
 run_campaign(plan_warm --plan ${smoke} --cache-dir=plan-cache
              --require-cached)

@@ -9,6 +9,8 @@
 #   * a single-process run at --threads=1,
 #   * a --threads=4 --compare-threads run (1 vs 4 threads in one process),
 #   * a --require-cached replay against the launcher's cache,
+#   * a warm relaunch over that cache, which replays all 4 chunks in
+#     the supervisor and starts no worker (no chunk log),
 #   * the results of a traced campaign-daemon job over --socket, driven
 #     through campaign-daemon --connect: ping answers parmis-orch-v3,
 #     and the same plan, submitted with chunk 0's first attempt killed
@@ -69,6 +71,26 @@ if(NOT doc MATCHES "\"cache_misses\": 0[,\n}]")
   message(FATAL_ERROR "replay: not served entirely from the launch cache")
 endif()
 expect_same_digest(launched serial compare replay)
+
+# A warm relaunch over the same cache never leaves the supervisor: each
+# chunk is replayed from the cache in process, so no worker runs and no
+# chunk log is written, and the report is the launched one.
+execute_process(
+  COMMAND "${LAUNCH}" --plan=${WORK_DIR}/learned.json --workers=2
+          --chunks=4 --campaign-bin=${CAMPAIGN} --cache-dir=launch-cache
+          --work-dir=warm-work --out=${WORK_DIR}/warm.json
+  WORKING_DIRECTORY "${WORK_DIR}"
+  RESULT_VARIABLE rc
+  OUTPUT_VARIABLE out
+  ERROR_VARIABLE err)
+file(GLOB_RECURSE warm_logs "${WORK_DIR}/warm-work/*.log")
+if(NOT rc EQUAL 0 OR NOT err MATCHES "recovered from cache 4\\)" OR
+   warm_logs)
+  message(FATAL_ERROR "warm relaunch: want exit 0, 4 chunks recovered "
+                      "from cache and no chunk log, got ${rc}:\n${err}\n"
+                      "logs: ${warm_logs}")
+endif()
+expect_same_digest(launched warm)
 
 expect_rejected("${LAUNCH}" ${plan} --workerz=2 --work-dir=typo-work)
 if(EXISTS "${WORK_DIR}/typo-work")

@@ -12,27 +12,36 @@
 #include <atomic>
 #include <bit>
 #include <chrono>
+#include <condition_variable>
 #include <csignal>
 #include <cstdlib>
 #include <cstdint>
+#include <filesystem>
 #include <map>
 #include <memory>
+#include <mutex>
+#include <optional>
+#include <random>
 #include <set>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "cache/result_cache.hpp"
 #include "common/error.hpp"
 #include "common/fs.hpp"
 #include "common/hash.hpp"
 #include "common/json.hpp"
 #include "exec/campaign.hpp"
+#include "methods/registry.hpp"
 #include "obs/distributed.hpp"
 #include "orchestrate/backend.hpp"
 #include "orchestrate/lease.hpp"
 #include "orchestrate/protocol.hpp"
 #include "orchestrate/scheduler.hpp"
 #include "orchestrate/subprocess.hpp"
+#include "report/merge.hpp"
 #include "report/report_json.hpp"
 #include "serde/json_util.hpp"
 #include "serde/plan.hpp"
@@ -41,10 +50,13 @@
 namespace parmis::orchestrate {
 namespace {
 
+/// A fresh empty directory: one left by an earlier run of the suite
+/// is removed first, so a cache dir never starts warm.
 std::string temp_dir(const std::string& tag) {
   static std::atomic<int> counter{0};
   const std::string dir = ::testing::TempDir() + "parmis_orch_" + tag +
                           "_" + std::to_string(counter.fetch_add(1));
+  std::filesystem::remove_all(dir);
   make_directories(dir);
   return dir;
 }
@@ -530,7 +542,164 @@ TEST(JobRunner, ProgressCarriesAttemptRecordsAndThroughput) {
   EXPECT_EQ(p.eta_s, 0.0);
 }
 
+/// Answers chunk k with a prepared report once the test releases k,
+/// so the test decides the order chunks complete in.
+class GatedBackend : public ChunkBackend {
+ public:
+  explicit GatedBackend(std::vector<exec::CampaignReport> reports)
+      : reports_(std::move(reports)) {}
+
+  ChunkOutcome run_chunk(std::size_t index, std::size_t /*count*/,
+                         std::size_t /*attempt*/,
+                         const std::atomic<bool>& /*abort*/) override {
+    std::unique_lock<std::mutex> lock(mu_);
+    cv_.wait(lock, [&] { return released_.count(index) > 0; });
+    ChunkOutcome outcome;
+    outcome.ok = true;
+    outcome.report = reports_[index];
+    return outcome;
+  }
+
+  void release(std::size_t index) {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      released_.insert(index);
+    }
+    cv_.notify_all();
+  }
+
+ private:
+  std::vector<exec::CampaignReport> reports_;
+  std::mutex mu_;
+  std::condition_variable cv_;
+  std::set<std::size_t> released_;
+};
+
+/// Equal merge results: cells (digest and PHV bits), partial flag and
+/// source tiling.  Wall clock sums depend on the order of addition and
+/// are not compared.
+void expect_same_merge(const exec::CampaignReport& got,
+                       const exec::CampaignReport& want,
+                       const std::string& where) {
+  SCOPED_TRACE(where);
+  expect_bitwise_equal(got, want);
+  EXPECT_EQ(got.partial, want.partial);
+  EXPECT_EQ(got.source_shard_count, want.source_shard_count);
+  EXPECT_EQ(got.source_shards, want.source_shards);
+  EXPECT_EQ(got.total_cells, want.total_cells);
+  EXPECT_EQ(got.campaign_hash, want.campaign_hash);
+}
+
+TEST(JobRunner, StoredChunksMergeLikeTheFoldChainAtEveryPrefix) {
+  // The scheduler stores chunk reports and merges on demand; the old
+  // scheduler folded each landing chunk into the provisional with a
+  // non-strict merge.  Chunks complete here in a shuffled order, and
+  // after each one provisional() and progress() must equal that fold
+  // chain over the same prefix.
+  const exec::CampaignConfig config = plan_config(small_plan());
+  constexpr std::size_t kChunks = 5;
+  std::vector<exec::CampaignReport> chunks;
+  for (std::size_t k = 0; k < kChunks; ++k) {
+    exec::CampaignConfig shard = config;
+    shard.shard = exec::ShardSpec{k, kChunks};
+    chunks.push_back(exec::CampaignRunner(shard).run());
+  }
+  std::vector<std::size_t> order(kChunks);
+  for (std::size_t k = 0; k < kChunks; ++k) order[k] = k;
+  std::shuffle(order.begin(), order.end(), std::mt19937(7));
+
+  GatedBackend backend(chunks);
+  JobConfig jc;
+  jc.workers = kChunks;  // every chunk is in flight at once
+  jc.chunks = kChunks;
+  JobRunner runner(backend, jc);
+  EXPECT_FALSE(runner.provisional().has_value());
+  std::optional<exec::CampaignReport> result;
+  std::thread job([&] { result = runner.run(); });
+
+  report::MergeOptions lax;
+  lax.strict = false;
+  std::optional<exec::CampaignReport> folded;
+  for (std::size_t i = 0; i < kChunks; ++i) {
+    backend.release(order[i]);
+    const auto start = Clock::now();
+    while (runner.progress().provisional_merges < i + 1 &&
+           ms_since(start) < 30000) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    std::vector<exec::CampaignReport> inputs;
+    if (folded.has_value()) inputs.push_back(std::move(*folded));
+    inputs.push_back(chunks[order[i]]);
+    folded = report::merge(std::move(inputs), lax);
+
+    const std::string where = "after " + std::to_string(i + 1) + " chunks";
+    const std::optional<exec::CampaignReport> stored = runner.provisional();
+    ASSERT_TRUE(stored.has_value()) << where;
+    expect_same_merge(*stored, *folded, where);
+    const JobProgress p = runner.progress();
+    EXPECT_TRUE(p.has_report);
+    EXPECT_EQ(p.report_digest, folded->objectives_digest()) << where;
+    EXPECT_EQ(p.report_cells, folded->cells.size()) << where;
+    EXPECT_EQ(p.report_partial, folded->partial) << where;
+    EXPECT_EQ(p.total_cells, folded->total_cells) << where;
+  }
+  job.join();
+  ASSERT_TRUE(result.has_value());
+  expect_same_merge(*result, *folded, "final");
+  expect_bitwise_equal(*result, exec::CampaignRunner(config).run());
+}
+
 // --------------------------------------------- process-backend recovery
+
+/// Submits `plan` to a fresh manager on `defaults`, waits for the job to
+/// settle, and joins it (final.json is written by then).
+JobManager::JobInfo launch(const JobManager::Defaults& defaults,
+                           const serde::CampaignPlan& plan) {
+  JobManager manager(defaults);
+  const JobManager::JobInfo submitted = manager.submit(plan);
+  for (int i = 0; i < 600; ++i) {  // 30 s budget; typically < 1 s
+    const JobProgress::State state =
+        manager.info(submitted.id)->progress.state;
+    if (state != JobProgress::State::Pending &&
+        state != JobProgress::State::Running) {
+      break;
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  }
+  manager.shutdown();
+  return *manager.info(submitted.id);
+}
+
+/// Real `campaign` workers on 3 chunks over `cache_dir`, in a fresh
+/// work dir.
+JobManager::Defaults worker_defaults(const std::string& cache_dir) {
+  JobManager::Defaults defaults;
+  defaults.workers = 2;
+  defaults.chunks = 3;
+  defaults.max_attempts = 3;
+  defaults.work_dir = temp_dir("workers");
+  defaults.cache_dir = cache_dir;
+  defaults.campaign_bin = sibling_binary("", "campaign");
+  return defaults;
+}
+
+/// Computes every cell of `plan` into `cache_dir`.
+void fill_cache(const serde::CampaignPlan& plan,
+                const std::string& cache_dir) {
+  cache::ResultCache cache(cache_dir);
+  exec::CampaignConfig config = plan_config(plan);
+  config.cache = &cache;
+  ASSERT_EQ(exec::CampaignRunner(config).run().cache_misses,
+            config.scenarios.front().methods.size() * config.seeds_per_cell);
+}
+
+/// The report's bytes with its wall clock zeroed.
+std::string timeless_bytes(exec::CampaignReport report) {
+  report.wall_s = 0.0;
+  std::ostringstream os;
+  report::write_report(os, report);
+  return os.str();
+}
 
 TEST(Orchestrate, KilledWorkerIsRetriedAndTheFinalDigestIsUnchanged) {
   // The real satellite check: spawn actual `campaign` worker processes
@@ -541,30 +710,12 @@ TEST(Orchestrate, KilledWorkerIsRetriedAndTheFinalDigestIsUnchanged) {
   const exec::CampaignReport unsharded =
       exec::CampaignRunner(plan_config(plan)).run();
 
-  JobManager::Defaults defaults;
+  JobManager::Defaults defaults = worker_defaults(temp_dir("kill_cache"));
   defaults.workers = 3;
   defaults.chunks = 4;
-  defaults.max_attempts = 3;
-  defaults.work_dir = temp_dir("kill");
-  defaults.cache_dir = temp_dir("kill_cache");
-  defaults.campaign_bin = sibling_binary("", "campaign");
   defaults.inject_kill_chunk = 0;
-  JobManager manager(defaults);
-
-  const JobManager::JobInfo submitted = manager.submit(plan);
-  EXPECT_EQ(submitted.total_cells, unsharded.cells.size());
-
-  JobManager::JobInfo info = submitted;
-  for (int i = 0; i < 600; ++i) {  // 30 s budget; typically < 1 s
-    info = *manager.info(submitted.id);
-    if (info.progress.state != JobProgress::State::Pending &&
-        info.progress.state != JobProgress::State::Running) {
-      break;
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  }
-  manager.shutdown();
-  info = *manager.info(submitted.id);
+  const JobManager::JobInfo info = launch(defaults, plan);
+  EXPECT_EQ(info.total_cells, unsharded.cells.size());
 
   ASSERT_EQ(info.progress.state, JobProgress::State::Done)
       << info.progress.error;
@@ -575,6 +726,144 @@ TEST(Orchestrate, KilledWorkerIsRetriedAndTheFinalDigestIsUnchanged) {
       report::load_report(info.final_path);
   expect_bitwise_equal(final_report, unsharded);
   EXPECT_FALSE(final_report.partial);
+}
+
+// ------------------------------------------------ in-process cache replay
+
+TEST(ProcessBackend, ReplayEqualsARequireCachedWorkerForEveryChunk) {
+  const serde::CampaignPlan plan = small_plan();
+  const std::string dir = temp_dir("replay_bytes");
+  const std::string cache_dir = dir + "/cache";
+  fill_cache(plan, cache_dir);
+  make_directories(dir + "/job");
+  make_directories(dir + "/workers");
+
+  ProcessBackend::Config config;
+  config.campaign_bin = sibling_binary("", "campaign");
+  config.plan_path = dir + "/plan.json";
+  config.work_dir = dir + "/job";
+  config.cache_dir = cache_dir;
+  serde::save_plan(config.plan_path, plan);
+  ProcessBackend backend(config);
+  const std::atomic<bool> abort{false};
+  constexpr std::size_t kChunks = 3;
+  for (std::size_t k = 0; k < kChunks; ++k) {
+    const ChunkOutcome replayed = backend.run_chunk(k, kChunks, 0, abort);
+    ASSERT_TRUE(replayed.ok) << replayed.error;
+    EXPECT_TRUE(replayed.recovered_from_cache);
+    EXPECT_TRUE(replayed.log_path.empty());
+
+    const std::string out = dir + "/workers/chunk_" + std::to_string(k);
+    ChildProcess worker;
+    worker.spawn(SpawnSpec{{config.campaign_bin, "--plan=" + config.plan_path,
+                            "--shard-index=" + std::to_string(k),
+                            "--shard-count=" + std::to_string(kChunks),
+                            "--threads=1", "--cache-dir=" + cache_dir,
+                            "--require-cached=1", "--json=" + out + ".json"},
+                           out + ".log",
+                           out + ".log",
+                           {}});
+    ASSERT_EQ(worker.wait(), 0) << *read_file(out + ".log");
+    EXPECT_EQ(timeless_bytes(replayed.report),
+              timeless_bytes(report::load_report(out + ".json")))
+        << "chunk " << k;
+  }
+  // No chunk started a process.
+  EXPECT_TRUE(list_files(config.work_dir).empty());
+}
+
+TEST(ProcessBackend, WarmRelaunchSpawnsNoWorker) {
+  const serde::CampaignPlan plan = small_plan();
+  const exec::CampaignReport unsharded =
+      exec::CampaignRunner(plan_config(plan)).run();
+  const std::string cache_dir = temp_dir("warm_cache");
+
+  const JobManager::JobInfo cold = launch(worker_defaults(cache_dir), plan);
+  ASSERT_EQ(cold.progress.state, JobProgress::State::Done)
+      << cold.progress.error;
+  for (const AttemptRecord& a : cold.progress.attempts) {
+    EXPECT_FALSE(a.recovered_from_cache);
+    EXPECT_FALSE(a.log_path.empty());
+  }
+
+  const JobManager::JobInfo warm = launch(worker_defaults(cache_dir), plan);
+  ASSERT_EQ(warm.progress.state, JobProgress::State::Done)
+      << warm.progress.error;
+  EXPECT_EQ(warm.progress.chunks_recovered, 3u);
+  ASSERT_EQ(warm.progress.attempts.size(), 3u);
+  for (const AttemptRecord& a : warm.progress.attempts) {
+    EXPECT_TRUE(a.ok);
+    EXPECT_TRUE(a.recovered_from_cache);
+    EXPECT_TRUE(a.log_path.empty());
+  }
+  EXPECT_TRUE(list_files(warm.job_dir, ".log").empty());
+  const exec::CampaignReport final_report =
+      report::load_report(warm.final_path);
+  expect_bitwise_equal(final_report, unsharded);
+  EXPECT_FALSE(final_report.partial);
+  for (const exec::CellResult& cell : final_report.cells) {
+    EXPECT_TRUE(cell.from_cache);
+  }
+}
+
+TEST(ProcessBackend, AMissingEntrySpawnsAWorkerForItsChunkOnly) {
+  const serde::CampaignPlan plan = small_plan();
+  const exec::CampaignConfig config = plan_config(plan);
+  const std::string cache_dir = temp_dir("missing_cache");
+  fill_cache(plan, cache_dir);
+  // Cell 0 of the campaign, which chunk 0 holds.
+  const scenario::ScenarioSpec& spec = config.scenarios.front();
+  const cache::CellKey key = cache::cell_key(
+      spec, spec.methods.front(), config.base_seed, config.anchor_limit,
+      methods::canonical_method_config(spec.methods.front(),
+                                       config.method_configs));
+  const std::string entry = cache::ResultCache(cache_dir).entry_path(key);
+  ASSERT_TRUE(std::filesystem::remove(entry));
+
+  const JobManager::JobInfo info = launch(worker_defaults(cache_dir), plan);
+  ASSERT_EQ(info.progress.state, JobProgress::State::Done)
+      << info.progress.error;
+  ASSERT_EQ(info.progress.attempts.size(), 3u);
+  for (const AttemptRecord& a : info.progress.attempts) {
+    EXPECT_TRUE(a.ok);
+    EXPECT_EQ(a.recovered_from_cache, a.chunk != 0) << "chunk " << a.chunk;
+    EXPECT_EQ(a.log_path.empty(), a.chunk != 0) << "chunk " << a.chunk;
+  }
+  const std::vector<FileInfo> logs = list_files(info.job_dir, ".log");
+  ASSERT_EQ(logs.size(), 1u);
+  EXPECT_EQ(std::filesystem::path(logs.front().path).filename(),
+            "chunk_0_attempt_0.log");
+  EXPECT_EQ(info.progress.report_digest,
+            exec::CampaignRunner(config).run().objectives_digest());
+  EXPECT_TRUE(read_file(entry).has_value());  // the worker stored it
+}
+
+TEST(ProcessBackend, InjectedKillOnAWarmCacheIsStillRetried) {
+  const serde::CampaignPlan plan = small_plan();
+  const std::string cache_dir = temp_dir("killed_warm_cache");
+  fill_cache(plan, cache_dir);
+  JobManager::Defaults defaults = worker_defaults(cache_dir);
+  defaults.inject_kill_chunk = 1;
+
+  const JobManager::JobInfo info = launch(defaults, plan);
+  ASSERT_EQ(info.progress.state, JobProgress::State::Done)
+      << info.progress.error;
+  EXPECT_GE(info.progress.stats.retries, 1u);
+  EXPECT_EQ(info.progress.report_digest,
+            exec::CampaignRunner(plan_config(plan)).run().objectives_digest());
+  std::size_t killed = 0;
+  for (const AttemptRecord& a : info.progress.attempts) {
+    if (a.chunk == 1 && a.attempt == 0) {
+      ++killed;
+      EXPECT_FALSE(a.ok);
+      EXPECT_NE(a.error.find("signal 9"), std::string::npos) << a.error;
+      EXPECT_TRUE(read_file(a.log_path).has_value()) << a.log_path;
+    } else {
+      EXPECT_TRUE(a.ok && a.recovered_from_cache)
+          << "chunk " << a.chunk << " attempt " << a.attempt;
+    }
+  }
+  EXPECT_EQ(killed, 1u);
 }
 
 // -------------------------------------------------------------- sockets
@@ -1007,29 +1296,11 @@ TEST(Orchestrate, UntracedJobSpawnsNoObservabilityArtifacts) {
   // The digest-neutrality lever at the spawn layer: with trace off the
   // job dir gets no trace/ or metrics/ shards and no stitched outputs,
   // and attempt records carry logs only.
-  const serde::CampaignPlan plan = small_plan();
-  JobManager::Defaults defaults;
-  defaults.workers = 2;
+  JobManager::Defaults defaults = worker_defaults(temp_dir("untraced_cache"));
   defaults.chunks = 2;
-  defaults.work_dir = temp_dir("untraced");
-  defaults.cache_dir = temp_dir("untraced_cache");
-  defaults.campaign_bin = sibling_binary("", "campaign");
-  JobManager manager(defaults);
-
-  const JobManager::JobInfo submitted = manager.submit(plan);
-  EXPECT_FALSE(submitted.trace);
-  EXPECT_TRUE(submitted.stitched_trace_path.empty());
-  JobManager::JobInfo info = submitted;
-  for (int i = 0; i < 600; ++i) {
-    info = *manager.info(submitted.id);
-    if (info.progress.state != JobProgress::State::Pending &&
-        info.progress.state != JobProgress::State::Running) {
-      break;
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  }
-  manager.shutdown();
-  info = *manager.info(submitted.id);
+  const JobManager::JobInfo info = launch(defaults, small_plan());
+  EXPECT_FALSE(info.trace);
+  EXPECT_TRUE(info.stitched_trace_path.empty());
   ASSERT_EQ(info.progress.state, JobProgress::State::Done)
       << info.progress.error;
 
