@@ -118,18 +118,8 @@ DypoPolicy dypo_train(soc::Platform& platform, const soc::Application& app,
     }
     // DyPO's per-cluster single operating point: the decision whose
     // summed scalarized cost over the cluster's epochs is lowest.
-    std::size_t best_d = 0;
-    double best_cost = std::numeric_limits<double>::infinity();
-    for (std::size_t d = 0; d < space.size(); ++d) {
-      double cost = 0.0;
-      for (std::size_t e : members) {
-        cost += table.scalarized_cost(e, d, weights, objectives);
-      }
-      if (cost < best_cost) {
-        best_cost = cost;
-        best_d = d;
-      }
-    }
+    const std::size_t best_d =
+        table.best_decision_index(members, weights, objectives);
     decisions.push_back(space.decision(best_d));
   }
   return DypoPolicy(std::move(centroids), std::move(decisions));

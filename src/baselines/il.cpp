@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <limits>
 
 #include "common/error.hpp"
 #include "ml/optimizer.hpp"
@@ -32,9 +33,10 @@ OracleTable::OracleTable(soc::Platform& platform,
                          OracleFidelity fidelity) {
   app.validate();
   const soc::DecisionSpace& space = platform.decision_space();
+  num_epochs_ = app.epochs.size();
   num_decisions_ = space.size();
   PARMIS_TRACE_SPAN_D("baselines", "oracle_table", "decisions=%zu;epochs=%zu",
-                      num_decisions_, app.epochs.size());
+                      num_decisions_, num_epochs_);
   const soc::DrmDecision ref = space.default_decision();
 
   // FirstOrder: the characterization model the IL literature builds its
@@ -49,55 +51,125 @@ OracleTable::OracleTable(soc::Platform& platform,
   }
   const soc::PerfModel oracle_model(platform.spec(), oracle_params);
 
-  std::vector<soc::EpochResult> ref_results;
-  ref_results.reserve(app.epochs.size());
-  for (const auto& epoch : app.epochs) {
-    ref_results.push_back(oracle_model.run_epoch(epoch, ref));
+  // A decision index is a mixed-radix number with one digit per cluster
+  // (cluster 0 most significant); cluster c's digit k stands for
+  // min_active + k / levels active cores at level k % levels — the
+  // decoding of soc::DecisionSpace::decision.  grid[first[c] + k] is
+  // that digit's operating point on the current epoch.
+  const std::vector<soc::ClusterSpec>& clusters = platform.spec().clusters;
+  const std::size_t n_clusters = clusters.size();
+  std::vector<std::size_t> radix(n_clusters), first(n_clusters);
+  std::size_t grid_size = 0, decisions = 1;
+  for (std::size_t c = 0; c < n_clusters; ++c) {
+    radix[c] = static_cast<std::size_t>(clusters[c].num_cores -
+                                        clusters[c].min_active + 1) *
+               static_cast<std::size_t>(clusters[c].dvfs.levels());
+    first[c] = grid_size;
+    grid_size += radix[c];
+    decisions *= radix[c];
   }
-  costs_.assign(app.epochs.size(),
-                std::vector<std::array<double, 2>>(num_decisions_));
-  // Decision-major: each decision is decoded once for every epoch.
-  // Every (epoch, decision) cost is the same pure run_epoch ratio in any
-  // visiting order.
-  for (std::size_t d = 0; d < num_decisions_; ++d) {
-    const soc::DrmDecision decision = space.decision(d);
-    for (std::size_t e = 0; e < app.epochs.size(); ++e) {
-      const soc::EpochResult r =
-          oracle_model.run_epoch(app.epochs[e], decision);
-      costs_[e][d] = {r.time_s / ref_results[e].time_s,
-                      r.energy_j / ref_results[e].energy_j};
+  ensure(decisions == num_decisions_,
+         "oracle table: decision radix does not match the decision space");
+  std::vector<soc::ClusterOperatingPoint> grid(grid_size);
+  std::vector<soc::ClusterOperatingPoint> points(n_clusters);
+  std::vector<std::size_t> digit(n_clusters);
+
+  const std::size_t column = num_epochs_ * num_decisions_;
+  costs_.resize(2 * column);
+  for (std::size_t e = 0; e < num_epochs_; ++e) {
+    const soc::EpochWorkload& w = app.epochs[e];
+    const soc::EpochResult ref_result = oracle_model.run_epoch(w, ref);
+    for (std::size_t c = 0; c < n_clusters; ++c) {
+      const int levels = clusters[c].dvfs.levels();
+      for (std::size_t k = 0; k < radix[c]; ++k) {
+        grid[first[c] + k] = oracle_model.operating_point(
+            c, clusters[c].min_active + static_cast<int>(k) / levels,
+            static_cast<int>(k) % levels, w);
+      }
+      digit[c] = 0;
+      points[c] = grid[first[c]];
+    }
+    double* time_row = costs_.data() + e * num_decisions_;
+    double* energy_row = time_row + column;
+    for (std::size_t d = 0; d < num_decisions_; ++d) {
+      const soc::EpochTimeEnergy r = oracle_model.time_energy(w, points);
+      time_row[d] = r.time_s / ref_result.time_s;
+      energy_row[d] = r.energy_j / ref_result.energy_j;
+      // Step to decision d + 1: bump the last digit, carrying leftwards.
+      for (std::size_t c = n_clusters; c-- > 0;) {
+        if (++digit[c] == radix[c]) digit[c] = 0;
+        points[c] = grid[first[c] + digit[c]];
+        if (digit[c] != 0) break;
+      }
     }
   }
+}
+
+std::vector<const double*> OracleTable::rows(
+    std::size_t epoch, const num::Vec& weights,
+    const std::vector<runtime::Objective>& objectives) const {
+  require(epoch < num_epochs_, "oracle table: epoch out of range");
+  require(weights.size() == objectives.size(),
+          "oracle table: weight/objective mismatch");
+  std::vector<const double*> out(objectives.size());
+  for (std::size_t j = 0; j < objectives.size(); ++j) {
+    const std::size_t column =
+        objectives[j].kind() == runtime::ObjectiveKind::ExecutionTime ? 0 : 1;
+    out[j] = costs_.data() + (column * num_epochs_ + epoch) * num_decisions_;
+  }
+  return out;
+}
+
+double OracleTable::scalarize(const std::vector<const double*>& rows,
+                              const num::Vec& weights, std::size_t decision) {
+  double cost = 0.0;
+  for (std::size_t j = 0; j < rows.size(); ++j) {
+    cost += weights[j] * rows[j][decision];
+  }
+  return cost;
 }
 
 double OracleTable::scalarized_cost(
     std::size_t epoch, std::size_t decision, const num::Vec& weights,
     const std::vector<runtime::Objective>& objectives) const {
-  require(epoch < costs_.size(), "oracle table: epoch out of range");
   require(decision < num_decisions_, "oracle table: decision out of range");
-  require(weights.size() == objectives.size(),
-          "oracle table: weight/objective mismatch");
-  double cost = 0.0;
-  for (std::size_t j = 0; j < objectives.size(); ++j) {
-    const double c =
-        objectives[j].kind() == runtime::ObjectiveKind::ExecutionTime
-            ? costs_[epoch][decision][0]
-            : costs_[epoch][decision][1];
-    cost += weights[j] * c;
-  }
-  return cost;
+  return scalarize(rows(epoch, weights, objectives), weights, decision);
 }
 
 std::size_t OracleTable::best_decision_index(
     std::size_t epoch, const num::Vec& weights,
     const std::vector<runtime::Objective>& objectives) const {
-  require(epoch < costs_.size(), "oracle table: epoch out of range");
+  const std::vector<const double*> epoch_rows =
+      rows(epoch, weights, objectives);
   std::size_t best = 0;
   double best_cost = std::numeric_limits<double>::infinity();
   for (std::size_t d = 0; d < num_decisions_; ++d) {
-    const double cost = scalarized_cost(epoch, d, weights, objectives);
+    const double cost = scalarize(epoch_rows, weights, d);
     if (cost < best_cost) {
       best_cost = cost;
+      best = d;
+    }
+  }
+  return best;
+}
+
+std::size_t OracleTable::best_decision_index(
+    std::span<const std::size_t> epochs, const num::Vec& weights,
+    const std::vector<runtime::Objective>& objectives) const {
+  // One epoch at a time into one buffer, so each decision's sum adds
+  // the epochs in `epochs` order.
+  std::vector<double> sums(num_decisions_, 0.0);
+  for (const std::size_t e : epochs) {
+    const std::vector<const double*> epoch_rows = rows(e, weights, objectives);
+    for (std::size_t d = 0; d < num_decisions_; ++d) {
+      sums[d] += scalarize(epoch_rows, weights, d);
+    }
+  }
+  std::size_t best = 0;
+  double best_cost = std::numeric_limits<double>::infinity();
+  for (std::size_t d = 0; d < num_decisions_; ++d) {
+    if (sums[d] < best_cost) {
+      best_cost = sums[d];
       best = d;
     }
   }

@@ -8,7 +8,9 @@
 //     epoch.  (An OracleTable caches the per-epoch per-decision costs so
 //     a lambda sweep and DAgger rounds reuse one exhaustive pass; in a
 //     campaign run, every IL and DyPO cell of a scenario shares one
-//     through methods::OracleTableMemo.)
+//     through methods::OracleTableMemo.  The pass calls the same
+//     time/energy kernel as soc::PerfModel::run_epoch, over operating
+//     points built once per epoch.)
 //  2. Roll the oracle out, record (previous-epoch counters -> oracle
 //     knob choices), and train the 4-head MLP by cross-entropy.
 //  3. DAgger rounds: roll out the *learned* policy, query the oracle on
@@ -24,6 +26,7 @@
 #ifndef PARMIS_BASELINES_IL_HPP
 #define PARMIS_BASELINES_IL_HPP
 
+#include <span>
 #include <vector>
 
 #include "baselines/scalarization.hpp"
@@ -47,6 +50,14 @@ namespace parmis::baselines {
 enum class OracleFidelity { FirstOrder, Exact };
 
 /// Cached exhaustive per-epoch costs for every decision.
+///
+/// The sweep builds each cluster's operating points for an epoch once
+/// (soc::PerfModel::operating_point) and walks the decision indices as a
+/// mixed-radix odometer over them, calling the model's time/energy
+/// kernel per decision — the arithmetic run_epoch uses, so every stored
+/// ratio equals run_epoch's bit for bit.  Costs are stored as one
+/// contiguous row per (column, epoch), time column first, so the argmins
+/// scan rows with each objective's column looked up once.
 class OracleTable {
  public:
   /// Sweeps the full decision space for every epoch of `app` and stores
@@ -56,9 +67,19 @@ class OracleTable {
               OracleFidelity fidelity = OracleFidelity::FirstOrder);
 
   /// Decision index minimizing weights . (time_norm, energy_norm) for
-  /// `epoch` (weights aligned with `objectives`).
+  /// `epoch` (weights aligned with `objectives`); ties go to the lowest
+  /// index.
   std::size_t best_decision_index(
       std::size_t epoch, const num::Vec& weights,
+      const std::vector<runtime::Objective>& objectives) const;
+
+  /// Decision index minimizing the scalarized cost summed over `epochs`
+  /// in the order given (DyPO's per-cluster operating point); ties go to
+  /// the lowest index.  Each decision's sum adds scalarized_cost's
+  /// values epoch by epoch, so the costs compared are bit-identical to a
+  /// scan over scalarized_cost.
+  std::size_t best_decision_index(
+      std::span<const std::size_t> epochs, const num::Vec& weights,
       const std::vector<runtime::Objective>& objectives) const;
 
   /// Scalarized normalized cost of one (epoch, decision) pair.
@@ -66,17 +87,28 @@ class OracleTable {
       std::size_t epoch, std::size_t decision, const num::Vec& weights,
       const std::vector<runtime::Objective>& objectives) const;
 
-  std::size_t num_epochs() const { return costs_.size(); }
+  std::size_t num_epochs() const { return num_epochs_; }
   std::size_t num_decisions() const { return num_decisions_; }
 
   /// Epoch-evaluation count spent building the table (for budgeting).
   std::size_t build_evaluations() const {
-    return costs_.size() * num_decisions_;
+    return num_epochs_ * num_decisions_;
   }
 
  private:
-  std::vector<std::vector<std::array<double, 2>>> costs_;  // [epoch][dec]
+  /// `epoch`'s row in the column each objective reads (time, or energy
+  /// for every other kind), after checking the epoch and weight count.
+  std::vector<const double*> rows(
+      std::size_t epoch, const num::Vec& weights,
+      const std::vector<runtime::Objective>& objectives) const;
+  /// weights . (rows[j][decision]), summed in objective order from 0.0:
+  /// the one definition of a scalarized cost.
+  static double scalarize(const std::vector<const double*>& rows,
+                          const num::Vec& weights, std::size_t decision);
+
+  std::size_t num_epochs_ = 0;
   std::size_t num_decisions_ = 0;
+  std::vector<double> costs_;  // [column: time, energy][epoch][decision]
 };
 
 /// IL training hyperparameters.

@@ -259,10 +259,17 @@ CellKey cell_key(const scenario::ScenarioSpec& spec,
                  const std::string& method, std::uint64_t seed,
                  std::size_t anchor_limit,
                  const std::string& method_config) {
+  return cell_key(scenario::canonical_serialize(spec), method, seed,
+                  anchor_limit, method_config);
+}
+
+CellKey cell_key(const std::string& canonical_spec, const std::string& method,
+                 std::uint64_t seed, std::size_t anchor_limit,
+                 const std::string& method_config) {
   std::string bytes;
   bytes.reserve(2048);
   put_u64(bytes, "cache_schema_version", kCacheSchemaVersion);
-  put_str(bytes, "spec", scenario::canonical_serialize(spec));
+  put_str(bytes, "spec", canonical_spec);
   put_str(bytes, "method", method);
   put_u64(bytes, "seed", seed);
   put_u64(bytes, "anchor_limit", anchor_limit);

@@ -66,6 +66,13 @@ CellKey cell_key(const scenario::ScenarioSpec& spec,
                  std::size_t anchor_limit,
                  const std::string& method_config = {});
 
+/// The same key from `canonical_spec`, the spec's
+/// scenario::canonical_serialize text, for callers that key many cells
+/// of one scenario and serialize it once.
+CellKey cell_key(const std::string& canonical_spec, const std::string& method,
+                 std::uint64_t seed, std::size_t anchor_limit,
+                 const std::string& method_config = {});
+
 /// The bytes of `cell`'s entry under `key`: magic line, FNV-1a digest
 /// of the payload, payload.  What store() writes.
 std::string serialize_entry(const CellKey& key, const exec::CellResult& cell);

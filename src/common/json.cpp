@@ -96,9 +96,12 @@ std::size_t Value::size() const {
 
 const Value& Value::at(std::size_t index) const {
   if (type_ != Type::Array) type_error("array", type_);
-  require(index < array_.size(),
-          "json: array index " + std::to_string(index) + " out of range (" +
-              std::to_string(array_.size()) + " elements)");
+  // Hot on per-item paths: the message is built only on failure.
+  if (index >= array_.size()) {
+    require(false, "json: array index " + std::to_string(index) +
+                       " out of range (" + std::to_string(array_.size()) +
+                       " elements)");
+  }
   return array_[index];
 }
 
@@ -122,7 +125,9 @@ const Value* Value::find(const std::string& key) const {
 
 const Value& Value::at(const std::string& key) const {
   const Value* v = find(key);
-  require(v != nullptr, "json: missing required key \"" + key + "\"");
+  if (v == nullptr) {
+    require(false, "json: missing required key \"" + key + "\"");
+  }
   return *v;
 }
 

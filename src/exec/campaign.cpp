@@ -135,6 +135,15 @@ CellResult CampaignRunner::run_cell(const scenario::ScenarioSpec& spec,
                                     std::size_t anchor_limit,
                                     const methods::MethodConfigSet& configs,
                                     methods::OracleTableMemo* oracle_tables) {
+  return execute_cell(spec, nullptr, method_name, seed, anchor_limit, configs,
+                      oracle_tables);
+}
+
+CellResult CampaignRunner::execute_cell(
+    const scenario::ScenarioSpec& spec, const std::string* canonical_spec,
+    const std::string& method_name, std::uint64_t seed,
+    std::size_t anchor_limit, const methods::MethodConfigSet& configs,
+    methods::OracleTableMemo* oracle_tables) {
   // Observation only: the span and counters below never feed back into
   // the cell computation (digest neutrality, docs/observability.md).
   PARMIS_TRACE_SPAN_D("campaign", "cell", "scenario=%s;method=%s;seed=%llu",
@@ -179,10 +188,19 @@ CellResult CampaignRunner::run_cell(const scenario::ScenarioSpec& spec,
     cell.num_apps = apps.size();
     for (const auto& o : objectives) cell.objective_names.push_back(o.name());
 
+    const std::string own_text =
+        canonical_spec != nullptr ? std::string()
+                                  : scenario::canonical_serialize(spec);
     methods::OracleTableMemo own_tables;
     const methods::CellContext ctx{
-        spec,        platform, apps,         objectives,
-        eval_config, seed,     anchor_limit,
+        spec,
+        canonical_spec != nullptr ? *canonical_spec : own_text,
+        platform,
+        apps,
+        objectives,
+        eval_config,
+        seed,
+        anchor_limit,
         oracle_tables != nullptr ? *oracle_tables : own_tables};
     methods::MethodOutput out = method.run(ctx, configs.find(method_name));
     cell.front = std::move(out.front);
@@ -213,7 +231,10 @@ CampaignRunner::CampaignRunner(CampaignConfig config)
   require(config_.shard.count >= 1 &&
               config_.shard.index < config_.shard.count,
           "campaign: shard index must be in [0, shard count)");
-  for (const auto& s : config_.scenarios) s.validate();
+  for (const auto& s : config_.scenarios) {
+    s.validate();
+    canonical_specs_.push_back(scenario::canonical_serialize(s));
+  }
   // Misconfigured method entries (knobless method, foreign config
   // type) must fail before any cell runs — with a cache enabled, key
   // computation would otherwise hit them outside the per-cell
@@ -232,11 +253,12 @@ std::vector<CampaignRunner::CellSpec> CampaignRunner::build_cells() const {
   // ordering (and with it seeds, cache keys, and merge order) is
   // identical no matter how the campaign is sharded.
   std::vector<CellSpec> cells;
-  for (const auto& spec : config_.scenarios) {
+  for (std::size_t i = 0; i < config_.scenarios.size(); ++i) {
+    const scenario::ScenarioSpec& spec = config_.scenarios[i];
     for (const auto& method : spec.methods) {
       for (std::size_t s = 0; s < config_.seeds_per_cell; ++s) {
-        cells.push_back(
-            {&spec, method, config_.base_seed + static_cast<std::uint64_t>(s)});
+        cells.push_back({&spec, &canonical_specs_[i], method,
+                         config_.base_seed + static_cast<std::uint64_t>(s)});
       }
     }
   }
@@ -248,10 +270,17 @@ std::vector<CampaignRunner::CellSpec> CampaignRunner::build_cells() const {
   return cells;
 }
 
-cache::CellKey CampaignRunner::key_of(const CellSpec& cell) const {
-  return cache::cell_key(
-      *cell.scenario, cell.method, cell.seed, config_.anchor_limit,
-      methods::canonical_method_config(cell.method, config_.method_configs));
+std::vector<cache::CellKey> CampaignRunner::cell_keys() const {
+  const std::vector<CellSpec> cells = build_cells();
+  std::vector<cache::CellKey> keys;
+  keys.reserve(cells.size());
+  for (const auto& cell : cells) {
+    keys.push_back(cache::cell_key(
+        *cell.canonical_spec, cell.method, cell.seed, config_.anchor_limit,
+        methods::canonical_method_config(cell.method,
+                                         config_.method_configs)));
+  }
+  return keys;
 }
 
 CampaignReport CampaignRunner::empty_report(std::size_t cells) const {
@@ -264,13 +293,13 @@ CampaignReport CampaignRunner::empty_report(std::size_t cells) const {
 }
 
 std::pair<std::size_t, std::size_t> CampaignRunner::probe_cache() const {
-  const std::vector<CellSpec> cells = build_cells();
-  if (config_.cache == nullptr) return {0, cells.size()};
+  if (config_.cache == nullptr) return {0, build_cells().size()};
+  const std::vector<cache::CellKey> keys = cell_keys();
   std::size_t cached = 0;
-  for (const auto& cell : cells) {
-    if (config_.cache->contains(key_of(cell))) ++cached;
+  for (const auto& key : keys) {
+    if (config_.cache->contains(key)) ++cached;
   }
-  return {cached, cells.size()};
+  return {cached, keys.size()};
 }
 
 std::optional<CampaignReport> CampaignRunner::replay_cached(
@@ -279,13 +308,14 @@ std::optional<CampaignReport> CampaignRunner::replay_cached(
   require(cache != nullptr, "campaign: a cache replay needs a cache");
   const Stopwatch wall;
   const std::vector<CellSpec> cells = build_cells();
+  const std::vector<cache::CellKey> keys = cell_keys();
   CampaignReport report = empty_report(cells.size());
   // What ThreadPool(num_threads).num_threads() records, without
   // starting the pool: a replay runs no cell.
   report.num_threads = config_.num_threads == 0 ? default_num_threads()
                                                 : config_.num_threads;
   for (std::size_t i = 0; i < cells.size(); ++i) {
-    std::optional<CellResult> cached = cache->lookup(key_of(cells[i]));
+    std::optional<CellResult> cached = cache->lookup(keys[i]);
     if (!cached.has_value()) {
       if (missing != nullptr) {
         *missing = cells[i].scenario->name + "/" + cells[i].method +
@@ -306,15 +336,12 @@ std::optional<CampaignReport> CampaignRunner::replay_cached(
 CampaignReport CampaignRunner::run() {
   const std::vector<CellSpec> cells = build_cells();
 
-  // Content addresses are computed serially up front (cheap: one spec
-  // serialization + hash per cell); only lookups and stores run inside
-  // the parallel loop.
+  // Content addresses are computed serially up front (cheap: one hash
+  // per cell over its scenario's pre-serialized text); only lookups and
+  // stores run inside the parallel loop.
   cache::ResultCache* cache = config_.cache;
-  std::vector<cache::CellKey> keys;
-  if (cache != nullptr) {
-    keys.reserve(cells.size());
-    for (const auto& cell : cells) keys.push_back(key_of(cell));
-  }
+  const std::vector<cache::CellKey> keys =
+      cache != nullptr ? cell_keys() : std::vector<cache::CellKey>();
 
   CampaignReport report = empty_report(cells.size());
   ThreadPool pool(config_.num_threads);
@@ -346,9 +373,9 @@ CampaignReport CampaignRunner::run() {
       misses.fetch_add(1, std::memory_order_relaxed);
       PARMIS_COUNTER_ADD("parmis_campaign_cache_misses_total", 1);
     }
-    results[i] = run_cell(*cells[i].scenario, cells[i].method, cells[i].seed,
-                          anchor_limit, config_.method_configs,
-                          &oracle_tables);
+    results[i] = execute_cell(*cells[i].scenario, cells[i].canonical_spec,
+                              cells[i].method, cells[i].seed, anchor_limit,
+                              config_.method_configs, &oracle_tables);
     if (cache != nullptr) cache->store(keys[i], results[i]);
   });
   report.cache_hits = hits.load();

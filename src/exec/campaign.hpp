@@ -226,6 +226,11 @@ class CampaignRunner {
                              methods::OracleTableMemo* oracle_tables =
                                  nullptr);
 
+  /// Cache content address of each cell of this shard, in cell order:
+  /// cache::cell_key of the cell, from each scenario's canonical text
+  /// serialized once by the constructor.
+  std::vector<cache::CellKey> cell_keys() const;
+
   /// With a cache configured: (cells already cached, total cells) —
   /// what a resumed run would replay vs execute.  (0, total) otherwise.
   std::pair<std::size_t, std::size_t> probe_cache() const;
@@ -246,18 +251,27 @@ class CampaignRunner {
  private:
   struct CellSpec {
     const scenario::ScenarioSpec* scenario;
+    const std::string* canonical_spec;  ///< the scenario's canonical text
     std::string method;
     std::uint64_t seed;
   };
+  /// run_cell with the scenario's canonical text already serialized
+  /// (`canonical_spec`), or serialized here when it is nullptr.
+  static CellResult execute_cell(const scenario::ScenarioSpec& spec,
+                                 const std::string* canonical_spec,
+                                 const std::string& method,
+                                 std::uint64_t seed, std::size_t anchor_limit,
+                                 const methods::MethodConfigSet& configs,
+                                 methods::OracleTableMemo* oracle_tables);
   /// Ordered cells of this runner's shard; records the pre-slice count
   /// in total_cells_.
   std::vector<CellSpec> build_cells() const;
-  /// Cache content address of one cell under this config.
-  cache::CellKey key_of(const CellSpec& cell) const;
   /// Report header (shard, total, campaign hash) with `cells` slots.
   CampaignReport empty_report(std::size_t cells) const;
 
   CampaignConfig config_;
+  /// scenario::canonical_serialize of each config_.scenarios entry.
+  std::vector<std::string> canonical_specs_;
   mutable std::size_t total_cells_ = 0;
 };
 

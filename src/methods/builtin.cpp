@@ -146,7 +146,7 @@ const MethodCapabilities& exhaustive_oracle_caps() {
 std::shared_ptr<const baselines::OracleTable> oracle_table(
     const CellContext& ctx, baselines::OracleFidelity fidelity) {
   return ctx.oracle_tables.get(
-      OracleTableMemo::key(ctx.spec, fidelity), [&] {
+      OracleTableMemo::key(ctx.canonical_spec, fidelity), [&] {
         return std::make_shared<const baselines::OracleTable>(
             ctx.platform, ctx.apps.front(), fidelity);
       });

@@ -66,13 +66,16 @@ class MethodConfig {
 class OracleTableMemo;
 
 /// Everything one campaign cell hands a method.  All referenced objects
-/// except `oracle_tables` are cell-local (built by run_cell for this
-/// cell alone) and outlive the `run` call; the platform is mutable
-/// because evaluation advances its sensor-noise stream.  `oracle_tables`
-/// is the run's shared memo of IL/DyPO oracle tables
-/// (methods/oracle_memo.hpp).
+/// except `canonical_spec` and `oracle_tables` are cell-local (built by
+/// run_cell for this cell alone) and outlive the `run` call; the
+/// platform is mutable because evaluation advances its sensor-noise
+/// stream.  `oracle_tables` is the run's shared memo of IL/DyPO oracle
+/// tables (methods/oracle_memo.hpp).
 struct CellContext {
   const scenario::ScenarioSpec& spec;
+  /// scenario::canonical_serialize(spec), serialized once per scenario
+  /// by the campaign runner (the oracle memo's key).
+  const std::string& canonical_spec;
   soc::Platform& platform;
   const std::vector<soc::Application>& apps;
   const std::vector<runtime::Objective>& objectives;

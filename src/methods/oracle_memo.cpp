@@ -3,16 +3,14 @@
 #include <exception>
 
 #include "obs/obs.hpp"
-#include "scenario/scenario.hpp"
 
 namespace parmis::methods {
 
-std::string OracleTableMemo::key(const scenario::ScenarioSpec& spec,
+std::string OracleTableMemo::key(const std::string& canonical_spec,
                                  baselines::OracleFidelity fidelity) {
-  return std::string(fidelity == baselines::OracleFidelity::Exact
-                         ? "exact\n"
-                         : "first_order\n") +
-         scenario::canonical_serialize(spec);
+  return (fidelity == baselines::OracleFidelity::Exact ? "exact\n"
+                                                       : "first_order\n") +
+         canonical_spec;
 }
 
 OracleTableMemo::Table OracleTableMemo::get(

@@ -28,19 +28,16 @@
 
 #include "baselines/il.hpp"
 
-namespace parmis::scenario {
-struct ScenarioSpec;
-}
-
 namespace parmis::methods {
 
 class OracleTableMemo {
  public:
   using Table = std::shared_ptr<const baselines::OracleTable>;
 
-  /// Memo key of (scenario content, fidelity): the canonical scenario
-  /// serialization the result-cache keys hash, tagged with the fidelity.
-  static std::string key(const scenario::ScenarioSpec& spec,
+  /// Memo key of (scenario content, fidelity): `canonical_spec`, the
+  /// scenario::canonical_serialize text the result-cache keys hash
+  /// (CellContext::canonical_spec), tagged with the fidelity.
+  static std::string key(const std::string& canonical_spec,
                          baselines::OracleFidelity fidelity);
 
   /// The table stored under `key`.  The first request runs `build`;

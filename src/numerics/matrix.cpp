@@ -14,12 +14,6 @@ Matrix Matrix::from_rows(const std::vector<Vec>& rows) {
   return out;
 }
 
-Matrix Matrix::identity(std::size_t n) {
-  Matrix out(n, n);
-  for (std::size_t i = 0; i < n; ++i) out(i, i) = 1.0;
-  return out;
-}
-
 double Matrix::at(std::size_t r, std::size_t c) const {
   require(r < rows_ && c < cols_, "matrix index out of range");
   return (*this)(r, c);

@@ -23,9 +23,6 @@ class Matrix {
   /// Builds a matrix from nested initializer data; all rows must agree.
   static Matrix from_rows(const std::vector<Vec>& rows);
 
-  /// Identity matrix of size n.
-  static Matrix identity(std::size_t n);
-
   std::size_t rows() const { return rows_; }
   std::size_t cols() const { return cols_; }
   bool empty() const { return data_.empty(); }

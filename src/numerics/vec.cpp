@@ -1,6 +1,5 @@
 #include "numerics/vec.hpp"
 
-#include <algorithm>
 #include <cmath>
 
 namespace parmis::num {
@@ -60,10 +59,5 @@ double variance(const Vec& a) {
 }
 
 double stddev(const Vec& a) { return std::sqrt(variance(a)); }
-
-double max_element(const Vec& a) {
-  require(!a.empty(), "max_element: empty vector");
-  return *std::max_element(a.begin(), a.end());
-}
 
 }  // namespace parmis::num

@@ -64,9 +64,6 @@ double variance(const Vec& a);
 /// Sample standard deviation.
 double stddev(const Vec& a);
 
-/// Maximum element; requires non-empty input.
-double max_element(const Vec& a);
-
 }  // namespace parmis::num
 
 #endif  // PARMIS_NUMERICS_VEC_HPP

@@ -36,10 +36,12 @@ num::Vec MlpPolicy::parameters() const {
 }
 
 void MlpPolicy::set_parameters(const num::Vec& theta) {
-  require(theta.size() == num_params_,
-          "mlp policy: theta size mismatch (expected " +
-              std::to_string(num_params_) + ", got " +
-              std::to_string(theta.size()) + ")");
+  // Runs on every training step: the message is built only on failure.
+  if (theta.size() != num_params_) {
+    require(false, "mlp policy: theta size mismatch (expected " +
+                       std::to_string(num_params_) + ", got " +
+                       std::to_string(theta.size()) + ")");
+  }
   std::size_t pos = 0;
   for (auto& head : heads_) {
     const std::size_t n = head.num_parameters();

@@ -26,63 +26,62 @@ double PerfModel::core_throughput_gips(std::size_t cluster_index, double f_ghz,
   return f_ghz / cpi;
 }
 
-EpochResult PerfModel::run_epoch(const EpochWorkload& w,
-                                 const DrmDecision& d) const {
-  w.validate();
-  // Inline validity check (run_epoch is the innermost hot loop; building a
-  // DecisionSpace here would dominate the IL oracle's exhaustive sweeps).
-  require(d.active_cores.size() == spec_->clusters.size() &&
-              d.freq_level.size() == spec_->clusters.size(),
-          "perf model: decision shape does not match spec");
-  for (std::size_t c = 0; c < spec_->clusters.size(); ++c) {
-    const ClusterSpec& cl = spec_->clusters[c];
-    require(d.active_cores[c] >= cl.min_active &&
-                d.active_cores[c] <= cl.num_cores,
-            "perf model: active-core count out of range");
-    require(d.freq_level[c] >= 0 && d.freq_level[c] < cl.dvfs.levels(),
-            "perf model: frequency level out of range");
-  }
-
-  const std::size_t n_clusters = spec_->clusters.size();
-  EpochResult out;
-  out.cluster_power_w.assign(n_clusters, 0.0);
-
-  // Per-cluster busy-core throughput at the decided frequency.
-  std::vector<double> tput(n_clusters, 0.0);   // GIPS per busy core
-  std::vector<double> f_ghz(n_clusters, 0.0);
-  int total_active = 0;
-  for (std::size_t c = 0; c < n_clusters; ++c) {
-    f_ghz[c] = spec_->clusters[c].dvfs.frequency_ghz(d.freq_level[c]);
-    tput[c] = core_throughput_gips(c, f_ghz[c], w);
-    total_active += d.active_cores[c];
-  }
-  require(total_active >= 1, "perf model: at least one core must be active");
-
+ClusterOperatingPoint PerfModel::operating_point(
+    std::size_t cluster_index, int active_cores, int level,
+    const EpochWorkload& w) const {
+  require(cluster_index < spec_->clusters.size(),
+          "perf model: cluster index out of range");
+  const ClusterSpec& cl = spec_->clusters[cluster_index];
+  const double f_ghz = cl.dvfs.frequency_ghz(level);
+  const double p_dyn = cl.core_dynamic_power(f_ghz);
+  const double p_leak = cl.core_leakage_power(f_ghz);
+  ClusterOperatingPoint p;
+  p.active_cores = active_cores;
   // OS-reserved cores (each cluster's min_active, i.e. the little core
   // that "has to be ON at all times to manage the operating system",
   // paper Sec. V-A) do not run application threads: userspace DRM
-  // governors pin the app to the remaining cores.  If that leaves no
-  // cores at all, the app shares the reserved core (degraded fallback).
-  std::vector<int> app_cores(n_clusters, 0);
-  int total_app_cores = 0;
-  for (std::size_t c = 0; c < n_clusters; ++c) {
-    app_cores[c] =
-        std::max(0, d.active_cores[c] - spec_->clusters[c].min_active);
-    total_app_cores += app_cores[c];
-  }
-  if (total_app_cores == 0) {
-    app_cores.assign(d.active_cores.begin(), d.active_cores.end());
-    for (int a : app_cores) total_app_cores += a;
-  }
+  // governors pin the app to the remaining cores.
+  p.app_cores = std::max(0, active_cores - cl.min_active);
+  p.tput_gips = core_throughput_gips(cluster_index, f_ghz, w);
+  p.p_busy_w = p_dyn + p_leak;
+  p.p_idle_w = cl.idle_dynamic_fraction * p_dyn + p_leak;
+  return p;
+}
 
-  // --- serial phase: fastest single application core ---
-  std::size_t serial_cluster = 0;
+EpochTimeEnergy PerfModel::time_energy(
+    const EpochWorkload& w, std::span<const ClusterOperatingPoint> points,
+    std::span<double> cluster_energy_j) const {
+  int total_active = 0;
+  int total_app_cores = 0;
+  for (const ClusterOperatingPoint& p : points) {
+    total_active += p.active_cores;
+    total_app_cores += p.app_cores;
+  }
+  require(total_active >= 1, "perf model: at least one core must be active");
+  EpochTimeEnergy out;
+  // If the reserved cores are all there is, the app shares them.
+  out.reserved_only = total_app_cores == 0;
+  if (out.reserved_only) total_app_cores = total_active;
+
+  // Serial phase: the fastest single application core.  Parallel phase:
+  // every application core; the slowest and fastest participating
+  // cluster feed the straggler de-rate below.
   double serial_tput = 0.0;
-  for (std::size_t c = 0; c < n_clusters; ++c) {
-    if (app_cores[c] > 0 && tput[c] > serial_tput) {
-      serial_tput = tput[c];
-      serial_cluster = c;
+  double raw_parallel_tput = 0.0;
+  double t_min = 0.0, t_max = 0.0;
+  int participating = 0;
+  for (std::size_t c = 0; c < points.size(); ++c) {
+    const int app = out.app_cores(points[c]);
+    const double tput = points[c].tput_gips;
+    if (app > 0 && tput > serial_tput) {
+      serial_tput = tput;
+      out.serial_cluster = c;
     }
+    raw_parallel_tput += app * tput;
+    if (app == 0) continue;
+    ++participating;
+    t_min = participating == 1 ? tput : std::min(t_min, tput);
+    t_max = participating == 1 ? tput : std::max(t_max, tput);
   }
   ensure(serial_tput > 0.0, "perf model: no application core available");
 
@@ -91,10 +90,6 @@ EpochResult PerfModel::run_epoch(const EpochWorkload& w,
   const double t_serial = work_serial > 0.0 ? work_serial / serial_tput : 0.0;
 
   // --- parallel phase: application cores, three de-rates ---
-  double raw_parallel_tput = 0.0;
-  for (std::size_t c = 0; c < n_clusters; ++c) {
-    raw_parallel_tput += app_cores[c] * tput[c];
-  }
   // (1) scheduling/synchronization overhead per extra thread;
   const double sched_eta = std::max(
       0.2, 1.0 - params_.sched_overhead_per_core * (total_app_cores - 1));
@@ -102,21 +97,11 @@ EpochResult PerfModel::run_epoch(const EpochWorkload& w,
   // (2) heterogeneous straggler imbalance: when big and little cores
   // share irregular (branchy) parallel work, chunk-cost variance defeats
   // work stealing and the slow cores gate the barrier.
-  {
-    double t_min = 0.0, t_max = 0.0;
-    int participating = 0;
-    for (std::size_t c = 0; c < n_clusters; ++c) {
-      if (app_cores[c] == 0) continue;
-      ++participating;
-      t_min = participating == 1 ? tput[c] : std::min(t_min, tput[c]);
-      t_max = participating == 1 ? tput[c] : std::max(t_max, tput[c]);
-    }
-    if (participating >= 2 && t_max > 0.0) {
-      const double irregularity = std::min(1.0, w.branch_miss_rate / 0.01);
-      const double penalty =
-          params_.straggler_coeff * (1.0 - t_min / t_max) * irregularity;
-      parallel_tput *= std::max(0.2, 1.0 - penalty);
-    }
+  if (participating >= 2 && t_max > 0.0) {
+    const double irregularity = std::min(1.0, w.branch_miss_rate / 0.01);
+    const double penalty =
+        params_.straggler_coeff * (1.0 - t_min / t_max) * irregularity;
+    parallel_tput *= std::max(0.2, 1.0 - penalty);
   }
   // (3) shared-DRAM bandwidth saturation (below).
   const double traffic_gbs = parallel_tput * w.mem_bytes_per_instr;
@@ -133,31 +118,25 @@ EpochResult PerfModel::run_epoch(const EpochWorkload& w,
 
   const double time = t_serial + t_parallel;
   ensure(time > 0.0, "perf model: non-positive epoch time");
-  out.time_s = time;
 
   // --- per-cluster energy over the two phases ---
   double energy = 0.0;
-  for (std::size_t c = 0; c < n_clusters; ++c) {
-    const ClusterSpec& cl = spec_->clusters[c];
-    const int a = d.active_cores[c];
+  for (std::size_t c = 0; c < points.size(); ++c) {
+    const ClusterOperatingPoint& p = points[c];
+    const int a = p.active_cores;
     if (a == 0) continue;  // hot-plugged off: no power
-    const double p_dyn = cl.core_dynamic_power(f_ghz[c]);
-    const double p_leak = cl.core_leakage_power(f_ghz[c]);
-    const double p_idle = cl.idle_dynamic_fraction * p_dyn + p_leak;
-    const double p_busy = p_dyn + p_leak;
-
     // Parallel phase: the application cores are busy; online-but-
     // reserved/unused cores draw idle power.
-    const int busy_par = app_cores[c];
+    const int busy_par = out.app_cores(p);
     double cluster_energy =
-        (busy_par * p_busy + (a - busy_par) * p_idle) * t_parallel;
+        (busy_par * p.p_busy_w + (a - busy_par) * p.p_idle_w) * t_parallel;
     // Serial phase: one busy core in the serial cluster, rest idle.
-    if (c == serial_cluster) {
-      cluster_energy += (p_busy + (a - 1) * p_idle) * t_serial;
+    if (c == out.serial_cluster) {
+      cluster_energy += (p.p_busy_w + (a - 1) * p.p_idle_w) * t_serial;
     } else {
-      cluster_energy += a * p_idle * t_serial;
+      cluster_energy += a * p.p_idle_w * t_serial;
     }
-    out.cluster_power_w[c] = cluster_energy / time;
+    if (!cluster_energy_j.empty()) cluster_energy_j[c] = cluster_energy;
     energy += cluster_energy;
   }
 
@@ -165,25 +144,67 @@ EpochResult PerfModel::run_epoch(const EpochWorkload& w,
   const double bytes_g = w.instructions_g * w.mem_bytes_per_instr;
   const double mem_energy = spec_->mem_power_per_gbs * bytes_g;
   const double uncore_energy = spec_->uncore_power_w * time;
-  out.mem_power_w = mem_energy / time;
-  out.uncore_power_w = spec_->uncore_power_w;
   energy += mem_energy + uncore_energy;
 
+  out.time_s = time;
   out.energy_j = energy;
-  out.avg_power_w = energy / time;
+  out.t_serial_s = t_serial;
+  out.t_parallel_s = t_parallel;
+  return out;
+}
+
+EpochResult PerfModel::run_epoch(const EpochWorkload& w,
+                                 const DrmDecision& d) const {
+  w.validate();
+  // Inline validity check (run_epoch is the innermost hot loop; building a
+  // DecisionSpace here would cost more than the epoch itself).
+  require(d.active_cores.size() == spec_->clusters.size() &&
+              d.freq_level.size() == spec_->clusters.size(),
+          "perf model: decision shape does not match spec");
+  for (std::size_t c = 0; c < spec_->clusters.size(); ++c) {
+    const ClusterSpec& cl = spec_->clusters[c];
+    require(d.active_cores[c] >= cl.min_active &&
+                d.active_cores[c] <= cl.num_cores,
+            "perf model: active-core count out of range");
+    require(d.freq_level[c] >= 0 && d.freq_level[c] < cl.dvfs.levels(),
+            "perf model: frequency level out of range");
+  }
+
+  const std::size_t n_clusters = spec_->clusters.size();
+  std::vector<ClusterOperatingPoint> points(n_clusters);
+  for (std::size_t c = 0; c < n_clusters; ++c) {
+    points[c] = operating_point(c, d.active_cores[c], d.freq_level[c], w);
+  }
+  EpochResult out;
+  out.cluster_power_w.assign(n_clusters, 0.0);
+  const EpochTimeEnergy te = time_energy(w, points, out.cluster_power_w);
+  const double time = te.time_s;
+  const double t_serial = te.t_serial_s;
+  const double t_parallel = te.t_parallel_s;
+  for (double& p : out.cluster_power_w) p /= time;  // energy -> power
+  out.time_s = time;
+  out.energy_j = te.energy_j;
+  out.avg_power_w = te.energy_j / time;
+  const double bytes_g = w.instructions_g * w.mem_bytes_per_instr;
+  out.mem_power_w = spec_->mem_power_per_gbs * bytes_g / time;
+  out.uncore_power_w = spec_->uncore_power_w;
 
   // --- hardware counters (paper Table I) ---
   HwCounters& hc = out.counters;
   const double instr = w.instructions_g * 1e9;
   hc.instructions_retired = instr;
 
+  int total_active = 0;
   double cycles = 0.0;
   for (std::size_t c = 0; c < n_clusters; ++c) {
-    double busy_core_seconds = app_cores[c] * t_parallel;
-    if (c == serial_cluster && app_cores[c] > 0) {
+    total_active += points[c].active_cores;
+    const int app = te.app_cores(points[c]);
+    double busy_core_seconds = app * t_parallel;
+    if (c == te.serial_cluster && app > 0) {
       busy_core_seconds += t_serial;
     }
-    cycles += f_ghz[c] * 1e9 * busy_core_seconds;
+    cycles += spec_->clusters[c].dvfs.frequency_ghz(d.freq_level[c]) * 1e9 *
+              busy_core_seconds;
   }
   hc.cpu_cycles = cycles;
   hc.branch_misses_per_core =
@@ -197,10 +218,11 @@ EpochResult PerfModel::run_epoch(const EpochWorkload& w,
   // Utilizations: during the parallel phase the application cores are
   // busy; during the serial phase only the serial core is.
   for (std::size_t c = 0; c < n_clusters; ++c) {
-    const int a = d.active_cores[c];
+    const int a = points[c].active_cores;
     if (a == 0) continue;
-    double busy = app_cores[c] * t_parallel;
-    if (c == serial_cluster) busy += t_serial;
+    const int app = te.app_cores(points[c]);
+    double busy = app * t_parallel;
+    if (c == te.serial_cluster) busy += t_serial;
     // The scheduler counts I/O / sync slack as idle, so every
     // kernel-visible utilization is scaled by the epoch's duty cycle.
     const double util = w.duty * busy / (a * time);
@@ -213,11 +235,10 @@ EpochResult PerfModel::run_epoch(const EpochWorkload& w,
     // both phases; other application cores are busy in the parallel
     // phase; clusters with only OS-reserved cores see background load.
     const double busiest =
-        app_cores[c] > 0
-            ? w.duty * (t_parallel +
-                        (c == serial_cluster ? t_serial : 0.0)) /
-                  time
-            : 0.05;
+        app > 0 ? w.duty * (t_parallel +
+                            (c == te.serial_cluster ? t_serial : 0.0)) /
+                      time
+                : 0.05;
     hc.max_core_utilization = std::max(hc.max_core_utilization, busiest);
   }
   hc.total_power_w = out.avg_power_w;

@@ -19,9 +19,19 @@
 // while idle-but-online), voltage-squared leakage while online, plus
 // uncore and traffic-proportional DRAM power.  Hot-plugged cores draw
 // nothing.
+//
+// One kernel, PerfModel::time_energy, holds the time and energy
+// arithmetic.  It reads each cluster's operating point (online and
+// application cores, one busy core's throughput, busy and idle core
+// power) and nothing else of the decision.  run_epoch builds the points
+// for one decision, calls the kernel and derives the counters from its
+// phase split; the IL/DyPO oracle sweep (baselines::OracleTable) builds
+// every point of an epoch once and calls the kernel per decision.  Both
+// therefore compute bit-identical times and energies.
 #ifndef PARMIS_SOC_PERF_MODEL_HPP
 #define PARMIS_SOC_PERF_MODEL_HPP
 
+#include <span>
 #include <vector>
 
 #include "soc/counters.hpp"
@@ -56,6 +66,34 @@ struct EpochResult {
   double uncore_power_w = 0.0;
 };
 
+/// One cluster under one decision on one epoch: all the time/energy
+/// kernel reads of it.  Each field depends on this cluster alone.
+struct ClusterOperatingPoint {
+  int active_cores = 0;    ///< online cores (0: hot-plugged off)
+  int app_cores = 0;       ///< online cores beyond the OS-reserved ones
+  double tput_gips = 0.0;  ///< one busy core's throughput on the epoch
+  double p_busy_w = 0.0;   ///< one busy core: dynamic + leakage power
+  double p_idle_w = 0.0;   ///< one online idle core: gated residue + leakage
+};
+
+/// The time/energy kernel's result, with the phase split the counters
+/// are derived from.
+struct EpochTimeEnergy {
+  double time_s = 0.0;
+  double energy_j = 0.0;
+  double t_serial_s = 0.0;
+  double t_parallel_s = 0.0;
+  std::size_t serial_cluster = 0;  ///< runs the serial phase
+  /// No cluster has an application core, so the application shares the
+  /// OS-reserved cores (the degraded fallback).
+  bool reserved_only = false;
+
+  /// Cores of `point`'s cluster that run the application.
+  int app_cores(const ClusterOperatingPoint& point) const {
+    return reserved_only ? point.active_cores : point.app_cores;
+  }
+};
+
 /// Stateless epoch evaluator for a given SoC specification.
 class PerfModel {
  public:
@@ -67,10 +105,24 @@ class PerfModel {
                         const DrmDecision& decision) const;
 
   /// Sustained throughput (giga-instructions/s) of one busy core of
-  /// cluster `c` at frequency `f_ghz` on `workload`.  Exposed for tests
-  /// and for the IL oracle's cost estimates.
+  /// cluster `c` at frequency `f_ghz` on `workload`.  Exposed for tests.
   double core_throughput_gips(std::size_t cluster_index, double f_ghz,
                               const EpochWorkload& workload) const;
+
+  /// Cluster `cluster_index` with `active_cores` online at DVFS level
+  /// `level` on `workload`.  Unchecked beyond the cluster index: callers
+  /// pass admissible counts and levels.
+  ClusterOperatingPoint operating_point(std::size_t cluster_index,
+                                        int active_cores, int level,
+                                        const EpochWorkload& workload) const;
+
+  /// The epoch's time and energy with cluster c at `points[c]` (one point
+  /// per cluster).  Requires at least one online core.  When
+  /// `cluster_energy_j` is non-empty it receives each cluster's energy.
+  /// run_epoch's time_s and energy_j are this kernel's, bit for bit.
+  EpochTimeEnergy time_energy(const EpochWorkload& workload,
+                              std::span<const ClusterOperatingPoint> points,
+                              std::span<double> cluster_energy_j = {}) const;
 
   const SocSpec& spec() const { return *spec_; }
   const PerfModelParams& params() const { return params_; }

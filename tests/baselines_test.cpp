@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <limits>
 
 #include "apps/benchmarks.hpp"
 #include "baselines/dypo.hpp"
@@ -23,6 +25,82 @@ soc::Application small_app() {
   soc::Application app = apps::make_benchmark("qsort");
   app.epochs.resize(12);
   return app;
+}
+
+bool same_bits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+/// Checks every decision on the first `epochs` epochs of `app`: the
+/// table's (time, energy) costs, read through scalarized_cost with
+/// weights {1, 0} and {0, 1}, are the bits of the run_epoch ratios under
+/// the fidelity's model parameters (as OracleTable documents them).
+void expect_table_is_run_epoch_ratios(soc::Platform& platform,
+                                      const soc::Application& app,
+                                      OracleFidelity fidelity,
+                                      std::size_t epochs) {
+  SCOPED_TRACE(fidelity == OracleFidelity::Exact ? "exact" : "first order");
+  const OracleTable table(platform, app, fidelity);
+  soc::PerfModelParams params = platform.model().params();
+  if (fidelity == OracleFidelity::FirstOrder) {
+    params.sched_overhead_per_core = 0.0;
+    params.contention_exponent = 1.0;
+    params.straggler_coeff = 0.0;
+  }
+  const soc::PerfModel model(platform.spec(), params);
+  const soc::DecisionSpace& space = platform.decision_space();
+  const auto objectives = runtime::time_energy_objectives();
+  const num::Vec time_only = {1.0, 0.0};
+  const num::Vec energy_only = {0.0, 1.0};
+  ASSERT_EQ(table.num_decisions(), space.size());
+  std::size_t checked = 0, mismatched = 0;
+  for (std::size_t e = 0; e < epochs; ++e) {
+    const soc::EpochResult ref =
+        model.run_epoch(app.epochs[e], space.default_decision());
+    for (std::size_t d = 0; d < space.size(); ++d) {
+      const soc::EpochResult r =
+          model.run_epoch(app.epochs[e], space.decision(d));
+      const bool same =
+          same_bits(table.scalarized_cost(e, d, time_only, objectives),
+                    r.time_s / ref.time_s) &&
+          same_bits(table.scalarized_cost(e, d, energy_only, objectives),
+                    r.energy_j / ref.energy_j);
+      if (!same && mismatched++ == 0) {
+        ADD_FAILURE() << "first mismatch at epoch " << e << ", decision "
+                      << d;
+      }
+      ++checked;
+    }
+  }
+  EXPECT_EQ(mismatched, 0u) << "of " << checked << " pairs";
+}
+
+/// Lowest index of the smallest cost summed over `epochs` (in order),
+/// by a plain scan over scalarized_cost.
+std::size_t scan_best(const OracleTable& table,
+                      const std::vector<std::size_t>& epochs,
+                      const num::Vec& weights,
+                      const std::vector<runtime::Objective>& objectives) {
+  std::size_t best = 0;
+  double best_cost = std::numeric_limits<double>::infinity();
+  for (std::size_t d = 0; d < table.num_decisions(); ++d) {
+    double cost = 0.0;
+    for (std::size_t e : epochs) {
+      cost += table.scalarized_cost(e, d, weights, objectives);
+    }
+    if (cost < best_cost) {
+      best_cost = cost;
+      best = d;
+    }
+  }
+  return best;
+}
+
+const std::vector<num::Vec>& argmin_weights() {
+  // {0, 0} ties every decision at cost 0.
+  static const std::vector<num::Vec> weights = {
+      {1.0, 0.0}, {0.0, 1.0}, {0.5, 0.5}, {0.3, 0.7}, {0.0, 0.0}};
+  return weights;
 }
 
 // ----------------------------------------------------------- scalarization
@@ -330,6 +408,61 @@ TEST(Il, FirstOrderOracleOverestimatesManyCoreConfigs) {
   EXPECT_LT(first_ratio, exact_ratio);
 }
 
+TEST(Il, OracleTableIsRunEpochRatiosBitForBit) {
+  // The table sweep and run_epoch share one time/energy kernel; every
+  // stored cost must be run_epoch's ratio, bit for bit.  Every pair on
+  // the Exynos space; three epochs of mobile3's 50 336 decisions.
+  const soc::SocSpec exynos = soc::SocSpec::exynos5422();
+  soc::Platform exynos_platform(exynos);
+  const soc::Application app = small_app();
+  soc::Application short_app = apps::make_benchmark("aes");
+  short_app.epochs.resize(3);
+  const soc::SocSpec mobile3 = soc::SocSpec::mobile3();
+  soc::Platform mobile3_platform(mobile3);
+  for (const OracleFidelity fidelity :
+       {OracleFidelity::FirstOrder, OracleFidelity::Exact}) {
+    expect_table_is_run_epoch_ratios(exynos_platform, app, fidelity,
+                                     app.num_epochs());
+    expect_table_is_run_epoch_ratios(mobile3_platform, short_app, fidelity,
+                                     short_app.num_epochs());
+  }
+}
+
+TEST(Il, BestDecisionIndexEqualsScanOverScalarizedCost) {
+  const soc::SocSpec spec = soc::SocSpec::exynos5422();
+  soc::Platform platform(spec);
+  const soc::Application app = small_app();
+  const OracleTable table(platform, app);
+  const auto objectives = runtime::time_energy_objectives();
+  for (const num::Vec& w : argmin_weights()) {
+    for (std::size_t e = 0; e < app.num_epochs(); ++e) {
+      EXPECT_EQ(table.best_decision_index(e, w, objectives),
+                scan_best(table, {e}, w, objectives))
+          << "epoch " << e << ", weights " << w[0] << "/" << w[1];
+    }
+  }
+  EXPECT_EQ(table.best_decision_index(0, {0.0, 0.0}, objectives), 0u);
+
+  // A tie the model itself makes: a hot-plugged cluster draws nothing
+  // at any level, so the most frugal decision (big cluster off) ties
+  // across the big cluster's levels.  The lowest index must win.
+  const num::Vec energy_only = {0.0, 1.0};
+  const std::size_t best =
+      table.best_decision_index(0, energy_only, objectives);
+  const double best_cost =
+      table.scalarized_cost(0, best, energy_only, objectives);
+  EXPECT_EQ(platform.decision_space().decision(best).active_cores[0], 0);
+  std::size_t tied = 0;
+  for (std::size_t d = 0; d < table.num_decisions(); ++d) {
+    if (same_bits(table.scalarized_cost(0, d, energy_only, objectives),
+                  best_cost) &&
+        tied++ == 0) {
+      EXPECT_EQ(d, best);
+    }
+  }
+  EXPECT_GT(tied, 1u);
+}
+
 // --------------------------------------------------------------- tabular q
 
 TEST(TabularQ, StateGridCoversAndBins) {
@@ -424,6 +557,34 @@ TEST(Dypo, PolicyIsValidNearestCentroidLookup) {
   soc::HwCounters c;
   c.max_core_utilization = 0.9;
   EXPECT_TRUE(platform.decision_space().is_valid(policy.decide(c)));
+}
+
+TEST(Dypo, ClusterChoiceEqualsScanOverScalarizedCost) {
+  // DyPO's per-cluster operating point sums each decision's cost over
+  // the cluster's epochs in member order; a plain scan over
+  // scalarized_cost must pick the same index, ties going lowest.
+  const soc::SocSpec spec = soc::SocSpec::exynos5422();
+  soc::Platform platform(spec);
+  const soc::DecisionSpace& space = platform.decision_space();
+  const soc::Application app = small_app();
+  const OracleTable table(platform, app);
+  const auto objectives = runtime::time_energy_objectives();
+  std::vector<std::size_t> all(app.num_epochs());
+  for (std::size_t e = 0; e < all.size(); ++e) all[e] = e;
+  const std::vector<std::size_t> members = {3, 0, 7, 7, 11};
+  soc::HwCounters counters;
+  counters.max_core_utilization = 0.5;
+  for (const num::Vec& w : argmin_weights()) {
+    SCOPED_TRACE(std::to_string(w[0]) + "/" + std::to_string(w[1]));
+    EXPECT_EQ(table.best_decision_index(members, w, objectives),
+              scan_best(table, members, w, objectives));
+    // One cluster: every epoch is a member, and the policy deploys the
+    // scan's decision whatever the counters.
+    DypoPolicy policy = dypo_train(platform, app, objectives, table, w, 1, 5);
+    EXPECT_EQ(policy.decide(counters),
+              space.decision(scan_best(table, all, w, objectives)));
+  }
+  EXPECT_EQ(table.best_decision_index(members, {0.0, 0.0}, objectives), 0u);
 }
 
 }  // namespace

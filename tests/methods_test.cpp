@@ -363,6 +363,54 @@ TEST(OracleMemo, SharedTablesLeaveEveryCellBitIdentical) {
   }
 }
 
+/// examples/plans/method_matrix.json as a runner config.
+exec::CampaignConfig matrix_config() {
+  return serde::to_campaign_config(
+      serde::load_plan(PARMIS_EXAMPLES_DIR "/plans/method_matrix.json"),
+      serde::ScenarioCatalogue());
+}
+
+TEST(OracleMemo, Mobile3RunBuildsOneTableAtAnyThreadCount) {
+  // The mobile3 sweep (50 336 decisions) is the one the memo makes other
+  // threads wait for: at 4 threads the run still builds one FirstOrder
+  // table, and every cell equals the 1-thread run's.
+  exec::CampaignConfig config = matrix_config();
+  std::erase_if(config.scenarios, [](const scenario::ScenarioSpec& s) {
+    return s.name != "mobile3-matrix-te";
+  });
+  ASSERT_EQ(config.scenarios.size(), 1u);
+  config.scenarios[0].methods = {"il", "dypo"};
+  config.seeds_per_cell = 2;
+  std::vector<exec::CellResult> one_thread;
+  for (std::size_t threads : {1u, 4u}) {
+    SCOPED_TRACE(threads);
+    config.num_threads = threads;
+    const std::uint64_t built_before =
+        counter_value("parmis_oracle_tables_built_total");
+    const exec::CampaignReport report = exec::CampaignRunner(config).run();
+#ifdef PARMIS_OBS_ENABLED
+    EXPECT_EQ(counter_value("parmis_oracle_tables_built_total") -
+                  built_before, 1u);
+#else
+    (void)built_before;
+#endif
+    ASSERT_EQ(report.cells.size(), 4u);
+    for (const auto& cell : report.cells) {
+      EXPECT_TRUE(cell.error.empty()) << cell.error;
+      EXPECT_FALSE(cell.front.empty());
+    }
+    if (threads == 1) {
+      one_thread = report.cells;
+      continue;
+    }
+    for (std::size_t i = 0; i < report.cells.size(); ++i) {
+      SCOPED_TRACE(report.cells[i].method + " seed " +
+                   std::to_string(report.cells[i].seed));
+      expect_same_cell(report.cells[i], one_thread[i]);
+    }
+  }
+}
+
 TEST(OracleMemo, OneTablePerScenarioAndFidelity) {
   const scenario::ScenarioSpec spec = tiny_te_scenario();
   MethodConfigSet exact = tiny_budgets();
@@ -388,10 +436,11 @@ TEST(OracleMemo, OneTablePerScenarioAndFidelity) {
   EXPECT_EQ(memo.tables_built(), 2u);  // Exact is a table of its own
 
   using baselines::OracleFidelity;
+  const std::string canonical = scenario::canonical_serialize(spec);
   const std::string first_key =
-      OracleTableMemo::key(spec, OracleFidelity::FirstOrder);
+      OracleTableMemo::key(canonical, OracleFidelity::FirstOrder);
   const std::string exact_key =
-      OracleTableMemo::key(spec, OracleFidelity::Exact);
+      OracleTableMemo::key(canonical, OracleFidelity::Exact);
   EXPECT_NE(first_key, exact_key);
   const auto no_build = []() -> OracleTableMemo::Table {
     throw Error("the memo should not build again");
@@ -420,7 +469,8 @@ TEST(OracleMemo, FailedBuildReachesEveryRequestingCell) {
   OracleTableMemo memo;
   std::string message;
   try {
-    memo.get(OracleTableMemo::key(spec, baselines::OracleFidelity::FirstOrder),
+    memo.get(OracleTableMemo::key(scenario::canonical_serialize(spec),
+                                  baselines::OracleFidelity::FirstOrder),
              []() -> OracleTableMemo::Table {
                throw Error("oracle table build failed");
              });
@@ -506,6 +556,34 @@ TEST(MethodConfigs, DefaultedConfigsKeepCacheKeysByteStable) {
                 std::make_shared<ScalarizationMethodConfig>());
   EXPECT_TRUE(canonical_method_config("rl", defaulted).empty());
   EXPECT_TRUE(canonical_method_config("scalarization", defaulted).empty());
+}
+
+TEST(MethodConfigs, RunnerKeysEqualCellKeyForEveryMatrixCell) {
+  // The runner keys cells from each scenario's canonical text,
+  // serialized once; the keys must stay byte-identical to
+  // cache::cell_key, or every existing cache entry goes stale.
+  exec::CampaignConfig config = matrix_config();
+  config.seeds_per_cell = 3;
+  const std::vector<cache::CellKey> keys =
+      exec::CampaignRunner(config).cell_keys();
+  std::size_t i = 0;
+  for (const auto& spec : config.scenarios) {
+    for (const auto& method : spec.methods) {
+      for (std::uint64_t s = 0; s < config.seeds_per_cell; ++s) {
+        ASSERT_LT(i, keys.size());
+        EXPECT_EQ(keys[i].hex(),
+                  cache::cell_key(spec, method, config.base_seed + s,
+                                  config.anchor_limit,
+                                  canonical_method_config(
+                                      method, config.method_configs))
+                      .hex())
+            << spec.name << "/" << method << " seed " << config.base_seed + s;
+        ++i;
+      }
+    }
+  }
+  EXPECT_EQ(i, keys.size());
+  EXPECT_EQ(keys.size(), 102u);  // 12 + 10 + 12 methods x 3 seeds
 }
 
 TEST(MethodConfigs, ChangedConfigMovesOnlyThatMethodsKeys) {
