@@ -15,17 +15,21 @@
 //
 // Bit-equivalence contract: FeatureMap has one projection kernel, and
 // every caller (SampledFunction, the training and query feature
-// matrices) goes through it.  The kernel blocks over queries only (32
-// per block, transposed d x 32): per (feature m, query x) pair it
-// performs exactly the scalar sequence
+// matrices) goes through it.  The kernel blocks over queries only: up
+// to 32 per block, each block at the smallest of 4, 8, 16 and 32 lanes
+// that holds it, transposed d x lanes.  It walks the columns in passes
+// of a fixed width and keeps each feature's running sums in memory
+// between passes.  Per (feature m, query x) pair it performs exactly
+// the scalar sequence
 //   acc = phase[m];  acc += omega[m][c] * x[c]  for c = 0, 1, ..., d-1
-// followed by the caller's scalar std::cos epilogue.  Blocking changes
-// which queries share a pass, never the operation order within one
-// pair, so a query's result does not depend on how many other queries
-// are evaluated with it or where its block starts — bitwise, including
-// on hostile inputs (huge cos arguments, denormals, NaN).  The golden
-// campaign digests depend on this; tests/gp_test.cpp and
-// tests/moo_test.cpp enforce it.
+// (no fused multiply-add, no reassociation) followed by the caller's
+// scalar std::cos epilogue.  Lane width, padding lanes and pass
+// boundaries change which queries share a pass and where a sum is
+// stored, never the operation order within one pair, so a query's
+// result does not depend on how many other queries are evaluated with
+// it or where its block starts — bitwise, including on hostile inputs
+// (huge cos arguments, denormals, NaN).  The golden campaign digests
+// depend on this; tests/gp_test.cpp and tests/moo_test.cpp enforce it.
 #ifndef PARMIS_GP_RFF_HPP
 #define PARMIS_GP_RFF_HPP
 

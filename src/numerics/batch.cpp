@@ -90,11 +90,7 @@ AlignedBuffer::AlignedBuffer(std::size_t size) : size_(size) {
   if (size_ == 0) return;
   void* raw = ::operator new[](size_ * sizeof(double), std::align_val_t{64});
   data_.reset(static_cast<double*>(raw));
-  zero();
-}
-
-void AlignedBuffer::zero() {
-  if (size_ > 0) std::memset(data_.get(), 0, size_ * sizeof(double));
+  std::memset(data_.get(), 0, size_ * sizeof(double));
 }
 
 }  // namespace parmis::num

@@ -65,9 +65,6 @@ class AlignedBuffer {
   double& operator[](std::size_t i) { return data_[i]; }
   double operator[](std::size_t i) const { return data_[i]; }
 
-  /// Resets every element to 0.0 (buffers are reused across batches).
-  void zero();
-
  private:
   struct Deleter {
     void operator()(double* p) const;

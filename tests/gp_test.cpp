@@ -775,7 +775,14 @@ TEST(Rff, EvalManyBitwiseMatchesScalar) {
   const double inf = std::numeric_limits<double>::infinity();
   const double denormal = 4.9e-322;
   const std::size_t m_count = 24;
-  for (const std::size_t d : {std::size_t{1}, std::size_t{445}}) {
+  // Every query count up to two blocks plus a tail runs each lane
+  // width (4, 8, 16, 32) with and without padding lanes; d = 127, 128
+  // and 129 put the last column just before, on and after a column-pass
+  // boundary.
+  std::vector<std::size_t> q_counts;
+  for (std::size_t q = 1; q <= 33; ++q) q_counts.push_back(q);
+  q_counts.insert(q_counts.end(), {64, 65, 200});
+  for (const std::size_t d : {1, 127, 128, 129, 445, 895}) {
     Rng rng(900 + d);
     FeatureMap map;
     map.omega = random_queries(m_count, d, rng);
@@ -790,13 +797,15 @@ TEST(Rff, EvalManyBitwiseMatchesScalar) {
     for (auto& w : weights) w = rng.normal();
     const SampledFunction f(map, weights, 0.7, 1.9);
 
-    for (const std::size_t q_count : {1, 31, 32, 33, 65, 200}) {
+    for (const std::size_t q_count : q_counts) {
       Matrix X = random_queries(q_count, d, rng);
-      // Hostile queries spread over blocks and tails: a huge cos
-      // argument, denormals, NaN, and inf (inf * denormal frequency).
+      // Hostile queries spread over blocks, tails and the first and
+      // last column passes: a huge cos argument, denormals, NaN, and inf
+      // (inf * denormal frequency).
       for (std::size_t q = 0; q < q_count; q += 7) {
         const double hostile[] = {1e300, denormal, nan, inf, -1e-310};
         X(q, (q / 7) % d) = hostile[(q / 7) % 5];
+        X(q, d - 1 - (q / 7) % d) = hostile[(q / 7 + 2) % 5];
       }
       const Vec many = f.eval_many(X.transposed());
       const Matrix phi = map.features(X);

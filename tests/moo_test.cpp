@@ -906,16 +906,25 @@ TEST(Nsga2, BatchMatchesPerPointBitwise) {
     expect_same_result(per_point, batch);
     EXPECT_EQ(result_digest(batch), 0x30edd154485a8bccULL);
   }
-  {
-    // Two RFF posterior draws; 36 points per generation exercise one
-    // full projection block plus a narrow tail.
-    const std::size_t d = 37;
-    const gp::GpRegressor g = rff_test_gp(20, d, 3);
+  // Two RFF posterior draws, at the population sizes the front sampler
+  // runs.  36 points per generation exercise one full 32-lane block
+  // plus a 4-lane tail; 16 and 8 run one block at 16 and 8 lanes, with
+  // a column-pass boundary at d = 129.  The weight posterior projects
+  // the training inputs at 32, 16 and 8 lanes.
+  struct RffCase {
+    std::size_t population, dim, train;
+    std::uint64_t digest;
+  };
+  for (const RffCase& c : {RffCase{36, 37, 20, 0xd6ec058b6361fe80ULL},
+                           RffCase{16, 129, 12, 0xabd3e336fc1fdb88ULL},
+                           RffCase{8, 37, 6, 0x81324883ed592054ULL}}) {
+    const std::size_t d = c.dim;
+    const gp::GpRegressor g = rff_test_gp(c.train, d, 3);
     Rng rng(4);
     const gp::SampledFunction f0 = gp::sample_posterior_function(g, rng, 48);
     const gp::SampledFunction f1 = gp::sample_posterior_function(g, rng, 48);
     Nsga2Config cfg;
-    cfg.population_size = 36;
+    cfg.population_size = c.population;
     cfg.generations = 6;
     cfg.seed = 5;
     const Vec lo(d, -1.0), hi(d, 1.0);
@@ -935,7 +944,7 @@ TEST(Nsga2, BatchMatchesPerPointBitwise) {
     };
     const Nsga2Result batch = nsga2_minimize(batch_fn, lo, hi, cfg);
     expect_same_result(per_point, batch);
-    EXPECT_EQ(result_digest(batch), 0xd6ec058b6361fe80ULL);
+    EXPECT_EQ(result_digest(batch), c.digest) << "population " << c.population;
   }
 }
 
