@@ -421,7 +421,7 @@ int main(int argc, char** argv) {
       // computed, stored or written.
       std::string missing;
       std::optional<CampaignReport> replayed =
-          CampaignRunner(config).replay_cached(&missing);
+          CampaignRunner(config).replay_cached(config.shard, &missing);
       if (!replayed.has_value()) {
         std::cerr << "campaign: --require-cached: cell " << missing
                   << " is not in the cache\n";

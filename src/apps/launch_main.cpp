@@ -157,6 +157,7 @@ int main(int argc, char** argv) {
     std::cerr << "campaign-launch: done — " << p.report_cells
               << " cells, digest " << parmis::hex64(p.report_digest)
               << ", wall " << p.wall_s << "s (retries " << p.stats.retries
+              << ", provisional writes " << p.provisional_writes
               << ", recovered from cache " << p.chunks_recovered << ")\n";
     std::cerr << "campaign-launch: final report: " << info.final_path
               << "\n";

@@ -1,6 +1,5 @@
 #include "cache/result_cache.hpp"
 
-#include <array>
 #include <bit>
 #include <chrono>
 #include <filesystem>
@@ -17,7 +16,10 @@ namespace parmis::cache {
 
 namespace {
 
-constexpr const char* kEntryMagic = "parmis-cell-cache v2\n";
+// The entry-format version: v3 digests the payload with fnv1a64_words
+// (v2 used bytewise fnv1a64 over the same payload bytes).  An entry of
+// another version is corrupt to this reader and re-run in place.
+constexpr const char* kEntryMagic = "parmis-cell-cache v3\n";
 constexpr const char* kEntrySuffix = ".cell";
 
 // ------------------------------------------------------- serialization
@@ -28,10 +30,14 @@ using canonical::put_f64;
 using canonical::put_str;
 using canonical::put_u64;
 
-std::string serialize_payload(const CellKey& key,
-                              const exec::CellResult& cell) {
-  std::string out;
-  out.reserve(1024);
+/// Appends `cell`'s payload under `key` to `out`.
+void append_payload(std::string& out, const CellKey& key,
+                    const exec::CellResult& cell) {
+  // Doubles dominate an entry: each is `f=<16 hex>\n`, 19 bytes.
+  std::size_t doubles = cell.best_raw.size() + 2;
+  for (const auto& point : cell.front) doubles += point.size();
+  for (const auto& theta : cell.pareto_thetas) doubles += theta.size();
+  out.reserve(out.size() + 19 * doubles + 512 + cell.error.size());
   put_str(out, "key", key.hex());
   put_str(out, "scenario", cell.scenario);
   put_str(out, "platform", cell.platform);
@@ -60,7 +66,6 @@ std::string serialize_payload(const CellKey& key,
   put_f64(out, "wall_s", cell.wall_s);
   put_f64(out, "overhead_us", cell.decision_overhead_us);
   put_str(out, "error", cell.error);
-  return out;
 }
 
 // --------------------------------------------------------------- parsing
@@ -69,16 +74,6 @@ std::string serialize_payload(const CellKey& key,
 // non-canonical number, short read) fails the whole entry, which the
 // cache then treats as corruption — so an entry that decodes is
 // exactly the bytes serialize_entry writes for its cell.
-
-/// Value of each lowercase hex digit (what hex64 writes); 16 for any
-/// other byte.
-constexpr std::array<std::uint8_t, 256> kHexDigit = [] {
-  std::array<std::uint8_t, 256> table{};
-  table.fill(16);
-  for (std::uint8_t d = 0; d < 10; ++d) table['0' + d] = d;
-  for (std::uint8_t d = 0; d < 6; ++d) table['a' + d] = 10 + d;
-  return table;
-}();
 
 struct Cursor {
   std::string_view text;
@@ -138,23 +133,17 @@ struct Cursor {
     return true;
   }
 
+  /// `tag=<16 hex digits>\n`, the digits decoded a word at a time
+  /// (parse_hex64): entries are mostly doubles.
   bool read_f64(std::string_view tag, double& out) {
-    if (!expect_tag(tag)) return false;
-    if (text.size() - pos < 17) return false;  // 16 hex digits + newline
-    // Table lookups, no branch per digit: the digits of a double's bit
-    // pattern are random, so a digit-or-letter branch mispredicts about
-    // every other time, and entries are mostly doubles.
-    std::uint64_t bits = 0;
-    std::uint8_t invalid = 0;
-    for (std::size_t i = pos; i < pos + 16; ++i) {
-      const std::uint8_t digit = kHexDigit[static_cast<unsigned char>(text[i])];
-      invalid |= digit;
-      bits = (bits << 4) | (digit & 15u);
+    if (!expect_tag(tag) || text.size() - pos < 17 || text[pos + 16] != '\n') {
+      return false;
     }
-    if ((invalid & 16u) != 0) return false;
-    pos += 16;
-    out = std::bit_cast<double>(bits);
-    return expect("\n");
+    const std::optional<std::uint64_t> bits = parse_hex64(text.substr(pos, 16));
+    if (!bits.has_value()) return false;
+    pos += 17;
+    out = std::bit_cast<double>(*bits);
+    return true;
   }
 };
 
@@ -231,10 +220,15 @@ std::optional<exec::CellResult> parse_payload(std::string_view payload,
 
 std::string serialize_entry(const CellKey& key,
                             const exec::CellResult& cell) {
-  const std::string payload = serialize_payload(key, cell);
   std::string out = kEntryMagic;
-  out += "digest=" + hex64(fnv1a64(payload)) + "\n";
-  out += payload;
+  out += "digest=";
+  const std::size_t digest_at = out.size();
+  out.append(16, '0');
+  out += '\n';
+  const std::size_t payload_at = out.size();
+  append_payload(out, key, cell);
+  hex64(fnv1a64_words(std::string_view(out).substr(payload_at)),
+        out.data() + digest_at);
   return out;
 }
 
@@ -245,13 +239,12 @@ std::optional<exec::CellResult> parse_entry(std::string_view entry,
     return std::nullopt;
   }
   if (entry.size() - cur.pos < 17) return std::nullopt;
-  const std::string_view digest_hex = entry.substr(cur.pos, 16);
+  const std::optional<std::uint64_t> digest =
+      parse_hex64(entry.substr(cur.pos, 16));
   cur.pos += 16;
-  if (!cur.expect("\n")) return std::nullopt;
+  if (!digest.has_value() || !cur.expect("\n")) return std::nullopt;
   const std::string_view payload = entry.substr(cur.pos);
-  if (hex64(fnv1a64(payload.data(), payload.size())) != digest_hex) {
-    return std::nullopt;
-  }
+  if (fnv1a64_words(payload) != *digest) return std::nullopt;
   return parse_payload(payload, key);
 }
 

@@ -5,18 +5,31 @@
 // the property that makes its result safe to memoize.  The cache keys
 // each cell by a 128-bit fingerprint of the versioned canonical spec
 // serialization plus the method, seed, anchor limit, and the cache
-// schema version; any change to the spec schema, the serialization, or
-// the stored-entry format bumps a version and cleanly invalidates every
-// old entry (stale keys simply never match again).
+// schema version.
+//
+// Two versions, two jobs:
+//   - kCacheSchemaVersion is part of every key.  Bumping it moves every
+//     key, so old entries are simply never read again (and gc() ages
+//     them out).  It changes only when what a key stands for changes:
+//     the evaluator's semantics, the spec serialization, or the set of
+//     fields an entry must carry.
+//   - The entry-format version is the entry's first line
+//     (`parmis-cell-cache v3`).  It changes when only the encoding of
+//     the same fields changes, so keys stay put: an entry of another
+//     format is counted corrupt, its cell re-runs, and the store
+//     renames a current-format entry over the same file.
+//
+// An entry is the magic line, `digest=<16 hex>` over the payload
+// (fnv1a64_words, format v3; bytewise fnv1a64 was v2), then the
+// payload: tagged canonical fields (common/canonical.hpp).
 //
 // Storage is one file per entry, named by the key's hex digits, written
 // via write-to-temp + atomic rename so concurrent CampaignRunners (or
 // separate processes, e.g. sharded CI jobs) can share one directory:
 // readers see either a complete old entry or a complete new one, never
-// a torn write.  Every entry carries a digest of its own payload;
-// entries that fail the digest (bit rot, truncation) or fail parsing
-// are treated as misses, so the cell transparently re-runs and its
-// store() atomically overwrites the bad entry.
+// a torn write.  Entries that fail the digest (bit rot, truncation) or
+// fail parsing are treated as misses, so the cell transparently re-runs
+// and its store() atomically overwrites the bad entry.
 // Doubles are stored as IEEE-754 bit patterns, so a cache hit
 // reproduces the original CellResult bit for bit — campaign digests are
 // identical whether cells were computed or replayed.
@@ -35,10 +48,11 @@
 
 namespace parmis::cache {
 
-/// Bump to invalidate every existing cache entry (schema or semantics
-/// change in the evaluator, spec serialization, or entry format).
-/// v2: entries store the cell's pareto_thetas (the entry format
-/// changed, so every v1 key must go stale).
+/// Part of every cell key; bump to move every key (a semantics change
+/// in the evaluator or spec serialization, or a new field every entry
+/// must carry).  An encoding-only change bumps the entry-format version
+/// instead (see the file comment).  v2: entries store the cell's
+/// pareto_thetas, so every v1 key had to go stale.
 inline constexpr std::uint32_t kCacheSchemaVersion = 2;
 
 /// Content address of one campaign cell.
@@ -73,8 +87,8 @@ CellKey cell_key(const std::string& canonical_spec, const std::string& method,
                  std::uint64_t seed, std::size_t anchor_limit,
                  const std::string& method_config = {});
 
-/// The bytes of `cell`'s entry under `key`: magic line, FNV-1a digest
-/// of the payload, payload.  What store() writes.
+/// The bytes of `cell`'s entry under `key`: magic line, fnv1a64_words
+/// digest of the payload, payload.  What store() writes.
 std::string serialize_entry(const CellKey& key, const exec::CellResult& cell);
 
 /// Decodes an entry for `key`; nullopt on any deviation from the bytes

@@ -38,9 +38,11 @@ inline void put_bool(std::string& out, const char* tag, bool v) {
 }
 
 inline void put_f64(std::string& out, const char* tag, double v) {
+  char digits[16];
+  hex64(std::bit_cast<std::uint64_t>(v), digits);
   out += tag;
   out += '=';
-  out += hex64(std::bit_cast<std::uint64_t>(v));
+  out.append(digits, sizeof(digits));
   out += '\n';
 }
 

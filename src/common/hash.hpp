@@ -13,7 +13,9 @@
 #define PARMIS_COMMON_HASH_HPP
 
 #include <cstdint>
+#include <optional>
 #include <string>
+#include <string_view>
 
 namespace parmis {
 
@@ -28,21 +30,41 @@ struct Hash128 {
   std::string hex() const;
 };
 
+/// FNV-1a's 64-bit offset basis, the default seed of both digests.
+inline constexpr std::uint64_t kFnvOffsetBasis = 0xCBF29CE484222325ULL;
+
 /// FNV-1a 64-bit over `size` bytes starting at `data`, from `seed`
 /// (pass the previous digest to chain buffers).
 std::uint64_t fnv1a64(const void* data, std::size_t size,
-                      std::uint64_t seed = 0xCBF29CE484222325ULL);
+                      std::uint64_t seed = kFnvOffsetBasis);
 
 /// Convenience overload over a string's bytes.
 std::uint64_t fnv1a64(const std::string& s,
-                      std::uint64_t seed = 0xCBF29CE484222325ULL);
+                      std::uint64_t seed = kFnvOffsetBasis);
+
+/// FNV-1a's xor-multiply step over 8-byte little-endian words, then
+/// over the trailing size % 8 bytes one at a time, with FNV-1a's prime
+/// and `seed`: one dependent multiply per 8 bytes instead of per byte.
+/// Each step is a bijection of the state, so inputs of one length that
+/// differ only inside one word always digest differently.  Below 8
+/// bytes it equals fnv1a64.  The result-cache entry digest.
+std::uint64_t fnv1a64_words(std::string_view bytes,
+                            std::uint64_t seed = kFnvOffsetBasis);
 
 /// One-pass 128-bit fingerprint of a byte buffer.
 Hash128 hash128(const void* data, std::size_t size);
 Hash128 hash128(const std::string& s);
 
+/// Writes the 16 lowercase hex characters of `v` to `out[0..16)`.
+void hex64(std::uint64_t v, char* out);
+
 /// 16 lowercase hex characters of a 64-bit value.
 std::string hex64(std::uint64_t v);
+
+/// hex64's inverse: the value of exactly 16 lowercase hex characters,
+/// nullopt for any other input (another length, an uppercase digit,
+/// any other byte).
+std::optional<std::uint64_t> parse_hex64(std::string_view digits);
 
 }  // namespace parmis
 

@@ -66,9 +66,10 @@ std::uint64_t mix_cell_digest(std::uint64_t state, const CellResult& cell) {
   return state;
 }
 
-}  // namespace
-
-std::uint64_t campaign_identity(const CampaignConfig& config) {
+/// campaign_identity from the scenarios' canonical texts
+/// (`canonical_specs[i]` serializes config.scenarios[i]).
+std::uint64_t identity_of(const CampaignConfig& config,
+                          const std::vector<std::string>& canonical_specs) {
   // Canonical tagged encoding (the same emitters the cache keys on) of
   // everything that determines the ordered cell list and each cell's
   // outputs.  Shard slice, thread count, and cache settings are
@@ -79,8 +80,9 @@ std::uint64_t campaign_identity(const CampaignConfig& config) {
   std::string bytes;
   bytes.reserve(4096);
   put_u64(bytes, "scenarios", config.scenarios.size());
-  for (const auto& spec : config.scenarios) {
-    put_str(bytes, "spec", scenario::canonical_serialize(spec));
+  for (std::size_t i = 0; i < config.scenarios.size(); ++i) {
+    const scenario::ScenarioSpec& spec = config.scenarios[i];
+    put_str(bytes, "spec", canonical_specs[i]);
     // The spec's method list shapes the cell list but is excluded from
     // canonical_serialize (cells key their own method), so it is
     // hashed here.
@@ -109,6 +111,17 @@ std::uint64_t campaign_identity(const CampaignConfig& config) {
     put_str(bytes, "config", canon);
   }
   return fnv1a64(bytes);
+}
+
+}  // namespace
+
+std::uint64_t campaign_identity(const CampaignConfig& config) {
+  std::vector<std::string> canonical_specs;
+  canonical_specs.reserve(config.scenarios.size());
+  for (const auto& spec : config.scenarios) {
+    canonical_specs.push_back(scenario::canonical_serialize(spec));
+  }
+  return identity_of(config, canonical_specs);
 }
 
 CellRange shard_range(std::size_t total, const ShardSpec& shard) {
@@ -246,104 +259,97 @@ CampaignRunner::CampaignRunner(CampaignConfig config)
                                    "unknown method: " + name);
     method->check_config(method_config.get(), "campaign: ");
   }
-}
+  campaign_hash_ = identity_of(config_, canonical_specs_);
 
-std::vector<CampaignRunner::CellSpec> CampaignRunner::build_cells() const {
-  // The full ordered cell list is built first and sliced second, so the
-  // ordering (and with it seeds, cache keys, and merge order) is
-  // identical no matter how the campaign is sharded.
-  std::vector<CellSpec> cells;
+  // The full cell order (scenario, method, seed) is counted first and
+  // sliced second, so the ordering (and with it seeds, cache keys, and
+  // merge order) is identical no matter how the campaign is sharded.
+  for (const auto& spec : config_.scenarios) {
+    total_cells_ += spec.methods.size() * config_.seeds_per_cell;
+  }
+  range_ = shard_range(total_cells_, config_.shard);
+  cells_.reserve(range_.size());
+  keys_.reserve(range_.size());
+  std::size_t index = 0;
   for (std::size_t i = 0; i < config_.scenarios.size(); ++i) {
-    const scenario::ScenarioSpec& spec = config_.scenarios[i];
-    for (const auto& method : spec.methods) {
-      for (std::size_t s = 0; s < config_.seeds_per_cell; ++s) {
-        cells.push_back({&spec, &canonical_specs_[i], method,
-                         config_.base_seed + static_cast<std::uint64_t>(s)});
+    for (const auto& method : config_.scenarios[i].methods) {
+      const std::string method_config =
+          methods::canonical_method_config(method, config_.method_configs);
+      for (std::size_t s = 0; s < config_.seeds_per_cell; ++s, ++index) {
+        if (index < range_.begin || index >= range_.end) continue;
+        const std::uint64_t seed =
+            config_.base_seed + static_cast<std::uint64_t>(s);
+        cells_.push_back({i, method, seed});
+        keys_.push_back(cache::cell_key(canonical_specs_[i], method, seed,
+                                        config_.anchor_limit, method_config));
       }
     }
   }
-  total_cells_ = cells.size();
-  const auto [begin, end] = shard_range(cells.size(), config_.shard);
-  if (begin != 0 || end != cells.size()) {
-    cells = std::vector<CellSpec>(cells.begin() + begin, cells.begin() + end);
-  }
-  return cells;
 }
 
-std::vector<cache::CellKey> CampaignRunner::cell_keys() const {
-  const std::vector<CellSpec> cells = build_cells();
-  std::vector<cache::CellKey> keys;
-  keys.reserve(cells.size());
-  for (const auto& cell : cells) {
-    keys.push_back(cache::cell_key(
-        *cell.canonical_spec, cell.method, cell.seed, config_.anchor_limit,
-        methods::canonical_method_config(cell.method,
-                                         config_.method_configs)));
-  }
-  return keys;
-}
+CampaignRunner::~CampaignRunner() = default;
 
-CampaignReport CampaignRunner::empty_report(std::size_t cells) const {
+CampaignReport CampaignRunner::empty_report(const ShardSpec& shard,
+                                            std::size_t cells) const {
   CampaignReport report;
   report.cells.resize(cells);
-  report.shard = config_.shard;
+  report.shard = shard;
   report.total_cells = total_cells_;
-  report.campaign_hash = campaign_identity(config_);
+  report.campaign_hash = campaign_hash_;
   return report;
 }
 
 std::pair<std::size_t, std::size_t> CampaignRunner::probe_cache() const {
-  if (config_.cache == nullptr) return {0, build_cells().size()};
-  const std::vector<cache::CellKey> keys = cell_keys();
+  if (config_.cache == nullptr) return {0, cells_.size()};
   std::size_t cached = 0;
-  for (const auto& key : keys) {
+  for (const auto& key : keys_) {
     if (config_.cache->contains(key)) ++cached;
   }
-  return {cached, keys.size()};
+  return {cached, keys_.size()};
 }
 
 std::optional<CampaignReport> CampaignRunner::replay_cached(
-    std::string* missing) const {
+    const ShardSpec& shard, std::string* missing) const {
   cache::ResultCache* cache = config_.cache;
   require(cache != nullptr, "campaign: a cache replay needs a cache");
+  const CellRange range = shard_range(total_cells_, shard);
+  require(range.begin >= range_.begin && range.end <= range_.end,
+          "campaign: a cache replay of cells outside the runner's shard");
   const Stopwatch wall;
-  const std::vector<CellSpec> cells = build_cells();
-  const std::vector<cache::CellKey> keys = cell_keys();
-  CampaignReport report = empty_report(cells.size());
+  CampaignReport report = empty_report(shard, range.size());
   // What ThreadPool(num_threads).num_threads() records, without
   // starting the pool: a replay runs no cell.
   report.num_threads = config_.num_threads == 0 ? default_num_threads()
                                                 : config_.num_threads;
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    std::optional<CellResult> cached = cache->lookup(keys[i]);
+  for (std::size_t i = 0; i < range.size(); ++i) {
+    const std::size_t at = range.begin - range_.begin + i;
+    std::optional<CellResult> cached = cache->lookup(keys_[at]);
     if (!cached.has_value()) {
       if (missing != nullptr) {
-        *missing = cells[i].scenario->name + "/" + cells[i].method +
-                   " seed " + std::to_string(cells[i].seed);
+        const CellSpec& cell = cells_[at];
+        *missing = config_.scenarios[cell.scenario].name + "/" +
+                   cell.method + " seed " + std::to_string(cell.seed);
       }
       return std::nullopt;
     }
     report.cells[i] = std::move(*cached);
     report.cells[i].from_cache = true;
   }
-  report.cache_hits = cells.size();
-  PARMIS_COUNTER_ADD("parmis_campaign_cache_hits_total", cells.size());
+  report.cache_hits = range.size();
+  PARMIS_COUNTER_ADD("parmis_campaign_cache_hits_total", range.size());
   report.wall_s = wall.seconds();
   report::assign_global_phv(report);
   return report;
 }
 
 CampaignReport CampaignRunner::run() {
-  const std::vector<CellSpec> cells = build_cells();
-
-  // Content addresses are computed serially up front (cheap: one hash
-  // per cell over its scenario's pre-serialized text); only lookups and
-  // stores run inside the parallel loop.
+  // Content addresses were computed by the constructor; only lookups
+  // and stores run inside the parallel loop.
   cache::ResultCache* cache = config_.cache;
-  const std::vector<cache::CellKey> keys =
-      cache != nullptr ? cell_keys() : std::vector<cache::CellKey>();
+  const std::vector<CellSpec>& cells = cells_;
+  const std::vector<cache::CellKey>& keys = keys_;
 
-  CampaignReport report = empty_report(cells.size());
+  CampaignReport report = empty_report(config_.shard, cells.size());
   ThreadPool pool(config_.num_threads);
   report.num_threads = pool.num_threads();
   log_info() << "campaign: " << cells.size() << " cells"
@@ -373,7 +379,8 @@ CampaignReport CampaignRunner::run() {
       misses.fetch_add(1, std::memory_order_relaxed);
       PARMIS_COUNTER_ADD("parmis_campaign_cache_misses_total", 1);
     }
-    results[i] = execute_cell(*cells[i].scenario, cells[i].canonical_spec,
+    const std::size_t spec = cells[i].scenario;
+    results[i] = execute_cell(config_.scenarios[spec], &canonical_specs_[spec],
                               cells[i].method, cells[i].seed, anchor_limit,
                               config_.method_configs, &oracle_tables);
     if (cache != nullptr) cache->store(keys[i], results[i]);

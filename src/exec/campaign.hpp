@@ -203,9 +203,17 @@ struct CampaignReport {
 };
 
 /// Fans campaign cells across a thread pool and aggregates the report.
+/// The constructor does the per-campaign work once: it validates and
+/// serializes every scenario, computes the campaign identity, and lists
+/// this shard's cells with their cache keys, so one runner can answer
+/// many replay_cached() calls (the orchestrator's replay runner).
 class CampaignRunner {
  public:
   explicit CampaignRunner(CampaignConfig config);
+  // Out of line: cache::CellKey is incomplete here.
+  ~CampaignRunner();
+  CampaignRunner(const CampaignRunner&) = delete;
+  CampaignRunner& operator=(const CampaignRunner&) = delete;
 
   /// Runs every cell and returns the aggregated report.  A throwing
   /// cell is reported via CellResult::error, not by aborting the run.
@@ -229,29 +237,31 @@ class CampaignRunner {
   /// Cache content address of each cell of this shard, in cell order:
   /// cache::cell_key of the cell, from each scenario's canonical text
   /// serialized once by the constructor.
-  std::vector<cache::CellKey> cell_keys() const;
+  const std::vector<cache::CellKey>& cell_keys() const { return keys_; }
 
   /// With a cache configured: (cells already cached, total cells) —
   /// what a resumed run would replay vs execute.  (0, total) otherwise.
   std::pair<std::size_t, std::size_t> probe_cache() const;
 
-  /// The report run() would return if every cell of this shard is in
-  /// the cache, read with ResultCache::lookup and nothing else: same
-  /// cells (from_cache set), counters, parmis_campaign_cache_hits_total
-  /// and global PHV pass, and num_threads as the pool would record it.
-  /// Returns nullopt at the first miss (naming the cell in `*missing`
-  /// when given) — it never computes or stores a cell.  Requires a
-  /// configured cache.  This is `campaign --require-cached` and the
+  /// The report run() would return for shard `shard` of the campaign if
+  /// every one of its cells is in the cache, read with
+  /// ResultCache::lookup and nothing else: same cells (from_cache set),
+  /// counters, parmis_campaign_cache_hits_total and global PHV pass,
+  /// and num_threads as the pool would record it.  Returns nullopt at
+  /// the first miss (naming the cell in `*missing` when given) — it
+  /// never computes or stores a cell.  Requires a configured cache, and
+  /// `shard`'s cells must lie inside this runner's own shard (any shard
+  /// does for an unsharded runner).  This is `campaign
+  /// --require-cached` (with the runner's own shard) and the
   /// orchestrator's in-process replay of a warm chunk.
   std::optional<CampaignReport> replay_cached(
-      std::string* missing = nullptr) const;
+      const ShardSpec& shard, std::string* missing = nullptr) const;
 
   const CampaignConfig& config() const { return config_; }
 
  private:
   struct CellSpec {
-    const scenario::ScenarioSpec* scenario;
-    const std::string* canonical_spec;  ///< the scenario's canonical text
+    std::size_t scenario;  ///< index into config_.scenarios
     std::string method;
     std::uint64_t seed;
   };
@@ -263,16 +273,18 @@ class CampaignRunner {
                                  std::uint64_t seed, std::size_t anchor_limit,
                                  const methods::MethodConfigSet& configs,
                                  methods::OracleTableMemo* oracle_tables);
-  /// Ordered cells of this runner's shard; records the pre-slice count
-  /// in total_cells_.
-  std::vector<CellSpec> build_cells() const;
   /// Report header (shard, total, campaign hash) with `cells` slots.
-  CampaignReport empty_report(std::size_t cells) const;
+  CampaignReport empty_report(const ShardSpec& shard,
+                              std::size_t cells) const;
 
   CampaignConfig config_;
   /// scenario::canonical_serialize of each config_.scenarios entry.
   std::vector<std::string> canonical_specs_;
-  mutable std::size_t total_cells_ = 0;
+  std::uint64_t campaign_hash_ = 0;  ///< campaign_identity(config_)
+  std::size_t total_cells_ = 0;      ///< the whole campaign, unsliced
+  CellRange range_;                  ///< this shard's slice of it
+  std::vector<CellSpec> cells_;      ///< the cells of range_, in order
+  std::vector<cache::CellKey> keys_;  ///< cache key of each of cells_
 };
 
 }  // namespace parmis::exec

@@ -37,8 +37,10 @@ const Method* MethodRegistry::find(const std::string& name) const {
 
 const Method& MethodRegistry::get(const std::string& name) const {
   const Method* method = find(name);
-  require(method != nullptr, "campaign: unknown method: " + name +
-                                 " (registered: " + joined_names() + ")");
+  if (method == nullptr) {
+    require(false, "campaign: unknown method: " + name + " (registered: " +
+                       joined_names() + ")");
+  }
   return *method;
 }
 

@@ -51,19 +51,14 @@ void ProcessBackend::resolve_replay() {
     plan.validate();
     exec::CampaignConfig config = serde::to_campaign_config(plan, catalogue);
     config.num_threads = cfg_.threads;
+    config.shard = exec::ShardSpec{};  // chunks are shards of the whole
     replay_cache_ = std::make_unique<cache::ResultCache>(plan.cache.dir);
     config.cache = replay_cache_.get();
-    replay_config_ = std::move(config);
+    replay_runner_ = std::make_unique<exec::CampaignRunner>(std::move(config));
   } catch (const std::exception&) {
+    replay_runner_.reset();
     replay_cache_.reset();
   }
-}
-
-std::optional<exec::CampaignReport> ProcessBackend::replay_chunk(
-    std::size_t index, std::size_t count) const {
-  exec::CampaignConfig config = *replay_config_;
-  config.shard = exec::ShardSpec{index, count};
-  return exec::CampaignRunner(std::move(config)).replay_cached();
 }
 
 int ProcessBackend::run_child(std::size_t index, std::size_t count,
@@ -109,7 +104,7 @@ int ProcessBackend::run_child(std::size_t index, std::size_t count,
     // Simulated worker crash: SIGKILL the child right after spawn.
     // Only attempt 0 is killed — the retry (a cache replay, or a
     // rerun) is what recovers the chunk.  A warm chunk can finish in
-    // 2 ms, so a parent thread preempted between fork and kill may
+    // 2 ms, so a parent thread preempted between spawn and kill may
     // lose the race; the attempt reports the kill either way, so the
     // crash is deterministic.
     child.kill_now();
@@ -133,14 +128,15 @@ ChunkOutcome ProcessBackend::run_chunk(std::size_t index,
   // process, on any attempt.  The injected crash still needs its
   // process, so that attempt always spawns.
   const bool injected = attempt == 0 && cfg_.inject_kill_chunk == index;
-  if (replay_config_.has_value() && !injected) {
+  if (replay_runner_ != nullptr && !injected) {
     PARMIS_TRACE_SPAN_D("orch", "replay", "job=%llu;chunk=%llu;attempt=%llu",
                         static_cast<unsigned long long>(cfg_.job_id),
                         static_cast<unsigned long long>(index),
                         static_cast<unsigned long long>(attempt));
     try {
       if (std::optional<exec::CampaignReport> replayed =
-              replay_chunk(index, count)) {
+              replay_runner_->replay_cached(
+                  exec::ShardSpec{index, count})) {
         outcome.ok = true;
         outcome.recovered_from_cache = true;
         outcome.report = std::move(*replayed);
@@ -159,7 +155,7 @@ ChunkOutcome ProcessBackend::run_chunk(std::size_t index,
     status = run_child(index, count, attempt, report_path, abort);
   } catch (const std::exception& e) {
     // A worker that could not start (a log that cannot be opened, as
-    // in a missing work dir, or a fork the OS refused) is a failed
+    // in a missing work dir, or a spawn the OS refused) is a failed
     // attempt like any other: the retry budget decides what it means.
     outcome.error = std::string("cannot run campaign worker: ") + e.what();
     return outcome;

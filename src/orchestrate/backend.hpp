@@ -15,11 +15,13 @@
 //     workers are crash-isolated processes and every result comes back
 //     through the digest-verified report serde.  The plan is resolved
 //     for replay once, on the first chunk, the way the campaign CLI
-//     resolves it; a plan that does not resolve, or no cache, leaves
-//     every chunk to a worker.
+//     resolves it, into one unsharded replay runner that holds the
+//     validated scenarios, their canonical text and every cell key;
+//     each chunk replays its shard's slice of it.  A plan that does
+//     not resolve, or no cache, leaves every chunk to a worker.
 //
 //   - InprocessBackend: CampaignRunner in this process — hermetic unit
-//     tests and scheduling-overhead benchmarks, no fork/exec noise.
+//     tests and scheduling-overhead benchmarks, no child-process noise.
 //
 // All three paths produce bit-identical chunk reports for the same plan
 // (cells, keys and order do not depend on the shard, and a cached cell
@@ -100,7 +102,8 @@ class ProcessBackend : public ChunkBackend {
     std::uint64_t job_id = 0;
   };
 
-  /// Checks the config only; the plan is resolved on the first chunk.
+  /// Checks the config only (cheap); the plan is resolved on the first
+  /// chunk.
   explicit ProcessBackend(Config config);
   ~ProcessBackend() override;
 
@@ -109,13 +112,9 @@ class ProcessBackend : public ChunkBackend {
                          const std::atomic<bool>& abort) override;
 
  private:
-  /// Resolves the plan and cache for replay (once; failures leave
-  /// replay off).
+  /// Resolves the plan and cache into replay_runner_ (once; failures
+  /// leave replay off).
   void resolve_replay();
-  /// The chunk's report from the cache alone, or nullopt.  Requires
-  /// replay_config_.
-  std::optional<exec::CampaignReport> replay_chunk(std::size_t index,
-                                                   std::size_t count) const;
   /// Exit status of the chunk's worker process; `report_path` receives
   /// its --json output.
   int run_child(std::size_t index, std::size_t count, std::size_t attempt,
@@ -124,9 +123,10 @@ class ProcessBackend : public ChunkBackend {
 
   Config cfg_;
   std::once_flag resolve_once_;
-  /// Set by resolve_replay when chunks can be replayed in process.
-  std::optional<exec::CampaignConfig> replay_config_;
+  /// Set by resolve_replay when chunks can be replayed in process; the
+  /// runner reads through replay_cache_, declared first to outlive it.
   std::unique_ptr<cache::ResultCache> replay_cache_;
+  std::unique_ptr<exec::CampaignRunner> replay_runner_;
 };
 
 /// CampaignRunner-per-chunk backend for tests and benchmarks.

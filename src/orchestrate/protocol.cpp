@@ -344,6 +344,8 @@ json::Value OrchSession::job_body(const JobManager::JobInfo& info) const {
   body.set("retries", serde::u64_to_json(p.stats.retries));
   body.set("provisional_merges",
            serde::u64_to_json(p.provisional_merges));
+  body.set("provisional_writes",
+           serde::u64_to_json(p.provisional_writes));
   body.set("chunks_recovered", serde::u64_to_json(p.chunks_recovered));
   if (p.has_report) {
     body.set("cells_merged", serde::u64_to_json(p.report_cells));

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "common/error.hpp"
+#include "common/log.hpp"
 #include "common/stopwatch.hpp"
 #include "obs/metrics.hpp"
 #include "obs/obs.hpp"
@@ -69,38 +70,69 @@ void JobRunner::fold_in(std::size_t chunk, exec::CampaignReport&& report) {
   const std::string who = "merge: chunk " + std::to_string(chunk) + ": ";
   const exec::CampaignReport* first = &report;
   for (const auto& slot : slots_) {
-    if (slot.has_value()) {
-      first = &*slot;
+    if (slot != nullptr) {
+      first = slot.get();
       break;
     }
   }
   report::check_shard_report(report, first->campaign_hash,
                              first->total_cells, cfg_.chunks, who);
   const std::size_t index = report.shard.index;
-  require(!slots_[index].has_value(),
+  require(slots_[index] == nullptr,
           "merge: shard " + std::to_string(index) +
               " appears more than once (overlap)");
   require(index == chunk, who + "carries shard " + std::to_string(index) +
                               ", not the chunk it was granted");
-  slots_[index] = std::move(report);
-  if (!cfg_.provisional_path.empty()) {
-    try {
-      report::save_report(cfg_.provisional_path,
-                          merge_slots_locked(/*strict=*/false));
-    } catch (...) {
-      slots_[index].reset();
-      throw;
-    }
-  }
+  slots_[index] =
+      std::make_shared<const exec::CampaignReport>(std::move(report));
   ++provisional_merges_;
   PARMIS_COUNTER_ADD("parmis_orch_provisional_merges_total", 1);
 }
 
-exec::CampaignReport JobRunner::merge_slots_locked(bool strict) const {
-  std::vector<exec::CampaignReport> inputs;
-  for (const auto& slot : slots_) {
-    if (slot.has_value()) inputs.push_back(*slot);
+void JobRunner::write_provisional() {
+  if (cfg_.provisional_path.empty()) return;
+  std::unique_lock<std::mutex> lock(mu_);
+  // The writer in flight re-checks for a newer state when it is done.
+  if (provisional_writing_) return;
+  provisional_writing_ = true;
+  while (provisional_written_ < provisional_merges_) {
+    const std::uint64_t state = provisional_merges_;
+    bool written = false;
+    try {
+      const std::vector<StoredReport> stored = stored_locked();
+      lock.unlock();
+      report::save_report(cfg_.provisional_path,
+                          merge_stored(stored, /*strict=*/false));
+      written = true;
+    } catch (const std::exception& e) {
+      Log(LogLevel::Warn) << "orchestrate: job " << cfg_.job_id
+                          << ": provisional write failed: " << e.what();
+    }
+    if (!lock.owns_lock()) lock.lock();
+    if (!written) {
+      PARMIS_COUNTER_ADD("parmis_orch_provisional_write_failures_total", 1);
+      break;  // the next stored chunk, or run(), tries again
+    }
+    provisional_written_ = state;
+    ++provisional_writes_;
+    PARMIS_COUNTER_ADD("parmis_orch_provisional_writes_total", 1);
   }
+  provisional_writing_ = false;
+}
+
+std::vector<JobRunner::StoredReport> JobRunner::stored_locked() const {
+  std::vector<StoredReport> stored;
+  for (const auto& slot : slots_) {
+    if (slot != nullptr) stored.push_back(slot);
+  }
+  return stored;
+}
+
+exec::CampaignReport JobRunner::merge_stored(
+    const std::vector<StoredReport>& stored, bool strict) {
+  std::vector<exec::CampaignReport> inputs;
+  inputs.reserve(stored.size());
+  for (const auto& report : stored) inputs.push_back(*report);
   report::MergeOptions options;
   options.strict = strict;
   return report::merge(std::move(inputs), options);
@@ -125,9 +157,8 @@ void JobRunner::worker_loop() {
         fold_in(grant->chunk, std::move(outcome.report));
       } catch (const std::exception& e) {
         // A chunk report the tiling checks reject (wrong campaign hash
-        // after a plan edit race, bad tiling, a chunk stored twice) or
-        // a provisional file that cannot be written is a failed
-        // attempt, not a scheduler crash.
+        // after a plan edit race, bad tiling, a chunk stored twice) is
+        // a failed attempt, not a scheduler crash.
         outcome.ok = false;
         outcome.error = std::string("cannot merge chunk: ") + e.what();
       }
@@ -157,6 +188,8 @@ void JobRunner::worker_loop() {
       std::lock_guard<std::mutex> lock(mu_);
       export_gauges_locked();
     }
+    // After the chunk is answered, so a slow write delays no progress.
+    if (outcome.ok) write_provisional();
   }
 }
 
@@ -187,6 +220,9 @@ exec::CampaignReport JobRunner::run() {
   }
   for (auto& t : pool) t.join();
   PARMIS_GAUGE_SET("parmis_orch_workers_active", 0);
+  // Every worker has returned, so no write is in flight; this writes
+  // the final state only if the last write attempt failed.
+  write_provisional();
 
   std::lock_guard<std::mutex> lock(mu_);
   wall_s_ = clock.seconds();
@@ -209,11 +245,11 @@ exec::CampaignReport JobRunner::run() {
     require(false, "orchestrate: job failed: " + error_);
   }
   for (const auto& slot : slots_) {
-    require(slot.has_value(),
+    require(slot != nullptr,
             "orchestrate: internal error: job drained without a complete "
             "tiling");
   }
-  exec::CampaignReport merged = merge_slots_locked(/*strict=*/true);
+  exec::CampaignReport merged = merge_stored(slots_, /*strict=*/true);
   state_ = JobProgress::State::Done;
   export_gauges_locked();
   return merged;
@@ -231,13 +267,14 @@ JobProgress JobRunner::progress() const {
   out.stats = table_.stats();
   out.workers = cfg_.workers;
   out.provisional_merges = provisional_merges_;
+  out.provisional_writes = provisional_writes_;
   out.chunks_recovered = chunks_recovered_;
   // A merge concatenates the slots in index order, so chaining their
   // digests gives the merged digest without the merge.
   std::uint64_t digest = exec::kObjectivesDigestSeed;
   std::size_t stored = 0;
   for (const auto& slot : slots_) {
-    if (!slot.has_value()) continue;
+    if (slot == nullptr) continue;
     digest = exec::digest_cells(digest, slot->cells);
     out.report_cells += slot->cells.size();
     out.total_cells = slot->total_cells;
@@ -271,11 +308,13 @@ JobProgress JobRunner::progress() const {
 }
 
 std::optional<exec::CampaignReport> JobRunner::provisional() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (const auto& slot : slots_) {
-    if (slot.has_value()) return merge_slots_locked(/*strict=*/false);
+  std::vector<StoredReport> stored;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    stored = stored_locked();
   }
-  return std::nullopt;
+  if (stored.empty()) return std::nullopt;
+  return merge_stored(stored, /*strict=*/false);
 }
 
 }  // namespace parmis::orchestrate

@@ -18,11 +18,21 @@
 // headline guarantee; see lease.hpp for why the schedule cannot
 // matter).
 //
+// `provisional_path` is written outside the job mutex and coalesced:
+// the worker that stores a chunk while no write is in flight becomes
+// the writer, and merges and writes the stored slots until the file
+// holds the newest state; a chunk stored meanwhile only marks that
+// state newer, so at most one write is in flight and a burst of fast
+// chunks costs a few writes, not one each.  run() writes the final
+// state before it returns.  A write that fails is dropped (counted in
+// parmis_orch_provisional_write_failures_total): the chunk stays
+// stored and its attempt succeeds, and the next stored chunk, or run()
+// at the end, writes the newer state.
+//
 // Each grant is answered once, by the slot that holds it: a chunk
-// report the checks reject (a wrong campaign, a chunk stored twice),
-// or a provisional file that cannot be written, fails that attempt and
-// leaves the slots as they were.  A hung worker is the backend's to
-// end (ProcessBackend's chunk timeout).
+// report the checks reject (a wrong campaign, a chunk stored twice)
+// fails that attempt and leaves the slots as they were.  A hung worker
+// is the backend's to end (ProcessBackend's chunk timeout).
 //
 // Failure semantics: a chunk that exhausts its retry budget marks the
 // job failed, but the pool still drains the remaining chunks, so the
@@ -34,6 +44,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
@@ -49,8 +60,9 @@ struct JobConfig {
   std::size_t workers = 2;
   std::size_t chunks = 1;        ///< tiling size (resolved by caller)
   std::size_t max_attempts = 3;
-  /// Non-empty: after every stored chunk the merge of the slots so far
-  /// is atomically written here, so observers can load a
+  /// Non-empty: the merge of the slots stored so far is atomically
+  /// written here as chunks land (coalesced, see the file comment) and
+  /// once more with the final state, so observers can load a
   /// digest-verified snapshot of the campaign-so-far at any time.
   std::string provisional_path;
   /// Non-empty: per-job registry gauges are exported under this prefix
@@ -83,6 +95,9 @@ struct JobProgress {
   LeaseTableStats stats;
   std::size_t workers = 0;
   std::uint64_t provisional_merges = 0;  ///< chunk reports stored
+  /// Successful writes of JobConfig::provisional_path (at most one per
+  /// stored chunk, plus none for a job without a provisional path).
+  std::uint64_t provisional_writes = 0;
   std::uint64_t chunks_recovered = 0;  ///< chunks served from the cache
   /// Objectives digest of the stored chunks in index order (what their
   /// merge would carry); meaningful only when has_report.
@@ -128,13 +143,20 @@ class JobRunner {
   std::optional<exec::CampaignReport> provisional() const;
 
  private:
+  using StoredReport = std::shared_ptr<const exec::CampaignReport>;
+
   void worker_loop();
-  /// Checks `report` against the tiling and moves it into its slot
-  /// (and rewrites provisional_path); throws, storing nothing, if
-  /// either fails.
+  /// Checks `report` against the tiling and moves it into its slot;
+  /// throws, storing nothing, if the checks fail.
   void fold_in(std::size_t chunk, exec::CampaignReport&& report);
-  /// report::merge over copies of the filled slots.
-  exec::CampaignReport merge_slots_locked(bool strict) const;
+  /// Brings provisional_path up to the newest stored state, unless
+  /// another thread is writing it (which then does); never throws.
+  void write_provisional();
+  /// The filled slots, in chunk order.
+  std::vector<StoredReport> stored_locked() const;
+  /// report::merge over copies of `stored`.
+  static exec::CampaignReport merge_stored(
+      const std::vector<StoredReport>& stored, bool strict);
   void export_gauges_locked() const;
 
   ChunkBackend& backend_;
@@ -144,9 +166,14 @@ class JobRunner {
 
   mutable std::mutex mu_;
   JobProgress::State state_ = JobProgress::State::Pending;
-  /// One per chunk, filled by fold_in with that chunk's report.
-  std::vector<std::optional<exec::CampaignReport>> slots_;
+  /// One per chunk, filled by fold_in with that chunk's report; shared
+  /// so a merge can copy them after mu_ is released.
+  std::vector<StoredReport> slots_;
   std::uint64_t provisional_merges_ = 0;
+  /// provisional_merges_ as of the last successful provisional write.
+  std::uint64_t provisional_written_ = 0;
+  std::uint64_t provisional_writes_ = 0;
+  bool provisional_writing_ = false;  ///< a write is in flight
   std::uint64_t chunks_recovered_ = 0;
   double wall_s_ = 0.0;
   std::string error_;

@@ -9,6 +9,7 @@
 
 #include <fcntl.h>
 #include <poll.h>
+#include <spawn.h>
 #include <sys/stat.h>
 #include <sys/syscall.h>
 #include <sys/wait.h>
@@ -24,6 +25,10 @@ namespace {
 /// at least this often.
 constexpr std::uint64_t kWaitSliceMs = 10;
 
+/// Exit status wait() reports when the child could not exec its binary
+/// (the shell's convention, distinguishable from any campaign exit).
+constexpr int kExecFailedStatus = 127;
+
 /// Opens `path` (or /dev/null) for append, close-on-exec, so only the
 /// dup2'd copies reach the child.  Throws parmis::Error naming the path.
 int open_log(const std::string& path) {
@@ -35,19 +40,41 @@ int open_log(const std::string& path) {
   return fd;
 }
 
-/// Child-side only: dup2 and fcntl are async-signal-safe.  A `fd` that
-/// already is `target` keeps its close-on-exec flag through dup2, so it
-/// is cleared by hand.  Failures _exit(126): there is nobody to throw to.
-void redirect_or_die(int fd, int target) {
-  if (fd == target) {
-    if (::fcntl(fd, F_SETFD, 0) < 0) _exit(126);
-  } else if (::dup2(fd, target) < 0) {
-    _exit(126);
-  }
+/// Closes the descriptor it holds.
+struct Fd {
+  int fd;
+  explicit Fd(int f) : fd(f) {}
+  ~Fd() { ::close(fd); }
+  Fd(const Fd&) = delete;
+  Fd& operator=(const Fd&) = delete;
+};
+
+/// Throws parmis::Error for a non-zero posix_spawn_* setup result.
+void check_setup(int rc) {
+  require(rc == 0,
+          std::string("subprocess: spawn setup: ") + std::strerror(rc));
 }
 
+/// posix_spawn file actions, destroyed on every path.
+struct SpawnActions {
+  posix_spawn_file_actions_t value;
+  SpawnActions() { check_setup(::posix_spawn_file_actions_init(&value)); }
+  ~SpawnActions() { ::posix_spawn_file_actions_destroy(&value); }
+  SpawnActions(const SpawnActions&) = delete;
+  SpawnActions& operator=(const SpawnActions&) = delete;
+};
+
+/// posix_spawn attributes, destroyed on every path.
+struct SpawnAttributes {
+  posix_spawnattr_t value;
+  SpawnAttributes() { check_setup(::posix_spawnattr_init(&value)); }
+  ~SpawnAttributes() { ::posix_spawnattr_destroy(&value); }
+  SpawnAttributes(const SpawnAttributes&) = delete;
+  SpawnAttributes& operator=(const SpawnAttributes&) = delete;
+};
+
 /// The inherited environment with every key of `overrides` replaced by
-/// its value, as "KEY=VALUE" strings for execvpe.
+/// its value, as "KEY=VALUE" strings for posix_spawnp.
 std::vector<std::string> child_environment(
     const std::vector<std::pair<std::string, std::string>>& overrides) {
   std::vector<std::string> env;
@@ -86,34 +113,40 @@ ChildProcess::~ChildProcess() {
 
 void ChildProcess::spawn(const SpawnSpec& spec) {
   require(!spec.argv.empty(), "subprocess: empty argv");
-  require(pid_ < 0, "subprocess: already spawned");
-  // Everything that allocates or can fail happens here, in the parent:
-  // between fork and exec the child of a multithreaded parent may only
-  // make async-signal-safe calls.
+  require(pid_ < 0 && !exec_failed_ && !reaped_,
+          "subprocess: already spawned");
   const std::vector<char*> argv = c_strings(spec.argv);
   const std::vector<std::string> env = child_environment(spec.env);
   const std::vector<char*> envp = c_strings(env);
-  const int out = open_log(spec.stdout_path);
-  int err = -1;
-  try {
-    err = open_log(spec.stderr_path);
-  } catch (...) {
-    ::close(out);
-    throw;
-  }
+  const Fd out{open_log(spec.stdout_path)};
+  const Fd err{open_log(spec.stderr_path)};
 
-  const pid_t pid = ::fork();
-  const int fork_errno = errno;
-  if (pid == 0) {
-    redirect_or_die(out, STDOUT_FILENO);
-    redirect_or_die(err, STDERR_FILENO);
-    ::execvpe(argv[0], argv.data(), envp.data());
-    _exit(127);  // exec failed; distinguishable from any campaign exit
+  // The logs become the child's stdout and stderr (a log that already
+  // is fd 1 or 2 just loses close-on-exec), and the child starts with
+  // no signal blocked, whichever supervisor thread spawned it.
+  SpawnActions actions;
+  check_setup(::posix_spawn_file_actions_adddup2(&actions.value, out.fd,
+                                                 STDOUT_FILENO));
+  check_setup(::posix_spawn_file_actions_adddup2(&actions.value, err.fd,
+                                                 STDERR_FILENO));
+  SpawnAttributes attributes;
+  sigset_t none;
+  sigemptyset(&none);
+  check_setup(::posix_spawnattr_setsigmask(&attributes.value, &none));
+  check_setup(
+      ::posix_spawnattr_setflags(&attributes.value, POSIX_SPAWN_SETSIGMASK));
+
+  pid_t pid = -1;
+  const int rc = ::posix_spawnp(&pid, argv[0], &actions.value,
+                                &attributes.value, argv.data(), envp.data());
+  // glibc reports a failed exec (or redirection) here, after reaping
+  // the child; only EAGAIN and ENOMEM mean no child was started.
+  require(rc != EAGAIN && rc != ENOMEM,
+          std::string("subprocess: spawn: ") + std::strerror(rc));
+  if (rc != 0) {
+    exec_failed_ = true;
+    return;
   }
-  ::close(out);
-  ::close(err);
-  require(pid > 0, std::string("subprocess: fork: ") +
-                       std::strerror(fork_errno));
   pid_ = pid;
   // A pidfd turns readable when the child exits, so wait() can sleep
   // until then.  Without one (a kernel before 5.3, a seccomp filter)
@@ -123,6 +156,11 @@ void ChildProcess::spawn(const SpawnSpec& spec) {
 
 int ChildProcess::wait(std::uint64_t timeout_ms,
                        const std::atomic<bool>* abort) {
+  if (exec_failed_) {  // spawn saw the failed exec; the child is gone
+    exec_failed_ = false;
+    reaped_ = true;
+    return kExecFailedStatus;
+  }
   require(pid_ > 0 && !reaped_, "subprocess: nothing to wait for");
   // Elapsed time is compared against the timeout rather than a
   // deadline computed up front, which would overflow the clock for a

@@ -1,4 +1,4 @@
-// Minimal fork/exec child-process supervision for the orchestrator.
+// Minimal child-process supervision for the orchestrator.
 //
 // Each work unit is one invocation of the existing campaign CLI, so
 // the supervisor needs exactly: spawn with stdout/stderr redirected to
@@ -7,16 +7,22 @@
 // killing a worker mid-cell never corrupts anything), and a SIGKILL
 // escape hatch for fault injection.
 //
-// spawn does everything that can fail or allocate in the parent: it
-// opens the logs, builds argv and the environment, forks, and the child
-// only dup2s and execs.  It also opens a pidfd for the child.  wait
-// reaps with waitpid(WNOHANG) and between misses poll()s the pidfd, so
-// it returns as soon as the child exits; a warm campaign chunk takes a
-// few ms, and a fixed sleep would round every chunk up to it.  The poll
-// never sleeps longer than 10 ms (or past the timeout), so abort and
-// the timeout still resolve to SIGKILL within 10 ms.  Where no pidfd
-// can be opened (a kernel before 5.3, a seccomp filter) the same poll
-// runs on no fds, which is a plain 10 ms sleep.
+// spawn opens the logs and builds argv and the environment in the
+// parent, then starts the child with posix_spawnp: the log
+// redirections are file actions and an empty signal mask an attribute.
+// glibc implements it with clone(CLONE_VM | CLONE_VFORK), so no page
+// table is copied and the cost of a spawn does not grow with the
+// supervisor's size (fork's copy would).  A failed exec comes back from
+// posix_spawnp itself; spawn records it and wait() reports it as exit
+// status 127, the shell's exec-failure status.  spawn also opens a
+// pidfd for the child.  wait reaps with waitpid(WNOHANG)
+// and between misses poll()s the pidfd, so it returns as soon as the
+// child exits; a warm campaign chunk takes a few ms, and a fixed sleep
+// would round every chunk up to it.  The poll never sleeps longer than
+// 10 ms (or past the timeout), so abort and the timeout still resolve
+// to SIGKILL within 10 ms.  Where no pidfd can be opened (a kernel
+// before 5.3, a seccomp filter) the same poll runs on no fds, which is
+// a plain 10 ms sleep.
 #ifndef PARMIS_ORCHESTRATE_SUBPROCESS_HPP
 #define PARMIS_ORCHESTRATE_SUBPROCESS_HPP
 
@@ -50,9 +56,10 @@ class ChildProcess {
   ChildProcess(const ChildProcess&) = delete;
   ChildProcess& operator=(const ChildProcess&) = delete;
 
-  /// Forks and execs.  Throws parmis::Error naming the path if a log
-  /// cannot be opened, and if the fork fails; either way no child runs.
-  /// An exec failure surfaces as exit status 127 from wait().
+  /// Starts the child (posix_spawnp).  Throws parmis::Error naming the
+  /// path if a log cannot be opened, and if no process can be started
+  /// (EAGAIN, ENOMEM); either way no child runs.  An exec failure
+  /// surfaces as exit status 127 from wait().
   void spawn(const SpawnSpec& spec);
 
   pid_t pid() const { return pid_; }
@@ -74,6 +81,9 @@ class ChildProcess {
   pid_t pid_ = -1;
   int pidfd_ = -1;  ///< -1 when pidfd_open is unavailable
   bool reaped_ = false;
+  /// posix_spawnp reported a failed exec (its child is already reaped);
+  /// wait() returns 127 once.
+  bool exec_failed_ = false;
 };
 
 /// Directory of the running executable (via /proc/self/exe), for

@@ -57,9 +57,10 @@ void ScenarioSpec::validate() const {
   const std::size_t space_size = soc::DecisionSpace(soc_spec).size();
   for (const auto& m : methods) {
     const methods::Method* method = registry.find(m);
-    require(method != nullptr, who + "unknown method: " + m +
-                                   " (registered: " +
-                                   registry.joined_names() + ")");
+    if (method == nullptr) {
+      require(false, who + "unknown method: " + m + " (registered: " +
+                         registry.joined_names() + ")");
+    }
     // Structural method x scenario compatibility (e.g. RL/IL have no
     // reward/oracle for PPW; IL/DyPO cannot sweep a 30M-configuration
     // platform): fail here, at spec/plan validation time, naming the

@@ -18,6 +18,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
+#include <optional>
 #include <set>
 #include <string>
 #include <string_view>
@@ -82,17 +83,12 @@ inline std::string type_message(const std::string& context,
 template <typename Context>
 std::uint64_t hex64_value(const json::Value& v, const Context& context,
                           std::string_view key) {
-  if (!v.is_string() || v.as_string().size() != 16 ||
-      v.as_string().find_first_not_of("0123456789abcdef") !=
-          std::string::npos) {
+  const std::optional<std::uint64_t> out =
+      v.is_string() ? parse_hex64(v.as_string()) : std::nullopt;
+  if (!out.has_value()) {
     fail(type_message(context(), key, "16-hex-char string", v.type()));
   }
-  std::uint64_t out = 0;
-  for (char c : v.as_string()) {
-    out = (out << 4) |
-          static_cast<std::uint64_t>(c <= '9' ? c - '0' : c - 'a' + 10);
-  }
-  return out;
+  return *out;
 }
 
 template <typename Context>

@@ -36,14 +36,17 @@ void CampaignPlan::validate() const {
   const methods::MethodRegistry& registry =
       methods::MethodRegistry::instance();
   for (const auto& m : methods) {
-    require(registry.contains(m), who + "unknown method: " + m +
-                                      " (registered: " +
-                                      registry.joined_names() + ")");
+    if (!registry.contains(m)) {
+      require(false, who + "unknown method: " + m + " (registered: " +
+                         registry.joined_names() + ")");
+    }
   }
   for (const auto& [m, config] : method_configs.entries()) {
-    require(registry.contains(m),
-            who + "method_configs entry for unknown method: " + m +
-                " (registered: " + registry.joined_names() + ")");
+    if (!registry.contains(m)) {
+      require(false, who + "method_configs entry for unknown method: " +
+                         m + " (registered: " + registry.joined_names() +
+                         ")");
+    }
     require(config != nullptr, who + "null method_configs entry: " + m);
     // Knobless methods and foreign config types fail here, not while
     // computing cache keys or mid-campaign inside a cell.
@@ -168,9 +171,11 @@ CampaignPlan plan_from_json(const json::Value& doc,
         methods::MethodRegistry::instance();
     for (const auto& [name, entry] : configs->members()) {
       const methods::Method* method = registry.find(name);
-      require(method != nullptr,
-              ctx + ": method_configs: unknown method: " + name +
-                  " (registered: " + registry.joined_names() + ")");
+      if (method == nullptr) {
+        require(false, ctx + ": method_configs: unknown method: " + name +
+                           " (registered: " + registry.joined_names() +
+                           ")");
+      }
       plan.method_configs.set(
           name, method->config_from_json(
                     entry, ctx + ": method_configs." + name));

@@ -18,7 +18,9 @@
 #include "common/fs.hpp"
 #include "common/hash.hpp"
 #include "exec/campaign.hpp"
+#include "methods/registry.hpp"
 #include "scenario/scenario.hpp"
+#include "serde/plan.hpp"
 
 namespace parmis::cache {
 namespace {
@@ -125,6 +127,34 @@ TEST(CellKey, CanonicalSerializationIsNotLayoutDumping) {
   scenario::ScenarioSpec tricky = small_spec();
   tricky.name = "evil\nname=7:with\ntags";
   EXPECT_NE(scenario::canonical_serialize(tricky), bytes);
+}
+
+TEST(CellKey, MethodMatrixKeysArePinned) {
+  // One cell per method-matrix scenario, pinned when the entry format
+  // moved to v3: the format version is not part of a key, so no key
+  // (and no cache file name) may move with it.
+  const exec::CampaignConfig config = serde::to_campaign_config(
+      serde::load_plan(PARMIS_EXAMPLES_DIR "/plans/method_matrix.json"),
+      serde::ScenarioCatalogue());
+  ASSERT_EQ(config.scenarios.size(), 3u);
+  struct Pin {
+    std::size_t scenario;
+    const char* method;
+    std::uint64_t seed;
+    const char* hex;
+  };
+  for (const Pin& pin :
+       {Pin{0, "parmis", 1, "9f68a0cfc844d92469f141ad0927f1aa"},
+        Pin{1, "rl", 2, "b5050e7d6b437be5d9fb26a3b6283216"},
+        Pin{2, "il", 3, "fe496b394285f5a94e11d57e04d9f4af"}}) {
+    const scenario::ScenarioSpec& spec = config.scenarios[pin.scenario];
+    EXPECT_EQ(cell_key(spec, pin.method, pin.seed, config.anchor_limit,
+                       methods::canonical_method_config(
+                           pin.method, config.method_configs))
+                  .hex(),
+              pin.hex)
+        << spec.name << "/" << pin.method << " seed " << pin.seed;
+  }
 }
 
 // ----------------------------------------------------------- round trips
@@ -362,6 +392,65 @@ TEST(ResultCache, TruncatedAndGarbageEntriesAreMisses) {
   EXPECT_EQ(cache.stats().corrupt, 2u);
 }
 
+TEST(ResultCache, EverySingleByteChangeOfAPayloadIsRejected) {
+  // A real PaRMIS entry: xu3-mibench-te's front policies are 445-d
+  // thetas, ~26 KB of mostly doubles.  The word digest changes whenever
+  // one word of the payload changes, so every one-byte change of it,
+  // through every xor value across the positions, reads as corrupt.
+  const scenario::ScenarioSpec spec = scenario::make_scenario("xu3-mibench-te");
+  const CellKey key = cell_key(spec, "parmis", 1, 3);
+  const exec::CellResult cell =
+      exec::CampaignRunner::run_cell(spec, "parmis", 1, 3);
+  ASSERT_TRUE(cell.error.empty()) << cell.error;
+  ASSERT_FALSE(cell.pareto_thetas.empty());
+  ASSERT_EQ(cell.pareto_thetas.front().size(), 445u);
+  std::string entry = serialize_entry(key, cell);
+  ASSERT_TRUE(parse_entry(entry, key).has_value());
+  const std::size_t payload_at = entry.find('\n', entry.find("digest=")) + 1;
+  std::size_t accepted = 0;
+  for (std::size_t at = payload_at; at < entry.size(); ++at) {
+    const char flip = static_cast<char>(1 + at % 255);
+    entry[at] ^= flip;
+    accepted += parse_entry(entry, key).has_value() ? 1 : 0;
+    entry[at] ^= flip;
+  }
+  // And all 255 changes of each byte of the first words.
+  for (std::size_t at = payload_at; at < payload_at + 24; ++at) {
+    for (int flip = 1; flip < 256; ++flip) {
+      entry[at] ^= static_cast<char>(flip);
+      accepted += parse_entry(entry, key).has_value() ? 1 : 0;
+      entry[at] ^= static_cast<char>(flip);
+    }
+  }
+  EXPECT_EQ(accepted, 0u);
+  EXPECT_TRUE(parse_entry(entry, key).has_value());
+}
+
+TEST(ResultCache, AV2EntryIsAStaleMissRewrittenAsV3) {
+  // A format-v2 entry under today's key: same payload bytes, the v2
+  // magic line and the bytewise FNV-1a digest.
+  ResultCache cache(temp_cache_dir("v2"));
+  const scenario::ScenarioSpec spec = small_spec();
+  const CellKey key = cell_key(spec, "performance", 1, 3);
+  const exec::CellResult cell =
+      exec::CampaignRunner::run_cell(spec, "performance", 1, 3);
+  const std::string v3 = serialize_entry(key, cell);
+  ASSERT_EQ(v3.rfind("parmis-cell-cache v3\n", 0), 0u);
+  const std::string payload = v3.substr(v3.find('\n', v3.find("digest=")) + 1);
+  const std::string v2 = "parmis-cell-cache v2\ndigest=" +
+                         hex64(fnv1a64(payload)) + "\n" + payload;
+  ASSERT_NE(v2, v3);
+  atomic_write_file(cache.entry_path(key), v2);
+
+  EXPECT_FALSE(cache.lookup(key).has_value());
+  EXPECT_EQ(cache.stats().misses, 1u);
+  EXPECT_EQ(cache.stats().corrupt, 1u);
+  cache.store(key, cell);
+  EXPECT_EQ(read_file(cache.entry_path(key)).value_or(""), v3);
+  EXPECT_TRUE(cache.lookup(key).has_value());
+  EXPECT_EQ(cache.stats().corrupt, 1u);
+}
+
 TEST(ResultCache, EveryMutatedEntryIsRejectedOrReencodesToItsBytes) {
   // Mutation oracle for the entry decoder: each truncation of a real
   // entry's payload and 400 seeded byte flips, each re-stamped with a
@@ -383,7 +472,7 @@ TEST(ResultCache, EveryMutatedEntryIsRejectedOrReencodesToItsBytes) {
   const std::string magic = entry.substr(0, digest_at);
   const std::string payload = entry.substr(entry.find('\n', digest_at) + 1);
   const auto stamped = [&](const std::string& p) {
-    return magic + "digest=" + hex64(fnv1a64(p)) + "\n" + p;
+    return magic + "digest=" + hex64(fnv1a64_words(p)) + "\n" + p;
   };
   ASSERT_EQ(stamped(payload), entry);
   ASSERT_TRUE(parse_entry(entry, key).has_value());

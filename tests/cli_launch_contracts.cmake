@@ -10,7 +10,9 @@
 #   * a --threads=4 --compare-threads run (1 vs 4 threads in one process),
 #   * a --require-cached replay against the launcher's cache,
 #   * a warm relaunch over that cache, which replays all 4 chunks in
-#     the supervisor and starts no worker (no chunk log),
+#     the supervisor and starts no worker (no chunk log), and whose
+#     provisional.json, written 1 to 4 times, ends on final.json's
+#     digest,
 #   * the results of a traced campaign-daemon job over --socket, driven
 #     through campaign-daemon --connect: ping answers parmis-orch-v3,
 #     and the same plan, submitted with chunk 0's first attempt killed
@@ -91,6 +93,17 @@ if(NOT rc EQUAL 0 OR NOT err MATCHES "recovered from cache 4\\)" OR
                       "logs: ${warm_logs}")
 endif()
 expect_same_digest(launched warm)
+# ... and writes provisional.json at most once per stored chunk (chunks
+# that land while a write is in flight share the next one), ending on
+# the final report: the provisional digest is final.json's.
+string(REGEX MATCH "provisional writes ([0-9]+)" writes "${err}")
+set(writes "${CMAKE_MATCH_1}")
+if(writes STREQUAL "" OR writes LESS 1 OR writes GREATER 4)
+  message(FATAL_ERROR "warm relaunch: want 1 to 4 provisional writes for "
+                      "4 chunks, got '${writes}':\n${err}")
+endif()
+message(STATUS "warm relaunch: ${writes} provisional writes for 4 chunks")
+expect_same_digest(warm warm-work/job1/final warm-work/job1/provisional)
 
 expect_rejected("${LAUNCH}" ${plan} --workerz=2 --work-dir=typo-work)
 if(EXISTS "${WORK_DIR}/typo-work")

@@ -2,17 +2,24 @@
 // file reads.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <bit>
+#include <cctype>
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
 #include <fstream>
 #include <numeric>
 #include <optional>
+#include <random>
 #include <sstream>
+#include <string_view>
+#include <vector>
 
 #include "common/cli.hpp"
 #include "common/error.hpp"
 #include "common/fs.hpp"
+#include "common/hash.hpp"
 #include "common/log.hpp"
 #include "common/rng.hpp"
 #include "common/stopwatch.hpp"
@@ -478,6 +485,151 @@ TEST(Log, SetAndGetLevel) {
   set_log_level(LogLevel::Error);
   EXPECT_EQ(log_level(), LogLevel::Error);
   set_log_level(before);
+}
+
+// ------------------------------------------------------------------- hash
+
+constexpr std::uint64_t kPrime = 0x100000001B3ULL;
+
+std::string random_bytes(std::mt19937_64& rng, std::size_t n) {
+  std::string s(n, '\0');
+  for (char& c : s) c = static_cast<char>(rng() & 0xFF);
+  return s;
+}
+
+/// fnv1a64_words as its comment defines it, written independently:
+/// each whole 8-byte group read as a little-endian number, then the
+/// tail bytewise.
+std::uint64_t reference_word_digest(const std::string& s) {
+  std::uint64_t h = 0xCBF29CE484222325ULL;
+  std::size_t i = 0;
+  for (; i + 8 <= s.size(); i += 8) {
+    std::uint64_t word = 0;
+    for (std::size_t b = 8; b-- > 0;) {
+      word = word * 256 + static_cast<unsigned char>(s[i + b]);
+    }
+    h = (h ^ word) * kPrime;
+  }
+  for (; i < s.size(); ++i) {
+    h = (h ^ static_cast<unsigned char>(s[i])) * kPrime;
+  }
+  return h;
+}
+
+TEST(Hash, WordDigestMatchesAnIndependentReference) {
+  std::mt19937_64 rng(2105);
+  std::vector<std::size_t> lengths(65);
+  std::iota(lengths.begin(), lengths.end(), 0);
+  for (int i = 0; i < 100; ++i) lengths.push_back(rng() % 30000);
+  for (std::size_t n : lengths) {
+    const std::string s = random_bytes(rng, n);
+    EXPECT_EQ(fnv1a64_words(s), reference_word_digest(s)) << n;
+    // Below one word there is only the bytewise tail: plain FNV-1a.
+    if (n < 8) {
+      EXPECT_EQ(fnv1a64_words(s), fnv1a64(s)) << n;
+    }
+  }
+  // The seed is the starting state, as for fnv1a64.
+  // "01234567" is the word 0x3736353433323130.
+  EXPECT_EQ(fnv1a64_words("0123456789", 7),
+            fnv1a64(std::string("89"),
+                    (7 ^ 0x3736353433323130ULL) * kPrime));
+}
+
+/// hash128's two lanes as two separate FNV-1a passes.
+Hash128 two_pass_hash128(const std::string& s) {
+  std::uint64_t a = fnv1a64(s, 0xCBF29CE484222325ULL) ^ (s.size() * kPrime);
+  std::uint64_t b = fnv1a64(s, 0x6C62272E07BB0142ULL) ^ s.size();
+  return {splitmix64(a), splitmix64(b)};
+}
+
+TEST(Hash, OnePassHash128EqualsTheTwoPassLanes) {
+  std::mt19937_64 rng(445);
+  std::vector<std::size_t> lengths(65);
+  std::iota(lengths.begin(), lengths.end(), 0);
+  for (int i = 0; i < 100; ++i) lengths.push_back(rng() % 10000);
+  for (std::size_t n : lengths) {
+    const std::string s = random_bytes(rng, n);
+    EXPECT_EQ(hash128(s), two_pass_hash128(s)) << n;
+    EXPECT_EQ(hash128(s.data(), s.size()), hash128(s)) << n;
+  }
+}
+
+TEST(Hash, Hex64WritesWhatSnprintfWrites) {
+  std::mt19937_64 rng(16);
+  std::vector<std::uint64_t> values = {0, 1, 0xF, 0x10, UINT64_MAX,
+                                       0x8000000000000000ULL,
+                                       0x0123456789ABCDEFULL};
+  for (int i = 0; i < 1000; ++i) values.push_back(rng() >> (rng() % 64));
+  for (std::uint64_t v : values) {
+    char want[17];
+    std::snprintf(want, sizeof(want), "%016llx",
+                  static_cast<unsigned long long>(v));
+    EXPECT_EQ(hex64(v), std::string(want)) << want;
+    char buf[16];
+    hex64(v, buf);
+    EXPECT_EQ(std::string(buf, 16), std::string(want)) << want;
+    EXPECT_EQ(parse_hex64(want), v) << want;
+  }
+  const Hash128 h{0x0123456789ABCDEFULL, 0xFEDCBA9876543210ULL};
+  EXPECT_EQ(h.hex(), "0123456789abcdeffedcba9876543210");
+}
+
+/// The cache's table decoder before parse_hex64, kept as its oracle:
+/// exactly 16 bytes, each a lowercase hex digit.
+std::optional<std::uint64_t> table_decode(std::string_view s) {
+  if (s.size() != 16) return std::nullopt;
+  std::array<std::uint8_t, 256> digit{};
+  digit.fill(16);
+  for (std::uint8_t d = 0; d < 10; ++d) digit['0' + d] = d;
+  for (std::uint8_t d = 0; d < 6; ++d) digit['a' + d] = 10 + d;
+  std::uint64_t bits = 0;
+  std::uint8_t invalid = 0;
+  for (char c : s) {
+    const std::uint8_t d = digit[static_cast<unsigned char>(c)];
+    invalid |= d;
+    bits = (bits << 4) | (d & 15u);
+  }
+  if ((invalid & 16u) != 0) return std::nullopt;
+  return bits;
+}
+
+TEST(Hash, WordDecoderAgreesWithTheTableDecoderOnEveryMutatedWindow) {
+  std::mt19937_64 rng(7919);
+  std::vector<std::string> windows = {hex64(0), hex64(UINT64_MAX),
+                                      "0123456789abcdef", "fedcba9876543210",
+                                      "9999999999999999", "aaaaaaaaaaaaaaaa"};
+  for (int i = 0; i < 32; ++i) windows.push_back(hex64(rng()));
+  std::size_t compared = 0;
+  const auto agree = [&](const std::string& w) {
+    ++compared;
+    EXPECT_EQ(parse_hex64(w), table_decode(w)) << "window \"" << w << "\"";
+  };
+  for (const std::string& window : windows) {
+    agree(window);
+    // Every value of every byte: non-hex bytes, uppercase digits and
+    // bytes >= 0x80 among them.
+    for (std::size_t at = 0; at < 16; ++at) {
+      for (int byte = 0; byte < 256; ++byte) {
+        std::string mutated = window;
+        mutated[at] = static_cast<char>(byte);
+        agree(mutated);
+      }
+    }
+    std::string upper = window;
+    for (char& c : upper) c = static_cast<char>(std::toupper(c));
+    agree(upper);
+    for (std::size_t n = 0; n < 16; ++n) agree(window.substr(0, n));
+    agree(window + "0");
+  }
+  for (int i = 0; i < 20000; ++i) {
+    std::string mutated = windows[rng() % windows.size()];
+    for (int k = 0; k < 3; ++k) {
+      mutated[rng() % 16] = static_cast<char>(rng() & 0xFF);
+    }
+    agree(mutated);
+  }
+  EXPECT_GT(compared, 150000u);
 }
 
 // -------------------------------------------------------------- stopwatch

@@ -381,6 +381,48 @@ TEST(JobRunner, AnyWorkerAndChunkCountMatchesTheUnshardedRunBitForBit) {
   }
 }
 
+TEST(JobRunner, ProvisionalWritesCoalesceAndEndOnTheFinalState) {
+  const exec::CampaignConfig config = plan_config(small_plan());
+  InprocessBackend backend(config);
+  JobConfig jc;
+  jc.workers = 4;
+  jc.chunks = 7;
+  jc.provisional_path = temp_dir("provisional") + "/provisional.json";
+  JobRunner runner(backend, jc);
+  const exec::CampaignReport merged = runner.run();
+
+  // At most one write per stored chunk (fewer when chunks land while a
+  // write is in flight), and the file ends on the complete merge.
+  const JobProgress progress = runner.progress();
+  EXPECT_EQ(progress.provisional_merges, 7u);
+  EXPECT_GE(progress.provisional_writes, 1u);
+  EXPECT_LE(progress.provisional_writes, progress.provisional_merges);
+  const exec::CampaignReport written =
+      report::load_report(jc.provisional_path);
+  EXPECT_FALSE(written.partial);
+  expect_bitwise_equal(written, merged);
+}
+
+TEST(JobRunner, AFailedProvisionalWriteFailsNoAttempt) {
+  const exec::CampaignConfig config = plan_config(small_plan());
+  const exec::CampaignReport unsharded = exec::CampaignRunner(config).run();
+  InprocessBackend backend(config);
+  JobConfig jc;
+  jc.workers = 2;
+  jc.chunks = 3;
+  jc.provisional_path = temp_dir("no_provisional") + "/missing/p.json";
+  JobRunner runner(backend, jc);
+  expect_bitwise_equal(runner.run(), unsharded);
+
+  const JobProgress progress = runner.progress();
+  EXPECT_EQ(progress.state, JobProgress::State::Done);
+  EXPECT_EQ(progress.stats.retries, 0u);
+  EXPECT_EQ(progress.provisional_merges, 3u);
+  EXPECT_EQ(progress.provisional_writes, 0u);
+  for (const AttemptRecord& a : progress.attempts) EXPECT_TRUE(a.ok);
+  EXPECT_FALSE(read_file(jc.provisional_path).has_value());
+}
+
 /// Backend that fails the first attempt of one chunk, to drive the
 /// retry path deterministically without processes.
 class FlakyBackend : public ChunkBackend {
@@ -744,29 +786,33 @@ TEST(ProcessBackend, ReplayEqualsARequireCachedWorkerForEveryChunk) {
   config.work_dir = dir + "/job";
   config.cache_dir = cache_dir;
   serde::save_plan(config.plan_path, plan);
+  // One backend, so one replay runner, answers both tilings.
   ProcessBackend backend(config);
   const std::atomic<bool> abort{false};
-  constexpr std::size_t kChunks = 3;
-  for (std::size_t k = 0; k < kChunks; ++k) {
-    const ChunkOutcome replayed = backend.run_chunk(k, kChunks, 0, abort);
-    ASSERT_TRUE(replayed.ok) << replayed.error;
-    EXPECT_TRUE(replayed.recovered_from_cache);
-    EXPECT_TRUE(replayed.log_path.empty());
+  for (const std::size_t chunks : {3u, 5u}) {
+    for (std::size_t k = 0; k < chunks; ++k) {
+      const ChunkOutcome replayed = backend.run_chunk(k, chunks, 0, abort);
+      ASSERT_TRUE(replayed.ok) << replayed.error;
+      EXPECT_TRUE(replayed.recovered_from_cache);
+      EXPECT_TRUE(replayed.log_path.empty());
 
-    const std::string out = dir + "/workers/chunk_" + std::to_string(k);
-    ChildProcess worker;
-    worker.spawn(SpawnSpec{{config.campaign_bin, "--plan=" + config.plan_path,
-                            "--shard-index=" + std::to_string(k),
-                            "--shard-count=" + std::to_string(kChunks),
-                            "--threads=1", "--cache-dir=" + cache_dir,
-                            "--require-cached=1", "--json=" + out + ".json"},
-                           out + ".log",
-                           out + ".log",
-                           {}});
-    ASSERT_EQ(worker.wait(), 0) << *read_file(out + ".log");
-    EXPECT_EQ(timeless_bytes(replayed.report),
-              timeless_bytes(report::load_report(out + ".json")))
-        << "chunk " << k;
+      const std::string out = dir + "/workers/chunk_" + std::to_string(k) +
+                              "_of_" + std::to_string(chunks);
+      ChildProcess worker;
+      worker.spawn(
+          SpawnSpec{{config.campaign_bin, "--plan=" + config.plan_path,
+                     "--shard-index=" + std::to_string(k),
+                     "--shard-count=" + std::to_string(chunks),
+                     "--threads=1", "--cache-dir=" + cache_dir,
+                     "--require-cached=1", "--json=" + out + ".json"},
+                    out + ".log",
+                    out + ".log",
+                    {}});
+      ASSERT_EQ(worker.wait(), 0) << *read_file(out + ".log");
+      EXPECT_EQ(timeless_bytes(replayed.report),
+                timeless_bytes(report::load_report(out + ".json")))
+          << "chunk " << k << " of " << chunks;
+    }
   }
   // No chunk started a process.
   EXPECT_TRUE(list_files(config.work_dir).empty());

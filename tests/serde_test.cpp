@@ -384,6 +384,46 @@ TEST(PlanSerde, ValidationRejectsBadPlans) {
 
 // --------------------------------------------------- plan v1/v2 schemas
 
+TEST(PlanSerde, EveryUnknownMethodErrorListsTheRegisteredNames) {
+  // The roster is built only when a check fails, and still lands in
+  // every message: spec validation, plan validation and plan decode.
+  const std::string roster =
+      " (registered: " + methods::MethodRegistry::instance().joined_names() +
+      ")";
+  const auto message = [](const auto& fn) {
+    try {
+      fn();
+    } catch (const Error& e) {
+      return std::string(e.what());
+    }
+    return std::string("<no error>");
+  };
+  scenario::ScenarioSpec spec = scenario::make_scenario("xu3-mibench-te");
+  spec.methods = {"no-such-method"};
+  EXPECT_NE(message([&] { spec.validate(); })
+                .find("unknown method: no-such-method" + roster),
+            std::string::npos);
+
+  CampaignPlan plan;
+  plan.name = "unknown-config";
+  plan.scenarios = {ScenarioRef::by_name("xu3-mibench-te")};
+  plan.method_configs.set("no-such-method",
+                          std::make_shared<methods::RlMethodConfig>());
+  EXPECT_NE(message([&] { plan.validate(); })
+                .find("method_configs entry for unknown method: "
+                      "no-such-method" + roster),
+            std::string::npos);
+
+  const json::Value doc = json::parse(
+      "{\"schema\": \"parmis-plan-v2\", \"name\": \"decode\","
+      " \"scenarios\": [\"xu3-mibench-te\"],"
+      " \"method_configs\": {\"no-such-method\": {}}}");
+  EXPECT_NE(message([&] { (void)plan_from_json(doc, "doc"); })
+                .find("method_configs: unknown method: no-such-method" +
+                      roster),
+            std::string::npos);
+}
+
 TEST(PlanSerde, V1DocumentsStillLoadUnchanged) {
   // A pre-method_configs document must keep loading byte-for-byte
   // semantics: same scenarios, same defaults, empty config set.
