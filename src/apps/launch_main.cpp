@@ -23,11 +23,9 @@
 // provisional.json, and final.json) live under `--work-dir/jobN`;
 // --out additionally copies the final report byte-for-byte.  See
 // docs/orchestration.md.
-#include <chrono>
 #include <cstdio>
 #include <iostream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/cli.hpp"
@@ -122,12 +120,13 @@ int main(int argc, char** argv) {
               << " chunks across " << submitted.progress.workers
               << " workers (work dir " << submitted.job_dir << ")\n";
 
-    // Poll for progress; the job thread does the real work.  One line
-    // per chunks-done change keeps logs short but shows the pipeline.
+    // Follow progress; the job thread does the real work and wakes this
+    // one whenever a chunk settles or the job ends.  One line per
+    // chunks-done change keeps logs short but shows the pipeline.
     orch::JobManager::JobInfo info = submitted;
     std::size_t last_done = static_cast<std::size_t>(-1);
     for (;;) {
-      info = *manager.info(submitted.id);
+      info = *manager.wait_for_change(submitted.id, last_done);
       if (info.progress.stats.chunks_done != last_done) {
         last_done = info.progress.stats.chunks_done;
         print_progress(info);
@@ -137,7 +136,6 @@ int main(int argc, char** argv) {
           state != orch::JobProgress::State::Running) {
         break;
       }
-      std::this_thread::sleep_for(std::chrono::milliseconds(50));
     }
     manager.shutdown();  // join the job thread (final.json written)
     info = *manager.info(submitted.id);

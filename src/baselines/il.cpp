@@ -1,9 +1,10 @@
 #include "baselines/il.hpp"
 
 #include <algorithm>
-#include <array>
+#include <bit>
 #include <cmath>
 #include <limits>
+#include <span>
 
 #include "common/error.hpp"
 #include "ml/optimizer.hpp"
@@ -136,44 +137,88 @@ double OracleTable::scalarized_cost(
   return scalarize(rows(epoch, weights, objectives), weights, decision);
 }
 
-std::size_t OracleTable::best_decision_index(
-    std::size_t epoch, const num::Vec& weights,
-    const std::vector<runtime::Objective>& objectives) const {
-  const std::vector<const double*> epoch_rows =
-      rows(epoch, weights, objectives);
-  std::size_t best = 0;
-  double best_cost = std::numeric_limits<double>::infinity();
-  for (std::size_t d = 0; d < num_decisions_; ++d) {
-    const double cost = scalarize(epoch_rows, weights, d);
-    if (cost < best_cost) {
-      best_cost = cost;
-      best = d;
+OracleTable::MemoKey OracleTable::memo_key(
+    const num::Vec& weights,
+    const std::vector<runtime::Objective>& objectives,
+    std::span<const std::size_t> epochs) {
+  require(weights.size() == objectives.size(),
+          "oracle table: weight/objective mismatch");
+  MemoKey key;
+  key.reserve(1 + 2 * objectives.size() + epochs.size());
+  key.push_back(objectives.size());
+  for (std::size_t j = 0; j < objectives.size(); ++j) {
+    key.push_back(
+        objectives[j].kind() == runtime::ObjectiveKind::ExecutionTime ? 0
+                                                                       : 1);
+    key.push_back(std::bit_cast<std::uint64_t>(weights[j]));
+  }
+  key.insert(key.end(), epochs.begin(), epochs.end());
+  return key;
+}
+
+template <typename Answer, typename Scan>
+Answer OracleTable::remembered(std::map<MemoKey, Answer>& memo,
+                               MemoKey key, const Scan& scan) const {
+  {
+    const std::lock_guard<std::mutex> lock(memo_mutex_);
+    const auto it = memo.find(key);
+    if (it != memo.end()) {
+      PARMIS_COUNTER_ADD("parmis_oracle_argmin_reuses_total", 1);
+      return it->second;
     }
   }
-  return best;
+  Answer answer = scan();
+  PARMIS_COUNTER_ADD("parmis_oracle_argmin_scans_total", 1);
+  const std::lock_guard<std::mutex> lock(memo_mutex_);
+  memo.try_emplace(std::move(key), answer);
+  return answer;
+}
+
+std::vector<std::size_t> OracleTable::oracle_decisions(
+    const num::Vec& weights,
+    const std::vector<runtime::Objective>& objectives) const {
+  return remembered(oracle_memo_, memo_key(weights, objectives, {}), [&] {
+    std::vector<std::size_t> best(num_epochs_, 0);
+    for (std::size_t e = 0; e < num_epochs_; ++e) {
+      const std::vector<const double*> epoch_rows =
+          rows(e, weights, objectives);
+      double best_cost = std::numeric_limits<double>::infinity();
+      for (std::size_t d = 0; d < num_decisions_; ++d) {
+        const double cost = scalarize(epoch_rows, weights, d);
+        if (cost < best_cost) {
+          best_cost = cost;
+          best[e] = d;
+        }
+      }
+    }
+    return best;
+  });
 }
 
 std::size_t OracleTable::best_decision_index(
     std::span<const std::size_t> epochs, const num::Vec& weights,
     const std::vector<runtime::Objective>& objectives) const {
-  // One epoch at a time into one buffer, so each decision's sum adds
-  // the epochs in `epochs` order.
-  std::vector<double> sums(num_decisions_, 0.0);
-  for (const std::size_t e : epochs) {
-    const std::vector<const double*> epoch_rows = rows(e, weights, objectives);
+  return remembered(span_memo_, memo_key(weights, objectives, epochs), [&] {
+    // One epoch at a time into one buffer, so each decision's sum adds
+    // the epochs in `epochs` order.
+    std::vector<double> sums(num_decisions_, 0.0);
+    for (const std::size_t e : epochs) {
+      const std::vector<const double*> epoch_rows =
+          rows(e, weights, objectives);
+      for (std::size_t d = 0; d < num_decisions_; ++d) {
+        sums[d] += scalarize(epoch_rows, weights, d);
+      }
+    }
+    std::size_t best = 0;
+    double best_cost = std::numeric_limits<double>::infinity();
     for (std::size_t d = 0; d < num_decisions_; ++d) {
-      sums[d] += scalarize(epoch_rows, weights, d);
+      if (sums[d] < best_cost) {
+        best_cost = sums[d];
+        best = d;
+      }
     }
-  }
-  std::size_t best = 0;
-  double best_cost = std::numeric_limits<double>::infinity();
-  for (std::size_t d = 0; d < num_decisions_; ++d) {
-    if (sums[d] < best_cost) {
-      best_cost = sums[d];
-      best = d;
-    }
-  }
-  return best;
+    return best;
+  });
 }
 
 IlTrainer::IlTrainer(soc::Platform& platform, soc::Application app,
@@ -203,9 +248,8 @@ num::Vec IlTrainer::train(const num::Vec& weights) {
   // --- oracle decision sequence for this scalarization ---
   std::vector<soc::DrmDecision> oracle_decisions;
   oracle_decisions.reserve(app_.num_epochs());
-  for (std::size_t e = 0; e < app_.num_epochs(); ++e) {
-    oracle_decisions.push_back(space.decision(
-        table_->best_decision_index(e, weights, objectives_)));
+  for (const std::size_t d : table_->oracle_decisions(weights, objectives_)) {
+    oracle_decisions.push_back(space.decision(d));
   }
 
   policy::MlpPolicy policy(space, config_.policy);
@@ -239,36 +283,31 @@ num::Vec IlTrainer::train(const num::Vec& weights) {
     ++evaluations_;
   };
 
-  // Trains the heads by cross-entropy over the aggregate dataset.
+  // Trains the heads by cross-entropy over the aggregate dataset.  The
+  // tape, loss gradient and parameter gradient are reused across
+  // samples; each head's backward pass adds straight into its block of
+  // `grad`, which holds zeros when the sample starts.
   auto fit = [&]() {
     ml::Adam adam(policy.num_parameters(), config_.learning_rate);
     std::vector<std::size_t> order(dataset.size());
     for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
 
-    std::vector<std::size_t> offsets(policy.num_heads());
-    std::size_t off = 0;
-    for (std::size_t h = 0; h < policy.num_heads(); ++h) {
-      offsets[h] = off;
-      off += policy.head(h).num_parameters();
-    }
-
+    ml::MlpTape tape;
+    num::Vec dlogits;
+    num::Vec grad(policy.num_parameters(), 0.0);
     for (std::size_t pass = 0; pass < config_.training_passes; ++pass) {
       rng_.shuffle(order);
-      num::Vec grad(policy.num_parameters(), 0.0);
       for (std::size_t idx : order) {
         const LabeledState& item = dataset[idx];
         std::fill(grad.begin(), grad.end(), 0.0);
         for (std::size_t h = 0; h < policy.num_heads(); ++h) {
-          ml::MlpTape tape;
-          const num::Vec logits =
-              policy.head(h).forward(item.features, tape);
-          const auto ce = ml::cross_entropy(
-              logits, static_cast<std::size_t>(item.knob_labels[h]));
-          num::Vec head_grad(policy.head(h).num_parameters(), 0.0);
-          policy.head(h).backward(tape, ce.dlogits, head_grad);
-          for (std::size_t i = 0; i < head_grad.size(); ++i) {
-            grad[offsets[h] + i] += head_grad[i];
-          }
+          const ml::Mlp& head = policy.head(h);
+          ml::cross_entropy(head.forward(item.features, tape),
+                            static_cast<std::size_t>(item.knob_labels[h]),
+                            dlogits);
+          head.backward(tape, dlogits,
+                        std::span<double>(grad).subspan(
+                            policy.head_offset(h), head.num_parameters()));
         }
         adam.step(params, grad);
         policy.set_parameters(params);

@@ -8,9 +8,11 @@
 //     epoch.  (An OracleTable caches the per-epoch per-decision costs so
 //     a lambda sweep and DAgger rounds reuse one exhaustive pass; in a
 //     campaign run, every IL and DyPO cell of a scenario shares one
-//     through methods::OracleTableMemo.  The pass calls the same
-//     time/energy kernel as soc::PerfModel::run_epoch, over operating
-//     points built once per epoch.)
+//     through methods::OracleTableMemo, and the table remembers each
+//     weight vector's argmins, so the seeds of a sweep scan once.  The
+//     pass calls the same time/energy kernel as
+//     soc::PerfModel::run_epoch, over operating points built once per
+//     epoch.)
 //  2. Roll the oracle out, record (previous-epoch counters -> oracle
 //     knob choices), and train the 4-head MLP by cross-entropy.
 //  3. DAgger rounds: roll out the *learned* policy, query the oracle on
@@ -26,6 +28,9 @@
 #ifndef PARMIS_BASELINES_IL_HPP
 #define PARMIS_BASELINES_IL_HPP
 
+#include <cstdint>
+#include <map>
+#include <mutex>
 #include <span>
 #include <vector>
 
@@ -58,6 +63,15 @@ enum class OracleFidelity { FirstOrder, Exact };
 /// ratio equals run_epoch's bit for bit.  Costs are stored as one
 /// contiguous row per (column, epoch), time column first, so the argmins
 /// scan rows with each objective's column looked up once.
+///
+/// The costs never change after construction, so each argmin is a pure
+/// function of its query.  The table remembers every distinct answer,
+/// keyed by the weights' bit patterns and the cost column each
+/// objective reads (plus the ordered epochs of a summed query): the IL
+/// and DyPO cells of a campaign ask for the same weight grid seed after
+/// seed, and a repeated query returns the first scan's answer instead of
+/// scanning again.  The memo is guarded by a mutex, so one table can
+/// serve concurrent campaign threads (methods::OracleTableMemo).
 class OracleTable {
  public:
   /// Sweeps the full decision space for every epoch of `app` and stores
@@ -66,11 +80,11 @@ class OracleTable {
   OracleTable(soc::Platform& platform, const soc::Application& app,
               OracleFidelity fidelity = OracleFidelity::FirstOrder);
 
-  /// Decision index minimizing weights . (time_norm, energy_norm) for
-  /// `epoch` (weights aligned with `objectives`); ties go to the lowest
-  /// index.
-  std::size_t best_decision_index(
-      std::size_t epoch, const num::Vec& weights,
+  /// The per-epoch oracle: entry e is the decision index minimizing
+  /// weights . (time_norm, energy_norm) on epoch e (weights aligned with
+  /// `objectives`); ties go to the lowest index.
+  std::vector<std::size_t> oracle_decisions(
+      const num::Vec& weights,
       const std::vector<runtime::Objective>& objectives) const;
 
   /// Decision index minimizing the scalarized cost summed over `epochs`
@@ -96,6 +110,10 @@ class OracleTable {
   }
 
  private:
+  /// Memo key: the objective count, then each objective's cost column
+  /// and weight bits, then any epochs in query order.
+  using MemoKey = std::vector<std::uint64_t>;
+
   /// `epoch`'s row in the column each objective reads (time, or energy
   /// for every other kind), after checking the epoch and weight count.
   std::vector<const double*> rows(
@@ -105,10 +123,24 @@ class OracleTable {
   /// the one definition of a scalarized cost.
   static double scalarize(const std::vector<const double*>& rows,
                           const num::Vec& weights, std::size_t decision);
+  static MemoKey memo_key(const num::Vec& weights,
+                          const std::vector<runtime::Objective>& objectives,
+                          std::span<const std::size_t> epochs);
+  /// The answer `memo` holds under `key`, or else `scan()`'s, which is
+  /// then stored.  Scans run outside the lock; two threads that miss on
+  /// one key both scan and store the same answer.
+  template <typename Answer, typename Scan>
+  Answer remembered(std::map<MemoKey, Answer>& memo, MemoKey key,
+                    const Scan& scan) const;
 
   std::size_t num_epochs_ = 0;
   std::size_t num_decisions_ = 0;
   std::vector<double> costs_;  // [column: time, energy][epoch][decision]
+
+  // Answers already scanned for, guarded by memo_mutex_.
+  mutable std::mutex memo_mutex_;
+  mutable std::map<MemoKey, std::vector<std::size_t>> oracle_memo_;
+  mutable std::map<MemoKey, std::size_t> span_memo_;
 };
 
 /// IL training hyperparameters.

@@ -1,6 +1,8 @@
 #include "baselines/rl.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <span>
 
 #include "common/error.hpp"
 #include "ml/optimizer.hpp"
@@ -74,6 +76,11 @@ num::Vec RlTrainer::train(const num::Vec& weights) {
   const soc::DecisionSpace& space = platform_->decision_space();
   const std::size_t n_heads = policy.num_heads();
 
+  // Update-loop buffers, reused across episodes, steps and heads.
+  ml::MlpTape tape;
+  num::Vec p, logp, dlogits;
+  num::Vec grad(n_params, 0.0);
+
   for (std::size_t episode = 0; episode < config_.episodes; ++episode) {
     policy.set_parameters(params);
 
@@ -133,26 +140,19 @@ num::Vec RlTrainer::train(const num::Vec& weights) {
 
     // --- REINFORCE gradient (gradient of the scalar loss
     //     -sum_t A_t log pi(a_t|s_t) - beta * H) ---
-    num::Vec grad(n_params, 0.0);
-    std::size_t offset0 = 0;
-    std::vector<std::size_t> offsets(n_heads);
-    for (std::size_t h = 0; h < n_heads; ++h) {
-      offsets[h] = offset0;
-      offset0 += policy.head(h).num_parameters();
-    }
-
+    // Each head's backward pass adds straight into its block of `grad`.
+    std::fill(grad.begin(), grad.end(), 0.0);
     for (std::size_t t = 0; t < steps.size(); ++t) {
       const double advantage = returns[t] - baseline;
       for (std::size_t h = 0; h < n_heads; ++h) {
-        ml::MlpTape tape;
-        const num::Vec logits =
-            policy.head(h).forward(steps[t].features, tape);
-        const num::Vec p = ml::softmax(logits);
-        const num::Vec logp = ml::log_softmax(logits);
+        const ml::Mlp& head = policy.head(h);
+        const num::Vec& logits = head.forward(steps[t].features, tape);
+        ml::softmax(logits, p);
+        ml::log_softmax(logits, logp);
         double entropy = 0.0;
         for (std::size_t i = 0; i < p.size(); ++i) entropy -= p[i] * logp[i];
 
-        num::Vec dlogits(logits.size());
+        dlogits.resize(logits.size());
         for (std::size_t i = 0; i < logits.size(); ++i) {
           // d/dz of -A*log pi:  -A * (onehot - p)
           const double onehot = i == steps[t].actions[h] ? 1.0 : 0.0;
@@ -160,11 +160,9 @@ num::Vec RlTrainer::train(const num::Vec& weights) {
           // d/dz of -beta*H:  beta * p_i * (logp_i + H)
           dlogits[i] += config_.entropy_bonus * p[i] * (logp[i] + entropy);
         }
-        num::Vec head_grad(policy.head(h).num_parameters(), 0.0);
-        policy.head(h).backward(tape, dlogits, head_grad);
-        for (std::size_t i = 0; i < head_grad.size(); ++i) {
-          grad[offsets[h] + i] += head_grad[i];
-        }
+        head.backward(tape, dlogits,
+                      std::span<double>(grad).subspan(policy.head_offset(h),
+                                                      head.num_parameters()));
       }
     }
     if (!steps.empty()) {

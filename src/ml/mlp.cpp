@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <istream>
 #include <ostream>
+#include <utility>
 
 #include "common/error.hpp"
 
@@ -33,6 +34,7 @@ Mlp::Mlp(MlpConfig config) : config_(std::move(config)) {
   for (std::size_t l = 0; l + 1 < sizes.size(); ++l) {
     weights_.emplace_back(sizes[l + 1], sizes[l], 0.0);
     biases_.emplace_back(sizes[l + 1], 0.0);
+    offsets_.push_back(num_params_);
     num_params_ += sizes[l + 1] * sizes[l] + sizes[l + 1];
   }
 }
@@ -58,22 +60,15 @@ Vec Mlp::parameters() const {
   return flat;
 }
 
-void Mlp::set_parameters(const Vec& flat) {
+void Mlp::set_parameters(std::span<const double> flat) {
   require(flat.size() == num_params_, "mlp: parameter vector size mismatch");
-  std::size_t pos = 0;
   for (std::size_t l = 0; l < weights_.size(); ++l) {
     auto& data = weights_[l].data();
-    std::copy(flat.begin() + static_cast<std::ptrdiff_t>(pos),
-              flat.begin() + static_cast<std::ptrdiff_t>(pos + data.size()),
-              data.begin());
-    pos += data.size();
-    std::copy(
-        flat.begin() + static_cast<std::ptrdiff_t>(pos),
-        flat.begin() + static_cast<std::ptrdiff_t>(pos + biases_[l].size()),
-        biases_[l].begin());
-    pos += biases_[l].size();
+    const double* block = flat.data() + offsets_[l];
+    std::copy(block, block + data.size(), data.begin());
+    block += data.size();
+    std::copy(block, block + biases_[l].size(), biases_[l].begin());
   }
-  ensure(pos == num_params_, "mlp: parameter layout inconsistency");
 }
 
 Vec Mlp::forward(const Vec& input) const {
@@ -81,50 +76,60 @@ Vec Mlp::forward(const Vec& input) const {
   return forward(input, tape);
 }
 
-Vec Mlp::forward(const Vec& input, MlpTape& tape) const {
+const Vec& Mlp::forward(const Vec& input, MlpTape& tape) const {
   require(input.size() == config_.input_dim, "mlp: input dim mismatch");
+  const std::size_t depth = weights_.size();
   tape.input = input;
-  tape.pre_activations.clear();
-  tape.post_activations.clear();
+  tape.pre_activations.resize(depth);
+  tape.post_activations.resize(depth - 1);
 
-  Vec a = input;
-  for (std::size_t l = 0; l < weights_.size(); ++l) {
-    Vec z = weights_[l].matvec(a);
-    for (std::size_t i = 0; i < z.size(); ++i) z[i] += biases_[l][i];
-    tape.pre_activations.push_back(z);
-    if (l + 1 < weights_.size()) {
-      for (double& v : z) v = v > 0.0 ? v : 0.0;  // ReLU
-      tape.post_activations.push_back(z);
-      a = std::move(z);
-    } else {
-      a = std::move(z);  // linear logits
+  for (std::size_t l = 0; l < depth; ++l) {
+    const num::Matrix& W = weights_[l];
+    const Vec& a = l == 0 ? tape.input : tape.post_activations[l - 1];
+    Vec& z = tape.pre_activations[l];
+    z.resize(W.rows());
+    // z = W a + b: each row's products summed from 0.0 in column order
+    // (Matrix::matvec's order), then the bias added.
+    const double* w = W.data().data();
+    for (std::size_t r = 0; r < W.rows(); ++r) {
+      const double* row = w + r * W.cols();
+      double s = 0.0;
+      for (std::size_t c = 0; c < W.cols(); ++c) s += row[c] * a[c];
+      z[r] = s + biases_[l][r];
+    }
+    if (l + 1 < depth) {
+      Vec& h = tape.post_activations[l];
+      h.resize(z.size());
+      for (std::size_t i = 0; i < z.size(); ++i) {
+        h[i] = z[i] > 0.0 ? z[i] : 0.0;  // ReLU
+      }
     }
   }
-  return a;
+  return tape.pre_activations.back();  // linear logits
 }
 
-Vec Mlp::backward(const MlpTape& tape, const Vec& dlogits, Vec& grad) const {
+const Vec& Mlp::backward(MlpTape& tape, const Vec& dlogits,
+                         std::span<double> grad) const {
   require(dlogits.size() == config_.output_dim, "mlp: dlogits dim mismatch");
   require(grad.size() == num_params_, "mlp: grad vector size mismatch");
-  require(tape.pre_activations.size() == weights_.size(),
-          "mlp: tape does not match network depth");
-
-  // Offsets of each layer's weight block in the flat parameter vector.
-  std::vector<std::size_t> offsets(weights_.size());
-  std::size_t pos = 0;
-  for (std::size_t l = 0; l < weights_.size(); ++l) {
-    offsets[l] = pos;
-    pos += weights_[l].rows() * weights_[l].cols() + biases_[l].size();
+  const std::size_t depth = weights_.size();
+  bool tape_fits = tape.input.size() == config_.input_dim &&
+                   tape.pre_activations.size() == depth &&
+                   tape.post_activations.size() == depth - 1;
+  for (std::size_t l = 0; tape_fits && l < depth; ++l) {
+    tape_fits = tape.pre_activations[l].size() == weights_[l].rows();
   }
+  require(tape_fits, "mlp: tape does not match the network's layers");
 
-  Vec delta = dlogits;  // dLoss/dz for the current layer
-  for (std::size_t li = weights_.size(); li-- > 0;) {
+  tape.delta = dlogits;  // dLoss/dz for the current layer
+  for (std::size_t li = depth; li-- > 0;) {
     const num::Matrix& W = weights_[li];
     const Vec& a_prev =
         li == 0 ? tape.input : tape.post_activations[li - 1];
+    const Vec& delta = tape.delta;
 
     // dW = delta outer a_prev; db = delta.
-    double* gw = grad.data() + offsets[li];
+    double* gw = grad.data() + offsets_[li];
     for (std::size_t r = 0; r < W.rows(); ++r) {
       const double dr = delta[r];
       double* grow = gw + r * W.cols();
@@ -133,17 +138,25 @@ Vec Mlp::backward(const MlpTape& tape, const Vec& dlogits, Vec& grad) const {
     double* gb = gw + W.rows() * W.cols();
     for (std::size_t r = 0; r < W.rows(); ++r) gb[r] += delta[r];
 
-    // Propagate: dLoss/da_prev = W^T delta, then through ReLU.
-    Vec da = W.matvec_transposed(delta);
+    // Propagate: dLoss/da_prev = W^T delta (Matrix::matvec_transposed's
+    // order), then through ReLU.
+    Vec& da = tape.delta_prev;
+    da.assign(W.cols(), 0.0);
+    const double* w = W.data().data();
+    for (std::size_t r = 0; r < W.rows(); ++r) {
+      const double* row = w + r * W.cols();
+      const double xr = delta[r];
+      for (std::size_t c = 0; c < W.cols(); ++c) da[c] += row[c] * xr;
+    }
     if (li > 0) {
       const Vec& z_prev = tape.pre_activations[li - 1];
       for (std::size_t i = 0; i < da.size(); ++i) {
         if (z_prev[i] <= 0.0) da[i] = 0.0;
       }
     }
-    delta = std::move(da);
+    std::swap(tape.delta, tape.delta_prev);
   }
-  return delta;  // dLoss/dinput
+  return tape.delta;  // dLoss/dinput
 }
 
 void Mlp::save(std::ostream& os) const {

@@ -13,6 +13,7 @@
 
 #include <cstddef>
 #include <iosfwd>
+#include <span>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -30,11 +31,17 @@ struct MlpConfig {
   std::size_t output_dim = 0;
 };
 
-/// Intermediate activations recorded by forward() for backward().
+/// Intermediate activations recorded by forward() for backward(), plus
+/// backward()'s scratch.  A tape reused across calls (and across
+/// networks) allocates only when a layer is wider than any it held
+/// before, so a training loop that keeps its tapes makes no per-sample
+/// heap allocations.
 struct MlpTape {
   Vec input;
   std::vector<Vec> pre_activations;   ///< z_l = W_l a_{l-1} + b_l
   std::vector<Vec> post_activations;  ///< a_l = relu(z_l) (hidden only)
+  Vec delta;                          ///< backward: dLoss/dz of a layer
+  Vec delta_prev;                     ///< backward: the layer below's
 };
 
 /// Feed-forward network with ReLU hidden layers and linear output.
@@ -56,19 +63,27 @@ class Mlp {
   /// row-major then biases, layer by layer).
   Vec parameters() const;
 
-  /// Loads parameters from a flat vector of exactly num_parameters().
-  void set_parameters(const Vec& flat);
+  /// Loads parameters from a flat block of exactly num_parameters()
+  /// values (a Vec, or one head's slice of a policy's theta).
+  void set_parameters(std::span<const double> flat);
+  void set_parameters(const Vec& flat) {
+    set_parameters(std::span<const double>(flat));
+  }
 
-  /// Forward pass returning logits.
+  /// Forward pass returning logits (through a fresh tape).
   Vec forward(const Vec& input) const;
 
-  /// Forward pass that records the tape needed for backward().
-  Vec forward(const Vec& input, MlpTape& tape) const;
+  /// Forward pass that records the tape needed for backward(); returns
+  /// the logits, which live in `tape` until its next forward().
+  const Vec& forward(const Vec& input, MlpTape& tape) const;
 
   /// Backward pass: given dLoss/dlogits, accumulates dLoss/dparams into
   /// `grad` (which must have num_parameters() entries; contents are
-  /// added to, enabling minibatch accumulation).  Returns dLoss/dinput.
-  Vec backward(const MlpTape& tape, const Vec& dlogits, Vec& grad) const;
+  /// added to, enabling minibatch accumulation — each entry receives
+  /// exactly one addition per call).  Returns dLoss/dinput, which lives
+  /// in `tape`'s scratch until its next backward().
+  const Vec& backward(MlpTape& tape, const Vec& dlogits,
+                      std::span<double> grad) const;
 
   /// Binary serialization (config + parameters).
   void save(std::ostream& os) const;
@@ -81,6 +96,7 @@ class Mlp {
   MlpConfig config_;
   std::vector<num::Matrix> weights_;  ///< one per layer
   std::vector<Vec> biases_;
+  std::vector<std::size_t> offsets_;  ///< layer l's block in the flat vector
   std::size_t num_params_ = 0;
 };
 

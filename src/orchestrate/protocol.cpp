@@ -157,6 +157,7 @@ JobManager::JobInfo JobManager::submit(const serde::CampaignPlan& plan,
   jc.provisional_path = job->provisional_path;
   jc.obs_prefix = "parmis_orch_job" + std::to_string(job->id);
   jc.job_id = job->id;
+  jc.on_progress = [this] { notify_change(); };
   job->runner = std::make_unique<JobRunner>(*job->backend, jc);
 
   Job* raw = job.get();  // map nodes are stable; jobs are never erased
@@ -171,6 +172,7 @@ JobManager::JobInfo JobManager::submit(const serde::CampaignPlan& plan,
     // trace is exactly the one worth looking at.
     if (raw->trace) finalize_observability(*raw);
     raw->finished.store(true);
+    notify_change();
   });
   PARMIS_COUNTER_ADD("parmis_orch_jobs_submitted_total", 1);
 
@@ -260,6 +262,30 @@ std::optional<JobManager::JobInfo> JobManager::info(
   auto it = jobs_.find(id);
   if (it == jobs_.end()) return std::nullopt;
   return info_locked(*it->second);
+}
+
+std::optional<JobManager::JobInfo> JobManager::wait_for_change(
+    std::uint64_t id, std::size_t chunks_done) const {
+  std::unique_lock<std::mutex> lock(mu_);
+  auto it = jobs_.find(id);
+  if (it == jobs_.end()) return std::nullopt;
+  const Job& job = *it->second;  // jobs are never erased
+  JobInfo info;
+  changed_.wait(lock, [&] {
+    info = info_locked(job);
+    const JobProgress::State state = info.progress.state;
+    return info.progress.stats.chunks_done != chunks_done ||
+           (state != JobProgress::State::Pending &&
+            state != JobProgress::State::Running);
+  });
+  return info;
+}
+
+void JobManager::notify_change() {
+  // Taking the lock orders this wake-up after any waiter's predicate
+  // check, so a change between its check and its sleep is not lost.
+  { const std::lock_guard<std::mutex> lock(mu_); }
+  changed_.notify_all();
 }
 
 bool JobManager::cancel(std::uint64_t id) {

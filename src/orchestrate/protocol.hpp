@@ -39,6 +39,7 @@
 #define PARMIS_ORCHESTRATE_PROTOCOL_HPP
 
 #include <atomic>
+#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -136,6 +137,12 @@ class JobManager {
                  const SubmitOptions& options = {});
 
   std::optional<JobInfo> info(std::uint64_t id) const;
+  /// Blocks until job `id` has settled a chunk count other than
+  /// `chunks_done` or has left Pending/Running (its final artifacts
+  /// written), then returns its info; nullopt for an unknown id.  The
+  /// job itself wakes the caller, so following a job needs no polling.
+  std::optional<JobInfo> wait_for_change(std::uint64_t id,
+                                         std::size_t chunks_done) const;
   /// True if the job existed and was still running.
   bool cancel(std::uint64_t id);
   std::vector<JobInfo> jobs() const;  ///< oldest first
@@ -174,9 +181,12 @@ class JobManager {
   /// shards (obs/distributed), folding the rollup into the live
   /// registry.  Best-effort — observability failures never fail a job.
   void finalize_observability(Job& job);
+  /// Wakes wait_for_change callers (a job's progress or state moved).
+  void notify_change();
 
   Defaults defaults_;
   mutable std::mutex mu_;
+  mutable std::condition_variable changed_;  ///< with mu_
   std::map<std::uint64_t, std::unique_ptr<Job>> jobs_;
   std::uint64_t next_id_ = 1;
   bool shut_down_ = false;

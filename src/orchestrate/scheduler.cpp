@@ -188,6 +188,7 @@ void JobRunner::worker_loop() {
       std::lock_guard<std::mutex> lock(mu_);
       export_gauges_locked();
     }
+    if (cfg_.on_progress) cfg_.on_progress();
     // After the chunk is answered, so a slow write delays no progress.
     if (outcome.ok) write_provisional();
   }

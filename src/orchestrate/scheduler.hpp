@@ -44,6 +44,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -73,6 +74,10 @@ struct JobConfig {
   /// ("job=N;chunk=K;attempt=A" details) — what lets the distributed
   /// stitcher pick this job's spans out of a shared daemon trace.
   std::uint64_t job_id = 0;
+  /// Called after each chunk attempt is answered and counted in the
+  /// lease table (outside the runner's lock), so an observer can wait
+  /// for progress instead of polling.  Empty: nothing is called.
+  std::function<void()> on_progress;
 };
 
 /// One backend chunk attempt as the scheduler saw it — the audit trail

@@ -2,6 +2,7 @@
 
 #include <istream>
 #include <ostream>
+#include <span>
 
 #include "ml/softmax.hpp"
 
@@ -17,6 +18,7 @@ MlpPolicy::MlpPolicy(const soc::DecisionSpace& space, MlpPolicyConfig config)
     mc.hidden = config_.hidden;
     mc.output_dim = static_cast<std::size_t>(card);
     heads_.emplace_back(mc);
+    offsets_.push_back(num_params_);
     num_params_ += heads_.back().num_parameters();
   }
 }
@@ -42,39 +44,35 @@ void MlpPolicy::set_parameters(const num::Vec& theta) {
                        std::to_string(num_params_) + ", got " +
                        std::to_string(theta.size()) + ")");
   }
-  std::size_t pos = 0;
-  for (auto& head : heads_) {
-    const std::size_t n = head.num_parameters();
-    head.set_parameters(num::Vec(
-        theta.begin() + static_cast<std::ptrdiff_t>(pos),
-        theta.begin() + static_cast<std::ptrdiff_t>(pos + n)));
-    pos += n;
+  for (std::size_t h = 0; h < heads_.size(); ++h) {
+    heads_[h].set_parameters(std::span<const double>(theta).subspan(
+        offsets_[h], heads_[h].num_parameters()));
   }
 }
 
 soc::DrmDecision MlpPolicy::decide(const soc::HwCounters& counters) {
   const num::Vec features = counters.to_features();
-  std::vector<int> knobs;
-  knobs.reserve(heads_.size());
-  for (const auto& head : heads_) {
-    knobs.push_back(static_cast<int>(ml::argmax(head.forward(features))));
+  knobs_.resize(heads_.size());
+  for (std::size_t h = 0; h < heads_.size(); ++h) {
+    knobs_[h] =
+        static_cast<int>(ml::argmax(heads_[h].forward(features, tape_)));
   }
-  return space_->from_knobs(knobs);
+  return space_->from_knobs(knobs_);
 }
 
 soc::DrmDecision MlpPolicy::decide_stochastic(
     const soc::HwCounters& counters, Rng& rng,
     std::vector<std::size_t>* actions_out) {
   const num::Vec features = counters.to_features();
-  std::vector<int> knobs;
-  knobs.reserve(heads_.size());
+  knobs_.resize(heads_.size());
   if (actions_out) actions_out->clear();
-  for (const auto& head : heads_) {
-    const std::size_t action = ml::sample_softmax(head.forward(features), rng);
-    knobs.push_back(static_cast<int>(action));
+  for (std::size_t h = 0; h < heads_.size(); ++h) {
+    const std::size_t action = ml::sample_softmax(
+        heads_[h].forward(features, tape_), rng, probs_);
+    knobs_[h] = static_cast<int>(action);
     if (actions_out) actions_out->push_back(action);
   }
-  return space_->from_knobs(knobs);
+  return space_->from_knobs(knobs_);
 }
 
 ml::Mlp& MlpPolicy::head(std::size_t i) {
@@ -85,6 +83,11 @@ ml::Mlp& MlpPolicy::head(std::size_t i) {
 const ml::Mlp& MlpPolicy::head(std::size_t i) const {
   require(i < heads_.size(), "mlp policy: head index out of range");
   return heads_[i];
+}
+
+std::size_t MlpPolicy::head_offset(std::size_t i) const {
+  require(i < heads_.size(), "mlp policy: head index out of range");
+  return offsets_[i];
 }
 
 num::Vec MlpPolicy::constant_decision_theta(const soc::DecisionSpace& space,
@@ -122,6 +125,7 @@ MlpPolicy MlpPolicy::load(std::istream& is, const soc::DecisionSpace& space) {
     require(loaded.config().output_dim ==
                 policy.heads_[i].config().output_dim,
             "mlp policy load: head output dimension mismatch");
+    policy.offsets_[i] = policy.num_params_;
     policy.num_params_ += loaded.num_parameters();
     policy.heads_[i] = std::move(loaded);
   }

@@ -58,6 +58,8 @@ class MlpPolicy final : public Policy {
   std::size_t num_heads() const { return heads_.size(); }
   ml::Mlp& head(std::size_t i);
   const ml::Mlp& head(std::size_t i) const;
+  /// Where head `i`'s block starts in the flattened theta.
+  std::size_t head_offset(std::size_t i) const;
 
   const soc::DecisionSpace& decision_space() const { return *space_; }
 
@@ -89,7 +91,12 @@ class MlpPolicy final : public Policy {
   const soc::DecisionSpace* space_;  // non-owning
   MlpPolicyConfig config_;
   std::vector<ml::Mlp> heads_;
+  std::vector<std::size_t> offsets_;  ///< head blocks in theta
   std::size_t num_params_ = 0;
+  // decide()/decide_stochastic() scratch, reused across calls and heads.
+  ml::MlpTape tape_;
+  num::Vec probs_;
+  std::vector<int> knobs_;
 };
 
 }  // namespace parmis::policy

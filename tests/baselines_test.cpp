@@ -2,9 +2,11 @@
 // IL (oracle + DAgger) baselines, and the DyPO-style clustered baseline.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <thread>
 
 #include "apps/benchmarks.hpp"
 #include "baselines/dypo.hpp"
@@ -280,8 +282,10 @@ TEST(Il, OracleBeatsArbitraryDecisionsPerEpoch) {
   const auto objectives = runtime::time_energy_objectives();
   const num::Vec w = {0.5, 0.5};
   Rng rng(8);
+  const std::vector<std::size_t> oracle = table.oracle_decisions(w, objectives);
+  ASSERT_EQ(oracle.size(), app.num_epochs());
   for (std::size_t e = 0; e < app.num_epochs(); ++e) {
-    const std::size_t best = table.best_decision_index(e, w, objectives);
+    const std::size_t best = oracle[e];
     const double best_cost = table.scalarized_cost(e, best, w, objectives);
     for (int probe = 0; probe < 20; ++probe) {
       const std::size_t d = rng.uniform_index(4940);
@@ -300,9 +304,9 @@ TEST(Il, ExtremeWeightsChooseExtremeConfigs) {
   const auto objectives = runtime::time_energy_objectives();
   // Pure-time oracle decisions should clock big cores high.
   const auto fast =
-      space.decision(table.best_decision_index(0, {1.0, 0.0}, objectives));
+      space.decision(table.oracle_decisions({1.0, 0.0}, objectives)[0]);
   const auto frugal =
-      space.decision(table.best_decision_index(0, {0.0, 1.0}, objectives));
+      space.decision(table.oracle_decisions({0.0, 1.0}, objectives)[0]);
   EXPECT_GT(fast.freq_level[0], frugal.freq_level[0]);
 }
 
@@ -365,13 +369,14 @@ TEST(Il, OracleFidelityChangesBeliefs) {
   // The first-order model ignores contention/straggler effects, so it
   // must disagree with the exact model on at least some decisions.
   int disagreements = 0;
-  for (std::size_t e = 0; e < app.num_epochs(); ++e) {
-    for (const double w : {0.2, 0.5, 0.8}) {
-      const num::Vec weights = {w, 1.0 - w};
-      if (exact.best_decision_index(e, weights, objectives) !=
-          first.best_decision_index(e, weights, objectives)) {
-        ++disagreements;
-      }
+  for (const double w : {0.2, 0.5, 0.8}) {
+    const num::Vec weights = {w, 1.0 - w};
+    const std::vector<std::size_t> exact_oracle =
+        exact.oracle_decisions(weights, objectives);
+    const std::vector<std::size_t> first_oracle =
+        first.oracle_decisions(weights, objectives);
+    for (std::size_t e = 0; e < app.num_epochs(); ++e) {
+      if (exact_oracle[e] != first_oracle[e]) ++disagreements;
     }
   }
   EXPECT_GT(disagreements, 0);
@@ -428,27 +433,28 @@ TEST(Il, OracleTableIsRunEpochRatiosBitForBit) {
   }
 }
 
-TEST(Il, BestDecisionIndexEqualsScanOverScalarizedCost) {
+TEST(Il, OracleDecisionsEqualScanOverScalarizedCost) {
   const soc::SocSpec spec = soc::SocSpec::exynos5422();
   soc::Platform platform(spec);
   const soc::Application app = small_app();
   const OracleTable table(platform, app);
   const auto objectives = runtime::time_energy_objectives();
   for (const num::Vec& w : argmin_weights()) {
+    const std::vector<std::size_t> oracle =
+        table.oracle_decisions(w, objectives);
     for (std::size_t e = 0; e < app.num_epochs(); ++e) {
-      EXPECT_EQ(table.best_decision_index(e, w, objectives),
-                scan_best(table, {e}, w, objectives))
+      EXPECT_EQ(oracle[e], scan_best(table, {e}, w, objectives))
           << "epoch " << e << ", weights " << w[0] << "/" << w[1];
     }
   }
-  EXPECT_EQ(table.best_decision_index(0, {0.0, 0.0}, objectives), 0u);
+  EXPECT_EQ(table.oracle_decisions({0.0, 0.0}, objectives)[0], 0u);
 
   // A tie the model itself makes: a hot-plugged cluster draws nothing
   // at any level, so the most frugal decision (big cluster off) ties
   // across the big cluster's levels.  The lowest index must win.
   const num::Vec energy_only = {0.0, 1.0};
   const std::size_t best =
-      table.best_decision_index(0, energy_only, objectives);
+      table.oracle_decisions(energy_only, objectives)[0];
   const double best_cost =
       table.scalarized_cost(0, best, energy_only, objectives);
   EXPECT_EQ(platform.decision_space().decision(best).active_cores[0], 0);
@@ -461,6 +467,68 @@ TEST(Il, BestDecisionIndexEqualsScanOverScalarizedCost) {
     }
   }
   EXPECT_GT(tied, 1u);
+}
+
+TEST(Il, RememberedArgminsEqualScanFirstRepeatedAndConcurrent) {
+  // The table remembers each answered argmin; a remembered answer must
+  // be the plain scan's, on the first call, on a repeated call, and when
+  // 4 threads ask for the same keys at once (the tsan leg runs this).
+  const soc::SocSpec spec = soc::SocSpec::exynos5422();
+  soc::Platform platform(spec);
+  const soc::Application app = small_app();
+  const auto objectives = runtime::time_energy_objectives();
+  const std::vector<std::size_t> members = {3, 0, 7, 7, 11};
+  const std::vector<num::Vec>& weights = argmin_weights();
+
+  const OracleTable reference(platform, app);
+  std::vector<std::vector<std::size_t>> want_oracle;
+  std::vector<std::size_t> want_span;
+  for (const num::Vec& w : weights) {
+    std::vector<std::size_t> per_epoch;
+    for (std::size_t e = 0; e < app.num_epochs(); ++e) {
+      per_epoch.push_back(scan_best(reference, {e}, w, objectives));
+    }
+    want_oracle.push_back(per_epoch);
+    want_span.push_back(scan_best(reference, members, w, objectives));
+  }
+
+  for (int call = 0; call < 2; ++call) {
+    SCOPED_TRACE(call == 0 ? "first call" : "repeated call");
+    for (std::size_t i = 0; i < weights.size(); ++i) {
+      EXPECT_EQ(reference.oracle_decisions(weights[i], objectives),
+                want_oracle[i]);
+      EXPECT_EQ(reference.best_decision_index(members, weights[i],
+                                              objectives),
+                want_span[i]);
+    }
+  }
+  // The epoch order is part of a summed query's key.
+  const std::vector<std::size_t> reordered = {0, 3, 7, 7, 11};
+  EXPECT_EQ(reference.best_decision_index(reordered, weights[2], objectives),
+            scan_best(reference, reordered, weights[2], objectives));
+
+  const OracleTable shared(platform, app);
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < 4; ++t) {
+    threads.emplace_back([&, t] {
+      for (int call = 0; call < 2; ++call) {
+        for (std::size_t k = 0; k < weights.size(); ++k) {
+          const std::size_t i = (k + t) % weights.size();
+          if (shared.oracle_decisions(weights[i], objectives) !=
+              want_oracle[i]) {
+            ++mismatches;
+          }
+          if (shared.best_decision_index(members, weights[i], objectives) !=
+              want_span[i]) {
+            ++mismatches;
+          }
+        }
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  EXPECT_EQ(mismatches.load(), 0);
 }
 
 // --------------------------------------------------------------- tabular q

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <span>
 #include <sstream>
 
 #include "common/error.hpp"
@@ -196,6 +198,71 @@ TEST(Mlp, BackwardRejectsMismatchedTapeAndSizes) {
   Mlp deeper({.input_dim = 2, .hidden = {3, 3}, .output_dim = 2});
   Vec grad2(deeper.num_parameters(), 0.0);
   EXPECT_THROW(deeper.backward(tape, {1.0, 0.0}, grad2), Error);
+  // Same depth, other widths: the tape's layers do not fit this net.
+  Mlp wider({.input_dim = 2, .hidden = {5}, .output_dim = 2});
+  Vec grad3(wider.num_parameters(), 0.0);
+  EXPECT_THROW(wider.backward(tape, {1.0, 0.0}, grad3), Error);
+}
+
+bool same_bits(const Vec& a, const Vec& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+TEST(Mlp, ReusedTapeMatchesFreshTapeBitForBit) {
+  // One tape carried across inputs and across heads of other widths
+  // (as the IL/RL training loops and MlpPolicy::decide use it) gives
+  // the logits, input gradient and parameter gradient of a fresh tape.
+  Rng rng(10);
+  std::vector<Mlp> heads;
+  for (std::size_t out : {5u, 19u, 4u, 13u}) {
+    heads.emplace_back(
+        MlpConfig{.input_dim = 9, .hidden = {4, 4}, .output_dim = out});
+    heads.back().init_xavier(rng);
+  }
+  MlpTape reused;
+  Vec dlogits;
+  for (int sample = 0; sample < 6; ++sample) {
+    Vec x(9);
+    for (double& v : x) v = rng.uniform(-2.0, 2.0);
+    for (std::size_t h = 0; h < heads.size(); ++h) {
+      SCOPED_TRACE("sample " + std::to_string(sample) + ", head " +
+                   std::to_string(h));
+      const Mlp& net = heads[h];
+      const std::size_t label = static_cast<std::size_t>(sample) %
+                                net.config().output_dim;
+      MlpTape fresh;
+      const Vec fresh_logits = net.forward(x, fresh);
+      const auto ce = cross_entropy(fresh_logits, label);
+      Vec fresh_grad(net.num_parameters(), 0.0);
+      const Vec fresh_dx = net.backward(fresh, ce.dlogits, fresh_grad);
+
+      const Vec& logits = net.forward(x, reused);
+      EXPECT_TRUE(same_bits(logits, fresh_logits));
+      EXPECT_TRUE(same_bits(logits, net.forward(x)));
+      EXPECT_EQ(cross_entropy(logits, label, dlogits), ce.loss);
+      EXPECT_TRUE(same_bits(dlogits, ce.dlogits));
+      Vec grad(net.num_parameters(), 0.0);
+      const Vec& dx = net.backward(reused, dlogits, grad);
+      EXPECT_TRUE(same_bits(dx, fresh_dx));
+      EXPECT_TRUE(same_bits(grad, fresh_grad));
+    }
+  }
+}
+
+TEST(Mlp, SetParametersFromBlockEqualsVecForm) {
+  // A head's slice of a longer theta loads exactly like a Vec copy.
+  Rng rng(11);
+  Mlp net({.input_dim = 9, .hidden = {4, 4}, .output_dim = 13});
+  Vec theta(net.num_parameters() + 7);
+  for (double& v : theta) v = rng.uniform(-1.0, 1.0);
+  const std::span<const double> block =
+      std::span<const double>(theta).subspan(3, net.num_parameters());
+  Mlp from_vec({.input_dim = 9, .hidden = {4, 4}, .output_dim = 13});
+  from_vec.set_parameters(Vec(block.begin(), block.end()));
+  net.set_parameters(block);
+  EXPECT_TRUE(same_bits(net.parameters(), from_vec.parameters()));
+  EXPECT_THROW(net.set_parameters(block.first(block.size() - 1)), Error);
 }
 
 // ---------------------------------------------------------------- softmax

@@ -28,6 +28,8 @@
 #include <thread>
 #include <vector>
 
+#include <unistd.h>
+
 #include "cache/result_cache.hpp"
 #include "common/error.hpp"
 #include "common/fs.hpp"
@@ -51,11 +53,14 @@ namespace parmis::orchestrate {
 namespace {
 
 /// A fresh empty directory: one left by an earlier run of the suite
-/// is removed first, so a cache dir never starts warm.
+/// is removed first, so a cache dir never starts warm.  The process id
+/// is part of the name, so two suites run side by side (say a tsan and
+/// a plain build) never share a directory.
 std::string temp_dir(const std::string& tag) {
   static std::atomic<int> counter{0};
   const std::string dir = ::testing::TempDir() + "parmis_orch_" + tag +
-                          "_" + std::to_string(counter.fetch_add(1));
+                          "_" + std::to_string(::getpid()) + "_" +
+                          std::to_string(counter.fetch_add(1));
   std::filesystem::remove_all(dir);
   make_directories(dir);
   return dir;
@@ -1025,6 +1030,37 @@ TEST(Orchestrate, SessionSubmitStatusResultsLifecycle) {
   const serve::LineOutcome outcome =
       session.handle_line(json::dump_compact(quit));
   EXPECT_TRUE(outcome.quit);
+}
+
+TEST(Orchestrate, WaitForChangeWakesOnEachSettledChunkAndOnTheEnd) {
+  // What campaign-launch follows a job with: each return carries a new
+  // chunks-done count or a settled job whose final report exists; an
+  // unchanged running job never wakes the caller.
+  JobManager manager(inprocess_defaults(temp_dir("wait_for_change")));
+  EXPECT_FALSE(manager.wait_for_change(99, 0).has_value());
+  JobManager::SubmitOptions options;
+  options.chunks = 3;
+  const std::uint64_t job = manager.submit(small_plan(), options).id;
+  std::vector<std::size_t> seen;
+  std::size_t last_done = static_cast<std::size_t>(-1);
+  for (;;) {
+    const std::optional<JobManager::JobInfo> info =
+        manager.wait_for_change(job, last_done);
+    ASSERT_TRUE(info.has_value());
+    const JobProgress::State state = info->progress.state;
+    const bool settled = state != JobProgress::State::Pending &&
+                         state != JobProgress::State::Running;
+    ASSERT_TRUE(settled || info->progress.stats.chunks_done != last_done);
+    last_done = info->progress.stats.chunks_done;
+    seen.push_back(last_done);
+    if (settled) {
+      EXPECT_EQ(state, JobProgress::State::Done) << info->progress.error;
+      EXPECT_TRUE(read_file(info->final_path).has_value());
+      break;
+    }
+  }
+  EXPECT_TRUE(std::is_sorted(seen.begin(), seen.end()));
+  EXPECT_EQ(seen.back(), 3u);
 }
 
 TEST(Orchestrate, SessionRejectsBadRequestsWithoutDying) {

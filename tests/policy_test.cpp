@@ -83,6 +83,29 @@ TEST_F(PolicyTest, ThetaRoundTripAndDecisionEquality) {
   EXPECT_THROW(b.set_parameters(num::Vec(3, 0.0)), Error);
 }
 
+TEST_F(PolicyTest, ReusedScratchDecidesLikeAFreshPolicy) {
+  // One policy whose decide scratch and heads are reused across thetas
+  // and counters decides exactly like a freshly built one, and its
+  // stochastic draws consume the same random numbers.
+  Rng rng(6);
+  MlpPolicy reused(space_);
+  for (int trial = 0; trial < 20; ++trial) {
+    num::Vec theta(reused.num_parameters());
+    for (auto& v : theta) v = rng.uniform(-3.0, 3.0);
+    reused.set_parameters(theta);
+    MlpPolicy fresh(space_);
+    fresh.set_parameters(theta);
+    const auto c = counters_with_load(rng.uniform(0.0, 1.0));
+    EXPECT_EQ(reused.decide(c), fresh.decide(c));
+    Rng draw_a(100 + trial), draw_b(100 + trial);
+    std::vector<std::size_t> actions_a, actions_b;
+    EXPECT_EQ(reused.decide_stochastic(c, draw_a, &actions_a),
+              MlpPolicy(fresh).decide_stochastic(c, draw_b, &actions_b));
+    EXPECT_EQ(actions_a, actions_b);
+    EXPECT_EQ(draw_a.next_u64(), draw_b.next_u64());
+  }
+}
+
 TEST_F(PolicyTest, DecisionsAreValidForRandomParameters) {
   Rng rng(2);
   MlpPolicy p(space_);
