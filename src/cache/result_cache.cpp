@@ -2,6 +2,7 @@
 
 #include <bit>
 #include <chrono>
+#include <cstring>
 #include <filesystem>
 #include <string_view>
 #include <utility>
@@ -16,28 +17,57 @@ namespace parmis::cache {
 
 namespace {
 
-// The entry-format version: v3 digests the payload with fnv1a64_words
-// (v2 used bytewise fnv1a64 over the same payload bytes).  An entry of
-// another version is corrupt to this reader and re-run in place.
-constexpr const char* kEntryMagic = "parmis-cell-cache v3\n";
+// The entry-format version: v4 stores each f64 array as one raw
+// little-endian block (v3 wrote one `f=<16 hex>` field per double; v2
+// also digested bytewise).  An entry of another version is corrupt to
+// this reader and re-run in place.
+constexpr const char* kEntryMagic = "parmis-cell-cache v4\n";
 constexpr const char* kEntrySuffix = ".cell";
 
 // ------------------------------------------------------- serialization
 // Entry payloads use the shared canonical emitters (common/canonical.hpp)
-// — the same encoding scenario::canonical_serialize keys on.
+// — the same encoding scenario::canonical_serialize keys on — plus one
+// of their own for f64 arrays.
 
 using canonical::put_f64;
 using canonical::put_str;
 using canonical::put_u64;
 
+/// `tag=<count>:<8·count bytes>\n`: the IEEE-754 bit patterns of
+/// `values`, each little-endian on any host, so an entry reads back
+/// bit for bit on every platform.
+void put_f64_block(std::string& out, const char* tag, const num::Vec& values) {
+  out += tag;
+  out += '=';
+  out += std::to_string(values.size());
+  out += ':';
+  const std::size_t at = out.size();
+  out.resize(at + 8 * values.size());
+  char* block = out.data() + at;
+  if constexpr (std::endian::native == std::endian::little) {
+    if (!values.empty()) std::memcpy(block, values.data(), 8 * values.size());
+  } else {
+    for (double v : values) {
+      std::uint64_t bits = std::bit_cast<std::uint64_t>(v);
+      for (int b = 0; b < 8; ++b, bits >>= 8) {
+        *block++ = static_cast<char>(bits & 0xFF);
+      }
+    }
+  }
+  out += '\n';
+}
+
 /// Appends `cell`'s payload under `key` to `out`.
 void append_payload(std::string& out, const CellKey& key,
                     const exec::CellResult& cell) {
-  // Doubles dominate an entry: each is `f=<16 hex>\n`, 19 bytes.
-  std::size_t doubles = cell.best_raw.size() + 2;
+  // Doubles dominate an entry: 8 bytes each, plus a tag and count per
+  // array.
+  const std::size_t arrays = cell.front.size() + cell.pareto_thetas.size() + 1;
+  std::size_t doubles = cell.best_raw.size();
   for (const auto& point : cell.front) doubles += point.size();
   for (const auto& theta : cell.pareto_thetas) doubles += theta.size();
-  out.reserve(out.size() + 19 * doubles + 512 + cell.error.size());
+  out.reserve(out.size() + 8 * doubles + 32 * arrays + 512 +
+              cell.error.size());
   put_str(out, "key", key.hex());
   put_str(out, "scenario", cell.scenario);
   put_str(out, "platform", cell.platform);
@@ -48,21 +78,16 @@ void append_payload(std::string& out, const CellKey& key,
   put_u64(out, "objective_names", cell.objective_names.size());
   for (const auto& name : cell.objective_names) put_str(out, "name", name);
   put_u64(out, "front", cell.front.size());
-  for (const auto& point : cell.front) {
-    put_u64(out, "point", point.size());
-    for (double v : point) put_f64(out, "f", v);
-  }
+  for (const auto& point : cell.front) put_f64_block(out, "point", point);
   put_u64(out, "pareto_thetas", cell.pareto_thetas.size());
   for (const auto& theta : cell.pareto_thetas) {
-    put_u64(out, "theta", theta.size());
-    for (double v : theta) put_f64(out, "f", v);
+    put_f64_block(out, "theta", theta);
   }
   // CellResult::phv is deliberately NOT stored: it is assigned at
   // campaign aggregation time against a reference point shared across
   // that run's cells, so a per-cell cached value would be meaningless
   // out of context (and is always recomputed on replay anyway).
-  put_u64(out, "best_raw", cell.best_raw.size());
-  for (double v : cell.best_raw) put_f64(out, "f", v);
+  put_f64_block(out, "best_raw", cell.best_raw);
   put_f64(out, "wall_s", cell.wall_s);
   put_f64(out, "overhead_us", cell.decision_overhead_us);
   put_str(out, "error", cell.error);
@@ -133,8 +158,35 @@ struct Cursor {
     return true;
   }
 
+  /// put_f64_block's field: the count, then exactly 8·count bytes
+  /// (checked against the bytes left, so no count can overflow it)
+  /// and the newline.
+  bool read_f64_block(std::string_view tag, num::Vec& out) {
+    std::uint64_t count = 0;
+    if (!expect_tag(tag) || !read_decimal(count) || !expect(":") ||
+        count > (text.size() - pos) / 8) {
+      return false;
+    }
+    out.resize(count);
+    const char* block = text.data() + pos;
+    if constexpr (std::endian::native == std::endian::little) {
+      if (count != 0) std::memcpy(out.data(), block, 8 * count);
+    } else {
+      for (double& v : out) {
+        std::uint64_t bits = 0;
+        for (int b = 7; b >= 0; --b) {
+          bits = (bits << 8) | static_cast<unsigned char>(block[b]);
+        }
+        v = std::bit_cast<double>(bits);
+        block += 8;
+      }
+    }
+    pos += 8 * count;
+    return expect("\n");
+  }
+
   /// `tag=<16 hex digits>\n`, the digits decoded a word at a time
-  /// (parse_hex64): entries are mostly doubles.
+  /// (parse_hex64).
   bool read_f64(std::string_view tag, double& out) {
     if (!expect_tag(tag) || text.size() - pos < 17 || text[pos + 16] != '\n') {
       return false;
@@ -177,37 +229,17 @@ std::optional<exec::CellResult> parse_payload(std::string_view payload,
   }
   cell.front.resize(count);
   for (auto& point : cell.front) {
-    std::uint64_t dim = 0;
-    if (!cur.read_u64("point", dim) || dim > payload.size()) {
-      return std::nullopt;
-    }
-    point.resize(dim);
-    for (double& v : point) {
-      if (!cur.read_f64("f", v)) return std::nullopt;
-    }
+    if (!cur.read_f64_block("point", point)) return std::nullopt;
   }
   if (!cur.read_u64("pareto_thetas", count) || count > payload.size()) {
     return std::nullopt;
   }
   cell.pareto_thetas.resize(count);
   for (auto& theta : cell.pareto_thetas) {
-    std::uint64_t dim = 0;
-    if (!cur.read_u64("theta", dim) || dim > payload.size()) {
-      return std::nullopt;
-    }
-    theta.resize(dim);
-    for (double& v : theta) {
-      if (!cur.read_f64("f", v)) return std::nullopt;
-    }
+    if (!cur.read_f64_block("theta", theta)) return std::nullopt;
   }
-  if (!cur.read_u64("best_raw", count) || count > payload.size()) {
-    return std::nullopt;
-  }
-  cell.best_raw.resize(count);
-  for (double& v : cell.best_raw) {
-    if (!cur.read_f64("f", v)) return std::nullopt;
-  }
-  if (!cur.read_f64("wall_s", cell.wall_s) ||
+  if (!cur.read_f64_block("best_raw", cell.best_raw) ||
+      !cur.read_f64("wall_s", cell.wall_s) ||
       !cur.read_f64("overhead_us", cell.decision_overhead_us) ||
       !cur.read_str("error", cell.error)) {
     return std::nullopt;
@@ -259,10 +291,21 @@ CellKey cell_key(const scenario::ScenarioSpec& spec,
 CellKey cell_key(const std::string& canonical_spec, const std::string& method,
                  std::uint64_t seed, std::size_t anchor_limit,
                  const std::string& method_config) {
+  return cell_key(cell_key_prefix(canonical_spec), method, seed, anchor_limit,
+                  method_config);
+}
+
+Hash128State cell_key_prefix(const std::string& canonical_spec) {
   std::string bytes;
-  bytes.reserve(2048);
   put_u64(bytes, "cache_schema_version", kCacheSchemaVersion);
   put_str(bytes, "spec", canonical_spec);
+  return Hash128State().update(bytes);
+}
+
+CellKey cell_key(const Hash128State& prefix, const std::string& method,
+                 std::uint64_t seed, std::size_t anchor_limit,
+                 const std::string& method_config) {
+  std::string bytes;
   put_str(bytes, "method", method);
   put_u64(bytes, "seed", seed);
   put_u64(bytes, "anchor_limit", anchor_limit);
@@ -272,7 +315,7 @@ CellKey cell_key(const std::string& canonical_spec, const std::string& method,
   if (!method_config.empty()) {
     put_str(bytes, "method_config", method_config);
   }
-  return CellKey{hash128(bytes)};
+  return CellKey{Hash128State(prefix).update(bytes).finish()};
 }
 
 ResultCache::ResultCache(std::string dir) : dir_(std::move(dir)) {

@@ -14,14 +14,19 @@
 //     the evaluator's semantics, the spec serialization, or the set of
 //     fields an entry must carry.
 //   - The entry-format version is the entry's first line
-//     (`parmis-cell-cache v3`).  It changes when only the encoding of
+//     (`parmis-cell-cache v4`).  It changes when only the encoding of
 //     the same fields changes, so keys stay put: an entry of another
 //     format is counted corrupt, its cell re-runs, and the store
-//     renames a current-format entry over the same file.
+//     renames a current-format entry over the same file.  No older
+//     format has a reader.
 //
 // An entry is the magic line, `digest=<16 hex>` over the payload
-// (fnv1a64_words, format v3; bytewise fnv1a64 was v2), then the
-// payload: tagged canonical fields (common/canonical.hpp).
+// (fnv1a64_words since v3; bytewise fnv1a64 was v2), then the payload:
+// tagged canonical fields (common/canonical.hpp).  Since v4 each f64
+// array (a front point, a theta, best_raw) is one field
+// `tag=<count>:<8·count bytes>\n` holding the IEEE-754 bit patterns in
+// little-endian order (v3 wrote one `f=<16 hex>\n` field per double);
+// the scalar doubles wall_s and overhead_us stay 16 hex digits.
 //
 // Storage is one file per entry, named by the key's hex digits, written
 // via write-to-temp + atomic rename so concurrent CampaignRunners (or
@@ -81,9 +86,21 @@ CellKey cell_key(const scenario::ScenarioSpec& spec,
                  const std::string& method_config = {});
 
 /// The same key from `canonical_spec`, the spec's
-/// scenario::canonical_serialize text, for callers that key many cells
-/// of one scenario and serialize it once.
+/// scenario::canonical_serialize text.
 CellKey cell_key(const std::string& canonical_spec, const std::string& method,
+                 std::uint64_t seed, std::size_t anchor_limit,
+                 const std::string& method_config = {});
+
+/// The hash128 state after a key's scenario-wide prefix
+/// (kCacheSchemaVersion and `canonical_spec`), for callers that key many
+/// cells of one scenario: they hash the scenario's text once, then only
+/// each cell's suffix through the overload below.
+Hash128State cell_key_prefix(const std::string& canonical_spec);
+
+/// The same key from its scenario's cell_key_prefix; only the method,
+/// seed, anchor limit and method config are hashed here.  The other
+/// overloads run through this one, so every key comes from one path.
+CellKey cell_key(const Hash128State& prefix, const std::string& method,
                  std::uint64_t seed, std::size_t anchor_limit,
                  const std::string& method_config = {});
 

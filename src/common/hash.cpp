@@ -89,23 +89,32 @@ std::uint64_t fnv1a64_words(std::string_view bytes, std::uint64_t seed) {
   return fnv1a64(p, n, h);
 }
 
-Hash128 hash128(const void* data, std::size_t size) {
-  // Two lanes with distinct bases; the second base is the standard FNV
-  // offset basis scrambled once, so the lanes never start correlated.
-  // Both run in one pass: two independent multiply chains overlap, so
-  // this costs about what one lane alone did.
+Hash128State& Hash128State::update(const void* data, std::size_t size) {
+  // Both lanes run in one pass: two independent multiply chains
+  // overlap, so this costs about what one lane alone did.
   const unsigned char* bytes = static_cast<const unsigned char*>(data);
-  std::uint64_t a = kFnvOffsetBasis;
-  std::uint64_t b = 0x6C62272E07BB0142ULL;
+  std::uint64_t a = a_;
+  std::uint64_t b = b_;
   for (std::size_t i = 0; i < size; ++i) {
     a = (a ^ bytes[i]) * kFnvPrime;
     b = (b ^ bytes[i]) * kFnvPrime;
   }
+  a_ = a;
+  b_ = b;
+  size_ += size;
+  return *this;
+}
+
+Hash128 Hash128State::finish() const {
   // FNV mixes low bits weakly; finalize through splitmix64 so every
   // output bit depends on every input byte.
-  std::uint64_t sa = a ^ (size * kFnvPrime);
-  std::uint64_t sb = b ^ size;
+  std::uint64_t sa = a_ ^ (size_ * kFnvPrime);
+  std::uint64_t sb = b_ ^ size_;
   return {splitmix64(sa), splitmix64(sb)};
+}
+
+Hash128 hash128(const void* data, std::size_t size) {
+  return Hash128State().update(data, size).finish();
 }
 
 Hash128 hash128(const std::string& s) { return hash128(s.data(), s.size()); }

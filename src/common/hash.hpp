@@ -51,7 +51,30 @@ std::uint64_t fnv1a64(const std::string& s,
 std::uint64_t fnv1a64_words(std::string_view bytes,
                             std::uint64_t seed = kFnvOffsetBasis);
 
-/// One-pass 128-bit fingerprint of a byte buffer.
+/// hash128's running state: its two lanes and the byte count so far.
+/// Feeding a buffer in pieces gives the same fingerprint as feeding it
+/// whole, so a state can be saved after a shared prefix (a cell key's
+/// scenario text) and resumed once per suffix.
+class Hash128State {
+ public:
+  /// Mixes `size` more bytes starting at `data` into the lanes.
+  Hash128State& update(const void* data, std::size_t size);
+  Hash128State& update(std::string_view bytes) {
+    return update(bytes.data(), bytes.size());
+  }
+  /// The fingerprint of every byte fed so far; the state is unchanged.
+  Hash128 finish() const;
+
+ private:
+  // Two lanes with distinct bases; the second base is the standard FNV
+  // offset basis scrambled once, so the lanes never start correlated.
+  std::uint64_t a_ = kFnvOffsetBasis;
+  std::uint64_t b_ = 0x6C62272E07BB0142ULL;
+  std::uint64_t size_ = 0;
+};
+
+/// One-pass 128-bit fingerprint of a byte buffer:
+/// Hash128State().update(data, size).finish().
 Hash128 hash128(const void* data, std::size_t size);
 Hash128 hash128(const std::string& s);
 

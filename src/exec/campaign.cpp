@@ -244,9 +244,13 @@ CampaignRunner::CampaignRunner(CampaignConfig config)
   require(config_.shard.count >= 1 &&
               config_.shard.index < config_.shard.count,
           "campaign: shard index must be in [0, shard count)");
+  // Each scenario's text is serialized once, and its cache-key prefix
+  // hashed once: a cell key then hashes only its own suffix.
+  std::vector<Hash128State> key_prefixes;
   for (const auto& s : config_.scenarios) {
     s.validate();
     canonical_specs_.push_back(scenario::canonical_serialize(s));
+    key_prefixes.push_back(cache::cell_key_prefix(canonical_specs_.back()));
   }
   // Misconfigured method entries (knobless method, foreign config
   // type) must fail before any cell runs — with a cache enabled, key
@@ -280,7 +284,7 @@ CampaignRunner::CampaignRunner(CampaignConfig config)
         const std::uint64_t seed =
             config_.base_seed + static_cast<std::uint64_t>(s);
         cells_.push_back({i, method, seed});
-        keys_.push_back(cache::cell_key(canonical_specs_[i], method, seed,
+        keys_.push_back(cache::cell_key(key_prefixes[i], method, seed,
                                         config_.anchor_limit, method_config));
       }
     }

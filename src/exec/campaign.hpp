@@ -235,8 +235,8 @@ class CampaignRunner {
                                  nullptr);
 
   /// Cache content address of each cell of this shard, in cell order:
-  /// cache::cell_key of the cell, from each scenario's canonical text
-  /// serialized once by the constructor.
+  /// cache::cell_key of the cell, from each scenario's
+  /// cache::cell_key_prefix hashed once by the constructor.
   const std::vector<cache::CellKey>& cell_keys() const { return keys_; }
 
   /// With a cache configured: (cells already cached, total cells) —

@@ -11,7 +11,6 @@
 #include "obs/obs.hpp"
 #include "obs/trace.hpp"
 #include "orchestrate/subprocess.hpp"
-#include "report/report_json.hpp"
 #include "serde/json_util.hpp"
 #include "serve/envelope.hpp"
 
@@ -155,6 +154,7 @@ JobManager::JobInfo JobManager::submit(const serde::CampaignPlan& plan,
   jc.chunks = chunks;
   jc.max_attempts = max_attempts;
   jc.provisional_path = job->provisional_path;
+  jc.final_path = job->final_path;
   jc.obs_prefix = "parmis_orch_job" + std::to_string(job->id);
   jc.job_id = job->id;
   jc.on_progress = [this] { notify_change(); };
@@ -163,8 +163,7 @@ JobManager::JobInfo JobManager::submit(const serde::CampaignPlan& plan,
   Job* raw = job.get();  // map nodes are stable; jobs are never erased
   job->thread = std::thread([this, raw] {
     try {
-      exec::CampaignReport report = raw->runner->run();
-      report::save_report(raw->final_path, report);
+      (void)raw->runner->run();  // writes final.json
     } catch (const std::exception&) {
       // Failure/cancellation details live in the runner's progress().
     }
@@ -238,9 +237,10 @@ JobManager::JobInfo JobManager::info_locked(const Job& job) const {
   info.id = job.id;
   info.tag = job.tag;
   info.progress = job.runner->progress();
-  // The runner settles before the job thread writes final.json and the
-  // observability artifacts.  Until it has, the job reads as running,
-  // so a settled job's status and results only name files that exist.
+  // The runner writes final.json before it settles, and the job thread
+  // writes the observability artifacts after.  Until they are written
+  // the job reads as running, so a settled job's status and results
+  // only name files that exist.
   if (!job.finished.load() &&
       info.progress.state != JobProgress::State::Pending) {
     info.progress.state = JobProgress::State::Running;

@@ -1,10 +1,13 @@
 #include "orchestrate/scheduler.hpp"
 
+#include <algorithm>
+#include <sstream>
 #include <thread>
 #include <utility>
 #include <vector>
 
 #include "common/error.hpp"
+#include "common/fs.hpp"
 #include "common/log.hpp"
 #include "common/stopwatch.hpp"
 #include "obs/metrics.hpp"
@@ -95,7 +98,10 @@ void JobRunner::write_provisional() {
   // The writer in flight re-checks for a newer state when it is done.
   if (provisional_writing_) return;
   provisional_writing_ = true;
-  while (provisional_written_ < provisional_merges_) {
+  // A complete tiling is run()'s to write, from the final report's
+  // bytes (see write_final).
+  while (provisional_written_ < provisional_merges_ &&
+         provisional_merges_ < slots_.size()) {
     const std::uint64_t state = provisional_merges_;
     bool written = false;
     try {
@@ -118,6 +124,45 @@ void JobRunner::write_provisional() {
     PARMIS_COUNTER_ADD("parmis_orch_provisional_writes_total", 1);
   }
   provisional_writing_ = false;
+}
+
+std::optional<exec::CampaignReport> JobRunner::write_final(bool done) {
+  // Every worker has returned: the slots no longer change, and no
+  // provisional write is in flight.
+  const bool complete =
+      std::all_of(slots_.begin(), slots_.end(),
+                  [](const StoredReport& slot) { return slot != nullptr; });
+  if (!complete) {
+    write_provisional();  // writes the last state only if its write failed
+    return std::nullopt;
+  }
+  // One strict merge and one serialization: the same bytes are the last
+  // provisional state and the final report.
+  exec::CampaignReport merged = merge_stored(slots_, /*strict=*/true);
+  std::ostringstream os;
+  report::write_report(os, merged);
+  const std::string bytes = os.str();
+  if (!cfg_.provisional_path.empty()) {
+    bool written = false;
+    try {
+      atomic_write_file(cfg_.provisional_path, bytes);
+      written = true;
+    } catch (const std::exception& e) {
+      Log(LogLevel::Warn) << "orchestrate: job " << cfg_.job_id
+                          << ": provisional write failed: " << e.what();
+      PARMIS_COUNTER_ADD("parmis_orch_provisional_write_failures_total", 1);
+    }
+    if (written) {
+      std::lock_guard<std::mutex> lock(mu_);
+      provisional_written_ = provisional_merges_;
+      ++provisional_writes_;
+      PARMIS_COUNTER_ADD("parmis_orch_provisional_writes_total", 1);
+    }
+  }
+  if (done && !cfg_.final_path.empty()) {
+    atomic_write_file(cfg_.final_path, bytes);
+  }
+  return merged;
 }
 
 std::vector<JobRunner::StoredReport> JobRunner::stored_locked() const {
@@ -221,9 +266,14 @@ exec::CampaignReport JobRunner::run() {
   }
   for (auto& t : pool) t.join();
   PARMIS_GAUGE_SET("parmis_orch_workers_active", 0);
-  // Every worker has returned, so no write is in flight; this writes
-  // the final state only if the last write attempt failed.
-  write_provisional();
+  std::optional<exec::CampaignReport> merged;
+  std::string write_error;
+  try {
+    merged = write_final(!spawn_error.has_value() && !table_.cancelled() &&
+                         !table_.failed());
+  } catch (const std::exception& e) {
+    write_error = e.what();
+  }
 
   std::lock_guard<std::mutex> lock(mu_);
   wall_s_ = clock.seconds();
@@ -245,15 +295,18 @@ exec::CampaignReport JobRunner::run() {
     export_gauges_locked();
     require(false, "orchestrate: job failed: " + error_);
   }
-  for (const auto& slot : slots_) {
-    require(slot != nullptr,
-            "orchestrate: internal error: job drained without a complete "
-            "tiling");
+  if (!write_error.empty()) {
+    state_ = JobProgress::State::Failed;
+    error_ = "cannot write the final report: " + write_error;
+    export_gauges_locked();
+    require(false, "orchestrate: job failed: " + error_);
   }
-  exec::CampaignReport merged = merge_stored(slots_, /*strict=*/true);
+  require(merged.has_value(),
+          "orchestrate: internal error: job drained without a complete "
+          "tiling");
   state_ = JobProgress::State::Done;
   export_gauges_locked();
-  return merged;
+  return std::move(*merged);
 }
 
 void JobRunner::cancel() {

@@ -12,7 +12,8 @@
 // `partial` straight off the slots (the objectives digest excludes
 // PHV), and a merged report is built from the slots only when one is
 // needed — each write of `provisional_path`, provisional(), and run()'s
-// result, which is one strict report::merge of every slot.  That
+// result, which is one strict report::merge of every slot, serialized
+// once for both the last provisional state and `final_path`.  That
 // result is bit-identical to a single-process unsharded run regardless
 // of worker count, grant order, retries, or killed workers (the
 // headline guarantee; see lease.hpp for why the schedule cannot
@@ -23,8 +24,9 @@
 // the writer, and merges and writes the stored slots until the file
 // holds the newest state; a chunk stored meanwhile only marks that
 // state newer, so at most one write is in flight and a burst of fast
-// chunks costs a few writes, not one each.  run() writes the final
-// state before it returns.  A write that fails is dropped (counted in
+// chunks costs a few writes, not one each.  A complete tiling is left
+// to run(): it writes the final state, the strict merge's bytes, before
+// it returns.  A write that fails is dropped (counted in
 // parmis_orch_provisional_write_failures_total): the chunk stays
 // stored and its attempt succeeds, and the next stored chunk, or run()
 // at the end, writes the newer state.
@@ -66,6 +68,9 @@ struct JobConfig {
   /// once more with the final state, so observers can load a
   /// digest-verified snapshot of the campaign-so-far at any time.
   std::string provisional_path;
+  /// Non-empty: run() atomically writes the job's report here before it
+  /// returns it, from the same bytes as the last provisional write.
+  std::string final_path;
   /// Non-empty: per-job registry gauges are exported under this prefix
   /// (e.g. "parmis_orch_job7" -> parmis_orch_job7_chunks_done).  Must
   /// match the obs name grammar: ^[a-z][a-z0-9_]*$.
@@ -132,7 +137,8 @@ class JobRunner {
   /// `backend` must outlive the runner.  config.chunks >= 1.
   JobRunner(ChunkBackend& backend, JobConfig config);
 
-  /// Runs the job to completion and returns the final merged report.
+  /// Runs the job to completion and returns the final merged report
+  /// (written to JobConfig::final_path first, when one is set).
   /// Throws parmis::Error if the job failed (retry budget exhausted)
   /// or was cancelled; progress() then carries the details and the
   /// last provisional merge remains available via provisional().
@@ -155,8 +161,14 @@ class JobRunner {
   /// throws, storing nothing, if the checks fail.
   void fold_in(std::size_t chunk, exec::CampaignReport&& report);
   /// Brings provisional_path up to the newest stored state, unless
-  /// another thread is writing it (which then does); never throws.
+  /// another thread is writing it (which then does) or the state is the
+  /// complete tiling (write_final's); never throws.
   void write_provisional();
+  /// After the workers return: the strict merge of a complete tiling,
+  /// serialized once into provisional_path and, when `done`, into
+  /// final_path (throwing if that write fails).  Without a complete
+  /// tiling, brings provisional_path up to date and returns nullopt.
+  std::optional<exec::CampaignReport> write_final(bool done);
   /// The filled slots, in chunk order.
   std::vector<StoredReport> stored_locked() const;
   /// report::merge over copies of `stored`.

@@ -15,6 +15,7 @@
 #include <thread>
 
 #include "cache/result_cache.hpp"
+#include "common/canonical.hpp"
 #include "common/fs.hpp"
 #include "common/hash.hpp"
 #include "exec/campaign.hpp"
@@ -155,6 +156,88 @@ TEST(CellKey, MethodMatrixKeysArePinned) {
               pin.hex)
         << spec.name << "/" << pin.method << " seed " << pin.seed;
   }
+}
+
+/// A cell key as one hash128 over the whole key text: the form every
+/// key had before keys were hashed from a per-scenario prefix.
+CellKey one_shot_key(const std::string& canonical_spec,
+                     const std::string& method, std::uint64_t seed,
+                     std::size_t anchor_limit,
+                     const std::string& method_config) {
+  std::string bytes;
+  canonical::put_u64(bytes, "cache_schema_version", kCacheSchemaVersion);
+  canonical::put_str(bytes, "spec", canonical_spec);
+  canonical::put_str(bytes, "method", method);
+  canonical::put_u64(bytes, "seed", seed);
+  canonical::put_u64(bytes, "anchor_limit", anchor_limit);
+  if (!method_config.empty()) {
+    canonical::put_str(bytes, "method_config", method_config);
+  }
+  return CellKey{hash128(bytes)};
+}
+
+TEST(CellKey, PrefixKeysEqualOneShotKeysForEveryShippedPlanCell) {
+  std::size_t plans = 0, cells = 0, configured = 0;
+  for (const auto& file :
+       std::filesystem::directory_iterator(PARMIS_EXAMPLES_DIR "/plans")) {
+    if (file.path().extension() != ".json") continue;
+    ++plans;
+    serde::CampaignPlan plan = serde::load_plan(file.path().string());
+    plan.shard.reset();  // every cell of the campaign, not one slice
+    serde::ScenarioCatalogue catalogue;
+    for (const serde::ScenarioRef& ref : plan.scenarios) {
+      if (ref.inline_spec.has_value()) catalogue.add(*ref.inline_spec);
+    }
+    const exec::CampaignConfig config =
+        serde::to_campaign_config(plan, catalogue);
+    const exec::CampaignRunner runner(config);
+    const std::vector<CellKey>& keys = runner.cell_keys();
+    std::size_t at = 0;
+    for (const scenario::ScenarioSpec& spec : config.scenarios) {
+      const std::string canonical = scenario::canonical_serialize(spec);
+      for (const std::string& method : spec.methods) {
+        const std::string method_config =
+            methods::canonical_method_config(method, config.method_configs);
+        if (!method_config.empty()) ++configured;
+        for (std::size_t s = 0; s < config.seeds_per_cell; ++s, ++at) {
+          const std::uint64_t seed = config.base_seed + s;
+          const CellKey want = one_shot_key(canonical, method, seed,
+                                            config.anchor_limit, method_config);
+          ASSERT_LT(at, keys.size()) << file.path();
+          EXPECT_EQ(keys[at], want) << file.path() << ": " << spec.name << "/"
+                                    << method << " seed " << seed;
+          EXPECT_EQ(cell_key(spec, method, seed, config.anchor_limit,
+                             method_config),
+                    want);
+          EXPECT_EQ(cell_key(canonical, method, seed, config.anchor_limit,
+                             method_config),
+                    want);
+          ++cells;
+        }
+      }
+    }
+    EXPECT_EQ(at, keys.size()) << file.path();
+  }
+  EXPECT_GE(plans, 6u);
+  EXPECT_GT(cells, 0u);
+  EXPECT_GT(configured, 0u);  // method_matrix.json tunes four methods
+}
+
+TEST(CellKey, SplitHashingEqualsOneShotHashing) {
+  // hash128's state resumes anywhere: every split of a buffer into a
+  // prefix and a suffix gives the one-shot fingerprint.
+  std::string text;
+  for (int i = 0; i < 97; ++i) text += static_cast<char>(i * 37 + 11);
+  const Hash128 whole = hash128(text);
+  for (std::size_t cut = 0; cut <= text.size(); ++cut) {
+    Hash128State state;
+    state.update(std::string_view(text).substr(0, cut));
+    const Hash128State saved = state;
+    EXPECT_EQ(state.update(std::string_view(text).substr(cut)).finish(), whole)
+        << "cut at " << cut;
+    EXPECT_EQ(saved.finish(), hash128(text.substr(0, cut)));
+  }
+  EXPECT_EQ(Hash128State().finish(), hash128(""));
 }
 
 // ----------------------------------------------------------- round trips
@@ -426,28 +509,178 @@ TEST(ResultCache, EverySingleByteChangeOfAPayloadIsRejected) {
   EXPECT_TRUE(parse_entry(entry, key).has_value());
 }
 
-TEST(ResultCache, AV2EntryIsAStaleMissRewrittenAsV3) {
-  // A format-v2 entry under today's key: same payload bytes, the v2
-  // magic line and the bytewise FNV-1a digest.
-  ResultCache cache(temp_cache_dir("v2"));
+/// The bytes a format-v3 writer stored for `cell` under `key`: the same
+/// fields as today's entry, but one `f=<16 hex>` field per double.
+std::string v3_entry(const CellKey& key, const exec::CellResult& cell) {
+  using canonical::put_f64;
+  using canonical::put_str;
+  using canonical::put_u64;
+  std::string p;
+  put_str(p, "key", key.hex());
+  put_str(p, "scenario", cell.scenario);
+  put_str(p, "platform", cell.platform);
+  put_str(p, "method", cell.method);
+  put_u64(p, "seed", cell.seed);
+  put_u64(p, "apps", cell.num_apps);
+  put_u64(p, "evaluations", cell.evaluations);
+  put_u64(p, "objective_names", cell.objective_names.size());
+  for (const auto& name : cell.objective_names) put_str(p, "name", name);
+  put_u64(p, "front", cell.front.size());
+  for (const auto& point : cell.front) {
+    put_u64(p, "point", point.size());
+    for (double v : point) put_f64(p, "f", v);
+  }
+  put_u64(p, "pareto_thetas", cell.pareto_thetas.size());
+  for (const auto& theta : cell.pareto_thetas) {
+    put_u64(p, "theta", theta.size());
+    for (double v : theta) put_f64(p, "f", v);
+  }
+  put_u64(p, "best_raw", cell.best_raw.size());
+  for (double v : cell.best_raw) put_f64(p, "f", v);
+  put_f64(p, "wall_s", cell.wall_s);
+  put_f64(p, "overhead_us", cell.decision_overhead_us);
+  put_str(p, "error", cell.error);
+  return "parmis-cell-cache v3\ndigest=" + hex64(fnv1a64_words(p)) + "\n" + p;
+}
+
+TEST(ResultCache, AV3EntryIsAStaleMissRewrittenAsV4) {
+  // A format-v3 entry under today's key, with a valid v3 digest: the
+  // v4 reader counts it corrupt, the cell re-runs, and the store
+  // renames a v4 entry over the same file.
+  ResultCache cache(temp_cache_dir("v3"));
   const scenario::ScenarioSpec spec = small_spec();
   const CellKey key = cell_key(spec, "performance", 1, 3);
   const exec::CellResult cell =
       exec::CampaignRunner::run_cell(spec, "performance", 1, 3);
-  const std::string v3 = serialize_entry(key, cell);
-  ASSERT_EQ(v3.rfind("parmis-cell-cache v3\n", 0), 0u);
-  const std::string payload = v3.substr(v3.find('\n', v3.find("digest=")) + 1);
-  const std::string v2 = "parmis-cell-cache v2\ndigest=" +
-                         hex64(fnv1a64(payload)) + "\n" + payload;
-  ASSERT_NE(v2, v3);
-  atomic_write_file(cache.entry_path(key), v2);
+  ASSERT_TRUE(cell.error.empty()) << cell.error;
+  ASSERT_FALSE(cell.front.empty());
+  const std::string v4 = serialize_entry(key, cell);
+  ASSERT_EQ(v4.rfind("parmis-cell-cache v4\n", 0), 0u);
+  const std::string v3 = v3_entry(key, cell);
+  ASSERT_GT(v3.size(), v4.size());
+  EXPECT_FALSE(parse_entry(v3, key).has_value());
+  atomic_write_file(cache.entry_path(key), v3);
 
   EXPECT_FALSE(cache.lookup(key).has_value());
   EXPECT_EQ(cache.stats().misses, 1u);
   EXPECT_EQ(cache.stats().corrupt, 1u);
   cache.store(key, cell);
-  EXPECT_EQ(read_file(cache.entry_path(key)).value_or(""), v3);
-  EXPECT_TRUE(cache.lookup(key).has_value());
+  EXPECT_EQ(read_file(cache.entry_path(key)).value_or(""), v4);
+  const std::optional<exec::CellResult> back = cache.lookup(key);
+  ASSERT_TRUE(back.has_value());
+  EXPECT_EQ(serialize_entry(key, *back), v4);
+  EXPECT_EQ(cache.stats().corrupt, 1u);
+}
+
+/// `payload` behind today's magic line and a valid digest, so the
+/// decoder itself must judge it.
+std::string stamped_entry(const std::string& payload) {
+  return "parmis-cell-cache v4\ndigest=" + hex64(fnv1a64_words(payload)) +
+         "\n" + payload;
+}
+
+TEST(ResultCache, RawBlocksRoundTripEveryBitPattern) {
+  // NaNs with payloads (quiet and signalling, either sign), signed
+  // zeros, denormals, infinities and the extremes, in every array
+  // field: an entry stores bit patterns, not values.
+  const auto bits = [](std::uint64_t b) { return std::bit_cast<double>(b); };
+  const num::Vec specials = {
+      bits(0x7FF8000000000001ULL),  // quiet NaN, payload 1
+      bits(0xFFF8DEADBEEF0000ULL),  // negative quiet NaN with a payload
+      bits(0x7FF0000000000001ULL),  // signalling NaN
+      bits(0xFFF7FFFFFFFFFFFFULL),  // negative signalling NaN
+      0.0, -0.0,
+      std::numeric_limits<double>::infinity(),
+      -std::numeric_limits<double>::infinity(),
+      std::numeric_limits<double>::denorm_min(),
+      -std::numeric_limits<double>::denorm_min(),
+      bits(0x000FFFFFFFFFFFFFULL),  // largest denormal
+      std::numeric_limits<double>::max(), std::numeric_limits<double>::lowest(),
+      std::numeric_limits<double>::min(), 0.1 + 0.2};
+  exec::CellResult cell;
+  cell.scenario = "specials";
+  cell.method = "unit";
+  cell.front = {specials, {}, {specials[3]}};
+  cell.pareto_thetas = {{}, specials};
+  cell.best_raw = specials;
+  cell.wall_s = bits(0x7FF8000000000ABCULL);
+  cell.decision_overhead_us = -0.0;
+  const CellKey key{hash128("raw-blocks")};
+  const std::string entry = serialize_entry(key, cell);
+  const std::optional<exec::CellResult> back = parse_entry(entry, key);
+  ASSERT_TRUE(back.has_value());
+  EXPECT_EQ(serialize_entry(key, *back), entry);
+  const auto same = [](const num::Vec& a, const num::Vec& b) {
+    if (a.size() != b.size()) return false;
+    for (std::size_t i = 0; i < a.size(); ++i) {
+      if (std::bit_cast<std::uint64_t>(a[i]) !=
+          std::bit_cast<std::uint64_t>(b[i])) {
+        return false;
+      }
+    }
+    return true;
+  };
+  ASSERT_EQ(back->front.size(), cell.front.size());
+  for (std::size_t p = 0; p < cell.front.size(); ++p) {
+    EXPECT_TRUE(same(back->front[p], cell.front[p])) << "point " << p;
+  }
+  ASSERT_EQ(back->pareto_thetas.size(), cell.pareto_thetas.size());
+  for (std::size_t p = 0; p < cell.pareto_thetas.size(); ++p) {
+    EXPECT_TRUE(same(back->pareto_thetas[p], cell.pareto_thetas[p]));
+  }
+  EXPECT_TRUE(same(back->best_raw, cell.best_raw));
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(back->wall_s),
+            std::bit_cast<std::uint64_t>(cell.wall_s));
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(back->decision_overhead_us),
+            std::bit_cast<std::uint64_t>(-0.0));
+  // The block holds the bit patterns little-endian, on any host.
+  const std::size_t block = entry.find("best_raw=15:") + 12;
+  ASSERT_NE(block, std::string::npos + 12);
+  EXPECT_EQ(entry.substr(block, 8), std::string("\x01\0\0\0\0\0\xF8\x7F", 8));
+}
+
+TEST(ResultCache, ShortBlocksAndOverflowingCountsAreCleanMisses) {
+  const CellKey key{hash128("blocks")};
+  exec::CellResult cell;
+  cell.scenario = "s";
+  cell.method = "m";
+  cell.front = {{1.0, 2.0}};
+  cell.best_raw = {1.0, 2.0};
+  const std::string entry = serialize_entry(key, cell);
+  const std::string payload = entry.substr(entry.find('\n', 22) + 1);
+  ASSERT_EQ(stamped_entry(payload), entry);
+  const std::size_t count_at = payload.find("point=2:") + 6;
+  ASSERT_NE(count_at, std::string::npos + 6);
+  const auto with_count = [&](const std::string& count) {
+    std::string p = payload;
+    p.replace(count_at, 1, count);
+    return stamped_entry(p);
+  };
+  ASSERT_TRUE(parse_entry(with_count("2"), key).has_value());
+  // One double more than the block holds, and none at all.
+  EXPECT_FALSE(parse_entry(with_count("3"), key).has_value());
+  EXPECT_FALSE(parse_entry(with_count("1"), key).has_value());
+  // Counts whose byte size wraps a 64-bit size_t to a small value:
+  // 2^61·8 = 2^64 ≡ 0, 2^61+2 gives 16 — the exact size of the block —
+  // and the largest count there is.
+  for (const char* count : {"2305843009213693952", "2305843009213693954",
+                            "18446744073709551615"}) {
+    EXPECT_FALSE(parse_entry(with_count(count), key).has_value()) << count;
+  }
+  // A count past UINT64_MAX is no number at all.
+  EXPECT_FALSE(parse_entry(with_count("18446744073709551616"), key));
+  // A block cut short at every byte, re-stamped.
+  const std::size_t block_at = count_at + 2;
+  for (std::size_t n = block_at; n < block_at + 17; ++n) {
+    std::string p = payload;
+    p.erase(n, 1);
+    EXPECT_FALSE(parse_entry(stamped_entry(p), key).has_value()) << n;
+  }
+  // And through the cache: a stored entry with a short block is a
+  // counted corrupt miss.
+  ResultCache cache(temp_cache_dir("blocks"));
+  atomic_write_file(cache.entry_path(key), with_count("3"));
+  EXPECT_FALSE(cache.lookup(key).has_value());
   EXPECT_EQ(cache.stats().corrupt, 1u);
 }
 
@@ -467,6 +700,7 @@ TEST(ResultCache, EveryMutatedEntryIsRejectedOrReencodesToItsBytes) {
   ASSERT_TRUE(cell.error.empty()) << cell.error;
   ASSERT_FALSE(cell.pareto_thetas.empty());
   const std::string entry = serialize_entry(key, cell);
+  ASSERT_EQ(entry.rfind("parmis-cell-cache v4\n", 0), 0u);
   const std::size_t digest_at = entry.find("digest=");
   ASSERT_NE(digest_at, std::string::npos);
   const std::string magic = entry.substr(0, digest_at);

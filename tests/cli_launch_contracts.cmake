@@ -12,13 +12,16 @@
 #   * a warm relaunch over that cache, which replays all 4 chunks in
 #     the supervisor and starts no worker (no chunk log), and whose
 #     provisional.json, written 1 to 4 times, ends on final.json's
-#     digest,
+#     digest and bytes,
 #   * the results of a traced campaign-daemon job over --socket, driven
 #     through campaign-daemon --connect: ping answers parmis-orch-v3,
 #     and the same plan, submitted with chunk 0's first attempt killed
 #     against the warm launch cache, settles "done" with a retry, and
 #     every attempt's log named in its results exists, the killed
 #     attempt's included.  `quit` then ends the daemon.
+#
+# Every job's last provisional.json is byte-identical to its final.json:
+# the finished job is merged once and serialized once, for both files.
 #
 # campaign-launch, campaign-daemon and campaign-trace-merge each refuse
 # an unknown flag before doing any work, and both orchestration CLIs
@@ -104,6 +107,20 @@ if(writes STREQUAL "" OR writes LESS 1 OR writes GREATER 4)
 endif()
 message(STATUS "warm relaunch: ${writes} provisional writes for 4 chunks")
 expect_same_digest(warm warm-work/job1/final warm-work/job1/provisional)
+
+# The last provisional state and final.json are one serialization.
+function(expect_same_bytes job)
+  execute_process(
+    COMMAND "${CMAKE_COMMAND}" -E compare_files
+            "${WORK_DIR}/${job}/provisional.json" "${WORK_DIR}/${job}/final.json"
+    RESULT_VARIABLE differ)
+  if(NOT differ EQUAL 0)
+    message(FATAL_ERROR "${job}: provisional.json does not end on "
+                        "final.json's bytes")
+  endif()
+endfunction()
+expect_same_bytes(launch-work/job1)
+expect_same_bytes(warm-work/job1)
 
 expect_rejected("${LAUNCH}" ${plan} --workerz=2 --work-dir=typo-work)
 if(EXISTS "${WORK_DIR}/typo-work")
@@ -213,4 +230,5 @@ foreach(entry ${logs})
     message(FATAL_ERROR "results name a log that does not exist: ${log}")
   endif()
 endforeach()
+expect_same_bytes(daemon-work/job1)
 message(STATUS "daemon: done with ${retries} retries, digest ${got}")

@@ -4,8 +4,10 @@
 
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <span>
 #include <sstream>
+#include <vector>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
@@ -375,6 +377,70 @@ TEST(Optimizer, AdamResetClearsState) {
   Vec y = {1.0};
   adam.step(y, {1.0});
   EXPECT_NEAR(y[0], after_one, 1e-12);
+}
+
+/// Adam as one scalar loop, in the library's operation order: the
+/// oracle the packed step must match bit for bit.
+struct ScalarAdam {
+  double lr, b1 = 0.9, b2 = 0.999, eps = 1e-8;
+  long long t = 0;
+  Vec m, v;
+
+  void step(Vec& params, const Vec& grad) {
+    ++t;
+    const double bc1 = 1.0 - std::pow(b1, static_cast<double>(t));
+    const double bc2 = 1.0 - std::pow(b2, static_cast<double>(t));
+    for (std::size_t i = 0; i < params.size(); ++i) {
+      m[i] = b1 * m[i] + (1.0 - b1) * grad[i];
+      v[i] = b2 * v[i] + (1.0 - b2) * grad[i] * grad[i];
+      const double mhat = m[i] / bc1;
+      const double vhat = v[i] / bc2;
+      params[i] -= lr * mhat / (std::sqrt(vhat) + eps);
+    }
+  }
+};
+
+TEST(Optimizer, AdamStepMatchesTheScalarLoopBitForBit) {
+  // Sizes 1-33 cover every lane/tail split; 445 is a PaRMIS theta.
+  // Each run feeds one gradient kind from fresh moments: ordinary,
+  // signed zeros, denormal, huge (its square overflows v to inf), tiny
+  // (its square underflows), and all of them mixed element by element.
+  std::vector<std::size_t> sizes;
+  for (std::size_t n = 1; n <= 33; ++n) sizes.push_back(n);
+  sizes.push_back(445);
+  const double denorm = std::numeric_limits<double>::denorm_min();
+  const double huge = std::numeric_limits<double>::max();
+  Rng rng(0xADA3);
+  const auto gradient = [&](int kind, std::size_t i) {
+    switch (kind) {
+      case 0: return rng.normal(0.0, 1.0);
+      case 1: return i % 2 == 0 ? 0.0 : -0.0;
+      case 2: return denorm * static_cast<double>(1 + i % 7) *
+                     (i % 3 == 0 ? -1.0 : 1.0);
+      case 3: return i % 2 == 0 ? huge : -1e300;
+      default: return rng.normal(0.0, 1e-160);
+    }
+  };
+  for (const std::size_t n : sizes) {
+    for (int kind = 0; kind <= 5; ++kind) {
+      Vec packed(n);
+      for (double& x : packed) x = rng.normal(0.0, 2.0);
+      Vec scalar = packed;
+      Adam adam(n, 3e-3);
+      ScalarAdam oracle{3e-3, 0.9, 0.999, 1e-8, 0, Vec(n, 0.0), Vec(n, 0.0)};
+      for (int step = 0; step < 4; ++step) {
+        Vec g(n);
+        for (std::size_t i = 0; i < n; ++i) {
+          g[i] = gradient(kind == 5 ? static_cast<int>((i + step) % 5) : kind,
+                          i);
+        }
+        adam.step(packed, g);
+        oracle.step(scalar, g);
+        ASSERT_TRUE(same_bits(packed, scalar))
+            << "n=" << n << " kind " << kind << " step " << step;
+      }
+    }
+  }
 }
 
 TEST(Optimizer, GradientClipping) {

@@ -14,12 +14,15 @@
 #include <cstdint>
 #include <cstdlib>
 #include <filesystem>
+#include <fstream>
 #include <limits>
 #include <new>
 #include <set>
 #include <sstream>
 #include <string>
 #include <vector>
+
+#include <unistd.h>
 
 #include "cache/result_cache.hpp"
 #include "common/error.hpp"
@@ -34,6 +37,7 @@
 #include "serde/json_util.hpp"
 #include "serde/plan.hpp"
 #include "serde/scenario_json.hpp"
+#include "fuzz_mutations.hpp"
 
 // Counting replacement of the global allocation functions, local to
 // this test executable: the decoder tests below assert how many heap
@@ -835,6 +839,77 @@ TEST(ObjectReader, ReportDecodeAllocationsDoNotGrowWithThetaLength) {
     return count;
   };
   EXPECT_EQ(decode_allocations(895), decode_allocations(4));
+}
+
+// ------------------------------------------------------- hostile input
+
+/// Runs `decode` over every fuzz::mutations case of `text`: each must
+/// decode or throw parmis::Error, nothing else.  Returns the count of
+/// (rejected, decoded) cases.
+template <typename Decode>
+std::pair<std::size_t, std::size_t> fuzz_decode(const std::string& text,
+                                                std::uint64_t seed,
+                                                Decode decode) {
+  Rng rng(seed);
+  std::size_t rejected = 0, decoded = 0;
+  for (const std::string& mutated : fuzz::mutations(text, rng, 400)) {
+    try {
+      decode(mutated);
+      ++decoded;
+    } catch (const Error&) {
+      ++rejected;
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "not a parmis::Error: " << e.what() << "\n" << mutated;
+    }
+  }
+  return {rejected, decoded};
+}
+
+TEST(PlanFuzz, MutatedShippedPlansLoadAndResolveOrFailCleanly) {
+  // What every launch does first: load_plan, then resolve the plan
+  // against a catalogue holding its inline scenarios.  The inline plan
+  // carries scenario documents, so their decoder is fuzzed here too.
+  for (const char* name : {"method_matrix.json", "mobile3_inline.json",
+                           "manycore_sharded.json"}) {
+    const std::optional<std::string> text =
+        read_file(std::string(PARMIS_EXAMPLES_DIR "/plans/") + name);
+    ASSERT_TRUE(text.has_value()) << name;
+    std::size_t case_index = 0;
+    const auto [rejected, decoded] =
+        fuzz_decode(*text, 0x5EEDF1A0, [&](const std::string& mutated) {
+          // A fresh path per case: replacing one file over and over
+          // makes some filesystems flush on every rename.
+          const std::string path = ::testing::TempDir() + "parmis_plan_fuzz_" +
+                                   std::to_string(::getpid()) + "_" +
+                                   std::to_string(case_index++) + ".json";
+          std::ofstream(path, std::ios::binary) << mutated;
+          struct Remove {
+            const std::string& path;
+            ~Remove() { std::filesystem::remove(path); }
+          } remove{path};
+          const CampaignPlan plan = load_plan(path);
+          ScenarioCatalogue catalogue;
+          for (const ScenarioRef& ref : plan.scenarios) {
+            if (ref.inline_spec.has_value()) catalogue.add(*ref.inline_spec);
+          }
+          (void)to_campaign_config(plan, catalogue);
+        });
+    EXPECT_GT(rejected, text->size()) << name;  // every truncation, at least
+    EXPECT_GT(decoded, 0u) << name;
+  }
+}
+
+TEST(ScenarioFuzz, MutatedScenarioDocumentsDecodeOrFailCleanly) {
+  for (const char* name : {"xu3-mibench-te", "mobile3-edp"}) {
+    const std::string text =
+        json::dump(scenario_to_json(scenario::make_scenario(name)));
+    const auto [rejected, decoded] =
+        fuzz_decode(text, 0x5EEDF1A1, [](const std::string& mutated) {
+          scenario_from_json(json::parse(mutated), "fuzz").validate();
+        });
+    EXPECT_GT(rejected, text.size()) << name;
+    EXPECT_GT(decoded, 0u) << name;
+  }
 }
 
 }  // namespace

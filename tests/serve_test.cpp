@@ -31,6 +31,7 @@
 #include "serve/server.hpp"
 #include "serve/snapshot.hpp"
 #include "serve/store.hpp"
+#include "fuzz_mutations.hpp"
 #include "report_oracle.hpp"
 
 namespace parmis::serve {
@@ -1088,57 +1089,6 @@ TEST(Protocol, StreamedResponsesMatchTreeOracle) {
 
 // ------------------------------------------------------ hostile input
 
-/// Deterministic hostile variants of one document: every truncation,
-/// `flips` single-bit flips, the first member duplicated, 201-deep
-/// nesting (one past json::kMaxDepth) around the document and inside
-/// it, and every number literal replaced by overflowing, underflowing,
-/// signed-zero and overlong ones.
-std::vector<std::string> mutations(const std::string& text, Rng& rng,
-                                   std::size_t flips) {
-  std::vector<std::string> out;
-  for (std::size_t n = 0; n < text.size(); ++n) {
-    out.push_back(text.substr(0, n));
-  }
-  for (std::size_t i = 0; i < flips; ++i) {
-    std::string m = text;
-    m[rng.uniform_index(m.size())] ^=
-        static_cast<char>(1u << rng.uniform_index(8));
-    out.push_back(std::move(m));
-  }
-  const std::size_t open = text.find('{');
-  const std::size_t comma = text.find(',', open);
-  if (open != std::string::npos && comma != std::string::npos) {
-    std::string m = text;
-    m.insert(open + 1, text.substr(open + 1, comma - open));
-    out.push_back(std::move(m));
-  }
-  const std::string deep_open(json::kMaxDepth + 1, '[');
-  const std::string deep_close(json::kMaxDepth + 1, ']');
-  out.push_back(deep_open + text + deep_close);
-  if (open != std::string::npos) {
-    std::string m = text;
-    m.insert(open + 1, "\"z\":" + deep_open + deep_close + ",");
-    out.push_back(std::move(m));
-  }
-  const char* const numbers[] = {"1e400", "-1e-400", "-0",
-                                 "123456789012345678901234567890e-5"};
-  for (std::size_t i = 1; i < text.size(); ++i) {
-    const char c = text[i];
-    const char before = text[i - 1];
-    if (!((c >= '0' && c <= '9') || c == '-') ||
-        (before != ':' && before != ',' && before != '[' && before != ' ')) {
-      continue;
-    }
-    const std::size_t end = text.find_first_not_of("0123456789.eE+-", i);
-    for (const char* number : numbers) {
-      std::string m = text;
-      m.replace(i, end - i, number);
-      out.push_back(std::move(m));
-    }
-  }
-  return out;
-}
-
 TEST(Protocol, HostileLinesAlwaysGetOneWellFormedResponse) {
   PolicyStore store;
   install(store);
@@ -1169,7 +1119,7 @@ TEST(Protocol, HostileLinesAlwaysGetOneWellFormedResponse) {
   std::size_t lines = 0;
   std::size_t answered_ok = 0;
   for (const char* seed : seeds) {
-    for (const std::string& line : mutations(seed, rng, 125)) {
+    for (const std::string& line : fuzz::mutations(seed, rng, 125)) {
       ++lines;
       ServeSession::Outcome outcome;
       ASSERT_NO_THROW(outcome = session.handle_line(line)) << line;
@@ -1197,7 +1147,7 @@ TEST(ReportSerdeFuzz, MutatedReportsLoadOrFailWithACleanError) {
   Rng rng(0x5EEDF023);
   std::size_t rejected = 0;
   std::size_t loaded = 0;
-  for (const std::string& text : mutations(os.str(), rng, 400)) {
+  for (const std::string& text : fuzz::mutations(os.str(), rng, 400)) {
     // A fresh path per mutation: rewriting one file over and over makes
     // some filesystems (ext4) flush on every replace, which costs tens
     // of ms a time, while a new file costs microseconds.
@@ -1222,7 +1172,7 @@ TEST(ReportSerdeFuzz, ParseReportAgreesWithTheTreeDecoderOnEveryMutation) {
   EXPECT_TRUE(report::oracle::expect_decoders_agree(os.str()));
   Rng rng(0x5EEDF023);
   std::size_t inputs = 0;
-  for (const std::string& text : mutations(os.str(), rng, 400)) {
+  for (const std::string& text : fuzz::mutations(os.str(), rng, 400)) {
     ++inputs;
     report::oracle::expect_decoders_agree(text);
   }
