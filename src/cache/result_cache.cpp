@@ -284,15 +284,8 @@ CellKey cell_key(const scenario::ScenarioSpec& spec,
                  const std::string& method, std::uint64_t seed,
                  std::size_t anchor_limit,
                  const std::string& method_config) {
-  return cell_key(scenario::canonical_serialize(spec), method, seed,
-                  anchor_limit, method_config);
-}
-
-CellKey cell_key(const std::string& canonical_spec, const std::string& method,
-                 std::uint64_t seed, std::size_t anchor_limit,
-                 const std::string& method_config) {
-  return cell_key(cell_key_prefix(canonical_spec), method, seed, anchor_limit,
-                  method_config);
+  return cell_key(cell_key_prefix(scenario::canonical_serialize(spec)),
+                  method, seed, anchor_limit, method_config);
 }
 
 Hash128State cell_key_prefix(const std::string& canonical_spec) {

@@ -85,21 +85,16 @@ CellKey cell_key(const scenario::ScenarioSpec& spec,
                  std::size_t anchor_limit,
                  const std::string& method_config = {});
 
-/// The same key from `canonical_spec`, the spec's
-/// scenario::canonical_serialize text.
-CellKey cell_key(const std::string& canonical_spec, const std::string& method,
-                 std::uint64_t seed, std::size_t anchor_limit,
-                 const std::string& method_config = {});
-
 /// The hash128 state after a key's scenario-wide prefix
-/// (kCacheSchemaVersion and `canonical_spec`), for callers that key many
-/// cells of one scenario: they hash the scenario's text once, then only
-/// each cell's suffix through the overload below.
+/// (kCacheSchemaVersion and `canonical_spec`, the spec's
+/// scenario::canonical_serialize text), for callers that key many cells
+/// of one scenario: they hash the scenario's text once, then only each
+/// cell's suffix through the overload below.
 Hash128State cell_key_prefix(const std::string& canonical_spec);
 
 /// The same key from its scenario's cell_key_prefix; only the method,
-/// seed, anchor limit and method config are hashed here.  The other
-/// overloads run through this one, so every key comes from one path.
+/// seed, anchor limit and method config are hashed here.  The overload
+/// above runs through this one, so every key comes from one path.
 CellKey cell_key(const Hash128State& prefix, const std::string& method,
                  std::uint64_t seed, std::size_t anchor_limit,
                  const std::string& method_config = {});

@@ -136,9 +136,11 @@ std::optional<exec::CampaignReport> JobRunner::write_final(bool done) {
     write_provisional();  // writes the last state only if its write failed
     return std::nullopt;
   }
-  // One strict merge and one serialization: the same bytes are the last
-  // provisional state and the final report.
+  // One strict merge and at most one serialization: the same bytes are
+  // the last provisional state and the final report.
   exec::CampaignReport merged = merge_stored(slots_, /*strict=*/true);
+  const bool write_final_file = done && !cfg_.final_path.empty();
+  if (cfg_.provisional_path.empty() && !write_final_file) return merged;
   std::ostringstream os;
   report::write_report(os, merged);
   const std::string bytes = os.str();
@@ -159,9 +161,7 @@ std::optional<exec::CampaignReport> JobRunner::write_final(bool done) {
       PARMIS_COUNTER_ADD("parmis_orch_provisional_writes_total", 1);
     }
   }
-  if (done && !cfg_.final_path.empty()) {
-    atomic_write_file(cfg_.final_path, bytes);
-  }
+  if (write_final_file) atomic_write_file(cfg_.final_path, bytes);
   return merged;
 }
 

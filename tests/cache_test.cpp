@@ -209,8 +209,8 @@ TEST(CellKey, PrefixKeysEqualOneShotKeysForEveryShippedPlanCell) {
           EXPECT_EQ(cell_key(spec, method, seed, config.anchor_limit,
                              method_config),
                     want);
-          EXPECT_EQ(cell_key(canonical, method, seed, config.anchor_limit,
-                             method_config),
+          EXPECT_EQ(cell_key(cell_key_prefix(canonical), method, seed,
+                             config.anchor_limit, method_config),
                     want);
           ++cells;
         }
