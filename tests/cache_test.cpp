@@ -647,7 +647,8 @@ TEST(ResultCache, ShortBlocksAndOverflowingCountsAreCleanMisses) {
   cell.front = {{1.0, 2.0}};
   cell.best_raw = {1.0, 2.0};
   const std::string entry = serialize_entry(key, cell);
-  const std::string payload = entry.substr(entry.find('\n', 22) + 1);
+  const std::string payload =
+      entry.substr(entry.find('\n', entry.find("digest=")) + 1);
   ASSERT_EQ(stamped_entry(payload), entry);
   const std::size_t count_at = payload.find("point=2:") + 6;
   ASSERT_NE(count_at, std::string::npos + 6);
@@ -668,7 +669,8 @@ TEST(ResultCache, ShortBlocksAndOverflowingCountsAreCleanMisses) {
     EXPECT_FALSE(parse_entry(with_count(count), key).has_value()) << count;
   }
   // A count past UINT64_MAX is no number at all.
-  EXPECT_FALSE(parse_entry(with_count("18446744073709551616"), key));
+  EXPECT_FALSE(
+      parse_entry(with_count("18446744073709551616"), key).has_value());
   // A block cut short at every byte, re-stamped.
   const std::size_t block_at = count_at + 2;
   for (std::size_t n = block_at; n < block_at + 17; ++n) {
