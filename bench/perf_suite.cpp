@@ -25,7 +25,7 @@
 //     the campaign layer's bitwise contracts: the full scenario suite at
 //     1 vs N threads, an optional cache populate + replay, the
 //     registry-driven method matrix, the merge digest and PHV bits, and
-//     the intra-cell pooled PHV.
+//     the intra-cell PHV with a pooled acquisition.
 //
 // Every timed probe uses bench::min_chunk_seconds (docs/perf.md).  A
 // failed check exits 1.  An unknown subcommand or flag, or a size flag
@@ -568,19 +568,16 @@ int run_serve(const CliArgs& args) {
 // ------------------------------------------------------------- campaign
 
 /// Intra-cell probe: one PaRMIS run on the 12-app global scenario with
-/// the evaluator and acquisition scoring wired through a pool of
-/// `threads`, returning (wall seconds, PHV of the final front).
+/// acquisition scoring wired through a pool of `threads`, returning
+/// (wall seconds, PHV of the final front).
 std::pair<double, double> intra_cell_run(std::size_t threads) {
   exec::ThreadPool pool(threads);
   scenario::ScenarioSpec spec = scenario::make_scenario("xu3-all12-te");
   const soc::SocSpec soc_spec = scenario::make_platform_spec(spec);
   soc::Platform platform(soc_spec, spec.platform_config);
-  runtime::EvaluatorConfig eval_config = scenario::make_evaluator_config(spec);
-  eval_config.pool = &pool;
-
   core::DrmPolicyProblem problem(platform, scenario::make_applications(spec),
                                  scenario::make_objectives(spec), {},
-                                 eval_config);
+                                 scenario::make_evaluator_config(spec));
   core::ParmisConfig config = spec.parmis;
   config.pool = &pool;
   auto anchors = problem.anchor_thetas();
@@ -771,7 +768,7 @@ int run_campaign(const CliArgs& args) {
 
   const auto [serial_s, serial_phv] = intra_cell_run(1);
   const auto [pooled_s, pooled_phv] = intra_cell_run(threads);
-  std::cout << "intra-cell (12-app global, pooled evaluator + acquisition): "
+  std::cout << "intra-cell (12-app global, pooled acquisition): "
             << "1 thread " << format_double(serial_s, 3) << " s, " << threads
             << " threads " << format_double(pooled_s, 3) << " s, speedup "
             << format_double(pooled_s > 0.0 ? serial_s / pooled_s : 0.0, 2)

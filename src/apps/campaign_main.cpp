@@ -64,6 +64,7 @@
 #include "obs/distributed.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "report/merge.hpp"
 #include "scenario/scenario.hpp"
 #include "serde/plan.hpp"
 #include "serde/scenario_json.hpp"
@@ -428,6 +429,8 @@ int main(int argc, char** argv) {
         return 1;
       }
       report = std::move(*replayed);
+      // This report is final: PHV as run() assigns it.
+      parmis::report::assign_global_phv(report);
       print_report(report);
     } else {
       report = CampaignRunner(config).run();
@@ -461,7 +464,7 @@ int main(int argc, char** argv) {
       if (trace_parent.has_value()) {
         // Worker anchor span: the whole chunk execution as one
         // "campaign"/"chunk" lane event — the flow target the stitcher
-        // binds the orchestrator's lease span to.  Recorded directly
+        // binds the orchestrator's chunk span to.  Recorded directly
         // (not via macro) so an OBS=OFF worker still anchors its lane;
         // gated on the parent context so a standalone --trace-out in an
         // OFF build stays metadata-only (CI asserts exactly that).

@@ -23,8 +23,8 @@ namespace parmis::core {
 class DrmPolicyProblem {
  public:
   /// Application-specific problem (paper Sec. V-C).  `eval_config`
-  /// selects thermal modeling / decision timing / the worker pool for
-  /// the underlying evaluator.
+  /// selects thermal modeling and decision timing for the underlying
+  /// evaluator.
   DrmPolicyProblem(soc::Platform& platform, soc::Application app,
                    std::vector<runtime::Objective> objectives,
                    policy::MlpPolicyConfig policy_config = {},

@@ -342,7 +342,6 @@ std::optional<CampaignReport> CampaignRunner::replay_cached(
   report.cache_hits = range.size();
   PARMIS_COUNTER_ADD("parmis_campaign_cache_hits_total", range.size());
   report.wall_s = wall.seconds();
-  report::assign_global_phv(report);
   return report;
 }
 

@@ -90,7 +90,7 @@ struct ShardSpec {
 /// Half-open contiguous range [begin, end) over a campaign's ordered
 /// cell list — the currency of work distribution.  A ShardSpec names a
 /// static range (shard_range below); the orchestration layer
-/// (src/orchestrate/) hands the same ranges out dynamically as leases.
+/// (src/orchestrate/) hands the same ranges out dynamically as chunks.
 /// Members are ordered begin-then-end so `auto [begin, end] = ...`
 /// structured bindings read naturally.
 struct CellRange {
@@ -246,8 +246,10 @@ class CampaignRunner {
   /// The report run() would return for shard `shard` of the campaign if
   /// every one of its cells is in the cache, read with
   /// ResultCache::lookup and nothing else: same cells (from_cache set),
-  /// counters, parmis_campaign_cache_hits_total and global PHV pass,
-  /// and num_threads as the pool would record it.  Returns nullopt at
+  /// counters, parmis_campaign_cache_hits_total, and num_threads as the
+  /// pool would record it — but no PHV pass: every cell's `phv` is 0
+  /// until report::assign_global_phv runs, which a caller whose report
+  /// is final does (a merge recomputes PHV anyway).  Returns nullopt at
   /// the first miss (naming the cell in `*missing` when given) — it
   /// never computes or stores a cell.  Requires a configured cache, and
   /// `shard`'s cells must lie inside this runner's own shard (any shard

@@ -42,7 +42,7 @@
 namespace parmis::orchestrate {
 
 /// Result of one chunk attempt.  `ok == false` sends the chunk back to
-/// the lease table's retry path with `error`.
+/// the job's chunk queue for a retry, with `error`.
 struct ChunkOutcome {
   bool ok = false;
   /// Served from the cache with no worker (ProcessBackend's replay).

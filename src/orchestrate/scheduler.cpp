@@ -1,6 +1,5 @@
 #include "orchestrate/scheduler.hpp"
 
-#include <algorithm>
 #include <sstream>
 #include <thread>
 #include <utility>
@@ -34,11 +33,23 @@ const char* job_state_name(JobProgress::State state) {
 }
 
 JobRunner::JobRunner(ChunkBackend& backend, JobConfig config)
-    : backend_(backend),
-      cfg_(std::move(config)),
-      table_({cfg_.chunks, cfg_.max_attempts}),
-      slots_(cfg_.chunks) {
+    : backend_(backend), cfg_(std::move(config)) {
   require(cfg_.workers >= 1, "orchestrate: workers must be >= 1");
+  require(cfg_.chunks >= 1, "orchestrate: chunk count must be >= 1");
+  require(cfg_.max_attempts >= 1, "orchestrate: max attempts must be >= 1");
+  tries_.assign(cfg_.chunks, 0);
+  slots_.resize(cfg_.chunks);
+}
+
+LeaseTableStats JobRunner::stats_locked() const {
+  LeaseTableStats stats;
+  stats.chunks_total = cfg_.chunks;
+  stats.chunks_done = stored_;
+  stats.chunks_running = running_;
+  stats.chunks_exhausted = exhausted_;
+  stats.chunks_queued = cfg_.chunks - stored_ - exhausted_ - running_;
+  stats.retries = retries_;
+  return stats;
 }
 
 void JobRunner::export_gauges_locked() const {
@@ -49,25 +60,18 @@ void JobRunner::export_gauges_locked() const {
   // exports no orchestration metrics either.
   if (cfg_.obs_prefix.empty()) return;
   auto& registry = obs::Registry::instance();
-  const LeaseTableStats stats = table_.stats();
   registry.gauge(cfg_.obs_prefix + "_chunks_total")
-      .set(static_cast<std::int64_t>(stats.chunks_total));
+      .set(static_cast<std::int64_t>(cfg_.chunks));
   registry.gauge(cfg_.obs_prefix + "_chunks_done")
-      .set(static_cast<std::int64_t>(stats.chunks_done));
+      .set(static_cast<std::int64_t>(stored_));
   registry.gauge(cfg_.obs_prefix + "_retries")
-      .set(static_cast<std::int64_t>(stats.retries));
+      .set(static_cast<std::int64_t>(retries_));
   registry.gauge(cfg_.obs_prefix + "_provisional_merges")
-      .set(static_cast<std::int64_t>(provisional_merges_));
+      .set(static_cast<std::int64_t>(stored_));
 #endif
 }
 
-void JobRunner::fold_in(std::size_t chunk, exec::CampaignReport&& report) {
-  // The merge span is the flow-chain terminus: the stitcher binds the
-  // worker's execution back to the instant its report folded in.
-  PARMIS_TRACE_SPAN_D("orch", "merge", "job=%llu;chunk=%llu",
-                      static_cast<unsigned long long>(cfg_.job_id),
-                      static_cast<unsigned long long>(chunk));
-  std::lock_guard<std::mutex> lock(mu_);
+void JobRunner::store_locked(std::size_t chunk, exec::CampaignReport&& report) {
   // The checks report::merge would make, against any stored chunk: a
   // report that passes here is one the final strict merge accepts.
   const std::string who = "merge: chunk " + std::to_string(chunk) + ": ";
@@ -86,10 +90,62 @@ void JobRunner::fold_in(std::size_t chunk, exec::CampaignReport&& report) {
               " appears more than once (overlap)");
   require(index == chunk, who + "carries shard " + std::to_string(index) +
                               ", not the chunk it was granted");
-  slots_[index] =
-      std::make_shared<const exec::CampaignReport>(std::move(report));
-  ++provisional_merges_;
+  slots_[index] = std::make_shared<exec::CampaignReport>(std::move(report));
+  ++stored_;
   PARMIS_COUNTER_ADD("parmis_orch_provisional_merges_total", 1);
+}
+
+bool JobRunner::answer_locked(std::size_t chunk, std::size_t attempt,
+                              ChunkOutcome& outcome) {
+  --running_;
+  if (outcome.ok) {
+    // The merge span is the flow-chain terminus: the stitcher binds the
+    // worker's execution back to the instant its report folded in.
+    PARMIS_TRACE_SPAN_D("orch", "merge", "job=%llu;chunk=%llu",
+                        static_cast<unsigned long long>(cfg_.job_id),
+                        static_cast<unsigned long long>(chunk));
+    try {
+      store_locked(chunk, std::move(outcome.report));
+    } catch (const std::exception& e) {
+      // A chunk report the tiling checks reject (wrong campaign hash
+      // after a plan edit race, bad tiling, a chunk stored twice) is a
+      // failed attempt, not a scheduler crash.
+      outcome.ok = false;
+      outcome.error = std::string("cannot merge chunk: ") + e.what();
+    }
+  }
+  AttemptRecord rec;
+  rec.chunk = chunk;
+  rec.attempt = attempt;
+  rec.ok = outcome.ok;
+  rec.recovered_from_cache = outcome.recovered_from_cache;
+  rec.error = outcome.error;
+  rec.log_path = outcome.log_path;
+  rec.trace_path = outcome.trace_path;
+  rec.metrics_path = outcome.metrics_path;
+  attempts_.push_back(std::move(rec));
+  if (outcome.ok) {
+    if (outcome.recovered_from_cache) ++chunks_recovered_;
+    PARMIS_COUNTER_ADD("parmis_orch_chunks_completed_total", 1);
+  } else {
+    PARMIS_COUNTER_ADD("parmis_orch_chunk_failures_total", 1);
+    tries_[chunk] += 1;
+    if (tries_[chunk] >= cfg_.max_attempts) {
+      ++exhausted_;
+      if (first_error_.empty()) {
+        first_error_ = "chunk " + std::to_string(chunk) + " failed " +
+                       std::to_string(tries_[chunk]) +
+                       " times: " + outcome.error;
+      }
+    } else {
+      retry_.push_back(chunk);
+      ++retries_;
+      PARMIS_COUNTER_ADD("parmis_orch_chunk_retries_total", 1);
+    }
+  }
+  export_gauges_locked();
+  cv_.notify_all();
+  return outcome.ok;
 }
 
 void JobRunner::write_provisional() {
@@ -100,15 +156,13 @@ void JobRunner::write_provisional() {
   provisional_writing_ = true;
   // A complete tiling is run()'s to write, from the final report's
   // bytes (see write_final).
-  while (provisional_written_ < provisional_merges_ &&
-         provisional_merges_ < slots_.size()) {
-    const std::uint64_t state = provisional_merges_;
+  while (provisional_written_ < stored_ && stored_ < cfg_.chunks) {
+    const std::size_t state = stored_;
     bool written = false;
     try {
       const std::vector<StoredReport> stored = stored_locked();
       lock.unlock();
-      report::save_report(cfg_.provisional_path,
-                          merge_stored(stored, /*strict=*/false));
+      report::save_report(cfg_.provisional_path, merge_stored(stored));
       written = true;
     } catch (const std::exception& e) {
       Log(LogLevel::Warn) << "orchestrate: job " << cfg_.job_id
@@ -129,16 +183,34 @@ void JobRunner::write_provisional() {
 std::optional<exec::CampaignReport> JobRunner::write_final(bool done) {
   // Every worker has returned: the slots no longer change, and no
   // provisional write is in flight.
-  const bool complete =
-      std::all_of(slots_.begin(), slots_.end(),
-                  [](const StoredReport& slot) { return slot != nullptr; });
-  if (!complete) {
+  if (stored_ < cfg_.chunks) {
     write_provisional();  // writes the last state only if its write failed
     return std::nullopt;
   }
-  // One strict merge and at most one serialization: the same bytes are
-  // the last provisional state and the final report.
-  exec::CampaignReport merged = merge_stored(slots_, /*strict=*/true);
+  // One strict merge, moved into from the slots, and at most one
+  // serialization: the same bytes are the last provisional state and
+  // the final report.  progress() keeps the slots' summary.
+  std::vector<StoredReport> slots;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    final_summary_ = summary_locked();
+    slots = std::move(slots_);
+    slots_.clear();
+  }
+  std::vector<exec::CampaignReport> inputs;
+  inputs.reserve(slots.size());
+  for (StoredReport& slot : slots) {
+    // A provisional() caller may still be merging a copy of the slot;
+    // nobody can take a new one now.
+    if (slot.use_count() == 1) {
+      inputs.push_back(std::move(*slot));
+    } else {
+      inputs.push_back(*slot);
+    }
+  }
+  report::MergeOptions strict;
+  strict.strict = true;
+  exec::CampaignReport merged = report::merge(std::move(inputs), strict);
   const bool write_final_file = done && !cfg_.final_path.empty();
   if (cfg_.provisional_path.empty() && !write_final_file) return merged;
   std::ostringstream os;
@@ -156,7 +228,7 @@ std::optional<exec::CampaignReport> JobRunner::write_final(bool done) {
     }
     if (written) {
       std::lock_guard<std::mutex> lock(mu_);
-      provisional_written_ = provisional_merges_;
+      provisional_written_ = stored_;
       ++provisional_writes_;
       PARMIS_COUNTER_ADD("parmis_orch_provisional_writes_total", 1);
     }
@@ -174,17 +246,49 @@ std::vector<JobRunner::StoredReport> JobRunner::stored_locked() const {
 }
 
 exec::CampaignReport JobRunner::merge_stored(
-    const std::vector<StoredReport>& stored, bool strict) {
+    const std::vector<StoredReport>& stored) {
   std::vector<exec::CampaignReport> inputs;
   inputs.reserve(stored.size());
   for (const auto& report : stored) inputs.push_back(*report);
   report::MergeOptions options;
-  options.strict = strict;
+  options.strict = false;
   return report::merge(std::move(inputs), options);
 }
 
+JobRunner::SlotSummary JobRunner::summary_locked() const {
+  if (final_summary_.has_value()) return *final_summary_;
+  // A merge concatenates the slots in index order, so chaining their
+  // digests gives the merged digest without the merge.
+  SlotSummary summary;
+  for (const auto& slot : slots_) {
+    if (slot == nullptr) continue;
+    summary.digest = exec::digest_cells(summary.digest, slot->cells);
+    summary.cells += slot->cells.size();
+    summary.total_cells = slot->total_cells;
+  }
+  return summary;
+}
+
 void JobRunner::worker_loop() {
-  while (auto grant = table_.next()) {
+  std::unique_lock<std::mutex> lock(mu_);
+  for (;;) {
+    // With every undone chunk in flight, wait for an answer.
+    cv_.wait(lock, [&] {
+      return abort_.load() || stored_ + exhausted_ == cfg_.chunks ||
+             !retry_.empty() || fresh_next_ < cfg_.chunks;
+    });
+    if (abort_.load() || stored_ + exhausted_ == cfg_.chunks) return;
+    // Requeued retries first, then fresh chunks in index order.
+    std::size_t chunk = fresh_next_;
+    if (!retry_.empty()) {
+      chunk = retry_.front();
+      retry_.pop_front();
+    } else {
+      ++fresh_next_;
+    }
+    const std::size_t attempt = tries_[chunk];
+    ++running_;
+    lock.unlock();
     ChunkOutcome outcome;
     {
       // Grant-to-completion span; its "job=N;chunk=K;attempt=A"
@@ -192,50 +296,17 @@ void JobRunner::worker_loop() {
       PARMIS_TRACE_SPAN_D(
           "orch", "chunk", "job=%llu;chunk=%llu;attempt=%llu",
           static_cast<unsigned long long>(cfg_.job_id),
-          static_cast<unsigned long long>(grant->chunk),
-          static_cast<unsigned long long>(grant->attempt));
-      outcome = backend_.run_chunk(grant->chunk, cfg_.chunks,
-                                   grant->attempt, abort_);
+          static_cast<unsigned long long>(chunk),
+          static_cast<unsigned long long>(attempt));
+      outcome = backend_.run_chunk(chunk, cfg_.chunks, attempt, abort_);
     }
-    if (outcome.ok) {
-      try {
-        fold_in(grant->chunk, std::move(outcome.report));
-      } catch (const std::exception& e) {
-        // A chunk report the tiling checks reject (wrong campaign hash
-        // after a plan edit race, bad tiling, a chunk stored twice) is
-        // a failed attempt, not a scheduler crash.
-        outcome.ok = false;
-        outcome.error = std::string("cannot merge chunk: ") + e.what();
-      }
-    }
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      AttemptRecord rec;
-      rec.chunk = grant->chunk;
-      rec.attempt = grant->attempt;
-      rec.ok = outcome.ok;
-      rec.recovered_from_cache = outcome.recovered_from_cache;
-      rec.error = outcome.error;
-      rec.log_path = outcome.log_path;
-      rec.trace_path = outcome.trace_path;
-      rec.metrics_path = outcome.metrics_path;
-      attempts_.push_back(std::move(rec));
-      if (outcome.ok && outcome.recovered_from_cache) ++chunks_recovered_;
-    }
-    if (outcome.ok) {
-      table_.complete(*grant);
-      PARMIS_COUNTER_ADD("parmis_orch_chunks_completed_total", 1);
-    } else {
-      table_.fail(*grant, outcome.error);
-      PARMIS_COUNTER_ADD("parmis_orch_chunk_failures_total", 1);
-    }
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      export_gauges_locked();
-    }
+    lock.lock();
+    const bool stored = answer_locked(chunk, attempt, outcome);
+    lock.unlock();
     if (cfg_.on_progress) cfg_.on_progress();
     // After the chunk is answered, so a slow write delays no progress.
-    if (outcome.ok) write_provisional();
+    if (stored) write_provisional();
+    lock.lock();
   }
 }
 
@@ -269,8 +340,9 @@ exec::CampaignReport JobRunner::run() {
   std::optional<exec::CampaignReport> merged;
   std::string write_error;
   try {
-    merged = write_final(!spawn_error.has_value() && !table_.cancelled() &&
-                         !table_.failed());
+    // No worker is left to change the queue; cancel() may still run.
+    merged = write_final(!spawn_error.has_value() && !abort_.load() &&
+                         exhausted_ == 0);
   } catch (const std::exception& e) {
     write_error = e.what();
   }
@@ -283,15 +355,15 @@ exec::CampaignReport JobRunner::run() {
     export_gauges_locked();
     require(false, "orchestrate: job failed: " + error_);
   }
-  if (table_.cancelled()) {
+  if (abort_.load()) {
     state_ = JobProgress::State::Cancelled;
     error_ = "job cancelled";
     export_gauges_locked();
     require(false, "orchestrate: job cancelled");
   }
-  if (table_.failed()) {
+  if (exhausted_ > 0) {
     state_ = JobProgress::State::Failed;
-    error_ = table_.first_error();
+    error_ = first_error_;
     export_gauges_locked();
     require(false, "orchestrate: job failed: " + error_);
   }
@@ -310,35 +382,28 @@ exec::CampaignReport JobRunner::run() {
 }
 
 void JobRunner::cancel() {
+  std::lock_guard<std::mutex> lock(mu_);
   abort_.store(true);
-  table_.cancel();
+  cv_.notify_all();
 }
 
 JobProgress JobRunner::progress() const {
   std::lock_guard<std::mutex> lock(mu_);
   JobProgress out;
   out.state = state_;
-  out.stats = table_.stats();
+  out.stats = stats_locked();
   out.workers = cfg_.workers;
-  out.provisional_merges = provisional_merges_;
+  out.provisional_merges = stored_;
   out.provisional_writes = provisional_writes_;
   out.chunks_recovered = chunks_recovered_;
-  // A merge concatenates the slots in index order, so chaining their
-  // digests gives the merged digest without the merge.
-  std::uint64_t digest = exec::kObjectivesDigestSeed;
-  std::size_t stored = 0;
-  for (const auto& slot : slots_) {
-    if (slot == nullptr) continue;
-    digest = exec::digest_cells(digest, slot->cells);
-    out.report_cells += slot->cells.size();
-    out.total_cells = slot->total_cells;
-    ++stored;
-  }
-  if (stored > 0) {
+  if (stored_ > 0) {
+    const SlotSummary summary = summary_locked();
     out.has_report = true;
-    out.report_digest = digest;
-    out.report_partial = stored < slots_.size();
-    out.cells_done = out.report_cells;
+    out.report_digest = summary.digest;
+    out.report_cells = summary.cells;
+    out.total_cells = summary.total_cells;
+    out.report_partial = stored_ < cfg_.chunks;
+    out.cells_done = summary.cells;
   }
   out.wall_s = wall_s_;
   // Throughput and ETA, from the stored chunks.  While the
@@ -357,7 +422,7 @@ JobProgress JobRunner::progress() const {
                 out.cells_per_s;
   }
   out.attempts = attempts_;
-  out.error = !error_.empty() ? error_ : table_.first_error();
+  out.error = !error_.empty() ? error_ : first_error_;
   return out;
 }
 
@@ -368,7 +433,7 @@ std::optional<exec::CampaignReport> JobRunner::provisional() const {
     stored = stored_locked();
   }
   if (stored.empty()) return std::nullopt;
-  return merge_stored(stored, /*strict=*/false);
+  return merge_stored(stored);
 }
 
 }  // namespace parmis::orchestrate

@@ -1,23 +1,49 @@
-// Job scheduler: a worker pool draining a LeaseTable through a
+// Job scheduler: a worker pool draining a chunk queue through a
 // ChunkBackend, one stored report per chunk and one merge at the end.
 //
-// One JobRunner is one campaign: it owns the chunk queue, spawns
-// `workers` supervisor threads (each thread drives one worker slot —
-// for the process backend that means one child campaign process or
-// one in-process cache replay at a time), and moves every completed
-// chunk report into that chunk's slot after checking it against the
-// tiling with report::merge's rules (campaign hash, total_cells, shard
-// count, slice size, a slot not already filled).  Nothing is merged
-// while chunks land: progress() reads the digest, cell count and
-// `partial` straight off the slots (the objectives digest excludes
-// PHV), and a merged report is built from the slots only when one is
-// needed — each write of `provisional_path`, provisional(), and run()'s
-// result, which is one strict report::merge of every slot, serialized
-// once for both the last provisional state and `final_path`.  That
-// result is bit-identical to a single-process unsharded run regardless
-// of worker count, grant order, retries, or killed workers (the
-// headline guarantee; see lease.hpp for why the schedule cannot
-// matter).
+// One JobRunner is one campaign.  The campaign is pre-split into
+// `chunks` micro-shards (chunk k is shard {k, chunks}, i.e.
+// exec::shard_range's slice — an exec::CellRange), and the runner
+// spawns `workers` supervisor threads (each thread drives one worker
+// slot — for the process backend that means one child campaign process
+// or one in-process cache replay at a time) that take them one at a
+// time:
+//
+//   - a worker is granted one chunk: requeued retries first, then fresh
+//     chunks in index order;
+//   - a failed attempt is requeued with its attempt count bumped, up to
+//     `max_attempts` total tries per chunk; a chunk that exhausts the
+//     budget marks the whole job failed (first error retained), and
+//     the rest still drain, so the provisional report covers
+//     everything that *did* succeed.
+//
+// A grant is a (chunk, attempt) pair local to the worker that holds
+// it, so only that worker answers it: the queue never revokes a grant.
+// A hung worker is the backend's to end (ProcessBackend's chunk
+// timeout kills the child, and the attempt fails).
+//
+// A chunk is done when its slot is filled: a completed chunk report is
+// checked against the tiling with report::merge's rules (campaign
+// hash, total_cells, shard count, slice size, a slot not already
+// filled) and moved into that chunk's slot in the same locked step
+// that counts the attempt, under the one mutex that also guards the
+// queue.  A report the checks reject fails that attempt and leaves the
+// slots as they were.  Nothing is merged while chunks land: progress()
+// reads the digest, cell count and `partial` straight off the slots
+// (the objectives digest excludes PHV), and a merged report is built
+// from the slots only when one is needed — each write of
+// `provisional_path`, provisional(), and run()'s result, which is one
+// strict report::merge the slots are moved into, serialized once for
+// both the last provisional state and `final_path`.
+//
+// That result is bit-identical to a single-process unsharded run
+// regardless of worker count, grant order, retries, or killed workers
+// (the headline guarantee).  Correctness never depends on the
+// schedule: every chunk is an existing `--shard-index/--shard-count`
+// invocation, cells are pure functions of the plan, and the merge
+// recomputes every cell's PHV against the campaign-wide reference, so
+// the strict merge of all chunk reports equals the unsharded run bit
+// for bit *whatever* order the queue granted in.
 //
 // `provisional_path` is written outside the job mutex and coalesced:
 // the worker that stores a chunk while no write is in flight becomes
@@ -31,21 +57,15 @@
 // stored and its attempt succeeds, and the next stored chunk, or run()
 // at the end, writes the newer state.
 //
-// Each grant is answered once, by the slot that holds it: a chunk
-// report the checks reject (a wrong campaign, a chunk stored twice)
-// fails that attempt and leaves the slots as they were.  A hung worker
-// is the backend's to end (ProcessBackend's chunk timeout).
-//
-// Failure semantics: a chunk that exhausts its retry budget marks the
-// job failed, but the pool still drains the remaining chunks, so the
-// provisional report covers everything that *did* succeed.  cancel()
-// stops new grants and aborts in-flight chunk runs (the process
-// backend SIGKILLs its child).
+// cancel() stops new grants, wakes the workers waiting for one, and
+// aborts in-flight chunk runs (the process backend SIGKILLs its child).
 #ifndef PARMIS_ORCHESTRATE_SCHEDULER_HPP
 #define PARMIS_ORCHESTRATE_SCHEDULER_HPP
 
 #include <atomic>
+#include <condition_variable>
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -55,9 +75,21 @@
 
 #include "exec/campaign.hpp"
 #include "orchestrate/backend.hpp"
-#include "orchestrate/lease.hpp"
 
 namespace parmis::orchestrate {
+
+/// Chunk queue counters, readable at any time (status verbs, tests).
+struct LeaseTableStats {
+  std::size_t chunks_total = 0;
+  std::size_t chunks_done = 0;      ///< stored in their slots
+  std::size_t chunks_running = 0;   ///< granted, not yet answered
+  std::size_t chunks_queued = 0;    ///< everything else still to do
+  std::size_t chunks_exhausted = 0; ///< retry budget spent
+  /// Always 0: the queue never steals.  Kept only because the
+  /// repository benchmark (perfbench) reads it.
+  std::uint64_t steals = 0;
+  std::uint64_t retries = 0;        ///< failed attempts requeued
+};
 
 struct JobConfig {
   std::size_t workers = 2;
@@ -80,7 +112,7 @@ struct JobConfig {
   /// stitcher pick this job's spans out of a shared daemon trace.
   std::uint64_t job_id = 0;
   /// Called after each chunk attempt is answered and counted in the
-  /// lease table (outside the runner's lock), so an observer can wait
+  /// queue (outside the runner's lock), so an observer can wait
   /// for progress instead of polling.  Empty: nothing is called.
   std::function<void()> on_progress;
 };
@@ -149,46 +181,76 @@ class JobRunner {
 
   JobProgress progress() const;
 
-  /// Non-strict merge of the chunks stored so far (nullopt before the
-  /// first chunk lands); partial until every chunk is in.
+  /// Non-strict merge of the chunks stored so far; partial until every
+  /// chunk is in.  nullopt before the first chunk lands, and once run()
+  /// has moved a complete tiling into its result.
   std::optional<exec::CampaignReport> provisional() const;
 
  private:
-  using StoredReport = std::shared_ptr<const exec::CampaignReport>;
+  /// Shared so a provisional merge can copy them after mu_ is released;
+  /// not const, so the final merge can move from a slot nobody holds.
+  using StoredReport = std::shared_ptr<exec::CampaignReport>;
+
+  /// What progress() reads off the filled slots.
+  struct SlotSummary {
+    std::uint64_t digest = exec::kObjectivesDigestSeed;
+    std::size_t cells = 0;
+    std::size_t total_cells = 0;
+  };
 
   void worker_loop();
+  /// Counts one answered attempt at `chunk`: a successful outcome's
+  /// report is stored (see store_locked), and a failed or rejected one
+  /// requeues the chunk or, after max_attempts tries, exhausts it.
+  /// Returns whether the report was stored.
+  bool answer_locked(std::size_t chunk, std::size_t attempt,
+                     ChunkOutcome& outcome);
   /// Checks `report` against the tiling and moves it into its slot;
   /// throws, storing nothing, if the checks fail.
-  void fold_in(std::size_t chunk, exec::CampaignReport&& report);
+  void store_locked(std::size_t chunk, exec::CampaignReport&& report);
   /// Brings provisional_path up to the newest stored state, unless
   /// another thread is writing it (which then does) or the state is the
   /// complete tiling (write_final's); never throws.
   void write_provisional();
   /// After the workers return: the strict merge of a complete tiling,
-  /// serialized once into provisional_path and, when `done`, into
-  /// final_path (throwing if that write fails).  Without a complete
-  /// tiling, brings provisional_path up to date and returns nullopt.
+  /// moved out of the slots and serialized once into provisional_path
+  /// and, when `done`, into final_path (throwing if that write fails).
+  /// Without a complete tiling, brings provisional_path up to date and
+  /// returns nullopt.
   std::optional<exec::CampaignReport> write_final(bool done);
   /// The filled slots, in chunk order.
   std::vector<StoredReport> stored_locked() const;
-  /// report::merge over copies of `stored`.
+  /// Non-strict report::merge over copies of `stored`.
   static exec::CampaignReport merge_stored(
-      const std::vector<StoredReport>& stored, bool strict);
+      const std::vector<StoredReport>& stored);
+  SlotSummary summary_locked() const;
+  LeaseTableStats stats_locked() const;
   void export_gauges_locked() const;
 
   ChunkBackend& backend_;
   JobConfig cfg_;
-  LeaseTable table_;
+  /// Read by the backends without mu_; set under it by cancel().
   std::atomic<bool> abort_{false};
 
   mutable std::mutex mu_;
+  /// Signalled when an attempt is answered or the job is cancelled.
+  std::condition_variable cv_;
   JobProgress::State state_ = JobProgress::State::Pending;
-  /// One per chunk, filled by fold_in with that chunk's report; shared
-  /// so a merge can copy them after mu_ is released.
+  /// Attempts made per chunk that failed: the next attempt's index.
+  std::vector<std::size_t> tries_;
+  std::deque<std::size_t> retry_;  ///< requeued chunks, FIFO
+  std::size_t fresh_next_ = 0;     ///< [fresh_next_, chunks) never granted
+  std::size_t running_ = 0;
+  std::size_t exhausted_ = 0;
+  std::uint64_t retries_ = 0;
+  std::string first_error_;  ///< the first exhausted chunk's last error
+  /// One per chunk, filled by store_locked with that chunk's report.
   std::vector<StoredReport> slots_;
-  std::uint64_t provisional_merges_ = 0;
-  /// provisional_merges_ as of the last successful provisional write.
-  std::uint64_t provisional_written_ = 0;
+  std::size_t stored_ = 0;  ///< filled slots: the chunks done
+  /// The slots' summary as write_final moved them into the final merge.
+  std::optional<SlotSummary> final_summary_;
+  /// stored_ as of the last successful provisional write.
+  std::size_t provisional_written_ = 0;
   std::uint64_t provisional_writes_ = 0;
   bool provisional_writing_ = false;  ///< a write is in flight
   std::uint64_t chunks_recovered_ = 0;

@@ -16,7 +16,6 @@
 #ifndef PARMIS_POLICY_GOVERNORS_HPP
 #define PARMIS_POLICY_GOVERNORS_HPP
 
-#include <memory>
 #include <vector>
 
 #include "policy/policy.hpp"
@@ -29,9 +28,6 @@ class PerformanceGovernor final : public Policy {
   explicit PerformanceGovernor(const soc::DecisionSpace& space);
   soc::DrmDecision decide(const soc::HwCounters&) override;
   std::string name() const override { return "performance"; }
-  std::unique_ptr<Policy> clone() const override {
-    return std::make_unique<PerformanceGovernor>(*this);
-  }
 
  private:
   const soc::DecisionSpace* space_;
@@ -43,9 +39,6 @@ class PowersaveGovernor final : public Policy {
   explicit PowersaveGovernor(const soc::DecisionSpace& space);
   soc::DrmDecision decide(const soc::HwCounters&) override;
   std::string name() const override { return "powersave"; }
-  std::unique_ptr<Policy> clone() const override {
-    return std::make_unique<PowersaveGovernor>(*this);
-  }
 
  private:
   const soc::DecisionSpace* space_;
@@ -61,9 +54,6 @@ class OndemandGovernor final : public Policy {
   soc::DrmDecision decide(const soc::HwCounters& counters) override;
   void reset() override;
   std::string name() const override { return "ondemand"; }
-  std::unique_ptr<Policy> clone() const override {
-    return std::make_unique<OndemandGovernor>(*this);
-  }
 
  private:
   const soc::DecisionSpace* space_;
@@ -82,9 +72,6 @@ class ConservativeGovernor final : public Policy {
   soc::DrmDecision decide(const soc::HwCounters& counters) override;
   void reset() override;
   std::string name() const override { return "conservative"; }
-  std::unique_ptr<Policy> clone() const override {
-    return std::make_unique<ConservativeGovernor>(*this);
-  }
 
  private:
   const soc::DecisionSpace* space_;
@@ -104,9 +91,6 @@ class SchedutilGovernor final : public Policy {
                              double headroom = 1.25);
   soc::DrmDecision decide(const soc::HwCounters& counters) override;
   std::string name() const override { return "schedutil"; }
-  std::unique_ptr<Policy> clone() const override {
-    return std::make_unique<SchedutilGovernor>(*this);
-  }
 
  private:
   const soc::DecisionSpace* space_;
@@ -123,9 +107,6 @@ class InteractiveGovernor final : public Policy {
   soc::DrmDecision decide(const soc::HwCounters& counters) override;
   void reset() override;
   std::string name() const override { return "interactive"; }
-  std::unique_ptr<Policy> clone() const override {
-    return std::make_unique<InteractiveGovernor>(*this);
-  }
 
  private:
   const soc::DecisionSpace* space_;

@@ -64,9 +64,6 @@ class MlpPolicy final : public Policy {
   const soc::DecisionSpace& decision_space() const { return *space_; }
 
   std::string name() const override { return "mlp"; }
-  std::unique_ptr<Policy> clone() const override {
-    return std::make_unique<MlpPolicy>(*this);
-  }
 
   /// Builds the flattened theta of a *constant-decision* policy: all
   /// weights zero, each head's output bias one-hot (+`bias_scale`) on

@@ -7,7 +7,6 @@
 #ifndef PARMIS_POLICY_POLICY_HPP
 #define PARMIS_POLICY_POLICY_HPP
 
-#include <memory>
 #include <string>
 
 #include "common/rng.hpp"
@@ -30,11 +29,6 @@ class Policy {
 
   /// Short identifier for tables and logs.
   virtual std::string name() const = 0;
-
-  /// Deep copy, or nullptr if the policy is not clonable.  Clonable
-  /// policies let the runtime evaluate many applications concurrently
-  /// (one clone per app); the built-in policies all support it.
-  virtual std::unique_ptr<Policy> clone() const { return nullptr; }
 };
 
 /// Always returns a fixed decision (building block for oracles/tests).
@@ -44,9 +38,6 @@ class StaticPolicy final : public Policy {
 
   soc::DrmDecision decide(const soc::HwCounters&) override;
   std::string name() const override { return label_; }
-  std::unique_ptr<Policy> clone() const override {
-    return std::make_unique<StaticPolicy>(*this);
-  }
 
  private:
   soc::DrmDecision decision_;
@@ -61,9 +52,6 @@ class RandomPolicy final : public Policy {
   soc::DrmDecision decide(const soc::HwCounters&) override;
   void reset() override;
   std::string name() const override { return "random"; }
-  std::unique_ptr<Policy> clone() const override {
-    return std::make_unique<RandomPolicy>(*this);
-  }
 
  private:
   const soc::DecisionSpace* space_;  // non-owning

@@ -2,12 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <memory>
 
 #include "common/error.hpp"
-#include "common/rng.hpp"
 #include "common/stopwatch.hpp"
-#include "exec/thread_pool.hpp"
 
 namespace parmis::runtime {
 
@@ -85,37 +82,21 @@ GlobalEvaluator::GlobalEvaluator(soc::Platform& platform,
                                  std::vector<soc::Application> apps,
                                  std::vector<Objective> objectives,
                                  EvaluatorConfig config)
-    : platform_(&platform),
-      config_(config),
-      evaluator_(platform, config),
+    : evaluator_(platform, config),
       apps_(std::move(apps)),
       objectives_(std::move(objectives)) {
   require(!apps_.empty(), "global evaluator: no applications");
   require(!objectives_.empty(), "global evaluator: no objectives");
-  // Reference magnitudes from the default-decision static policy.  The
-  // reference runs must match the mode evaluate() uses: the pooled mode
-  // draws sensor noise from per-app substreams (and can fan the sweep
-  // across the pool — each app writes only its own slot).
-  const soc::DrmDecision default_decision =
-      platform.decision_space().default_decision();
-  std::vector<RunMetrics> ref_metrics(apps_.size());
-  if (config_.pool != nullptr) {
-    config_.pool->parallel_for(apps_.size(), [&](std::size_t a) {
-      policy::StaticPolicy reference_policy(default_decision, "reference");
-      ref_metrics[a] = run_app_isolated(reference_policy, a);
-    });
-  } else {
-    policy::StaticPolicy reference_policy(default_decision, "reference");
-    for (std::size_t a = 0; a < apps_.size(); ++a) {
-      ref_metrics[a] = evaluator_.run(reference_policy, apps_[a]);
-    }
-  }
-  for (std::size_t a = 0; a < apps_.size(); ++a) {
+  // Reference magnitudes from the default-decision static policy.
+  policy::StaticPolicy reference_policy(
+      platform.decision_space().default_decision(), "reference");
+  for (const soc::Application& app : apps_) {
+    const RunMetrics ref_metrics = evaluator_.run(reference_policy, app);
     num::Vec mags;
     for (const auto& o : objectives_) {
-      const double mag = std::abs(o.min_value(ref_metrics[a]));
+      const double mag = std::abs(o.min_value(ref_metrics));
       require(mag > 1e-12, "global evaluator: degenerate reference for " +
-                               o.name() + " on " + apps_[a].name);
+                               o.name() + " on " + app.name);
       mags.push_back(mag);
     }
     reference_.push_back(std::move(mags));
@@ -134,47 +115,7 @@ num::Vec GlobalEvaluator::aggregate_last_metrics() const {
   return total;
 }
 
-RunMetrics GlobalEvaluator::run_app_isolated(policy::Policy& policy,
-                                             std::size_t a) {
-  soc::Platform local(*platform_);
-  std::uint64_t substream = platform_->config().noise_seed ^
-                            (0x9E3779B97F4A7C15ULL * (a + 1)) ^
-                            (0xD1B54A32D192ED03ULL * isolated_eval_count_);
-  local.reseed_sensors(splitmix64(substream));
-  EvaluatorConfig config = config_;
-  config.pool = nullptr;
-  Evaluator evaluator(local, config);
-  return evaluator.run(policy, apps_[a]);
-}
-
 num::Vec GlobalEvaluator::evaluate(policy::Policy& policy) {
-  if (config_.pool != nullptr) {
-    // Advance the noise epoch once per evaluation (the reference runs in
-    // the constructor used epoch 0): the sequence of epochs is the same
-    // at every pool size, so determinism holds, but successive
-    // evaluations see fresh noise draws.
-    ++isolated_eval_count_;
-    if (std::unique_ptr<policy::Policy> prototype = policy.clone()) {
-      // Fan the apps across the pool: clone per app, private platform
-      // copy per app, per-app sensor substream.  The result is a pure
-      // function of (policy parameters, apps) — identical at any pool
-      // size, including the inline 1-thread pool.
-      last_metrics_.assign(apps_.size(), RunMetrics{});
-      config_.pool->parallel_for(apps_.size(), [&](std::size_t a) {
-        const std::unique_ptr<policy::Policy> local = policy.clone();
-        last_metrics_[a] = run_app_isolated(*local, a);
-      });
-      return aggregate_last_metrics();
-    }
-    // Not clonable: run serially, but still through the per-app isolated
-    // platforms so measurements stay consistent with the references this
-    // evaluator computed (and stay pure across repeated calls).
-    last_metrics_.assign(apps_.size(), RunMetrics{});
-    for (std::size_t a = 0; a < apps_.size(); ++a) {
-      last_metrics_[a] = run_app_isolated(policy, a);
-    }
-    return aggregate_last_metrics();
-  }
   last_metrics_.assign(apps_.size(), RunMetrics{});
   for (std::size_t a = 0; a < apps_.size(); ++a) {
     last_metrics_[a] = evaluator_.run(policy, apps_[a]);

@@ -20,10 +20,6 @@
 #include "soc/thermal.hpp"
 #include "soc/workload.hpp"
 
-namespace parmis::exec {
-class ThreadPool;
-}
-
 namespace parmis::runtime {
 
 /// Evaluation options.
@@ -31,13 +27,6 @@ struct EvaluatorConfig {
   bool measure_decision_overhead = false;  ///< wall-clock decide() timing
   bool enable_thermal = false;             ///< RC model + throttling
   soc::ThermalParams thermal_params = {};
-
-  /// Optional worker pool for GlobalEvaluator's per-app runs.  When set
-  /// (and the policy is clonable), each app runs on its own Platform
-  /// copy with a per-app sensor substream, so results are identical at
-  /// every pool size — including 1.  nullptr keeps the historical
-  /// shared-platform serial path, byte for byte.
-  exec::ThreadPool* pool = nullptr;
 };
 
 /// Runs policies against applications on a Platform.
@@ -85,25 +74,14 @@ class GlobalEvaluator {
   const std::vector<Objective>& objectives() const { return objectives_; }
 
  private:
-  /// Runs app `a` on a private Platform copy whose sensor stream is
-  /// derived from (platform noise seed, a, evaluation counter) — order-
-  /// and thread-independent by construction, but advancing per
-  /// evaluate() call so observation noise stays i.i.d. across
-  /// evaluations instead of freezing into a per-app bias.
-  RunMetrics run_app_isolated(policy::Policy& policy, std::size_t a);
-
-  /// Reference-normalized mean of last_metrics_ (the one place the
-  /// aggregation formula lives — all evaluate() paths share it).
+  /// Reference-normalized mean of last_metrics_.
   num::Vec aggregate_last_metrics() const;
 
-  soc::Platform* platform_;  // non-owning
-  EvaluatorConfig config_;
   Evaluator evaluator_;
   std::vector<soc::Application> apps_;
   std::vector<Objective> objectives_;
   std::vector<num::Vec> reference_;  ///< per-app reference raw magnitudes
   std::vector<RunMetrics> last_metrics_;
-  std::uint64_t isolated_eval_count_ = 0;  ///< noise-substream epoch
 };
 
 }  // namespace parmis::runtime

@@ -1,6 +1,6 @@
 // Unit tests for src/exec: thread pool semantics and stress, campaign
 // determinism at 1 vs N threads, and the intra-run parallel wiring
-// (GlobalEvaluator per-app fan-out, PaRMIS acquisition scoring).
+// (PaRMIS acquisition scoring).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -14,8 +14,6 @@
 #include "core/policy_search.hpp"
 #include "exec/campaign.hpp"
 #include "exec/thread_pool.hpp"
-#include "policy/governors.hpp"
-#include "runtime/evaluator.hpp"
 #include "scenario/scenario.hpp"
 
 namespace parmis::exec {
@@ -202,56 +200,6 @@ scenario::ScenarioSpec small_spec() {
   scenario::ScenarioSpec spec = scenario::make_scenario("xu3-mibench-te");
   spec.benchmark_apps = {"qsort", "sha", "dijkstra"};
   return spec;
-}
-
-TEST(GlobalEvaluatorPool, PoolSizeDoesNotChangeResults) {
-  const scenario::ScenarioSpec spec = small_spec();
-  const soc::SocSpec soc_spec = scenario::make_platform_spec(spec);
-  const auto apps = scenario::make_applications(spec);
-  const auto objectives = scenario::make_objectives(spec);
-
-  num::Vec results[2];
-  for (int k = 0; k < 2; ++k) {
-    ThreadPool pool(k == 0 ? 1 : 4);
-    soc::PlatformConfig platform_config = spec.platform_config;
-    platform_config.sensor_noise_sd = 0.05;  // exercise the noise streams
-    soc::Platform platform(soc_spec, platform_config);
-    runtime::EvaluatorConfig config;
-    config.pool = &pool;
-    runtime::GlobalEvaluator evaluator(platform, apps, objectives, config);
-    policy::OndemandGovernor governor(platform.decision_space());
-    results[k] = evaluator.evaluate(governor);
-  }
-  ASSERT_EQ(results[0].size(), results[1].size());
-  for (std::size_t j = 0; j < results[0].size(); ++j) {
-    EXPECT_EQ(results[0][j], results[1][j]) << "objective " << j;
-  }
-}
-
-TEST(GlobalEvaluatorPool, NonClonablePolicyFallsBackToSerial) {
-  struct Opaque final : policy::Policy {
-    explicit Opaque(const soc::DecisionSpace& space) : space_(&space) {}
-    soc::DrmDecision decide(const soc::HwCounters&) override {
-      return space_->default_decision();
-    }
-    std::string name() const override { return "opaque"; }
-    const soc::DecisionSpace* space_;
-  };
-
-  const scenario::ScenarioSpec spec = small_spec();
-  const soc::SocSpec soc_spec = scenario::make_platform_spec(spec);
-  const auto apps = scenario::make_applications(spec);
-  const auto objectives = scenario::make_objectives(spec);
-
-  ThreadPool pool(4);
-  soc::Platform platform(soc_spec, spec.platform_config);
-  runtime::EvaluatorConfig config;
-  config.pool = &pool;
-  runtime::GlobalEvaluator evaluator(platform, apps, objectives, config);
-  Opaque opaque(platform.decision_space());
-  const num::Vec v = evaluator.evaluate(opaque);  // must not crash
-  EXPECT_EQ(v.size(), objectives.size());
-  EXPECT_EQ(evaluator.last_per_app_metrics().size(), apps.size());
 }
 
 TEST(ParmisPool, AcquisitionScoringPoolDoesNotChangeSearch) {
